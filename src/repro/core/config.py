@@ -80,8 +80,9 @@ class GBDTConfig:
 class ResilienceConfig:
     """Fault-tolerance knobs of the sharded execution runtime.
 
-    Consumed by :class:`repro.runtime.executor.ShardedDivisionExecutor`
-    (``RetryPolicy.from_config`` derives the backoff schedule).  Defaults
+    Consumed by :class:`repro.runtime.supervisor.ShardSupervisor` on behalf
+    of both sharded phases (``RetryPolicy.from_config`` derives the backoff
+    schedule).  Defaults
     reproduce the paper deployment's posture: a few cheap retries with
     exponential backoff, fail loudly when a shard is truly broken.
 

@@ -31,28 +31,21 @@ from repro.types import Node
 
 BACKENDS = ("auto", "dict", "csr")
 """Valid Phase I graph backends: pure-Python dict-of-sets, NumPy CSR kernels,
-or ``auto`` (CSR when NumPy is importable, dict otherwise)."""
+or ``auto`` (the CSR kernels)."""
 
 
 def resolve_backend(backend: str) -> str:
     """Resolve a backend name to the concrete implementation to run.
 
-    ``auto`` picks the CSR kernel layer when NumPy is available and falls
-    back to the dict-of-sets reference implementation otherwise, so callers
-    (``core.division``, ``runtime.executor``, the experiments) never need to
-    care which one is installed.
+    ``auto`` picks the CSR kernel layer (NumPy is a hard dependency of every
+    layer), so callers (``core.division``, ``runtime.executor``, the
+    experiments) name a preference once and never branch on it again.
     """
     if backend not in BACKENDS:
         raise PipelineError(
             f"unknown graph backend {backend!r}; available: {sorted(BACKENDS)}"
         )
-    if backend != "auto":
-        return backend
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - NumPy is a hard dep in practice
-        return "dict"
-    return "csr"
+    return "csr" if backend == "auto" else backend
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Zero-copy shared-memory transport for CSR graphs and Phase II kernels.
 
 The sharded runtime historically shipped the *entire* graph to every worker
-by pickle (``executor._init_worker``), making worker startup O(graph) in both
-time and RAM — ``num_workers + 1`` full copies resident at once.  This module
-makes the CSR arrays themselves the wire format:
+by pickle (the ``repro.runtime.supervisor._init_worker`` pool initializer),
+making worker startup O(graph) in both time and RAM — ``num_workers + 1``
+full copies resident at once.  This module makes the CSR arrays themselves
+the wire format:
 
 * :meth:`SharedCSRGraph.publish` copies a :class:`CSRGraph`'s arrays into
   POSIX shared-memory segments **once** and returns a :class:`ShmLease` — the

@@ -1,6 +1,7 @@
 """The repo-wide resource lifecycle protocol.
 
 Several classes own process pools and POSIX shared-memory leases —
+:class:`repro.runtime.supervisor.ShardSupervisor` (the only direct owner),
 :class:`repro.runtime.executor.ShardedDivisionExecutor`,
 :class:`repro.core.aggregation.FeatureMatrixBuilder`,
 :class:`repro.runtime.phase2_exec.Phase2ShardedRunner`,

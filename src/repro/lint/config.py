@@ -32,6 +32,7 @@ _EVERYTHING = ("src/repro", "scripts", "benchmarks")
 _MP_CRITICAL = _EVERYTHING + (
     "src/repro/runtime/executor.py",
     "src/repro/runtime/phase2_exec.py",
+    "src/repro/runtime/supervisor.py",
     "src/repro/core/aggregation.py",
     "src/repro/serve.py",
 )

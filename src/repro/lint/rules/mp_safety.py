@@ -5,7 +5,8 @@ Two conventions keep that boundary safe in this repo, and each has already
 cost a real bug:
 
 * only module-level callables go to executors — lambdas and functions
-  defined inside another function do not pickle (``MP001``);
+  defined inside another function do not pickle (``MP001``) — including the
+  ones a ``ShardSupervisor(...)`` ships on its caller's behalf;
 * exception classes whose ``__init__`` signature differs from ``args``
   must define ``__reduce__`` (the ``_PicklableErrorMixin`` pattern in
   :mod:`repro.exceptions`), otherwise unpickling in the supervisor either
@@ -38,6 +39,11 @@ from repro.lint.core import (
 SUBMIT_METHODS = frozenset(
     {"submit", "map", "starmap", "imap", "imap_unordered", "apply", "apply_async"}
 )
+
+#: ``ShardSupervisor(...)`` keyword arguments naming callables the supervisor
+#: forwards to (or runs beside) its worker processes: the submit call it makes
+#: only ever names its own trampoline, so the rule follows the indirection.
+SUPERVISOR_CALLABLE_KEYWORDS = frozenset({"shard_fn", "prepare", "publish"})
 
 #: Builtin exception roots (reachable without any repo-defined ancestor).
 BUILTIN_EXCEPTION_NAMES = frozenset(
@@ -98,24 +104,26 @@ class ExecutorCallableRule(Rule):
         nested = _nested_function_names(ctx.tree)
         for call in iter_calls(ctx.tree):
             func = call.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr in SUBMIT_METHODS
-            ):
+            if isinstance(func, ast.Attribute) and func.attr in SUBMIT_METHODS:
+                shipped = [(f".{func.attr}()", arg) for arg in call.args[:1]]
+            elif getattr(func, "attr", getattr(func, "id", None)) == "ShardSupervisor":
+                shipped = [
+                    (f"ShardSupervisor({keyword.arg}=...)", keyword.value)
+                    for keyword in call.keywords
+                    if keyword.arg in SUPERVISOR_CALLABLE_KEYWORDS
+                ]
+            else:
                 continue
-            if not call.args:
-                continue
-            candidate = call.args[0]
-            if isinstance(candidate, ast.Lambda):
-                yield self._finding(
-                    ctx, call, f"a lambda passed to .{func.attr}()"
-                )
-            elif isinstance(candidate, ast.Name) and candidate.id in nested:
-                yield self._finding(
-                    ctx,
-                    call,
-                    f"locally-defined function {candidate.id!r} passed to "
-                    f".{func.attr}()",
-                )
+            for where, candidate in shipped:
+                if isinstance(candidate, ast.Lambda):
+                    yield self._finding(ctx, call, f"a lambda passed to {where}")
+                elif isinstance(candidate, ast.Name) and candidate.id in nested:
+                    yield self._finding(
+                        ctx,
+                        call,
+                        f"locally-defined function {candidate.id!r} passed to "
+                        f"{where}",
+                    )
 
     def _finding(self, ctx: ModuleContext, call: ast.Call, what: str) -> Finding:
         return Finding(

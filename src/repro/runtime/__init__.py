@@ -15,7 +15,6 @@ from repro.runtime.executor import (
     ExecutionReport,
     ShardedDivisionExecutor,
     ShardReport,
-    TransportStats,
 )
 from repro.runtime.faultinject import (
     Fault,
@@ -51,6 +50,7 @@ from repro.runtime.scalability import (
     run_chaos,
 )
 from repro.runtime.sharding import Shard, shard_by_degree, shard_nodes, validate_shards
+from repro.runtime.supervisor import TransportStats
 
 __all__ = [
     "Shard",

@@ -1,25 +1,22 @@
-"""Supervised shard executor: fault-tolerant Phase I over shards.
+"""Sharded Phase I execution: fault-tolerant community division over shards.
 
-The production system streams nodes through 50–200 servers where worker
-crashes, stragglers and partial failures are routine; this executor
-reproduces the decomposition (shard → per-ego work → merge) at laptop scale
-*with the supervision that makes it survivable*:
+The production system streams nodes through 50–200 servers; this executor
+reproduces the decomposition (shard → per-ego work → merge) at laptop scale.
+What is Phase I's own lives here:
 
-* per-shard **retries** under a :class:`~repro.runtime.resilience.RetryPolicy`
-  (exponential backoff, deterministic jitter, retryable-error
-  classification),
-* per-shard **timeouts** (``future.result(timeout=...)`` under a process
-  pool; simulated on the injected clock under serial fault injection),
-* a broken process pool is **rebuilt** up to ``max_pool_rebuilds`` times and
-  then the executor **degrades to in-process serial execution** for the
-  remaining shards,
-* ``on_shard_failure`` selects the failure semantics once a shard's attempt
-  budget is spent — abort (``"raise"``), keep going with a first-class
-  partial result (``"skip"``), or retry once in-process
-  (``"serial_fallback"``),
+* the node set is split into deterministic **shards**
+  (:func:`repro.runtime.sharding.shard_nodes`),
 * completed shard results optionally **checkpoint** to disk, and
   ``run(resume_from=...)`` skips fingerprint-matching shards so a killed run
-  resumes instead of recomputing.
+  resumes instead of recomputing,
+* shard results **merge** into one
+  :class:`~repro.core.division.DivisionResult`.
+
+Everything that makes the run survivable — retries, per-shard timeouts,
+broken-pool rebuild, degrade-to-serial, ``on_shard_failure`` semantics and
+the ``auto|shm|pickle`` graph transport — is the shared
+:class:`~repro.runtime.supervisor.ShardSupervisor`, opened for the duration
+of each ``run`` so neither pool nor shared-memory lease outlives it.
 
 The invariant throughout: any fault schedule that eventually succeeds yields
 a merged :class:`~repro.core.division.DivisionResult` bit-identical to the
@@ -29,127 +26,51 @@ computes.
 
 from __future__ import annotations
 
-import pickle
-import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
-    from repro.graph.csr import CSRGraph
-    from repro.graph.shm import ShmHandle, ShmLease
+from dataclasses import dataclass
 
 from repro.core.config import ResilienceConfig
 from repro.core.division import DivisionResult, divide, resolve_backend
-from repro.exceptions import (
-    ExecutorError,
-    RetryExhaustedError,
-    ShardFailedError,
-    ShardTimeoutError,
-    WorkerCrashError,
-)
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
+from repro.graph.shm import SharedCSRGraph, ShmLease
 from repro.runtime.faultinject import FaultPlan
-from repro.runtime.resilience import (
-    Clock,
-    RetryPolicy,
-    RetryState,
-    ShardCheckpointStore,
-    ShardFailure,
-    SystemClock,
-)
+from repro.runtime.resilience import Clock, ShardCheckpointStore, SystemClock
 from repro.runtime.sharding import Shard, shard_nodes, validate_shards
+from repro.runtime.supervisor import (
+    ShardOutcome,
+    ShardSupervisor,
+    ShardTask,
+    SupervisionReport,
+    reset_worker_state,
+)
 from repro.types import Node
 
-_WORKER_GRAPH: "Graph | CSRGraph | None" = None
-_WORKER_FAULT_PLAN: FaultPlan | None = None
-_WORKER_TIMEOUT: float | None = None
 
-
-def _reset_worker_state() -> None:
-    """Explicit worker teardown: drop the cached graph and fault plan.
-
-    The worker globals used to persist for the life of the process — a stale
-    graph (and, for shm transport, its segment mappings) survived across
-    runs and pool generations.  ``_init_worker`` calls this before installing
-    new state, and :meth:`ShardedDivisionExecutor.close` calls it in the
-    parent so in-process tests can assert nothing lingers.
-    """
-    global _WORKER_GRAPH, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
-    graph, _WORKER_GRAPH = _WORKER_GRAPH, None
-    _WORKER_FAULT_PLAN = None
-    _WORKER_TIMEOUT = None
-    close = getattr(graph, "close", None)
-    if callable(close):
-        close()
-
-
-def _prepare_graph(graph: Graph, backend: str) -> "Graph | CSRGraph":
+# ------------------------------------------------- supervisor specialisation
+def _prepare_graph(payload: tuple[Graph, str]) -> Graph | CSRGraph:
     """Resolve the backend once per process: CSR snapshots are per-graph,
     not per-shard, so the O(V+E) conversion must not repeat for every task."""
-    if resolve_backend(backend) == "csr":
-        from repro.graph.csr import CSRGraph
-
-        if not isinstance(graph, CSRGraph):
-            return CSRGraph.from_graph(graph)
+    graph, backend = payload
+    if resolve_backend(backend) == "csr" and not isinstance(graph, CSRGraph):
+        return CSRGraph.from_graph(graph)
     return graph
 
 
-def _init_worker(
-    payload: "Graph | CSRGraph | ShmHandle",
-    backend: str,
-    fault_plan: FaultPlan | None = None,
-    shard_timeout: float | None = None,
-) -> None:
-    """Process-pool initializer: receive the graph once per worker process.
-
-    Under ``transport="pickle"`` the payload is the graph itself — pickled
-    once per worker instead of once per shard task.  Under ``"shm"`` it is a
-    :class:`~repro.graph.shm.ShmHandle` of a few hundred bytes and the
-    worker attaches the published segments zero-copy, so startup cost stops
-    scaling with graph size.  The fault plan (tests / chaos runs only)
-    travels alongside either way.
-    """
-    global _WORKER_GRAPH, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
-    _reset_worker_state()
-    attach = getattr(payload, "attach", None)
-    if callable(attach):  # ShmHandle
-        _WORKER_GRAPH = attach()
-    else:
-        _WORKER_GRAPH = _prepare_graph(payload, backend)  # type: ignore[arg-type]
-    _WORKER_FAULT_PLAN = fault_plan
-    _WORKER_TIMEOUT = shard_timeout
+def _publish_graph(prepared: Graph | CSRGraph) -> ShmLease | None:
+    """Publish a CSR snapshot to shared memory; the dict backend has no
+    shared form, so ``"auto"`` ships it by pickle and ``"shm"`` refuses."""
+    if not isinstance(prepared, CSRGraph):
+        return None
+    return SharedCSRGraph.publish(prepared)
 
 
-def _peak_rss_bytes() -> int:
-    """Peak resident set size of this process in bytes (0 if unavailable)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is bytes on macOS, kilobytes everywhere else.
-    scale = 1 if sys.platform == "darwin" else 1024
-    return int(peak) * scale
+def _divide_shard(
+    graph: Graph, shard: Shard, detector: str, backend: str
+) -> DivisionResult:
+    return divide(graph, egos=shard.egos, detector=detector, backend=backend)
 
 
-def _process_shard_in_worker(
-    shard: Shard, detector: str, backend: str, attempt: int = 0
-) -> tuple[int, DivisionResult, float, int]:
-    assert _WORKER_GRAPH is not None, "worker initializer did not run"
-    if _WORKER_FAULT_PLAN is not None:
-        _WORKER_FAULT_PLAN.apply(
-            shard.shard_id, attempt, in_worker=True, timeout=_WORKER_TIMEOUT
-        )
-    shard_id, division, seconds = _process_shard(
-        _WORKER_GRAPH, shard, detector, backend
-    )
-    return shard_id, division, seconds, _peak_rss_bytes()
-
-
+# ----------------------------------------------------------------- reporting
 @dataclass
 class ShardReport:
     """Timing, size and supervision information for one processed shard."""
@@ -171,34 +92,7 @@ class ShardReport:
 
 
 @dataclass
-class TransportStats:
-    """How the graph reached the workers, and what that shipping cost.
-
-    ``transport`` is the *resolved* mode (``"auto"`` never appears here):
-    ``"inline"`` for serial in-process runs where nothing is shipped,
-    ``"pickle"`` when each worker deserializes its own copy of the graph,
-    ``"shm"`` when workers attach a published shared-memory CSR snapshot.
-    """
-
-    transport: str = "inline"
-    payload_bytes: int = 0
-    """Pickled size of the per-worker payload (the graph, or an ShmHandle)."""
-    segment_bytes: int = 0
-    """Total bytes of published shared-memory segments (shm transport only)."""
-    num_workers: int = 0
-    peak_worker_rss_bytes: int = 0
-    """Largest per-process peak RSS sampled at shard completion (bytes)."""
-    swept_segments: int = 0
-    """Shared-memory segments unlinked by pool-rebuild / finalizer sweeps."""
-
-    @property
-    def shipped_bytes(self) -> int:
-        """Bytes serialized across the pool at startup (payload × workers)."""
-        return self.payload_bytes * max(self.num_workers, 1)
-
-
-@dataclass
-class ExecutionReport:
+class ExecutionReport(SupervisionReport[ShardReport]):
     """Result of a sharded Phase I execution.
 
     Partial results are first-class: under ``on_shard_failure="skip"`` the
@@ -208,18 +102,6 @@ class ExecutionReport:
     """
 
     division: DivisionResult
-    shard_reports: list[ShardReport] = field(default_factory=list)
-    failed_shards: list[ShardFailure] = field(default_factory=list)
-    pool_rebuilds: int = 0
-    """Times a broken process pool was torn down and rebuilt."""
-    degraded_to_serial: bool = False
-    """True when repeated pool breakage forced in-process serial execution."""
-    transport: TransportStats = field(default_factory=TransportStats)
-    """Graph-shipping accounting (resolved transport, bytes, peak RSS)."""
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(report.seconds for report in self.shard_reports)
 
     @property
     def makespan_seconds(self) -> float:
@@ -228,44 +110,12 @@ class ExecutionReport:
             return 0.0
         return max(report.seconds for report in self.shard_reports)
 
-    @property
-    def total_retries(self) -> int:
-        retried = sum(report.retries for report in self.shard_reports)
-        return retried + sum(max(0, item.attempts - 1) for item in self.failed_shards)
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(report.timeouts for report in self.shard_reports)
-
     def mean_seconds_per_ego(self) -> float:
         egos = sum(report.num_egos for report in self.shard_reports)
         return self.total_seconds / egos if egos else 0.0
 
 
-def _process_shard(
-    graph: Graph, shard: Shard, detector: str, backend: str = "auto"
-) -> tuple[int, DivisionResult, float]:
-    # Worker-side duration measurement: the injectable Clock lives in the
-    # supervisor process and deliberately does not travel to workers (a
-    # FakeClock would report zero-length shards).  Measurement-only — the
-    # division result itself is time-independent.
-    start = time.perf_counter()  # repro-lint: disable=DET001
-    division = divide(graph, egos=shard.egos, detector=detector, backend=backend)
-    return shard.shard_id, division, time.perf_counter() - start  # repro-lint: disable=DET001
-
-
-@dataclass
-class _ShardOutcome:
-    """Internal: one shard's final state after supervision."""
-
-    shard: Shard
-    division: DivisionResult
-    seconds: float
-    attempts: int
-    timeouts: int
-    from_checkpoint: bool = False
-
-
+# ------------------------------------------------------------------ executor
 class ShardedDivisionExecutor:
     """Run LoCEC Phase I shard by shard under supervision.
 
@@ -286,9 +136,6 @@ class ShardedDivisionExecutor:
         Fault-tolerance knobs (:class:`repro.core.config.ResilienceConfig`):
         retry budget and backoff, per-shard timeout, ``on_shard_failure``
         mode, checkpoint directory, pool-rebuild budget.
-    retry_policy:
-        Optional explicit :class:`~repro.runtime.resilience.RetryPolicy`;
-        derived from ``resilience`` when omitted.
     fault_plan:
         Optional :class:`~repro.runtime.faultinject.FaultPlan` injecting
         deterministic faults into shard attempts (tests / chaos runs).
@@ -307,7 +154,6 @@ class ShardedDivisionExecutor:
         strategy: str = "round_robin",
         backend: str = "auto",
         resilience: ResilienceConfig | None = None,
-        retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
     ) -> None:
@@ -318,20 +164,9 @@ class ShardedDivisionExecutor:
         self.backend = backend
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.resilience.validate()
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.from_config(self.resilience)
-        )
-        self.retry_policy.validate()
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
-        # Parent-process graph, built lazily per run.
-        self._prepared_graph: "Graph | CSRGraph | None" = None
-        # Published shared-memory lease while a pool is live (shm transport).
-        self._lease: "ShmLease | None" = None
 
-    # ------------------------------------------------------------------ run
     def run(
         self,
         graph: Graph,
@@ -347,12 +182,13 @@ class ShardedDivisionExecutor:
         completed shard spills there as it finishes.
         """
         nodes = list(graph.nodes()) if egos is None else list(egos)
-        shards = validate_shards(
-            shard_nodes(nodes, self.num_shards, strategy=self.strategy)
-        )
+        shards = {
+            shard.shard_id: shard
+            for shard in validate_shards(
+                shard_nodes(nodes, self.num_shards, strategy=self.strategy)
+            )
+        }
         report = ExecutionReport(division=DivisionResult())
-        report.transport.num_workers = self.num_workers
-        self._prepared_graph = None
 
         # Spilled graphs (``load_csr_npz``) carry a content-addressed identity;
         # folding it into checkpoint fingerprints keeps checkpoints from one
@@ -368,380 +204,71 @@ class ShardedDivisionExecutor:
             ShardCheckpointStore(resume_from, graph_id=graph_id) if resume_from else None
         )
 
-        outcomes: dict[int, _ShardOutcome] = {}
-        pending: list[RetryState] = []
-        for shard in shards:
-            checkpoint = resume_store.load(shard, self.detector) if resume_store else None
-            if checkpoint is not None:
-                outcomes[shard.shard_id] = _ShardOutcome(
-                    shard=shard,
-                    division=checkpoint.division,
-                    seconds=checkpoint.seconds,
-                    attempts=0,
-                    timeouts=0,
-                    from_checkpoint=True,
+        def spill(outcome: ShardOutcome[DivisionResult]) -> None:
+            if write_store is not None:
+                write_store.save(
+                    shards[outcome.shard_id], self.detector, outcome.result, outcome.seconds
                 )
+
+        resumed: list[ShardOutcome[DivisionResult]] = []
+        tasks: list[ShardTask] = []
+        for shard in shards.values():
+            checkpoint = resume_store.load(shard, self.detector) if resume_store else None
+            if checkpoint is None:
+                tasks.append((shard.shard_id, (shard, self.detector, self.backend)))
             else:
-                pending.append(RetryState(shard))
+                # attempts=0 marks a result that was loaded, never run.
+                resumed.append(
+                    ShardOutcome(
+                        shard.shard_id,
+                        checkpoint.division,
+                        checkpoint.seconds,
+                        attempts=0,
+                        timeouts=0,
+                    )
+                )
 
-        if pending:
-            try:
-                if self.num_workers <= 1:
-                    self._run_serial(graph, pending, report, outcomes, write_store)
-                else:
-                    self._run_pool(graph, pending, report, outcomes, write_store)
-            finally:
-                # Finalizer sweep: whatever happened above, no published
-                # segment outlives the run that published it.
-                self._sweep_lease(report)
+        with ShardSupervisor(
+            (graph, self.backend),
+            shard_fn=_divide_shard,
+            publish=_publish_graph,
+            prepare=_prepare_graph,
+            num_workers=self.num_workers,
+            resilience=self.resilience,
+            fault_plan=self.fault_plan,
+            clock=self.clock,
+        ) as supervisor:
+            computed = supervisor.run(tasks, report, on_result=spill)
 
-        for shard_id in sorted(outcomes):
-            outcome = outcomes[shard_id]
-            report.division = report.division.merge(outcome.division)
+        for outcome in sorted(resumed + computed, key=lambda item: item.shard_id):
+            report.division = report.division.merge(outcome.result)
             report.shard_reports.append(
                 ShardReport(
-                    shard_id=shard_id,
-                    num_egos=outcome.division.num_egos,
-                    num_communities=outcome.division.num_communities,
+                    shard_id=outcome.shard_id,
+                    num_egos=outcome.result.num_egos,
+                    num_communities=outcome.result.num_communities,
                     seconds=outcome.seconds,
-                    attempts=max(outcome.attempts, 1) if not outcome.from_checkpoint
-                    else outcome.attempts,
+                    attempts=outcome.attempts,
                     timeouts=outcome.timeouts,
-                    from_checkpoint=outcome.from_checkpoint,
+                    from_checkpoint=outcome.attempts == 0,
                 )
             )
-        report.failed_shards.sort(key=lambda item: item.shard_id)
         return report
-
-    # ------------------------------------------------------------- internals
-    def _parent_graph(self, graph: Graph) -> "Graph | CSRGraph":
-        if self._prepared_graph is None:
-            self._prepared_graph = _prepare_graph(graph, self.backend)
-        return self._prepared_graph
-
-    def _resolve_transport(self, prepared: "Graph | CSRGraph") -> str:
-        """Resolve the configured transport against graph and platform.
-
-        ``"auto"`` picks shm exactly when the prepared graph is a CSR
-        snapshot and the platform has POSIX shared memory; ``"shm"`` raises
-        when either precondition is missing instead of silently shipping a
-        full pickle.
-        """
-        mode = self.resilience.transport
-        if mode == "pickle":
-            return "pickle"
-        try:
-            from repro.graph.csr import CSRGraph
-            from repro.graph.shm import shm_supported
-        except ImportError:
-            supported = False
-        else:
-            supported = shm_supported() and isinstance(prepared, CSRGraph)
-        if mode == "shm":
-            if not supported:
-                raise ExecutorError(
-                    "transport='shm' requires the CSR graph backend and a "
-                    "platform with POSIX shared memory"
-                )
-            return "shm"
-        return "shm" if supported else "pickle"
-
-    def _worker_payload(
-        self, graph: Graph, report: ExecutionReport
-    ) -> "Graph | CSRGraph | ShmHandle":
-        """Build the per-worker initializer payload and record its cost.
-
-        Under shm transport the CSR arrays are published once here and every
-        worker receives only the O(1) handle; under pickle transport each
-        worker deserializes its own full copy of the graph (the historical
-        behaviour, and the fallback when ``"auto"`` cannot use shm or
-        publishing fails).
-        """
-        prepared = self._parent_graph(graph)
-        transport = self._resolve_transport(prepared)
-        if transport == "shm":
-            from repro.graph.shm import SharedCSRGraph, handle_nbytes
-
-            try:
-                lease = SharedCSRGraph.publish(prepared)  # type: ignore[arg-type]
-            except Exception:  # noqa: BLE001 — fall back rather than fail startup
-                if self.resilience.transport == "shm":
-                    raise
-            else:
-                self._lease = lease
-                report.transport.transport = "shm"
-                report.transport.payload_bytes = handle_nbytes(lease.handle)
-                report.transport.segment_bytes = lease.segment_nbytes
-                return lease.handle
-        report.transport.transport = "pickle"
-        report.transport.payload_bytes = len(
-            pickle.dumps(graph, pickle.HIGHEST_PROTOCOL)
-        )
-        report.transport.segment_bytes = 0
-        return graph
-
-    def _sweep_lease(self, report: ExecutionReport | None = None) -> None:
-        """Unlink the published lease (idempotent; rebuilds and finalizers)."""
-        lease, self._lease = self._lease, None
-        if lease is None:
-            return
-        swept = 0 if lease.released else len(lease.segment_names)
-        lease.close()
-        if report is not None:
-            report.transport.swept_segments += swept
-
-    def _checkpoint(
-        self,
-        write_store: ShardCheckpointStore | None,
-        shard: Shard,
-        division: DivisionResult,
-        seconds: float,
-    ) -> None:
-        if write_store is not None:
-            write_store.save(shard, self.detector, division, seconds)
-
-    def _run_serial(
-        self,
-        graph: Graph,
-        states: list[RetryState],
-        report: ExecutionReport,
-        outcomes: dict[int, _ShardOutcome],
-        write_store: ShardCheckpointStore | None,
-        apply_faults: bool = True,
-    ) -> None:
-        """Supervised in-process execution.
-
-        Faults (when a plan is injected) run in *simulation* mode: hangs
-        advance the injected clock and surface as ``ShardTimeoutError``,
-        kills surface as ``WorkerCrashError`` — the parent process is never
-        actually stalled or killed.
-        """
-        prepared = self._parent_graph(graph)
-        for state in states:
-            shard = state.shard
-            while True:
-                try:
-                    if apply_faults and self.fault_plan is not None:
-                        self.fault_plan.apply(
-                            shard.shard_id,
-                            state.attempt,
-                            in_worker=False,
-                            clock=self.clock,
-                            timeout=self.resilience.shard_timeout,
-                        )
-                    _, division, seconds = _process_shard(
-                        prepared, shard, self.detector, self.backend
-                    )
-                except Exception as exc:  # noqa: BLE001 — supervision boundary
-                    state.record_failure(exc)
-                    if self._should_retry(state, exc):
-                        self.clock.sleep(
-                            self.retry_policy.delay(state.attempt, key=shard.shard_id)
-                        )
-                        continue
-                    self._handle_exhausted(
-                        graph, state, exc, report, outcomes, write_store
-                    )
-                    break
-                outcomes[shard.shard_id] = _ShardOutcome(
-                    shard=shard,
-                    division=division,
-                    seconds=seconds,
-                    attempts=state.attempt + 1,
-                    timeouts=state.timeouts,
-                )
-                report.transport.peak_worker_rss_bytes = max(
-                    report.transport.peak_worker_rss_bytes, _peak_rss_bytes()
-                )
-                self._checkpoint(write_store, shard, division, seconds)
-                break
-
-    def _run_pool(
-        self,
-        graph: Graph,
-        states: list[RetryState],
-        report: ExecutionReport,
-        outcomes: dict[int, _ShardOutcome],
-        write_store: ShardCheckpointStore | None,
-    ) -> None:
-        """Supervised process-pool execution with pool-rebuild recovery."""
-        timeout = self.resilience.shard_timeout
-        pool = self._make_pool(graph, report)
-        pending = list(states)
-        try:
-            while pending:
-                futures: list[tuple[RetryState, object | None]] = []
-                broken = False
-                for state in pending:
-                    if broken:
-                        futures.append((state, None))
-                        continue
-                    try:
-                        futures.append(
-                            (
-                                state,
-                                pool.submit(
-                                    _process_shard_in_worker,
-                                    state.shard,
-                                    self.detector,
-                                    self.backend,
-                                    state.attempt,
-                                ),
-                            )
-                        )
-                    except BrokenProcessPool:
-                        broken = True
-                        futures.append((state, None))
-
-                retry_wave: list[RetryState] = []
-                for state, future in futures:
-                    shard = state.shard
-                    if future is None:
-                        exc: Exception = WorkerCrashError(
-                            shard.shard_id, detail="process pool broken"
-                        )
-                    else:
-                        try:
-                            _, division, seconds, worker_rss = future.result(
-                                timeout=timeout
-                            )
-                            outcomes[shard.shard_id] = _ShardOutcome(
-                                shard=shard,
-                                division=division,
-                                seconds=seconds,
-                                attempts=state.attempt + 1,
-                                timeouts=state.timeouts,
-                            )
-                            report.transport.peak_worker_rss_bytes = max(
-                                report.transport.peak_worker_rss_bytes, worker_rss
-                            )
-                            self._checkpoint(write_store, shard, division, seconds)
-                            continue
-                        except FutureTimeoutError:
-                            exc = ShardTimeoutError(shard.shard_id, timeout)
-                            future.cancel()
-                        except BrokenProcessPool:
-                            broken = True
-                            exc = WorkerCrashError(
-                                shard.shard_id, detail="worker process died"
-                            )
-                        except Exception as raw:  # noqa: BLE001 — supervision boundary
-                            exc = raw
-                    state.record_failure(exc)
-                    if self._should_retry(state, exc):
-                        retry_wave.append(state)
-                    else:
-                        self._handle_exhausted(
-                            graph, state, exc, report, outcomes, write_store
-                        )
-
-                if broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    # Unlink-on-rebuild sweep: a crashed worker cannot close
-                    # its attachments, so the parent unlinks the published
-                    # segments here and (re)publishes for the next pool.
-                    self._sweep_lease(report)
-                    report.pool_rebuilds += 1
-                    if report.pool_rebuilds > self.resilience.max_pool_rebuilds:
-                        # The pool keeps dying: degrade to in-process serial
-                        # execution for everything still unfinished.
-                        report.degraded_to_serial = True
-                        self._run_serial(
-                            graph, retry_wave, report, outcomes, write_store
-                        )
-                        return
-                    pool = self._make_pool(graph, report)
-
-                if retry_wave:
-                    # One backoff per wave: the longest of the per-shard
-                    # delays (per-shard sleeps would serialize the pool).
-                    self.clock.sleep(
-                        max(
-                            self.retry_policy.delay(s.attempt, key=s.shard.shard_id)
-                            for s in retry_wave
-                        )
-                    )
-                pending = retry_wave
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _make_pool(self, graph: Graph, report: ExecutionReport) -> ProcessPoolExecutor:
-        payload = self._worker_payload(graph, report)
-        return ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=_init_worker,
-            initargs=(
-                payload,
-                self.backend,
-                self.fault_plan,
-                self.resilience.shard_timeout,
-            ),
-        )
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release everything the executor holds between runs.
+        """Reset the module-level worker globals.
 
-        Unlinks any published shared-memory lease, drops the cached
-        parent-process graph and resets the module-level worker globals (the
-        serial path and in-process tests run in this interpreter).  Idempotent
-        and safe to call at any point; the context-manager form calls it on
-        exit.
+        The supervisor (pool, shared-memory lease, prepared graph) is opened
+        and closed inside each ``run``, so nothing is held between runs;
+        this is the :class:`~repro.lifecycle.Closeable` surface callers
+        already use.  Idempotent and safe to call at any point; the
+        context-manager form calls it on exit.
         """
-        self._sweep_lease(None)
-        self._prepared_graph = None
-        _reset_worker_state()
+        reset_worker_state()
 
     def __enter__(self) -> "ShardedDivisionExecutor":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _should_retry(self, state: RetryState, exc: Exception) -> bool:
-        return (
-            self.retry_policy.is_retryable(exc)
-            and state.attempt < self.retry_policy.max_attempts
-        )
-
-    def _handle_exhausted(
-        self,
-        graph: Graph,
-        state: RetryState,
-        exc: Exception,
-        report: ExecutionReport,
-        outcomes: dict[int, _ShardOutcome],
-        write_store: ShardCheckpointStore | None,
-    ) -> None:
-        """Apply ``on_shard_failure`` once a shard's attempt budget is spent."""
-        shard = state.shard
-        mode = self.resilience.on_shard_failure
-        if mode == "serial_fallback":
-            # Last resort: run the shard in-process, bypassing the pool and
-            # the fault-injection layer (both model infrastructure faults,
-            # and the in-process path has neither workers nor injectors).
-            try:
-                _, division, seconds = _process_shard(
-                    self._parent_graph(graph), shard, self.detector, self.backend
-                )
-            except Exception as fallback_exc:  # noqa: BLE001 — supervision boundary
-                raise ShardFailedError(
-                    shard.shard_id, state.attempt + 1, fallback_exc
-                ) from fallback_exc
-            outcomes[shard.shard_id] = _ShardOutcome(
-                shard=shard,
-                division=division,
-                seconds=seconds,
-                attempts=state.attempt + 1,
-                timeouts=state.timeouts,
-            )
-            self._checkpoint(write_store, shard, division, seconds)
-            return
-        if mode == "skip":
-            report.failed_shards.append(
-                ShardFailure.from_error(shard.shard_id, state.attempt, exc)
-            )
-            return
-        if self.retry_policy.is_retryable(exc):
-            raise RetryExhaustedError(shard.shard_id, state.attempt, exc) from exc
-        raise ShardFailedError(shard.shard_id, state.attempt, exc) from exc

@@ -22,43 +22,27 @@ strided keys, per-community segment sums), so a shard's block equals the
 corresponding slice of the full-batch result bit-for-bit, and the merged
 output is byte-equal to the serial run — under any fault schedule that
 eventually succeeds.  Supervision (retries, per-shard timeouts, broken-pool
-rebuild with lease sweeps, ``on_shard_failure`` semantics, degrade-to-serial)
-mirrors :class:`~repro.runtime.executor.ShardedDivisionExecutor`.
+rebuild with lease sweeps, ``on_shard_failure`` semantics, degrade-to-serial,
+kernel transport) is the shared
+:class:`~repro.runtime.supervisor.ShardSupervisor`, held open across calls so
+the kernel is published once and aggregated against many times.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from dataclasses import dataclass
+from typing import Callable, Collection, Sequence, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports (lazy at runtime)
-    from repro.graph.phase2 import Phase2Kernel
-    from repro.graph.shm import Phase2ShmHandle, ShmLease
-
 from repro.core.config import ResilienceConfig
-from repro.exceptions import (
-    ExecutorError,
-    RetryExhaustedError,
-    ShardFailedError,
-    ShardTimeoutError,
-    StalePhase2KernelError,
-    WorkerCrashError,
-)
-from repro.runtime.executor import TransportStats, _peak_rss_bytes
+from repro.exceptions import ExecutorError, StalePhase2KernelError
+from repro.graph.phase2 import Phase2Kernel
+from repro.graph.shm import SharedPhase2Kernel
 from repro.runtime.faultinject import FaultPlan
-from repro.runtime.resilience import (
-    Clock,
-    RetryPolicy,
-    ShardFailure,
-    SystemClock,
-)
+from repro.runtime.resilience import Clock, SystemClock
+from repro.runtime.supervisor import ShardSupervisor, SupervisionReport
 from repro.types import Node
 
 __all__ = [
@@ -74,7 +58,7 @@ CommunityPair = tuple[Collection[Node], Sequence[Node]]
 
 #: A shard's computed block: ``(rows, offsets)`` in rows mode, a single
 #: array in stats/tensor mode.
-ShardResult = "np.ndarray | tuple[np.ndarray, np.ndarray]"
+ShardResult = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 _MODES = ("rows", "stats", "tensor")
 
@@ -129,48 +113,9 @@ def shard_communities(sizes: Sequence[int], num_shards: int) -> list[Phase2Shard
     return shards
 
 
-# ------------------------------------------------------------ worker process
-_WORKER_KERNEL: "Phase2Kernel | None" = None
-_WORKER_FAULT_PLAN: FaultPlan | None = None
-_WORKER_TIMEOUT: float | None = None
-
-
-def _reset_phase2_worker_state() -> None:
-    """Explicit worker teardown: drop the cached kernel (closing shm borrows)."""
-    global _WORKER_KERNEL, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
-    kernel, _WORKER_KERNEL = _WORKER_KERNEL, None
-    _WORKER_FAULT_PLAN = None
-    _WORKER_TIMEOUT = None
-    close = getattr(kernel, "close", None)
-    if callable(close):
-        close()
-
-
-def _init_phase2_worker(
-    payload: "Phase2Kernel | Phase2ShmHandle",
-    fault_plan: FaultPlan | None = None,
-    shard_timeout: float | None = None,
-) -> None:
-    """Process-pool initializer: receive the compiled kernel once per worker.
-
-    Under shm transport the payload is an O(1)
-    :class:`~repro.graph.shm.Phase2ShmHandle` and the worker attaches the
-    published segments zero-copy; under pickle transport it is the kernel
-    itself, deserialized once per worker instead of once per shard task.
-    """
-    global _WORKER_KERNEL, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
-    _reset_phase2_worker_state()
-    attach = getattr(payload, "attach", None)
-    if callable(attach):  # Phase2ShmHandle
-        _WORKER_KERNEL = attach()
-    else:
-        _WORKER_KERNEL = payload  # type: ignore[assignment]
-    _WORKER_FAULT_PLAN = fault_plan
-    _WORKER_TIMEOUT = shard_timeout
-
-
+# ------------------------------------------------- supervisor specialisation
 def _compute_shard(
-    kernel: "Phase2Kernel", pairs: list[CommunityPair], mode: str, k: int
+    kernel: Phase2Kernel, pairs: list[CommunityPair], mode: str, k: int
 ) -> ShardResult:
     """One shard's aggregation: dispatch on the entry-point mode."""
     if mode == "rows":
@@ -182,26 +127,13 @@ def _compute_shard(
     raise ExecutorError(f"unknown Phase II mode {mode!r}; available: {_MODES}")
 
 
-def _phase2_shard_in_worker(
-    shard_id: int,
-    pairs: list[CommunityPair],
-    mode: str,
-    k: int,
-    attempt: int = 0,
-) -> tuple[int, ShardResult, float, int]:
-    assert _WORKER_KERNEL is not None, "worker initializer did not run"
-    if _WORKER_FAULT_PLAN is not None:
-        _WORKER_FAULT_PLAN.apply(
-            shard_id, attempt, in_worker=True, timeout=_WORKER_TIMEOUT
-        )
-    # Worker-side duration measurement: the injectable Clock lives in the
-    # supervisor process and deliberately does not travel to workers (a
-    # FakeClock would report zero-length shards).  Measurement-only — the
-    # aggregation result itself is time-independent.
-    start = time.perf_counter()  # repro-lint: disable=DET001
-    result = _compute_shard(_WORKER_KERNEL, pairs, mode, k)
-    seconds = time.perf_counter() - start  # repro-lint: disable=DET001
-    return shard_id, result, seconds, _peak_rss_bytes()
+def _scatter_into(out: np.ndarray) -> Callable[[tuple[int, ...], ShardResult], None]:
+    """Merge for one-block-row-per-community modes: positional assignment."""
+
+    def merge(indices: tuple[int, ...], block: ShardResult) -> None:
+        out[list(indices)] = block
+
+    return merge
 
 
 # ----------------------------------------------------------------- reporting
@@ -222,7 +154,7 @@ class Phase2ShardReport:
 
 
 @dataclass
-class Phase2ExecutionReport:
+class Phase2ExecutionReport(SupervisionReport[Phase2ShardReport]):
     """Result accounting of one sharded Phase II call.
 
     Partial results are first-class: under ``on_shard_failure="skip"`` the
@@ -233,18 +165,8 @@ class Phase2ExecutionReport:
     mode: str = ""
     num_communities: int = 0
     num_workers: int = 0
-    shard_reports: list[Phase2ShardReport] = field(default_factory=list)
-    failed_shards: list[ShardFailure] = field(default_factory=list)
-    pool_rebuilds: int = 0
-    degraded_to_serial: bool = False
-    transport: TransportStats = field(default_factory=TransportStats)
     parent_seconds: float = 0.0
     """Parent-side overhead: partition + publish + submit + merge seconds."""
-
-    @property
-    def total_seconds(self) -> float:
-        """Worker compute seconds summed over shards (the serial-equivalent)."""
-        return sum(report.seconds for report in self.shard_reports)
 
     @property
     def makespan_seconds(self) -> float:
@@ -266,45 +188,6 @@ class Phase2ExecutionReport:
             loads[loads.index(min(loads))] += seconds
         return max(loads) + self.parent_seconds
 
-    @property
-    def total_retries(self) -> int:
-        retried = sum(report.retries for report in self.shard_reports)
-        return retried + sum(max(0, item.attempts - 1) for item in self.failed_shards)
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(report.timeouts for report in self.shard_reports)
-
-
-@dataclass
-class _Phase2RetryState:
-    """Per-shard bookkeeping threaded through attempts (local analogue of
-    :class:`repro.runtime.resilience.RetryState`, which is typed to the
-    Phase I :class:`~repro.runtime.sharding.Shard`)."""
-
-    shard: Phase2Shard
-    pairs: list[CommunityPair]
-    attempt: int = 0
-    timeouts: int = 0
-    errors: list[str] = field(default_factory=list)
-
-    def record_failure(self, error: BaseException) -> None:
-        self.attempt += 1
-        self.errors.append(repr(error))
-        if isinstance(error, ShardTimeoutError):
-            self.timeouts += 1
-
-
-@dataclass
-class _Phase2Outcome:
-    """Internal: one shard's final block after supervision."""
-
-    shard: Phase2Shard
-    result: ShardResult
-    seconds: float
-    attempts: int
-    timeouts: int
-
 
 # -------------------------------------------------------------------- runner
 class Phase2ShardedRunner:
@@ -324,31 +207,28 @@ class Phase2ShardedRunner:
         Fault-tolerance knobs (:class:`repro.core.config.ResilienceConfig`):
         retry budget/backoff, per-shard timeout, ``on_shard_failure`` mode,
         pool-rebuild budget, transport selection.
-    retry_policy:
-        Optional explicit policy; derived from ``resilience`` when omitted.
     fault_plan:
         Optional :class:`~repro.runtime.faultinject.FaultPlan` injecting
         deterministic faults into shard attempts (tests / chaos runs).
     clock:
         Injectable time source for backoff sleeps and simulated hangs.
     source_versions / version_probe:
-        Staleness guard: when both are given, every call (and every publish)
-        compares ``version_probe()`` against ``source_versions`` and raises
+        Staleness guard: when both are given, every call compares
+        ``version_probe()`` against ``source_versions`` and raises
         :class:`~repro.exceptions.StalePhase2KernelError` on mismatch, so a
         published snapshot can never serve mutated stores.
 
-    The runner keeps its pool and shared-memory lease alive across calls
-    (publish once, aggregate many); :meth:`close` — or the context-manager
-    form — releases both.
+    The runner keeps its supervisor — pool and shared-memory lease — alive
+    across calls (publish once, aggregate many); :meth:`close` — or the
+    context-manager form — releases both.
     """
 
     def __init__(
         self,
-        kernel: "Phase2Kernel",
+        kernel: Phase2Kernel,
         num_workers: int = 2,
         num_shards: int | None = None,
         resilience: ResilienceConfig | None = None,
-        retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
         source_versions: tuple[int, int] | None = None,
@@ -361,21 +241,18 @@ class Phase2ShardedRunner:
         self.kernel = kernel
         self.num_workers = num_workers
         self.num_shards = num_shards if num_shards is not None else num_workers
-        self.resilience = resilience if resilience is not None else ResilienceConfig()
-        self.resilience.validate()
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.from_config(self.resilience)
-        )
-        self.retry_policy.validate()
-        self.fault_plan = fault_plan
-        self.clock: Clock = clock if clock is not None else SystemClock()
         self.source_versions = source_versions
         self.version_probe = version_probe
         self.last_report: Phase2ExecutionReport | None = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._lease: "ShmLease | None" = None
+        self._supervisor: ShardSupervisor[ShardResult] = ShardSupervisor(
+            kernel,
+            shard_fn=_compute_shard,
+            publish=SharedPhase2Kernel.publish,
+            num_workers=num_workers,
+            resilience=resilience if resilience is not None else ResilienceConfig(),
+            fault_plan=fault_plan,
+            clock=clock if clock is not None else SystemClock(),
+        )
 
     # ------------------------------------------------------------ entry points
     def rows_batch(
@@ -383,23 +260,21 @@ class Phase2ShardedRunner:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sharded :meth:`Phase2Kernel.community_rows_batch` (bit-identical)."""
         work = list(pairs)
-        num_columns = self._num_columns()
         sel_sizes = np.fromiter(
             (len(selected) for _, selected in work), dtype=np.int64, count=len(work)
         )
         offsets = np.zeros(len(work) + 1, dtype=np.int64)
         np.cumsum(sel_sizes, out=offsets[1:])
-        rows = np.zeros((int(offsets[-1]), num_columns))
-        outcomes, report = self._execute(work, "rows", 0)
-        merge_start = time.perf_counter()  # repro-lint: disable=DET001
-        for outcome in outcomes.values():
-            block, block_offsets = outcome.result  # type: ignore[misc]
-            for local, index in enumerate(outcome.shard.indices):
+        rows = np.zeros((int(offsets[-1]), self._num_columns()))
+
+        def merge(indices: tuple[int, ...], result: ShardResult) -> None:
+            block, block_offsets = result
+            for local, index in enumerate(indices):
                 rows[offsets[index] : offsets[index + 1]] = block[
                     block_offsets[local] : block_offsets[local + 1]
                 ]
-        report.parent_seconds += time.perf_counter() - merge_start  # repro-lint: disable=DET001
-        self.last_report = report
+
+        self._execute(work, "rows", 0, merge)
         return rows, offsets
 
     def statistics(
@@ -407,29 +282,16 @@ class Phase2ShardedRunner:
     ) -> np.ndarray:
         """Sharded :meth:`Phase2Kernel.community_statistics` (bit-identical)."""
         work = list(pairs)
-        num_columns = self._num_columns()
         if out is None:
-            out = np.zeros((len(work), 2 * num_columns + 1), dtype=np.float64)
-        outcomes, report = self._execute(work, "stats", 0)
-        merge_start = time.perf_counter()  # repro-lint: disable=DET001
-        for outcome in outcomes.values():
-            out[list(outcome.shard.indices)] = outcome.result
-        report.parent_seconds += time.perf_counter() - merge_start  # repro-lint: disable=DET001
-        self.last_report = report
+            out = np.zeros((len(work), 2 * self._num_columns() + 1), dtype=np.float64)
+        self._execute(work, "stats", 0, _scatter_into(out))
         return out
 
     def tensor(self, pairs: Sequence[CommunityPair], k: int) -> np.ndarray:
         """Sharded :meth:`Phase2Kernel.community_tensor` (bit-identical)."""
         work = list(pairs)
-        tensor = np.zeros(
-            (len(work), 1, k, self._num_columns()), dtype=np.float64
-        )
-        outcomes, report = self._execute(work, "tensor", k)
-        merge_start = time.perf_counter()  # repro-lint: disable=DET001
-        for outcome in outcomes.values():
-            tensor[list(outcome.shard.indices)] = outcome.result
-        report.parent_seconds += time.perf_counter() - merge_start  # repro-lint: disable=DET001
-        self.last_report = report
+        tensor = np.zeros((len(work), 1, k, self._num_columns()), dtype=np.float64)
+        self._execute(work, "tensor", k, _scatter_into(tensor))
         return tensor
 
     # ------------------------------------------------------------- lifecycle
@@ -440,11 +302,7 @@ class Phase2ShardedRunner:
         on exit, and :meth:`FeatureMatrixBuilder.invalidate_kernel` calls it
         so a stale snapshot can never outlive its stores' next write.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._sweep_lease(None)
-        _reset_phase2_worker_state()
+        self._supervisor.close()
 
     def __enter__(self) -> "Phase2ShardedRunner":
         return self
@@ -465,39 +323,38 @@ class Phase2ShardedRunner:
             raise StalePhase2KernelError(self.source_versions, actual)
 
     def _execute(
-        self, pairs: list[CommunityPair], mode: str, k: int
-    ) -> tuple[dict[int, _Phase2Outcome], Phase2ExecutionReport]:
+        self,
+        pairs: list[CommunityPair],
+        mode: str,
+        k: int,
+        merge: Callable[[tuple[int, ...], ShardResult], None],
+    ) -> None:
+        """Shard ``pairs``, run the shards under supervision and ``merge``
+        each completed block back by its batch positions."""
         self._check_fresh()
         report = Phase2ExecutionReport(
             mode=mode, num_communities=len(pairs), num_workers=self.num_workers
         )
-        report.transport.num_workers = self.num_workers
         start = time.perf_counter()  # repro-lint: disable=DET001
         shards = shard_communities(
             [len(members) for members, _ in pairs], self.num_shards
         )
-        states = [
-            _Phase2RetryState(
-                shard=shard, pairs=[pairs[index] for index in shard.indices]
-            )
-            for shard in shards
-        ]
-        outcomes: dict[int, _Phase2Outcome] = {}
-        if states:
-            if self.num_workers <= 1:
-                self._run_serial(states, mode, k, report, outcomes)
-            else:
-                self._run_pool(states, mode, k, report, outcomes)
-        report.failed_shards.sort(key=lambda item: item.shard_id)
-        for shard_id in sorted(outcomes):
-            outcome = outcomes[shard_id]
+        outcomes = self._supervisor.run(
+            [
+                (shard.shard_id, ([pairs[index] for index in shard.indices], mode, k))
+                for shard in shards
+            ],
+            report,
+        )
+        for outcome in outcomes:
+            shard = shards[outcome.shard_id]
             report.shard_reports.append(
                 Phase2ShardReport(
-                    shard_id=shard_id,
-                    num_communities=len(outcome.shard.indices),
-                    total_members=outcome.shard.total_members,
+                    shard_id=shard.shard_id,
+                    num_communities=len(shard.indices),
+                    total_members=shard.total_members,
                     seconds=outcome.seconds,
-                    attempts=max(outcome.attempts, 1),
+                    attempts=outcome.attempts,
                     timeouts=outcome.timeouts,
                 )
             )
@@ -506,275 +363,8 @@ class Phase2ShardedRunner:
         # approximately; for pooled runs the wall time is dominated by the
         # workers, so subtract their reported compute from the elapsed span.
         report.parent_seconds += max(0.0, elapsed - report.total_seconds)
-        return outcomes, report
-
-    def _run_serial(
-        self,
-        states: list[_Phase2RetryState],
-        mode: str,
-        k: int,
-        report: Phase2ExecutionReport,
-        outcomes: dict[int, _Phase2Outcome],
-    ) -> None:
-        """Supervised in-process execution (faults run in simulation mode)."""
-        for state in states:
-            shard = state.shard
-            while True:
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.apply(
-                            shard.shard_id,
-                            state.attempt,
-                            in_worker=False,
-                            clock=self.clock,
-                            timeout=self.resilience.shard_timeout,
-                        )
-                    compute_start = time.perf_counter()  # repro-lint: disable=DET001
-                    result = _compute_shard(self.kernel, state.pairs, mode, k)
-                    seconds = time.perf_counter() - compute_start  # repro-lint: disable=DET001
-                except Exception as exc:  # noqa: BLE001 — supervision boundary
-                    state.record_failure(exc)
-                    if self._should_retry(state, exc):
-                        self.clock.sleep(
-                            self.retry_policy.delay(state.attempt, key=shard.shard_id)
-                        )
-                        continue
-                    self._handle_exhausted(state, mode, k, exc, report, outcomes)
-                    break
-                outcomes[shard.shard_id] = _Phase2Outcome(
-                    shard=shard,
-                    result=result,
-                    seconds=seconds,
-                    attempts=state.attempt + 1,
-                    timeouts=state.timeouts,
-                )
-                report.transport.peak_worker_rss_bytes = max(
-                    report.transport.peak_worker_rss_bytes, _peak_rss_bytes()
-                )
-                break
-
-    def _run_pool(
-        self,
-        states: list[_Phase2RetryState],
-        mode: str,
-        k: int,
-        report: Phase2ExecutionReport,
-        outcomes: dict[int, _Phase2Outcome],
-    ) -> None:
-        """Supervised process-pool execution with pool-rebuild recovery."""
-        timeout = self.resilience.shard_timeout
-        pool = self._ensure_pool(report)
-        pending = list(states)
-        while pending:
-            futures: list[tuple[_Phase2RetryState, object | None]] = []
-            broken = False
-            for state in pending:
-                if broken:
-                    futures.append((state, None))
-                    continue
-                try:
-                    futures.append(
-                        (
-                            state,
-                            pool.submit(
-                                _phase2_shard_in_worker,
-                                state.shard.shard_id,
-                                state.pairs,
-                                mode,
-                                k,
-                                state.attempt,
-                            ),
-                        )
-                    )
-                except BrokenProcessPool:
-                    broken = True
-                    futures.append((state, None))
-
-            retry_wave: list[_Phase2RetryState] = []
-            for state, future in futures:
-                shard = state.shard
-                if future is None:
-                    exc: Exception = WorkerCrashError(
-                        shard.shard_id, detail="process pool broken"
-                    )
-                else:
-                    try:
-                        _, result, seconds, worker_rss = future.result(  # type: ignore[attr-defined]
-                            timeout=timeout
-                        )
-                        outcomes[shard.shard_id] = _Phase2Outcome(
-                            shard=shard,
-                            result=result,
-                            seconds=seconds,
-                            attempts=state.attempt + 1,
-                            timeouts=state.timeouts,
-                        )
-                        report.transport.peak_worker_rss_bytes = max(
-                            report.transport.peak_worker_rss_bytes, worker_rss
-                        )
-                        continue
-                    except FutureTimeoutError:
-                        exc = ShardTimeoutError(shard.shard_id, timeout or 0.0)
-                        future.cancel()  # type: ignore[attr-defined]
-                    except BrokenProcessPool:
-                        broken = True
-                        exc = WorkerCrashError(
-                            shard.shard_id, detail="worker process died"
-                        )
-                    except Exception as raw:  # noqa: BLE001 — supervision boundary
-                        exc = raw
-                state.record_failure(exc)
-                if self._should_retry(state, exc):
-                    retry_wave.append(state)
-                else:
-                    self._handle_exhausted(state, mode, k, exc, report, outcomes)
-
-            if broken:
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                # Unlink-on-rebuild sweep (MP003): a crashed worker cannot
-                # close its attachments, so the parent unlinks the published
-                # segments here and republishes for the next pool.
-                self._sweep_lease(report)
-                report.pool_rebuilds += 1
-                if report.pool_rebuilds > self.resilience.max_pool_rebuilds:
-                    # The pool keeps dying: degrade to in-process serial
-                    # execution for everything still unfinished.
-                    report.degraded_to_serial = True
-                    self._run_serial(retry_wave, mode, k, report, outcomes)
-                    return
-                pool = self._ensure_pool(report)
-
-            if retry_wave:
-                # One backoff per wave: the longest of the per-shard delays
-                # (per-shard sleeps would serialize the pool).
-                self.clock.sleep(
-                    max(
-                        self.retry_policy.delay(s.attempt, key=s.shard.shard_id)
-                        for s in retry_wave
-                    )
-                )
-            pending = retry_wave
-
-    def _resolve_transport(self) -> str:
-        """``"auto"`` picks shm when the platform supports it; ``"shm"`` insists."""
-        mode = self.resilience.transport
-        if mode == "pickle":
-            return "pickle"
-        try:
-            from repro.graph.shm import shm_supported
-
-            supported = shm_supported()
-        except ImportError:
-            supported = False
-        if mode == "shm":
-            if not supported:
-                raise ExecutorError(
-                    "transport='shm' requires a platform with POSIX shared memory"
-                )
-            return "shm"
-        return "shm" if supported else "pickle"
-
-    def _worker_payload(
-        self, report: Phase2ExecutionReport
-    ) -> "Phase2Kernel | Phase2ShmHandle":
-        """Publish the kernel (once) and build the per-worker payload."""
-        self._check_fresh()
-        if self._lease is not None:
-            return self._lease.handle  # type: ignore[return-value]
-        if self._resolve_transport() == "shm":
-            from repro.graph.shm import SharedPhase2Kernel, handle_nbytes
-
-            try:
-                lease = SharedPhase2Kernel.publish(self.kernel)
-            except Exception:  # noqa: BLE001 — fall back rather than fail startup
-                if self.resilience.transport == "shm":
-                    raise
-            else:
-                self._lease = lease
-                report.transport.transport = "shm"
-                report.transport.payload_bytes = handle_nbytes(lease.handle)
-                report.transport.segment_bytes = lease.segment_nbytes
-                return lease.handle  # type: ignore[return-value]
-        report.transport.transport = "pickle"
-        report.transport.payload_bytes = len(
-            pickle.dumps(self.kernel, pickle.HIGHEST_PROTOCOL)
-        )
-        report.transport.segment_bytes = 0
-        return self.kernel
-
-    def _ensure_pool(self, report: Phase2ExecutionReport) -> ProcessPoolExecutor:
-        if self._pool is None:
-            payload = self._worker_payload(report)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=_init_phase2_worker,
-                initargs=(payload, self.fault_plan, self.resilience.shard_timeout),
-            )
-        elif self._lease is not None:
-            # Pool reused across calls: re-report the standing transport.
-            from repro.graph.shm import handle_nbytes
-
-            report.transport.transport = "shm"
-            report.transport.payload_bytes = handle_nbytes(self._lease.handle)
-            report.transport.segment_bytes = self._lease.segment_nbytes
-        else:
-            report.transport.transport = "pickle"
-        return self._pool
-
-    def _sweep_lease(self, report: Phase2ExecutionReport | None) -> None:
-        """Unlink the published lease (idempotent; rebuilds and finalizers)."""
-        lease, self._lease = self._lease, None
-        if lease is None:
-            return
-        swept = 0 if lease.released else len(lease.segment_names)
-        lease.close()
-        if report is not None:
-            report.transport.swept_segments += swept
-
-    def _should_retry(self, state: _Phase2RetryState, exc: Exception) -> bool:
-        return (
-            self.retry_policy.is_retryable(exc)
-            and state.attempt < self.retry_policy.max_attempts
-        )
-
-    def _handle_exhausted(
-        self,
-        state: _Phase2RetryState,
-        mode: str,
-        k: int,
-        exc: Exception,
-        report: Phase2ExecutionReport,
-        outcomes: dict[int, _Phase2Outcome],
-    ) -> None:
-        """Apply ``on_shard_failure`` once a shard's attempt budget is spent."""
-        shard = state.shard
-        failure_mode = self.resilience.on_shard_failure
-        if failure_mode == "serial_fallback":
-            # Last resort: run the shard in-process, bypassing the pool and
-            # the fault-injection layer (both model infrastructure faults,
-            # and the in-process path has neither workers nor injectors).
-            try:
-                compute_start = time.perf_counter()  # repro-lint: disable=DET001
-                result = _compute_shard(self.kernel, state.pairs, mode, k)
-                seconds = time.perf_counter() - compute_start  # repro-lint: disable=DET001
-            except Exception as fallback_exc:  # noqa: BLE001 — supervision boundary
-                raise ShardFailedError(
-                    shard.shard_id, state.attempt + 1, fallback_exc
-                ) from fallback_exc
-            outcomes[shard.shard_id] = _Phase2Outcome(
-                shard=shard,
-                result=result,
-                seconds=seconds,
-                attempts=state.attempt + 1,
-                timeouts=state.timeouts,
-            )
-            return
-        if failure_mode == "skip":
-            report.failed_shards.append(
-                ShardFailure.from_error(shard.shard_id, state.attempt, exc)
-            )
-            return
-        if self.retry_policy.is_retryable(exc):
-            raise RetryExhaustedError(shard.shard_id, state.attempt, exc) from exc
-        raise ShardFailedError(shard.shard_id, state.attempt, exc) from exc
+        merge_start = time.perf_counter()  # repro-lint: disable=DET001
+        for outcome in outcomes:
+            merge(shards[outcome.shard_id].indices, outcome.result)
+        report.parent_seconds += time.perf_counter() - merge_start  # repro-lint: disable=DET001
+        self.last_report = report

@@ -2,8 +2,8 @@
 
 The paper's production deployment runs Phase I continuously across 50–200
 servers, where transient worker failures, stragglers and hard crashes are
-routine.  This module supplies the building blocks the supervised executor
-(:mod:`repro.runtime.executor`) is built from:
+routine.  This module supplies the building blocks the shard supervisor
+(:mod:`repro.runtime.supervisor`) is built from:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   **deterministic** jitter (seeded per ``(shard, attempt)``, so two runs of
@@ -25,7 +25,7 @@ import hashlib
 import os
 import pickle
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.clock import Clock as Clock
@@ -220,26 +220,11 @@ class ShardFailure:
     shard_id: int
     attempts: int
     error: str
+    timeouts: int = 0
+    """How many of the failed attempts were per-shard timeouts."""
 
     @classmethod
-    def from_error(cls, shard_id: int, attempts: int,
-                   error: BaseException) -> "ShardFailure":
-        return cls(shard_id=shard_id, attempts=attempts, error=repr(error))
-
-
-@dataclass
-class RetryState:
-    """Per-shard bookkeeping the supervisor threads through attempts."""
-
-    shard: Shard
-    attempt: int = 0  # attempts already made
-    timeouts: int = 0
-    last_error: BaseException | None = None
-    errors: list[str] = field(default_factory=list)
-
-    def record_failure(self, error: BaseException) -> None:
-        self.attempt += 1
-        self.last_error = error
-        self.errors.append(repr(error))
-        if isinstance(error, ShardTimeoutError):
-            self.timeouts += 1
+    def from_error(cls, shard_id: int, attempts: int, error: BaseException,
+                   timeouts: int = 0) -> "ShardFailure":
+        return cls(shard_id=shard_id, attempts=attempts, error=repr(error),
+                   timeouts=timeouts)

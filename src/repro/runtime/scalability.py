@@ -33,7 +33,8 @@ from repro.runtime.cost_model import (
     TransportCalibration,
     WorkloadSpec,
 )
-from repro.runtime.executor import ShardedDivisionExecutor, TransportStats
+from repro.runtime.executor import ShardedDivisionExecutor
+from repro.runtime.supervisor import TransportStats
 from repro.synthetic.network import SocialNetworkDataset
 
 
@@ -134,7 +135,7 @@ def measure_phases(
     With ``num_workers > 1`` Phase I runs through the shard executor
     (``num_shards`` shards) and the returned
     :class:`MeasuredPhaseTimes` carries the run's
-    :class:`~repro.runtime.executor.TransportStats`.
+    :class:`~repro.runtime.supervisor.TransportStats`.
     With ``options.phase2_workers >= 1`` Phase II aggregation routes through
     the sharded runner (:class:`repro.runtime.phase2_exec.Phase2ShardedRunner`,
     bit-identical outputs) and the result carries the kernel-shipping

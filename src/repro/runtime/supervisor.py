@@ -1,0 +1,621 @@
+"""The supervised shard runner: one supervision loop for every sharded phase.
+
+The production system streams work through 50–200 servers where worker
+crashes, stragglers and partial failures are routine.  Phase I
+(:mod:`repro.runtime.executor`) and Phase II (:mod:`repro.runtime.phase2_exec`)
+both run as shard → per-shard work → merge, and this module is the only place
+that knows how to make that survivable:
+
+* per-shard **retries** under a :class:`~repro.runtime.resilience.RetryPolicy`
+  (exponential backoff, deterministic jitter, retryable-error
+  classification),
+* per-shard **timeouts** (``future.result(timeout=...)`` under a process
+  pool; simulated on the injected clock under serial fault injection),
+* a broken process pool is **rebuilt** up to ``max_pool_rebuilds`` times —
+  sweeping the published shared-memory lease each time — and then the
+  supervisor **degrades to in-process serial execution** for the remaining
+  shards,
+* ``on_shard_failure`` selects the failure semantics once a shard's attempt
+  budget is spent — abort (``"raise"``), keep going with a first-class
+  partial result (``"skip"``), or retry once in-process
+  (``"serial_fallback"``),
+* the payload reaches the workers once per process, by ``auto|shm|pickle``
+  **transport**: published to POSIX shared memory and attached through an
+  O(1) handle, or pickled whole.
+
+A specialisation supplies only data and module-level callables: the payload,
+``publish(local_payload) -> ShmLease | None``, an optional worker-side
+``prepare(payload)``, and ``shard_fn(prepared_payload, *task_args)``.
+Supervision changes *when* work happens, never *what* it computes, so any
+fault schedule that eventually succeeds yields results identical to the clean
+serial run.
+
+Pool lifetime is the caller's ``with`` scope: the pool starts on the first
+pooled :meth:`ShardSupervisor.run` and lives, with its lease, until
+:meth:`ShardSupervisor.close`.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
+from typing import Any, Callable, Generic, Protocol, Sequence, TypeVar
+
+from repro.core.config import ResilienceConfig
+from repro.exceptions import (
+    ExecutorError,
+    RetryExhaustedError,
+    ShardFailedError,
+    ShardTimeoutError,
+    WorkerCrashError,
+)
+from repro.graph.shm import ShmLease, handle_nbytes, shm_supported
+from repro.runtime.faultinject import FaultPlan
+from repro.runtime.resilience import Clock, RetryPolicy, ShardFailure
+
+ResultT = TypeVar("ResultT")
+
+#: One unit of supervised work: ``(shard_id, task_args)``.  The arguments
+#: travel to the worker by pickle and reach ``shard_fn`` after the payload.
+ShardTask = tuple[int, tuple[Any, ...]]
+
+
+# ------------------------------------------------------------ worker process
+_WORKER_PAYLOAD: object | None = None
+_WORKER_FAULT_PLAN: FaultPlan | None = None
+_WORKER_TIMEOUT: float | None = None
+
+
+def reset_worker_state() -> None:
+    """Explicit worker teardown: drop the cached payload and fault plan.
+
+    Module globals live as long as the process, so without this a stale
+    payload (and, for shm transport, its segment mappings) would survive
+    across runs and pool generations.  ``_init_worker`` calls it before
+    installing new state, and ``close`` calls it in the parent so in-process
+    tests can assert nothing lingers.
+    """
+    global _WORKER_PAYLOAD, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
+    payload, _WORKER_PAYLOAD = _WORKER_PAYLOAD, None
+    _WORKER_FAULT_PLAN = None
+    _WORKER_TIMEOUT = None
+    close = getattr(payload, "close", None)
+    if callable(close):
+        close()
+
+
+def _init_worker(
+    payload: object,
+    prepare: Callable[[Any], object] | None,
+    fault_plan: FaultPlan | None,
+    shard_timeout: float | None,
+) -> None:
+    """Process-pool initializer: receive the payload once per worker process.
+
+    Under ``transport="pickle"`` the payload is the object itself — pickled
+    once per worker instead of once per shard task — and ``prepare`` (when
+    given) builds the form ``shard_fn`` consumes.  Under ``"shm"`` it is a
+    handle of a few hundred bytes and the worker attaches the published
+    segments zero-copy, so startup cost stops scaling with payload size.
+    The fault plan (tests / chaos runs only) travels alongside either way.
+    """
+    global _WORKER_PAYLOAD, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
+    reset_worker_state()
+    attach = getattr(payload, "attach", None)
+    if callable(attach):  # a shared-memory handle
+        _WORKER_PAYLOAD = attach()
+    else:
+        _WORKER_PAYLOAD = prepare(payload) if prepare is not None else payload
+    _WORKER_FAULT_PLAN = fault_plan
+    _WORKER_TIMEOUT = shard_timeout
+
+
+def _peak_rss_bytes() -> int:
+    """Peak resident set size of this process in bytes (0 if unavailable)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is bytes on macOS, kilobytes everywhere else.
+    scale = 1 if sys.platform == "darwin" else 1024
+    return int(peak) * scale
+
+
+def _timed_call(
+    shard_fn: Callable[..., ResultT], payload: object, args: tuple[Any, ...]
+) -> tuple[ResultT, float]:
+    # Worker-side duration measurement: the injectable Clock lives in the
+    # supervisor process and deliberately does not travel to workers (a
+    # FakeClock would report zero-length shards).  Measurement-only — the
+    # shard result itself is time-independent.
+    start = time.perf_counter()  # repro-lint: disable=DET001
+    result = shard_fn(payload, *args)
+    return result, time.perf_counter() - start  # repro-lint: disable=DET001
+
+
+def _run_in_worker(
+    shard_fn: Callable[..., ResultT],
+    shard_id: int,
+    attempt: int,
+    args: tuple[Any, ...],
+) -> tuple[ResultT, float, int]:
+    if _WORKER_PAYLOAD is None:
+        raise ExecutorError("worker initializer did not run")
+    if _WORKER_FAULT_PLAN is not None:
+        _WORKER_FAULT_PLAN.apply(
+            shard_id, attempt, in_worker=True, timeout=_WORKER_TIMEOUT
+        )
+    result, seconds = _timed_call(shard_fn, _WORKER_PAYLOAD, args)
+    return result, seconds, _peak_rss_bytes()
+
+
+# ----------------------------------------------------------------- reporting
+@dataclass
+class TransportStats:
+    """How the payload reached the workers, and what that shipping cost.
+
+    ``transport`` is the *resolved* mode (``"auto"`` never appears here):
+    ``"inline"`` for serial in-process runs where nothing is shipped,
+    ``"pickle"`` when each worker deserializes its own copy of the payload,
+    ``"shm"`` when workers attach a published shared-memory snapshot.
+    """
+
+    transport: str = "inline"
+    payload_bytes: int = 0
+    """Pickled size of the per-worker payload (the object, or its handle)."""
+    segment_bytes: int = 0
+    """Total bytes of published shared-memory segments (shm transport only)."""
+    num_workers: int = 0
+    peak_worker_rss_bytes: int = 0
+    """Largest per-process peak RSS sampled at shard completion (bytes)."""
+    swept_segments: int = 0
+    """Shared-memory segments unlinked by pool-rebuild / finalizer sweeps."""
+    fallback_error: str = ""
+    """``repr`` of the publish failure that made ``"auto"`` fall back to
+    pickle; empty when publishing succeeded or was never attempted."""
+
+    @property
+    def shipped_bytes(self) -> int:
+        """Bytes serialized across the pool at startup (payload × workers)."""
+        return self.payload_bytes * max(self.num_workers, 1)
+
+
+class _ShardCounts(Protocol):
+    """What a per-shard report must expose for the run-level totals."""
+
+    seconds: float
+    timeouts: int
+
+    @property
+    def retries(self) -> int: ...
+
+
+ShardReportT = TypeVar("ShardReportT", bound=_ShardCounts)
+
+
+@dataclass(kw_only=True)
+class SupervisionReport(Generic[ShardReportT]):
+    """Supervision accounting shared by every sharded execution report.
+
+    Partial results are first-class: under ``on_shard_failure="skip"``
+    ``shard_reports`` covers every shard that succeeded and ``failed_shards``
+    names the ones that did not (with attempt counts and the final error),
+    so callers can re-drive exactly the missing work.
+    """
+
+    shard_reports: list[ShardReportT] = field(default_factory=list)
+    failed_shards: list[ShardFailure] = field(default_factory=list)
+    pool_rebuilds: int = 0
+    """Times a broken process pool was torn down and rebuilt."""
+    degraded_to_serial: bool = False
+    """True when repeated pool breakage forced in-process serial execution."""
+    transport: TransportStats = field(default_factory=TransportStats)
+    """Payload-shipping accounting (resolved transport, bytes, peak RSS)."""
+
+    @property
+    def total_seconds(self) -> float:
+        """Worker compute seconds summed over shards (the serial-equivalent)."""
+        return sum(report.seconds for report in self.shard_reports)
+
+    @property
+    def total_retries(self) -> int:
+        retried = sum(report.retries for report in self.shard_reports)
+        return retried + sum(max(0, item.attempts - 1) for item in self.failed_shards)
+
+    @property
+    def total_timeouts(self) -> int:
+        timed_out = sum(report.timeouts for report in self.shard_reports)
+        return timed_out + sum(item.timeouts for item in self.failed_shards)
+
+
+@dataclass
+class ShardAttempts:
+    """Per-shard bookkeeping the supervisor threads through attempts."""
+
+    shard_id: int
+    args: tuple[Any, ...]
+    attempt: int = 0  # attempts already made
+    timeouts: int = 0
+
+    def record_failure(self, error: BaseException) -> None:
+        self.attempt += 1
+        if isinstance(error, ShardTimeoutError):
+            self.timeouts += 1
+
+
+@dataclass(frozen=True)
+class ShardOutcome(Generic[ResultT]):
+    """One shard's final result after supervision."""
+
+    shard_id: int
+    result: ResultT
+    seconds: float
+    attempts: int
+    """Total attempts made (1 = succeeded first try)."""
+    timeouts: int
+    """How many of the failed attempts were per-shard timeouts."""
+
+
+# ---------------------------------------------------------------- supervisor
+class ShardSupervisor(Generic[ResultT]):
+    """Run shard tasks under supervision, serially or over a process pool.
+
+    Parameters
+    ----------
+    payload:
+        What every shard computes against (a graph, a compiled kernel).
+        Shipped to each pool worker once, by the resolved transport.
+    shard_fn:
+        Module-level ``shard_fn(prepared_payload, *task_args) -> result``.
+    publish:
+        Module-level ``publish(local_payload) -> ShmLease | None``: copy the
+        parent's prepared payload into shared memory, or return ``None``
+        when this payload has no shared-memory form.
+    prepare:
+        Optional module-level ``prepare(payload)`` building, once per
+        process, the form ``shard_fn`` consumes.
+    num_workers:
+        1 for serial (deterministic) execution; >1 uses a process pool.
+    resilience:
+        Fault-tolerance knobs (:class:`repro.core.config.ResilienceConfig`):
+        retry budget and backoff, per-shard timeout, ``on_shard_failure``
+        mode, pool-rebuild budget, transport selection.
+    fault_plan:
+        Optional :class:`~repro.runtime.faultinject.FaultPlan` injecting
+        deterministic faults into shard attempts (tests / chaos runs).
+    clock:
+        Time source for backoff sleeps and simulated hangs; tests inject
+        :class:`~repro.runtime.resilience.FakeClock` so no retry path ever
+        wall-sleeps.
+    """
+
+    def __init__(
+        self,
+        payload: object,
+        *,
+        shard_fn: Callable[..., ResultT],
+        publish: Callable[[Any], ShmLease | None],
+        prepare: Callable[[Any], object] | None = None,
+        num_workers: int,
+        resilience: ResilienceConfig,
+        fault_plan: FaultPlan | None = None,
+        clock: Clock,
+    ) -> None:
+        resilience.validate()
+        self.payload = payload
+        self.shard_fn = shard_fn
+        self.publish = publish
+        self.prepare = prepare
+        self.num_workers = num_workers
+        self.resilience = resilience
+        self.retry_policy = RetryPolicy.from_config(resilience)
+        self.fault_plan = fault_plan
+        self.clock = clock
+        # Parent-process form of the payload, built lazily.
+        self._local: object | None = None
+        self._pool: ProcessPoolExecutor | None = None
+        # Published shared-memory lease while a pool is live (shm transport).
+        self._lease: ShmLease | None = None
+        # (transport, payload_bytes, segment_bytes, fallback_error) of the
+        # standing pool, re-reported to every run that reuses it.
+        self._shipping: tuple[str, int, int, str] = ("inline", 0, 0, "")
+        # What the current (or most recent) ``run`` accumulates into.  The
+        # lease outlives ``run``, so a sweep — on rebuild or at close — is
+        # credited to whichever run's report was current when it happened.
+        self._report: SupervisionReport[Any] = SupervisionReport()
+        self._on_result: Callable[[ShardOutcome[ResultT]], None] | None = None
+        self._outcomes: list[ShardOutcome[ResultT]] = []
+
+    # ------------------------------------------------------------------ run
+    def run(
+        self,
+        tasks: Sequence[ShardTask],
+        report: SupervisionReport[Any],
+        on_result: Callable[[ShardOutcome[ResultT]], None] | None = None,
+    ) -> list[ShardOutcome[ResultT]]:
+        """Execute ``tasks`` and return the completed outcomes by shard id.
+
+        Supervision accounting lands in ``report``; ``on_result`` is called
+        in the parent as each shard completes (checkpoint spill).
+        """
+        self._report, self._on_result, self._outcomes = report, on_result, []
+        report.transport.num_workers = self.num_workers
+        states = [ShardAttempts(shard_id, args) for shard_id, args in tasks]
+        if states:
+            if self.num_workers <= 1:
+                self._run_serial(states)
+            else:
+                self._run_pool(states)
+        report.failed_shards.sort(key=lambda item: item.shard_id)
+        # Hand the results over rather than keep them: a supervisor held
+        # open across calls must not pin the previous call's blocks.
+        outcomes, self._outcomes, self._on_result = self._outcomes, [], None
+        return sorted(outcomes, key=lambda outcome: outcome.shard_id)
+
+    # ------------------------------------------------------------- lifecycle
+    def close(self) -> None:
+        """Release the pool, the published lease and worker globals.
+
+        Idempotent and safe at any point; the context-manager form calls it
+        on exit.  Whatever happened in ``run``, no published segment
+        outlives the supervisor that published it.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        self._sweep_lease()
+        self._local = None
+        reset_worker_state()
+
+    def __enter__(self) -> "ShardSupervisor[ResultT]":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # ------------------------------------------------------------- internals
+    def _local_payload(self) -> object:
+        """The parent's prepared payload (prepared once, not per shard)."""
+        if self._local is None:
+            self._local = (
+                self.prepare(self.payload) if self.prepare is not None else self.payload
+            )
+        return self._local
+
+    def _complete(
+        self, state: ShardAttempts, result: ResultT, seconds: float, rss: int
+    ) -> None:
+        outcome = ShardOutcome(
+            shard_id=state.shard_id,
+            result=result,
+            seconds=seconds,
+            attempts=state.attempt + 1,
+            timeouts=state.timeouts,
+        )
+        self._outcomes.append(outcome)
+        stats = self._report.transport
+        stats.peak_worker_rss_bytes = max(stats.peak_worker_rss_bytes, rss)
+        if self._on_result is not None:
+            self._on_result(outcome)
+
+    def _run_serial(self, states: list[ShardAttempts]) -> None:
+        """Supervised in-process execution.
+
+        Faults (when a plan is injected) run in *simulation* mode: hangs
+        advance the injected clock and surface as ``ShardTimeoutError``,
+        kills surface as ``WorkerCrashError`` — the parent process is never
+        actually stalled or killed.
+        """
+        payload = self._local_payload()
+        for state in states:
+            while True:
+                try:
+                    if self.fault_plan is not None:
+                        self.fault_plan.apply(
+                            state.shard_id,
+                            state.attempt,
+                            in_worker=False,
+                            clock=self.clock,
+                            timeout=self.resilience.shard_timeout,
+                        )
+                    result, seconds = _timed_call(self.shard_fn, payload, state.args)
+                except Exception as exc:  # noqa: BLE001 — supervision boundary
+                    state.record_failure(exc)
+                    if self._should_retry(state, exc):
+                        self.clock.sleep(
+                            self.retry_policy.delay(state.attempt, key=state.shard_id)
+                        )
+                        continue
+                    self._handle_exhausted(state, exc)
+                    break
+                self._complete(state, result, seconds, _peak_rss_bytes())
+                break
+
+    def _run_pool(self, states: list[ShardAttempts]) -> None:
+        """Supervised process-pool execution with pool-rebuild recovery."""
+        timeout = self.resilience.shard_timeout
+        report = self._report
+        pool = self._ensure_pool()
+        pending = states
+        while pending:
+            futures: list[
+                tuple[ShardAttempts, Future[tuple[ResultT, float, int]] | None]
+            ] = []
+            broken = False
+            for state in pending:
+                future = None
+                if not broken:
+                    try:
+                        future = pool.submit(
+                            _run_in_worker,
+                            self.shard_fn,
+                            state.shard_id,
+                            state.attempt,
+                            state.args,
+                        )
+                    except BrokenProcessPool:
+                        broken = True
+                futures.append((state, future))
+
+            retry_wave: list[ShardAttempts] = []
+            for state, future in futures:
+                exc: Exception
+                if future is None:
+                    exc = WorkerCrashError(state.shard_id, detail="process pool broken")
+                else:
+                    try:
+                        result, seconds, worker_rss = future.result(timeout=timeout)
+                    except FutureTimeoutError:
+                        # Also reached with no timeout set when the shard
+                        # itself raised the builtin TimeoutError (the same
+                        # class since Python 3.11), hence the 0.0.
+                        exc = ShardTimeoutError(state.shard_id, timeout or 0.0)
+                        future.cancel()
+                    except BrokenProcessPool:
+                        broken = True
+                        exc = WorkerCrashError(
+                            state.shard_id, detail="worker process died"
+                        )
+                    except Exception as raw:  # noqa: BLE001 — supervision boundary
+                        exc = raw
+                    else:
+                        self._complete(state, result, seconds, worker_rss)
+                        continue
+                state.record_failure(exc)
+                if self._should_retry(state, exc):
+                    retry_wave.append(state)
+                else:
+                    self._handle_exhausted(state, exc)
+
+            if broken:
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
+                # Unlink-on-rebuild sweep (MP003): a crashed worker cannot
+                # close its attachments, so the parent unlinks the published
+                # segments here and republishes for the next pool.
+                self._sweep_lease()
+                report.pool_rebuilds += 1
+                if report.pool_rebuilds > self.resilience.max_pool_rebuilds:
+                    # The pool keeps dying: degrade to in-process serial
+                    # execution for everything still unfinished.
+                    report.degraded_to_serial = True
+                    self._run_serial(retry_wave)
+                    return
+                pool = self._ensure_pool()
+
+            if retry_wave:
+                # One backoff per wave: the longest of the per-shard delays
+                # (per-shard sleeps would serialize the pool).
+                self.clock.sleep(
+                    max(
+                        self.retry_policy.delay(s.attempt, key=s.shard_id)
+                        for s in retry_wave
+                    )
+                )
+            pending = retry_wave
+
+    def _worker_payload(self) -> object:
+        """Resolve the transport and build the per-worker initializer payload.
+
+        ``"auto"`` publishes to shared memory when the platform has it and
+        the payload has a shared form, and ships a full pickle otherwise —
+        recording why in ``fallback_error`` when publishing itself failed;
+        ``"shm"`` raises when either precondition is missing instead of
+        silently shipping a full pickle.  Under shm transport the arrays are
+        published once here and every worker receives only the O(1) handle.
+        """
+        mode = self.resilience.transport
+        lease: ShmLease | None = None
+        fallback_error = ""
+        if mode != "pickle" and shm_supported():
+            try:
+                lease = self.publish(self._local_payload())
+            except Exception as exc:  # noqa: BLE001 — fall back rather than fail startup
+                if mode == "shm":
+                    raise
+                fallback_error = repr(exc)
+        if lease is not None:
+            self._lease = lease
+            self._shipping = (
+                "shm", handle_nbytes(lease.handle), lease.segment_nbytes, ""
+            )
+            return lease.handle
+        if mode == "shm":
+            raise ExecutorError(
+                "transport='shm' requires a payload with a shared-memory form "
+                "(the CSR graph backend, a compiled Phase II kernel) and a "
+                "platform with POSIX shared memory"
+            )
+        payload_bytes = len(pickle.dumps(self.payload, pickle.HIGHEST_PROTOCOL))
+        self._shipping = ("pickle", payload_bytes, 0, fallback_error)
+        return self.payload
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.num_workers,
+                initializer=_init_worker,
+                initargs=(
+                    self._worker_payload(),
+                    self.prepare,
+                    self.fault_plan,
+                    self.resilience.shard_timeout,
+                ),
+            )
+        stats = self._report.transport
+        (
+            stats.transport,
+            stats.payload_bytes,
+            stats.segment_bytes,
+            stats.fallback_error,
+        ) = self._shipping
+        return self._pool
+
+    def _sweep_lease(self) -> None:
+        """Unlink the published lease (idempotent; rebuilds and finalizers)."""
+        lease, self._lease = self._lease, None
+        if lease is None:
+            return
+        swept = 0 if lease.released else len(lease.segment_names)
+        lease.close()
+        self._report.transport.swept_segments += swept
+
+    def _should_retry(self, state: ShardAttempts, exc: Exception) -> bool:
+        return (
+            self.retry_policy.is_retryable(exc)
+            and state.attempt < self.retry_policy.max_attempts
+        )
+
+    def _handle_exhausted(self, state: ShardAttempts, exc: Exception) -> None:
+        """Apply ``on_shard_failure`` once a shard's attempt budget is spent."""
+        mode = self.resilience.on_shard_failure
+        if mode == "serial_fallback":
+            # Last resort: run the shard in-process, bypassing the pool and
+            # the fault-injection layer (both model infrastructure faults,
+            # and the in-process path has neither workers nor injectors).
+            try:
+                result, seconds = _timed_call(
+                    self.shard_fn, self._local_payload(), state.args
+                )
+            except Exception as fallback_exc:  # noqa: BLE001 — supervision boundary
+                raise ShardFailedError(
+                    state.shard_id, state.attempt + 1, fallback_exc
+                ) from fallback_exc
+            self._complete(state, result, seconds, _peak_rss_bytes())
+            return
+        if mode == "skip":
+            self._report.failed_shards.append(
+                ShardFailure.from_error(
+                    state.shard_id, state.attempt, exc, state.timeouts
+                )
+            )
+            return
+        if self.retry_policy.is_retryable(exc):
+            raise RetryExhaustedError(state.shard_id, state.attempt, exc) from exc
+        raise ShardFailedError(state.shard_id, state.attempt, exc) from exc

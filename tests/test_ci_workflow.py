@@ -11,6 +11,7 @@ silently drops one of the gates fails here instead of on the first broken PR.
 
 from __future__ import annotations
 
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,24 @@ def test_static_analysis_job_runs_typed_core_mypy(workflow):
         if "pip install" in str(step.get("run", ""))
     )
     assert "mypy" in install and "numpy" in install
+
+
+def test_static_analysis_guards_the_single_supervision_loop(workflow):
+    # The guard is only worth having if it is blocking and passes on the
+    # tree it ships with: run the step's own script from the repo root.
+    job = workflow["jobs"]["static-analysis"]
+    (guard,) = [
+        step for step in job["steps"] if "BrokenProcessPool" in str(step.get("run", ""))
+    ]
+    assert not guard.get("continue-on-error")
+    result = subprocess.run(
+        ["bash", "-c", guard["run"]],
+        cwd=WORKFLOW_PATH.parent.parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_typed_core_mypy_config_is_strict(workflow):

@@ -90,6 +90,18 @@ def test_rule_silenced_by_suppressions(rule_id):
     assert index.by_line or index.file_wide
 
 
+def test_mp001_follows_the_supervisor_indirection():
+    """``pool.submit`` inside the supervisor only ever names its trampoline;
+    the callables that really travel arrive as ShardSupervisor keywords."""
+    result = _lint_fixture("MP001", "mp001_supervisor_bad")
+    # nested shard_fn, lambda publish, lambda prepare (builtins are fine)
+    assert len(result.findings) == 3
+    assert all(f.rule_id == "MP001" for f in result.findings)
+    assert all("ShardSupervisor(" in f.message for f in result.findings)
+    clean = _lint_fixture("MP001", "mp001_supervisor_clean")
+    assert clean.ok, [f.message for f in clean.findings]
+
+
 def test_findings_carry_location_and_sort(rule_id="DET001"):
     result = _lint_fixture(rule_id, "det001_bad")
     lines = [f.line for f in result.findings]

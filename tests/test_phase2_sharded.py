@@ -256,7 +256,7 @@ class TestBuilderRouting:
         with sharded:
             sharded.statistic_vectors(communities)
             assert sharded._runner is not None
-            lease = sharded._runner._lease
+            lease = sharded._runner._supervisor._lease
             sharded.invalidate_kernel()
             assert sharded._runner is None
             if lease is not None:  # pooled transport only
@@ -322,6 +322,26 @@ class TestSerialFaultSimulation:
                 assert not stats[index].any()
             else:
                 assert np.array_equal(stats[index], serial[index])
+
+    def test_skipped_shard_keeps_its_timeouts_in_the_totals(self):
+        kernel, communities = self._setup(8)
+        plan = FaultPlan([Fault(0, attempt, "hang") for attempt in range(2)])
+        with Phase2ShardedRunner(
+            kernel,
+            num_workers=1,
+            num_shards=3,
+            resilience=ResilienceConfig(
+                max_attempts=2, shard_timeout=1.0, on_shard_failure="skip"
+            ),
+            fault_plan=plan,
+            clock=FakeClock(),
+        ) as runner:
+            runner.statistics(_stat_pairs(communities))
+            report = runner.last_report
+        assert report is not None
+        (failure,) = report.failed_shards
+        assert (failure.shard_id, failure.attempts, failure.timeouts) == (0, 2, 2)
+        assert report.total_timeouts == 2
 
     def test_raise_mode_surfaces_shard_failure(self):
         kernel, communities = self._setup(9)
@@ -431,6 +451,7 @@ class TestLintScope:
         for rule in ("MP001", "MP003"):
             assert config.applies_to(rule, "src/repro/runtime/phase2_exec.py")
             assert config.applies_to(rule, "src/repro/runtime/executor.py")
+            assert config.applies_to(rule, "src/repro/runtime/supervisor.py")
 
     def test_pinned_entries_survive_scope_narrowing(self):
         """The explicit file entries keep the MP rules on the supervisors
@@ -439,8 +460,10 @@ class TestLintScope:
             "MP001",
             "src/repro/runtime/executor.py",
             "src/repro/runtime/phase2_exec.py",
+            "src/repro/runtime/supervisor.py",
         )
         assert config.applies_to("MP001", "src/repro/runtime/phase2_exec.py")
+        assert config.applies_to("MP001", "src/repro/runtime/supervisor.py")
         assert not config.applies_to("MP001", "src/repro/core/pipeline.py")
 
 

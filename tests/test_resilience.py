@@ -284,6 +284,22 @@ class TestSerialSupervision:
         for ego, communities in report.division.communities_by_ego.items():
             assert communities == clean_division.communities_by_ego[ego]
 
+    def test_skipped_shard_keeps_its_timeouts_in_the_totals(
+        self, graph, no_real_sleep
+    ):
+        """A shard that times out on every attempt and is then skipped must
+        not vanish from ``total_timeouts`` (it used to report 0)."""
+        plan = FaultPlan([Fault(1, attempt, "hang") for attempt in range(3)])
+        report = _executor(
+            graph, plan=plan, max_attempts=3, shard_timeout=1.0,
+            on_shard_failure="skip",
+        ).run(graph)
+        (failure,) = report.failed_shards
+        assert (failure.shard_id, failure.attempts, failure.timeouts) == (1, 3, 3)
+        assert "ShardTimeoutError" in failure.error
+        assert report.total_timeouts == 3
+        assert report.total_retries == 2
+
     def test_serial_fallback_completes_despite_permanent_faults(
         self, graph, clean_division, no_real_sleep
     ):

@@ -25,6 +25,7 @@ from repro.lifecycle import Closeable
 from repro.runtime import Fault, FaultPlan
 from repro.runtime.executor import ShardedDivisionExecutor
 from repro.runtime.phase2_exec import Phase2ShardedRunner
+from repro.runtime.supervisor import ShardSupervisor
 from repro.serve import ServingSession, StreamingMoments, replay_traffic
 from repro.synthetic import make_workload
 from repro.types import LabeledEdge
@@ -449,6 +450,7 @@ def test_lease_owners_conform_to_closeable_protocol():
     # MP004's runtime counterpart: every class owning an ShmLease (directly
     # or through an owning resource) satisfies the structural protocol.
     for owner in (
+        ShardSupervisor,
         ShardedDivisionExecutor,
         FeatureMatrixBuilder,
         Phase2ShardedRunner,

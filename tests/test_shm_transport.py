@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro.runtime.executor as executor_module
+import repro.runtime.supervisor as supervisor_module
 from repro.core.config import ResilienceConfig
 from repro.exceptions import ExecutorError, ModelConfigError
 from repro.graph.csr import CSRGraph, ego_network_ordered, neighbor_order_array
@@ -281,23 +282,40 @@ class TestTransportParity:
 
 # -------------------------------------------------------- worker teardown
 class TestWorkerTeardown:
-    def test_close_resets_worker_globals(self, graph):
+    """The supervisor (prepared graph, lease, pool) is scoped to each
+    ``run``; record the instances the executor opens to inspect them."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        supervisors = []
+
+        class RecordingSupervisor(supervisor_module.ShardSupervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                supervisors.append(self)
+
+        monkeypatch.setattr(executor_module, "ShardSupervisor", RecordingSupervisor)
+        return supervisors
+
+    def test_close_resets_worker_globals(self, graph, opened):
         executor = ShardedDivisionExecutor(
             num_shards=2, detector="label_propagation"
         )
         executor.run(graph)
-        executor_module._WORKER_GRAPH = CSRGraph.from_graph(graph)
+        supervisor_module._WORKER_PAYLOAD = CSRGraph.from_graph(graph)
         executor.close()
-        assert executor_module._WORKER_GRAPH is None
-        assert executor._prepared_graph is None
-        assert executor._lease is None
+        assert supervisor_module._WORKER_PAYLOAD is None
+        (supervisor,) = opened
+        assert supervisor._local is None
+        assert supervisor._lease is None
 
-    def test_context_manager_closes(self, graph):
+    def test_context_manager_closes(self, graph, opened):
         with ShardedDivisionExecutor(
             num_shards=2, detector="label_propagation"
         ) as executor:
             executor.run(graph)
-        assert executor._lease is None
+        (supervisor,) = opened
+        assert supervisor._lease is None
 
 
 # ------------------------------------------------------------- leak sweep
