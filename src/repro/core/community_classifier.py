@@ -195,8 +195,9 @@ class GBDTCommunityClassifier(CommunityClassifier):
         if not communities:
             return np.zeros((0, self.result_vector_length))
         design = self.builder.statistic_vectors(communities)
-        probabilities = self._model.predict_proba(design)
+        # One forest walk: the probabilities are derived from the leaf values.
         leaf_values = self._model.leaf_values(design)
+        probabilities = self._model.proba_from_leaf_values(leaf_values)
         # Leaf columns cycle through classes within each round: reduce them to
         # one summed score per class, then squash with a softmax so the scale
         # matches the probability block.

@@ -55,11 +55,12 @@ class GBDTConfig:
     seed: int = 0
     backend: str = "auto"
     """Model-layer backend: ``"node"`` walks, ``"array"`` forest tensors with
-    the exact split search, ``"hist"`` histogram split search (quantized to
-    ``max_bins`` bins once per fit), or ``"auto"`` (exact below the
-    row-count crossover, hist above it).  ``node``/``array`` outputs are
-    bit-identical; ``hist`` matches them exactly while every feature fits
-    in the bin budget."""
+    the exact split search (features sorted into rank codes once per fit,
+    all features of a node searched in one pass), ``"hist"`` histogram split
+    search (quantized to ``max_bins`` bins once per fit), or ``"auto"``
+    (exact below the row-count crossover, hist above it).  ``node``/``array``
+    outputs are bit-identical; ``hist`` matches them exactly while every
+    feature fits in the bin budget."""
 
     max_bins: int = 256
     """Histogram resolution of the ``"hist"`` backend (ignored otherwise)."""

@@ -4,6 +4,7 @@ from repro.ml.base import Classifier, one_hot, softmax
 from repro.ml.forest import (
     HIST_AUTO_MIN_ROWS,
     ML_BACKENDS,
+    FeaturePresort,
     ForestTensor,
     TreeTensor,
     resolve_ml_backend,
@@ -39,6 +40,7 @@ __all__ = [
     "RegressionTreeConfig",
     "ML_BACKENDS",
     "HIST_AUTO_MIN_ROWS",
+    "FeaturePresort",
     "ForestTensor",
     "TreeTensor",
     "BinnedDataset",

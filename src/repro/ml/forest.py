@@ -16,9 +16,12 @@ graph layer:
   one node pool with per-tree root offsets.  One traversal sweep moves all
   ``rows x trees`` cursors together, so ``predict_raw``, ``apply`` and the
   leaf-value embedding of all rounds x classes are a single batched walk.
-* :func:`best_split_array` — the exact greedy split search of
-  :meth:`repro.ml.tree.GradientRegressionTree._best_split` with the inner
-  position loop replaced by ``cumsum`` + masked-gain ``argmax`` per feature.
+* :class:`FeaturePresort` + :func:`best_split_array` — the exact greedy
+  split search of :meth:`repro.ml.tree.GradientRegressionTree._best_split`,
+  XGBoost-style: every feature is sorted **once per fit** into integer rank
+  codes, and a node searches all its features in one pass (one radix
+  ``argsort`` of the codes, one 2-D ``cumsum``, one masked gain matrix, one
+  ``argmax``) instead of re-sorting a float column per feature per node.
 
 Parity contract: the array kernels execute the same float64 operations in
 the same order as the node walks (per-position gain arithmetic, threshold
@@ -36,22 +39,26 @@ from repro.exceptions import ModelConfigError
 
 ML_BACKENDS = ("auto", "node", "array", "hist")
 """Valid model-layer backends: pointer-based ``_TreeNode`` walks, flat NumPy
-tensors with the exact vectorized split search, or the histogram split
-search of :mod:`repro.ml.hist`.  ``auto`` picks between the exact array
-kernels and the histogram search by row count (see
+tensors with the exact presorted, feature-batched split search, or the
+histogram split search of :mod:`repro.ml.hist`.  ``auto`` picks between the
+exact array kernels and the histogram search by row count (see
 :func:`resolve_ml_backend`); unlike the graph layer's dict backend, the
 whole ML substrate already requires NumPy, so ``"node"`` exists only as an
 explicit reference/debugging choice."""
 
 HIST_AUTO_MIN_ROWS = 4096
 """Row-count crossover for ``auto``: below this the exact array search is
-kept (bit-identical splits, and the per-node ``argsort`` cost is modest),
-at or above it ``auto`` prefers the ``O(rows + bins)`` histogram search —
-the sort term dominates there and hist's threshold snapping is amortised
-away by ``max_bins`` quantile bins.  The hist backend typically wins raw
-fit speed well below this (~3x at ~1k rows, see ``BENCH_kernels.json``);
-the crossover is deliberately conservative so ``auto`` trades exactness
-for speed only where the win is decisive."""
+kept (bit-identical splits), at or above it ``auto`` prefers the
+``O(rows + bins)`` histogram search, whose threshold snapping is amortised
+away by ``max_bins`` quantile bins.  With the exact search presorted and
+feature-batched the two kernels cross at a few hundred rows — on the
+LoCEC-XGB design matrices (23 features, 40 rounds x 3 classes) exact fits
+154 rows ~2x *faster* than hist, ~1k rows ~1.5x slower and ~4k rows ~3x
+slower (table in ROADMAP item 1) — so hist still wins raw fit speed in
+the upper part of the exact range.  The constant stays conservative on
+purpose: ``auto`` trades exactness for speed only where the win is
+decisive, and no benchmark workload sits between the two regimes to judge
+a re-routing."""
 
 
 def resolve_ml_backend(backend: str, num_rows: int | None = None) -> str:
@@ -234,28 +241,87 @@ class ForestTensor:
         """``(rows, trees)`` leaf-index matrix (GBDT+LR style)."""
         return self.leaf_id[self.leaf_slots(X)]
 
-    def decision_function(
-        self,
-        X: np.ndarray,
-        base_score: np.ndarray,
-        learning_rate: float,
-        num_classes: int,
-    ) -> np.ndarray:
-        """Raw boosted scores from one traversal sweep.
 
-        Per-tree contributions are accumulated sequentially in round-major
-        order — the same float additions in the same order as the node
-        backend's per-round loop, keeping the raw scores bit-identical.
-        """
-        values = self.leaf_values_matrix(X)
-        raw = np.tile(base_score, (X.shape[0], 1))
-        for tree_index in range(self.num_trees):
-            raw[:, tree_index % num_classes] += learning_rate * values[:, tree_index]
-        return raw
+def boosted_scores(
+    leaf_values: np.ndarray,
+    base_score: np.ndarray,
+    learning_rate: float,
+    num_classes: int,
+) -> np.ndarray:
+    """Raw boosted scores from a ``(rows, trees)`` leaf-weight matrix.
+
+    Per-tree contributions are accumulated sequentially in round-major
+    order (round 0's class trees, then round 1's, ...) — the same float
+    additions in the same order as the node backend's per-round loop,
+    keeping the raw scores bit-identical — and a caller that already holds
+    the leaf-value embedding gets the scores without a second forest walk.
+    """
+    raw = np.tile(base_score, (leaf_values.shape[0], 1))
+    for tree_index in range(leaf_values.shape[1]):
+        raw[:, tree_index % num_classes] += learning_rate * leaf_values[:, tree_index]
+    return raw
+
+
+class FeaturePresort:
+    """A feature matrix sorted **once per fit** for the exact split search.
+
+    The exact twin of :class:`repro.ml.hist.BinnedDataset`: built by
+    :meth:`GradientBoostedClassifier.fit <repro.ml.gbdt.GradientBoostedClassifier.fit>`
+    before the first round (or by a tree fitted on its own) and shared by
+    every node of every tree, so no node ever sorts a float column again.
+
+    Attributes
+    ----------
+    columns:
+        ``(features, rows)`` float64 — ``X.T``, feature-major so one node
+        reads every feature of its rows with a single gather.
+    codes:
+        ``(features, rows)`` unsigned rank codes, order-preserving per
+        feature: ``codes[f, i] < codes[f, j]`` iff ``X[i, f] < X[j, f]`` and
+        equal values (``-0.0`` and ``0.0`` included) share a code, so a
+        stable sort of a node's codes is the stable sort of its values.  The
+        dtype is the narrowest that holds ``rows - 1`` — at most ``uint16``
+        up to 65,536 rows, which NumPy's stable ``argsort`` radix-sorts.
+
+    ``X`` must be finite (:class:`~repro.ml.gbdt.GradientBoostedClassifier`
+    rejects anything else before building one): NaNs get one code each and
+    would order differently from the node backend's value sort.
+    """
+
+    __slots__ = ("columns", "codes", "row_starts")
+
+    def __init__(self, columns: np.ndarray, codes: np.ndarray) -> None:
+        self.columns = columns
+        self.codes = codes
+        # Where each feature's row starts in the flattened (C-contiguous)
+        # arrays: `codes.take(rows + row_starts)` gathers per feature several
+        # times faster than the 2-D fancy index `codes[features, rows]`.
+        self.row_starts = (np.arange(codes.shape[0]) * codes.shape[1])[:, None]
+
+    @classmethod
+    def from_matrix(cls, X: np.ndarray) -> "FeaturePresort":
+        """Sort every column of ``X`` once and rank-code it."""
+        columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        order = np.argsort(columns, axis=1, kind="stable")
+        ranked = np.take_along_axis(columns, order, axis=1)
+        # A value's code is the number of strict increases before it in
+        # sorted order, i.e. its rank among the column's distinct values.
+        ranks = np.zeros(columns.shape, dtype=np.intp)
+        np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=ranks[:, 1:])
+        codes = np.empty(columns.shape, dtype=np.min_scalar_type(max(columns.shape[1] - 1, 0)))
+        np.put_along_axis(codes, order, ranks, axis=1)
+        return cls(columns, codes)
+
+    def subset(self, row_indices: np.ndarray) -> "FeaturePresort":
+        """The presort of ``X[row_indices]`` for a subsampled round: codes
+        stay order-preserving under row selection, so nothing is re-sorted."""
+        return FeaturePresort(
+            self.columns.take(row_indices, axis=1), self.codes.take(row_indices, axis=1)
+        )
 
 
 def best_split_array(
-    X: np.ndarray,
+    presort: FeaturePresort,
     gradients: np.ndarray,
     hessians: np.ndarray,
     indices: np.ndarray,
@@ -265,59 +331,57 @@ def best_split_array(
 ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
     """Vectorized exact greedy split search (array twin of ``_best_split``).
 
-    Per feature: one mergesort ``argsort``, gradient/hessian ``cumsum``, the
-    full gain vector in four elementwise ops, then a masked ``argmax`` —
-    no Python loop over split positions.  The gain arithmetic matches the
-    node backend's scalar loop term for term, and ``argmax`` returns the
-    first position attaining the maximum exactly as the strict ``>`` scan
-    does, so the chosen splits (and therefore the fitted trees) are
-    bit-identical.
+    One pass per node over **all** features: a stable ``argsort`` of the
+    node's ``(features, rows)`` rank codes (a radix sort while the codes are
+    at most 16-bit — the float columns were sorted once, in
+    :meth:`FeaturePresort.from_matrix`), one 2-D ``cumsum`` each of the
+    gradients and hessians, one gain matrix, then the first feature attaining
+    the overall maximum and the first position attaining it there — no
+    Python loop over features or split positions.  Equal codes are equal values, so
+    the stable order (ties keep the order of ``indices``), the sequential
+    float additions behind every cumulative sum, the per-position gain
+    arithmetic and the first-strict-maximum winner are exactly those of the
+    node backend's scalar scan: the chosen splits (and therefore the fitted
+    trees) are bit-identical.  Working memory is a handful of
+    ``(features, rows)`` temporaries per node.
     """
     lam = config.reg_lambda
     parent_score = grad_sum * grad_sum / (hess_sum + lam)
     low = config.min_samples_leaf - 1
     high = indices.size - config.min_samples_leaf
-    if high <= low:
+    if high <= low or not presort.codes.shape[0]:
         return None
-    best_gain = config.min_gain
-    best: tuple[int, float, np.ndarray, np.ndarray] | None = None
 
-    for feature in range(X.shape[1]):
-        values = X[indices, feature]
-        order = np.argsort(values, kind="mergesort")
-        sorted_idx = indices[order]
-        sorted_values = values[order]
-        grad_cum = np.cumsum(gradients[sorted_idx])
-        hess_cum = np.cumsum(hessians[sorted_idx])
+    order = np.argsort(presort.codes.take(indices, axis=1), axis=1, kind="stable")
+    sorted_idx = indices[order]
+    sorted_codes = presort.codes.take(sorted_idx + presort.row_starts)
 
-        grad_left = grad_cum[low:high]
-        hess_left = hess_cum[low:high]
-        grad_right = grad_sum - grad_left
-        hess_right = hess_sum - hess_left
-        gains = (
-            0.5
-            * (
-                grad_left * grad_left / (hess_left + lam)
-                + grad_right * grad_right / (hess_right + lam)
-                - parent_score
-            )
-            - config.gamma
+    grad_left = np.cumsum(gradients[sorted_idx], axis=1)[:, low:high]
+    hess_left = np.cumsum(hessians[sorted_idx], axis=1)[:, low:high]
+    grad_right = grad_sum - grad_left
+    hess_right = hess_sum - hess_left
+    gains = (
+        0.5
+        * (
+            grad_left * grad_left / (hess_left + lam)
+            + grad_right * grad_right / (hess_right + lam)
+            - parent_score
         )
-        # Cannot split between equal feature values; NaN gains (possible only
-        # with a zero-hessian, zero-lambda corner) lose every strict `>`
-        # comparison on the node backend, so they are masked out identically.
-        splittable = sorted_values[low:high] != sorted_values[low + 1 : high + 1]
-        gains = np.where(splittable & ~np.isnan(gains), gains, -np.inf)
-        offset = int(np.argmax(gains))
-        gain = gains[offset]
-        if gain > best_gain:
-            position = low + offset
-            threshold = 0.5 * (sorted_values[position] + sorted_values[position + 1])
-            best_gain = gain
-            best = (
-                feature,
-                float(threshold),
-                sorted_idx[: position + 1],
-                sorted_idx[position + 1 :],
-            )
-    return best
+        - config.gamma
+    )
+    # Cannot split between equal feature values; NaN gains (possible only
+    # with a zero-hessian, zero-lambda corner) lose every strict `>`
+    # comparison on the node backend, so they are masked out identically.
+    splittable = sorted_codes[:, low:high] != sorted_codes[:, low + 1 : high + 1]
+    gains = np.where(splittable & ~np.isnan(gains), gains, -np.inf)
+
+    feature_gains = gains.max(axis=1)
+    feature = int(np.argmax(feature_gains))
+    if not feature_gains[feature] > config.min_gain:
+        return None
+    position = low + int(np.argmax(gains[feature]))
+    rows = sorted_idx[feature]
+    values = presort.columns[feature]
+    threshold = 0.5 * (values[rows[position]] + values[rows[position + 1]])
+    # Copies, so the children do not pin this node's (features, rows) matrix.
+    return feature, float(threshold), rows[: position + 1].copy(), rows[position + 1 :].copy()

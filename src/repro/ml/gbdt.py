@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ModelConfigError
+from repro.exceptions import DimensionMismatchError, FeatureError, ModelConfigError
 from repro.ml.base import check_fitted, check_X_y, one_hot, softmax
-from repro.ml.forest import ForestTensor, resolve_ml_backend
+from repro.ml.forest import FeaturePresort, ForestTensor, boosted_scores, resolve_ml_backend
 from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
 
 
@@ -44,7 +44,10 @@ class GradientBoostedClassifier:
     backend:
         ``"node"`` for per-row ``_TreeNode`` walks, ``"array"`` for the
         stacked :class:`~repro.ml.forest.ForestTensor` kernels (one batched
-        traversal over all rounds x classes), ``"hist"`` for the histogram
+        traversal over all rounds x classes) and the exact split search on a
+        :class:`~repro.ml.forest.FeaturePresort` built **once per fit**
+        (every node searches all features in one pass over integer rank
+        codes; no float column is sorted again), ``"hist"`` for the histogram
         split search of :mod:`repro.ml.hist` (the feature matrix is
         quantized into at most ``max_bins`` bins **once per fit** and every
         tree of every round searches splits in ``O(rows + bins)`` per
@@ -107,12 +110,19 @@ class GradientBoostedClassifier:
         self.trees_: list[list[GradientRegressionTree]] | None = None
         self.forest_: ForestTensor | None = None
         self.base_score_: np.ndarray | None = None
+        self.num_features_: int | None = None
         self.train_loss_history_: list[float] = []
 
     # --------------------------------------------------------------------- fit
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedClassifier":
         """Fit the boosted ensemble on features ``X`` and integer labels ``y``."""
         X, y = check_X_y(X, y)
+        finite_columns = np.isfinite(X).all(axis=0)
+        if not finite_columns.all():
+            raise FeatureError(
+                "X holds NaN or infinite values; first offending column: "
+                f"{int(np.argmin(finite_columns))}"
+            )
         num_classes = self.num_classes or int(y.max()) + 1
         if num_classes < 2:
             raise ModelConfigError("need at least two classes")
@@ -129,18 +139,21 @@ class GradientBoostedClassifier:
         self.trees_ = []
         self.train_loss_history_ = []
 
-        # The hist backend quantizes the feature matrix exactly once per fit;
-        # every tree of every round reuses the codes (row-subset copies of
-        # the codes when subsampling).  Resolving here (with the row count)
-        # also pins the auto choice for all trees, so a subsampled round
-        # cannot flip backends mid-fit.
+        # The feature matrix is prepared exactly once per fit — quantized
+        # for the hist backend, sorted for the exact array backend — and
+        # every tree of every round reuses it (row-subset copies when
+        # subsampling).  Resolving here (with the row count) also pins the
+        # auto choice for all trees, so a subsampled round cannot flip
+        # backends mid-fit.
         resolved = resolve_ml_backend(self.backend, num_rows=n_samples)
         self._resolved_backend = resolved
-        binned = None
+        binned = presort = None
         if resolved == "hist":
             from repro.ml.hist import BinnedDataset
 
             binned = BinnedDataset.from_matrix(X, self.tree_config.max_bins)
+        elif resolved == "array":
+            presort = FeaturePresort.from_matrix(X)
 
         for _ in range(self.num_rounds):
             probabilities = softmax(raw_scores)
@@ -148,13 +161,15 @@ class GradientBoostedClassifier:
             hessians = probabilities * (1.0 - probabilities)
 
             if self.subsample < 1.0:
-                sample_size = max(2, int(round(self.subsample * n_samples)))
+                sample_size = min(n_samples, max(2, int(round(self.subsample * n_samples))))
                 row_idx = rng.choice(n_samples, size=sample_size, replace=False)
                 round_binned = binned.subset(row_idx) if binned is not None else None
+                round_presort = presort.subset(row_idx) if presort is not None else None
                 X_round = X[row_idx]
             else:
                 row_idx = np.arange(n_samples)
                 round_binned = binned
+                round_presort = presort
                 X_round = X
 
             round_trees: list[GradientRegressionTree] = []
@@ -165,6 +180,7 @@ class GradientBoostedClassifier:
                     gradients[row_idx, class_index],
                     hessians[row_idx, class_index],
                     binned=round_binned,
+                    presort=round_presort,
                 )
                 raw_scores[:, class_index] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
@@ -181,6 +197,7 @@ class GradientBoostedClassifier:
             self.train_loss_history_.append(loss)
 
         self._num_classes = num_classes
+        self.num_features_ = X.shape[1]
         self.forest_ = None
         if self._resolved_backend in ("array", "hist"):
             self.forest_ = ForestTensor.from_trees(
@@ -193,9 +210,7 @@ class GradientBoostedClassifier:
         """Raw (pre-softmax) scores of shape ``(n_samples, n_classes)``."""
         X = self._check_inference_input(X)
         if self.forest_ is not None:
-            return self.forest_.decision_function(
-                X, self.base_score_, self.learning_rate, self._num_classes
-            )
+            return self._scores(self.forest_.leaf_values_matrix(X))
         raw = np.tile(self.base_score_, (X.shape[0], 1))
         for round_trees in self.trees_:
             for class_index, tree in enumerate(round_trees):
@@ -211,11 +226,27 @@ class GradientBoostedClassifier:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
+        if X.ndim != 2 or X.shape[1] != self.num_features_:
+            raise DimensionMismatchError(
+                f"model was fitted on {self.num_features_} features, got X of "
+                f"shape {X.shape}"
+            )
         return X
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix of shape ``(n_samples, n_classes)``."""
         return softmax(self.decision_function(X))
+
+    def proba_from_leaf_values(self, leaf_values: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` of the rows behind a :meth:`leaf_values`
+        matrix, bit for bit, without walking the trees a second time."""
+        check_fitted(self, "trees_")
+        return softmax(self._scores(leaf_values))
+
+    def _scores(self, leaf_values: np.ndarray) -> np.ndarray:
+        return boosted_scores(
+            leaf_values, self.base_score_, self.learning_rate, self._num_classes
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted class index for each row of ``X``."""

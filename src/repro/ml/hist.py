@@ -1,10 +1,12 @@
 """Histogram-based GBDT split search (``backend="hist"``).
 
 :func:`repro.ml.forest.best_split_array` made the exact greedy search
-array-fast, but it still pays a per-node, per-feature mergesort ``argsort``
-— ``O(rows * log rows)`` for every node of every tree of every boosting
-round.  This module removes the sort from the per-node path entirely, the
-way LightGBM/XGBoost-hist do:
+array-fast and sorts the float columns only once per fit
+(:class:`~repro.ml.forest.FeaturePresort`), but every node still re-orders
+its rows by rank code and scans all of them for every feature — a
+``(features, rows)`` radix ``argsort`` plus row-length cumulative sums for
+every node of every tree of every boosting round.  This module takes row
+order out of the per-node path entirely, the way LightGBM/XGBoost-hist do:
 
 * :class:`BinnedDataset` — built **once per fit**: each feature column is
   quantized into at most ``max_bins`` ordered bins (one bin per distinct
@@ -14,7 +16,7 @@ way LightGBM/XGBoost-hist do:
   search is one flattened ``np.bincount`` accumulation of gradient /
   hessian / count histograms over all features, a ``cumsum`` per feature,
   and one masked-gain ``argmax`` over bin boundaries: ``O(rows + bins)``
-  per feature instead of ``O(rows * log rows)``.
+  per feature, with no per-row ordering at all.
 * **Parent-minus-sibling subtraction** — when a node splits, only the
   *smaller* child's histogram is ever accumulated from rows; the larger
   child's is the parent's histogram minus the sibling's, so the total

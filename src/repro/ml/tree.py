@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
-from repro.ml.forest import TreeTensor, best_split_array, resolve_ml_backend
+from repro.ml.forest import FeaturePresort, TreeTensor, best_split_array, resolve_ml_backend
 
 
 @dataclass
@@ -71,7 +71,8 @@ class GradientRegressionTree:
     backend:
         ``"node"`` for the pointer-based reference walks, ``"array"`` for the
         flattened :class:`~repro.ml.forest.TreeTensor` kernels with the exact
-        vectorized split search, ``"hist"`` for the histogram split search of
+        presorted split search (all features of a node in one vectorized
+        pass), ``"hist"`` for the histogram split search of
         :mod:`repro.ml.hist` (thresholds snap to at most
         ``config.max_bins`` bins per feature; identical to the exact search
         while every feature fits in the bin budget), or ``"auto"`` (default)
@@ -98,13 +99,16 @@ class GradientRegressionTree:
         gradients: np.ndarray,
         hessians: np.ndarray,
         binned: "object | None" = None,
+        presort: FeaturePresort | None = None,
     ) -> "GradientRegressionTree":
         """Grow the tree greedily on ``(X, gradients, hessians)``.
 
-        ``binned`` optionally supplies a prebuilt, row-aligned
-        :class:`~repro.ml.hist.BinnedDataset` so a boosting loop can
-        quantize once per fit instead of once per tree; ignored by the
-        non-hist backends.
+        ``binned`` / ``presort`` optionally supply a prebuilt, row-aligned
+        :class:`~repro.ml.hist.BinnedDataset` (hist backend) or
+        :class:`~repro.ml.forest.FeaturePresort` (array backend) so a
+        boosting loop can quantize or sort once per fit instead of once per
+        tree; each is ignored by the other backends, and a tree fitted on
+        its own builds what it needs.
         """
         X = np.asarray(X, dtype=np.float64)
         gradients = np.asarray(gradients, dtype=np.float64)
@@ -133,15 +137,24 @@ class GradientRegressionTree:
             self.root_ = grower.grow(self, indices)
             self.tensor_ = TreeTensor.from_root(self.root_)
             return self
-        self.root_ = self._build(X, gradients, hessians, indices, depth=0)
         if self._resolved_backend == "array":
+            if presort is None:
+                presort = FeaturePresort.from_matrix(X)
+            elif presort.codes.shape[1] != X.shape[0]:
+                raise DimensionMismatchError(
+                    f"presort has {presort.codes.shape[1]} rows but X has "
+                    f"{X.shape[0]}; pass a row-aligned FeaturePresort.subset"
+                )
+            self.root_ = self._build(presort, gradients, hessians, indices, depth=0)
             self.tensor_ = TreeTensor.from_root(self.root_)
+            return self
+        self.root_ = self._build(X, gradients, hessians, indices, depth=0)
         return self
 
     # ------------------------------------------------------------------ growth
     def _build(
         self,
-        X: np.ndarray,
+        X: "np.ndarray | FeaturePresort",
         gradients: np.ndarray,
         hessians: np.ndarray,
         indices: np.ndarray,
@@ -174,7 +187,7 @@ class GradientRegressionTree:
 
     def _best_split(
         self,
-        X: np.ndarray,
+        X: "np.ndarray | FeaturePresort",
         gradients: np.ndarray,
         hessians: np.ndarray,
         indices: np.ndarray,
@@ -183,9 +196,11 @@ class GradientRegressionTree:
     ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
         """Exact greedy split search over all features and thresholds.
 
-        The array backend runs the same search with the inner position loop
-        vectorized (:func:`repro.ml.forest.best_split_array`); chosen splits
-        are bit-identical.
+        The array backend is handed the fit's
+        :class:`~repro.ml.forest.FeaturePresort` in place of ``X`` and runs
+        the same search for all features in one vectorized pass
+        (:func:`repro.ml.forest.best_split_array`); chosen splits are
+        bit-identical.
         """
         if self._resolved_backend == "array":
             return best_split_array(

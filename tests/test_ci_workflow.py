@@ -54,6 +54,12 @@ def test_full_suite_job_runs_slow_tier(workflow):
     assert "not slow" not in run  # one job runs everything
 
 
+def test_full_suite_runs_end_to_end_benchmark_smoke(workflow):
+    # benchmarks/e2e is not under tier-1's testpaths; CI runs it by path.
+    run = _steps_text(workflow["jobs"]["full-suite"])
+    assert "python -m pytest -q benchmarks/e2e/test_e2e_bench.py" in run
+
+
 def test_perf_gate_runs_ratio_check(workflow):
     run = _steps_text(workflow["jobs"]["perf-gate"])
     assert "scripts/perf_report.py" in run

@@ -6,7 +6,9 @@ flattened :class:`TreeTensor` / :class:`ForestTensor` kernels.  Both backends
 execute the same float64 operations in the same order, so fitted splits,
 predictions, probabilities and the LoCEC-XGB leaf-value embedding must be
 **bit-identical** — this suite sweeps randomized regression targets, boosted
-multi-class problems, the Phase II community classifier and the direct
+multi-class problems, hypothesis-generated tie-heavy matrices (the presorted
+split search orders equal values by rank code, so ties are where it could
+part from the node scan), the Phase II community classifier and the direct
 Phase2Kernel CNN tensor path, plus the iterative-depth regression test.
 """
 
@@ -16,12 +18,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.community_classifier import GBDTCommunityClassifier
 from repro.core.config import GBDTConfig, LoCECConfig
 from repro.core.division import LocalCommunity
-from repro.exceptions import ModelConfigError, NotFittedError
-from repro.ml.forest import ForestTensor, TreeTensor, resolve_ml_backend
+from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
+from repro.ml.forest import (
+    FeaturePresort,
+    ForestTensor,
+    TreeTensor,
+    resolve_ml_backend,
+)
 from repro.ml.gbdt import GradientBoostedClassifier
 from repro.ml.tree import (
     GradientRegressionTree,
@@ -131,6 +140,51 @@ class TestTreeParity:
         assert np.array_equal(tensor.predict(X), node_tree.predict(X))
         assert tensor.depth() == _node_depth(node_tree.root_)
 
+    def test_standalone_tree_builds_its_own_presort(self):
+        # No presort handed in: the tree sorts for itself, and the result is
+        # the one a boosting loop's shared presort gives (and the node scan's).
+        X, gradients, hessians = random_tree_problem(7)
+        config = RegressionTreeConfig(max_depth=4)
+        alone = GradientRegressionTree(config, backend="array").fit(X, gradients, hessians)
+        shared = GradientRegressionTree(config, backend="array").fit(
+            X, gradients, hessians, presort=FeaturePresort.from_matrix(X)
+        )
+        node = GradientRegressionTree(config, backend="node").fit(X, gradients, hessians)
+        assert flatten_structure(alone.root_) == flatten_structure(node.root_)
+        assert flatten_structure(shared.root_) == flatten_structure(node.root_)
+
+    def test_misaligned_presort_rejected(self):
+        X, gradients, hessians = random_tree_problem(8)
+        presort = FeaturePresort.from_matrix(X)
+        with pytest.raises(DimensionMismatchError):
+            GradientRegressionTree(backend="array").fit(
+                X[:32], gradients[:32], hessians[:32], presort=presort
+            )
+        # The row-aligned subset is the supported way to fit on fewer rows.
+        rows = np.arange(32)
+        GradientRegressionTree(backend="array").fit(
+            X[:32], gradients[:32], hessians[:32], presort=presort.subset(rows)
+        )
+
+    def test_rank_codes_widen_past_65536_rows(self):
+        # All-distinct values: the largest rank is rows - 1, which fits
+        # uint16 at exactly 65,536 rows and not one row later.
+        assert FeaturePresort.from_matrix(np.arange(65536.0)[:, None]).codes.dtype == np.uint16
+        rng = np.random.default_rng(0)
+        X = rng.permutation(65537).astype(np.float64)[:, None]
+        gradients = rng.normal(size=X.shape[0])
+        hessians = np.abs(rng.normal(size=X.shape[0])) + 0.05
+        presort = FeaturePresort.from_matrix(X)
+        assert presort.codes.dtype == np.uint32
+        assert int(presort.codes.max()) == 65536
+        config = RegressionTreeConfig(max_depth=1)
+        array_tree = GradientRegressionTree(config, backend="array").fit(
+            X, gradients, hessians, presort=presort
+        )
+        node_tree = GradientRegressionTree(config, backend="node").fit(X, gradients, hessians)
+        assert array_tree.num_leaves_ == 2
+        assert flatten_structure(array_tree.root_) == flatten_structure(node_tree.root_)
+
     def test_single_leaf_tree(self):
         X = np.ones((8, 2))
         gradients = np.full(8, -1.0)
@@ -194,6 +248,20 @@ class TestForestParity:
             node_model.predict_proba(X), array_model.predict_proba(X)
         )
 
+    @pytest.mark.parametrize("backend", ("node", "array"))
+    def test_proba_from_leaf_values_is_predict_proba(self, backend):
+        # The one-walk scoring path: probabilities rebuilt from the leaf-value
+        # embedding equal the walk-and-accumulate ones bit for bit (on the
+        # node backend that is an independent per-tree loop).
+        X, y = random_classification_problem(4)
+        model = GradientBoostedClassifier(num_rounds=6, backend=backend).fit(X, y)
+        fresh = np.random.default_rng(204).normal(size=(30, X.shape[1]))
+        for batch in (X, fresh):
+            assert np.array_equal(
+                model.proba_from_leaf_values(model.leaf_values(batch)),
+                model.predict_proba(batch),
+            )
+
     def test_predict_raw_alias(self):
         X, y = random_classification_problem(3)
         model = GradientBoostedClassifier(num_rounds=3).fit(X, y)
@@ -220,6 +288,71 @@ class TestForestParity:
         assert model.forest_.num_trees == model.num_trees
         node_model = GradientBoostedClassifier(num_rounds=2, backend="node").fit(X, y)
         assert node_model.forest_ is None
+
+
+# One value palette per column kind; ``None`` draws continuous floats.
+COLUMN_PALETTES = (
+    (0.0,),  # all-zero column
+    (3.5,),  # constant column
+    (-0.0, 0.0, 1.0),  # -0.0 beside 0.0: equal values, one rank code
+    (-2.0, -1.0, 0.0, 1.0, 2.0),  # integer-valued, tie-heavy
+    None,
+)
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """A small classification problem whose columns are mostly ties, plus
+    hyper-parameters from the corners the hand-picked cases leave out."""
+    num_rows = draw(st.integers(6, 36))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        palette = draw(st.sampled_from(COLUMN_PALETTES))
+        values = (
+            st.sampled_from(palette)
+            if palette
+            else st.floats(-4.0, 4.0, allow_nan=False, width=32)
+        )
+        columns.append(draw(st.lists(values, min_size=num_rows, max_size=num_rows)))
+    X = np.array(columns, dtype=np.float64).T
+    if draw(st.booleans()):
+        X = np.vstack([X, X[: num_rows // 2]])  # duplicated rows
+    num_classes = draw(st.integers(2, 4))
+    labels = st.integers(0, num_classes - 1)
+    y = np.array(draw(st.lists(labels, min_size=len(X), max_size=len(X))))
+    kwargs = dict(
+        num_classes=num_classes,
+        num_rounds=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 3)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        gamma=draw(st.sampled_from((0.0, 0.05, 0.5))),
+        reg_lambda=draw(st.sampled_from((0.0, 1.0))),
+        subsample=draw(st.sampled_from((1.0, 0.8, 0.5))),
+        seed=draw(st.integers(0, 3)),
+    )
+    return X, y, kwargs
+
+
+class TestGeneratedParity:
+    @given(problem=tie_heavy_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_fitted_forests_bit_identical(self, problem):
+        X, y, kwargs = problem
+        # reg_lambda=0 can saturate a leaf (zero hessian): both backends then
+        # carry the same inf/NaN, which assert_array_equal compares as equal.
+        with np.errstate(all="ignore"):
+            node_model = GradientBoostedClassifier(backend="node", **kwargs).fit(X, y)
+            array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
+        node_forest = ForestTensor.from_trees(
+            [tree for round_trees in node_model.trees_ for tree in round_trees]
+        )
+        for name in ForestTensor.__slots__:
+            np.testing.assert_array_equal(
+                getattr(node_forest, name), getattr(array_model.forest_, name), err_msg=name
+            )
+        np.testing.assert_array_equal(
+            node_model.train_loss_history_, array_model.train_loss_history_
+        )
 
 
 def random_stores_and_communities(seed: int):
@@ -269,6 +402,29 @@ class TestCommunityClassifierParity:
         assert np.array_equal(results["node"][0], results["array"][0])
         # The Phase III leaf-value embedding r_C must match bit-for-bit too.
         assert np.array_equal(results["node"][1], results["array"][1])
+        # r_C's probability block is derived from the leaf values, not from
+        # a second walk, and still is predict_proba to the last bit.
+        for probabilities, vectors in results.values():
+            assert np.array_equal(vectors[:, :3], probabilities)
+
+    def test_result_vectors_walk_the_forest_once(self, monkeypatch):
+        from repro.core.aggregation import FeatureMatrixBuilder
+
+        features, interactions, communities = random_stores_and_communities(0)
+        labels = [index % 3 for index in range(len(communities))]
+        classifier = GBDTCommunityClassifier(
+            FeatureMatrixBuilder(features, interactions, k=6),
+            config=GBDTConfig(num_rounds=4, backend="array"),
+        ).fit(communities, labels)
+        walks = []
+        leaf_slots = ForestTensor.leaf_slots
+        monkeypatch.setattr(
+            ForestTensor,
+            "leaf_slots",
+            lambda self, X: walks.append(len(X)) or leaf_slots(self, X),
+        )
+        classifier.result_vectors(communities)
+        assert walks == [len(communities)]
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_matrices_as_tensor_path_bit_identical(self, seed):

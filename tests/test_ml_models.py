@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import (
     DimensionMismatchError,
+    FeatureError,
     ModelConfigError,
     NotFittedError,
 )
@@ -194,3 +195,34 @@ class TestGradientBoostedClassifier:
         X, y = _linearly_separable()
         model = GradientBoostedClassifier(num_rounds=3).fit(X, y)
         assert model.predict_proba(X[0]).shape == (1, 2)
+
+    @pytest.mark.parametrize("backend", ("node", "array", "hist"))
+    @pytest.mark.parametrize("width", (3, 5))  # narrower, wider than the fitted 4
+    def test_feature_count_mismatch_rejected(self, backend, width):
+        # Narrower used to die with a bare IndexError inside the traversal;
+        # wider was silently scored on its first columns.
+        X, y = _linearly_separable()
+        model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
+        wrong = np.zeros((6, width))
+        for method in ("predict", "predict_proba", "leaf_values", "leaf_indices"):
+            with pytest.raises(DimensionMismatchError, match="fitted on 4 features"):
+                getattr(model, method)(wrong)
+        with pytest.raises(DimensionMismatchError):
+            model.predict(np.zeros(width))  # a single row is checked too
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_features_rejected_at_fit(self, bad):
+        X, y = _linearly_separable()
+        X[5, 3] = bad
+        X[9, 2] = bad
+        model = GradientBoostedClassifier(num_rounds=2)
+        with pytest.raises(FeatureError, match="first offending column: 2"):
+            model.fit(X, y)
+        assert model.trees_ is None  # rejected before anything was fitted
+
+    def test_subsample_never_exceeds_the_row_count(self):
+        # The two-row floor on the subsample used to ask a 1-row input for
+        # two rows: NumPy's "Cannot take a larger sample than population".
+        model = GradientBoostedClassifier(num_rounds=2, subsample=0.5, num_classes=2)
+        model.fit(np.array([[1.0, 2.0]]), np.array([1]))
+        assert model.predict(np.array([[1.0, 2.0]])).tolist() == [1]

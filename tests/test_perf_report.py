@@ -196,7 +196,11 @@ def test_committed_baseline_is_valid_json():
     assert "commcnn_fit_small_fused" in report["benchmarks"]
     assert report["derived"]["speedup_commcnn_fit_small"] >= 1.4
     assert report["derived"]["speedup_commcnn_predict_small"] >= 2.0
-    # PR 5 acceptance: the histogram split search fits the small-scale GBDT
-    # >= 3x faster than the exact array search on the baseline machine.
+    # PR 17 acceptance: the presorted, feature-batched exact split search fits
+    # the small-scale GBDT ~8.9x faster than the node scan on the baseline
+    # machine (asserted with safety margin).  It replaces PR 5's claim that
+    # hist beats the exact array search >= 3x at this size: the exact search
+    # got ~2.5x faster, hist did not change, so that ratio fell to ~1.4x —
+    # a crossover now (below the ratio gate's 1.5x), not a win to protect.
     assert "gbdt_fit_small_hist" in report["benchmarks"]
-    assert report["derived"]["speedup_gbdt_fit_small_hist"] >= 3.0
+    assert report["derived"]["speedup_gbdt_fit_small"] >= 6.0
