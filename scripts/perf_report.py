@@ -43,7 +43,7 @@ SCHEMA_VERSION = 1
 
 # The ratio gate (--check-ratios) only guards speedup pairs the baseline
 # recorded as decisive wins; near-parity pairs (deliberate crossovers like
-# community_tightness at WeChat-like sizes) would flap on scheduler noise.
+# graph_transport_tiny) would flap on scheduler noise.
 RATIO_GATE_MIN_SPEEDUP = 1.5
 
 # Fast-backend vs reference-backend speedup pairs: csr/dict for the graph +
@@ -171,19 +171,11 @@ def build_benchmarks(
     import numpy as np
 
     from repro.community.betweenness import edge_betweenness
-    from repro.community.louvain import louvain_communities
     from repro.core.aggregation import FeatureMatrixBuilder
     from repro.core.commcnn import build_commcnn_classifier
-    from repro.core.config import CommCNNConfig
+    from repro.core.config import CommCNNConfig, RuntimeOptions
     from repro.core.division import divide
-    from repro.core.tightness import community_tightness
-    from repro.graph.csr import (
-        CSRGraph,
-        community_tightness_csr,
-        dense_ego_net,
-        edge_betweenness_csr,
-        louvain_communities_csr,
-    )
+    from repro.graph.csr import CSRGraph, dense_ego_net, edge_betweenness_csr
     from repro.graph.ego import ego_network
     from repro.ml.gbdt import GradientBoostedClassifier
     from repro.synthetic import make_workload
@@ -193,14 +185,6 @@ def build_benchmarks(
     graph = workloads[scales[-1]].dataset.graph
     csr = CSRGraph.from_graph(graph)
     nodes = list(graph.nodes())
-    sample_nets = [
-        ego_network(graph, ego) for ego in nodes[:: max(1, len(nodes) // 40)]
-    ]
-    sample_communities = [
-        (net, CSRGraph.from_graph(net), list(net.nodes()))
-        for net in sample_nets
-        if net.num_nodes > 1
-    ]
     # Degree ~60 graph: where the array kernels' O(sum-of-degrees) scaling
     # pulls away from the per-neighbour Python loops.
     dense = _dense_sample_graph(80 if quick else 400, 0.15)
@@ -218,16 +202,6 @@ def build_benchmarks(
         ],
         "edge_betweenness_dict": lambda: edge_betweenness(graph),
         "edge_betweenness_csr": lambda: edge_betweenness_csr(csr),
-        "community_tightness_dict": lambda: [
-            community_tightness(net, community)
-            for net, _, community in sample_communities
-        ],
-        "community_tightness_csr": lambda: [
-            community_tightness_csr(csr_net, community)
-            for _, csr_net, community in sample_communities
-        ],
-        "louvain_dict": lambda: louvain_communities(graph),
-        "louvain_csr": lambda: louvain_communities_csr(graph),
     }
     for scale in scales:
         scale_graph = workloads[scale].dataset.graph
@@ -288,7 +262,7 @@ def build_benchmarks(
                 workload.dataset.features,
                 workload.dataset.interactions,
                 k=20,
-                backend=backend,
+                options=RuntimeOptions(backend=backend),
             )
             for backend in ("dict", "csr")
         }

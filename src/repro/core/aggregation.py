@@ -32,12 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.config import (
-    _UNSET,
-    ResilienceConfig,
-    RuntimeOptions,
-    resolve_runtime_options,
-)
+from repro.core.config import RuntimeOptions
 from repro.core.division import LocalCommunity, resolve_backend
 from repro.exceptions import FeatureError, PipelineError
 from repro.graph.features import NodeFeatureStore
@@ -150,9 +145,8 @@ class FeatureMatrixBuilder:
         * ``backend`` — ``"dict"`` for the per-pair reference path,
           ``"csr"`` for the compiled
           :class:`~repro.graph.phase2.Phase2Kernel` path, ``"auto"``
-          (default) to pick CSR when NumPy is available.  Both backends
-          emit bit-identical matrices for integer-valued interaction
-          counts.
+          (default) for CSR.  Both backends emit bit-identical matrices
+          for integer-valued interaction counts.
         * ``phase2_workers`` — 0 (default) keeps aggregation
           single-process.  >= 1 routes every batch entry point through the
           sharded Phase II runner
@@ -167,10 +161,6 @@ class FeatureMatrixBuilder:
         * ``resilience`` / ``transport`` — fault-tolerance knobs for the
           sharded path (retries, per-shard timeouts, ``on_shard_failure``,
           pool-rebuild budget, kernel transport).
-    backend / phase2_workers / phase2_shards / resilience:
-        Deprecated flat aliases of the ``options`` fields above; explicit
-        values still work for one release (a ``DeprecationWarning`` names
-        the replacement) and override the corresponding ``options`` field.
 
     Notes
     -----
@@ -188,22 +178,10 @@ class FeatureMatrixBuilder:
         features: NodeFeatureStore,
         interactions: InteractionStore,
         k: int = 20,
-        backend: str = _UNSET,
-        phase2_workers: int = _UNSET,
-        phase2_shards: int | None = _UNSET,
-        resilience: ResilienceConfig | None = _UNSET,
         options: RuntimeOptions | None = None,
     ) -> None:
-        options = resolve_runtime_options(
-            options,
-            {
-                "backend": backend,
-                "phase2_workers": phase2_workers,
-                "phase2_shards": phase2_shards,
-                "resilience": resilience,
-            },
-            caller="FeatureMatrixBuilder",
-        )
+        options = options or RuntimeOptions()
+        options.validate()
         if k < 1:
             raise PipelineError("k must be >= 1")
         if options.phase2_workers and resolve_backend(options.backend) != "csr":

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from repro.exceptions import ModelConfigError
 
@@ -161,39 +159,16 @@ class ResilienceConfig:
             )
 
 
-#: Sentinel distinguishing "kwarg not passed" from any real value in the
-#: deprecated-knob shims (``None`` is a real value for several knobs).
-_UNSET: Any = object()
-
-#: Where each deprecated scattered kwarg lives on :class:`RuntimeOptions`.
-#: The table is the single source of truth for the shims — every deprecated
-#: kwarg accepted by ``FeatureMatrixBuilder`` / ``measure_phases`` /
-#: ``ServingSession`` must map to a real ``RuntimeOptions`` field here, and
-#: a lint-style test (``tests/test_runtime_options.py``) enforces exactly
-#: that, so the mapping cannot drift from the shimmed signatures.
-LEGACY_KNOB_TO_OPTION: dict[str, str] = {
-    "backend": "backend",
-    "ml_backend": "ml_backend",
-    "nn_backend": "nn_backend",
-    "phase2_workers": "phase2_workers",
-    "phase2_shards": "phase2_shards",
-    "resilience": "resilience",
-    "transport": "transport",
-}
-
-
 @dataclass(frozen=True)
 class RuntimeOptions:
     """The unified runtime-knob surface of the pipeline.
 
-    One frozen value object replaces the kwargs that had accreted across
-    ``LoCEC.fit`` / ``FeatureMatrixBuilder`` / ``measure_phases``
-    (``backend``, ``ml_backend``, ``nn_backend``, ``phase2_workers``,
-    ``phase2_shards``, ``resilience``, ``transport``).  Compose it into
-    :class:`LoCECConfig` via the ``runtime`` field, or pass it directly as
-    ``options=`` to the builders; the old kwargs keep working for one
-    release behind a ``DeprecationWarning`` (see
-    :data:`LEGACY_KNOB_TO_OPTION` and :func:`resolve_runtime_options`).
+    One frozen value object carries every runtime knob of ``LoCEC.fit`` /
+    ``FeatureMatrixBuilder`` / ``measure_phases`` (``backend``,
+    ``ml_backend``, ``nn_backend``, ``phase2_workers``, ``phase2_shards``,
+    ``resilience``, ``transport``).  Compose it into :class:`LoCECConfig`
+    via the ``runtime`` field, or pass it directly as ``options=`` to the
+    builders — the only way they take these knobs.
 
     ``transport`` is a convenience alias for ``resilience.transport``: a
     non-``"auto"`` value overrides the transport of the (possibly default)
@@ -240,39 +215,6 @@ class RuntimeOptions:
         return replace(self.resilience or ResilienceConfig(), transport=self.transport)
 
 
-def resolve_runtime_options(
-    options: RuntimeOptions | None,
-    legacy: dict[str, Any],
-    caller: str,
-) -> RuntimeOptions:
-    """Fold explicitly-passed deprecated kwargs into one ``RuntimeOptions``.
-
-    ``legacy`` maps knob name -> passed value, untouched knobs holding the
-    :data:`_UNSET` sentinel.  Every explicit legacy value emits a
-    ``DeprecationWarning`` naming its :class:`RuntimeOptions` replacement
-    (per :data:`LEGACY_KNOB_TO_OPTION`) and overrides the corresponding
-    field of ``options`` — so call sites predating the unified surface keep
-    working for one release.  The resolved options are validated.
-    """
-    resolved = options if options is not None else RuntimeOptions()
-    overrides: dict[str, Any] = {}
-    for name, value in legacy.items():
-        if value is _UNSET:
-            continue
-        target = LEGACY_KNOB_TO_OPTION[name]
-        warnings.warn(
-            f"{caller}({name}=...) is deprecated; pass "
-            f"options=RuntimeOptions({target}=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        overrides[target] = value
-    if overrides:
-        resolved = replace(resolved, **overrides)
-    resolved.validate()
-    return resolved
-
-
 @dataclass
 class LoCECConfig:
     """Top-level configuration of the LoCEC pipeline (Algorithm 2).
@@ -289,8 +231,8 @@ class LoCECConfig:
         ``"label_propagation"`` or ``"louvain"`` (ablations).
     backend:
         Graph/aggregation kernel backend for Phases I and II: ``"auto"``
-        (default; NumPy CSR kernels when NumPy is available), ``"csr"``, or
-        ``"dict"`` (pure-Python reference).  Both produce identical
+        (default; the NumPy CSR kernels), ``"csr"``, or ``"dict"``
+        (pure-Python reference).  Both produce identical
         communities, tightness values and Phase II feature matrices.
     ml_backend:
         Model-layer backend for the Phase II/III tree models: ``"auto"``
@@ -313,11 +255,8 @@ class LoCECConfig:
         runner (:class:`repro.runtime.phase2_exec.Phase2ShardedRunner`): the
         compiled kernel is published to shared memory once and community
         shards fan out across a process pool of this size.  Requires the
-        CSR backend (``backend="auto"`` resolves to it whenever NumPy is
-        available); outputs are bit-identical to the serial path.
-    min_community_size:
-        Communities smaller than this are still classified (the paper keeps
-        singletons with tightness 1); the knob exists for ablations only.
+        CSR backend (``backend="auto"`` resolves to it); outputs are
+        bit-identical to the serial path.
     edge_lr_iterations / edge_lr_learning_rate / edge_lr_l2:
         Training schedule of the Phase III logistic-regression edge labeler.
     seed:
@@ -334,7 +273,6 @@ class LoCECConfig:
     phase2_shards: int | None = None
     """Number of community shards per sharded Phase II call (default:
     ``phase2_workers``)."""
-    min_community_size: int = 1
     edge_lr_iterations: int = 400
     edge_lr_learning_rate: float = 0.5
     edge_lr_l2: float = 1e-4
@@ -378,35 +316,16 @@ class LoCECConfig:
                 "community_detector must be one of 'girvan_newman', "
                 f"'label_propagation', 'louvain', got {self.community_detector!r}"
             )
-        if self.backend not in {"auto", "dict", "csr"}:
-            raise ModelConfigError(
-                f"backend must be 'auto', 'dict' or 'csr', got {self.backend!r}"
-            )
-        if self.ml_backend not in {"auto", "node", "array", "hist"}:
-            raise ModelConfigError(
-                "ml_backend must be 'auto', 'node', 'array' or 'hist', "
-                f"got {self.ml_backend!r}"
-            )
-        if self.nn_backend not in {"auto", "loop", "fused"}:
-            raise ModelConfigError(
-                f"nn_backend must be 'auto', 'loop' or 'fused', got {self.nn_backend!r}"
-            )
-        if self.phase2_workers < 0:
-            raise ModelConfigError("phase2_workers must be >= 0")
-        if self.phase2_shards is not None and self.phase2_shards < 1:
-            raise ModelConfigError("phase2_shards must be >= 1 or None")
+        self.runtime_options.validate()  # the flat runtime knobs + resilience
         if self.phase2_workers and self.backend == "dict":
             raise ModelConfigError(
                 "phase2_workers requires the CSR aggregation backend; "
                 "set backend='auto' or 'csr'"
             )
-        if self.min_community_size < 1:
-            raise ModelConfigError("min_community_size must be >= 1")
         if self.edge_lr_iterations < 1:
             raise ModelConfigError("edge_lr_iterations must be positive")
         self.cnn.validate()
         self.gbdt.validate()
-        self.resilience.validate()
 
     @property
     def runtime_options(self) -> RuntimeOptions:

@@ -15,16 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-try:  # The dict backend must keep working without NumPy installed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy is a hard dep in practice
-    _np = None
+import numpy as np
 
 from repro.community.girvan_newman import girvan_newman
 from repro.community.label_propagation import label_propagation_communities
 from repro.community.louvain import louvain_communities
 from repro.core.tightness import community_tightness
 from repro.exceptions import PipelineError
+from repro.graph.csr import (
+    CSRGraph,
+    DenseEgoNet,
+    dense_ego_net,
+    ego_network_ordered,
+    girvan_newman_dense,
+)
 from repro.graph.ego import ego_network
 from repro.graph.graph import Graph
 from repro.types import Node
@@ -90,15 +94,15 @@ class LocalCommunity:
         """
         cached = self.__dict__.get("_ordered_members")
         if cached is None:
-            if _np is not None and len(self.members) >= self._LEXSORT_MIN_SIZE:
+            if len(self.members) >= self._LEXSORT_MIN_SIZE:
                 members = list(self.members)
-                negated = _np.fromiter(
+                negated = np.fromiter(
                     (-self.tightness[node] for node in members),
-                    dtype=_np.float64,
+                    dtype=np.float64,
                     count=len(members),
                 )
-                reprs = _np.array([repr(node) for node in members])
-                order = _np.lexsort((reprs, negated))
+                reprs = np.array([repr(node) for node in members])
+                order = np.lexsort((reprs, negated))
                 cached = [members[position] for position in order.tolist()]
             else:
                 cached = sorted(
@@ -232,18 +236,21 @@ def divide_ego(
     which builds the CSR snapshot once for all egos.
     """
     if resolve_backend(backend) == "csr":
-        from repro.graph.csr import CSRGraph
-
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
         return _divide_ego_csr(csr, ego, detector)
+    return _detect_communities(ego_network(graph, ego), ego, detector)
+
+
+def _detect_communities(
+    ego_net: Graph, ego: Node, detector: DetectorFn | str
+) -> list[LocalCommunity]:
+    """Run ``detector`` on a dict-backend ego network and score tightness."""
     if isinstance(detector, str):
         detector = get_detector(detector)
-    ego_net = ego_network(graph, ego)
     if ego_net.num_nodes == 0:
         return []
-    blocks = detector(ego_net)
     communities: list[LocalCommunity] = []
-    for index, block in enumerate(blocks):
+    for index, block in enumerate(detector(ego_net)):
         members = frozenset(block)
         if not members:
             continue
@@ -266,17 +273,12 @@ def _divide_ego_csr(csr, ego: Node, detector: DetectorFn | str) -> list[LocalCom
     dict-backend code path on an identically-constructed ego network, so
     every configuration produces results identical to ``backend="dict"``.
     """
-    from repro.graph.csr import dense_ego_net, girvan_newman_dense
-
     if detector == "girvan_newman":
         net = dense_ego_net(csr, ego)
         if net.num_nodes == 0:
             return []
-        blocks, _, _ = girvan_newman_dense(net)
-        neighbors: list[list[int]] = [[] for _ in range(net.num_nodes)]
-        for u, v in zip(net.eu.tolist(), net.ev.tolist()):
-            neighbors[u].append(v)
-            neighbors[v].append(u)
+        blocks = girvan_newman_dense(net)
+        neighbors = _neighbor_lists(net)
         communities = []
         for index, block in enumerate(blocks):
             if not block:
@@ -295,6 +297,15 @@ def _divide_ego_csr(csr, ego: Node, detector: DetectorFn | str) -> list[LocalCom
     # does (preserving its node iteration order, which order-sensitive
     # detectors like Louvain observe), then detect.
     return _divide_ego_csr_fallback(csr, ego, detector)
+
+
+def _neighbor_lists(net: DenseEgoNet) -> list[list[int]]:
+    """Int-indexed adjacency lists of a dense ego net (built once per ego)."""
+    neighbors: list[list[int]] = [[] for _ in range(net.num_nodes)]
+    for u, v in zip(net.eu.tolist(), net.ev.tolist()):
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return neighbors
 
 
 def _block_tightness(
@@ -327,43 +338,17 @@ def _block_tightness(
 
 
 def _divide_ego_csr_fallback(csr, ego: Node, detector: DetectorFn | str):
-    """Dict-backend detection path used by the CSR backend for non-GN detectors.
-
-    Louvain note: :func:`repro.graph.csr.louvain_communities_csr` produces
-    identical partitions, but its per-node ``unique``/``bincount`` only beats
-    the dict loop at degrees well above WeChat-like ego networks — so this
-    path intentionally runs the dict implementation and stays fast *and*
-    identical either way.
-    """
+    """Dict-backend detection path used by the CSR backend for non-GN detectors."""
     if csr._source is not None:
         ego_net = ego_network(csr._source, ego)
     elif csr._neighbor_order is not None:
         # Detached graph (shared-memory attach, binary spill): replay the
         # dict backend's exact construction sequence so set-order dependent
         # detectors stay bit-identical to the clean serial run.
-        from repro.graph.csr import ego_network_ordered
-
         ego_net = ego_network_ordered(csr, ego)
     else:
         ego_net = ego_network(csr.to_graph(), ego)
-    if ego_net.num_nodes == 0:
-        return []
-    detector_fn = get_detector(detector) if isinstance(detector, str) else detector
-    blocks = detector_fn(ego_net)
-    communities: list[LocalCommunity] = []
-    for index, block in enumerate(blocks):
-        members = frozenset(block)
-        if not members:
-            continue
-        communities.append(
-            LocalCommunity(
-                ego=ego,
-                members=members,
-                tightness=community_tightness(ego_net, members),
-                index=index,
-            )
-        )
-    return communities
+    return _detect_communities(ego_net, ego, detector)
 
 
 def divide(
@@ -381,14 +366,12 @@ def divide(
     ----------
     backend:
         ``"dict"`` for the pure-Python reference, ``"csr"`` for the NumPy
-        kernel layer (:mod:`repro.graph.csr`), ``"auto"`` (default) to pick
-        CSR when NumPy is available.  Both backends produce identical
-        communities and tightness values.
+        kernel layer (:mod:`repro.graph.csr`), ``"auto"`` (default) for
+        CSR.  Both backends produce identical communities and tightness
+        values.
     """
     resolved = resolve_backend(backend)
     if resolved == "csr":
-        from repro.graph.csr import CSRGraph
-
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
         if egos is None:
             egos = list(csr.nodes())

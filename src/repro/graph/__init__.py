@@ -4,24 +4,25 @@ Two interchangeable graph backends live here:
 
 * :class:`Graph` — the pure-Python ``dict[node, set[node]]`` reference.  It
   is the mutable, readable implementation every algorithm is specified
-  against, and the fallback when NumPy is unavailable.
+  against.
 * :class:`CSRGraph` (:mod:`repro.graph.csr`) — an immutable NumPy CSR
-  snapshot with vectorized kernels for the Phase I hot paths (ego-network
-  extraction, edge betweenness, Girvan-Newman, tightness, Louvain gains).
+  snapshot with the kernels Phase I division routes through (ego-network
+  extraction, Girvan-Newman over cached all-pairs Brandes betweenness).
 
 The Phase II stores get the same treatment in :mod:`repro.graph.phase2`:
 :class:`Phase2Kernel` compiles :class:`InteractionStore` /
 :class:`NodeFeatureStore` into an :class:`InteractionMatrix` (CSR) plus a
 dense :class:`NodeFeatureMatrix`, and
-``repro.core.aggregation.FeatureMatrixBuilder(..., backend="auto")`` routes
-Algorithm 1 / statistic aggregation through it with bit-identical output.
+``repro.core.aggregation.FeatureMatrixBuilder(..., options=RuntimeOptions())``
+routes Algorithm 1 / statistic aggregation through it with bit-identical
+output.
 
 Which to use: build the graph with :class:`Graph`, then let
 ``repro.core.division.divide(..., backend="auto")`` (the default) route hot
 loops through CSR — both backends produce identical communities and
 tightness values, so the knob is purely about speed.  Pick
-``backend="dict"`` only when debugging kernel parity or running without
-NumPy.  Measured kernel speeds live in ``BENCH_kernels.json`` at the repo
+``backend="dict"`` only when debugging kernel parity.  Measured kernel
+speeds live in ``BENCH_kernels.json`` at the repo
 root (written by ``scripts/perf_report.py``): each entry records
 ``seconds_per_op``/``ops_per_sec`` per kernel and scale, and the
 ``phase1_division_small`` pair is the headline dict-vs-CSR comparison —
@@ -30,44 +31,7 @@ any kernel, and CI fails if a kernel regresses >30% against the committed
 baseline.
 """
 
-try:  # CSR layer requires NumPy; the dict backend must work without it.
-    from repro.graph.csr import (
-        CSRGraph,
-        community_tightness_csr,
-        edge_betweenness_csr,
-        ego_network_csr,
-        girvan_newman_csr,
-        louvain_communities_csr,
-    )
-    from repro.graph.phase2 import (
-        InteractionMatrix,
-        NodeFeatureMatrix,
-        Phase2Kernel,
-    )
-    from repro.graph.shm import (
-        Phase2ShmHandle,
-        SharedCSRGraph,
-        SharedPhase2Kernel,
-        ShmHandle,
-        ShmLease,
-        shm_supported,
-    )
-except ImportError:  # pragma: no cover - exercised only on NumPy-less hosts
-    CSRGraph = None  # type: ignore[assignment,misc]
-    community_tightness_csr = None  # type: ignore[assignment]
-    edge_betweenness_csr = None  # type: ignore[assignment]
-    ego_network_csr = None  # type: ignore[assignment]
-    girvan_newman_csr = None  # type: ignore[assignment]
-    louvain_communities_csr = None  # type: ignore[assignment]
-    InteractionMatrix = None  # type: ignore[assignment,misc]
-    NodeFeatureMatrix = None  # type: ignore[assignment,misc]
-    Phase2Kernel = None  # type: ignore[assignment,misc]
-    Phase2ShmHandle = None  # type: ignore[assignment,misc]
-    SharedCSRGraph = None  # type: ignore[assignment,misc]
-    SharedPhase2Kernel = None  # type: ignore[assignment,misc]
-    ShmHandle = None  # type: ignore[assignment,misc]
-    ShmLease = None  # type: ignore[assignment,misc]
-    shm_supported = None  # type: ignore[assignment]
+from repro.graph.csr import CSRGraph, edge_betweenness_csr
 from repro.graph.ego import ego_network, ego_network_size, ego_networks
 from repro.graph.features import NodeFeatureStore
 from repro.graph.graph import Graph
@@ -83,6 +47,15 @@ from repro.graph.io import (
     write_edge_list,
     write_labeled_edges,
 )
+from repro.graph.phase2 import InteractionMatrix, NodeFeatureMatrix, Phase2Kernel
+from repro.graph.shm import (
+    Phase2ShmHandle,
+    SharedCSRGraph,
+    SharedPhase2Kernel,
+    ShmHandle,
+    ShmLease,
+    shm_supported,
+)
 
 __all__ = [
     "CSRGraph",
@@ -92,14 +65,10 @@ __all__ = [
     "NodeFeatureMatrix",
     "NodeFeatureStore",
     "Phase2Kernel",
-    "community_tightness_csr",
     "edge_betweenness_csr",
     "ego_network",
-    "ego_network_csr",
     "ego_networks",
     "ego_network_size",
-    "girvan_newman_csr",
-    "louvain_communities_csr",
     "Phase2ShmHandle",
     "SharedCSRGraph",
     "SharedPhase2Kernel",

@@ -2,39 +2,38 @@
 
 LoCEC's Phase I cost is dominated by interpreter-bound inner loops over the
 ``dict[node, set[node]]`` adjacency of :class:`repro.graph.Graph`: ego-network
-extraction, Brandes edge betweenness inside Girvan-Newman, tightness
-(Equation 3) and Louvain local moves.  This module provides an array-backed
-graph representation plus vectorized kernels for exactly those hot paths:
+extraction and Brandes edge betweenness inside Girvan-Newman.  This module
+holds the array-backed graph plus the kernels ``repro.core.division.divide``
+routes through on the CSR backend — a kernel lives here only while a
+product route selects it:
 
 * :class:`CSRGraph` — int32 ``indptr``/``indices`` over a node <-> index
   interner, exposing the same read API as :class:`Graph` (``neighbors``,
   ``degree``, ``subgraph``, ``edges``, ``num_nodes``/``num_edges``).
-* :func:`ego_network_csr` — sorted-adjacency intersection instead of the
-  per-friend Python loop in :mod:`repro.graph.ego`.
-* :func:`edge_betweenness_csr` — Brandes with flat arrays, run for *all*
-  sources simultaneously (level-synchronous BFS as dense matrix products;
-  ego networks are small, so dense ``k x k`` state is both exact and fast).
-* :func:`girvan_newman_csr` — the full GN dendrogram sweep on the dense
-  arrays, bit-compatible with :func:`repro.community.girvan_newman`.
-* :func:`community_tightness_csr` — one membership pass per community
-  instead of per-member set rebuilds.
-* :func:`louvain_communities_csr` — Louvain with the modularity gains of a
-  node against all neighbouring communities computed in one ``bincount``.
+* :func:`dense_ego_net` — sorted-adjacency intersection instead of the
+  per-friend Python loop in :mod:`repro.graph.ego`, emitting the flat
+  :class:`DenseEgoNet` edge arrays the GN engine runs on.
+* :func:`girvan_newman_dense` — the full GN dendrogram sweep on those
+  arrays, partitions identical to :func:`repro.community.girvan_newman`.
+* :func:`neighbor_order_array` / :func:`ego_network_ordered` — the
+  dict-backend iteration orders, carried across process and disk
+  boundaries so non-GN detectors stay bit-identical on detached graphs.
+* :func:`edge_betweenness_csr` — the all-pairs Brandes kernel (every
+  source at once, one matrix product per BFS level) that the GN engine
+  uses on large components, exposed whole-graph as its test handle.
 
-All kernels are drop-in compatible with their dict-backend counterparts:
-path counts, degrees and link weights are integers (exactly representable in
-float64), so the vectorized results match the reference implementations
-bit-for-bit wherever the reference accumulates integers, and to ~1e-12
-otherwise.  ``repro.core.division`` selects the backend via its ``backend``
-knob; see ``scripts/perf_report.py`` / ``BENCH_kernels.json`` for measured
+Path counts and degrees are integers (exactly representable in float64), so
+the kernels match the dict-backend references bit-for-bit wherever the
+reference accumulates integers, and to ~1e-12 otherwise.  Tightness
+(Equation 3) on the CSR route is ``repro.core.division._block_tightness``;
+see ``scripts/perf_report.py`` / ``BENCH_kernels.json`` for measured
 speedups.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,13 +44,11 @@ from repro.types import Edge, Node, canonical_edge
 __all__ = [
     "CSRGraph",
     "DenseEgoNet",
+    "dense_ego_net",
     "neighbor_order_array",
-    "ego_network_csr",
     "ego_network_ordered",
     "edge_betweenness_csr",
-    "girvan_newman_csr",
-    "community_tightness_csr",
-    "louvain_communities_csr",
+    "girvan_newman_dense",
 ]
 
 
@@ -301,10 +298,6 @@ class DenseEgoNet:
         Local indices in the iteration order the dict backend would use
         (the friends *set* order) so component discovery order — and hence
         :class:`LocalCommunity.index` — matches across backends.
-    adjacency:
-        Dense ``k x k`` float64 0/1 adjacency of the ego network, built
-        lazily — the GN engine and tightness run off the edge arrays, so
-        most egos never materialise it.
     eu, ev:
         Endpoint index arrays of the ego-net edges (``eu < ev``).
     """
@@ -313,17 +306,6 @@ class DenseEgoNet:
     order: list[int]
     eu: np.ndarray
     ev: np.ndarray
-    _adjacency: np.ndarray | None = None
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        if self._adjacency is None:
-            k = len(self.labels)
-            dense = np.zeros((k, k), dtype=np.float64)
-            dense[self.eu, self.ev] = 1.0
-            dense[self.ev, self.eu] = 1.0
-            self._adjacency = dense
-        return self._adjacency
 
     @property
     def num_nodes(self) -> int:
@@ -332,13 +314,6 @@ class DenseEgoNet:
     @property
     def num_edges(self) -> int:
         return int(self.eu.size)
-
-    def edge_keys(self) -> list[Edge]:
-        """Canonical label pair per edge (same keys as the dict backend)."""
-        return [
-            canonical_edge(self.labels[int(u)], self.labels[int(v)])
-            for u, v in zip(self.eu, self.ev)
-        ]
 
 
 def dense_ego_net(csr: CSRGraph, ego: Node) -> DenseEgoNet:
@@ -439,20 +414,6 @@ def ego_network_ordered(csr: CSRGraph, ego: Node) -> Graph:
         for k in row.tolist():
             if k in friend_set and k != j:
                 ego_net.add_edge(friend_label, labels[k])
-    return ego_net
-
-
-def ego_network_csr(graph: Graph | CSRGraph, ego: Node) -> Graph:
-    """Ego network of ``ego`` extracted with the CSR intersection kernel.
-
-    Drop-in equivalent of :func:`repro.graph.ego.ego_network` (returns the
-    same :class:`Graph`); the heavy lifting happens in :func:`dense_ego_net`.
-    """
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-    net = dense_ego_net(csr, ego)
-    ego_net = Graph(nodes=net.labels)
-    for u, v in zip(net.eu.tolist(), net.ev.tolist()):
-        ego_net.add_edge(net.labels[u], net.labels[v])
     return ego_net
 
 
@@ -560,7 +521,7 @@ _PYTHON_KERNEL_MAX = 48
 Micro-benchmarks put the fixed cost of the ~50-NumPy-op dense kernel at
 ~55us per call, which the int-indexed Python loop undercuts until roughly
 this size; beyond it the O(V*E) loop loses to the vectorized all-pairs
-sweep (ego networks rarely get there, whole-graph calls do)."""
+sweep (only egos whose friends form one large sparse component get there)."""
 
 _MEMO_KERNEL_MAX = 6
 """Components at or below this many nodes resolve betweenness through the
@@ -1057,343 +1018,20 @@ class _GNEngine:
         return q
 
 
-def girvan_newman_dense(
-    net: DenseEgoNet,
-    max_communities: int | None = None,
-    min_community_size: int = 1,
-) -> tuple[list[list[int]], float, int]:
+def girvan_newman_dense(net: DenseEgoNet) -> list[list[int]]:
     """Best-modularity GN partition of a dense ego net.
 
-    Returns ``(blocks, modularity, levels_explored)`` with blocks as local
-    index lists in the dict backend's discovery order.
+    Returns the blocks as local index lists in the dict backend's
+    discovery order.
     """
-    k = net.num_nodes
-    if k == 0:
-        return [], 0.0, 0
     if net.num_edges == 0:
-        return [[i] for i in net.order], 0.0, 1
+        return [[i] for i in net.order]
     engine = _GNEngine(net)
-    best_blocks: list[list[int]] | None = None
+    best_blocks: list[list[int]] = []
     best_q = float("-inf")
-    levels = 0
     for blocks in engine.levels():
-        levels += 1
-        if max_communities is not None and len(blocks) > max_communities:
-            break
         q = engine.current_modularity()
         if q > best_q:
             best_q = q
             best_blocks = blocks
-        if min_community_size > 1 and all(
-            len(block) < min_community_size for block in blocks
-        ):
-            break
-    assert best_blocks is not None
-    return best_blocks, best_q, levels
-
-
-def girvan_newman_csr(
-    graph: Graph | CSRGraph,
-    max_communities: int | None = None,
-    min_community_size: int = 1,
-) -> "GirvanNewmanResult":
-    """Vectorized drop-in for :func:`repro.community.girvan_newman.girvan_newman`."""
-    from repro.community.girvan_newman import GirvanNewmanResult
-
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-    net = _whole_graph_as_ego_net(csr)
-    blocks, q, levels = girvan_newman_dense(
-        net, max_communities=max_communities, min_community_size=min_community_size
-    )
-    if net.num_nodes == 0:
-        return GirvanNewmanResult(communities=(), modularity=0.0, levels_explored=0)
-    communities = tuple(frozenset(net.labels[i] for i in block) for block in blocks)
-    return GirvanNewmanResult(
-        communities=communities, modularity=q if blocks else 0.0, levels_explored=levels
-    )
-
-
-def _whole_graph_as_ego_net(csr: CSRGraph) -> DenseEgoNet:
-    """View an entire (small) graph as a DenseEgoNet for the GN kernel."""
-    n = csr.num_nodes
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    if n:
-        row_ids = np.repeat(np.arange(n), np.diff(csr.indptr).astype(np.int64, copy=False))
-        adjacency[row_ids, csr.indices] = 1.0
-    eu, ev = np.nonzero(np.triu(adjacency, 1))
-    if csr._source is not None:
-        order_labels = list(csr._source.nodes())
-        index = {label: i for i, label in enumerate(csr._nodes)}
-        order = [index[label] for label in order_labels]
-    else:
-        order = list(range(n))
-    return DenseEgoNet(
-        labels=list(csr._nodes), order=order, eu=eu, ev=ev, _adjacency=adjacency
-    )
-
-
-# ======================================================================
-# Tightness (Equation 3), batched
-# ======================================================================
-
-
-def tightness_from_dense(
-    net: DenseEgoNet, block: np.ndarray | Sequence[int]
-) -> dict[Node, float]:
-    """Equation 3 for every member of ``block`` in one vectorized pass."""
-    block = np.asarray(block, dtype=np.intp)
-    size = int(block.size)
-    if size == 1:
-        return {net.labels[int(block[0])]: 1.0}
-    sub = net.adjacency[np.ix_(block, block)]
-    friends_in_community = sub.sum(axis=1)
-    friends_in_ego = net.adjacency[block].sum(axis=1)
-    values: dict[Node, float] = {}
-    for local, fc, fe in zip(
-        block.tolist(), friends_in_community.tolist(), friends_in_ego.tolist()
-    ):
-        if fe == 0:
-            values[net.labels[local]] = 0.0
-        else:
-            values[net.labels[local]] = (fc / fe) * (fc / (size - 1))
-    return values
-
-
-_TIGHTNESS_ARRAY_MIN_SIZE = 32
-"""Member count below which the scalar membership loop beats the batched
-kernel: the array path pays fixed NumPy call overhead (gather, repeat,
-searchsorted, bincount) that WeChat-like communities of a few dozen members
-never amortise (see the ``community_tightness_{dict,csr}`` bench pair)."""
-
-
-def community_tightness_csr(
-    ego_net: Graph | CSRGraph, community: Collection[Node]
-) -> dict[Node, float]:
-    """Batched drop-in for :func:`repro.core.tightness.community_tightness`.
-
-    One sorted-membership pass over the members' concatenated adjacency rows
-    replaces the per-member set rebuild of the dict backend.  Routing is
-    size-aware: below :data:`_TIGHTNESS_ARRAY_MIN_SIZE` members the batched
-    kernel's fixed call overhead outweighs the flop savings, so small
-    communities run the dict reference directly (on the ego net itself or
-    the CSR's retained source graph) or, lacking one, a scalar pass over
-    the same CSR rows — identical arithmetic, identical results, no
-    backend-dependent output.
-    """
-    if len(community) < _TIGHTNESS_ARRAY_MIN_SIZE:
-        from repro.core.tightness import community_tightness
-
-        if isinstance(ego_net, Graph):
-            return community_tightness(ego_net, community)
-        if ego_net._source is not None:
-            return community_tightness(ego_net._source, community)
-        return _community_tightness_small(ego_net, community)
-    csr = ego_net if isinstance(ego_net, CSRGraph) else CSRGraph.from_graph(ego_net)
-    # Dedup like the dict reference (which materialises a member *set*), so a
-    # community handed in as a list with repeated nodes cannot skew |C|.
-    members = np.array(
-        sorted({csr.index_of(node) for node in community}), dtype=np.int32
-    )
-    size = int(members.size)
-    if size == 0:
-        return {}
-    if size == 1:
-        return {csr.label_of(int(members[0])): 1.0}
-    starts = csr.indptr[members]
-    ends = csr.indptr[members + 1]
-    counts = (ends - starts).astype(np.int64, copy=False)
-    cat = _gather_rows(csr.indices, starts, ends)
-    seg = np.repeat(np.arange(size), counts)
-    _, valid = _sorted_membership(members, cat)
-    friends_in_community = np.bincount(seg[valid], minlength=size)
-    values: dict[Node, float] = {}
-    for position, member in enumerate(members.tolist()):
-        fc = int(friends_in_community[position])
-        fe = int(counts[position])
-        if fe == 0:
-            values[csr.label_of(member)] = 0.0
-        else:
-            values[csr.label_of(member)] = (fc / fe) * (fc / (size - 1))
-    return values
-
-
-def _community_tightness_small(
-    csr: CSRGraph, community: Collection[Node]
-) -> dict[Node, float]:
-    """Equation 3 for a small community: scalar loop over the CSR rows.
-
-    Same integer counts and float operations as the batched path (and the
-    dict backend), so the values are bit-identical — only the traversal
-    strategy differs.
-    """
-    member_idx = sorted({csr.index_of(node) for node in community})
-    size = len(member_idx)
-    if size == 0:
-        return {}
-    if size == 1:
-        return {csr.label_of(member_idx[0]): 1.0}
-    member_set = set(member_idx)
-    indptr = csr.indptr
-    indices = csr.indices
-    values: dict[Node, float] = {}
-    for member in member_idx:
-        row = indices[indptr[member] : indptr[member + 1]].tolist()
-        friends_in_ego = len(row)
-        if friends_in_ego == 0:
-            values[csr.label_of(member)] = 0.0
-            continue
-        friends_in_community = sum(1 for other in row if other in member_set)
-        values[csr.label_of(member)] = (friends_in_community / friends_in_ego) * (
-            friends_in_community / (size - 1)
-        )
-    return values
-
-
-# ======================================================================
-# Louvain with vectorized modularity gains
-# ======================================================================
-
-
-def louvain_communities_csr(
-    graph: Graph | CSRGraph, seed: int | None = 0, max_levels: int = 10
-) -> tuple[frozenset[Node], ...]:
-    """Vectorized drop-in for :func:`repro.community.louvain.louvain_communities`.
-
-    The per-node scan over neighbouring communities — the dict backend's
-    inner dict-accumulation loop — becomes one ``np.unique`` + ``bincount``
-    per node (the "vectorized modularity gain"); sweep order, RNG use and
-    tie-breaking are identical, and link weights are integer-valued at every
-    level, so the partitions match the reference exactly.
-    """
-    csr = None if isinstance(graph, Graph) else graph
-    nodes0 = list(graph.nodes())
-    n = len(nodes0)
-    if n == 0:
-        return ()
-    if graph.num_edges == 0:
-        return tuple(frozenset([node]) for node in nodes0)
-
-    if csr is not None:
-        indptr = csr.indptr.astype(np.int64, copy=False)
-        indices = csr.indices.astype(np.int64, copy=False)
-    else:
-        index = {node: i for i, node in enumerate(nodes0)}
-        degrees = np.fromiter(
-            (graph.degree(node) for node in nodes0), count=n, dtype=np.int64
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        cursor = 0
-        for node in nodes0:
-            for other in graph.neighbors(node):
-                indices[cursor] = index[other]
-                cursor += 1
-    weights = np.ones(indices.size, dtype=np.float64)
-    contents: list[list[Node]] = [[node] for node in nodes0]
-    rng = random.Random(seed)
-
-    for _ in range(max_levels):
-        community, improved = _louvain_one_level(indptr, indices, weights, rng)
-        if not improved:
-            break
-        previous_n = len(contents)
-        indptr, indices, weights, contents = _louvain_aggregate(
-            indptr, indices, weights, contents, community
-        )
-        if len(contents) == 1 and previous_n == 1:
-            break
-
-    return tuple(frozenset(block) for block in contents)
-
-
-def _louvain_one_level(
-    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, rng: random.Random
-) -> tuple[np.ndarray, bool]:
-    """One local-move pass; mirrors ``louvain._one_level`` on flat arrays."""
-    n = indptr.size - 1
-    node_order = list(range(n))
-    community = np.arange(n, dtype=np.int64)
-    degree = np.zeros(n, dtype=np.float64)
-    np.add.at(degree, np.repeat(np.arange(n), np.diff(indptr)), weights)
-    community_degree = degree.copy()
-    total_weight = float(degree.sum()) / 2.0
-    if total_weight == 0:
-        return community, False
-
-    improved_overall = False
-    for _ in range(20):
-        rng.shuffle(node_order)
-        moved = False
-        for node in node_order:
-            start, end = int(indptr[node]), int(indptr[node + 1])
-            row = indices[start:end]
-            row_weights = weights[start:end]
-            not_self = row != node
-            neighbor_comms = community[row[not_self]]
-            # Vectorized modularity gain: link weight to every neighbouring
-            # community in one unique+bincount instead of a Python dict loop.
-            candidates, inverse = np.unique(neighbor_comms, return_inverse=True)
-            link_weights = np.bincount(
-                inverse, weights=row_weights[not_self], minlength=candidates.size
-            )
-            current = int(community[node])
-            node_degree = float(degree[node])
-            community_degree[current] -= node_degree
-            position = int(np.searchsorted(candidates, current))
-            if position < candidates.size and int(candidates[position]) == current:
-                link_current = float(link_weights[position])
-            else:
-                link_current = 0.0
-            best_community = current
-            best_gain = link_current - (
-                float(community_degree[current]) * node_degree / (2.0 * total_weight)
-            )
-            for candidate, link_weight in zip(
-                candidates.tolist(), link_weights.tolist()
-            ):
-                gain = link_weight - (
-                    float(community_degree[candidate])
-                    * node_degree
-                    / (2.0 * total_weight)
-                )
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_community = candidate
-            community_degree[best_community] += node_degree
-            if best_community != current:
-                community[node] = best_community
-                moved = True
-                improved_overall = True
-        if not moved:
-            break
-
-    # Renumber densely in first-encounter order over the node index order.
-    uniq, first_positions, inverse = np.unique(
-        community, return_index=True, return_inverse=True
-    )
-    dense_ids = np.empty(uniq.size, dtype=np.int64)
-    dense_ids[np.argsort(first_positions, kind="stable")] = np.arange(uniq.size)
-    return dense_ids[inverse], improved_overall
-
-
-def _louvain_aggregate(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    contents: list[list[Node]],
-    community: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[Node]]]:
-    """Collapse communities into super nodes (dense accumulation, exact)."""
-    n = indptr.size - 1
-    k = int(community.max()) + 1
-    new_contents: list[list[Node]] = [[] for _ in range(k)]
-    for node, block in enumerate(community.tolist()):
-        new_contents[block].extend(contents[node])
-    dense = np.zeros((k, k), dtype=np.float64)
-    row_ids = np.repeat(np.arange(n), np.diff(indptr))
-    np.add.at(dense, (community[row_ids], community[indices]), weights)
-    new_rows, new_cols = np.nonzero(dense)
-    new_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(new_rows, minlength=k), out=new_indptr[1:])
-    return new_indptr, new_cols.astype(np.int64, copy=False), dense[new_rows, new_cols], new_contents
+    return best_blocks

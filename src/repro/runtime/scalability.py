@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.clock import Clock, SystemClock
 from repro.core.aggregation import FeatureMatrixBuilder
-from repro.core.config import (
-    _UNSET,
-    ResilienceConfig,
-    RuntimeOptions,
-    resolve_runtime_options,
-)
+from repro.core.config import RuntimeOptions
 from repro.core.division import divide
 from repro.runtime.cost_model import (
     ClusterSpec,
@@ -34,21 +29,12 @@ from repro.runtime.cost_model import (
     WorkloadSpec,
 )
 from repro.runtime.executor import ShardedDivisionExecutor
-from repro.runtime.supervisor import TransportStats
 from repro.synthetic.network import SocialNetworkDataset
 
 
 @dataclass
 class MeasuredPhaseTimes:
-    """Wall-clock seconds of a real (local) run of the three phases.
-
-    The model-kernel timings (GBDT fit, batched forest inference, CNN tensor
-    emission, CommCNN fit/predict) are zero unless :func:`measure_phases`
-    ran with ``include_model_kernels=True``; they time the Phase II/III
-    model layer on the selected ``ml_backend`` / ``nn_backend`` and are
-    excluded from :attr:`total_seconds`, which keeps the cost-model
-    calibration a pure per-item phase cost as before.
-    """
+    """Wall-clock seconds of a real (local) run of the three phases."""
 
     num_nodes: int
     num_edges: int
@@ -56,23 +42,6 @@ class MeasuredPhaseTimes:
     phase1_seconds: float
     phase2_seconds: float
     phase3_seconds: float
-    gbdt_fit_seconds: float = 0.0
-    forest_predict_seconds: float = 0.0
-    commcnn_tensor_seconds: float = 0.0
-    commcnn_fit_seconds: float = 0.0
-    commcnn_predict_seconds: float = 0.0
-    transport_stats: TransportStats | None = None
-    """Graph-shipping accounting of the Phase I run (resolved transport,
-    payload vs segment bytes, peak worker RSS).  ``None`` unless
-    :func:`measure_phases` ran Phase I through the shard executor
-    (``num_workers > 1``)."""
-    phase2_transport_stats: TransportStats | None = None
-    """Kernel-shipping accounting of the Phase II run.  ``None`` unless
-    :func:`measure_phases` ran Phase II through the sharded runner
-    (``phase2_workers >= 1``)."""
-    phase2_makespan_seconds: float = 0.0
-    """Projected sharded Phase II makespan (LPT shard packing onto
-    ``phase2_workers`` + parent overhead); 0 on the serial path."""
 
     @property
     def total_seconds(self) -> float:
@@ -96,16 +65,6 @@ def measure_phases(
     k: int = 20,
     detector: str = "girvan_newman",
     max_egos: int | None = None,
-    backend: str = _UNSET,
-    ml_backend: str = _UNSET,
-    nn_backend: str = _UNSET,
-    include_model_kernels: bool = False,
-    gbdt_rounds: int = 10,
-    cnn_epochs: int = 2,
-    num_workers: int = 1,
-    num_shards: int = 4,
-    transport: str = _UNSET,
-    phase2_workers: int = _UNSET,
     options: RuntimeOptions | None = None,
     clock: Clock | None = None,
 ) -> MeasuredPhaseTimes:
@@ -114,79 +73,28 @@ def measure_phases(
     ``max_egos`` limits Phase I to a node sample so the measurement fits in a
     benchmark budget; per-item costs are unaffected because all phases are
     per-item computations.  ``options`` (a
-    :class:`~repro.core.config.RuntimeOptions`) selects the runtime surface:
-    ``options.backend`` the kernel layer for Phases I and II
-    (``"auto"``/``"csr"``/``"dict"``), ``options.ml_backend`` the tree-model
-    layer (``"auto"``/``"array"``/``"hist"``/``"node"``),
-    ``options.nn_backend`` the CommCNN execution engine
-    (``"auto"``/``"fused"``/``"loop"``), ``options.transport`` the graph
-    shipping (``"auto"``/``"pickle"``/``"shm"``) and
-    ``options.phase2_workers`` the sharded Phase II pool, mirroring
-    ``LoCECConfig``.  The flat ``backend`` / ``ml_backend`` / ``nn_backend``
-    / ``transport`` / ``phase2_workers`` kwargs are deprecated aliases of
-    those fields; explicit values still work for one release (with a
-    ``DeprecationWarning``) and override the corresponding ``options`` field.
-    With ``include_model_kernels=True`` the model-layer
-    kernels are timed too: ``gbdt_fit`` (a ``gbdt_rounds``-round boosted fit
-    on the statistic vectors), ``forest_predict`` (probabilities + the
-    leaf-value embedding), ``commcnn_tensor`` (CNN input tensor emission),
-    ``commcnn_fit`` (a ``cnn_epochs``-epoch CommCNN fit on that tensor) and
-    ``commcnn_predict`` (CommCNN probabilities for every community).
-    With ``num_workers > 1`` Phase I runs through the shard executor
-    (``num_shards`` shards) and the returned
-    :class:`MeasuredPhaseTimes` carries the run's
-    :class:`~repro.runtime.supervisor.TransportStats`.
-    With ``options.phase2_workers >= 1`` Phase II aggregation routes through
-    the sharded runner (:class:`repro.runtime.phase2_exec.Phase2ShardedRunner`,
-    bit-identical outputs) and the result carries the kernel-shipping
-    ``phase2_transport_stats`` plus the projected ``phase2_makespan_seconds``.
+    :class:`~repro.core.config.RuntimeOptions`) selects the runtime surface
+    exactly as ``LoCECConfig`` does: ``options.backend`` the kernel layer
+    for Phases I and II (``"auto"``/``"csr"``/``"dict"``),
+    ``options.phase2_workers`` the sharded Phase II pool.
     ``clock`` injects the time source (default :class:`repro.clock.
     SystemClock`); tests inject a ``FakeClock`` to get deterministic timings.
     """
-    options = resolve_runtime_options(
-        options,
-        {
-            "backend": backend,
-            "ml_backend": ml_backend,
-            "nn_backend": nn_backend,
-            "transport": transport,
-            "phase2_workers": phase2_workers,
-        },
-        caller="measure_phases",
+    # Built first: the builder validates ``options`` before Phase I runs.
+    builder = FeatureMatrixBuilder(
+        dataset.features, dataset.interactions, k=k, options=options
     )
     clock = clock or SystemClock()
     egos = list(dataset.graph.nodes())
     if max_egos is not None:
         egos = egos[:max_egos]
 
-    transport_stats: TransportStats | None = None
     start = clock.perf_counter()
-    if num_workers > 1:
-        # Phase I through the shard executor: same division (the executor's
-        # core invariant), plus transport accounting for the report below.
-        with ShardedDivisionExecutor(
-            num_shards=num_shards,
-            num_workers=num_workers,
-            detector=detector,
-            backend=options.backend,
-            resilience=options.resolved_resilience()
-            or ResilienceConfig(transport=options.transport),
-        ) as executor:
-            execution = executor.run(dataset.graph, egos=egos)
-        division = execution.division
-        transport_stats = execution.transport
-    else:
-        division = divide(
-            dataset.graph, egos=egos, detector=detector, backend=options.backend
-        )
+    division = divide(
+        dataset.graph, egos=egos, detector=detector, backend=builder.backend
+    )
     phase1_seconds = clock.perf_counter() - start
 
-    builder = FeatureMatrixBuilder(
-        dataset.features,
-        dataset.interactions,
-        k=k,
-        options=options,
-    )
     communities = list(division.all_communities())
     if communities:
         # Warm the once-per-fit kernel compilation (and, on the sharded
@@ -197,53 +105,6 @@ def measure_phases(
     start = clock.perf_counter()
     builder.feature_matrices(communities)
     phase2_seconds = clock.perf_counter() - start
-    phase2_transport_stats: TransportStats | None = None
-    phase2_makespan = 0.0
-    phase2_report = builder.phase2_report
-    if phase2_report is not None:
-        phase2_transport_stats = phase2_report.transport
-        phase2_makespan = phase2_report.makespan_seconds
-
-    gbdt_fit_seconds = forest_predict_seconds = commcnn_tensor_seconds = 0.0
-    commcnn_fit_seconds = commcnn_predict_seconds = 0.0
-    if include_model_kernels and communities:
-        import numpy as np
-
-        from repro.core.commcnn import build_commcnn_classifier
-        from repro.core.config import CommCNNConfig
-        from repro.ml.gbdt import GradientBoostedClassifier
-
-        design = builder.statistic_vectors(communities)
-        # Deterministic synthetic labels: this times the kernels, it does
-        # not evaluate accuracy, so any >=2-class assignment works.
-        labels = [index % 3 for index in range(len(communities))]
-        start = clock.perf_counter()
-        model = GradientBoostedClassifier(
-            num_rounds=gbdt_rounds, num_classes=3, backend=options.ml_backend
-        ).fit(design, labels)
-        gbdt_fit_seconds = clock.perf_counter() - start
-
-        start = clock.perf_counter()
-        model.predict_proba(design)
-        model.leaf_values(design)
-        forest_predict_seconds = clock.perf_counter() - start
-
-        start = clock.perf_counter()
-        tensor = builder.matrices_as_tensor(communities)
-        commcnn_tensor_seconds = clock.perf_counter() - start
-
-        cnn_config = CommCNNConfig(epochs=cnn_epochs, nn_backend=options.nn_backend)
-        cnn = build_commcnn_classifier(
-            k=k, num_columns=builder.num_columns, num_classes=3, config=cnn_config
-        )
-        cnn_labels = np.asarray(labels, dtype=np.int64)
-        start = clock.perf_counter()
-        cnn.fit(tensor, cnn_labels)
-        commcnn_fit_seconds = clock.perf_counter() - start
-
-        start = clock.perf_counter()
-        cnn.predict_proba(tensor)
-        commcnn_predict_seconds = clock.perf_counter() - start
 
     # Phase III per-edge work: Equation 4 assembly is two dictionary lookups
     # plus a concatenation; time it over the edges incident to the processed egos.
@@ -267,14 +128,6 @@ def measure_phases(
         phase1_seconds=phase1_seconds,
         phase2_seconds=phase2_seconds,
         phase3_seconds=phase3_seconds,
-        gbdt_fit_seconds=gbdt_fit_seconds,
-        forest_predict_seconds=forest_predict_seconds,
-        commcnn_tensor_seconds=commcnn_tensor_seconds,
-        commcnn_fit_seconds=commcnn_fit_seconds,
-        commcnn_predict_seconds=commcnn_predict_seconds,
-        transport_stats=transport_stats,
-        phase2_transport_stats=phase2_transport_stats,
-        phase2_makespan_seconds=phase2_makespan,
     )
 
 

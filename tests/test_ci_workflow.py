@@ -5,8 +5,9 @@ the workflow must parse as YAML and carry the structure the repo's gates
 depend on — a test matrix across supported Pythons, a full-suite job that
 includes the ``slow`` tier, a perf job wired to ``perf_report.py``'s ratio
 gate, a ruff lint job, and a static-analysis job running the repo-native
-invariant lint engine plus the typed-core mypy gate.  A refactor that
-silently drops one of the gates fails here instead of on the first broken PR.
+invariant lint engine, the structural guards and the typed-core mypy gate.
+A refactor that silently drops one of the gates fails here instead of on the
+first broken PR.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ def workflow():
 
 def _steps_text(job: dict) -> str:
     return " ".join(str(step.get("run", "")) for step in job["steps"])
+
+
+def _install_text(job: dict) -> str:
+    return " ".join(
+        str(step.get("run", ""))
+        for step in job["steps"]
+        if "pip install" in str(step.get("run", ""))
+    )
 
 
 def test_workflow_parses_and_triggers(workflow):
@@ -98,11 +107,7 @@ def test_static_analysis_job_runs_typed_core_mypy(workflow):
     ]
     # Blocking: the mypy gate must not be marked continue-on-error.
     assert mypy_steps and not mypy_steps[0].get("continue-on-error")
-    install = " ".join(
-        str(step.get("run", ""))
-        for step in job["steps"]
-        if "pip install" in str(step.get("run", ""))
-    )
+    install = _install_text(job)
     assert "mypy" in install and "numpy" in install
 
 
@@ -122,6 +127,21 @@ def test_static_analysis_guards_the_single_supervision_loop(workflow):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_static_analysis_runs_the_routed_kernel_guard(workflow):
+    # tests/test_routed_kernels.py is the check; the job runs it by path,
+    # blocking, and installs what it needs to do so.
+    job = workflow["jobs"]["static-analysis"]
+    (guard,) = [
+        step
+        for step in job["steps"]
+        if "tests/test_routed_kernels.py" in str(step.get("run", ""))
+    ]
+    assert "python -m pytest" in guard["run"]
+    assert not guard.get("continue-on-error")
+    install = _install_text(job)
+    assert "pytest" in install
 
 
 def test_typed_core_mypy_config_is_strict(workflow):

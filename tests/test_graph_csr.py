@@ -1,7 +1,8 @@
 """Parity tests: the CSR kernel layer must match the dict backend exactly.
 
-Every kernel in :mod:`repro.graph.csr` is a drop-in replacement for a
-dict-backend routine, and ``divide(backend="csr")`` must reproduce
+Every kernel ``divide(backend="csr")`` routes through
+(:mod:`repro.graph.csr`, ``division._block_tightness``) has a dict-backend
+oracle, and ``divide(backend="csr")`` must reproduce
 ``divide(backend="dict")`` bit-for-bit (members, ordering/index, tightness).
 The tests sweep randomized graphs across seeds and densities, including
 isolated nodes and singleton communities, plus the paper's example networks.
@@ -14,19 +15,23 @@ import random
 import pytest
 
 from repro.community.betweenness import edge_betweenness
-from repro.community.girvan_newman import girvan_newman
-from repro.community.louvain import louvain_communities
-from repro.core.division import divide, divide_ego, resolve_backend
+from repro.core.division import (
+    _block_tightness,
+    _neighbor_lists,
+    divide,
+    divide_ego,
+    resolve_backend,
+)
 from repro.core.tightness import community_tightness
 from repro.exceptions import NodeNotFoundError, PipelineError
 from repro.graph import Graph
 from repro.graph.csr import (
+    _PYTHON_KERNEL_MAX,
     CSRGraph,
-    community_tightness_csr,
+    DenseEgoNet,
+    _GNEngine,
+    dense_ego_net,
     edge_betweenness_csr,
-    ego_network_csr,
-    girvan_newman_csr,
-    louvain_communities_csr,
 )
 from repro.graph.ego import ego_network
 from repro.graph.generators import paper_figure7_network
@@ -45,6 +50,13 @@ def random_graph(seed: int, n: int = 24, p: float = 0.18) -> Graph:
     return graph
 
 
+def dense_edges(net: DenseEgoNet) -> set[frozenset]:
+    return {
+        frozenset((net.labels[u], net.labels[v]))
+        for u, v in zip(net.eu.tolist(), net.ev.tolist())
+    }
+
+
 def assert_division_identical(left, right) -> None:
     assert list(left.communities_by_ego) == list(right.communities_by_ego)
     for ego in left.communities_by_ego:
@@ -56,6 +68,21 @@ def assert_division_identical(left, right) -> None:
             assert set(ca.tightness) == set(cb.tightness)
             for node in ca.tightness:
                 assert ca.tightness[node] == cb.tightness[node]
+
+
+def assert_hub_division_identical(friends: Graph) -> list:
+    """Divide one hub ego adjacent to every node of ``friends`` on both backends.
+
+    The hub's ego network *is* ``friends``, so this runs GN and tightness on
+    a net of any chosen shape; returns the hub's communities.
+    """
+    hub = friends.num_nodes  # int labels 0..n-1 are taken
+    graph = Graph(nodes=friends.nodes(), edges=friends.edges())
+    for node in friends.nodes():
+        graph.add_edge(hub, node)
+    result = divide(graph, egos=[hub], backend="csr")
+    assert_division_identical(divide(graph, egos=[hub], backend="dict"), result)
+    return result.communities_of(hub)
 
 
 class TestCSRGraphReadAPI:
@@ -105,17 +132,27 @@ class TestCSRGraphReadAPI:
 
 
 class TestEgoNetworkParity:
+    @staticmethod
+    def assert_same_ego_net(csr: CSRGraph, graph: Graph, ego) -> None:
+        net = dense_ego_net(csr, ego)
+        reference = ego_network(graph, ego)
+        assert set(net.labels) == set(reference.nodes())
+        assert len(net.labels) == reference.num_nodes
+        assert dense_edges(net) == {frozenset(edge) for edge in reference.edges()}
+        assert net.num_edges == reference.num_edges
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_ego_matches(self, seed):
         graph = random_graph(seed)
         csr = CSRGraph.from_graph(graph)
         for ego in graph.nodes():
-            assert ego_network_csr(csr, ego) == ego_network(graph, ego)
+            self.assert_same_ego_net(csr, graph, ego)
 
     def test_fig7_matches(self):
         graph = paper_figure7_network()
+        csr = CSRGraph.from_graph(graph)
         for ego in graph.nodes():
-            assert ego_network_csr(graph, ego) == ego_network(graph, ego)
+            self.assert_same_ego_net(csr, graph, ego)
 
 
 class TestBetweennessParity:
@@ -138,108 +175,45 @@ class TestBetweennessParity:
 
 
 class TestGirvanNewmanParity:
+    """GN on nets larger than a random graph's egos: a hub's ego net is the
+    whole graph, so ``girvan_newman_dense`` sees 16-node components."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_graphs(self, seed):
-        graph = random_graph(seed, n=16, p=0.22)
-        reference = girvan_newman(graph)
-        vectorized = girvan_newman_csr(graph)
-        assert vectorized.communities == reference.communities
-        assert vectorized.modularity == pytest.approx(reference.modularity)
-        assert vectorized.levels_explored == reference.levels_explored
-
-    def test_max_communities_cap(self):
-        # Two 4-cliques plus a bridge (connected, so the dendrogram search
-        # can actually hit the cap).
-        graph = Graph()
-        for block in ([0, 1, 2, 3], [4, 5, 6, 7]):
-            for i, u in enumerate(block):
-                for v in block[i + 1 :]:
-                    graph.add_edge(u, v)
-        graph.add_edge(3, 4)
-        reference = girvan_newman(graph, max_communities=2)
-        vectorized = girvan_newman_csr(graph, max_communities=2)
-        assert vectorized.communities == reference.communities
+        assert_hub_division_identical(random_graph(seed, n=16, p=0.22))
 
     def test_edgeless_singletons(self):
-        graph = Graph(nodes=[3, 1, 2])
-        assert (
-            girvan_newman_csr(graph).communities == girvan_newman(graph).communities
-        )
+        assert len(assert_hub_division_identical(Graph(nodes=[0, 1, 2]))) == 3
 
 
 class TestTightnessParity:
+    """``_block_tightness`` (the CSR route's Equation 3) against the oracle,
+    on arbitrary member subsets rather than only the blocks GN emits."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_communities(self, seed):
         graph = random_graph(seed)
+        csr = CSRGraph.from_graph(graph)
         rng = random.Random(seed + 7)
         for ego in list(graph.nodes())[:10]:
-            net = ego_network(graph, ego)
-            members = list(net.nodes())
-            if not members:
+            net = dense_ego_net(csr, ego)
+            if net.num_nodes == 0:
                 continue
-            community = [m for m in members if rng.random() < 0.6] or members[:1]
-            reference = community_tightness(net, community)
-            batched = community_tightness_csr(net, community)
-            assert set(reference) == set(batched)
-            for node in reference:
-                assert batched[node] == reference[node]
+            block = [i for i in range(net.num_nodes) if rng.random() < 0.6] or [0]
+            reference = community_tightness(
+                ego_network(graph, ego), [net.labels[i] for i in block]
+            )
+            assert _block_tightness(net.labels, _neighbor_lists(net), block) == reference
 
     def test_singleton_and_isolated(self):
         net = Graph(nodes=[1, 2, 3])
         net.add_edge(2, 3)
-        assert community_tightness_csr(net, [1]) == {1: 1.0}
+        labels, neighbors = [1, 2, 3], [[], [2], [1]]
+        assert _block_tightness(labels, neighbors, [0]) == {1: 1.0}
         # Node 1 is isolated inside a multi-node community: tightness 0.
-        values = community_tightness_csr(net, [1, 2, 3])
+        values = _block_tightness(labels, neighbors, [0, 1, 2])
         assert values[1] == 0.0
         assert values == community_tightness(net, {1, 2, 3})
-
-    @pytest.mark.parametrize("size", (31, 32, 80))
-    def test_batched_kernel_above_routing_threshold(self, size):
-        # Communities >= _TIGHTNESS_ARRAY_MIN_SIZE take the batched
-        # gather/searchsorted/bincount kernel (smaller ones route to the
-        # scalar reference), so this pins parity on both sides of the cut.
-        graph = random_graph(0, n=size + 20, p=0.3)
-        community = list(graph.nodes())[:size]
-        reference = community_tightness(graph, community)
-        batched = community_tightness_csr(CSRGraph.from_graph(graph), community)
-        assert batched == reference
-        # A source-less CSR exercises the scalar CSR fallback when small.
-        rebuilt = CSRGraph(
-            CSRGraph.from_graph(graph).indptr,
-            CSRGraph.from_graph(graph).indices,
-            list(graph.nodes()),
-        )
-        assert community_tightness_csr(rebuilt, community) == reference
-
-    def test_duplicate_members_dedup_like_dict_reference(self):
-        # A community handed in as a list with repeated nodes must not skew
-        # |C| on any routing branch (dict delegate, scalar CSR, batched).
-        graph = random_graph(1, n=60, p=0.3)
-        nodes = list(graph.nodes())
-        for count in (5, 40):  # below and above the routing threshold
-            community = nodes[:count] + nodes[:3]
-            reference = community_tightness(graph, community)
-            csr = CSRGraph.from_graph(graph)
-            assert community_tightness_csr(csr, community) == reference
-            sourceless = CSRGraph(csr.indptr, csr.indices, nodes)
-            assert community_tightness_csr(sourceless, community) == reference
-
-
-class TestLouvainParity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_graphs(self, seed):
-        graph = random_graph(seed, n=30, p=0.12)
-        assert louvain_communities_csr(graph) == louvain_communities(graph)
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_denser_graphs(self, seed):
-        graph = random_graph(seed + 50, n=20, p=0.3)
-        assert louvain_communities_csr(graph) == louvain_communities(graph)
-
-    def test_trivial_graphs(self):
-        assert louvain_communities_csr(Graph()) == louvain_communities(Graph())
-        edgeless = Graph(nodes=[5, 1])
-        assert louvain_communities_csr(edgeless) == louvain_communities(edgeless)
 
 
 class TestDivideParity:
@@ -262,6 +236,27 @@ class TestDivideParity:
         assert_division_identical(
             divide(fig7_graph, backend="dict"), divide(fig7_graph, backend="csr")
         )
+
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    def test_large_sparse_component_takes_numpy_brandes(self, seed, monkeypatch):
+        # One ego whose friends form a single sparse component above
+        # _PYTHON_KERNEL_MAX (56-node ring + 20 chords): the only shape that
+        # reaches the vectorized all-pairs Brandes kernel inside the GN engine.
+        rng = random.Random(seed)
+        ring = Graph(edges=[(i, (i + 1) % 56) for i in range(56)])
+        for _ in range(20):
+            u, v = rng.sample(range(56), 2)
+            ring.add_edge(u, v)
+        sizes: list[int] = []
+        brandes_numpy = _GNEngine._brandes_numpy
+
+        def spy(engine, comp):
+            sizes.append(len(comp.nodes))
+            return brandes_numpy(engine, comp)
+
+        monkeypatch.setattr(_GNEngine, "_brandes_numpy", spy)
+        assert_hub_division_identical(ring)
+        assert sizes and max(sizes) > _PYTHON_KERNEL_MAX
 
     def test_isolated_and_singleton_egos(self):
         graph = Graph(edges=[(1, 2)], nodes=[3])
@@ -303,8 +298,6 @@ class TestDivideParity:
 class TestDenseEgoNet:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_dense_extraction_and_tightness(self, seed):
-        from repro.graph.csr import dense_ego_net, tightness_from_dense
-
         graph = random_graph(seed)
         csr = CSRGraph.from_graph(graph)
         for ego in list(graph.nodes())[:8]:
@@ -315,11 +308,8 @@ class TestDenseEgoNet:
             members = list(range(net.num_nodes))
             if not members:
                 continue
-            values = tightness_from_dense(net, members)
-            expected = community_tightness(reference, list(reference.nodes()))
-            assert set(values) == set(expected)
-            for node in expected:
-                assert values[node] == pytest.approx(expected[node], abs=1e-12)
+            values = _block_tightness(net.labels, _neighbor_lists(net), members)
+            assert values == community_tightness(reference, list(reference.nodes()))
 
 
 class TestStringLabels:
@@ -330,4 +320,3 @@ class TestStringLabels:
         assert_division_identical(
             divide(graph, backend="dict"), divide(graph, backend="csr")
         )
-        assert girvan_newman_csr(graph).communities == girvan_newman(graph).communities

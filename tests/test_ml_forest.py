@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.community_classifier import GBDTCommunityClassifier
-from repro.core.config import GBDTConfig, LoCECConfig
+from repro.core.config import GBDTConfig, LoCECConfig, RuntimeOptions
 from repro.core.division import LocalCommunity
 from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
 from repro.ml.forest import (
@@ -434,10 +434,10 @@ class TestCommunityClassifierParity:
         features, interactions, communities = random_stores_and_communities(seed)
         for k in (3, 6, 20):  # truncation, the default, and heavy padding
             dict_builder = FeatureMatrixBuilder(
-                features, interactions, k=k, backend="dict"
+                features, interactions, k=k, options=RuntimeOptions(backend="dict")
             )
             csr_builder = FeatureMatrixBuilder(
-                features, interactions, k=k, backend="csr"
+                features, interactions, k=k, options=RuntimeOptions(backend="csr")
             )
             assert np.array_equal(
                 dict_builder.matrices_as_tensor(communities),

@@ -53,8 +53,6 @@ def test_quick_report_schema(quick_report):
         "ego_extraction_csr",
         "edge_betweenness_dict",
         "edge_betweenness_csr",
-        "community_tightness_csr",
-        "louvain_csr",
         "phase1_division_tiny_dict",
         "phase1_division_tiny_csr",
         "commcnn_tensor_tiny_dict",

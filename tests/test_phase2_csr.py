@@ -1,6 +1,6 @@
 """Parity tests: the Phase II kernel layer must match the dict backend exactly.
 
-``FeatureMatrixBuilder(backend="csr")`` routes Equations 1-2, Algorithm 1 and
+``FeatureMatrixBuilder(options=RuntimeOptions(backend="csr"))`` routes Equations 1-2, Algorithm 1 and
 the LoCEC-XGB statistic aggregation through the compiled
 :class:`repro.graph.phase2.Phase2Kernel`.  Interaction counts are
 integer-valued in every generated workload, so the CSR path must reproduce
@@ -24,12 +24,15 @@ from repro.core.aggregation import (
     interact,
     interaction_feature_vector,
 )
+from repro.core.config import RuntimeOptions
 from repro.core.division import DivisionResult, LocalCommunity, divide
 from repro.exceptions import FeatureError
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.graph.phase2 import Phase2Kernel
 
 SEEDS = (0, 1, 2, 3, 4)
+DICT = RuntimeOptions(backend="dict")
+CSR = RuntimeOptions(backend="csr")
 
 
 def random_stores(
@@ -80,8 +83,8 @@ def builders(
     features: NodeFeatureStore, interactions: InteractionStore, k: int = 6
 ) -> tuple[FeatureMatrixBuilder, FeatureMatrixBuilder]:
     return (
-        FeatureMatrixBuilder(features, interactions, k=k, backend="dict"),
-        FeatureMatrixBuilder(features, interactions, k=k, backend="csr"),
+        FeatureMatrixBuilder(features, interactions, k=k, options=DICT),
+        FeatureMatrixBuilder(features, interactions, k=k, options=CSR),
     )
 
 
@@ -193,8 +196,8 @@ class TestPhase2Kernel:
         features, interactions = random_stores(2)
         community = random_communities(2)[2]
         members = sorted(community.members)[:2]
-        builder = FeatureMatrixBuilder(features, interactions, k=4, backend="csr")
-        dict_builder = FeatureMatrixBuilder(features, interactions, k=4, backend="dict")
+        builder = FeatureMatrixBuilder(features, interactions, k=4, options=CSR)
+        dict_builder = FeatureMatrixBuilder(features, interactions, k=4, options=DICT)
         assert np.array_equal(
             builder.feature_matrix(community).matrix,
             dict_builder.feature_matrix(community).matrix,
@@ -208,7 +211,7 @@ class TestPhase2Kernel:
 
     def test_explicit_invalidate_kernel(self):
         features, interactions = random_stores(2)
-        builder = FeatureMatrixBuilder(features, interactions, k=4, backend="csr")
+        builder = FeatureMatrixBuilder(features, interactions, k=4, options=CSR)
         builder.feature_matrices(random_communities(2)[:1])
         assert builder._kernel is not None
         builder.invalidate_kernel()

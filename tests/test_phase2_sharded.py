@@ -13,13 +13,14 @@ source stores have moved on.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.aggregation import FeatureMatrixBuilder
-from repro.core.config import LoCECConfig, ResilienceConfig
+from repro.core.config import LoCECConfig, ResilienceConfig, RuntimeOptions
 from repro.core.division import LocalCommunity
 from repro.exceptions import (
     ExecutorError,
@@ -46,6 +47,7 @@ needs_shm = pytest.mark.skipif(
 )
 
 K = 5
+CSR = RuntimeOptions(backend="csr")
 
 #: Deliberately skewed sizes so LPT produces uneven shard buckets.
 SKEWED_SIZES = (12, 1, 8, 2, 2, 7, 1, 5, 3, 1)
@@ -210,9 +212,9 @@ class TestBuilderRouting:
         labels = _labels("int")
         features, interactions = _stores(seed, labels)
         communities = _communities(seed, labels)
-        serial = FeatureMatrixBuilder(features, interactions, k=K, backend="csr")
+        serial = FeatureMatrixBuilder(features, interactions, k=K, options=CSR)
         sharded = FeatureMatrixBuilder(
-            features, interactions, k=K, backend="csr", phase2_workers=1
+            features, interactions, k=K, options=replace(CSR, phase2_workers=1)
         )
         return serial, sharded, communities
 
@@ -241,7 +243,10 @@ class TestBuilderRouting:
         features, interactions = _stores(5, labels)
         with pytest.raises(PipelineError):
             FeatureMatrixBuilder(
-                features, interactions, k=K, backend="dict", phase2_workers=2
+                features,
+                interactions,
+                k=K,
+                options=RuntimeOptions(backend="dict", phase2_workers=2),
             )
 
     def test_config_validation(self):
@@ -408,13 +413,13 @@ class TestStaleKernelGuard:
         features, interactions = _stores(13, labels)
         communities = _communities(13, labels)
         with FeatureMatrixBuilder(
-            features, interactions, k=K, backend="csr", phase2_workers=1
+            features, interactions, k=K, options=replace(CSR, phase2_workers=1)
         ) as sharded:
             sharded.statistic_vectors(communities)
             first_runner = sharded._runner
             interactions.record(labels[0], labels[1], 0, 100)
             features.set(labels[0], [7.0, 7.0, 7.0])
-            fresh = FeatureMatrixBuilder(features, interactions, k=K, backend="csr")
+            fresh = FeatureMatrixBuilder(features, interactions, k=K, options=CSR)
             assert np.array_equal(
                 sharded.statistic_vectors(communities),
                 fresh.statistic_vectors(communities),
@@ -573,9 +578,9 @@ class TestPooledExecution:
         labels = _labels("int")
         features, interactions = _stores(24, labels)
         communities = _communities(24, labels)
-        serial = FeatureMatrixBuilder(features, interactions, k=K, backend="csr")
+        serial = FeatureMatrixBuilder(features, interactions, k=K, options=CSR)
         with FeatureMatrixBuilder(
-            features, interactions, k=K, backend="csr", phase2_workers=2
+            features, interactions, k=K, options=replace(CSR, phase2_workers=2)
         ) as sharded:
             assert np.array_equal(
                 serial.statistic_vectors(communities),

@@ -136,27 +136,6 @@ class TestMeasuredScaling:
         calibration = measured.to_calibration()
         calibration.validate()
 
-    def test_measure_phases_model_kernels(self, tiny_workload):
-        measured = measure_phases(
-            tiny_workload.dataset,
-            max_egos=20,
-            detector="label_propagation",
-            include_model_kernels=True,
-            gbdt_rounds=2,
-            cnn_epochs=1,
-        )
-        assert measured.gbdt_fit_seconds > 0.0
-        assert measured.forest_predict_seconds > 0.0
-        assert measured.commcnn_tensor_seconds > 0.0
-        assert measured.commcnn_fit_seconds > 0.0
-        assert measured.commcnn_predict_seconds > 0.0
-        # Model-kernel timings stay out of the cost-model calibration total.
-        assert measured.total_seconds == (
-            measured.phase1_seconds
-            + measured.phase2_seconds
-            + measured.phase3_seconds
-        )
-
     def test_measured_worker_scaling_monotonicity(self, tiny_workload):
         results = measure_worker_scaling(
             tiny_workload.dataset, worker_counts=[1, 4], max_egos=40

@@ -1,132 +1,11 @@
-"""RuntimeOptions surface: legacy-kwarg mapping table, warnings, config sync.
-
-``LEGACY_KNOB_TO_OPTION`` is the single source of truth for the
-one-release-behind deprecation shim.  The lint-style tests here enforce, by
-signature inspection, that every ``_UNSET``-defaulted parameter of a shimmed
-callable appears in the table and that every table target is a real
-``RuntimeOptions`` field — so adding a knob without wiring the shim (or
-vice versa) fails CI rather than silently dropping the kwarg.
-"""
+"""RuntimeOptions surface: validation, the transport alias, LoCECConfig sync."""
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
-import warnings
-
 import pytest
 
-from repro.core.aggregation import FeatureMatrixBuilder
-from repro.core.config import (
-    _UNSET,
-    LEGACY_KNOB_TO_OPTION,
-    LoCECConfig,
-    ResilienceConfig,
-    RuntimeOptions,
-    resolve_runtime_options,
-)
+from repro.core.config import LoCECConfig, ResilienceConfig, RuntimeOptions
 from repro.exceptions import ModelConfigError
-from repro.graph import InteractionStore, NodeFeatureStore
-from repro.runtime.scalability import measure_phases
-
-SHIMMED_CALLABLES = [FeatureMatrixBuilder.__init__, measure_phases]
-
-
-def _legacy_params(func):
-    return [
-        name
-        for name, param in inspect.signature(func).parameters.items()
-        if param.default is _UNSET
-    ]
-
-
-class TestMappingTable:
-    @pytest.mark.parametrize(
-        "func", SHIMMED_CALLABLES, ids=lambda f: f.__qualname__
-    )
-    def test_every_unset_param_is_in_the_table(self, func):
-        params = _legacy_params(func)
-        assert params, f"{func.__qualname__} has no shimmed params"
-        missing = set(params) - set(LEGACY_KNOB_TO_OPTION)
-        assert not missing, f"unmapped legacy kwargs: {sorted(missing)}"
-
-    def test_every_target_is_a_runtime_options_field(self):
-        fields = {field.name for field in dataclasses.fields(RuntimeOptions)}
-        stray = set(LEGACY_KNOB_TO_OPTION.values()) - fields
-        assert not stray, f"mapping targets without a field: {sorted(stray)}"
-
-    def test_every_table_knob_is_shimmed_somewhere(self):
-        shimmed = set().union(*(_legacy_params(f) for f in SHIMMED_CALLABLES))
-        dead = set(LEGACY_KNOB_TO_OPTION) - shimmed
-        assert not dead, f"table rows no callable accepts: {sorted(dead)}"
-
-
-def _builder_inputs():
-    features = NodeFeatureStore(["f0", "f1"])
-    interactions = InteractionStore(num_dims=2)
-    return features, interactions
-
-
-class TestDeprecationShim:
-    def test_legacy_kwarg_warns_and_names_replacement(self):
-        features, interactions = _builder_inputs()
-        with pytest.warns(DeprecationWarning, match=r"FeatureMatrixBuilder\(backend=") as caught:
-            builder = FeatureMatrixBuilder(
-                features, interactions, k=5, backend="csr"
-            )
-        assert builder.backend == "csr"
-        message = str(caught[0].message)
-        assert "options=RuntimeOptions(backend=...)" in message
-
-    def test_options_path_is_warning_free(self):
-        features, interactions = _builder_inputs()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            builder = FeatureMatrixBuilder(
-                features,
-                interactions,
-                k=5,
-                options=RuntimeOptions(backend="csr"),
-            )
-        assert builder.backend == "csr"
-
-    def test_explicit_legacy_kwarg_overrides_options(self):
-        # One-release-behind semantics: an explicitly passed legacy kwarg
-        # still wins over the options block (with a warning), so call sites
-        # migrating field by field never silently change behaviour.
-        features, interactions = _builder_inputs()
-        with pytest.warns(DeprecationWarning):
-            builder = FeatureMatrixBuilder(
-                features,
-                interactions,
-                k=5,
-                backend="dict",
-                options=RuntimeOptions(backend="csr"),
-            )
-        assert builder.backend == "dict"
-
-    def test_measure_phases_legacy_kwarg_warns(self, tiny_workload):
-        with pytest.warns(DeprecationWarning, match=r"measure_phases\(backend="):
-            measure_phases(
-                tiny_workload.dataset,
-                detector="label_propagation",
-                max_egos=4,
-                backend="csr",
-            )
-
-    def test_resolve_rejects_unknown_legacy_name(self):
-        # A shim passing a knob missing from the table is a programming
-        # error, surfaced immediately rather than silently dropped.
-        with pytest.raises(KeyError):
-            resolve_runtime_options(None, {"bogus": "csr"}, caller="test")
-
-    def test_resolve_validates_the_merged_options(self):
-        with pytest.raises(ModelConfigError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                resolve_runtime_options(
-                    None, {"backend": "sparse"}, caller="test"
-                )
 
 
 class TestRuntimeOptions:
