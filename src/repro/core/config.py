@@ -163,12 +163,12 @@ class ResilienceConfig:
 class RuntimeOptions:
     """The unified runtime-knob surface of the pipeline.
 
-    One frozen value object carries every runtime knob of ``LoCEC.fit`` /
-    ``FeatureMatrixBuilder`` / ``measure_phases`` (``backend``,
-    ``ml_backend``, ``nn_backend``, ``phase2_workers``, ``phase2_shards``,
-    ``resilience``, ``transport``).  Compose it into :class:`LoCECConfig`
-    via the ``runtime`` field, or pass it directly as ``options=`` to the
-    builders — the only way they take these knobs.
+    One frozen value object carries every runtime knob of
+    ``FeatureMatrixBuilder`` (``backend``, ``ml_backend``, ``nn_backend``,
+    ``phase2_workers``, ``phase2_shards``, ``resilience``, ``transport``),
+    passed as ``options=`` — the only way the builder takes them.  On
+    :class:`LoCECConfig` the same knobs are flat fields;
+    :attr:`LoCECConfig.runtime_options` reads them out as one of these.
 
     ``transport`` is a convenience alias for ``resilience.transport``: a
     non-``"auto"`` value overrides the transport of the (possibly default)
@@ -284,23 +284,7 @@ class LoCECConfig:
     (retries, timeouts, failure mode, checkpointing); see
     :class:`ResilienceConfig`."""
 
-    runtime: RuntimeOptions | None = None
-    """The unified runtime-knob surface.  When set, ``validate()`` syncs its
-    fields into the flat legacy knobs above (``backend``, ``ml_backend``,
-    ``nn_backend``, ``phase2_workers``, ``phase2_shards``, ``resilience``) —
-    the ``runtime`` value wins over any flat field set alongside it."""
-
     def validate(self) -> None:
-        if self.runtime is not None:
-            self.runtime.validate()
-            self.backend = self.runtime.backend
-            self.ml_backend = self.runtime.ml_backend
-            self.nn_backend = self.runtime.nn_backend
-            self.phase2_workers = self.runtime.phase2_workers
-            self.phase2_shards = self.runtime.phase2_shards
-            resilience = self.runtime.resolved_resilience()
-            if resilience is not None:
-                self.resilience = resilience
         if self.k < 1:
             raise ModelConfigError("k must be >= 1")
         if self.community_model not in {"cnn", "xgb"}:
@@ -329,12 +313,9 @@ class LoCECConfig:
 
     @property
     def runtime_options(self) -> RuntimeOptions:
-        """The effective runtime knobs as one :class:`RuntimeOptions` value.
-
-        Built from the flat fields (which ``validate()`` keeps in sync with
-        an explicit ``runtime`` value), so it reflects whichever surface the
-        caller used.
-        """
+        """The runtime knobs — the flat fields above, their only home on
+        this class — as the one :class:`RuntimeOptions` value the builders
+        take."""
         return RuntimeOptions(
             backend=self.backend,
             ml_backend=self.ml_backend,

@@ -24,8 +24,9 @@ request layer with batched prediction, caching and latency accounting.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,12 +52,26 @@ from repro.core.results import (
     EdgeClassification,
     LoCECResult,
 )
-from repro.exceptions import NotFittedError, PipelineError
+from repro.exceptions import (
+    DimensionMismatchError,
+    EdgeNotFoundError,
+    FeatureError,
+    NotFittedError,
+    PipelineError,
+    SelfLoopError,
+)
 from repro.graph.features import NodeFeatureStore
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
 from repro.ml.metrics import classification_report
-from repro.types import ClassificationReport, Edge, LabeledEdge, Node, RelationType
+from repro.types import (
+    ClassificationReport,
+    Edge,
+    LabeledEdge,
+    Node,
+    RelationType,
+    canonical_edge,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
     from repro.runtime.faultinject import FaultPlan
@@ -64,7 +79,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
 
 @dataclass
 class PhaseTimings:
-    """Wall-clock seconds spent in each LoCEC phase during :meth:`LoCEC.fit`."""
+    """Wall-clock seconds per phase of one :meth:`LoCEC.fit` or
+    :meth:`LoCEC.apply_updates` call.
+
+    ``training`` is the community-classifier fit (0 on an update that kept
+    the model warm); ``aggregation`` is the rest of Phase II — training-set
+    derivation, store deltas and community scoring; ``combination`` is the
+    Phase III labeler.
+    """
 
     division: float = 0.0
     aggregation: float = 0.0
@@ -124,6 +146,18 @@ class UpdateReport:
     def degraded(self) -> bool:
         """``True`` when at least one ego is being served stale communities."""
         return bool(self.stale_egos)
+
+
+def _checked_vector(values: Sequence[float], length: int, where: str) -> np.ndarray:
+    """``values`` as a finite float vector of ``length``, or a typed error."""
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.shape != (length,):
+        raise DimensionMismatchError(
+            f"{where}: expected vector of shape ({length},), got {vector.shape}"
+        )
+    if not np.isfinite(vector).all():
+        raise FeatureError(f"{where}: values must be finite")
+    return vector
 
 
 class LoCEC:
@@ -195,76 +229,81 @@ class LoCEC:
         self._interactions = interactions
         self._labeled_edges = list(labeled_edges)
         self._stale_egos = set()
-        summary = FitSummary()
+        summary = FitSummary(num_training_edges=len(labeled_edges))
+        timings = summary.timings
 
-        # Phase I: division.
-        start = self._clock.perf_counter()
-        if division is None:
-            division = divide(
-                graph,
-                egos=egos,
-                detector=self.config.community_detector,
-                backend=self.config.backend,
-            )
-        self.division_ = division
-        summary.timings.division = self._clock.perf_counter() - start
+        with self._timed(timings, "division"):
+            if division is None:
+                division = divide(
+                    graph,
+                    egos=egos,
+                    detector=self.config.community_detector,
+                    backend=self.config.backend,
+                )
+            self.division_ = division
         summary.num_egos = division.num_egos
         summary.num_communities = division.num_communities
 
-        # Phase II: aggregation + community classification.
-        start = self._clock.perf_counter()
-        if self.feature_builder_ is not None:
-            # Refit: release the previous builder's sharded-path resources
-            # (process pool + published shared-memory lease) before replacing.
-            self.feature_builder_.close()
-        self.feature_builder_ = FeatureMatrixBuilder(
-            features=features,
-            interactions=interactions,
-            k=self.config.k,
-            options=self.config.runtime_options,
-        )
-        label_index = EdgeLabelIndex(labeled_edges)
-        train_communities, community_labels = labeled_communities(
-            division, label_index, min_labeled_members=1
-        )
-        if not train_communities:
-            raise PipelineError(
+        with self._timed(timings, "aggregation"):
+            if self.feature_builder_ is not None:
+                # Refit: release the previous builder's sharded-path resources
+                # (process pool + published shared-memory lease) first.
+                self.feature_builder_.close()
+            self.feature_builder_ = FeatureMatrixBuilder(
+                features=features,
+                interactions=interactions,
+                k=self.config.k,
+                options=self.config.runtime_options,
+            )
+            train_communities, train_labels = self._derive_training_set(
                 "no local community has a derivable ground-truth label; "
                 "check that labeled edges overlap the processed egos"
             )
         summary.num_labeled_communities = len(train_communities)
-        self._train_communities = list(train_communities)
-        self._train_labels = [int(label) for label in community_labels]
-        self.community_classifier_ = self._build_community_classifier()
-        self.community_classifier_.fit(train_communities, community_labels)
-
-        all_communities = list(division.all_communities())
-        result_vectors = self._compute_result_vectors(all_communities)
-        summary.timings.aggregation = self._clock.perf_counter() - start
-
-        # Phase III: combination.
-        start = self._clock.perf_counter()
-        self.edge_feature_builder_ = EdgeFeatureBuilder(
-            division=division,
-            result_vectors=result_vectors,
-            result_vector_length=self.community_classifier_.result_vector_length,
-        )
-        train_edges = [item.edge for item in labeled_edges]
-        train_labels = [int(item.label) for item in labeled_edges]
-        summary.num_training_edges = len(train_edges)
-        self.edge_labeler_ = EdgeLabeler(
-            self.edge_feature_builder_,
-            num_classes=self._num_classes,
-            learning_rate=self.config.edge_lr_learning_rate,
-            num_iterations=self.config.edge_lr_iterations,
-            l2=self.config.edge_lr_l2,
-            seed=self.config.seed,
-        )
-        self.edge_labeler_.fit(train_edges, train_labels)
-        summary.timings.combination = self._clock.perf_counter() - start
+        with self._timed(timings, "training"):
+            self._fit_community_classifier(train_communities, train_labels)
+        with self._timed(timings, "aggregation"):
+            result_vectors = self._score_communities(list(division.all_communities()))
+        with self._timed(timings, "combination"):
+            self.edge_feature_builder_ = EdgeFeatureBuilder(
+                division=division,
+                result_vectors=result_vectors,
+                result_vector_length=self.community_classifier_.result_vector_length,
+            )
+            self._fit_edge_labeler()
 
         self.fit_summary_ = summary
         return self
+
+    # ------------------------------------- Algorithm 2's stages, written once
+    @contextmanager
+    def _timed(self, timings: PhaseTimings, phase: str) -> Iterator[None]:
+        """Add the wall-clock of the enclosed block to ``timings.<phase>``."""
+        start = self._clock.perf_counter()
+        yield
+        elapsed = self._clock.perf_counter() - start
+        setattr(timings, phase, getattr(timings, phase) + elapsed)
+
+    def _derive_training_set(
+        self, empty_message: str
+    ) -> tuple[list[LocalCommunity], list[int]]:
+        """Communities of the current division with a derivable label."""
+        communities, labels = labeled_communities(
+            self.division_, EdgeLabelIndex(self._labeled_edges), min_labeled_members=1
+        )
+        if not communities:
+            raise PipelineError(empty_message)
+        return communities, labels
+
+    def _fit_community_classifier(
+        self, train_communities: list[LocalCommunity], train_labels: list[int]
+    ) -> None:
+        """Build and fit a fresh community classifier; remember what it saw
+        (``apply_updates`` refits only when that training set changes)."""
+        self._train_communities = train_communities
+        self._train_labels = train_labels
+        self.community_classifier_ = self._build_community_classifier()
+        self.community_classifier_.fit(train_communities, train_labels)
 
     def _build_community_classifier(self) -> CommunityClassifier:
         assert self.feature_builder_ is not None
@@ -292,10 +331,10 @@ class LoCEC:
             config=gbdt_config,
         )
 
-    def _compute_result_vectors(
-        self, communities: Sequence
+    def _score_communities(
+        self, communities: Sequence[LocalCommunity]
     ) -> dict[CommunityKey, np.ndarray]:
-        assert self.community_classifier_ is not None
+        """Result vector ``r_C`` of each community, keyed by community."""
         if not communities:
             return {}
         vectors = self.community_classifier_.result_vectors(communities)
@@ -303,6 +342,22 @@ class LoCEC:
             community_key(community): vectors[index]
             for index, community in enumerate(communities)
         }
+
+    def _fit_edge_labeler(self) -> None:
+        """Fit a fresh Phase III labeler on the stored labeled edges (seeded,
+        cheap and deterministic, so updates refit it rather than patch it)."""
+        self.edge_labeler_ = EdgeLabeler(
+            self.edge_feature_builder_,
+            num_classes=self._num_classes,
+            learning_rate=self.config.edge_lr_learning_rate,
+            num_iterations=self.config.edge_lr_iterations,
+            l2=self.config.edge_lr_l2,
+            seed=self.config.seed,
+        )
+        self.edge_labeler_.fit(
+            [item.edge for item in self._labeled_edges],
+            [int(item.label) for item in self._labeled_edges],
+        )
 
     # ----------------------------------------------------- incremental serving
     @property
@@ -355,47 +410,148 @@ class LoCEC:
            Phase III edge labeler is always refit — it is seeded, cheap and
            deterministic.
 
+        The whole batch is validated before the first mutation, so bad
+        input leaves the pipeline exactly as it was and raises the typed
+        error naming the offending delta: a self-loop in ``added_edges``
+        (:class:`SelfLoopError`), an edge in ``removed_edges`` that is absent
+        or listed twice (:class:`EdgeNotFoundError`), a wrong-length vector
+        (:class:`DimensionMismatchError`), a non-finite one or a delta that
+        would drive a stored count negative (:class:`FeatureError`).
+        Re-adding an existing edge is legal.  Failures *after* validation —
+        an executor error under ``on_shard_failure="raise"``, a diverged
+        refit, "update removed every labeled community" — can still leave a
+        half-applied update; staging those is ROADMAP item 2.
+
         Returns an :class:`UpdateReport`; ``fault_plan`` injects
         deterministic re-division faults (chaos tests).
         """
         self._require_fitted()
-        assert self._graph is not None and self.division_ is not None
-        assert self.feature_builder_ is not None
-        assert self._features is not None and self._interactions is not None
-        assert self.edge_feature_builder_ is not None
-        graph = self._graph
-        division = self.division_
+        interaction_writes, feature_writes = self._validate_updates(
+            added_edges, removed_edges, interaction_deltas, feature_updates
+        )
         report = UpdateReport(
             num_added_edges=len(added_edges),
             num_removed_edges=len(removed_edges),
             num_interaction_deltas=len(interaction_deltas),
             num_feature_updates=len(feature_updates),
         )
+        timings = report.timings
 
-        # -- Phase I: graph deltas, dirty marking, supervised re-division.
-        start = self._clock.perf_counter()
-        known_nodes = set(graph.nodes()) if added_edges else set()
+        with self._timed(timings, "division"):
+            dirty_egos = self._apply_graph_deltas(added_edges, removed_edges)
+            report.stale_egos, rescore_keys, changed_egos = self._redivide(
+                dirty_egos, fault_plan
+            )
+        report.num_dirty_egos = len(dirty_egos)
+        report.num_redivided_egos = len(dirty_egos) - len(report.stale_egos)
+        with self._timed(timings, "aggregation"):
+            report.kernel_patched, dirty_keys = self._apply_store_deltas(
+                interaction_writes, feature_writes
+            )
+            rescore_keys |= dirty_keys
+            train_communities, train_labels = self._derive_training_set(
+                "update removed every labeled community; refit from scratch"
+            )
+            report.classifier_refit = (
+                train_communities != self._train_communities
+                or train_labels != self._train_labels
+                or any(community_key(c) in rescore_keys for c in train_communities)
+            )
+        if report.classifier_refit:
+            with self._timed(timings, "training"):
+                self._fit_community_classifier(train_communities, train_labels)
+        with self._timed(timings, "aggregation"):
+            report.num_rescored_communities = self._rescore(
+                rescore_keys, changed_egos, report.classifier_refit
+            )
+        with self._timed(timings, "combination"):
+            self._fit_edge_labeler()
+
+        self._update_epoch += 1
+        return report
+
+    def _validate_updates(
+        self,
+        added_edges: Sequence[Edge],
+        removed_edges: Sequence[Edge],
+        interaction_deltas: Sequence[tuple[Node, Node, Sequence[float]]],
+        feature_updates: Sequence[tuple[Node, Sequence[float]]],
+    ) -> tuple[list[tuple[Node, Node, np.ndarray]], list[tuple[Node, np.ndarray]]]:
+        """Check a whole update batch against the fitted state; mutate nothing.
+
+        Raises what the first offending delta would have raised mid-update,
+        and returns the store writes to commit: the interaction vector each
+        delta leaves behind (deltas on one edge accumulate in batch order)
+        and each feature vector as an array.
+        """
+        for u, v in added_edges:
+            if u == v:
+                raise SelfLoopError(u)
+        # Adds are applied before removes, so an edge added by this batch may
+        # also be removed by it — once.
+        present = {canonical_edge(u, v) for u, v in added_edges}
+        removed: set[Edge] = set()
+        for u, v in removed_edges:
+            edge = canonical_edge(u, v)
+            if edge in removed or not (self._graph.has_edge(u, v) or edge in present):
+                raise EdgeNotFoundError(u, v)
+            removed.add(edge)
+        staged: dict[Edge, np.ndarray] = {}
+        interaction_writes = []
+        for position, (u, v, delta) in enumerate(interaction_deltas):
+            where = f"interaction_deltas[{position}] on edge ({u!r}, {v!r})"
+            edge = canonical_edge(u, v)
+            stored = staged[edge] if edge in staged else self._interactions.vector(u, v)
+            staged[edge] = stored + _checked_vector(
+                delta, self._interactions.num_dims, where
+            )
+            if np.any(staged[edge] < 0):
+                raise FeatureError(f"{where} would drive a stored count negative")
+            interaction_writes.append((u, v, staged[edge]))
+        width = self._features.num_features
+        feature_writes = [
+            (node, _checked_vector(values, width, f"feature_updates[{at}] on node {node!r}"))
+            for at, (node, values) in enumerate(feature_updates)
+        ]
+        return interaction_writes, feature_writes
+
+    def _apply_graph_deltas(
+        self, added_edges: Sequence[Edge], removed_edges: Sequence[Edge]
+    ) -> list[Node]:
+        """Mutate the graph; return the egos to re-divide, in node order.
+
+        A changed edge ``(a, b)`` dirties ``{a, b} ∪ (N(a) ∩ N(b))``.  Egos
+        outside the fitted division (subset fits) stay un-divided; nodes
+        introduced by this update always become egos.
+        """
+        graph, fitted_egos = self._graph, self.division_.communities_by_ego
+        new_nodes = {node for edge in added_edges for node in edge if node not in graph}
         for u, v in added_edges:
             graph.add_edge(u, v)
         for u, v in removed_edges:
             graph.remove_edge(u, v)
         dirty_egos: set[Node] = set()
-        for u, v in tuple(added_edges) + tuple(removed_edges):
-            dirty_egos.add(u)
-            dirty_egos.add(v)
-            dirty_egos.update(graph.neighbors(u) & graph.neighbors(v))
-        # Egos outside the fitted division (subset fits) stay un-divided;
-        # nodes introduced by this update always become egos.
-        eligible = {
+        for u, v in (*added_edges, *removed_edges):
+            dirty_egos.update((u, v), graph.neighbors(u) & graph.neighbors(v))
+        return [
             ego
-            for ego in dirty_egos
-            if ego in division.communities_by_ego
-            or (bool(added_edges) and ego not in known_nodes)
-        }
-        dirty_list = [ego for ego in graph.nodes() if ego in eligible]
-        report.num_dirty_egos = len(dirty_list)
+            for ego in graph.nodes()
+            if ego in dirty_egos and (ego in fitted_egos or ego in new_nodes)
+        ]
+
+    def _redivide(
+        self, dirty_egos: list[Node], fault_plan: "FaultPlan | None"
+    ) -> tuple[tuple[Node, ...], set[CommunityKey], set[Node]]:
+        """Supervised re-division of the dirty egos, folded into the division.
+
+        Returns the egos whose re-division failed (``on_shard_failure="skip"``:
+        they keep serving their previous communities, stale), the keys of the
+        new communities (to score) and the egos whose community list changed
+        (their old scores go).
+        """
+        division = self.division_
         redivided: dict[Node, list[LocalCommunity]] = {}
-        if dirty_list:
+        if dirty_egos:
             from repro.runtime.executor import ShardedDivisionExecutor
 
             resilience = replace(
@@ -403,7 +559,7 @@ class LoCEC:
                 on_shard_failure="skip",
             )
             with ShardedDivisionExecutor(
-                num_shards=min(4, len(dirty_list)),
+                num_shards=min(4, len(dirty_egos)),
                 num_workers=1,
                 detector=self.config.community_detector,
                 backend=self.config.backend,
@@ -411,136 +567,95 @@ class LoCEC:
                 fault_plan=fault_plan,
                 clock=self._clock,
             ) as executor:
-                redivided = dict(
-                    executor.run(graph, egos=dirty_list).division.communities_by_ego
-                )
+                redivided = executor.run(
+                    self._graph, egos=dirty_egos
+                ).division.communities_by_ego
+        stale: list[Node] = []
         rescore_keys: set[CommunityKey] = set()
         changed_egos: set[Node] = set()
-        for ego in dirty_list:
-            if ego in redivided:
-                self._stale_egos.discard(ego)
-                report.num_redivided_egos += 1
-                if redivided[ego] == division.communities_by_ego.get(ego):
-                    # Re-division reproduced the previous communities bit for
-                    # bit (e.g. an idempotent edge re-add): keep the old
-                    # objects and their stored scores — rescoring identical
-                    # inputs would only write back identical values.
-                    continue
-                division.communities_by_ego[ego] = redivided[ego]
-                changed_egos.add(ego)
-                for community in redivided[ego]:
-                    rescore_keys.add(community_key(community))
-            else:
-                # Skip-mode degradation: keep serving the previous communities
-                # (an ego new to this update has none and serves empty).
+        for ego in dirty_egos:
+            if ego not in redivided:
+                # An ego new to this update has no previous communities and
+                # serves empty.
+                stale.append(ego)
                 self._stale_egos.add(ego)
                 division.communities_by_ego.setdefault(ego, [])
+                continue
+            self._stale_egos.discard(ego)
+            # Identical communities (e.g. an idempotent edge re-add) keep the
+            # old objects and their stored scores: rescoring identical inputs
+            # would only write back identical values.
+            if redivided[ego] != division.communities_by_ego.get(ego):
+                division.communities_by_ego[ego] = redivided[ego]
+                changed_egos.add(ego)
+                rescore_keys.update(community_key(c) for c in redivided[ego])
         division.invalidate_index()
-        report.stale_egos = tuple(ego for ego in dirty_list if ego not in redivided)
-        report.timings.division = self._clock.perf_counter() - start
+        return tuple(stale), rescore_keys, changed_egos
 
-        # -- Phase II: store deltas, delta compilation, dirty re-scoring.
-        start = self._clock.perf_counter()
-        touched_edges: list[tuple[Node, Node]] = []
-        for u, v, delta in interaction_deltas:
-            vector = self._interactions.vector(u, v) + np.asarray(
-                delta, dtype=np.float64
-            )
+    def _apply_store_deltas(
+        self,
+        interaction_writes: list[tuple[Node, Node, np.ndarray]],
+        feature_writes: list[tuple[Node, np.ndarray]],
+    ) -> tuple[bool, set[CommunityKey]]:
+        """Commit the validated store writes and patch the compiled kernel.
+
+        Returns whether the kernel took every write in place
+        (:attr:`UpdateReport.kernel_patched`) and the keys of the communities
+        whose matrix changed.  A community's matrix depends only on its
+        members' pairwise interactions and per-member features (the ego is
+        not a member), so an interaction delta on (u, v) dirties exactly the
+        communities of egos in N(u) ∩ N(v) containing both endpoints — and a
+        feature update on n, the degenerate pair (n, n), the communities of
+        N(n) containing n.
+        """
+        graph = self._graph
+        for u, v, vector in interaction_writes:
             self._interactions.set_vector(u, v, vector)
-            touched_edges.append((u, v))
-        touched_nodes: list[Node] = []
-        for node, values in feature_updates:
+        for node, values in feature_writes:
             self._features.set(node, values)
-            touched_nodes.append(node)
-        report.kernel_patched = self.feature_builder_.patch_kernel(
+        touched_edges = [(u, v) for u, v, _ in interaction_writes]
+        touched_nodes = [node for node, _ in feature_writes]
+        kernel_patched = self.feature_builder_.patch_kernel(
             feature_nodes=touched_nodes, interaction_edges=touched_edges
         )
-        # A community's matrix depends only on its members' pairwise
-        # interactions and per-member features (the ego is not a member), so
-        # an interaction delta on (u, v) dirties exactly the communities of
-        # egos in N(u) ∩ N(v) containing both endpoints, and a feature update
-        # on n dirties the communities of N(n) containing n.
-        for u, v in touched_edges:
+        dirty_keys: set[CommunityKey] = set()
+        for u, v in touched_edges + [(node, node) for node in touched_nodes]:
             if u not in graph or v not in graph:
                 continue
             for ego in graph.neighbors(u) & graph.neighbors(v):
-                for community in division.communities_of(ego):
+                for community in self.division_.communities_of(ego):
                     if u in community and v in community:
-                        rescore_keys.add(community_key(community))
-        for node in touched_nodes:
-            if node not in graph:
-                continue
-            for ego in graph.neighbors(node):
-                for community in division.communities_of(ego):
-                    if node in community:
-                        rescore_keys.add(community_key(community))
+                        dirty_keys.add(community_key(community))
+        return kernel_patched, dirty_keys
 
-        label_index = EdgeLabelIndex(self._labeled_edges)
-        train_communities, community_labels = labeled_communities(
-            division, label_index, min_labeled_members=1
-        )
-        if not train_communities:
-            raise PipelineError(
-                "update removed every labeled community; refit from scratch"
-            )
-        train_labels = [int(label) for label in community_labels]
-        report.classifier_refit = (
-            train_communities != self._train_communities
-            or train_labels != self._train_labels
-            or any(community_key(c) in rescore_keys for c in train_communities)
-        )
-        self._train_communities = list(train_communities)
-        self._train_labels = train_labels
-        if report.classifier_refit:
-            self.community_classifier_ = self._build_community_classifier()
-            self.community_classifier_.fit(train_communities, community_labels)
-        assert self.community_classifier_ is not None
+    def _rescore(
+        self,
+        rescore_keys: set[CommunityKey],
+        changed_egos: set[Node],
+        classifier_refit: bool,
+    ) -> int:
+        """Refresh the stored result vectors; return how many were scored.
 
+        CommCNN inference is re-run over the full community list in one
+        batch whenever anything is dirty: scoring a subset would change the
+        inference batch shape relative to a from-scratch fit, and GEMM-based
+        convolution is only guaranteed bit-stable for identical batches.
+        GBDT scoring is per-row and batch-invariant, so it scores subsets.
+        """
         result_vectors = self.edge_feature_builder_.result_vectors
-        all_communities = list(division.all_communities())
-        # CommCNN inference is re-run over the full community list in one
-        # batch whenever anything is dirty: scoring a subset would change the
-        # inference batch shape relative to a from-scratch fit, and GEMM-based
-        # convolution is only guaranteed bit-stable for identical batches.
-        # GBDT scoring is per-row and batch-invariant, so it scores subsets.
-        rescore_all = report.classifier_refit or (
+        communities = list(self.division_.all_communities())
+        rescore_all = classifier_refit or (
             self.config.community_model == "cnn" and bool(rescore_keys)
         )
+        if not rescore_all:
+            communities = [c for c in communities if community_key(c) in rescore_keys]
+        fresh = self._score_communities(communities)
         if rescore_all:
-            fresh = self._compute_result_vectors(all_communities)
             result_vectors.clear()
-            result_vectors.update(fresh)
-            report.num_rescored_communities = len(fresh)
-        else:
-            for key in [k for k in result_vectors if k[0] in changed_egos]:
-                del result_vectors[key]
-            dirty_communities = [
-                c for c in all_communities if community_key(c) in rescore_keys
-            ]
-            result_vectors.update(self._compute_result_vectors(dirty_communities))
-            report.num_rescored_communities = len(dirty_communities)
-        report.timings.aggregation = self._clock.perf_counter() - start
-
-        # -- Phase III: the edge labeler is always refit (seeded, cheap,
-        # deterministic) over the stored labeled edges and the updated
-        # result vectors.
-        start = self._clock.perf_counter()
-        self.edge_labeler_ = EdgeLabeler(
-            self.edge_feature_builder_,
-            num_classes=self._num_classes,
-            learning_rate=self.config.edge_lr_learning_rate,
-            num_iterations=self.config.edge_lr_iterations,
-            l2=self.config.edge_lr_l2,
-            seed=self.config.seed,
-        )
-        self.edge_labeler_.fit(
-            [item.edge for item in self._labeled_edges],
-            [int(item.label) for item in self._labeled_edges],
-        )
-        report.timings.combination = self._clock.perf_counter() - start
-
-        self._update_epoch += 1
-        return report
+        for key in [k for k in result_vectors if k[0] in changed_egos]:
+            del result_vectors[key]
+        result_vectors.update(fresh)
+        return len(communities)
 
     # --------------------------------------------------------------- inference
     def predict_edges(self, edges: Sequence[Edge]) -> list[RelationType]:

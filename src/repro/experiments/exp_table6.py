@@ -20,18 +20,18 @@ def run(
     so the projection reproduces the paper's numbers exactly (this validates
     the decomposition, not the constants).  Pass
     ``calibrate_from_measurement=True`` with a workload to instead calibrate
-    the per-item costs from a real measured run of the local implementation —
-    the per-phase *proportions* (Phase I dominating) are the meaningful
-    comparison there.
+    the per-item costs from the phase timings of a real ``LoCEC.fit`` on
+    ``max_egos`` of its egos (:func:`~repro.runtime.scalability.measure_phases`)
+    — the per-phase *proportions* are the meaningful comparison there.
     """
     notes = "calibration back-solved from the paper's Table VI"
     if calibration is None and calibrate_from_measurement:
         if workload is None:
             raise ValueError("a workload is required to calibrate from measurements")
-        measured = measure_phases(workload.dataset, max_egos=max_egos)
+        measured = measure_phases(workload, max_egos=max_egos)
         calibration = measured.to_calibration()
         notes = (
-            f"calibration measured locally on {measured.num_nodes} egos / "
+            f"calibration read from a local LoCEC.fit on {measured.num_nodes} egos / "
             f"{measured.num_communities} communities / {measured.num_edges} edges"
         )
     study = ScalabilityStudy(calibration or CostCalibration())

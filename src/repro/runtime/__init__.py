@@ -6,7 +6,6 @@ from repro.runtime.cost_model import (
     ClusterSpec,
     CostCalibration,
     CostModel,
-    Phase2ScalingCalibration,
     RuntimeEstimate,
     TransportCalibration,
     WorkloadSpec,
@@ -43,7 +42,6 @@ from repro.runtime.scalability import (
     ChaosReport,
     MeasuredPhaseTimes,
     ScalabilityStudy,
-    measure_phase2_scaling,
     measure_phases,
     measure_transport,
     measure_worker_scaling,
@@ -81,14 +79,12 @@ __all__ = [
     "CostModel",
     "CostCalibration",
     "TransportCalibration",
-    "Phase2ScalingCalibration",
     "ClusterSpec",
     "WorkloadSpec",
     "RuntimeEstimate",
     "ScalabilityStudy",
     "MeasuredPhaseTimes",
     "measure_phases",
-    "measure_phase2_scaling",
     "measure_transport",
     "measure_worker_scaling",
     "ChaosReport",

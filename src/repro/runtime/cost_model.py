@@ -147,102 +147,6 @@ class TransportCalibration:
 
 
 @dataclass
-class Phase2ScalingCalibration:
-    """Measured serial-vs-sharded Phase II aggregation scaling.
-
-    The sharded Phase II path (:class:`repro.runtime.phase2_exec.
-    Phase2ShardedRunner`) trades a fixed per-call overhead — shard
-    partitioning, the one-time kernel publish amortized across calls, block
-    merging — for spreading the per-community kernel cost over workers.  The
-    calibration captures both sides from real sweeps
-    (:func:`repro.runtime.scalability.measure_phase2_scaling`) so the model
-    can answer the operational question: *from how many communities up does
-    sharding win?*
-    """
-
-    serial_seconds_per_community: float
-    """Per-community cost of the serial batched kernel (core-seconds)."""
-    sharded_seconds_per_community: float
-    """Per-community worker compute cost under the sharded path."""
-    sharded_overhead_seconds: float = 0.0
-    """Fixed per-call cost of the sharded path: partition + publish + merge."""
-    num_workers: int = 4
-    """Worker count the sharded side was measured (or projected) at."""
-
-    def validate(self) -> None:
-        if self.serial_seconds_per_community <= 0:
-            raise ModelConfigError("serial_seconds_per_community must be positive")
-        if self.sharded_seconds_per_community <= 0:
-            raise ModelConfigError("sharded_seconds_per_community must be positive")
-        if self.sharded_overhead_seconds < 0:
-            raise ModelConfigError("sharded_overhead_seconds must be non-negative")
-        if self.num_workers < 1:
-            raise ModelConfigError("num_workers must be >= 1")
-
-    @classmethod
-    def from_measurements(
-        cls,
-        serial_seconds: float,
-        sharded_compute_seconds: float,
-        sharded_overhead_seconds: float,
-        num_communities: int,
-        num_workers: int,
-    ) -> "Phase2ScalingCalibration":
-        """Calibrate from one measured serial run and one sharded run."""
-        if num_communities <= 0:
-            raise ModelConfigError("num_communities must be positive")
-        calibration = cls(
-            serial_seconds_per_community=serial_seconds / num_communities,
-            sharded_seconds_per_community=sharded_compute_seconds / num_communities,
-            sharded_overhead_seconds=sharded_overhead_seconds,
-            num_workers=num_workers,
-        )
-        calibration.validate()
-        return calibration
-
-    def serial_seconds(self, num_communities: int) -> float:
-        """Projected serial aggregation seconds for a community batch."""
-        return self.serial_seconds_per_community * num_communities
-
-    def sharded_seconds(
-        self, num_communities: int, num_workers: int | None = None
-    ) -> float:
-        """Projected sharded makespan: compute spread over workers + overhead."""
-        workers = self.num_workers if num_workers is None else num_workers
-        if workers < 1:
-            raise ModelConfigError("num_workers must be >= 1")
-        return (
-            self.sharded_seconds_per_community * num_communities / workers
-            + self.sharded_overhead_seconds
-        )
-
-    def speedup(self, num_communities: int, num_workers: int | None = None) -> float:
-        """Projected serial/sharded ratio at a given batch size."""
-        sharded = self.sharded_seconds(num_communities, num_workers)
-        if sharded <= 0:
-            return float("inf")
-        return self.serial_seconds(num_communities) / sharded
-
-    def crossover_communities(self, num_workers: int | None = None) -> float:
-        """Community count above which the sharded path wins.
-
-        Solves ``serial(n) = sharded(n)`` for ``n``; ``inf`` when the
-        sharded per-community cost divided by workers never undercuts the
-        serial cost (sharding then never pays off at this worker count).
-        """
-        workers = self.num_workers if num_workers is None else num_workers
-        if workers < 1:
-            raise ModelConfigError("num_workers must be >= 1")
-        margin = (
-            self.serial_seconds_per_community
-            - self.sharded_seconds_per_community / workers
-        )
-        if margin <= 0:
-            return float("inf")
-        return self.sharded_overhead_seconds / margin
-
-
-@dataclass
 class ClusterSpec:
     """A compute cluster: servers × cores per server."""
 
@@ -309,35 +213,11 @@ class CostModel:
     transport: TransportCalibration | None = None
     """Optional measured attach-vs-pickle shipping costs; enables
     :meth:`startup_overhead_hours`."""
-    phase2_scaling: Phase2ScalingCalibration | None = None
-    """Optional measured serial-vs-sharded Phase II aggregation scaling;
-    enables :meth:`phase2_crossover_communities` and
-    :meth:`phase2_speedup`."""
 
     def __post_init__(self) -> None:
         self.calibration.validate()
         if self.transport is not None:
             self.transport.validate()
-        if self.phase2_scaling is not None:
-            self.phase2_scaling.validate()
-
-    def _require_phase2_scaling(self) -> Phase2ScalingCalibration:
-        if self.phase2_scaling is None:
-            raise ModelConfigError(
-                "CostModel needs a Phase2ScalingCalibration to project "
-                "sharded Phase II scaling"
-            )
-        return self.phase2_scaling
-
-    def phase2_crossover_communities(self, num_workers: int | None = None) -> float:
-        """Community count above which sharded Phase II beats serial."""
-        return self._require_phase2_scaling().crossover_communities(num_workers)
-
-    def phase2_speedup(
-        self, num_communities: int, num_workers: int | None = None
-    ) -> float:
-        """Projected serial/sharded Phase II ratio for a batch size."""
-        return self._require_phase2_scaling().speedup(num_communities, num_workers)
 
     def startup_overhead_hours(self, transport: str, cluster: ClusterSpec) -> float:
         """Projected fleet startup cost (graph shipping) in wall-clock hours.
@@ -380,35 +260,6 @@ class CostModel:
             * workload.num_edges
             / effective_cores
             * to_hours,
-        )
-
-    def incremental_estimate(
-        self,
-        num_dirty_egos: int,
-        num_dirty_communities: int,
-        num_touched_edges: int,
-        cores: int = 1,
-    ) -> RuntimeEstimate:
-        """Projected cost of one ``LoCEC.apply_updates`` batch.
-
-        An incremental update pays the per-item phase costs only for the
-        *dirty* slice of the workload — Phase I re-division per dirty ego,
-        Phase II re-aggregation per dirty community, Phase III
-        re-featurization per touched edge — so the projection scales with
-        the delta, not the graph (the property the
-        ``serving_update_*_incremental`` benchmark ratio-gates).  Training
-        hours are always zero: updates keep the fitted models warm.
-        """
-        if min(num_dirty_egos, num_dirty_communities, num_touched_edges) < 0:
-            raise ModelConfigError("incremental workload counts must be >= 0")
-        return self.estimate(
-            WorkloadSpec(
-                num_nodes=num_dirty_egos,
-                num_edges=num_touched_edges,
-                num_communities=num_dirty_communities,
-            ),
-            ClusterSpec(num_servers=1, cores_per_server=cores),
-            include_training=False,
         )
 
     def sweep_nodes(

@@ -2,10 +2,9 @@
 
 Combines the two halves of the scalability story:
 
-1. **Measured** — run the real pipeline phases on synthetic networks of
-   increasing size (or with increasing worker counts) and record wall-clock
-   times, demonstrating the linear-in-nodes / inverse-in-workers behaviour on
-   hardware we actually have.
+1. **Measured** — run the product (:class:`repro.core.pipeline.LoCEC`, the
+   shard executor) on a synthetic network and read the phase wall-clock it
+   reports about itself; nothing here re-implements a phase to time it.
 2. **Projected** — feed per-item costs (either measured or back-solved from
    the paper) into :class:`repro.runtime.cost_model.CostModel` to regenerate
    the WeChat-scale numbers of Table VI and Figure 12.
@@ -16,39 +15,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.clock import Clock, SystemClock
-from repro.core.aggregation import FeatureMatrixBuilder
-from repro.core.config import RuntimeOptions
-from repro.core.division import divide
+from repro.core.config import LoCECConfig
+from repro.core.pipeline import LoCEC
 from repro.runtime.cost_model import (
     ClusterSpec,
     CostCalibration,
     CostModel,
-    Phase2ScalingCalibration,
     RuntimeEstimate,
     TransportCalibration,
     WorkloadSpec,
 )
 from repro.runtime.executor import ShardedDivisionExecutor
 from repro.synthetic.network import SocialNetworkDataset
+from repro.synthetic.workloads import ExperimentWorkload
 
 
 @dataclass
 class MeasuredPhaseTimes:
-    """Wall-clock seconds of a real (local) run of the three phases."""
+    """Wall-clock seconds of one local ``LoCEC.fit`` + edge classification."""
 
     num_nodes: int
     num_edges: int
     num_communities: int
+    training_seconds: float
     phase1_seconds: float
     phase2_seconds: float
     phase3_seconds: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.phase1_seconds + self.phase2_seconds + self.phase3_seconds
+    def to_calibration(self) -> CostCalibration:
+        """Turn the measurements into a cost-model calibration.
 
-    def to_calibration(self, training_hours: float = 4.5) -> CostCalibration:
-        """Turn the measurements into a cost-model calibration."""
+        Training does not decompose per item, so ``training_seconds`` is
+        reported but not projected: the calibration keeps the paper's 4.5 h.
+        """
         return CostCalibration.from_measurements(
             phase1_seconds=self.phase1_seconds,
             num_nodes=self.num_nodes,
@@ -56,77 +55,54 @@ class MeasuredPhaseTimes:
             num_communities=self.num_communities,
             phase3_seconds=self.phase3_seconds,
             num_edges=self.num_edges,
-            training_hours=training_hours,
         )
 
 
 def measure_phases(
-    dataset: SocialNetworkDataset,
-    k: int = 20,
-    detector: str = "girvan_newman",
+    workload: ExperimentWorkload,
+    config: LoCECConfig | None = None,
     max_egos: int | None = None,
-    options: RuntimeOptions | None = None,
     clock: Clock | None = None,
 ) -> MeasuredPhaseTimes:
-    """Time the three LoCEC phases on a real (synthetic) dataset.
+    """Time the LoCEC phases by running the product on a workload.
 
-    ``max_egos`` limits Phase I to a node sample so the measurement fits in a
-    benchmark budget; per-item costs are unaffected because all phases are
-    per-item computations.  ``options`` (a
-    :class:`~repro.core.config.RuntimeOptions`) selects the runtime surface
-    exactly as ``LoCECConfig`` does: ``options.backend`` the kernel layer
-    for Phases I and II (``"auto"``/``"csr"``/``"dict"``),
-    ``options.phase2_workers`` the sharded Phase II pool.
-    ``clock`` injects the time source (default :class:`repro.clock.
-    SystemClock`); tests inject a ``FakeClock`` to get deterministic timings.
+    Runs ``LoCEC(config, clock=clock).fit`` on the workload's training edges
+    and reports what that fit recorded about itself
+    (``fit_summary_.timings``): Phase I is ``division``, Phase II
+    ``aggregation`` (feature aggregation + community scoring), training the
+    community-classifier fit.  Phase III — applying the fitted labeler — is
+    one ``predict_edge_proba`` call over the edges incident to the processed
+    egos, bracketed by ``clock``.  ``max_egos`` limits Phase I to a node
+    sample so the measurement fits a benchmark budget; ``fit`` raises its
+    typed :class:`~repro.exceptions.PipelineError` when no community of the
+    sample has a labeled edge.  ``config`` defaults to ``LoCECConfig()``
+    (LoCEC-CNN, the variant Table VI reports); tests inject a ``FakeClock``.
     """
-    # Built first: the builder validates ``options`` before Phase I runs.
-    builder = FeatureMatrixBuilder(
-        dataset.features, dataset.interactions, k=k, options=options
-    )
     clock = clock or SystemClock()
-    egos = list(dataset.graph.nodes())
-    if max_egos is not None:
-        egos = egos[:max_egos]
-
-    start = clock.perf_counter()
-    division = divide(
-        dataset.graph, egos=egos, detector=detector, backend=builder.backend
-    )
-    phase1_seconds = clock.perf_counter() - start
-
-    communities = list(division.all_communities())
-    if communities:
-        # Warm the once-per-fit kernel compilation (and, on the sharded
-        # path, the one-time shm publish + pool spin-up) outside the timed
-        # region (mirroring scripts/perf_report.py) so phase2_seconds stays
-        # a pure per-item cost.
-        builder.feature_matrices(communities[:1])
-    start = clock.perf_counter()
-    builder.feature_matrices(communities)
-    phase2_seconds = clock.perf_counter() - start
-
-    # Phase III per-edge work: Equation 4 assembly is two dictionary lookups
-    # plus a concatenation; time it over the edges incident to the processed egos.
+    dataset = workload.dataset
+    egos = list(dataset.graph.nodes())[:max_egos]
     processed = set(egos)
-    edges = [
-        edge
-        for edge in dataset.graph.edges()
-        if edge[0] in processed or edge[1] in processed
-    ]
-    start = clock.perf_counter()
-    for u, v in edges:
-        division.community_containing(v, u)
-        division.community_containing(u, v)
-    phase3_seconds = clock.perf_counter() - start
-
-    builder.close()  # release sharded-path resources (pool + shm lease)
+    edges = [edge for edge in dataset.graph.edges() if not processed.isdisjoint(edge)]
+    with LoCEC(config, clock=clock) as pipeline:
+        pipeline.fit(
+            dataset.graph,
+            dataset.features,
+            dataset.interactions,
+            workload.train_edges,
+            egos=egos,
+        )
+        start = clock.perf_counter()
+        pipeline.predict_edge_proba(edges)
+        phase3_seconds = clock.perf_counter() - start
+        summary = pipeline.fit_summary_
+    assert summary is not None
     return MeasuredPhaseTimes(
         num_nodes=len(egos),
         num_edges=len(edges),
-        num_communities=len(communities),
-        phase1_seconds=phase1_seconds,
-        phase2_seconds=phase2_seconds,
+        num_communities=summary.num_communities,
+        training_seconds=summary.timings.training,
+        phase1_seconds=summary.timings.division,
+        phase2_seconds=summary.timings.aggregation,
         phase3_seconds=phase3_seconds,
     )
 
@@ -176,64 +152,6 @@ def measure_transport(
         publish_seconds=publish_seconds,
         graph_bytes=len(payload),
         handle_bytes=len(handle_payload),
-    )
-
-
-def measure_phase2_scaling(
-    dataset: SocialNetworkDataset,
-    num_workers: int = 4,
-    detector: str = "label_propagation",
-    max_egos: int | None = 200,
-    clock: Clock | None = None,
-) -> Phase2ScalingCalibration:
-    """Measure serial-vs-sharded Phase II aggregation scaling on a real run.
-
-    Times the serial batched statistic-vector kernel over the full community
-    batch, then the sharded path with ``num_workers`` shards executed
-    in-process — like :func:`measure_worker_scaling`, the parallel side is
-    projected from per-shard compute seconds (the runner's LPT makespan
-    model) so the calibration is deterministic and independent of the host's
-    actual core count.  Returns a
-    :class:`~repro.runtime.cost_model.Phase2ScalingCalibration` ready to hand
-    to :class:`~repro.runtime.cost_model.CostModel` (crossover community
-    count, projected speedups).
-    """
-    from repro.graph.phase2 import Phase2Kernel
-    from repro.runtime.phase2_exec import Phase2ShardedRunner
-
-    clock = clock or SystemClock()
-    egos = list(dataset.graph.nodes())
-    if max_egos is not None:
-        egos = egos[:max_egos]
-    division = divide(dataset.graph, egos=egos, detector=detector)
-    communities = list(division.all_communities())
-    if not communities:
-        raise ValueError("dataset produced no communities to calibrate on")
-    pairs = [
-        (community.members, community.members_by_tightness())
-        for community in communities
-    ]
-
-    kernel = Phase2Kernel.compile(dataset.features, dataset.interactions)
-    kernel.community_statistics(pairs[:1])  # warm any lazy allocations
-    start = clock.perf_counter()
-    kernel.community_statistics(pairs)
-    serial_seconds = clock.perf_counter() - start
-
-    with Phase2ShardedRunner(
-        kernel, num_workers=1, num_shards=num_workers
-    ) as runner:
-        runner.statistics(pairs)
-        report = runner.last_report
-    assert report is not None
-    # Floor the measured spans at 1ns: validate() demands positive costs and
-    # very fast hosts (or an injected FakeClock) can report a zero span.
-    return Phase2ScalingCalibration.from_measurements(
-        serial_seconds=max(serial_seconds, 1e-9),
-        sharded_compute_seconds=max(report.total_seconds, 1e-9),
-        sharded_overhead_seconds=max(report.parent_seconds, 0.0),
-        num_communities=len(communities),
-        num_workers=num_workers,
     )
 
 
@@ -492,11 +410,11 @@ def measure_worker_scaling(
     max_egos: int = 200,
     detector: str = "label_propagation",
 ) -> list[tuple[int, float]]:
-    """Measured Phase I makespan vs simulated worker count (local analogue of Fig. 12b).
+    """Projected Phase I makespan vs worker count (local analogue of Fig. 12b).
 
-    Uses the shard makespan (slowest shard) under serial execution so the
-    result is deterministic and does not depend on the host's actual core
-    count.
+    A projection, not a pool measurement: every shard runs serially and the
+    makespan is the slowest shard's measured seconds, so the result does not
+    depend on the host's actual core count.
     """
     egos = list(dataset.graph.nodes())[:max_egos]
     results: list[tuple[int, float]] = []

@@ -64,6 +64,31 @@ class TestPipelineFit:
         }
 
 
+    @pytest.mark.parametrize("model", ["xgb", "cnn"])
+    def test_training_is_timed_apart_from_aggregation(
+        self, tiny_workload, ticking_clock, model
+    ):
+        config = getattr(LoCECConfig, f"locec_{model}")(seed=0)
+        config.gbdt.num_rounds = 4
+        config.cnn.epochs = 1
+        pipeline = LoCEC(config, clock=ticking_clock).fit(
+            tiny_workload.dataset.graph,
+            tiny_workload.dataset.features,
+            tiny_workload.dataset.interactions,
+            tiny_workload.train_edges,
+            division=tiny_workload.division(),
+        )
+        timings = pipeline.fit_summary_.timings
+        assert timings.training > 0.0
+        assert min(timings.division, timings.aggregation, timings.combination) > 0.0
+        assert timings.total == (
+            timings.division
+            + timings.training
+            + timings.aggregation
+            + timings.combination
+        )
+
+
 class TestPipelinePredictions:
     def test_predict_edges_returns_relation_types(self, fitted_xgb):
         workload, pipeline = fitted_xgb

@@ -1,12 +1,16 @@
-"""Route or delete: every public CSR kernel is selected by a product route (tier-1, fast).
+"""Route or delete, and write it once: structural guards by AST (tier-1, fast).
 
 ``graph/csr.py`` once carried a fast twin for every kernel somebody guessed
 would be hot; five of them were exported, benchmarked and parity-tested while
 ``core.division.divide`` never called them.  The rule since: a kernel is in
 ``repro.graph.csr.__all__`` only while product code outside the module (and
 outside ``graph/__init__.py``'s re-export list) imports or references it.
-The check is by AST, so a mention in a docstring or comment does not count.
-CI runs this file in the ``static-analysis`` job as well.
+The same rule holds for the ``measure_*`` / ``run_*`` drivers of
+``repro.runtime.scalability`` — one of them lived on for nine PRs with a
+README recipe as its only caller — and ``core/pipeline.py`` is held to
+"every stage of Algorithm 2 has one call site, no function over 60 code
+lines".  The checks are by AST, so a mention in a docstring or comment does
+not count.  CI runs this file in the ``static-analysis`` job as well.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from repro.graph import csr
 
 PACKAGE = Path(csr.__file__).resolve().parent.parent  # src/repro
+REPO = PACKAGE.parent.parent
 NOT_A_ROUTE = {PACKAGE / "graph" / "csr.py", PACKAGE / "graph" / "__init__.py"}
 
 # The all-pairs Brandes kernel is routed — the GN engine runs it on components
@@ -50,4 +55,80 @@ def test_every_public_csr_kernel_is_routed():
         f"delete them: {sorted(unrouted - TEST_HANDLES)}; allowlisted names "
         f"that are routed now and should leave TEST_HANDLES: "
         f"{sorted(TEST_HANDLES - unrouted)}"
+    )
+
+
+# ``measure_transport`` has a README recipe and tier-1 tests but no product
+# caller.  It stays listed, not routed, until ROADMAP item 5 decides whether
+# the transport calibration derives from benchmark records or goes.
+UNROUTED_DRIVERS = {"measure_transport"}
+
+
+def calls_in_code(path: Path) -> list[str]:
+    """Name of every called function or method, once per call site."""
+    return [
+        getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_every_scalability_driver_has_a_product_caller():
+    module = ast.parse((PACKAGE / "runtime" / "scalability.py").read_text())
+    drivers = {
+        node.name
+        for node in module.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith(("measure_", "run_"))
+    }
+    callers = [PACKAGE / "cli.py", *(PACKAGE / "experiments").glob("*.py")]
+    callers += [*(REPO / "examples").glob("*.py"), *(REPO / "scripts").glob("*.py")]
+    called = {name for path in callers for name in calls_in_code(path)}
+    unrouted = drivers - called
+    assert unrouted == UNROUTED_DRIVERS, (
+        "repro.runtime.scalability drivers that cli.py, experiments/, examples/ "
+        f"and scripts/ never call — route them or delete them: "
+        f"{sorted(unrouted - UNROUTED_DRIVERS)}; listed names that are routed "
+        f"now and should leave UNROUTED_DRIVERS: {sorted(UNROUTED_DRIVERS - unrouted)}"
+    )
+
+
+PIPELINE = PACKAGE / "core" / "pipeline.py"
+MAX_FUNCTION_CODE_LINES = 60
+
+
+def test_each_pipeline_stage_has_one_call_site():
+    calls = calls_in_code(PIPELINE)
+    for stage in ("EdgeLabeler", "labeled_communities", "_build_community_classifier"):
+        assert calls.count(stage) == 1, (
+            f"core/pipeline.py calls {stage}( {calls.count(stage)} times: fit and "
+            "apply_updates must share one implementation of each stage"
+        )
+
+
+def test_no_pipeline_function_outgrows_its_stage():
+    source = PIPELINE.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    docstrings: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Module)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    too_long = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            code = [
+                number
+                for number in range(node.lineno, node.end_lineno + 1)
+                if number not in docstrings
+                and lines[number - 1].strip()
+                and not lines[number - 1].lstrip().startswith("#")
+            ]
+            if len(code) > MAX_FUNCTION_CODE_LINES:
+                too_long[node.name] = len(code)
+    assert not too_long, (
+        f"functions in core/pipeline.py over {MAX_FUNCTION_CODE_LINES} code lines "
+        f"(non-blank, non-comment, non-docstring) — split them into named stages: {too_long}"
     )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import LoCEC, LoCECConfig
 from repro.exceptions import ModelConfigError, PipelineError
 from repro.graph.generators import paper_figure7_network
 from repro.runtime import (
@@ -18,6 +21,12 @@ from repro.runtime import (
     shard_by_degree,
     shard_nodes,
 )
+
+
+def _fast_xgb_config() -> LoCECConfig:
+    config = LoCECConfig.locec_xgb(seed=0, community_detector="label_propagation")
+    config.gbdt.num_rounds = 4
+    return config
 
 
 class TestSharding:
@@ -126,15 +135,49 @@ class TestCostModel:
 
 class TestMeasuredScaling:
     def test_measure_phases_returns_positive_times(self, tiny_workload):
-        measured = measure_phases(
-            tiny_workload.dataset, max_egos=20, detector="label_propagation"
-        )
+        measured = measure_phases(tiny_workload, _fast_xgb_config(), max_egos=20)
         assert measured.num_nodes == 20
         assert measured.phase1_seconds > 0.0
         assert measured.phase2_seconds > 0.0
-        assert measured.total_seconds > 0.0
+        assert measured.training_seconds > 0.0
+        assert measured.phase3_seconds > 0.0
         calibration = measured.to_calibration()
         calibration.validate()
+
+    def test_measure_phases_is_a_view_of_the_fit_it_ran(
+        self, tiny_workload, ticking_clock, monkeypatch
+    ):
+        fitted = []
+        product_fit = LoCEC.fit
+
+        def spy(self, *args, **kwargs):
+            fitted.append(self)
+            return product_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(LoCEC, "fit", spy)
+        measured = measure_phases(
+            tiny_workload, _fast_xgb_config(), max_egos=20, clock=ticking_clock
+        )
+        (pipeline,) = fitted
+        summary = pipeline.fit_summary_
+        assert measured.num_nodes == summary.num_egos == 20
+        assert measured.num_communities == summary.num_communities
+        assert measured.phase1_seconds == summary.timings.division > 0.0
+        assert measured.phase2_seconds == summary.timings.aggregation > 0.0
+        assert measured.training_seconds == summary.timings.training > 0.0
+        # Phase III is one clock bracket around one predict_edge_proba call.
+        assert measured.phase3_seconds == 1.0
+
+    def test_measure_phases_lets_fits_typed_error_through(self, tiny_workload):
+        sample = set(list(tiny_workload.dataset.graph.nodes())[:5])
+        elsewhere = [
+            item
+            for item in tiny_workload.train_edges
+            if item.u not in sample and item.v not in sample
+        ]
+        unlabeled_sample = replace(tiny_workload, train_edges=elsewhere)
+        with pytest.raises(PipelineError, match="no local community"):
+            measure_phases(unlabeled_sample, _fast_xgb_config(), max_egos=5)
 
     def test_measured_worker_scaling_monotonicity(self, tiny_workload):
         results = measure_worker_scaling(

@@ -1,4 +1,4 @@
-"""RuntimeOptions surface: validation, the transport alias, LoCECConfig sync."""
+"""RuntimeOptions surface: validation, the transport alias, the LoCECConfig view."""
 
 from __future__ import annotations
 
@@ -32,22 +32,28 @@ class TestRuntimeOptions:
         assert RuntimeOptions(resilience=base).resolved_resilience() is base
 
 
-class TestLoCECConfigSync:
-    def test_runtime_block_wins_over_flat_fields(self):
-        config = LoCECConfig.locec_xgb(seed=0)
-        config.runtime = RuntimeOptions(
-            backend="csr", phase2_workers=2, transport="shm"
+class TestLoCECConfigRuntimeOptions:
+    def test_runtime_options_mirror_flat_fields_and_validate_writes_nothing(self):
+        resilience = ResilienceConfig(max_attempts=5, transport="shm")
+        config = LoCECConfig(
+            community_model="xgb",
+            backend="csr",
+            ml_backend="hist",
+            nn_backend="loop",
+            phase2_workers=2,
+            phase2_shards=3,
+            resilience=resilience,
         )
+        before = dict(vars(config))
         config.validate()
-        assert config.backend == "csr"
-        assert config.phase2_workers == 2
-        assert config.resilience is not None
-        assert config.resilience.transport == "shm"
-
-    def test_runtime_options_property_roundtrip(self):
-        config = LoCECConfig.locec_xgb(seed=0)
-        config.runtime = RuntimeOptions(backend="csr", phase2_workers=2)
-        config.validate()
-        rebuilt = config.runtime_options
-        assert rebuilt.backend == "csr"
-        assert rebuilt.phase2_workers == 2
+        assert vars(config) == before
+        assert all(vars(config)[name] is value for name, value in before.items())
+        assert config.runtime_options == RuntimeOptions(
+            backend="csr",
+            ml_backend="hist",
+            nn_backend="loop",
+            phase2_workers=2,
+            phase2_shards=3,
+            resilience=resilience,
+        )
+        assert not hasattr(config, "runtime")

@@ -19,7 +19,14 @@ from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
 from repro.core.aggregation import FeatureMatrixBuilder
 from repro.core.combination import community_key
-from repro.exceptions import NotFittedError, PipelineError
+from repro.exceptions import (
+    DimensionMismatchError,
+    EdgeNotFoundError,
+    FeatureError,
+    NotFittedError,
+    PipelineError,
+    SelfLoopError,
+)
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.lifecycle import Closeable
 from repro.runtime import Fault, FaultPlan
@@ -44,16 +51,21 @@ def _fit(config, graph, features, interactions, labeled_edges):
     return LoCEC(config).fit(graph, features, interactions, labeled_edges)
 
 
-def _choose_deltas(graph, features, interactions):
-    """Deterministic delta batch: one add, one remove, one interaction
-    delta on an already-interacting pair, one feature replacement."""
+def _first_non_edge(graph):
     nodes = list(graph.nodes())
-    added = next(
+    return next(
         (u, v)
         for i, u in enumerate(nodes)
         for v in nodes[i + 1 :]
         if not graph.has_edge(u, v)
     )
+
+
+def _choose_deltas(graph, features, interactions):
+    """Deterministic delta batch: one add, one remove, one interaction
+    delta on an already-interacting pair, one feature replacement."""
+    nodes = list(graph.nodes())
+    added = _first_non_edge(graph)
     removed = next(edge for edge in graph.edges() if edge != added)
     pair = next(edge for edge, vector in interactions.items() if vector.any())
     delta = np.full(interactions.num_dims, 2.0)
@@ -276,9 +288,157 @@ class TestWarmModels:
         assert pipeline.update_epoch == epoch_before + 1
         assert pipeline.edge_labeler_ is not labeler_before
 
+    def test_training_time_is_zero_warm_and_positive_on_refit(self, ticking_clock):
+        workload = make_workload("tiny", seed=1)
+        dataset = workload.dataset
+        with LoCEC(_config(), clock=ticking_clock).fit(
+            dataset.graph, dataset.features, dataset.interactions, workload.train_edges
+        ) as pipeline:
+            warm = pipeline.apply_updates(added_edges=[next(dataset.graph.edges())])
+            assert not warm.classifier_refit
+            assert warm.timings.training == 0.0
+            assert warm.timings.total > 0.0
+            # The labeled friend sits in a community of the labeled ego, and
+            # that community is in the classifier's training set.
+            friend = workload.train_edges[0].v
+            refit = pipeline.apply_updates(
+                feature_updates=[(friend, dataset.features.get_view(friend) + 1.0)]
+            )
+            assert refit.classifier_refit
+            assert refit.timings.training > 0.0
+
     def test_apply_updates_requires_fit(self):
         with pytest.raises(NotFittedError):
             LoCEC(_config()).apply_updates(added_edges=[(0, 1)])
+
+
+def _rejected_batches(graph, interactions, features):
+    """One batch per rejected kind, the bad delta behind valid ones so that
+    an update validating as it goes would half-apply."""
+    nodes = list(graph.nodes())
+    e1, e2, e3 = list(graph.edges())[:3]
+    new_edge = _first_non_edge(graph)
+    pair, stored = next(
+        (edge, vector) for edge, vector in interactions.items() if vector.any()
+    )
+    dims, width = interactions.num_dims, features.num_features
+    good_delta = (pair[0], pair[1], np.ones(dims))
+    good_feature = (nodes[3], np.asarray(features.get_view(nodes[3])) + 1.0)
+    return [
+        ("self-loop", SelfLoopError, {"added_edges": [new_edge, (nodes[0], nodes[0])]}),
+        (
+            "absent edge",
+            EdgeNotFoundError,
+            {"removed_edges": [e1, (e1[0], "nobody"), e3]},
+        ),
+        (
+            "edge removed twice",
+            EdgeNotFoundError,
+            {"added_edges": [new_edge], "removed_edges": [e2, (e2[1], e2[0])]},
+        ),
+        (
+            "wrong-length interaction delta",
+            DimensionMismatchError,
+            {"interaction_deltas": [good_delta, (pair[0], pair[1], np.ones(dims + 1))]},
+        ),
+        (
+            "non-finite interaction delta",
+            FeatureError,
+            {
+                "removed_edges": [e1],
+                "interaction_deltas": [(pair[0], pair[1], np.full(dims, np.inf))],
+            },
+        ),
+        (
+            "negative stored count",
+            FeatureError,
+            {
+                "added_edges": [new_edge],
+                "interaction_deltas": [good_delta, (pair[1], pair[0], -(stored + 2.0))],
+            },
+        ),
+        (
+            "wrong-length feature vector",
+            DimensionMismatchError,
+            {"feature_updates": [good_feature, (nodes[4], np.zeros(width + 1))]},
+        ),
+        (
+            "non-finite feature vector",
+            FeatureError,
+            {
+                "interaction_deltas": [good_delta],
+                "feature_updates": [(nodes[4], np.full(width, np.nan))],
+            },
+        ),
+    ]
+
+
+class TestRejectedUpdatesLeaveNoTrace:
+    def test_bad_batch_raises_before_the_first_mutation(self, fitted_tiny):
+        pipeline, workload = fitted_tiny
+        dataset = workload.dataset
+        all_edges = list(dataset.graph.edges())
+
+        def state():
+            return (
+                list(dataset.graph.nodes()),
+                list(dataset.graph.edges()),
+                dataset.features.version,
+                dataset.interactions.version,
+                pipeline.update_epoch,
+                pipeline.stale_egos,
+                pipeline.predict_edge_proba(all_edges).tobytes(),
+            )
+
+        before = state()
+        for kind, error, batch in _rejected_batches(
+            dataset.graph, dataset.interactions, dataset.features
+        ):
+            with pytest.raises(error):
+                pipeline.apply_updates(**batch)
+            assert state() == before, kind
+
+        # The pipeline is still the fitted one: a valid update on top of the
+        # rejected ones matches a scratch fit on the updated inputs.
+        deltas = _choose_deltas(dataset.graph, dataset.features, dataset.interactions)
+        added, removed, pair, delta, feat_node, new_feat = deltas
+        pipeline.apply_updates(
+            added_edges=[added],
+            removed_edges=[removed],
+            interaction_deltas=[(pair[0], pair[1], delta)],
+            feature_updates=[(feat_node, new_feat)],
+        )
+        baseline = make_workload("tiny", seed=1)
+        _apply_to_inputs(
+            baseline.dataset.graph,
+            baseline.dataset.features,
+            baseline.dataset.interactions,
+            deltas,
+        )
+        with _fit(
+            _config(),
+            baseline.dataset.graph,
+            baseline.dataset.features,
+            baseline.dataset.interactions,
+            baseline.train_edges,
+        ) as scratch:
+            _assert_bit_identical(
+                pipeline, scratch, [item.edge for item in workload.test_edges]
+            )
+
+    def test_error_names_the_offending_delta(self, fitted_tiny):
+        pipeline, workload = fitted_tiny
+        dims = workload.dataset.interactions.num_dims
+        with pytest.raises(DimensionMismatchError, match=r"interaction_deltas\[1\]"):
+            pipeline.apply_updates(
+                interaction_deltas=[(0, 1, np.zeros(dims)), (2, 3, np.zeros(dims - 1))]
+            )
+        with pytest.raises(FeatureError, match=r"feature_updates\[0\] on node 7"):
+            pipeline.apply_updates(
+                feature_updates=[
+                    (7, np.full(workload.dataset.features.num_features, np.inf))
+                ]
+            )
 
 
 class TestChaosDegradation:
