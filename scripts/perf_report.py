@@ -49,25 +49,16 @@ RATIO_GATE_MIN_SPEEDUP = 1.5
 # Fast-backend vs reference-backend speedup pairs: csr/dict for the graph +
 # aggregation kernels, array/node for the tree-model kernels, fused/loop for
 # the NN engine, hist/array for the histogram split search (keyed with a
-# "_hist" suffix so it doesn't collide with the array/node pair), shm/pickle
-# for the pool-worker graph transport, and workers/serial for sharded
-# Phase II aggregation (projected makespan vs the serial kernel).
+# "_hist" suffix so it doesn't collide with the array/node pair), and
+# shm/pickle for the pool-worker graph transport.
 SPEEDUP_PAIRS = (
     ("_csr", "_dict", ""),
     ("_array", "_node", ""),
     ("_fused", "_loop", ""),
     ("_hist", "_array", "_hist"),
     ("_shm", "_pickle", ""),
-    ("_workers", "_serial", ""),
     ("_incremental", "_full", ""),
 )
-
-#: Worker count the sharded Phase II benchmarks project onto.  The runner
-#: measures real per-shard compute seconds in-process and LPT-packs them
-#: (``Phase2ExecutionReport.makespan_seconds``) — the same host-independent
-#: projection ``measure_worker_scaling`` uses — so the number is meaningful
-#: even on single-core CI runners where a live pool would just time-slice.
-PHASE2_PROJECTED_WORKERS = 4
 
 
 class SelfTimedBenchmark:
@@ -75,8 +66,8 @@ class SelfTimedBenchmark:
 
     Most benchmarks are wall-clocked from the outside by :func:`measure`.
     Benchmarks wrapped in this class instead report their own duration —
-    used by the sharded Phase II pair, where the figure of merit is the
-    runner's projected parallel makespan, not the local serial wall-clock.
+    used by ``serving_replay``, which reports the replay's own
+    clock-injected wall-clock.
     """
 
     def __init__(self, function: Callable[[], float]) -> None:
@@ -161,12 +152,8 @@ def build_benchmarks(
     ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN SGD training and batched
     inference: layer-by-layer object graph vs the compiled tape engine of
     ``repro.ml.nn.engine``; bit-identical outputs),
-    ``graph_transport_{tiny,dense}_{pickle,shm}`` (per-worker graph receive
-    cost: full pickled copy vs O(1) handle + shared-memory attach), and
-    ``phase2_sharded_{small,dense}_{serial,workers}`` (serial Phase II
-    statistic-vector aggregation vs the sharded runner's projected
-    ``PHASE2_PROJECTED_WORKERS``-worker makespan; the workers leg is
-    self-timed — see :class:`SelfTimedBenchmark`).
+    and ``graph_transport_{tiny,dense}_{pickle,shm}`` (per-worker graph
+    receive cost: full pickled copy vs O(1) handle + shared-memory attach).
     """
     import numpy as np
 
@@ -220,9 +207,8 @@ def build_benchmarks(
     # time, so its ratio hovers around 1x and stays outside the ratio gate —
     # while the dense pair is the decisive, gate-protected win: its pickle
     # cost is milliseconds, attach stays O(1).  Publishing happens outside
-    # the timed region (a once-per-pool cost, measured separately by
-    # ``repro.runtime.scalability.measure_transport``) and every lease is
-    # closed, segments unlinked, when the suite exits.
+    # the timed region (a once-per-pool cost) and every lease is closed,
+    # segments unlinked, when the suite exits.
     import atexit
     import pickle
 
@@ -277,93 +263,6 @@ def build_benchmarks(
             benchmarks[f"commcnn_tensor_{scale}_{backend}"] = (
                 lambda b=builder, cs=communities: b.matrices_as_tensor(cs)
             )
-
-    # Sharded Phase II aggregation: serial kernel vs the sharded runner's
-    # projected makespan at PHASE2_PROJECTED_WORKERS workers.  Both legs
-    # aggregate statistic vectors for the same community batch through the
-    # same compiled Phase2Kernel, so the pair isolates the sharding
-    # machinery: the serial leg is one ``community_statistics`` call; the
-    # workers leg drives ``Phase2ShardedRunner`` in-process (num_workers=1
-    # runs shards sequentially, so per-shard timings are not corrupted by
-    # time-slicing against sibling workers) and self-reports the report's
-    # LPT ``makespan_seconds`` re-packed onto PHASE2_PROJECTED_WORKERS —
-    # the same host-independent projection ``measure_worker_scaling`` uses.
-    # The first pair covers the synthetic workload's own division
-    # communities (near the cost model's crossover, ratio not gate
-    # protected); the ``dense`` pair a skewed batch of many large
-    # communities well past it, where the gate expects a decisive win.
-    from dataclasses import replace as dc_replace
-
-    from repro.core.division import LocalCommunity
-    from repro.graph import InteractionStore, NodeFeatureStore
-    from repro.graph.phase2 import Phase2Kernel
-    from repro.runtime.phase2_exec import Phase2ShardedRunner
-
-    def sharded_phase2_pair(label, kernel, pair_communities):
-        pairs = [
-            (community.members, community.members_by_tightness())
-            for community in pair_communities
-        ]
-        kernel.community_statistics(pairs[:1])  # warm caches outside timing
-        benchmarks[f"phase2_sharded_{label}_serial"] = (
-            lambda kn=kernel, ps=pairs: kn.community_statistics(ps)
-        )
-        runner = Phase2ShardedRunner(
-            kernel, num_workers=1, num_shards=2 * PHASE2_PROJECTED_WORKERS
-        )
-        atexit.register(runner.close)
-
-        def projected_makespan(r=runner, ps=pairs) -> float:
-            r.statistics(ps)
-            report = dc_replace(r.last_report, num_workers=PHASE2_PROJECTED_WORKERS)
-            return report.makespan_seconds
-
-        benchmarks[f"phase2_sharded_{label}_workers"] = SelfTimedBenchmark(
-            projected_makespan
-        )
-
-    sharded_phase2_pair(
-        scales[-1],
-        Phase2Kernel.compile(
-            workloads[scales[-1]].dataset.features,
-            workloads[scales[-1]].dataset.interactions,
-        ),
-        communities,
-    )
-
-    import random
-
-    shard_rng = random.Random(17)
-    dense_labels = [f"user:{node:04d}" for node in range(120 if quick else 240)]
-    dense_features = NodeFeatureStore(["f0", "f1", "f2", "f3", "f4", "f5"])
-    dense_interactions = InteractionStore(num_dims=4)
-    for node in dense_labels:
-        if shard_rng.random() < 0.9:
-            dense_features.set(
-                node, [shard_rng.randint(0, 5) + 0.5 for _ in range(6)]
-            )
-    for i, u in enumerate(dense_labels):
-        for v in dense_labels[i + 1 :]:
-            if shard_rng.random() < 0.2:
-                dense_interactions.record(
-                    u, v, shard_rng.randrange(4), shard_rng.randint(1, 9)
-                )
-    dense_communities = [
-        LocalCommunity(
-            ego=dense_labels[0],
-            members=(members := frozenset(
-                shard_rng.sample(dense_labels, shard_rng.randint(20, 80))
-            )),
-            tightness={member: shard_rng.random() for member in members},
-            index=index,
-        )
-        for index in range(12 if quick else 48)
-    ]
-    sharded_phase2_pair(
-        "dense",
-        Phase2Kernel.compile(dense_features, dense_interactions),
-        dense_communities,
-    )
 
     # Model-layer kernels: GBDT fit + batched forest inference on the last
     # scale's statistic vectors (the LoCEC-XGB design matrix), node walks vs

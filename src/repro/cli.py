@@ -115,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "pickle", "shm"],
         help="graph transport to pool workers (default: auto)",
     )
-    chaos_parser.add_argument(
-        "--phase2-workers",
-        type=int,
-        default=0,
-        help="also chaos-test sharded Phase II aggregation with this many "
-        "workers; 0 = Phase I only (default: 0)",
-    )
 
     serve_parser = subparsers.add_parser(
         "serve-replay",
@@ -225,7 +218,6 @@ def _command_chaos(
     mode: str,
     max_egos: int,
     transport: str,
-    phase2_workers: int,
 ) -> int:
     from repro.runtime import run_chaos
 
@@ -239,16 +231,11 @@ def _command_chaos(
         max_egos=max_egos,
         on_shard_failure=mode,
         transport=transport,
-        phase2_workers=phase2_workers,
     )
     print(report.to_text())
     # The chaos gate: a fault schedule that eventually succeeds must yield
-    # a merged division bit-identical to the clean run — and, when the
-    # Phase II leg ran, sharded aggregation bit-identical to the serial
-    # kernel.
+    # a merged division bit-identical to the clean run.
     passed = report.identical_to_clean and not report.failed_shards
-    if report.phase2_identical is not None:
-        passed = passed and report.phase2_identical
     return 0 if passed else 1
 
 
@@ -355,7 +342,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.mode,
             args.max_egos,
             args.transport,
-            args.phase2_workers,
         )
     return 2  # pragma: no cover - argparse enforces the choices above
 

@@ -28,7 +28,7 @@ in ``tests/test_phase2_csr.py`` arbitrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from repro.exceptions import FeatureError, PipelineError
 from repro.graph.features import NodeFeatureStore
 from repro.graph.interactions import InteractionStore
 from repro.types import Node
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
-    from repro.runtime.phase2_exec import Phase2ExecutionReport, Phase2ShardedRunner
 
 
 def interact(
@@ -140,37 +137,19 @@ class FeatureMatrixBuilder:
         keep only the ``k`` tightest members, smaller ones are zero-padded.
     options:
         The unified runtime-knob surface
-        (:class:`~repro.core.config.RuntimeOptions`):
-
-        * ``backend`` — ``"dict"`` for the per-pair reference path,
-          ``"csr"`` for the compiled
-          :class:`~repro.graph.phase2.Phase2Kernel` path, ``"auto"``
-          (default) for CSR.  Both backends emit bit-identical matrices
-          for integer-valued interaction counts.
-        * ``phase2_workers`` — 0 (default) keeps aggregation
-          single-process.  >= 1 routes every batch entry point through the
-          sharded Phase II runner
-          (:class:`~repro.runtime.phase2_exec.Phase2ShardedRunner`): the
-          compiled kernel is published to shared memory once and community
-          shards fan out across a process pool of this size (1 =
-          in-process shard + merge, useful for debugging the sharded path
-          deterministically).  Requires the CSR backend; outputs stay
-          bit-identical to the serial path.
-        * ``phase2_shards`` — number of community shards per sharded call
-          (default: ``phase2_workers``).
-        * ``resilience`` / ``transport`` — fault-tolerance knobs for the
-          sharded path (retries, per-shard timeouts, ``on_shard_failure``,
-          pool-rebuild budget, kernel transport).
+        (:class:`~repro.core.config.RuntimeOptions`).  Aggregation reads
+        only ``backend`` — ``"dict"`` for the per-pair reference path,
+        ``"csr"`` for the compiled :class:`~repro.graph.phase2.Phase2Kernel`
+        path, ``"auto"`` (default) for CSR; both emit bit-identical matrices
+        for integer-valued interaction counts — and runs single-process on
+        either.  The other fields belong to the model layers and the
+        Phase I runtime.
 
     Notes
     -----
     The CSR backend compiles the stores on first use and recompiles
     automatically when either store's write counter (``version``) changes,
     so mutating the stores between calls is as safe as on the dict backend.
-    The sharded runner inherits the same guard: store writes (or an explicit
-    :meth:`invalidate_kernel`) tear down the published shared-memory
-    snapshot and the pool serving it, so a stale snapshot can never serve a
-    mutated store.
     """
 
     def __init__(
@@ -184,41 +163,19 @@ class FeatureMatrixBuilder:
         options.validate()
         if k < 1:
             raise PipelineError("k must be >= 1")
-        if options.phase2_workers and resolve_backend(options.backend) != "csr":
-            raise PipelineError(
-                "phase2_workers requires the CSR aggregation backend "
-                f"(got backend={options.backend!r})"
-            )
         self.features = features
         self.interactions = interactions
         self.k = k
         self.options = options
         self.backend = options.backend
-        self.phase2_workers = options.phase2_workers
-        self.phase2_shards = options.phase2_shards
-        self.resilience = options.resolved_resilience()
         self._resolved_backend = resolve_backend(options.backend)
         self._kernel = None
         self._kernel_versions: tuple[int, int] | None = None
-        self._runner: "Phase2ShardedRunner | None" = None
-        self._runner_versions: tuple[int, int] | None = None
 
     @property
     def num_columns(self) -> int:
         """``|I| + |f|``: width of every feature matrix."""
         return self.interactions.num_dims + self.features.num_features
-
-    @property
-    def phase2_report(self) -> "Phase2ExecutionReport | None":
-        """Execution report of the most recent sharded Phase II call.
-
-        ``None`` until a batched entry point has routed through the sharded
-        runner (``phase2_workers >= 1``); carries shard timings, supervision
-        counters and transport accounting.
-        """
-        if self._runner is None:
-            return None
-        return self._runner.last_report
 
     def _compiled_kernel(self):
         """The lazily-compiled Phase II kernel (CSR backend only).
@@ -239,13 +196,10 @@ class FeatureMatrixBuilder:
 
         Staleness from ordinary store writes is detected automatically via
         the stores' ``version`` counters; this hook exists for callers that
-        mutate store internals out of band.  Invalidation also tears down
-        the sharded runner — its published shared-memory lease and process
-        pool — so a stale shm snapshot can never serve a mutated store.
+        mutate store internals out of band.
         """
         self._kernel = None
         self._kernel_versions = None
-        self._close_runner()
 
     def patch_kernel(
         self,
@@ -267,11 +221,6 @@ class FeatureMatrixBuilder:
         to patch (dict backend, or first use still pending).  Structural
         deltas — new nodes, new interaction edges — return ``False`` after
         invalidating the kernel, and the next use recompiles from scratch.
-
-        A successful patch closes the sharded runner so the *published*
-        shared-memory kernel is republished from the patched arrays on the
-        next sharded call; a pure no-op (stores unchanged) leaves runner
-        and lease untouched.
         """
         versions = (self.features.version, self.interactions.version)
         if self._kernel is None or self._kernel_versions == versions:
@@ -286,57 +235,7 @@ class FeatureMatrixBuilder:
                 self.invalidate_kernel()
                 return False
         self._kernel_versions = versions
-        self._close_runner()
         return True
-
-    def close(self) -> None:
-        """Release sharded-path resources (pool + shm lease).  Idempotent."""
-        self._close_runner()
-
-    def __enter__(self) -> "FeatureMatrixBuilder":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _close_runner(self) -> None:
-        runner, self._runner = self._runner, None
-        self._runner_versions = None
-        if runner is not None:
-            runner.close()
-
-    def _sharded_runner(self) -> "Phase2ShardedRunner":
-        """The cached sharded runner, rebuilt whenever the stores move on.
-
-        The runner carries a version probe bound to the live stores: even if
-        a caller holds onto a runner across an out-of-band mutation, every
-        call re-checks the snapshot against the stores' write counters and
-        raises :class:`~repro.exceptions.StalePhase2KernelError` rather than
-        serving stale matrices.
-        """
-        kernel = self._compiled_kernel()  # refreshes self._kernel_versions
-        if self._runner is not None and self._runner_versions == self._kernel_versions:
-            return self._runner
-        self._close_runner()
-        from repro.runtime.phase2_exec import Phase2ShardedRunner
-
-        self._runner = Phase2ShardedRunner(
-            kernel,
-            num_workers=self.phase2_workers,
-            num_shards=self.phase2_shards,
-            resilience=self.resilience,
-            source_versions=self._kernel_versions,
-            version_probe=lambda: (self.features.version, self.interactions.version),
-        )
-        self._runner_versions = self._kernel_versions
-        return self._runner
-
-    def _use_sharded(self, communities: Sequence[LocalCommunity]) -> bool:
-        return (
-            self.phase2_workers >= 1
-            and self._resolved_backend == "csr"
-            and len(communities) > 0
-        )
 
     # ------------------------------------------------------------- Algorithm 1
     def feature_matrix(self, community: LocalCommunity) -> CommunityFeatureMatrix:
@@ -355,10 +254,6 @@ class FeatureMatrixBuilder:
 
     def matrices_as_tensor(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
         """Stack feature matrices into a ``(n, 1, k, |I|+|f|)`` CNN input tensor."""
-        if self._use_sharded(communities):
-            return self._sharded_runner().tensor(
-                self._truncated_selection(communities), k=self.k
-            )
         if self._resolved_backend == "csr" and communities:
             # Direct kernel->CNN tensor path: the batch rows are scattered
             # into the padded tensor inside the kernel — no intermediate
@@ -399,24 +294,14 @@ class FeatureMatrixBuilder:
             for community in communities
         ]
 
-    def _batch_rows_csr(
-        self, communities: Sequence[LocalCommunity]
-    ) -> tuple[list[list[Node]], np.ndarray, np.ndarray]:
-        """Tightness-ordered (truncated) member lists + their batch rows."""
-        pairs = self._truncated_selection(communities)
-        if self._use_sharded(communities):
-            rows, offsets = self._sharded_runner().rows_batch(pairs)
-        else:
-            rows, offsets = self._compiled_kernel().community_rows_batch(pairs)
-        return [ordered for _, ordered in pairs], rows, offsets
-
     def _feature_matrices_csr(
         self, communities: Sequence[LocalCommunity]
     ) -> list[CommunityFeatureMatrix]:
         """Vectorized Algorithm 1: one batched row computation, then fills."""
-        ordered_lists, rows, offsets = self._batch_rows_csr(communities)
+        pairs = self._truncated_selection(communities)
+        rows, offsets = self._compiled_kernel().community_rows_batch(pairs)
         results: list[CommunityFeatureMatrix] = []
-        for index, (community, ordered) in enumerate(zip(communities, ordered_lists)):
+        for index, (community, (_, ordered)) in enumerate(zip(communities, pairs)):
             matrix = np.zeros((self.k, self.num_columns), dtype=np.float64)
             matrix[: len(ordered)] = rows[offsets[index] : offsets[index + 1]]
             results.append(
@@ -443,11 +328,10 @@ class FeatureMatrixBuilder:
     def statistic_vectors(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
         """Stack per-community statistic vectors into a 2-D design matrix.
 
-        The merge target is allocated exactly once here and threaded through
-        every fill path in place — the serial kernel writes into it directly
-        (:meth:`Phase2Kernel.community_statistics` with ``out=``) and the
-        sharded runner scatters worker blocks into it positionally — so no
-        path pays a second design-matrix allocation per call.
+        The design matrix is allocated exactly once here and both backends
+        fill it in place (:meth:`Phase2Kernel.community_statistics` with
+        ``out=``; the dict oracle row by row), so no path pays a second
+        allocation per call.
         """
         out = np.zeros((len(communities), 2 * self.num_columns + 1), dtype=np.float64)
         if not communities:
@@ -457,10 +341,7 @@ class FeatureMatrixBuilder:
                 (community.members, community.members_by_tightness())
                 for community in communities
             ]
-            if self._use_sharded(communities):
-                self._sharded_runner().statistics(pairs, out=out)
-            else:
-                self._compiled_kernel().community_statistics(pairs, out=out)
+            self._compiled_kernel().community_statistics(pairs, out=out)
         else:
             for index, community in enumerate(communities):
                 self._fill_statistic_vector_dict(community, out[index])

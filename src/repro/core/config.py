@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.exceptions import ModelConfigError
 
@@ -80,10 +80,10 @@ class ResilienceConfig:
     """Fault-tolerance knobs of the sharded execution runtime.
 
     Consumed by :class:`repro.runtime.supervisor.ShardSupervisor` on behalf
-    of both sharded phases (``RetryPolicy.from_config`` derives the backoff
-    schedule).  Defaults
-    reproduce the paper deployment's posture: a few cheap retries with
-    exponential backoff, fail loudly when a shard is truly broken.
+    of the sharded Phase I executor (``RetryPolicy.from_config`` derives the
+    backoff schedule).  Defaults reproduce the paper deployment's posture: a
+    few cheap retries with exponential backoff, fail loudly when a shard is
+    truly broken.
 
     Attributes
     ----------
@@ -163,24 +163,16 @@ class ResilienceConfig:
 class RuntimeOptions:
     """The unified runtime-knob surface of the pipeline.
 
-    One frozen value object carries every runtime knob of
-    ``FeatureMatrixBuilder`` (``backend``, ``ml_backend``, ``nn_backend``,
-    ``phase2_workers``, ``phase2_shards``, ``resilience``, ``transport``),
-    passed as ``options=`` — the only way the builder takes them.  On
-    :class:`LoCECConfig` the same knobs are flat fields;
+    One frozen value object carries the runtime knobs (``backend``,
+    ``ml_backend``, ``nn_backend``, ``resilience``), passed as ``options=``
+    — the only way ``FeatureMatrixBuilder`` and the community classifiers
+    take them.  On :class:`LoCECConfig` the same knobs are flat fields;
     :attr:`LoCECConfig.runtime_options` reads them out as one of these.
-
-    ``transport`` is a convenience alias for ``resilience.transport``: a
-    non-``"auto"`` value overrides the transport of the (possibly default)
-    resilience config — see :meth:`resolved_resilience`.
     """
 
     backend: str = "auto"
     ml_backend: str = "auto"
     nn_backend: str = "auto"
-    phase2_workers: int = 0
-    phase2_shards: int | None = None
-    transport: str = "auto"
     resilience: ResilienceConfig | None = None
 
     def validate(self) -> None:
@@ -197,22 +189,8 @@ class RuntimeOptions:
             raise ModelConfigError(
                 f"nn_backend must be 'auto', 'loop' or 'fused', got {self.nn_backend!r}"
             )
-        if self.phase2_workers < 0:
-            raise ModelConfigError("phase2_workers must be >= 0")
-        if self.phase2_shards is not None and self.phase2_shards < 1:
-            raise ModelConfigError("phase2_shards must be >= 1 or None")
-        if self.transport not in {"auto", "pickle", "shm"}:
-            raise ModelConfigError(
-                f"transport must be 'auto', 'pickle' or 'shm', got {self.transport!r}"
-            )
         if self.resilience is not None:
             self.resilience.validate()
-
-    def resolved_resilience(self) -> ResilienceConfig | None:
-        """The resilience config with the ``transport`` alias folded in."""
-        if self.transport == "auto":
-            return self.resilience
-        return replace(self.resilience or ResilienceConfig(), transport=self.transport)
 
 
 @dataclass
@@ -249,14 +227,6 @@ class LoCECConfig:
         ``"fused"``, or ``"loop"`` (layer-by-layer reference).  Logits,
         fitted weights and loss histories are bit-identical either way.
         A non-``"auto"`` value overrides ``cnn.nn_backend``.
-    phase2_workers:
-        0 (default) runs Phase II aggregation single-process.  >= 1 routes
-        the batched aggregation entry points through the sharded Phase II
-        runner (:class:`repro.runtime.phase2_exec.Phase2ShardedRunner`): the
-        compiled kernel is published to shared memory once and community
-        shards fan out across a process pool of this size.  Requires the
-        CSR backend (``backend="auto"`` resolves to it); outputs are
-        bit-identical to the serial path.
     edge_lr_iterations / edge_lr_learning_rate / edge_lr_l2:
         Training schedule of the Phase III logistic-regression edge labeler.
     seed:
@@ -269,10 +239,6 @@ class LoCECConfig:
     backend: str = "auto"
     ml_backend: str = "auto"
     nn_backend: str = "auto"
-    phase2_workers: int = 0
-    phase2_shards: int | None = None
-    """Number of community shards per sharded Phase II call (default:
-    ``phase2_workers``)."""
     edge_lr_iterations: int = 400
     edge_lr_learning_rate: float = 0.5
     edge_lr_l2: float = 1e-4
@@ -301,11 +267,6 @@ class LoCECConfig:
                 f"'label_propagation', 'louvain', got {self.community_detector!r}"
             )
         self.runtime_options.validate()  # the flat runtime knobs + resilience
-        if self.phase2_workers and self.backend == "dict":
-            raise ModelConfigError(
-                "phase2_workers requires the CSR aggregation backend; "
-                "set backend='auto' or 'csr'"
-            )
         if self.edge_lr_iterations < 1:
             raise ModelConfigError("edge_lr_iterations must be positive")
         self.cnn.validate()
@@ -320,8 +281,6 @@ class LoCECConfig:
             backend=self.backend,
             ml_backend=self.ml_backend,
             nn_backend=self.nn_backend,
-            phase2_workers=self.phase2_workers,
-            phase2_shards=self.phase2_shards,
             resilience=self.resilience,
         )
 

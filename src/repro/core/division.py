@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.community.girvan_newman import girvan_newman
 from repro.community.label_propagation import label_propagation_communities
 from repro.community.louvain import louvain_communities
@@ -77,37 +75,18 @@ class LocalCommunity:
     def size(self) -> int:
         return len(self.members)
 
-    _LEXSORT_MIN_SIZE = 256
-    """Member count above which ``np.lexsort`` over the tightness vector
-    beats ``sorted`` with a tuple key; below it the Python sort's lower
-    fixed cost wins (WeChat-like communities are a few dozen members)."""
-
     def members_by_tightness(self) -> list[Node]:
         """Members sorted by decreasing tightness (ties broken by repr for determinism).
 
-        The ordering is computed once — a cached argsort over the
-        community's tightness vector — so the repeated Phase II calls
-        (feature matrices, statistic vectors, CNN tensors) pay one sort
-        total instead of one sort each.  Size-aware like the tightness
-        kernels: ``np.lexsort`` only above :data:`_LEXSORT_MIN_SIZE`
-        members, a plain key sort below; both orderings are identical.
+        The ordering is computed once and cached, so the repeated Phase II
+        calls (feature matrices, statistic vectors, CNN tensors) pay one
+        sort total instead of one sort each.
         """
         cached = self.__dict__.get("_ordered_members")
         if cached is None:
-            if len(self.members) >= self._LEXSORT_MIN_SIZE:
-                members = list(self.members)
-                negated = np.fromiter(
-                    (-self.tightness[node] for node in members),
-                    dtype=np.float64,
-                    count=len(members),
-                )
-                reprs = np.array([repr(node) for node in members])
-                order = np.lexsort((reprs, negated))
-                cached = [members[position] for position in order.tolist()]
-            else:
-                cached = sorted(
-                    self.members, key=lambda node: (-self.tightness[node], repr(node))
-                )
+            cached = sorted(
+                self.members, key=lambda node: (-self.tightness[node], repr(node))
+            )
             object.__setattr__(self, "_ordered_members", cached)
         return list(cached)
 

@@ -245,10 +245,6 @@ class LoCEC:
         summary.num_communities = division.num_communities
 
         with self._timed(timings, "aggregation"):
-            if self.feature_builder_ is not None:
-                # Refit: release the previous builder's sharded-path resources
-                # (process pool + published shared-memory lease) first.
-                self.feature_builder_.close()
             self.feature_builder_ = FeatureMatrixBuilder(
                 features=features,
                 interactions=interactions,
@@ -554,9 +550,12 @@ class LoCEC:
         if dirty_egos:
             from repro.runtime.executor import ShardedDivisionExecutor
 
+            # The checkpoint directory belongs to the batch run's shards; a
+            # per-write re-division must not overwrite them.
             resilience = replace(
                 self.config.resilience or ResilienceConfig(),
                 on_shard_failure="skip",
+                checkpoint_dir=None,
             )
             with ShardedDivisionExecutor(
                 num_shards=min(4, len(dirty_egos)),
@@ -746,13 +745,12 @@ class LoCEC:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release Phase II resources (pool + shm lease).  Idempotent.
+        """Public lifecycle hook; idempotent, and the pipeline stays usable.
 
-        The pipeline stays usable — the builder re-acquires its sharded-path
-        resources lazily on the next aggregation call.
+        Releases no pool or lease today: Phase II runs in-process and
+        re-division opens and closes its executor per write.  Callers
+        (``with LoCEC(...)``, the benchmark harness) rely on the form.
         """
-        if self.feature_builder_ is not None:
-            self.feature_builder_.close()
 
     def __enter__(self) -> "LoCEC":
         return self

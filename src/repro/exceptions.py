@@ -197,25 +197,3 @@ class WorkerCrashError(_PicklableErrorMixin, ExecutorError):
 
 class CheckpointError(ExecutorError):
     """A shard checkpoint could not be written or read."""
-
-
-class StalePhase2KernelError(_PicklableErrorMixin, ExecutorError):
-    """A published Phase II kernel snapshot no longer matches its stores.
-
-    The sharded Phase II runner snapshots the compiled kernel into shared
-    memory once and serves every subsequent call from that snapshot.  The
-    feature/interaction stores carry write counters (``version``); when a
-    probe observes the counters moving past the published snapshot the
-    runner refuses to serve stale matrices and raises this error instead.
-    """
-
-    def __init__(
-        self, expected: tuple[int, int], actual: tuple[int, int]
-    ) -> None:
-        super().__init__(
-            "published Phase II kernel is stale: store versions "
-            f"{actual} diverged from published snapshot {expected}; "
-            "republish (or call FeatureMatrixBuilder.invalidate_kernel)"
-        )
-        self.expected = expected
-        self.actual = actual

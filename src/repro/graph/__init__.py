@@ -49,9 +49,7 @@ from repro.graph.io import (
 )
 from repro.graph.phase2 import InteractionMatrix, NodeFeatureMatrix, Phase2Kernel
 from repro.graph.shm import (
-    Phase2ShmHandle,
     SharedCSRGraph,
-    SharedPhase2Kernel,
     ShmHandle,
     ShmLease,
     shm_supported,
@@ -69,9 +67,7 @@ __all__ = [
     "ego_network",
     "ego_networks",
     "ego_network_size",
-    "Phase2ShmHandle",
     "SharedCSRGraph",
-    "SharedPhase2Kernel",
     "ShmHandle",
     "ShmLease",
     "shm_supported",

@@ -454,9 +454,9 @@ class Phase2Kernel:
         community's row block — sequential sums in row order, one divide,
         one sqrt — so the result is bit-identical to the dict aggregation
         path, and (because every reduction is per-community) independent of
-        how the batch is split: computing a shard's communities alone yields
-        the same rows as computing them inside the full batch.  That
-        invariance is what the sharded Phase II runner relies on.
+        how the batch is split: computing some communities alone yields the
+        same rows as computing them inside the full batch — what lets
+        ``apply_updates`` re-score only the dirty ones.
 
         ``out`` (optional) is the preallocated target to fill in place; a
         fresh zero matrix is allocated when omitted.

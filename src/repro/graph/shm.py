@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory transport for CSR graphs and Phase II kernels.
+"""Zero-copy shared-memory transport for CSR graphs.
 
 The sharded runtime historically shipped the *entire* graph to every worker
 by pickle (the ``repro.runtime.supervisor._init_worker`` pool initializer),
@@ -14,9 +14,6 @@ the wire format:
   a few hundred bytes regardless of graph scale — and
   :meth:`ShmHandle.attach` maps the segments back into a fully functional
   :class:`CSRGraph` subclass with **zero** edge-array copies.
-* :meth:`SharedPhase2Kernel.publish` / :class:`Phase2ShmHandle` do the same
-  for the compiled Phase II state (interaction CSR + dense feature matrix),
-  so sharded feature aggregation is attach + slice.
 
 Ordering parity: a published graph also ships the permutation produced by
 :func:`repro.graph.csr.neighbor_order_array`, so an attached graph — which
@@ -43,15 +40,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph, neighbor_order_array
-from repro.graph.phase2 import InteractionMatrix, NodeFeatureMatrix, Phase2Kernel
 from repro.types import Node
 
 __all__ = [
     "ShmHandle",
     "ShmLease",
     "SharedCSRGraph",
-    "Phase2ShmHandle",
-    "SharedPhase2Kernel",
     "shm_supported",
     "handle_nbytes",
 ]
@@ -324,7 +318,7 @@ class ShmLease:
     finalizer and in :meth:`~object.__del__` as a last resort.
     """
 
-    handle: "ShmHandle | Phase2ShmHandle"
+    handle: ShmHandle
     _segments: list[shared_memory.SharedMemory] = field(default_factory=list)
     released: bool = False
 
@@ -356,96 +350,3 @@ class ShmLease:
             self.close()
         except Exception:
             pass
-
-
-# ---------------------------------------------------------------- phase II
-@dataclass(frozen=True)
-class Phase2ShmHandle:
-    """Picklable pointer to a published :class:`Phase2Kernel`."""
-
-    segments: tuple[_SegmentSpec, ...]
-    label_encoding: str
-    num_dims: int
-
-    def attach(self) -> "SharedPhase2Kernel":
-        """Map the compiled Phase II state into this process, zero-copy."""
-        arrays, segments = _attach_arrays(self.segments)
-        try:
-            nodes = _decode_node_labels(arrays["index_nodes"], self.label_encoding)
-            index = {node: i for i, node in enumerate(nodes)}
-            interactions = InteractionMatrix(
-                arrays["inter_indptr"],
-                arrays["inter_indices"],
-                arrays["inter_data"],
-                self.num_dims,
-            )
-            features = NodeFeatureMatrix(arrays["features"])
-            kernel = SharedPhase2Kernel(interactions, features, index, segments)
-        except BaseException:
-            _release_segments(segments, unlink=False)
-            raise
-        return kernel
-
-    @property
-    def segment_names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.segments)
-
-
-class SharedPhase2Kernel(Phase2Kernel):
-    """A :class:`Phase2Kernel` backed by shared-memory segments.
-
-    Same borrow semantics as :class:`SharedCSRGraph`: sharded feature
-    aggregation attaches once per worker and slices, instead of re-pickling
-    the interaction CSR and dense feature matrix per worker.
-    """
-
-    __slots__ = ("_segments", "_closed")
-
-    def __init__(
-        self,
-        interactions: InteractionMatrix,
-        features: NodeFeatureMatrix,
-        index: dict[Node, int],
-        segments: list[shared_memory.SharedMemory],
-    ) -> None:
-        super().__init__(interactions, features, index)
-        self._segments = segments
-        self._closed = False
-
-    @classmethod
-    def publish(cls, kernel: Phase2Kernel) -> ShmLease:
-        """Copy a compiled kernel's arrays into shared memory; returns the lease."""
-        labels, encoding = _encode_node_labels(list(kernel._index))
-        arrays: dict[str, np.ndarray] = {
-            "inter_indptr": kernel.interactions.indptr,
-            "inter_indices": kernel.interactions.indices,
-            "inter_data": kernel.interactions.data,
-            "features": kernel.features.dense,
-            "index_nodes": labels,
-        }
-        specs, segments = _publish_arrays(arrays)
-        handle = Phase2ShmHandle(
-            segments=specs,
-            label_encoding=encoding,
-            num_dims=kernel.interactions.num_dims,
-        )
-        return ShmLease(handle=handle, _segments=segments)
-
-    def close(self) -> None:
-        """Release this process's mappings (the owner keeps the segments)."""
-        if self._closed:
-            return
-        self._closed = True
-        empty = np.empty(0, dtype=np.int64)
-        self.interactions = InteractionMatrix(
-            empty, empty, np.empty((0, 0), dtype=np.float64), 0
-        )
-        self.features = NodeFeatureMatrix(np.empty((1, 0), dtype=np.float64))
-        segments, self._segments = self._segments, []
-        _release_segments(segments, unlink=False)
-
-    def __enter__(self) -> "SharedPhase2Kernel":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

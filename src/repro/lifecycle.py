@@ -1,11 +1,10 @@
 """The repo-wide resource lifecycle protocol.
 
-Several classes own process pools and POSIX shared-memory leases —
-:class:`repro.runtime.supervisor.ShardSupervisor` (the only direct owner),
-:class:`repro.runtime.executor.ShardedDivisionExecutor`,
-:class:`repro.core.aggregation.FeatureMatrixBuilder`,
-:class:`repro.runtime.phase2_exec.Phase2ShardedRunner`,
-:class:`repro.serve.ServingSession` — and all follow one contract:
+Two classes own process pools and POSIX shared-memory leases —
+:class:`repro.runtime.supervisor.ShardSupervisor` (the only direct owner)
+and :class:`repro.runtime.executor.ShardedDivisionExecutor` through it —
+and :class:`repro.core.pipeline.LoCEC` / :class:`repro.serve.ServingSession`
+keep the same public form although they hold neither today.  One contract:
 
 * usable as a context manager (``with ... as resource:``);
 * ``close()`` releases everything and is **idempotent** (safe to call

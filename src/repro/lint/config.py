@@ -22,19 +22,13 @@ from typing import Dict, Tuple
 _LIBRARY = ("src/repro",)
 _LIBRARY_AND_SCRIPTS = ("src/repro", "scripts")
 _EVERYTHING = ("src/repro", "scripts", "benchmarks")
-# The multiprocessing supervisors ship callables and shared-memory leases
+# The supervisor and its executor ship callables and shared-memory leases
 # across process boundaries; the MP rules MUST stay in scope for them even
-# if the broad src/repro prefix is ever narrowed.  (All files are already
-# inside _EVERYTHING; listing them pins the invariant.)  The last two own
-# leases *indirectly* — FeatureMatrixBuilder through its sharded runner and
-# ServingSession through the pipeline it serves — and are what the MP004
-# lifecycle rule exists to keep closeable.
+# if the broad src/repro prefix is ever narrowed.  (Both files are already
+# inside _EVERYTHING; listing them pins the invariant.)
 _MP_CRITICAL = _EVERYTHING + (
     "src/repro/runtime/executor.py",
-    "src/repro/runtime/phase2_exec.py",
     "src/repro/runtime/supervisor.py",
-    "src/repro/core/aggregation.py",
-    "src/repro/serve.py",
 )
 
 DEFAULT_RULE_SCOPES: Dict[str, Tuple[str, ...]] = {

@@ -1,13 +1,11 @@
-"""Distributed-processing substrate: sharding, supervised executors for
-Phases I and II, resilience/fault-injection layer and the WeChat-scale cost
-model."""
+"""Distributed-processing substrate: sharding, the supervised Phase I
+executor, resilience/fault-injection layer and the WeChat-scale cost model."""
 
 from repro.runtime.cost_model import (
     ClusterSpec,
     CostCalibration,
     CostModel,
     RuntimeEstimate,
-    TransportCalibration,
     WorkloadSpec,
 )
 from repro.runtime.executor import (
@@ -21,13 +19,6 @@ from repro.runtime.faultinject import (
     InjectedFaultError,
     PermanentInjectedError,
     TransientInjectedError,
-)
-from repro.runtime.phase2_exec import (
-    Phase2ExecutionReport,
-    Phase2Shard,
-    Phase2ShardedRunner,
-    Phase2ShardReport,
-    shard_communities,
 )
 from repro.runtime.resilience import (
     Clock,
@@ -43,7 +34,6 @@ from repro.runtime.scalability import (
     MeasuredPhaseTimes,
     ScalabilityStudy,
     measure_phases,
-    measure_transport,
     measure_worker_scaling,
     run_chaos,
 )
@@ -59,11 +49,6 @@ __all__ = [
     "ExecutionReport",
     "ShardReport",
     "TransportStats",
-    "Phase2ShardedRunner",
-    "Phase2ExecutionReport",
-    "Phase2ShardReport",
-    "Phase2Shard",
-    "shard_communities",
     "ShardFailure",
     "RetryPolicy",
     "Clock",
@@ -78,14 +63,12 @@ __all__ = [
     "PermanentInjectedError",
     "CostModel",
     "CostCalibration",
-    "TransportCalibration",
     "ClusterSpec",
     "WorkloadSpec",
     "RuntimeEstimate",
     "ScalabilityStudy",
     "MeasuredPhaseTimes",
     "measure_phases",
-    "measure_transport",
     "measure_worker_scaling",
     "ChaosReport",
     "run_chaos",

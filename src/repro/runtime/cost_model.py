@@ -72,81 +72,6 @@ class CostCalibration:
 
 
 @dataclass
-class TransportCalibration:
-    """Measured cost of shipping the graph to one worker, per transport.
-
-    ``pickle_seconds`` is the measured deserialize time of one full graph
-    copy — every worker pays it under pickle transport, so fleet startup is
-    linear in both graph size and worker count.  ``attach_seconds`` is the
-    measured cost of attaching the published shared-memory segments, O(1) in
-    graph size; ``publish_seconds`` is the one-time parent-side publish cost
-    paid once per pool.  Produce one with :func:`from_measurements` from real
-    timings (``repro.runtime.scalability.measure_transport`` does exactly
-    that) and hand it to :class:`CostModel` to project fleet startup.
-    """
-
-    pickle_seconds: float
-    attach_seconds: float
-    publish_seconds: float = 0.0
-    graph_bytes: int = 0
-    """Pickled size of the full graph (per-worker bytes under pickle)."""
-    handle_bytes: int = 0
-    """Pickled size of the shm handle (per-worker bytes under shm)."""
-
-    def validate(self) -> None:
-        if min(self.pickle_seconds, self.attach_seconds, self.publish_seconds) < 0:
-            raise ModelConfigError("transport costs must be non-negative")
-        if self.graph_bytes < 0 or self.handle_bytes < 0:
-            raise ModelConfigError("transport byte counts must be non-negative")
-
-    @classmethod
-    def from_measurements(
-        cls,
-        pickle_seconds: float,
-        attach_seconds: float,
-        publish_seconds: float = 0.0,
-        graph_bytes: int = 0,
-        handle_bytes: int = 0,
-    ) -> "TransportCalibration":
-        """Build a calibration from measured attach-vs-pickle timings."""
-        calibration = cls(
-            pickle_seconds=pickle_seconds,
-            attach_seconds=attach_seconds,
-            publish_seconds=publish_seconds,
-            graph_bytes=graph_bytes,
-            handle_bytes=handle_bytes,
-        )
-        calibration.validate()
-        return calibration
-
-    @property
-    def attach_speedup(self) -> float:
-        """How much faster one worker starts under shm than under pickle."""
-        if self.attach_seconds <= 0:
-            return float("inf")
-        return self.pickle_seconds / self.attach_seconds
-
-    def worker_startup_seconds(self, transport: str) -> float:
-        """Graph-shipping cost of starting one worker under ``transport``."""
-        if transport == "shm":
-            return self.attach_seconds
-        if transport == "pickle":
-            return self.pickle_seconds
-        raise ModelConfigError(
-            f"transport must be 'pickle' or 'shm', got {transport!r}"
-        )
-
-    def fleet_startup_seconds(self, transport: str, num_workers: int) -> float:
-        """Total graph-shipping cost of starting ``num_workers`` workers."""
-        if num_workers < 1:
-            raise ModelConfigError("num_workers must be >= 1")
-        total = self.worker_startup_seconds(transport) * num_workers
-        if transport == "shm":
-            total += self.publish_seconds
-        return total
-
-
-@dataclass
 class ClusterSpec:
     """A compute cluster: servers × cores per server."""
 
@@ -210,30 +135,9 @@ class CostModel:
     """Projects LoCEC run time for a workload on a cluster."""
 
     calibration: CostCalibration = field(default_factory=CostCalibration)
-    transport: TransportCalibration | None = None
-    """Optional measured attach-vs-pickle shipping costs; enables
-    :meth:`startup_overhead_hours`."""
 
     def __post_init__(self) -> None:
         self.calibration.validate()
-        if self.transport is not None:
-            self.transport.validate()
-
-    def startup_overhead_hours(self, transport: str, cluster: ClusterSpec) -> float:
-        """Projected fleet startup cost (graph shipping) in wall-clock hours.
-
-        One worker per core: under pickle transport every core deserializes
-        its own graph copy, under shm each server publishes once and every
-        core attaches in O(1).  Requires a :class:`TransportCalibration`.
-        """
-        if self.transport is None:
-            raise ModelConfigError(
-                "CostModel needs a TransportCalibration to project startup cost"
-            )
-        return (
-            self.transport.fleet_startup_seconds(transport, cluster.total_cores)
-            / 3600.0
-        )
 
     def estimate(
         self,

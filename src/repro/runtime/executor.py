@@ -34,7 +34,12 @@ from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.shm import SharedCSRGraph, ShmLease
 from repro.runtime.faultinject import FaultPlan
-from repro.runtime.resilience import Clock, ShardCheckpointStore, SystemClock
+from repro.runtime.resilience import (
+    Clock,
+    ShardCheckpointStore,
+    SystemClock,
+    graph_value_digest,
+)
 from repro.runtime.sharding import Shard, shard_nodes, validate_shards
 from repro.runtime.supervisor import (
     ShardOutcome,
@@ -176,10 +181,11 @@ class ShardedDivisionExecutor:
         """Execute Phase I over all (or the given) egos and merge shard results.
 
         ``resume_from`` names a checkpoint directory from a previous run:
-        shards whose checkpoint fingerprint (id + ego list + detector)
-        matches are loaded instead of recomputed, so a killed run resumes
-        where it stopped.  When ``resilience.checkpoint_dir`` is set, every
-        completed shard spills there as it finishes.
+        shards whose checkpoint fingerprint (id + ego list + detector +
+        graph identity) matches are loaded instead of recomputed, so a killed
+        run resumes where it stopped and a run over a changed graph starts
+        over.  When ``resilience.checkpoint_dir`` is set, every completed
+        shard spills there as it finishes.
         """
         nodes = list(graph.nodes()) if egos is None else list(egos)
         shards = {
@@ -190,11 +196,12 @@ class ShardedDivisionExecutor:
         }
         report = ExecutionReport(division=DivisionResult())
 
-        # Spilled graphs (``load_csr_npz``) carry a content-addressed identity;
-        # folding it into checkpoint fingerprints keeps checkpoints from one
-        # spill file from resuming a run over a different file at the same
-        # path.  In-memory graphs have no identity and keep the old hashes.
-        graph_id = getattr(graph, "spill_identity", None)
+        # A checkpoint belongs to one graph: spilled graphs (``load_csr_npz``)
+        # carry a content-addressed identity, in-memory ones are hashed by
+        # value — only when a store is opened, the hash is O(V + E).
+        graph_id = None
+        if self.resilience.checkpoint_dir or resume_from:
+            graph_id = getattr(graph, "spill_identity", None) or graph_value_digest(graph)
         write_store = (
             ShardCheckpointStore(self.resilience.checkpoint_dir, graph_id=graph_id)
             if self.resilience.checkpoint_dir

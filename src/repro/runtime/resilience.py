@@ -38,6 +38,7 @@ from repro.exceptions import (
     ShardTimeoutError,
     WorkerCrashError,
 )
+from repro.graph.graph import Graph
 from repro.runtime.sharding import Shard
 
 
@@ -127,6 +128,23 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------- checkpointing
+def graph_value_digest(graph: Graph) -> str:
+    """Identity of an in-memory graph's *value*: node set + canonical edge set.
+
+    Independent of insertion order, so an equal graph built another way
+    resumes from the same checkpoints while any edge or node change
+    invalidates them.  O((V + E) log) — computed only when a checkpoint
+    store is opened.
+    """
+    digest = hashlib.sha256()
+    for node in sorted(repr(node) for node in graph.nodes()):
+        digest.update(node.encode("utf-8") + b"\n")
+    digest.update(b"--\n")
+    for edge in sorted(repr(edge) for edge in graph.edges()):
+        digest.update(edge.encode("utf-8") + b"\n")
+    return f"value|{digest.hexdigest()}"
+
+
 def shard_fingerprint(
     shard: Shard, detector: str, graph_id: str | None = None
 ) -> str:
@@ -134,11 +152,12 @@ def shard_fingerprint(
 
     The graph backend is deliberately excluded — backends are bit-identical
     by contract, so a checkpoint written under ``csr`` is valid for a resume
-    under ``dict`` and vice versa.  ``graph_id`` (the spill file identity
-    ``path|size|sha256`` from :func:`repro.graph.io.csr_npz_fingerprint`)
-    *is* included when known: once graphs stop travelling by pickle the
-    checkpoint is only as trustworthy as the spill it was computed from, so
-    a rewritten spill at the same path invalidates old checkpoints.
+    under ``dict`` and vice versa.  ``graph_id`` — the spill file identity
+    ``path|size|sha256`` from :func:`repro.graph.io.csr_npz_fingerprint`, or
+    :func:`graph_value_digest` for a graph that was never spilled — *is*
+    included when known: a checkpoint is only as trustworthy as the graph it
+    was computed from, so a rewritten spill at the same path, or an edge
+    change in memory, invalidates old checkpoints.
     """
     work: tuple[object, ...] = (shard.shard_id, shard.egos, detector)
     if graph_id is not None:

@@ -22,7 +22,6 @@ from repro.runtime.cost_model import (
     CostCalibration,
     CostModel,
     RuntimeEstimate,
-    TransportCalibration,
     WorkloadSpec,
 )
 from repro.runtime.executor import ShardedDivisionExecutor
@@ -107,54 +106,6 @@ def measure_phases(
     )
 
 
-def measure_transport(
-    dataset: SocialNetworkDataset,
-    clock: Clock | None = None,
-) -> TransportCalibration:
-    """Measure attach-vs-pickle worker startup costs on a real graph.
-
-    Times what each transport makes a worker pay to receive the graph:
-    deserializing a full pickled copy (pickle transport) versus unpickling an
-    O(1) handle and attaching the published shared-memory segments (shm
-    transport).  The one-time publish cost is measured separately.  Returns a
-    :class:`~repro.runtime.cost_model.TransportCalibration` ready to hand to
-    :class:`~repro.runtime.cost_model.CostModel`.
-    """
-    import pickle
-
-    from repro.graph.csr import CSRGraph
-    from repro.graph.shm import SharedCSRGraph
-
-    clock = clock or SystemClock()
-    graph = dataset.graph
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-
-    payload = pickle.dumps(graph, pickle.HIGHEST_PROTOCOL)
-    start = clock.perf_counter()
-    pickle.loads(payload)
-    pickle_seconds = clock.perf_counter() - start
-
-    start = clock.perf_counter()
-    lease = SharedCSRGraph.publish(csr)
-    publish_seconds = clock.perf_counter() - start
-    try:
-        handle_payload = pickle.dumps(lease.handle, pickle.HIGHEST_PROTOCOL)
-        start = clock.perf_counter()
-        attached = pickle.loads(handle_payload).attach()
-        attach_seconds = clock.perf_counter() - start
-        attached.close()
-    finally:
-        lease.close()
-
-    return TransportCalibration.from_measurements(
-        pickle_seconds=pickle_seconds,
-        attach_seconds=attach_seconds,
-        publish_seconds=publish_seconds,
-        graph_bytes=len(payload),
-        handle_bytes=len(handle_payload),
-    )
-
-
 @dataclass
 class ScalabilityStudy:
     """Generates the Table VI / Figure 12 numbers from a cost model."""
@@ -206,20 +157,9 @@ class ChaosReport:
     """Resolved graph transport of the faulted run."""
     swept_segments: int = 0
     """Shared-memory segments unlinked by rebuild/finalizer sweeps."""
-    phase2_identical: bool | None = None
-    """Phase II leg: all three sharded aggregation entry points bit-identical
-    to the serial kernel under the fault schedule.  ``None`` when the chaos
-    run did not exercise Phase II (``phase2_workers == 0``)."""
-    phase2_injected_faults: int = 0
-    phase2_retries: int = 0
-    phase2_timeouts: int = 0
-    phase2_pool_rebuilds: int = 0
-    phase2_degraded_to_serial: bool = False
-    phase2_transport: str = "inline"
-    """Resolved kernel transport of the faulted Phase II runs."""
 
     def to_text(self) -> str:
-        lines = [
+        return "\n".join([
             f"shards           : {self.completed_shards}/{self.num_shards} completed",
             f"injected faults  : {self.injected_faults}",
             f"retries          : {self.total_retries}",
@@ -234,21 +174,7 @@ class ChaosReport:
             ),
             f"failed shards    : {self.failed_shards or 'none'}",
             f"identical to clean run: {self.identical_to_clean}",
-        ]
-        if self.phase2_identical is not None:
-            lines += [
-                f"phase2 faults    : {self.phase2_injected_faults} injected, "
-                f"{self.phase2_retries} retries, {self.phase2_timeouts} timeouts",
-                f"phase2 rebuilds  : {self.phase2_pool_rebuilds}"
-                + (
-                    " (degraded to serial)"
-                    if self.phase2_degraded_to_serial
-                    else ""
-                ),
-                f"phase2 transport : {self.phase2_transport}",
-                f"phase2 identical to serial kernel: {self.phase2_identical}",
-            ]
-        return "\n".join(lines)
+        ])
 
 
 def run_chaos(
@@ -263,7 +189,6 @@ def run_chaos(
     shard_timeout: float = 30.0,
     kinds: tuple[str, ...] = ("transient", "hang", "kill"),
     transport: str = "auto",
-    phase2_workers: int = 0,
 ) -> ChaosReport:
     """Chaos knob: run the shard executor under a seeded fault schedule.
 
@@ -272,13 +197,6 @@ def run_chaos(
     runs the supervised executor with an injected
     :class:`~repro.runtime.resilience.FakeClock` (no real backoff sleeps),
     and compares the merged division against a clean run of the same egos.
-
-    With ``phase2_workers >= 1`` the run grows a second leg: all three
-    sharded Phase II aggregation entry points
-    (:class:`~repro.runtime.phase2_exec.Phase2ShardedRunner`) execute under
-    their own seeded fault schedule over the clean division's communities,
-    and each merged array is compared bit-for-bit against the serial kernel
-    (``phase2_identical``).
     """
     from repro.core.config import ResilienceConfig
     from repro.runtime.faultinject import FaultPlan
@@ -316,70 +234,6 @@ def run_chaos(
         num_shards=num_shards, num_workers=1, detector=detector
     ).run(dataset.graph, egos=egos)
 
-    phase2_identical: bool | None = None
-    phase2_faults = phase2_retries = phase2_timeouts = phase2_rebuilds = 0
-    phase2_degraded = False
-    phase2_transport = "inline"
-    if phase2_workers > 0:
-        import numpy as np
-
-        from repro.graph.phase2 import Phase2Kernel
-        from repro.runtime.phase2_exec import (
-            Phase2ExecutionReport,
-            Phase2ShardedRunner,
-        )
-
-        communities = list(clean.division.all_communities())
-        k = 20
-        tensor_pairs = [
-            (community.members, community.members_by_tightness()[:k])
-            for community in communities
-        ]
-        stat_pairs = [
-            (community.members, community.members_by_tightness())
-            for community in communities
-        ]
-        kernel = Phase2Kernel.compile(dataset.features, dataset.interactions)
-        phase2_shards = max(2, phase2_workers)
-        phase2_plan = FaultPlan.random(
-            list(range(phase2_shards)),
-            seed=seed + 1,
-            fault_rate=fault_rate,
-            max_attempts=resilience.max_attempts,
-            kinds=kinds,
-        )
-        reports: list[Phase2ExecutionReport | None] = []
-        with Phase2ShardedRunner(
-            kernel,
-            num_workers=phase2_workers,
-            num_shards=phase2_shards,
-            resilience=resilience,
-            fault_plan=phase2_plan,
-            clock=FakeClock(),
-        ) as runner:
-            rows, offsets = runner.rows_batch(tensor_pairs)
-            reports.append(runner.last_report)
-            stats = runner.statistics(stat_pairs)
-            reports.append(runner.last_report)
-            tensor = runner.tensor(tensor_pairs, k=k)
-            reports.append(runner.last_report)
-        serial_rows, serial_offsets = kernel.community_rows_batch(tensor_pairs)
-        phase2_identical = (
-            np.array_equal(rows, serial_rows)
-            and np.array_equal(offsets, serial_offsets)
-            and np.array_equal(stats, kernel.community_statistics(stat_pairs))
-            and np.array_equal(tensor, kernel.community_tensor(tensor_pairs, k))
-        )
-        phase2_faults = len(phase2_plan)
-        phase2_retries = sum(r.total_retries for r in reports if r is not None)
-        phase2_timeouts = sum(r.total_timeouts for r in reports if r is not None)
-        phase2_rebuilds = sum(r.pool_rebuilds for r in reports if r is not None)
-        phase2_degraded = any(r.degraded_to_serial for r in reports if r is not None)
-        phase2_transport = next(
-            (r.transport.transport for r in reversed(reports) if r is not None),
-            "inline",
-        )
-
     return ChaosReport(
         num_shards=num_shards,
         completed_shards=len(faulted.shard_reports),
@@ -394,13 +248,6 @@ def run_chaos(
         ),
         transport=faulted.transport.transport,
         swept_segments=faulted.transport.swept_segments,
-        phase2_identical=phase2_identical,
-        phase2_injected_faults=phase2_faults,
-        phase2_retries=phase2_retries,
-        phase2_timeouts=phase2_timeouts,
-        phase2_pool_rebuilds=phase2_rebuilds,
-        phase2_degraded_to_serial=phase2_degraded,
-        phase2_transport=phase2_transport,
     )
 
 

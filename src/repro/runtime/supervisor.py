@@ -1,10 +1,9 @@
-"""The supervised shard runner: one supervision loop for every sharded phase.
+"""The supervised shard runner: the one supervision loop of the sharded runtime.
 
 The production system streams work through 50–200 servers where worker
-crashes, stragglers and partial failures are routine.  Phase I
-(:mod:`repro.runtime.executor`) and Phase II (:mod:`repro.runtime.phase2_exec`)
-both run as shard → per-shard work → merge, and this module is the only place
-that knows how to make that survivable:
+crashes, stragglers and partial failures are routine.  Sharded Phase I
+(:mod:`repro.runtime.executor`) runs as shard → per-shard work → merge, and
+this module is the only place that knows how to make that survivable:
 
 * per-shard **retries** under a :class:`~repro.runtime.resilience.RetryPolicy`
   (exponential backoff, deterministic jitter, retryable-error
@@ -549,8 +548,7 @@ class ShardSupervisor(Generic[ResultT]):
         if mode == "shm":
             raise ExecutorError(
                 "transport='shm' requires a payload with a shared-memory form "
-                "(the CSR graph backend, a compiled Phase II kernel) and a "
-                "platform with POSIX shared memory"
+                "(the CSR graph backend) and a platform with POSIX shared memory"
             )
         payload_bytes = len(pickle.dumps(self.payload, pickle.HIGHEST_PROTOCOL))
         self._shipping = ("pickle", payload_bytes, 0, fallback_error)

@@ -153,10 +153,9 @@ class ServingSession:
         Injectable time source for latency accounting (tests pass
         :class:`repro.clock.FakeClock`).
 
-    The session owns serving-side resources through the pipeline's Phase II
-    builder (process pool + shared-memory lease) and follows the repo-wide
-    lifecycle protocol: use as a context manager or call :meth:`close`
-    (idempotent) when done.
+    The session follows the repo-wide lifecycle protocol: use as a context
+    manager or call :meth:`close` (idempotent) when done.  Closing drops the
+    cache and refuses further use; it releases no pool or lease today.
     """
 
     def __init__(
@@ -264,14 +263,9 @@ class ServingSession:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release serving resources (pipeline pool + shm lease).  Idempotent."""
-        if self._closed:
-            return
+        """Drop the cache and refuse further use.  Idempotent."""
         self._closed = True
         self._cache.clear()
-        builder = self.pipeline.feature_builder_
-        if builder is not None:
-            builder.close()
 
     def __enter__(self) -> "ServingSession":
         return self

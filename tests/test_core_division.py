@@ -89,21 +89,6 @@ class TestDivideEgo:
         ordered.append("mutated")  # returned list is a copy
         assert community.members_by_tightness() == ordered[:-1]
 
-    def test_members_by_tightness_lexsort_branch_matches_sorted(self):
-        # Communities >= _LEXSORT_MIN_SIZE order via np.lexsort; ties on
-        # tightness must still break by repr exactly like the key sort.
-        import random
-
-        from repro.core.division import LocalCommunity
-
-        rng = random.Random(3)
-        size = LocalCommunity._LEXSORT_MIN_SIZE + 10
-        members = frozenset(range(size))
-        tightness = {member: rng.choice([0.0, 0.25, 0.5]) for member in members}
-        community = LocalCommunity(ego=0, members=members, tightness=tightness)
-        expected = sorted(members, key=lambda node: (-tightness[node], repr(node)))
-        assert community.members_by_tightness() == expected
-
     def test_alternative_detectors(self, fig7_graph):
         for detector in ("label_propagation", "louvain"):
             communities = divide_ego(fig7_graph, 1, detector=detector)

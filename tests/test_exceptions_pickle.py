@@ -51,7 +51,6 @@ from repro.exceptions import (
     SelfLoopError,
     ShardFailedError,
     ShardTimeoutError,
-    StalePhase2KernelError,
     TrainingDivergedError,
     WorkerCrashError,
 )
@@ -88,13 +87,12 @@ REPRESENTATIVES = [
     # test CPython, not this hierarchy.
     RetryExhaustedError(4, 5, RuntimeError("still down")),
     ShardTimeoutError(2, 1.5),
-    StalePhase2KernelError((3, 4), (3, 5)),
+    PermanentInjectedError(0, 0),
     WorkerCrashError(6, "hard kill"),
     WorkerCrashError(),
     CheckpointError("cannot write shard 3 checkpoint"),
     InjectedFaultError(1, 0),
     TransientInjectedError(2, 1),
-    PermanentInjectedError(0, 0),
 ]
 
 _ids = [f"{type(exc).__name__}:{i}" for i, exc in enumerate(REPRESENTATIVES)]

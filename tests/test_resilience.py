@@ -13,10 +13,13 @@ serial run.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import pickle
 
 import pytest
 
+import repro.runtime.executor as executor_module
 from repro.core.config import ResilienceConfig
 from repro.exceptions import (
     CheckpointError,
@@ -28,6 +31,7 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.graph.generators import paper_figure7_network
+from repro.graph.graph import Graph
 from repro.runtime import (
     FakeClock,
     Fault,
@@ -43,6 +47,7 @@ from repro.runtime import (
     shard_nodes,
     validate_shards,
 )
+from repro.runtime.resilience import graph_value_digest
 
 
 @pytest.fixture
@@ -334,7 +339,7 @@ class TestCheckpointResume:
         executor = _executor(graph, plan=plan, checkpoint_dir=checkpoint_dir)
         with pytest.raises(ShardFailedError):
             executor.run(graph)
-        store = ShardCheckpointStore(checkpoint_dir)
+        store = ShardCheckpointStore(checkpoint_dir, graph_id=graph_value_digest(graph))
         shards = validate_shards(shard_nodes(list(graph.nodes()), 3))
         assert store.load(shards[0], "girvan_newman") is not None
         assert store.load(shards[1], "girvan_newman") is not None
@@ -364,6 +369,45 @@ class TestCheckpointResume:
             clock=FakeClock(),
         ).run(graph, resume_from=checkpoint_dir)
         assert all(not r.from_checkpoint for r in report.shard_reports)
+
+    def test_resume_after_an_edge_change_recomputes_every_shard(
+        self, graph, clean_division, tmp_path, no_real_sleep
+    ):
+        checkpoint_dir = str(tmp_path / "ckpt")
+        _executor(graph, checkpoint_dir=checkpoint_dir).run(graph)
+        graph.remove_edge(2, 3)  # an edge among ego 1's friends
+        resumed = _executor(graph).run(graph, resume_from=checkpoint_dir)
+        assert not any(r.from_checkpoint for r in resumed.shard_reports)
+        fresh = _executor(graph).run(graph).division.communities_by_ego
+        assert resumed.division.communities_by_ego == fresh
+        assert fresh != clean_division.communities_by_ego
+
+    def test_resume_on_an_equal_graph_in_another_insertion_order_loads_every_shard(
+        self, graph, clean_division, tmp_path, no_real_sleep
+    ):
+        checkpoint_dir = str(tmp_path / "ckpt")
+        egos = list(graph.nodes())
+        _executor(graph, checkpoint_dir=checkpoint_dir).run(graph, egos=egos)
+        rebuilt = Graph(nodes=reversed(egos))
+        for u, v in reversed(list(graph.edges())):
+            rebuilt.add_edge(v, u)
+        resumed = _executor(rebuilt).run(rebuilt, egos=egos, resume_from=checkpoint_dir)
+        assert all(r.from_checkpoint for r in resumed.shard_reports)
+        assert resumed.division.communities_by_ego == clean_division.communities_by_ego
+
+    def test_graph_is_hashed_only_when_a_checkpoint_store_opens(
+        self, graph, tmp_path, monkeypatch, no_real_sleep
+    ):
+        hashed = []
+        monkeypatch.setattr(
+            executor_module,
+            "graph_value_digest",
+            lambda g: hashed.append(g) or graph_value_digest(g),
+        )
+        _executor(graph).run(graph)
+        assert hashed == []
+        _executor(graph, checkpoint_dir=str(tmp_path / "ckpt")).run(graph)
+        assert hashed == [graph]
 
     def test_no_tmp_files_left_behind(self, graph, tmp_path, no_real_sleep):
         checkpoint_dir = tmp_path / "ckpt"
@@ -412,6 +456,18 @@ class TestChaos:
         assert code == 0
         out = capsys.readouterr().out
         assert "identical to clean run: True" in out
+
+    def test_chaos_has_no_phase2_leg(self, capsys):
+        from repro.cli import build_parser
+        from repro.runtime import ChaosReport
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["chaos", "--phase2-workers", "2"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()  # argparse usage text
+        names = [field.name for field in dataclasses.fields(ChaosReport)]
+        names += list(inspect.signature(run_chaos).parameters)
+        assert not [name for name in names if "phase2" in name]
 
 
 # ------------------------------------------------------- process-pool tier

@@ -7,10 +7,12 @@ would be hot; five of them were exported, benchmarked and parity-tested while
 outside ``graph/__init__.py``'s re-export list) imports or references it.
 The same rule holds for the ``measure_*`` / ``run_*`` drivers of
 ``repro.runtime.scalability`` — one of them lived on for nine PRs with a
-README recipe as its only caller — and ``core/pipeline.py`` is held to
+README recipe as its only caller — ``core/pipeline.py`` is held to
 "every stage of Algorithm 2 has one call site, no function over 60 code
-lines".  The checks are by AST, so a mention in a docstring or comment does
-not count.  CI runs this file in the ``static-analysis`` job as well.
+lines", and under ``core/`` and ``graph/`` only the pipeline may import the
+sharded runtime (a process pool once grew inside Phase II aggregation).  The
+checks are by AST, so a mention in a docstring or comment does not count.
+CI runs this file in the ``static-analysis`` job as well.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ def test_every_public_csr_kernel_is_routed():
     )
 
 
-# ``measure_transport`` has a README recipe and tier-1 tests but no product
-# caller.  It stays listed, not routed, until ROADMAP item 5 decides whether
-# the transport calibration derives from benchmark records or goes.
-UNROUTED_DRIVERS = {"measure_transport"}
-
-
 def calls_in_code(path: Path) -> list[str]:
     """Name of every called function or method, once per call site."""
     return [
@@ -85,11 +81,38 @@ def test_every_scalability_driver_has_a_product_caller():
     callers += [*(REPO / "examples").glob("*.py"), *(REPO / "scripts").glob("*.py")]
     called = {name for path in callers for name in calls_in_code(path)}
     unrouted = drivers - called
-    assert unrouted == UNROUTED_DRIVERS, (
+    assert unrouted == set(), (
         "repro.runtime.scalability drivers that cli.py, experiments/, examples/ "
-        f"and scripts/ never call — route them or delete them: "
-        f"{sorted(unrouted - UNROUTED_DRIVERS)}; listed names that are routed "
-        f"now and should leave UNROUTED_DRIVERS: {sorted(UNROUTED_DRIVERS - unrouted)}"
+        f"and scripts/ never call — route them or delete them: {sorted(unrouted)}"
+    )
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Dotted name of every module imported anywhere in the file."""
+    modules: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def test_only_the_pipeline_reaches_into_the_sharded_runtime():
+    # pipeline.py: ShardedDivisionExecutor for re-division, FaultPlan for typing.
+    importers = {
+        str(path.relative_to(PACKAGE))
+        for layer in ("core", "graph")
+        for path in (PACKAGE / layer).rglob("*.py")
+        if any(
+            module == "repro.runtime" or module.startswith("repro.runtime.")
+            for module in imported_modules(path)
+        )
+    }
+    assert importers == {"core/pipeline.py"}, (
+        "modules under core/ and graph/ importing repro.runtime — the layers "
+        f"below the runtime must not own a pool: {sorted(importers)}"
     )
 
 

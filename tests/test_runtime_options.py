@@ -1,4 +1,4 @@
-"""RuntimeOptions surface: validation, the transport alias, the LoCECConfig view."""
+"""RuntimeOptions surface: validation and the LoCECConfig view."""
 
 from __future__ import annotations
 
@@ -13,23 +13,8 @@ class TestRuntimeOptions:
         with pytest.raises(ModelConfigError):
             RuntimeOptions(backend="sparse").validate()
         with pytest.raises(ModelConfigError):
-            RuntimeOptions(phase2_workers=-1).validate()
-        with pytest.raises(ModelConfigError):
-            RuntimeOptions(transport="tcp").validate()
+            RuntimeOptions(resilience=ResilienceConfig(transport="tcp")).validate()
         RuntimeOptions().validate()  # defaults are valid
-
-    def test_resolved_resilience_threads_transport(self):
-        assert RuntimeOptions().resolved_resilience() is None
-        resolved = RuntimeOptions(transport="shm").resolved_resilience()
-        assert resolved is not None and resolved.transport == "shm"
-        base = ResilienceConfig(max_attempts=5)
-        merged = RuntimeOptions(
-            transport="pickle", resilience=base
-        ).resolved_resilience()
-        assert merged.max_attempts == 5
-        assert merged.transport == "pickle"
-        # transport="auto" leaves a provided resilience untouched.
-        assert RuntimeOptions(resilience=base).resolved_resilience() is base
 
 
 class TestLoCECConfigRuntimeOptions:
@@ -40,8 +25,6 @@ class TestLoCECConfigRuntimeOptions:
             backend="csr",
             ml_backend="hist",
             nn_backend="loop",
-            phase2_workers=2,
-            phase2_shards=3,
             resilience=resilience,
         )
         before = dict(vars(config))
@@ -52,8 +35,6 @@ class TestLoCECConfigRuntimeOptions:
             backend="csr",
             ml_backend="hist",
             nn_backend="loop",
-            phase2_workers=2,
-            phase2_shards=3,
             resilience=resilience,
         )
         assert not hasattr(config, "runtime")

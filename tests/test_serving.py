@@ -17,7 +17,6 @@ import pytest
 
 from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
-from repro.core.aggregation import FeatureMatrixBuilder
 from repro.core.combination import community_key
 from repro.exceptions import (
     DimensionMismatchError,
@@ -31,19 +30,17 @@ from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.lifecycle import Closeable
 from repro.runtime import Fault, FaultPlan
 from repro.runtime.executor import ShardedDivisionExecutor
-from repro.runtime.phase2_exec import Phase2ShardedRunner
 from repro.runtime.supervisor import ShardSupervisor
 from repro.serve import ServingSession, StreamingMoments, replay_traffic
 from repro.synthetic import make_workload
 from repro.types import LabeledEdge
 
 
-def _config(detector="label_propagation", phase2_workers=0, model="xgb"):
+def _config(detector="label_propagation", model="xgb"):
     maker = LoCECConfig.locec_xgb if model == "xgb" else LoCECConfig.locec_cnn
     config = maker(seed=0, community_detector=detector)
     config.gbdt.num_rounds = 8
     config.cnn.epochs = 2
-    config.phase2_workers = phase2_workers
     return config
 
 
@@ -101,20 +98,14 @@ def _assert_bit_identical(incremental, scratch, query_edges):
 
 class TestIncrementalParity:
     @pytest.mark.parametrize(
-        "detector,phase2_workers",
-        [
-            ("girvan_newman", 0),
-            ("label_propagation", 0),
-            ("louvain", 0),
-            ("label_propagation", 2),
-        ],
+        "detector", ["girvan_newman", "label_propagation", "louvain"]
     )
-    def test_apply_updates_matches_scratch_fit(self, detector, phase2_workers):
+    def test_apply_updates_matches_scratch_fit(self, detector):
         workload = make_workload("tiny", seed=1)
         dataset = workload.dataset
         deltas = _choose_deltas(dataset.graph, dataset.features, dataset.interactions)
         with _fit(
-            _config(detector, phase2_workers),
+            _config(detector),
             dataset.graph,
             dataset.features,
             dataset.interactions,
@@ -138,7 +129,7 @@ class TestIncrementalParity:
                 deltas,
             )
             with _fit(
-                _config(detector, phase2_workers),
+                _config(detector),
                 baseline.dataset.graph,
                 baseline.dataset.features,
                 baseline.dataset.interactions,
@@ -306,6 +297,32 @@ class TestWarmModels:
             )
             assert refit.classifier_refit
             assert refit.timings.training > 0.0
+
+    def test_updates_leave_the_batch_runs_checkpoints_alone(self, tmp_path):
+        workload = make_workload("tiny", seed=0)
+        dataset = workload.dataset
+        config = _config()
+        config.resilience.checkpoint_dir = str(tmp_path / "ckpt")
+        batch = ShardedDivisionExecutor(
+            num_shards=4,
+            detector=config.community_detector,
+            resilience=config.resilience,
+        ).run(dataset.graph)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()}
+        assert len(written) == 4
+        with LoCEC(config).fit(
+            dataset.graph,
+            dataset.features,
+            dataset.interactions,
+            workload.train_edges,
+            division=batch.division,
+        ) as pipeline:
+            pair = next(e for e, vector in dataset.interactions.items() if vector.any())
+            delta = np.ones(dataset.interactions.num_dims)
+            pipeline.apply_updates(interaction_deltas=[(pair[0], pair[1], delta)])
+            report = pipeline.apply_updates(added_edges=[_first_non_edge(dataset.graph)])
+            assert report.num_redivided_egos > 0
+        assert {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()} == written
 
     def test_apply_updates_requires_fit(self):
         with pytest.raises(NotFittedError):
@@ -607,13 +624,11 @@ class TestStreamingMoments:
 
 
 def test_lease_owners_conform_to_closeable_protocol():
-    # MP004's runtime counterpart: every class owning an ShmLease (directly
-    # or through an owning resource) satisfies the structural protocol.
+    # MP004's runtime counterpart: the two lease owners and the two public
+    # lifecycle holders (which own none today) satisfy the structural protocol.
     for owner in (
         ShardSupervisor,
         ShardedDivisionExecutor,
-        FeatureMatrixBuilder,
-        Phase2ShardedRunner,
         ServingSession,
         LoCEC,
     ):

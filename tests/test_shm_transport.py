@@ -33,24 +33,11 @@ from repro.graph.ego import ego_network
 from repro.graph.generators import paper_figure7_network, planted_partition
 from repro.graph.graph import Graph
 from repro.graph.io import csr_npz_fingerprint, load_csr_npz, save_csr_npz
-from repro.graph.phase2 import Phase2Kernel
-from repro.graph.shm import (
-    SharedCSRGraph,
-    SharedPhase2Kernel,
-    handle_nbytes,
-    shm_supported,
-)
-from repro.runtime import (
-    ClusterSpec,
-    CostModel,
-    ShardedDivisionExecutor,
-    TransportCalibration,
-    measure_transport,
-)
+from repro.graph.shm import SharedCSRGraph, handle_nbytes, shm_supported
+from repro.runtime import ShardedDivisionExecutor
 from repro.runtime.faultinject import Fault, FaultPlan
 from repro.runtime.resilience import FakeClock, shard_fingerprint
 from repro.runtime.sharding import shard_nodes
-from repro.synthetic import make_workload
 
 needs_shm = pytest.mark.skipif(
     not shm_supported(), reason="POSIX shared memory unavailable"
@@ -409,88 +396,3 @@ class TestCsrNpzSpill:
         )
         other = shard_fingerprint(shard, "label_propagation", "spill|0|deadbeef")
         assert len({bare, spilled, other}) == 3
-
-
-# ----------------------------------------------------------- phase 2 shm
-@needs_shm
-class TestSharedPhase2Kernel:
-    def test_publish_attach_preserves_kernel_outputs(self):
-        workload = make_workload("tiny", seed=0)
-        dataset = workload.dataset
-        kernel = Phase2Kernel.compile(dataset.features, dataset.interactions)
-        probe = list(dataset.graph.nodes())[:6]
-        lease = SharedPhase2Kernel.publish(kernel)
-        try:
-            attached = pickle.loads(
-                pickle.dumps(lease.handle, pickle.HIGHEST_PROTOCOL)
-            ).attach()
-            try:
-                assert attached.num_nodes == kernel.num_nodes
-                np.testing.assert_array_equal(
-                    attached.intern(probe), kernel.intern(probe)
-                )
-                np.testing.assert_array_equal(
-                    attached.feature_rows(probe), kernel.feature_rows(probe)
-                )
-            finally:
-                attached.close()
-        finally:
-            lease.close()
-
-    def test_phase2_handle_is_small(self):
-        workload = make_workload("tiny", seed=0)
-        kernel = Phase2Kernel.compile(
-            workload.dataset.features, workload.dataset.interactions
-        )
-        with SharedPhase2Kernel.publish(kernel) as lease:
-            assert handle_nbytes(lease.handle) < 4096
-
-
-# -------------------------------------------------------- cost calibration
-class TestTransportCalibration:
-    def test_from_measurements_and_speedup(self):
-        calibration = TransportCalibration.from_measurements(
-            pickle_seconds=2.0,
-            attach_seconds=0.01,
-            publish_seconds=0.5,
-            graph_bytes=10_000_000,
-            handle_bytes=400,
-        )
-        assert calibration.attach_speedup == pytest.approx(200.0)
-        assert calibration.worker_startup_seconds("pickle") == 2.0
-        assert calibration.fleet_startup_seconds("pickle", 10) == 20.0
-        assert calibration.fleet_startup_seconds("shm", 10) == pytest.approx(0.6)
-
-    def test_validation(self):
-        with pytest.raises(ModelConfigError):
-            TransportCalibration.from_measurements(-1.0, 0.1)
-        with pytest.raises(ModelConfigError):
-            TransportCalibration(1.0, 0.1, graph_bytes=-5).validate()
-        with pytest.raises(ModelConfigError):
-            TransportCalibration(1.0, 0.1).worker_startup_seconds("carrier")
-        with pytest.raises(ModelConfigError):
-            TransportCalibration(1.0, 0.1).fleet_startup_seconds("shm", 0)
-
-    def test_cost_model_startup_projection(self):
-        calibration = TransportCalibration.from_measurements(
-            pickle_seconds=3.6, attach_seconds=0.036, publish_seconds=3.6
-        )
-        model = CostModel(transport=calibration)
-        cluster = ClusterSpec(num_servers=10, cores_per_server=10)
-        pickle_hours = model.startup_overhead_hours("pickle", cluster)
-        shm_hours = model.startup_overhead_hours("shm", cluster)
-        assert pickle_hours == pytest.approx(0.1)
-        assert shm_hours == pytest.approx((0.036 * 100 + 3.6) / 3600.0)
-        assert shm_hours < pickle_hours
-
-    def test_cost_model_requires_calibration(self):
-        with pytest.raises(ModelConfigError):
-            CostModel().startup_overhead_hours("shm", ClusterSpec())
-
-    @needs_shm
-    def test_measure_transport_on_real_dataset(self):
-        dataset = make_workload("tiny", seed=0).dataset
-        calibration = measure_transport(dataset)
-        calibration.validate()
-        assert calibration.graph_bytes > calibration.handle_bytes > 0
-        assert calibration.handle_bytes < 4096

@@ -31,6 +31,7 @@ from repro.exceptions import (
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_figure7_network
 from repro.graph.shm import SharedCSRGraph, handle_nbytes, shm_supported
+from repro.lint.config import default_config
 from repro.runtime import FakeClock, Fault, FaultPlan, RetryPolicy
 from repro.runtime.faultinject import PermanentInjectedError
 from repro.runtime.supervisor import (
@@ -411,6 +412,27 @@ class TestPooledLoop:
             with pytest.raises(RetryExhaustedError) as info:
                 supervisor.run(TASKS, SupervisionReport())
         assert isinstance(info.value.cause, WorkerCrashError)
+
+
+# --------------------------------------------------------------- lint scope
+class TestLintScope:
+    def test_mp_rules_cover_the_supervised_runtime(self):
+        config = default_config()
+        for rule in ("MP001", "MP003"):
+            assert config.applies_to(rule, "src/repro/runtime/executor.py")
+            assert config.applies_to(rule, "src/repro/runtime/supervisor.py")
+
+    def test_pinned_entries_survive_scope_narrowing(self):
+        """The explicit file entries keep the MP rules on the supervisor and
+        its executor even if the broad src/repro prefix is dropped."""
+        config = default_config().with_scope(
+            "MP001",
+            "src/repro/runtime/executor.py",
+            "src/repro/runtime/supervisor.py",
+        )
+        assert config.applies_to("MP001", "src/repro/runtime/executor.py")
+        assert config.applies_to("MP001", "src/repro/runtime/supervisor.py")
+        assert not config.applies_to("MP001", "src/repro/core/pipeline.py")
 
 
 # ------------------------------------------------------ pooled loop, for real
