@@ -5,19 +5,19 @@ from __future__ import annotations
 from collections import deque
 
 from repro.graph.graph import Graph
-from repro.types import Node
+from repro.types import Node, node_key
 
 
 def connected_components(graph: Graph) -> list[set[Node]]:
     """Return the connected components of ``graph`` as a list of node sets.
 
-    Components are returned in order of first discovery (insertion order of
-    their smallest-indexed discovered node), which keeps the output
-    deterministic for a deterministic graph construction order.
+    Components are returned in canonical order — by their smallest member
+    under :data:`repro.types.node_key` — so the output is a function of the
+    graph's value, not of how it was constructed.
     """
     seen: set[Node] = set()
     components: list[set[Node]] = []
-    for start in graph.nodes():
+    for start in sorted(graph.nodes(), key=node_key):
         if start in seen:
             continue
         component: set[Node] = {start}

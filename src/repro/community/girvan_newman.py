@@ -23,7 +23,7 @@ from repro.community.connected import connected_components
 from repro.community.modularity import modularity
 from repro.exceptions import CommunityError
 from repro.graph.graph import Graph
-from repro.types import Node
+from repro.types import Node, edge_key, node_key
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def girvan_newman_levels(graph: Graph) -> Iterator[list[set[Node]]]:
         # depending on summation order) resolve identically across the dict
         # and CSR backends.
         target = max(
-            betweenness.items(), key=lambda kv: (round(kv[1], 9), repr(kv[0]))
+            betweenness.items(), key=lambda kv: (round(kv[1], 9), edge_key(kv[0]))
         )[0]
         working.remove_edge(*target)
         components = connected_components(working)
@@ -114,7 +114,9 @@ def girvan_newman(
     if graph.num_nodes == 0:
         return GirvanNewmanResult(communities=(), modularity=0.0, levels_explored=0)
     if graph.num_edges == 0:
-        singleton = tuple(frozenset([node]) for node in graph.nodes())
+        singleton = tuple(
+            frozenset([node]) for node in sorted(graph.nodes(), key=node_key)
+        )
         return GirvanNewmanResult(
             communities=singleton, modularity=0.0, levels_explored=1
         )

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 
 from repro.graph.graph import Graph
-from repro.types import Node
+from repro.types import Node, node_key
 
 
 def label_propagation_communities(
@@ -34,8 +34,10 @@ def label_propagation_communities(
     tuple of frozenset
         The detected communities (a partition of the node set).
     """
-    labels: dict[Node, int] = {node: index for index, node in enumerate(graph.nodes())}
-    nodes = list(graph.nodes())
+    # Initial label ids and the pre-shuffle visit order follow the canonical
+    # node key, so the result depends on the graph's value and the seed only.
+    nodes = sorted(graph.nodes(), key=node_key)
+    labels: dict[Node, int] = {node: index for index, node in enumerate(nodes)}
     rng = random.Random(seed)
 
     for _ in range(max_iterations):

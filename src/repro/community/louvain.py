@@ -12,7 +12,7 @@ import random
 from typing import Hashable
 
 from repro.graph.graph import Graph
-from repro.types import Node
+from repro.types import Node, node_key
 
 
 def louvain_communities(
@@ -21,20 +21,21 @@ def louvain_communities(
     """Detect communities by greedy modularity optimisation.
 
     Returns a partition of the original node set.  Deterministic for a fixed
-    ``seed`` and graph construction order.
+    ``seed`` and graph value: nodes enter in canonical-key order, and every
+    later accumulation is over integer-valued weights.
     """
     if graph.num_nodes == 0:
         return ()
+    nodes = sorted(graph.nodes(), key=node_key)
     if graph.num_edges == 0:
-        return tuple(frozenset([node]) for node in graph.nodes())
+        return tuple(frozenset([node]) for node in nodes)
 
     # Weighted adjacency for aggregated levels; level 0 weights are all 1.
     adjacency: dict[Hashable, dict[Hashable, float]] = {
-        node: {neighbor: 1.0 for neighbor in graph.neighbors(node)}
-        for node in graph.nodes()
+        node: {neighbor: 1.0 for neighbor in graph.neighbors(node)} for node in nodes
     }
     # Each "super node" maps to the original nodes it contains.
-    contents: dict[Hashable, set[Node]] = {node: {node} for node in graph.nodes()}
+    contents: dict[Hashable, set[Node]] = {node: {node} for node in nodes}
     rng = random.Random(seed)
 
     for _ in range(max_levels):
@@ -80,8 +81,7 @@ def _one_level(
                 community_degree[current] * degree[node] / (2.0 * total_weight)
             )
             # Candidates are scanned in ascending community id so the winner
-            # does not depend on dict insertion order; the CSR backend scans
-            # the same ascending order over its bincount-ed gains.
+            # does not depend on dict insertion order.
             for candidate, link_weight in sorted(links.items()):
                 gain = link_weight - (
                     community_degree.get(candidate, 0.0)

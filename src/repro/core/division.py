@@ -20,16 +20,10 @@ from repro.community.label_propagation import label_propagation_communities
 from repro.community.louvain import louvain_communities
 from repro.core.tightness import community_tightness
 from repro.exceptions import PipelineError
-from repro.graph.csr import (
-    CSRGraph,
-    DenseEgoNet,
-    dense_ego_net,
-    ego_network_ordered,
-    girvan_newman_dense,
-)
+from repro.graph.csr import CSRGraph, DenseEgoNet, dense_ego_net, girvan_newman_dense
 from repro.graph.ego import ego_network
 from repro.graph.graph import Graph
-from repro.types import Node
+from repro.types import Node, node_key
 
 BACKENDS = ("auto", "dict", "csr")
 """Valid Phase I graph backends: pure-Python dict-of-sets, NumPy CSR kernels,
@@ -63,7 +57,9 @@ class LocalCommunity:
     tightness:
         Per-member tightness values (Equation 3) within this community.
     index:
-        Position of the community within the ego's community list.
+        Position of the community within the ego's community list, which is
+        ordered by each community's smallest member under
+        :data:`repro.types.node_key`.
     """
 
     ego: Node
@@ -76,7 +72,7 @@ class LocalCommunity:
         return len(self.members)
 
     def members_by_tightness(self) -> list[Node]:
-        """Members sorted by decreasing tightness (ties broken by repr for determinism).
+        """Members sorted by decreasing tightness (ties broken by ``node_key``).
 
         The ordering is computed once and cached, so the repeated Phase II
         calls (feature matrices, statistic vectors, CNN tensors) pay one
@@ -85,7 +81,7 @@ class LocalCommunity:
         cached = self.__dict__.get("_ordered_members")
         if cached is None:
             cached = sorted(
-                self.members, key=lambda node: (-self.tightness[node], repr(node))
+                self.members, key=lambda node: (-self.tightness[node], node_key(node))
             )
             object.__setattr__(self, "_ordered_members", cached)
         return list(cached)
@@ -115,13 +111,14 @@ class DivisionResult:
 
         Backed by a lazily-built per-ego ``member -> community`` index, so
         Phase III's two lookups per edge are O(1) dict probes instead of a
-        scan over the ego's community list.  If a member appears in two
-        communities the first community in list order wins, matching the
-        original scan.  The cache entry is keyed on the identity and length
-        of the ego's community list, so reassigning the list or changing its
-        length invalidates it automatically; any length-preserving in-place
-        mutation (replacing an element, pop-then-append) is invisible to the
-        key and requires an explicit :meth:`invalidate_index`.
+        scan over the ego's community list.  The built-in detectors emit
+        partitions; if a custom detector's blocks overlap on a member, the
+        community with the lower ``index`` wins.  The cache entry is keyed on
+        the identity and length of the ego's community list, so reassigning
+        the list or changing its length invalidates it automatically; any
+        length-preserving in-place mutation (replacing an element,
+        pop-then-append) is invisible to the key and requires an explicit
+        :meth:`invalidate_index`.
         """
         communities = self.communities_by_ego.get(ego)
         length = len(communities) if communities is not None else 0
@@ -143,9 +140,14 @@ class DivisionResult:
         self._member_index.clear()
 
     def all_communities(self) -> Iterator[LocalCommunity]:
-        """Iterate over every local community from every ego network."""
-        for communities in self.communities_by_ego.values():
-            yield from communities
+        """Iterate over every local community, by ``(node_key(ego), index)``.
+
+        Training rows and scoring batches inherit this order, so neither the
+        order shards were merged in nor the position an update appended an
+        ego at reaches a model.
+        """
+        for ego in sorted(self.communities_by_ego, key=node_key):
+            yield from self.communities_by_ego[ego]
 
     @property
     def num_egos(self) -> int:
@@ -201,6 +203,23 @@ def get_detector(name: str) -> DetectorFn:
         ) from None
 
 
+def _ego_divider(
+    graph: Graph | CSRGraph, detector: DetectorFn | str, backend: str
+) -> Callable[[Node], list[LocalCommunity]]:
+    """Resolve the Phase I route once; the returned callable divides one ego.
+
+    Only Girvan-Newman has a CSR kernel.  Every other detector (and any
+    callable) runs the dict path on either backend, so a :class:`CSRGraph`
+    headed there is materialised here, once per call — never once per ego.
+    """
+    if resolve_backend(backend) == "csr" and detector == "girvan_newman":
+        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+        return lambda ego: _divide_ego_csr(csr, ego)
+    source = graph.to_graph() if isinstance(graph, CSRGraph) else graph
+    detect = get_detector(detector) if isinstance(detector, str) else detector
+    return lambda ego: _detect_communities(ego_network(source, ego), ego, detect)
+
+
 def divide_ego(
     graph: Graph,
     ego: Node,
@@ -214,18 +233,13 @@ def divide_ego(
     through the vectorized kernels; for repeated calls prefer :func:`divide`,
     which builds the CSR snapshot once for all egos.
     """
-    if resolve_backend(backend) == "csr":
-        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-        return _divide_ego_csr(csr, ego, detector)
-    return _detect_communities(ego_network(graph, ego), ego, detector)
+    return _ego_divider(graph, detector, backend)(ego)
 
 
 def _detect_communities(
-    ego_net: Graph, ego: Node, detector: DetectorFn | str
+    ego_net: Graph, ego: Node, detector: DetectorFn
 ) -> list[LocalCommunity]:
     """Run ``detector`` on a dict-backend ego network and score tightness."""
-    if isinstance(detector, str):
-        detector = get_detector(detector)
     if ego_net.num_nodes == 0:
         return []
     communities: list[LocalCommunity] = []
@@ -244,38 +258,26 @@ def _detect_communities(
     return communities
 
 
-def _divide_ego_csr(csr, ego: Node, detector: DetectorFn | str) -> list[LocalCommunity]:
-    """Phase I for one ego on the CSR backend.
-
-    Girvan-Newman (the paper's detector) runs entirely on the flat local
-    arrays; other detectors and custom callables fall back to the
-    dict-backend code path on an identically-constructed ego network, so
-    every configuration produces results identical to ``backend="dict"``.
-    """
-    if detector == "girvan_newman":
-        net = dense_ego_net(csr, ego)
-        if net.num_nodes == 0:
-            return []
-        blocks = girvan_newman_dense(net)
-        neighbors = _neighbor_lists(net)
-        communities = []
-        for index, block in enumerate(blocks):
-            if not block:
-                continue
-            communities.append(
-                LocalCommunity(
-                    ego=ego,
-                    members=frozenset(net.labels[i] for i in block),
-                    tightness=_block_tightness(net.labels, neighbors, block),
-                    index=index,
-                )
+def _divide_ego_csr(csr: CSRGraph, ego: Node) -> list[LocalCommunity]:
+    """Girvan-Newman (the paper's detector) for one ego, entirely on the
+    flat local arrays; results are identical to ``backend="dict"``."""
+    net = dense_ego_net(csr, ego)
+    if net.num_nodes == 0:
+        return []
+    neighbors = _neighbor_lists(net)
+    communities = []
+    for index, block in enumerate(girvan_newman_dense(net)):
+        if not block:
+            continue
+        communities.append(
+            LocalCommunity(
+                ego=ego,
+                members=frozenset(net.labels[i] for i in block),
+                tightness=_block_tightness(net.labels, neighbors, block),
+                index=index,
             )
-        return communities
-
-    # Non-GN detectors: extract the ego network exactly as the dict backend
-    # does (preserving its node iteration order, which order-sensitive
-    # detectors like Louvain observe), then detect.
-    return _divide_ego_csr_fallback(csr, ego, detector)
+        )
+    return communities
 
 
 def _neighbor_lists(net: DenseEgoNet) -> list[list[int]]:
@@ -316,27 +318,14 @@ def _block_tightness(
     return values
 
 
-def _divide_ego_csr_fallback(csr, ego: Node, detector: DetectorFn | str):
-    """Dict-backend detection path used by the CSR backend for non-GN detectors."""
-    if csr._source is not None:
-        ego_net = ego_network(csr._source, ego)
-    elif csr._neighbor_order is not None:
-        # Detached graph (shared-memory attach, binary spill): replay the
-        # dict backend's exact construction sequence so set-order dependent
-        # detectors stay bit-identical to the clean serial run.
-        ego_net = ego_network_ordered(csr, ego)
-    else:
-        ego_net = ego_network(csr.to_graph(), ego)
-    return _detect_communities(ego_net, ego, detector)
-
-
 def divide(
     graph: Graph,
     egos: Iterable[Node] | None = None,
     detector: DetectorFn | str = "girvan_newman",
     backend: str = "auto",
 ) -> DivisionResult:
-    """Run Phase I for every ego in ``egos`` (default: every node of the graph).
+    """Run Phase I for every ego in ``egos`` (default: every node of the graph,
+    in :data:`repro.types.node_key` order).
 
     The per-ego work is embarrassingly parallel; :mod:`repro.runtime` shards
     this same function across workers for the scalability experiments.
@@ -349,22 +338,7 @@ def divide(
         CSR.  Both backends produce identical communities and tightness
         values.
     """
-    resolved = resolve_backend(backend)
-    if resolved == "csr":
-        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-        if egos is None:
-            egos = list(csr.nodes())
-        result = DivisionResult()
-        for ego in egos:
-            result.communities_by_ego[ego] = _divide_ego_csr(csr, ego, detector)
-        return result
-    if not isinstance(graph, Graph):  # CSRGraph handed to the dict backend
-        graph = graph._source if graph._source is not None else graph.to_graph()
-    if isinstance(detector, str):
-        detector = get_detector(detector)
+    divide_one = _ego_divider(graph, detector, backend)
     if egos is None:
-        egos = list(graph.nodes())
-    result = DivisionResult()
-    for ego in egos:
-        result.communities_by_ego[ego] = divide_ego(graph, ego, detector)
-    return result
+        egos = sorted(graph.nodes(), key=node_key)
+    return DivisionResult({ego: divide_one(ego) for ego in egos})

@@ -71,6 +71,7 @@ from repro.types import (
     Node,
     RelationType,
     canonical_edge,
+    node_key,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
@@ -283,7 +284,9 @@ class LoCEC:
     def _derive_training_set(
         self, empty_message: str
     ) -> tuple[list[LocalCommunity], list[int]]:
-        """Communities of the current division with a derivable label."""
+        """Communities of the current division with a derivable label, in
+        :meth:`DivisionResult.all_communities` order — ``(node_key(ego),
+        index)`` — so the training rows are a function of the inputs' value."""
         communities, labels = labeled_communities(
             self.division_, EdgeLabelIndex(self._labeled_edges), min_labeled_members=1
         )
@@ -416,7 +419,9 @@ class LoCEC:
         Re-adding an existing edge is legal.  Failures *after* validation —
         an executor error under ``on_shard_failure="raise"``, a diverged
         refit, "update removed every labeled community" — can still leave a
-        half-applied update; staging those is ROADMAP item 2.
+        half-applied update; staging those is the ROADMAP item "Failure-atomic
+        updates, a model-based serving test, and the paper's shape under a
+        gate".
 
         Returns an :class:`UpdateReport`; ``fault_plan`` injects
         deterministic re-division faults (chaos tests).
@@ -514,7 +519,7 @@ class LoCEC:
     def _apply_graph_deltas(
         self, added_edges: Sequence[Edge], removed_edges: Sequence[Edge]
     ) -> list[Node]:
-        """Mutate the graph; return the egos to re-divide, in node order.
+        """Mutate the graph; return the egos to re-divide, in canonical order.
 
         A changed edge ``(a, b)`` dirties ``{a, b} ∪ (N(a) ∩ N(b))``.  Egos
         outside the fitted division (subset fits) stay un-divided; nodes
@@ -529,11 +534,10 @@ class LoCEC:
         dirty_egos: set[Node] = set()
         for u, v in (*added_edges, *removed_edges):
             dirty_egos.update((u, v), graph.neighbors(u) & graph.neighbors(v))
-        return [
-            ego
-            for ego in graph.nodes()
-            if ego in dirty_egos and (ego in fitted_egos or ego in new_nodes)
-        ]
+        return sorted(
+            (ego for ego in dirty_egos if ego in fitted_egos or ego in new_nodes),
+            key=node_key,
+        )
 
     def _redivide(
         self, dirty_egos: list[Node], fault_plan: "FaultPlan | None"

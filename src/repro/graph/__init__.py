@@ -37,12 +37,9 @@ from repro.graph.features import NodeFeatureStore
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
 from repro.graph.io import (
-    csr_npz_fingerprint,
-    load_csr_npz,
     load_dataset_json,
     read_edge_list,
     read_labeled_edges,
-    save_csr_npz,
     save_dataset_json,
     write_edge_list,
     write_labeled_edges,
@@ -77,7 +74,4 @@ __all__ = [
     "write_labeled_edges",
     "save_dataset_json",
     "load_dataset_json",
-    "save_csr_npz",
-    "load_csr_npz",
-    "csr_npz_fingerprint",
 ]

@@ -15,9 +15,6 @@ product route selects it:
   :class:`DenseEgoNet` edge arrays the GN engine runs on.
 * :func:`girvan_newman_dense` — the full GN dendrogram sweep on those
   arrays, partitions identical to :func:`repro.community.girvan_newman`.
-* :func:`neighbor_order_array` / :func:`ego_network_ordered` — the
-  dict-backend iteration orders, carried across process and disk
-  boundaries so non-GN detectors stay bit-identical on detached graphs.
 * :func:`edge_betweenness_csr` — the all-pairs Brandes kernel (every
   source at once, one matrix product per BFS level) that the GN engine
   uses on large components, exposed whole-graph as its test handle.
@@ -39,14 +36,12 @@ import numpy as np
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.graph import Graph
-from repro.types import Edge, Node, canonical_edge
+from repro.types import Edge, Node, canonical_edge, node_key
 
 __all__ = [
     "CSRGraph",
     "DenseEgoNet",
     "dense_ego_net",
-    "neighbor_order_array",
-    "ego_network_ordered",
     "edge_betweenness_csr",
     "girvan_newman_dense",
 ]
@@ -65,40 +60,15 @@ class CSRGraph:
     arrays first — ego networks are tiny, the global graph is not.
     """
 
-    __slots__ = (
-        "indptr",
-        "indices",
-        "_nodes",
-        "_index",
-        "_source",
-        "_neighbor_order",
-        "spill_identity",
-    )
+    __slots__ = ("indptr", "indices", "_nodes", "_index")
 
     def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        nodes: list[Node],
-        source: Graph | None = None,
+        self, indptr: np.ndarray, indices: np.ndarray, nodes: list[Node]
     ) -> None:
         self.indptr = indptr
         self.indices = indices
         self._nodes = nodes
         self._index: dict[Node, int] = {node: i for i, node in enumerate(nodes)}
-        # Optional handle on the dict-backend graph this CSR was built from;
-        # used to mirror its set-iteration orderings exactly so both backends
-        # emit communities in identical order (index parity in Phase I).
-        self._source = source
-        # Detached stand-in for ``_source``'s orderings: a permutation array
-        # aligned with ``indices`` (see :func:`neighbor_order_array`) carried
-        # by graphs that crossed a process or disk boundary and left their
-        # source behind (shared-memory attach, binary spill).
-        self._neighbor_order: np.ndarray | None = None
-        # Identity of the on-disk spill this graph was loaded from
-        # (``path|size|sha256``, see ``repro.graph.io.csr_npz_fingerprint``);
-        # the shard checkpoint store folds it into its fingerprints.
-        self.spill_identity: str | None = None
 
     # -------------------------------------------------------------- builders
     @classmethod
@@ -124,7 +94,7 @@ class CSRGraph:
             row.sort()
             indices[cursor : cursor + row.size] = row
             cursor += row.size
-        return cls(indptr, indices, nodes, source=graph)
+        return cls(indptr, indices, nodes)
 
     @classmethod
     def from_edges(
@@ -136,24 +106,8 @@ class CSRGraph:
         return cls.from_graph(Graph(edges=edges, nodes=nodes))
 
     def to_graph(self) -> Graph:
-        """Materialise the equivalent dict-backend :class:`Graph`.
-
-        A graph detached from its source but carrying a neighbour-order
-        permutation (shared-memory attach, binary spill) fills each
-        adjacency set in the source's own iteration order, so set-order
-        dependent consumers (the non-GN detector fallback) observe the
-        same orderings the original dict backend would.
-        """
+        """Materialise the equivalent dict-backend :class:`Graph`."""
         graph = Graph(nodes=self._nodes)
-        order = self._neighbor_order
-        if order is not None:
-            for i, u in enumerate(self._nodes):
-                start, end = int(self.indptr[i]), int(self.indptr[i + 1])
-                row = self.indices[start:end][order[start:end]]
-                adjacency = graph._adj[u]
-                for j in row.tolist():
-                    adjacency.add(self._nodes[j])
-            return graph
         for i, u in enumerate(self._nodes):
             for j in self._row(i):
                 if i < j:
@@ -294,16 +248,11 @@ class DenseEgoNet:
     ----------
     labels:
         Local index -> node label (the ego's friends, ascending global index).
-    order:
-        Local indices in the iteration order the dict backend would use
-        (the friends *set* order) so component discovery order — and hence
-        :class:`LocalCommunity.index` — matches across backends.
     eu, ev:
         Endpoint index arrays of the ego-net edges (``eu < ev``).
     """
 
     labels: list[Node]
-    order: list[int]
     eu: np.ndarray
     ev: np.ndarray
 
@@ -340,81 +289,7 @@ def dense_ego_net(csr: CSRGraph, ego: Node) -> DenseEgoNet:
         eu, ev = seg[upper], local[upper]
     else:
         eu = ev = np.empty(0, dtype=np.int64)
-    order = _dict_backend_order(csr, ego, labels)
-    return DenseEgoNet(labels=labels, order=order, eu=eu, ev=ev)
-
-
-def _dict_backend_order(csr: CSRGraph, ego: Node, labels: list[Node]) -> list[int]:
-    """Local indices in the order the dict backend iterates the friend set."""
-    if csr._source is not None:
-        local = {label: i for i, label in enumerate(labels)}
-        return [local[label] for label in csr._source.neighbors(ego)]
-    if csr._neighbor_order is not None:
-        e = csr.index_of(ego)
-        start, end = int(csr.indptr[e]), int(csr.indptr[e + 1])
-        return [int(pos) for pos in csr._neighbor_order[start:end]]
-    return list(range(len(labels)))
-
-
-def neighbor_order_array(csr: CSRGraph) -> np.ndarray | None:
-    """Permutation mapping sorted CSR rows back to dict-set iteration order.
-
-    ``order[indptr[i] + j]`` is the position *within the sorted row* of node
-    ``i``'s ``j``-th neighbour as the source :class:`Graph` iterates its
-    adjacency set.  The array is what lets a :class:`CSRGraph` detached from
-    its source — a shared-memory attach in a worker, a binary spill loaded
-    from disk — keep emitting communities in the dict backend's order
-    (:func:`_dict_backend_order`, :meth:`CSRGraph.to_graph`).  ``None`` when
-    the graph has neither a source nor a previously captured order.
-    """
-    if csr._neighbor_order is not None:
-        return csr._neighbor_order
-    if csr._source is None:
-        return None
-    order = np.empty(csr.indices.size, dtype=np.int32)
-    for i, node in enumerate(csr._nodes):
-        start = int(csr.indptr[i])
-        count = int(csr.indptr[i + 1]) - start
-        row = np.fromiter(
-            (csr._index[other] for other in csr._source.neighbors(node)),
-            count=count,
-            dtype=np.int64,
-        )
-        perm = np.argsort(row, kind="stable")
-        ranks = np.empty(count, dtype=np.int32)
-        ranks[perm] = np.arange(count, dtype=np.int32)
-        order[start : start + count] = ranks
-    return order
-
-
-def ego_network_ordered(csr: CSRGraph, ego: Node) -> Graph:
-    """Ego network of ``ego`` replaying the dict backend's construction.
-
-    Requires a ``_neighbor_order`` permutation (graphs attached from shared
-    memory or loaded from a binary spill).  Visits friends and their
-    neighbours in exactly the sequence :func:`repro.graph.ego.ego_network`
-    does over the source graph, so the resulting :class:`Graph` has
-    *identical* dict and set insertion histories — and therefore identical
-    iteration orders, which order-sensitive detectors (label propagation,
-    Louvain) observe.  This is what keeps non-GN division over a detached
-    graph bit-identical to the clean serial run.
-    """
-    order = csr._neighbor_order
-    assert order is not None, "ego_network_ordered needs a neighbor order"
-    e = csr.index_of(ego)
-    start, end = int(csr.indptr[e]), int(csr.indptr[e + 1])
-    friends = csr.indices[start:end][order[start:end]].tolist()
-    friend_set = set(friends)
-    labels = csr._nodes
-    ego_net = Graph(nodes=(labels[j] for j in friends))
-    for j in friends:
-        fstart, fend = int(csr.indptr[j]), int(csr.indptr[j + 1])
-        row = csr.indices[fstart:fend][order[fstart:fend]]
-        friend_label = labels[j]
-        for k in row.tolist():
-            if k in friend_set and k != j:
-                ego_net.add_edge(friend_label, labels[k])
-    return ego_net
+    return DenseEgoNet(labels=labels, eu=eu, ev=ev)
 
 
 # ======================================================================
@@ -637,27 +512,28 @@ class _GNEngine:
     removes bridges first, so components shrink quickly).  Results are
     identical to ``girvan_newman_levels``: values are quantized to 9 decimals
     before the argmax on both backends, which absorbs the summation-order
-    ulps, and partitions are emitted in the same discovery order.
+    ulps, and both emit the blocks of a partition in canonical order — by
+    their smallest member under :data:`repro.types.node_key` — which is also
+    the order modularity is accumulated in.
     """
 
     def __init__(self, net: DenseEgoNet) -> None:
         k = net.num_nodes
-        self.net = net
         self.k = k
+        # Per-label keys are computed once: they rank the nodes (a local
+        # index is the graph's insertion order, not a value order) and spell
+        # edge_key(canonical_edge(u, v)) below without building tuples.
+        label_keys = [node_key(label) for label in net.labels]
         self.position = [0] * k
-        for pos, node in enumerate(net.order):
+        for pos, node in enumerate(sorted(range(k), key=label_keys.__getitem__)):
             self.position[node] = pos
         eu = net.eu.tolist()
         ev = net.ev.tolist()
         self.edge_u = eu
         self.edge_v = ev
-        # repr(canonical_edge(u, v)) without building tuples: a pair's repr
-        # is "(<repr u>, <repr v>)" with the two reprs in sorted order, and
-        # per-label reprs are computed once instead of per edge.
-        label_reprs = [repr(label) for label in net.labels]
         self.edge_repr = []
         for u, v in zip(eu, ev):
-            ru, rv = label_reprs[u], label_reprs[v]
+            ru, rv = label_keys[u], label_keys[v]
             if rv < ru:
                 ru, rv = rv, ru
             self.edge_repr.append(f"({ru}, {rv})")
@@ -690,7 +566,7 @@ class _GNEngine:
     # ------------------------------------------------------------ components
     def _init_components(self) -> None:
         seen = [False] * self.k
-        for start in self.net.order:
+        for start in range(self.k):
             if seen[start]:
                 continue
             members = [start]
@@ -729,7 +605,7 @@ class _GNEngine:
         return comp_id
 
     def _partition(self) -> list[list[int]]:
-        """Current components in dict-backend discovery order."""
+        """Current components, ordered by their smallest member's key."""
         ordered = sorted(self.comps.values(), key=lambda comp: comp.min_pos)
         self._ordered_comps = ordered
         return [comp.nodes for comp in ordered]
@@ -1021,11 +897,12 @@ class _GNEngine:
 def girvan_newman_dense(net: DenseEgoNet) -> list[list[int]]:
     """Best-modularity GN partition of a dense ego net.
 
-    Returns the blocks as local index lists in the dict backend's
-    discovery order.
+    Returns the blocks as local index lists, ordered by their smallest
+    member's :data:`repro.types.node_key`.
     """
     if net.num_edges == 0:
-        return [[i] for i in net.order]
+        by_key = sorted(range(net.num_nodes), key=lambda i: node_key(net.labels[i]))
+        return [[i] for i in by_key]
     engine = _GNEngine(net)
     best_blocks: list[list[int]] = []
     best_q = float("-inf")

@@ -27,7 +27,7 @@ from repro.exceptions import (
 from repro.graph.features import NodeFeatureStore
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
-from repro.types import LabeledEdge, RelationType
+from repro.types import LabeledEdge, RelationType, canonical_edge
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
@@ -125,7 +125,7 @@ def _parse_edge_line(
             raise NonFiniteWeightError(
                 path, lineno, f"non-finite edge weight {parts[2]!r}"
             )
-    key = (u, v) if repr(u) <= repr(v) else (v, u)
+    key = canonical_edge(u, v)
     if key in seen:
         raise DuplicateEdgeError(
             path, lineno, f"duplicate edge {u!r}-{v!r}"
@@ -197,7 +197,7 @@ def _parse_labeled_line(
         raise MalformedLineError(
             path, lineno, f"unknown relation type {parts[2]!r}"
         ) from None
-    key = (u, v) if repr(u) <= repr(v) else (v, u)
+    key = canonical_edge(u, v)
     if key in seen:
         raise DuplicateEdgeError(path, lineno, f"duplicate labeled edge {u!r}-{v!r}")
     seen.add(key)
@@ -290,154 +290,3 @@ def _decode_node(token: str) -> object:
         return int(token)
     except (TypeError, ValueError):
         return token
-
-
-# ------------------------------------------------------------- binary CSR
-CSR_SPILL_VERSION = 1
-"""Version stamp of the out-of-core CSR container (the ``format`` member)."""
-
-
-def save_csr_npz(graph, path):
-    """Spill a graph to disk as an uncompressed ``.npz`` CSR container.
-
-    Members: ``format`` (version + label encoding flag), ``indptr``/
-    ``indices`` (the CSR arrays, written with their in-memory dtypes so the
-    round trip is bit-identical), ``labels`` (node labels — an ``int64``
-    column for all-int graphs, otherwise a pickled blob in ``uint8``) and,
-    when the graph knows its dict-backend orderings, ``order`` (the
-    :func:`repro.graph.csr.neighbor_order_array` permutation, so a loaded
-    spill emits communities in the same order the source graph would).
-
-    The container is plain ``np.savez`` **without compression**: every
-    member is ``ZIP_STORED``, which is what lets :func:`load_csr_npz` map
-    the big arrays straight off disk with ``mmap_mode="r"``.
-    """
-    from repro.graph.csr import CSRGraph, neighbor_order_array
-
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-    from repro.graph.shm import _encode_node_labels
-
-    labels, encoding = _encode_node_labels(list(csr.nodes()))
-    arrays = {
-        "format": np.array(
-            [CSR_SPILL_VERSION, 1 if encoding == "pickle" else 0], dtype=np.int64
-        ),
-        "indptr": csr.indptr,
-        "indices": csr.indices,
-        "labels": labels,
-    }
-    order = neighbor_order_array(csr)
-    if order is not None:
-        arrays["order"] = order
-    path = Path(path)
-    with path.open("wb") as handle:
-        np.savez(handle, **arrays)
-    return path
-
-
-def load_csr_npz(path, mmap_mode=None):
-    """Load a :func:`save_csr_npz` container back into a ``CSRGraph``.
-
-    With ``mmap_mode=None`` every array is materialised in RAM.  With
-    ``mmap_mode="r"`` the edge arrays (``indptr``/``indices``/``order``) are
-    ``np.memmap`` views straight into the file — ``np.load`` cannot mmap
-    *members* of an ``.npz``, so this locates each ``ZIP_STORED`` member's
-    data offset and maps it directly; node labels are always materialised
-    (the interner is a Python dict regardless).
-
-    The loaded graph carries ``spill_identity`` — ``path|size|sha256`` from
-    :func:`csr_npz_fingerprint` — which the shard checkpoint store folds
-    into its fingerprints so checkpoints never resume against a different
-    spill that happens to share a path.
-    """
-    from repro.graph.csr import CSRGraph
-    from repro.graph.shm import _decode_node_labels
-
-    if mmap_mode not in (None, "r"):
-        raise DatasetError(f"mmap_mode must be None or 'r', got {mmap_mode!r}")
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        fmt = np.asarray(data["format"])
-        if fmt.shape != (2,) or int(fmt[0]) != CSR_SPILL_VERSION:
-            raise DatasetError(
-                f"{path}: unsupported CSR spill container (format={fmt!r})"
-            )
-        encoding = "pickle" if int(fmt[1]) else "int64"
-        labels_array = np.asarray(data["labels"])
-        has_order = "order" in data.files
-        if mmap_mode is None:
-            indptr = np.asarray(data["indptr"])
-            indices = np.asarray(data["indices"])
-            order = np.asarray(data["order"]) if has_order else None
-    if mmap_mode == "r":
-        keys = ("indptr", "indices") + (("order",) if has_order else ())
-        mapped = _mmap_npz_members(path, keys)
-        indptr = mapped["indptr"]
-        indices = mapped["indices"]
-        order = mapped.get("order")
-    nodes = _decode_node_labels(labels_array, encoding)
-    graph = CSRGraph(indptr, indices, nodes)
-    graph._neighbor_order = order
-    graph.spill_identity = csr_npz_fingerprint(path)
-    return graph
-
-
-def csr_npz_fingerprint(path):
-    """Mtime-free identity of a spill file: ``path|size|sha256(content)``."""
-    import hashlib
-
-    path = Path(path)
-    digest = hashlib.sha256()
-    size = path.stat().st_size
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return f"{path.resolve()}|{size}|{digest.hexdigest()}"
-
-
-def _mmap_npz_members(path, keys):
-    """Read-only ``np.memmap`` views of selected ``.npz`` members.
-
-    Walks the zip directory, checks each requested member is stored
-    uncompressed, parses its local file header plus the ``.npy`` header it
-    wraps, and maps the raw array bytes at their absolute file offset.
-    """
-    import zipfile
-
-    from numpy.lib import format as npy_format
-
-    wanted = {f"{key}.npy": key for key in keys}
-    mapped = {}
-    with zipfile.ZipFile(path) as archive, path.open("rb") as handle:
-        for member, key in wanted.items():
-            info = archive.getinfo(member)
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise DatasetError(
-                    f"{path}: member {member!r} is compressed; "
-                    "mmap loading requires an uncompressed container"
-                )
-            handle.seek(info.header_offset)
-            local_header = handle.read(30)
-            if local_header[:4] != b"PK\x03\x04":
-                raise DatasetError(f"{path}: corrupt zip local header for {member!r}")
-            name_length = int.from_bytes(local_header[26:28], "little")
-            extra_length = int.from_bytes(local_header[28:30], "little")
-            handle.seek(info.header_offset + 30 + name_length + extra_length)
-            version = npy_format.read_magic(handle)
-            if version == (1, 0):
-                shape, fortran, dtype = npy_format.read_array_header_1_0(handle)
-            elif version == (2, 0):
-                shape, fortran, dtype = npy_format.read_array_header_2_0(handle)
-            else:
-                raise DatasetError(
-                    f"{path}: unsupported .npy version {version} in {member!r}"
-                )
-            mapped[key] = np.memmap(
-                path,
-                dtype=dtype,
-                mode="r",
-                offset=handle.tell(),
-                shape=shape,
-                order="F" if fortran else "C",
-            )
-    return mapped

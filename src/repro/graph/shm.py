@@ -15,11 +15,12 @@ the wire format:
   :meth:`ShmHandle.attach` maps the segments back into a fully functional
   :class:`CSRGraph` subclass with **zero** edge-array copies.
 
-Ordering parity: a published graph also ships the permutation produced by
-:func:`repro.graph.csr.neighbor_order_array`, so an attached graph — which
-has no ``_source`` dict graph to mirror — still emits communities in the
-dict backend's set-iteration order.  That is what keeps the PR 6 invariant
-(*any transport merges bit-identical to the clean serial run*) intact.
+No ordering side channel: Phase I division is a function of the graph's
+*value* (every order it decides comes from :data:`repro.types.node_key`),
+so an attached graph — three arrays and nothing else — divides exactly as
+the graph it was published from, and the PR 6 invariant (*any transport
+merges bit-identical to the clean serial run*) needs nothing shipped
+beside the CSR arrays and the node labels.
 
 Lifecycle rules (enforced by lint rule ``MP003``): segments are acquired
 only inside ``with`` blocks or ``try`` statements whose cleanup path calls
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, neighbor_order_array
+from repro.graph.csr import CSRGraph
 from repro.types import Node
 
 __all__ = [
@@ -205,7 +206,6 @@ class ShmHandle:
 
     segments: tuple[_SegmentSpec, ...]
     label_encoding: str
-    spill_identity: str | None = None
 
     def attach(self) -> "SharedCSRGraph":
         """Map the published arrays into this process as a live CSR graph."""
@@ -215,10 +215,6 @@ class ShmHandle:
             graph = SharedCSRGraph(
                 arrays["indptr"], arrays["indices"], nodes, segments=segments
             )
-            order = arrays.get("order")
-            if order is not None:
-                graph._neighbor_order = order
-            graph.spill_identity = self.spill_identity
         except BaseException:
             _release_segments(segments, unlink=False)
             raise
@@ -258,7 +254,7 @@ class SharedCSRGraph(CSRGraph):
         nodes: list[Node],
         segments: list[shared_memory.SharedMemory],
     ) -> None:
-        super().__init__(indptr, indices, nodes, source=None)
+        super().__init__(indptr, indices, nodes)
         self._segments = segments
         self._closed = False
 
@@ -266,26 +262,13 @@ class SharedCSRGraph(CSRGraph):
     def publish(cls, csr: CSRGraph) -> "ShmLease":
         """Copy ``csr``'s arrays into shared memory; returns the owning lease.
 
-        The lease's ``handle`` is the picklable worker payload.  The graph's
-        set-iteration orderings are captured into an ``order`` segment
-        (:func:`neighbor_order_array`) so attached copies keep emitting
-        communities in the dict backend's order.
+        The lease's ``handle`` is the picklable worker payload.
         """
-        arrays: dict[str, np.ndarray] = {
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-        }
         labels, encoding = _encode_node_labels(list(csr.nodes()))
-        arrays["nodes"] = labels
-        order = neighbor_order_array(csr)
-        if order is not None:
-            arrays["order"] = order
-        specs, segments = _publish_arrays(arrays)
-        handle = ShmHandle(
-            segments=specs,
-            label_encoding=encoding,
-            spill_identity=csr.spill_identity,
+        specs, segments = _publish_arrays(
+            {"indptr": csr.indptr, "indices": csr.indices, "nodes": labels}
         )
+        handle = ShmHandle(segments=specs, label_encoding=encoding)
         return ShmLease(handle=handle, _segments=segments)
 
     def close(self) -> None:
@@ -296,7 +279,6 @@ class SharedCSRGraph(CSRGraph):
         empty = np.empty(0, dtype=np.int32)
         self.indptr = empty
         self.indices = empty
-        self._neighbor_order = None
         segments, self._segments = self._segments, []
         _release_segments(segments, unlink=False)
 

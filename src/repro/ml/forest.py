@@ -54,7 +54,8 @@ away by ``max_bins`` quantile bins.  With the exact search presorted and
 feature-batched the two kernels cross at a few hundred rows — on the
 LoCEC-XGB design matrices (23 features, 40 rounds x 3 classes) exact fits
 154 rows ~2x *faster* than hist, ~1k rows ~1.5x slower and ~4k rows ~3x
-slower (table in ROADMAP item 1) — so hist still wins raw fit speed in
+slower (table in the ROADMAP item "The write path and Phase III: stop
+refitting what did not change") — so hist still wins raw fit speed in
 the upper part of the exact range.  The constant stays conservative on
 purpose: ``auto`` trades exactness for speed only where the win is
 decisive, and no benchmark workload sits between the two regimes to judge

@@ -196,12 +196,11 @@ class ShardedDivisionExecutor:
         }
         report = ExecutionReport(division=DivisionResult())
 
-        # A checkpoint belongs to one graph: spilled graphs (``load_csr_npz``)
-        # carry a content-addressed identity, in-memory ones are hashed by
-        # value — only when a store is opened, the hash is O(V + E).
+        # A checkpoint belongs to one graph, identified by value — hashed
+        # only when a store is opened, the hash is O(V + E).
         graph_id = None
         if self.resilience.checkpoint_dir or resume_from:
-            graph_id = getattr(graph, "spill_identity", None) or graph_value_digest(graph)
+            graph_id = graph_value_digest(graph)
         write_store = (
             ShardCheckpointStore(self.resilience.checkpoint_dir, graph_id=graph_id)
             if self.resilience.checkpoint_dir

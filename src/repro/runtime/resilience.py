@@ -40,6 +40,7 @@ from repro.exceptions import (
 )
 from repro.graph.graph import Graph
 from repro.runtime.sharding import Shard
+from repro.types import edge_key, node_key
 
 
 # --------------------------------------------------------------------- clock
@@ -129,18 +130,18 @@ class RetryPolicy:
 
 # ----------------------------------------------------------- checkpointing
 def graph_value_digest(graph: Graph) -> str:
-    """Identity of an in-memory graph's *value*: node set + canonical edge set.
+    """Identity of a graph's *value*: node set + canonical edge set.
 
-    Independent of insertion order, so an equal graph built another way
-    resumes from the same checkpoints while any edge or node change
-    invalidates them.  O((V + E) log) — computed only when a checkpoint
-    store is opened.
+    Independent of insertion order, so an equal graph built another way has
+    the same digest while any edge or node change invalidates the
+    checkpoints bound to it.  O((V + E) log) — computed only when a
+    checkpoint store is opened.
     """
     digest = hashlib.sha256()
-    for node in sorted(repr(node) for node in graph.nodes()):
+    for node in sorted(map(node_key, graph.nodes())):
         digest.update(node.encode("utf-8") + b"\n")
     digest.update(b"--\n")
-    for edge in sorted(repr(edge) for edge in graph.edges()):
+    for edge in sorted(map(edge_key, graph.edges())):
         digest.update(edge.encode("utf-8") + b"\n")
     return f"value|{digest.hexdigest()}"
 
@@ -152,12 +153,10 @@ def shard_fingerprint(
 
     The graph backend is deliberately excluded — backends are bit-identical
     by contract, so a checkpoint written under ``csr`` is valid for a resume
-    under ``dict`` and vice versa.  ``graph_id`` — the spill file identity
-    ``path|size|sha256`` from :func:`repro.graph.io.csr_npz_fingerprint`, or
-    :func:`graph_value_digest` for a graph that was never spilled — *is*
-    included when known: a checkpoint is only as trustworthy as the graph it
-    was computed from, so a rewritten spill at the same path, or an edge
-    change in memory, invalidates old checkpoints.
+    under ``dict`` and vice versa.  ``graph_id`` — the executor passes
+    :func:`graph_value_digest` — *is* included when known: a checkpoint is
+    only as trustworthy as the graph it was computed from, so any edge or
+    node change invalidates old checkpoints.
     """
     work: tuple[object, ...] = (shard.shard_id, shard.egos, detector)
     if graph_id is not None:
@@ -182,8 +181,8 @@ class ShardCheckpointStore:
     Writes are atomic (temp file + ``os.replace``) so a kill mid-write never
     leaves a truncated checkpoint that a resume would trust.  Loads validate
     the content fingerprint: a checkpoint written for different egos or a
-    different detector — or, when the store is bound to a spill file via
-    ``graph_id``, a different graph spill — is ignored, not reused.
+    different detector — or, when the store is bound to a graph via
+    ``graph_id``, a different graph — is ignored, not reused.
     """
 
     def __init__(self, directory: str | Path, graph_id: str | None = None) -> None:

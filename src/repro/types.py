@@ -164,6 +164,17 @@ class MomentsCategory(enum.Enum):
         }[self]
 
 
+node_key = repr
+"""The one canonical order on node labels.
+
+Wherever the library must *decide* an order — the endpoints of a canonical
+edge, communities within an ego, egos within a division, ties between equal
+scores — it sorts by this key, so every result is a function of its inputs'
+value and never of insertion history, set iteration order or hash seed.
+Distinct nodes must have distinct keys.
+"""
+
+
 def canonical_edge(u: Node, v: Node) -> Edge:
     """Return the canonical (sorted) representation of an undirected edge.
 
@@ -171,7 +182,12 @@ def canonical_edge(u: Node, v: Node) -> Edge:
     relationship.  Every map keyed by edges in the library uses this
     canonical form.
     """
-    return (u, v) if repr(u) <= repr(v) else (v, u)
+    return (u, v) if node_key(u) <= node_key(v) else (v, u)
+
+
+def edge_key(edge: Edge) -> str:
+    """Sort key of a canonical edge, spelled from its endpoints' keys."""
+    return f"({node_key(edge[0])}, {node_key(edge[1])})"
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,17 @@ def test_full_suite_runs_end_to_end_benchmark_smoke(workflow):
     assert "python -m pytest -q benchmarks/e2e/test_e2e_bench.py" in run
 
 
+def test_no_job_pins_the_hash_seed(workflow):
+    # Division is a function of the graph's value under any hash seed
+    # (tests/test_value_determinism.py divides a str-labelled graph under
+    # two of them), so a pin here could only hide an ordering leak.
+    scopes = [workflow, *workflow["jobs"].values()]
+    scopes += [step for job in workflow["jobs"].values() for step in job["steps"]]
+    for scope in scopes:
+        assert "PYTHONHASHSEED" not in scope.get("env", {})
+        assert "PYTHONHASHSEED" not in str(scope.get("run", ""))
+
+
 def test_perf_gate_runs_ratio_check(workflow):
     run = _steps_text(workflow["jobs"]["perf-gate"])
     assert "scripts/perf_report.py" in run

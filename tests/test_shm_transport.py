@@ -1,5 +1,5 @@
-"""Tests for the zero-copy transport stack: shared-memory CSR graphs,
-out-of-core npz spill, and the executor's transport plumbing.
+"""Tests for the zero-copy transport stack: shared-memory CSR graphs and
+the executor's transport plumbing.
 
 Covers the PR's hard invariants:
 
@@ -9,10 +9,10 @@ Covers the PR's hard invariants:
 * a pool run under any transport (``pickle``, ``shm``, ``auto``) merges to a
   :class:`DivisionResult` identical to the clean serial run — including on
   string-labeled graphs, where set iteration order is the usual trap;
+* an attached graph — three arrays, no ordering side channel — divides
+  exactly like the ``dict`` oracle on the graph it was published from;
 * leases never leak: the executor sweeps its segments on close and on pool
-  rebuild (the slow tier hard-kills a worker to prove it);
-* ``save_csr_npz``/``load_csr_npz`` round-trip bit-identically in both
-  mmap modes, and the spill fingerprint feeds the checkpoint identity.
+  rebuild (the slow tier hard-kills a worker to prove it).
 """
 
 from __future__ import annotations
@@ -27,17 +27,15 @@ import pytest
 import repro.runtime.executor as executor_module
 import repro.runtime.supervisor as supervisor_module
 from repro.core.config import ResilienceConfig
+from repro.core.division import divide
 from repro.exceptions import ExecutorError, ModelConfigError
-from repro.graph.csr import CSRGraph, ego_network_ordered, neighbor_order_array
-from repro.graph.ego import ego_network
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_figure7_network, planted_partition
 from repro.graph.graph import Graph
-from repro.graph.io import csr_npz_fingerprint, load_csr_npz, save_csr_npz
 from repro.graph.shm import SharedCSRGraph, handle_nbytes, shm_supported
 from repro.runtime import ShardedDivisionExecutor
 from repro.runtime.faultinject import Fault, FaultPlan
-from repro.runtime.resilience import FakeClock, shard_fingerprint
-from repro.runtime.sharding import shard_nodes
+from repro.runtime.resilience import FakeClock
 
 needs_shm = pytest.mark.skipif(
     not shm_supported(), reason="POSIX shared memory unavailable"
@@ -97,9 +95,12 @@ class TestSharedCSRRoundTrip:
                 np.testing.assert_array_equal(attached.indptr, csr.indptr)
                 np.testing.assert_array_equal(attached.indices, csr.indices)
                 assert list(attached.nodes()) == list(csr.nodes())
-                np.testing.assert_array_equal(
-                    attached._neighbor_order, neighbor_order_array(csr)
-                )
+                # The arrays and the labels are all that crosses the boundary.
+                assert {spec.role for spec in lease.handle.segments} == {
+                    "indptr",
+                    "indices",
+                    "nodes",
+                }
             finally:
                 attached.close()
         finally:
@@ -175,22 +176,25 @@ class TestSharedCSRRoundTrip:
             handle.attach()
 
 
-# ------------------------------------------------------- ordered ego replay
-class TestOrderedEgoReplay:
+# ------------------------------------------------- attached-graph division
+@needs_shm
+class TestAttachedDivision:
+    """What the neighbour-order replay used to guarantee, now by value: a
+    graph that left its source behind divides like the clean serial run."""
+
+    @pytest.mark.parametrize(
+        "detector",
+        ["girvan_newman", "label_propagation", "louvain"],
+        ids=["gn", "lp", "louvain"],
+    )
     @pytest.mark.parametrize("fixture", ["graph", "string_graph"])
-    def test_ordered_ego_matches_dict_backend(self, fixture, request):
+    def test_matches_dict_oracle(self, fixture, detector, request):
         source = request.getfixturevalue(fixture)
-        csr = CSRGraph.from_graph(source)
-        csr._neighbor_order = neighbor_order_array(csr)
-        csr._source = None  # detach: force the replay path
-        for ego in source.nodes():
-            replayed = ego_network_ordered(csr, ego)
-            direct = ego_network(source, ego)
-            assert list(replayed.nodes()) == list(direct.nodes())
-            for node in direct.nodes():
-                assert list(replayed.neighbors(node)) == list(
-                    direct.neighbors(node)
-                )
+        oracle = divide(source, detector=detector, backend="dict")
+        with SharedCSRGraph.publish(CSRGraph.from_graph(source)) as lease:
+            with lease.handle.attach() as attached:
+                detached = divide(attached, detector=detector, backend="csr")
+        assert detached.communities_by_ego == oracle.communities_by_ego
 
 
 # ------------------------------------------------------ division parity
@@ -343,56 +347,3 @@ class TestLeaseSweepUnderFaults:
             report.division.communities_by_ego == clean.communities_by_ego
         )
         assert self._leaked_segments(before) == set()
-
-
-# ----------------------------------------------------------- npz spill
-class TestCsrNpzSpill:
-    @pytest.fixture
-    def big_graph(self):
-        # Wider than one shard's worth of egos: 4 shards x 25 nodes.
-        graph, _ = planted_partition(
-            [20] * 5, intra_prob=0.5, inter_prob=0.03, seed=11
-        )
-        return graph
-
-    @pytest.mark.parametrize("mmap_mode", [None, "r"])
-    def test_round_trip_is_bit_identical(self, big_graph, tmp_path, mmap_mode):
-        csr = CSRGraph.from_graph(big_graph)
-        path = tmp_path / "graph.npz"
-        save_csr_npz(csr, path)
-        loaded = load_csr_npz(path, mmap_mode=mmap_mode)
-        np.testing.assert_array_equal(loaded.indptr, csr.indptr)
-        np.testing.assert_array_equal(loaded.indices, csr.indices)
-        assert list(loaded.nodes()) == list(csr.nodes())
-        np.testing.assert_array_equal(
-            loaded._neighbor_order, neighbor_order_array(csr)
-        )
-
-    def test_mmap_division_matches_serial(self, big_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_csr_npz(CSRGraph.from_graph(big_graph), path)
-        spilled = load_csr_npz(path, mmap_mode="r")
-        clean = _serial_division(big_graph, num_shards=4)
-        report = ShardedDivisionExecutor(
-            num_shards=4, detector="label_propagation"
-        ).run(spilled)
-        assert report.division.communities_by_ego == clean.communities_by_ego
-
-    def test_fingerprint_is_stable_and_content_bound(self, big_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_csr_npz(CSRGraph.from_graph(big_graph), path)
-        first = csr_npz_fingerprint(path)
-        assert first == csr_npz_fingerprint(path)
-        loaded = load_csr_npz(path, mmap_mode="r")
-        assert loaded.spill_identity == first
-
-    def test_spill_identity_feeds_checkpoint_fingerprint(self, big_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_csr_npz(CSRGraph.from_graph(big_graph), path)
-        shard = shard_nodes(list(big_graph.nodes()), num_shards=2)[0]
-        bare = shard_fingerprint(shard, "label_propagation")
-        spilled = shard_fingerprint(
-            shard, "label_propagation", csr_npz_fingerprint(path)
-        )
-        other = shard_fingerprint(shard, "label_propagation", "spill|0|deadbeef")
-        assert len({bare, spilled, other}) == 3
