@@ -4,10 +4,11 @@
 
 For every detector, divides the same graph four more ways — rebuilt with
 shuffled node / edge insertion and random endpoint orientation on either
-backend, through CSR, and as a bare ``CSRGraph(indptr, indices, nodes)`` —
-and counts the egos whose community list (members, index, tightness)
-differs from the ``dict`` oracle on the graph as generated.  Every cell must
-read ``0/N``; exits non-zero otherwise.  (~12 s.)
+route, through the routed kernel, and as a bare
+``CSRGraph(indptr, indices, nodes)`` — and counts the egos whose community
+list (members, index, tightness) differs from the oracle (the detector as a
+callable, which runs on ego-network ``Graph`` objects) on the graph as
+generated.  Every cell must read ``0/N``; exits non-zero otherwise.  (~12 s.)
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from __future__ import annotations
 import random
 import sys
 
-from repro.core.division import DivisionResult, divide
+from repro.core.division import DivisionResult, divide, get_detector
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.synthetic import make_workload
 
 DETECTORS = ("girvan_newman", "label_propagation", "louvain")
 GRID = (
-    ("tiny", DETECTORS, ("dict shuffled", "csr", "csr shuffled", "csr source-less")),
-    ("small", ("girvan_newman",), ("csr",)),
+    ("tiny", DETECTORS, ("oracle shuffled", "routed", "routed shuffled", "routed source-less")),
+    ("small", ("girvan_newman",), ("routed",)),
 )
 SEEDS = (0, 1, 2)
 
@@ -43,13 +44,13 @@ def source_less(graph: Graph) -> CSRGraph:
 
 
 def divide_leg(graph: Graph, seed: int, detector: str, leg: str) -> DivisionResult:
-    if leg == "dict shuffled":
-        return divide(shuffled(graph, seed), detector=detector, backend="dict")
-    if leg == "csr shuffled":
-        return divide(shuffled(graph, seed), detector=detector, backend="csr")
-    if leg == "csr source-less":
-        return divide(source_less(graph), detector=detector, backend="csr")
-    return divide(graph, detector=detector, backend="csr")
+    if leg == "oracle shuffled":
+        return divide(shuffled(graph, seed), detector=get_detector(detector))
+    if leg == "routed shuffled":
+        return divide(shuffled(graph, seed), detector=detector)
+    if leg == "routed source-less":
+        return divide(source_less(graph), detector=detector)
+    return divide(graph, detector=detector)
 
 
 def main() -> int:
@@ -58,7 +59,7 @@ def main() -> int:
         graphs = {seed: make_workload(scale, seed=seed).dataset.graph for seed in SEEDS}
         for detector in detectors:
             oracle = {
-                seed: divide(graph, detector=detector, backend="dict").communities_by_ego
+                seed: divide(graph, detector=get_detector(detector)).communities_by_ego
                 for seed, graph in graphs.items()
             }
             for leg in legs:
@@ -68,7 +69,7 @@ def main() -> int:
                     differing = sum(got[ego] != blocks for ego, blocks in oracle[seed].items())
                     differing_total += differing
                     cells.append(f"{differing}/{len(got)}")
-                print(f"{scale:5s} {detector:18s} {leg:16s} {' '.join(cells)}", flush=True)
+                print(f"{scale:5s} {detector:18s} {leg:18s} {' '.join(cells)}", flush=True)
     return 1 if differing_total else 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Kernel micro-benchmark report: emits ``BENCH_kernels.json``.
 
-Measures ops/sec for the Phase I hot-path kernels on both graph backends
+Measures ops/sec for the Phase I hot-path kernels against their oracles
 (dict-of-sets reference vs NumPy CSR) and for full Phase I division at the
 ``tiny`` and ``small`` synthetic scales, then writes the results to
 ``BENCH_kernels.json`` at the repo root.  Every PR regenerates the file
@@ -42,11 +42,11 @@ REGRESSION_TOLERANCE = 0.30
 SCHEMA_VERSION = 1
 
 # The ratio gate (--check-ratios) only guards speedup pairs the baseline
-# recorded as decisive wins; near-parity pairs (deliberate crossovers like
-# graph_transport_tiny) would flap on scheduler noise.
+# recorded as decisive wins; near-parity pairs (crossovers kept as routing
+# evidence, like gbdt_fit_small_hist) would flap on scheduler noise.
 RATIO_GATE_MIN_SPEEDUP = 1.5
 
-# Fast-backend vs reference-backend speedup pairs: csr/dict for the graph +
+# Routed-kernel vs oracle speedup pairs: csr/dict for the graph +
 # aggregation kernels, array/node for the tree-model kernels, fused/loop for
 # the NN engine, hist/array for the histogram split search (keyed with a
 # "_hist" suffix so it doesn't collide with the array/node pair), and
@@ -135,9 +135,9 @@ def build_benchmarks(
 
     Kernel benchmarks are framed the way the pipeline uses them: CSR
     snapshots are built once outside the timed region (they are per-shard,
-    not per-call), and each backend runs its native representation (the
-    dict backend materialises ``Graph`` ego nets, the CSR backend its flat
-    ``DenseEgoNet`` arrays).  The headline pairs are
+    not per-call), and each side runs its native representation (the
+    ``_dict`` oracles materialise ``Graph`` ego nets and look stores up pair
+    by pair, the routed kernels run on flat arrays).  The headline pairs are
     ``phase1_division_small_{dict,csr}`` — end-to-end Phase I division —
     and ``phase2_{feature_matrices,statistic_vectors}_small_{dict,csr}`` —
     end-to-end Phase II aggregation over every division community (the
@@ -152,26 +152,30 @@ def build_benchmarks(
     ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN SGD training and batched
     inference: layer-by-layer object graph vs the compiled tape engine of
     ``repro.ml.nn.engine``; bit-identical outputs),
-    and ``graph_transport_{tiny,dense}_{pickle,shm}`` (per-worker graph
+    and ``graph_transport_dense_{pickle,shm}`` (per-worker graph
     receive cost: full pickled copy vs O(1) handle + shared-memory attach).
     """
     import numpy as np
 
     from repro.community.betweenness import edge_betweenness
-    from repro.core.aggregation import FeatureMatrixBuilder
-    from repro.core.commcnn import build_commcnn_classifier
-    from repro.core.config import CommCNNConfig, RuntimeOptions
-    from repro.core.division import divide
+    from repro.core.aggregation import (
+        FeatureMatrixBuilder,
+        reference_feature_matrix,
+        reference_statistic_vector,
+    )
+    from repro.core.commcnn import build_commcnn_model
+    from repro.core.config import CommCNNConfig
+    from repro.core.division import divide, get_detector
     from repro.graph.csr import CSRGraph, dense_ego_net, edge_betweenness_csr
     from repro.graph.ego import ego_network
     from repro.ml.gbdt import GradientBoostedClassifier
+    from repro.ml.nn import NeuralNetworkClassifier
     from repro.synthetic import make_workload
 
     scales = ["tiny"] if quick else ["tiny", "small"]
     workloads = {scale: make_workload(scale, seed=0) for scale in scales}
     graph = workloads[scales[-1]].dataset.graph
     csr = CSRGraph.from_graph(graph)
-    nodes = list(graph.nodes())
     # Degree ~60 graph: where the array kernels' O(sum-of-degrees) scaling
     # pulls away from the per-neighbour Python loops.
     dense = _dense_sample_graph(80 if quick else 400, 0.15)
@@ -179,8 +183,6 @@ def build_benchmarks(
     dense_nodes = list(dense.nodes())
 
     benchmarks: dict[str, Callable[[], object] | SelfTimedBenchmark] = {
-        "ego_extraction_dict": lambda: [ego_network(graph, ego) for ego in nodes],
-        "ego_extraction_csr": lambda: [dense_ego_net(csr, ego) for ego in nodes],
         "ego_extraction_dense_dict": lambda: [
             ego_network(dense, ego) for ego in dense_nodes
         ],
@@ -193,22 +195,17 @@ def build_benchmarks(
     for scale in scales:
         scale_graph = workloads[scale].dataset.graph
         benchmarks[f"phase1_division_{scale}_dict"] = (
-            lambda g=scale_graph: divide(g, backend="dict")
+            lambda g=scale_graph: divide(g, detector=get_detector("girvan_newman"))
         )
-        benchmarks[f"phase1_division_{scale}_csr"] = (
-            lambda g=scale_graph: divide(g, backend="csr")
-        )
+        benchmarks[f"phase1_division_{scale}_csr"] = lambda g=scale_graph: divide(g)
 
     # Graph transport kernels: what one pool worker pays to receive the
     # graph.  pickle transport deserializes a full copy (linear in graph
     # size, per worker); shm transport unpickles an O(1) handle and attaches
-    # the published shared-memory segments.  The tiny pair documents the
-    # crossover — attach's fixed syscall cost rivals a tiny graph's pickle
-    # time, so its ratio hovers around 1x and stays outside the ratio gate —
-    # while the dense pair is the decisive, gate-protected win: its pickle
-    # cost is milliseconds, attach stays O(1).  Publishing happens outside
-    # the timed region (a once-per-pool cost) and every lease is closed,
-    # segments unlinked, when the suite exits.
+    # the published shared-memory segments: pickle cost is milliseconds on
+    # the dense graph, attach stays O(1).  Publishing happens outside the
+    # timed region (a once-per-pool cost) and the lease is closed, segments
+    # unlinked, when the suite exits.
     import atexit
     import pickle
 
@@ -217,61 +214,65 @@ def build_benchmarks(
     # One "op" is a batch of worker receives: single receives are 0.1-2 ms,
     # where scheduler jitter on one shm_open syscall could flap the ratio.
     transport_batch = 8
-    for label, transport_graph in {"tiny": workloads["tiny"].dataset.graph,
-                                   "dense": dense}.items():
-        payload = pickle.dumps(transport_graph, pickle.HIGHEST_PROTOCOL)
+    payload = pickle.dumps(dense, pickle.HIGHEST_PROTOCOL)
 
-        def receive_pickle(p=payload):
+    def receive_pickle(p=payload):
+        for _ in range(transport_batch):
+            received = pickle.loads(p)
+        return received.num_nodes
+
+    benchmarks["graph_transport_dense_pickle"] = receive_pickle
+    if shm_supported():
+        lease = SharedCSRGraph.publish(dense_csr)
+        atexit.register(lease.close)
+        handle_payload = pickle.dumps(lease.handle, pickle.HIGHEST_PROTOCOL)
+
+        def receive_shm(p=handle_payload):
             for _ in range(transport_batch):
-                received = pickle.loads(p)
-            return received.num_nodes
+                attached = pickle.loads(p).attach()
+                num_nodes = attached.num_nodes
+                attached.close()
+            return num_nodes
 
-        benchmarks[f"graph_transport_{label}_pickle"] = receive_pickle
-        if shm_supported():
-            lease = SharedCSRGraph.publish(CSRGraph.from_graph(transport_graph))
-            atexit.register(lease.close)
-            handle_payload = pickle.dumps(lease.handle, pickle.HIGHEST_PROTOCOL)
-
-            def receive_shm(p=handle_payload):
-                for _ in range(transport_batch):
-                    attached = pickle.loads(p).attach()
-                    num_nodes = attached.num_nodes
-                    attached.close()
-                return num_nodes
-
-            benchmarks[f"graph_transport_{label}_shm"] = receive_shm
+        benchmarks["graph_transport_dense_shm"] = receive_shm
     for scale in scales:
         workload = workloads[scale]
         communities = list(workload.division().all_communities())
-        builders = {
-            backend: FeatureMatrixBuilder(
-                workload.dataset.features,
-                workload.dataset.interactions,
-                k=20,
-                options=RuntimeOptions(backend=backend),
+        stores = (workload.dataset.features, workload.dataset.interactions)
+        builder = FeatureMatrixBuilder(*stores, k=20)
+        builder.feature_matrices(communities[:1])  # compile once
+        benchmarks[f"phase2_feature_matrices_{scale}_dict"] = (
+            lambda st=stores, cs=communities: [
+                reference_feature_matrix(c, *st, k=20) for c in cs
+            ]
+        )
+        benchmarks[f"phase2_statistic_vectors_{scale}_dict"] = (
+            lambda st=stores, cs=communities: np.stack(
+                [reference_statistic_vector(c, *st) for c in cs]
             )
-            for backend in ("dict", "csr")
-        }
-        builders["csr"].feature_matrices(communities[:1])  # compile once
-        for backend, builder in builders.items():
-            benchmarks[f"phase2_feature_matrices_{scale}_{backend}"] = (
-                lambda b=builder, cs=communities: b.feature_matrices(cs)
-            )
-            benchmarks[f"phase2_statistic_vectors_{scale}_{backend}"] = (
-                lambda b=builder, cs=communities: b.statistic_vectors(cs)
-            )
-            benchmarks[f"commcnn_tensor_{scale}_{backend}"] = (
-                lambda b=builder, cs=communities: b.matrices_as_tensor(cs)
-            )
+        )
+        benchmarks[f"commcnn_tensor_{scale}_dict"] = (
+            lambda st=stores, cs=communities: np.stack(
+                [reference_feature_matrix(c, *st, k=20).matrix for c in cs]
+            )[:, None]
+        )
+        benchmarks[f"phase2_feature_matrices_{scale}_csr"] = (
+            lambda b=builder, cs=communities: b.feature_matrices(cs)
+        )
+        benchmarks[f"phase2_statistic_vectors_{scale}_csr"] = (
+            lambda b=builder, cs=communities: b.statistic_vectors(cs)
+        )
+        benchmarks[f"commcnn_tensor_{scale}_csr"] = (
+            lambda b=builder, cs=communities: b.matrices_as_tensor(cs)
+        )
 
     # Model-layer kernels: GBDT fit + batched forest inference on the last
-    # scale's statistic vectors (the LoCEC-XGB design matrix), node walks vs
-    # stacked forest tensors.  10 rounds x 3 classes keeps the node fit
-    # within the benchmark budget while exercising every kernel.
+    # scale's statistic vectors (the LoCEC-XGB design matrix; ``builder`` and
+    # ``communities`` are the loop's last), node walks vs stacked forest
+    # tensors.  10 rounds x 3 classes keeps the node fit within the
+    # benchmark budget while exercising every kernel.
     model_scale = scales[-1]
-    design = builders["csr"].statistic_vectors(
-        list(workloads[model_scale].division().all_communities())
-    )
+    design = builder.statistic_vectors(communities)
     labels = np.arange(design.shape[0]) % 3
     fitted = {
         backend: GradientBoostedClassifier(
@@ -301,18 +302,19 @@ def build_benchmarks(
     # columns, 3 classes), layer-by-layer loop vs compiled fused tape.
     # 4 epochs keeps the loop fit inside the benchmark budget while
     # exercising ragged batches and every optimiser step.
-    cnn_builder = builders["csr"]
-    tensor = cnn_builder.matrices_as_tensor(
-        list(workloads[model_scale].division().all_communities())
-    )
+    tensor = builder.matrices_as_tensor(communities)
     cnn_labels = np.arange(tensor.shape[0]) % 3
+    cnn_config = CommCNNConfig(epochs=4)
 
     def commcnn_fit(backend: str):
-        classifier = build_commcnn_classifier(
-            20,
-            cnn_builder.num_columns,
-            3,
-            config=CommCNNConfig(epochs=4, nn_backend=backend),
+        classifier = NeuralNetworkClassifier(
+            build_commcnn_model(20, builder.num_columns, 3, config=cnn_config),
+            num_classes=3,
+            epochs=cnn_config.epochs,
+            batch_size=cnn_config.batch_size,
+            learning_rate=cnn_config.learning_rate,
+            seed=cnn_config.seed,
+            backend=backend,
         )
         return classifier.fit(tensor, cnn_labels)
 

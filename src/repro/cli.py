@@ -20,9 +20,8 @@ The subcommands cover the common workflows without writing any Python:
   exits non-zero if any query goes unanswered or an update degrades when
   the fault schedule guarantees recovery.
 * ``locec-repro lint`` — run the repo-native invariant lint engine
-  (:mod:`repro.lint`): determinism, backend-parity coverage,
-  multiprocessing safety and NumPy hygiene rules; exits non-zero on any
-  finding.
+  (:mod:`repro.lint`): determinism, multiprocessing safety and NumPy
+  hygiene rules; exits non-zero on any finding.
 
 The CLI is also reachable as ``python -m repro.cli``.
 """

@@ -20,13 +20,11 @@ from repro.core.community_classifier import (
 )
 from repro.core.config import CommCNNConfig, GBDTConfig, LoCECConfig
 from repro.core.division import (
-    BACKENDS,
     DivisionResult,
     LocalCommunity,
     divide,
     divide_ego,
     get_detector,
-    resolve_backend,
 )
 from repro.core.labels import (
     EdgeLabelIndex,
@@ -53,8 +51,6 @@ __all__ = [
     "divide",
     "divide_ego",
     "get_detector",
-    "resolve_backend",
-    "BACKENDS",
     "DivisionResult",
     "LocalCommunity",
     "tightness",

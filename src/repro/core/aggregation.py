@@ -10,12 +10,14 @@ edge ``⟨ego, u⟩`` has no interaction at all, ``u`` usually interacts with
 *somebody* in its circle, so the aggregated community features are far less
 sparse than raw edge features.
 
-Two aggregation backends mirror the Phase I graph backends:
+Written twice, on purpose:
 
-* ``dict`` — the readable reference: per-pair store lookups, one community
-  at a time.
-* ``csr`` — the :mod:`repro.graph.phase2` kernel layer: the stores are
-  compiled once into an :class:`~repro.graph.phase2.InteractionMatrix` /
+* the readable reference — :func:`interaction_feature_vector`,
+  :func:`reference_feature_matrix` and :func:`reference_statistic_vector`:
+  per-pair store lookups, one community at a time;
+* :class:`FeatureMatrixBuilder`, which every product caller uses — the
+  :mod:`repro.graph.phase2` kernel layer: the stores are compiled once into
+  an :class:`~repro.graph.phase2.InteractionMatrix` /
   :class:`~repro.graph.phase2.NodeFeatureMatrix` pair and each community's
   pair totals are computed once (``O(|C|^2)`` instead of ``O(k * |C|^2)``)
   with batched NumPy gathers.
@@ -32,8 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import RuntimeOptions
-from repro.core.division import LocalCommunity, resolve_backend
+from repro.core.division import LocalCommunity
 from repro.exceptions import FeatureError, PipelineError
 from repro.graph.features import NodeFeatureStore
 from repro.graph.interactions import InteractionStore
@@ -123,6 +124,53 @@ class CommunityFeatureMatrix:
         return len(self.member_order)
 
 
+def _reference_rows(
+    community: LocalCommunity,
+    selected: Sequence[Node],
+    features: NodeFeatureStore,
+    interactions: InteractionStore,
+) -> np.ndarray:
+    """One ``|I| + |f|`` row per node of ``selected``: its Equation-2 shares
+    within ``community``, then its individual features."""
+    num_dims = interactions.num_dims
+    rows = np.zeros((len(selected), num_dims + features.num_features), dtype=np.float64)
+    for row, node in enumerate(selected):
+        rows[row, :num_dims] = interaction_feature_vector(
+            node, community.members, interactions
+        )
+        rows[row, num_dims:] = features.get_view(node)
+    return rows
+
+
+def reference_feature_matrix(
+    community: LocalCommunity,
+    features: NodeFeatureStore,
+    interactions: InteractionStore,
+    k: int,
+) -> CommunityFeatureMatrix:
+    """Algorithm 1 for one community, by per-pair store lookups — the
+    reference :meth:`FeatureMatrixBuilder.feature_matrices` is tested against."""
+    ordered = community.members_by_tightness()[:k]
+    matrix = np.zeros((k, interactions.num_dims + features.num_features))
+    matrix[: len(ordered)] = _reference_rows(community, ordered, features, interactions)
+    return CommunityFeatureMatrix(
+        community=community, matrix=matrix, member_order=tuple(ordered)
+    )
+
+
+def reference_statistic_vector(
+    community: LocalCommunity,
+    features: NodeFeatureStore,
+    interactions: InteractionStore,
+) -> np.ndarray:
+    """The LoCEC-XGB mean / std / size vector of one community, by per-pair
+    store lookups — the reference for
+    :meth:`FeatureMatrixBuilder.statistic_vectors`."""
+    members = community.members_by_tightness()
+    rows = _reference_rows(community, members, features, interactions)
+    return np.concatenate([rows.mean(axis=0), rows.std(axis=0), [float(len(members))]])
+
+
 class FeatureMatrixBuilder:
     """Builds community feature representations (Algorithm 1).
 
@@ -135,21 +183,13 @@ class FeatureMatrixBuilder:
     k:
         Number of rows of the feature matrix; communities larger than ``k``
         keep only the ``k`` tightest members, smaller ones are zero-padded.
-    options:
-        The unified runtime-knob surface
-        (:class:`~repro.core.config.RuntimeOptions`).  Aggregation reads
-        only ``backend`` — ``"dict"`` for the per-pair reference path,
-        ``"csr"`` for the compiled :class:`~repro.graph.phase2.Phase2Kernel`
-        path, ``"auto"`` (default) for CSR; both emit bit-identical matrices
-        for integer-valued interaction counts — and runs single-process on
-        either.  The other fields belong to the model layers and the
-        Phase I runtime.
 
     Notes
     -----
-    The CSR backend compiles the stores on first use and recompiles
-    automatically when either store's write counter (``version``) changes,
-    so mutating the stores between calls is as safe as on the dict backend.
+    Every method runs, single-process, on one compiled
+    :class:`~repro.graph.phase2.Phase2Kernel`: the stores are compiled on
+    first use and recompiled automatically when either store's write counter
+    (``version``) changes, so mutating the stores between calls is safe.
     """
 
     def __init__(
@@ -157,18 +197,12 @@ class FeatureMatrixBuilder:
         features: NodeFeatureStore,
         interactions: InteractionStore,
         k: int = 20,
-        options: RuntimeOptions | None = None,
     ) -> None:
-        options = options or RuntimeOptions()
-        options.validate()
         if k < 1:
             raise PipelineError("k must be >= 1")
         self.features = features
         self.interactions = interactions
         self.k = k
-        self.options = options
-        self.backend = options.backend
-        self._resolved_backend = resolve_backend(options.backend)
         self._kernel = None
         self._kernel_versions: tuple[int, int] | None = None
 
@@ -178,7 +212,7 @@ class FeatureMatrixBuilder:
         return self.interactions.num_dims + self.features.num_features
 
     def _compiled_kernel(self):
-        """The lazily-compiled Phase II kernel (CSR backend only).
+        """The lazily-compiled Phase II kernel.
 
         Recompiled whenever either store reports a write since the last
         compile, so the snapshot can never serve stale matrices.
@@ -218,7 +252,7 @@ class FeatureMatrixBuilder:
         was expressible as an in-place CSR/dense write
         (:meth:`Phase2Kernel.patch_interaction` /
         :meth:`Phase2Kernel.patch_features`), or there was nothing compiled
-        to patch (dict backend, or first use still pending).  Structural
+        to patch (first use still pending).  Structural
         deltas — new nodes, new interaction edges — return ``False`` after
         invalidating the kernel, and the next use recompiles from scratch.
         """
@@ -240,64 +274,13 @@ class FeatureMatrixBuilder:
     # ------------------------------------------------------------- Algorithm 1
     def feature_matrix(self, community: LocalCommunity) -> CommunityFeatureMatrix:
         """Algorithm 1: the ``k × (|I|+|f|)`` matrix of a local community."""
-        if self._resolved_backend == "csr":
-            return self._feature_matrices_csr([community])[0]
-        return self._feature_matrix_dict(community)
+        return self.feature_matrices([community])[0]
 
     def feature_matrices(
         self, communities: Sequence[LocalCommunity]
     ) -> list[CommunityFeatureMatrix]:
-        """Algorithm 1 applied to a batch of communities."""
-        if self._resolved_backend == "csr":
-            return self._feature_matrices_csr(communities)
-        return [self._feature_matrix_dict(community) for community in communities]
-
-    def matrices_as_tensor(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
-        """Stack feature matrices into a ``(n, 1, k, |I|+|f|)`` CNN input tensor."""
-        if self._resolved_backend == "csr" and communities:
-            # Direct kernel->CNN tensor path: the batch rows are scattered
-            # into the padded tensor inside the kernel — no intermediate
-            # per-community matrices, no Python loop over communities.
-            kernel = self._compiled_kernel()
-            return kernel.community_tensor(
-                self._truncated_selection(communities), k=self.k
-            )
-        tensor = np.zeros(
-            (len(communities), 1, self.k, self.num_columns), dtype=np.float64
-        )
-        for index, community in enumerate(communities):
-            tensor[index, 0] = self._feature_matrix_dict(community).matrix
-        return tensor
-
-    def _feature_matrix_dict(self, community: LocalCommunity) -> CommunityFeatureMatrix:
-        """Reference (dict-backend) Algorithm 1 path."""
-        ordered = community.members_by_tightness()[: self.k]
-        matrix = np.zeros((self.k, self.num_columns), dtype=np.float64)
-        for row, node in enumerate(ordered):
-            interaction_part = interaction_feature_vector(
-                node, community.members, self.interactions
-            )
-            matrix[row, : self.interactions.num_dims] = interaction_part
-            matrix[row, self.interactions.num_dims :] = self.features.get_view(node)
-        return CommunityFeatureMatrix(
-            community=community, matrix=matrix, member_order=tuple(ordered)
-        )
-
-    def _truncated_selection(
-        self, communities: Sequence[LocalCommunity]
-    ) -> list[tuple[frozenset[Node], list[Node]]]:
-        """``(members, k-truncated tightness ordering)`` pairs — the
-        :class:`~repro.graph.phase2.Phase2Kernel` batch-API contract, built
-        in exactly one place so the tensor and matrix paths cannot drift."""
-        return [
-            (community.members, community.members_by_tightness()[: self.k])
-            for community in communities
-        ]
-
-    def _feature_matrices_csr(
-        self, communities: Sequence[LocalCommunity]
-    ) -> list[CommunityFeatureMatrix]:
-        """Vectorized Algorithm 1: one batched row computation, then fills."""
+        """Algorithm 1 applied to a batch of communities: one batched row
+        computation, then fills."""
         pairs = self._truncated_selection(communities)
         rows, offsets = self._compiled_kernel().community_rows_batch(pairs)
         results: list[CommunityFeatureMatrix] = []
@@ -310,6 +293,28 @@ class FeatureMatrixBuilder:
                 )
             )
         return results
+
+    def matrices_as_tensor(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
+        """Stack feature matrices into a ``(n, 1, k, |I|+|f|)`` CNN input tensor.
+
+        The batch rows are scattered into the padded tensor inside the
+        kernel — no intermediate per-community matrices, no Python loop over
+        communities.
+        """
+        return self._compiled_kernel().community_tensor(
+            self._truncated_selection(communities), k=self.k
+        )
+
+    def _truncated_selection(
+        self, communities: Sequence[LocalCommunity]
+    ) -> list[tuple[frozenset[Node], list[Node]]]:
+        """``(members, k-truncated tightness ordering)`` pairs — the
+        :class:`~repro.graph.phase2.Phase2Kernel` batch-API contract, built
+        in exactly one place so the tensor and matrix paths cannot drift."""
+        return [
+            (community.members, community.members_by_tightness()[: self.k])
+            for community in communities
+        ]
 
     # -------------------------------------------------- LoCEC-XGB aggregation
     def statistic_vector(self, community: LocalCommunity) -> np.ndarray:
@@ -326,40 +331,9 @@ class FeatureMatrixBuilder:
         return self.statistic_vectors([community])[0]
 
     def statistic_vectors(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
-        """Stack per-community statistic vectors into a 2-D design matrix.
-
-        The design matrix is allocated exactly once here and both backends
-        fill it in place (:meth:`Phase2Kernel.community_statistics` with
-        ``out=``; the dict oracle row by row), so no path pays a second
-        allocation per call.
-        """
-        out = np.zeros((len(communities), 2 * self.num_columns + 1), dtype=np.float64)
-        if not communities:
-            return out
-        if self._resolved_backend == "csr":
-            pairs = [
-                (community.members, community.members_by_tightness())
-                for community in communities
-            ]
-            self._compiled_kernel().community_statistics(pairs, out=out)
-        else:
-            for index, community in enumerate(communities):
-                self._fill_statistic_vector_dict(community, out[index])
-        return out
-
-    def _fill_statistic_vector_dict(
-        self, community: LocalCommunity, out: np.ndarray
-    ) -> None:
-        """Reference (dict-backend) statistic aggregation for one community."""
-        members = community.members_by_tightness()
-        num_dims = self.interactions.num_dims
-        rows = np.zeros((len(members), self.num_columns), dtype=np.float64)
-        for row, node in enumerate(members):
-            rows[row, :num_dims] = interaction_feature_vector(
-                node, community.members, self.interactions
-            )
-            rows[row, num_dims:] = self.features.get_view(node)
-        columns = self.num_columns
-        out[:columns] = rows.mean(axis=0)
-        out[columns : 2 * columns] = rows.std(axis=0)
-        out[-1] = float(len(members))
+        """Stack per-community statistic vectors into a 2-D design matrix."""
+        pairs = [
+            (community.members, community.members_by_tightness())
+            for community in communities
+        ]
+        return self._compiled_kernel().community_statistics(pairs)

@@ -157,12 +157,7 @@ def build_commcnn_classifier(
     config: CommCNNConfig | None = None,
     **branch_toggles: bool,
 ) -> NeuralNetworkClassifier:
-    """Build a trainable CommCNN classifier (model + loss + Adam trainer).
-
-    ``config.nn_backend`` selects the execution backend (``"loop"`` layer
-    walks, ``"fused"`` compiled tape, or ``"auto"``); outputs are
-    bit-identical either way.
-    """
+    """Build a trainable CommCNN classifier (model + loss + Adam trainer)."""
     config = config or CommCNNConfig()
     model = build_commcnn_model(
         k=k,
@@ -178,5 +173,4 @@ def build_commcnn_classifier(
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
         seed=config.seed,
-        backend=config.nn_backend,
     )

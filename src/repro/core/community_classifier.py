@@ -13,17 +13,12 @@ combination phase:
   softmax probabilities) so the Phase III feature width stays bounded.
 
 Both classifiers gather their design tensors through the
-:class:`FeatureMatrixBuilder` they are handed, so the builder's ``backend``
-knob (``"dict"``/``"csr"``/``"auto"``) transparently selects the Phase II
-aggregation kernels — outputs are bit-identical either way.  The GBDT model
-additionally honours :attr:`GBDTConfig.backend`
-(``"node"``/``"array"``/``"auto"``), selecting between pointer-based tree
-walks and the stacked forest tensors of :mod:`repro.ml.forest`; fitted
-models and leaf-value embeddings are likewise bit-identical.  The CNN model
-honours :attr:`CommCNNConfig.nn_backend`
-(``"loop"``/``"fused"``/``"auto"``), selecting between layer-by-layer
-execution and the compiled tape engine of :mod:`repro.ml.nn.engine`; fitted
-weights, loss histories and probabilities are bit-identical as well.
+:class:`FeatureMatrixBuilder` they are handed and leave the model classes on
+their default route (:mod:`repro.ml.forest`'s tensors, the compiled tape of
+:mod:`repro.ml.nn.engine`).  The reference routes — ``backend="node"`` on
+:class:`~repro.ml.gbdt.GradientBoostedClassifier`, ``backend="loop"`` on
+:class:`~repro.ml.nn.NeuralNetworkClassifier` — are test oracles, reached on
+those classes directly.
 """
 
 from __future__ import annotations
@@ -174,7 +169,6 @@ class GBDTCommunityClassifier(CommunityClassifier):
             subsample=self.config.subsample,
             num_classes=self.num_classes,
             seed=self.config.seed,
-            backend=self.config.backend,
             max_bins=self.config.max_bins,
         )
         self._model.fit(design, np.asarray(labels, dtype=np.int64))

@@ -22,11 +22,6 @@ class CommCNNConfig:
     learning_rate: float = 2e-3
     dropout: float = 0.1
     seed: int = 0
-    nn_backend: str = "auto"
-    """NN execution backend: ``"loop"`` walks the layer object graph,
-    ``"fused"`` runs the compiled tape engine (``repro.ml.nn.engine``), and
-    ``"auto"`` picks fused whenever the model compiles.  Logits, fitted
-    weights and loss histories are bit-identical across backends."""
 
     def validate(self) -> None:
         if self.num_filters < 1 or self.dense_units < 1:
@@ -35,10 +30,6 @@ class CommCNNConfig:
             raise ModelConfigError("epochs and batch_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelConfigError("dropout must be in [0, 1)")
-        if self.nn_backend not in {"auto", "loop", "fused"}:
-            raise ModelConfigError(
-                f"nn_backend must be 'auto', 'loop' or 'fused', got {self.nn_backend!r}"
-            )
 
 
 @dataclass
@@ -51,26 +42,14 @@ class GBDTConfig:
     min_samples_leaf: int = 2
     subsample: float = 1.0
     seed: int = 0
-    backend: str = "auto"
-    """Model-layer backend: ``"node"`` walks, ``"array"`` forest tensors with
-    the exact split search (features sorted into rank codes once per fit,
-    all features of a node searched in one pass), ``"hist"`` histogram split
-    search (quantized to ``max_bins`` bins once per fit), or ``"auto"``
-    (exact below the row-count crossover, hist above it).  ``node``/``array``
-    outputs are bit-identical; ``hist`` matches them exactly while every
-    feature fits in the bin budget."""
-
     max_bins: int = 256
-    """Histogram resolution of the ``"hist"`` backend (ignored otherwise)."""
+    """Histogram resolution of the histogram split search, which the fit
+    takes at :data:`repro.ml.forest.HIST_AUTO_MIN_ROWS` rows and above
+    (ignored by the exact search below it)."""
 
     def validate(self) -> None:
         if self.num_rounds < 1:
             raise ModelConfigError("num_rounds must be positive")
-        if self.backend not in {"auto", "node", "array", "hist"}:
-            raise ModelConfigError(
-                "backend must be 'auto', 'node', 'array' or 'hist', "
-                f"got {self.backend!r}"
-            )
         if self.max_bins < 2:
             raise ModelConfigError("max_bins must be >= 2")
 
@@ -119,8 +98,7 @@ class ResilienceConfig:
         graph once per worker (the historical behaviour), ``"shm"`` publishes
         the CSR arrays to POSIX shared memory once and ships an O(1) handle
         (:mod:`repro.graph.shm`), ``"auto"`` (default) picks shm whenever the
-        graph resolves to the CSR backend and the platform supports it,
-        falling back to pickle otherwise.
+        platform supports it, falling back to pickle otherwise.
     """
 
     max_attempts: int = 3
@@ -159,40 +137,6 @@ class ResilienceConfig:
             )
 
 
-@dataclass(frozen=True)
-class RuntimeOptions:
-    """The unified runtime-knob surface of the pipeline.
-
-    One frozen value object carries the runtime knobs (``backend``,
-    ``ml_backend``, ``nn_backend``, ``resilience``), passed as ``options=``
-    — the only way ``FeatureMatrixBuilder`` and the community classifiers
-    take them.  On :class:`LoCECConfig` the same knobs are flat fields;
-    :attr:`LoCECConfig.runtime_options` reads them out as one of these.
-    """
-
-    backend: str = "auto"
-    ml_backend: str = "auto"
-    nn_backend: str = "auto"
-    resilience: ResilienceConfig | None = None
-
-    def validate(self) -> None:
-        if self.backend not in {"auto", "dict", "csr"}:
-            raise ModelConfigError(
-                f"backend must be 'auto', 'dict' or 'csr', got {self.backend!r}"
-            )
-        if self.ml_backend not in {"auto", "node", "array", "hist"}:
-            raise ModelConfigError(
-                "ml_backend must be 'auto', 'node', 'array' or 'hist', "
-                f"got {self.ml_backend!r}"
-            )
-        if self.nn_backend not in {"auto", "loop", "fused"}:
-            raise ModelConfigError(
-                f"nn_backend must be 'auto', 'loop' or 'fused', got {self.nn_backend!r}"
-            )
-        if self.resilience is not None:
-            self.resilience.validate()
-
-
 @dataclass
 class LoCECConfig:
     """Top-level configuration of the LoCEC pipeline (Algorithm 2).
@@ -207,26 +151,6 @@ class LoCECConfig:
     community_detector:
         Phase I algorithm: ``"girvan_newman"`` (paper default),
         ``"label_propagation"`` or ``"louvain"`` (ablations).
-    backend:
-        Graph/aggregation kernel backend for Phases I and II: ``"auto"``
-        (default; the NumPy CSR kernels), ``"csr"``, or ``"dict"``
-        (pure-Python reference).  Both produce identical
-        communities, tightness values and Phase II feature matrices.
-    ml_backend:
-        Model-layer backend for the Phase II/III tree models: ``"auto"``
-        (default; the exact flattened forest tensors, switching to the
-        histogram split search above a row-count crossover), ``"array"``,
-        ``"hist"`` (histogram split search, ``gbdt.max_bins`` bins per
-        feature), or ``"node"`` (pointer-based reference walks).  Fitted
-        models, probabilities and leaf-value embeddings are bit-identical
-        between ``node`` and ``array``; ``hist`` chooses identical splits
-        while every feature fits in the bin budget.
-    nn_backend:
-        Execution backend for the CommCNN neural network: ``"auto"``
-        (default; the compiled tape engine of :mod:`repro.ml.nn.engine`),
-        ``"fused"``, or ``"loop"`` (layer-by-layer reference).  Logits,
-        fitted weights and loss histories are bit-identical either way.
-        A non-``"auto"`` value overrides ``cnn.nn_backend``.
     edge_lr_iterations / edge_lr_learning_rate / edge_lr_l2:
         Training schedule of the Phase III logistic-regression edge labeler.
     seed:
@@ -236,9 +160,6 @@ class LoCECConfig:
     k: int = 20
     community_model: str = "cnn"
     community_detector: str = "girvan_newman"
-    backend: str = "auto"
-    ml_backend: str = "auto"
-    nn_backend: str = "auto"
     edge_lr_iterations: int = 400
     edge_lr_learning_rate: float = 0.5
     edge_lr_l2: float = 1e-4
@@ -266,38 +187,28 @@ class LoCECConfig:
                 "community_detector must be one of 'girvan_newman', "
                 f"'label_propagation', 'louvain', got {self.community_detector!r}"
             )
-        self.runtime_options.validate()  # the flat runtime knobs + resilience
+        self.resilience.validate()
         if self.edge_lr_iterations < 1:
             raise ModelConfigError("edge_lr_iterations must be positive")
         self.cnn.validate()
         self.gbdt.validate()
 
     @property
-    def runtime_options(self) -> RuntimeOptions:
-        """The runtime knobs — the flat fields above, their only home on
-        this class — as the one :class:`RuntimeOptions` value the builders
-        take."""
-        return RuntimeOptions(
-            backend=self.backend,
-            ml_backend=self.ml_backend,
-            nn_backend=self.nn_backend,
-            resilience=self.resilience,
-        )
+    def runtime_options(self) -> ResilienceConfig:
+        """Read-only view of :attr:`resilience`, the only runtime knobs left;
+        the end-to-end benchmark records ``asdict(config.runtime_options)``."""
+        return self.resilience
 
     @classmethod
     def locec_cnn(cls, **overrides: object) -> "LoCECConfig":
         """Convenience constructor for the LoCEC-CNN variant."""
-        config = cls(community_model="cnn")
-        for key, value in overrides.items():
-            setattr(config, key, value)
+        config = cls(community_model="cnn", **overrides)
         config.validate()
         return config
 
     @classmethod
     def locec_xgb(cls, **overrides: object) -> "LoCECConfig":
         """Convenience constructor for the LoCEC-XGB variant."""
-        config = cls(community_model="xgb")
-        for key, value in overrides.items():
-            setattr(config, key, value)
+        config = cls(community_model="xgb", **overrides)
         config.validate()
         return config

@@ -25,25 +25,6 @@ from repro.graph.ego import ego_network
 from repro.graph.graph import Graph
 from repro.types import Node, node_key
 
-BACKENDS = ("auto", "dict", "csr")
-"""Valid Phase I graph backends: pure-Python dict-of-sets, NumPy CSR kernels,
-or ``auto`` (the CSR kernels)."""
-
-
-def resolve_backend(backend: str) -> str:
-    """Resolve a backend name to the concrete implementation to run.
-
-    ``auto`` picks the CSR kernel layer (NumPy is a hard dependency of every
-    layer), so callers (``core.division``, ``runtime.executor``, the
-    experiments) name a preference once and never branch on it again.
-    """
-    if backend not in BACKENDS:
-        raise PipelineError(
-            f"unknown graph backend {backend!r}; available: {sorted(BACKENDS)}"
-        )
-    return "csr" if backend == "auto" else backend
-
-
 @dataclass(frozen=True)
 class LocalCommunity:
     """A local community detected inside one ego's ego network.
@@ -204,15 +185,19 @@ def get_detector(name: str) -> DetectorFn:
 
 
 def _ego_divider(
-    graph: Graph | CSRGraph, detector: DetectorFn | str, backend: str
+    graph: Graph | CSRGraph, detector: DetectorFn | str
 ) -> Callable[[Node], list[LocalCommunity]]:
     """Resolve the Phase I route once; the returned callable divides one ego.
 
-    Only Girvan-Newman has a CSR kernel.  Every other detector (and any
-    callable) runs the dict path on either backend, so a :class:`CSRGraph`
-    headed there is materialised here, once per call — never once per ego.
+    A detector *name* runs its routed kernel: ``"girvan_newman"`` the CSR
+    engine of :mod:`repro.graph.csr`, the ablation detectors (which have
+    none) their reference.  A detector *callable* always runs on ego-network
+    :class:`Graph` objects — ``get_detector("girvan_newman")`` is therefore
+    the oracle the CSR engine is tested against.  A :class:`CSRGraph` headed
+    for the ``Graph`` path is materialised here, once per call — never once
+    per ego.
     """
-    if resolve_backend(backend) == "csr" and detector == "girvan_newman":
+    if detector == "girvan_newman":
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
         return lambda ego: _divide_ego_csr(csr, ego)
     source = graph.to_graph() if isinstance(graph, CSRGraph) else graph
@@ -224,22 +209,21 @@ def divide_ego(
     graph: Graph,
     ego: Node,
     detector: DetectorFn | str = "girvan_newman",
-    backend: str = "dict",
 ) -> list[LocalCommunity]:
-    """Run Phase I for a single ego node.
+    """Run Phase I for a single ego node — ``divide(graph, egos=[ego])``'s
+    route, one ego at a time.
 
     Returns the ego's local communities with per-member tightness values.
-    An ego with no friends yields an empty list.  ``backend="csr"`` routes
-    through the vectorized kernels; for repeated calls prefer :func:`divide`,
-    which builds the CSR snapshot once for all egos.
+    An ego with no friends yields an empty list.  For repeated calls prefer
+    :func:`divide`, which builds the CSR snapshot once for all egos.
     """
-    return _ego_divider(graph, detector, backend)(ego)
+    return _ego_divider(graph, detector)(ego)
 
 
 def _detect_communities(
     ego_net: Graph, ego: Node, detector: DetectorFn
 ) -> list[LocalCommunity]:
-    """Run ``detector`` on a dict-backend ego network and score tightness."""
+    """Run ``detector`` on an ego-network :class:`Graph` and score tightness."""
     if ego_net.num_nodes == 0:
         return []
     communities: list[LocalCommunity] = []
@@ -260,7 +244,7 @@ def _detect_communities(
 
 def _divide_ego_csr(csr: CSRGraph, ego: Node) -> list[LocalCommunity]:
     """Girvan-Newman (the paper's detector) for one ego, entirely on the
-    flat local arrays; results are identical to ``backend="dict"``."""
+    flat local arrays; results are identical to the callable detector's."""
     net = dense_ego_net(csr, ego)
     if net.num_nodes == 0:
         return []
@@ -295,8 +279,8 @@ def _block_tightness(
     """Equation 3 for one local community, on int-indexed adjacency lists.
 
     Same integer counts and float operations as
-    :func:`repro.core.tightness.tightness`, so the values match the dict
-    backend bit-for-bit.
+    :func:`repro.core.tightness.tightness`, so the values match it bit for
+    bit.
     """
     size = len(block)
     if size == 1:
@@ -322,23 +306,16 @@ def divide(
     graph: Graph,
     egos: Iterable[Node] | None = None,
     detector: DetectorFn | str = "girvan_newman",
-    backend: str = "auto",
 ) -> DivisionResult:
     """Run Phase I for every ego in ``egos`` (default: every node of the graph,
     in :data:`repro.types.node_key` order).
 
     The per-ego work is embarrassingly parallel; :mod:`repro.runtime` shards
     this same function across workers for the scalability experiments.
-
-    Parameters
-    ----------
-    backend:
-        ``"dict"`` for the pure-Python reference, ``"csr"`` for the NumPy
-        kernel layer (:mod:`repro.graph.csr`), ``"auto"`` (default) for
-        CSR.  Both backends produce identical communities and tightness
-        values.
+    ``detector`` is a name (its routed kernel) or a callable over ego-network
+    :class:`Graph` objects (see :func:`get_detector` for the references).
     """
-    divide_one = _ego_divider(graph, detector, backend)
+    divide_one = _ego_divider(graph, detector)
     if egos is None:
         egos = sorted(graph.nodes(), key=node_key)
     return DivisionResult({ego: divide_one(ego) for ego in egos})

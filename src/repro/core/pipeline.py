@@ -236,10 +236,7 @@ class LoCEC:
         with self._timed(timings, "division"):
             if division is None:
                 division = divide(
-                    graph,
-                    egos=egos,
-                    detector=self.config.community_detector,
-                    backend=self.config.backend,
+                    graph, egos=egos, detector=self.config.community_detector
                 )
             self.division_ = division
         summary.num_egos = division.num_egos
@@ -247,10 +244,7 @@ class LoCEC:
 
         with self._timed(timings, "aggregation"):
             self.feature_builder_ = FeatureMatrixBuilder(
-                features=features,
-                interactions=interactions,
-                k=self.config.k,
-                options=self.config.runtime_options,
+                features=features, interactions=interactions, k=self.config.k
             )
             train_communities, train_labels = self._derive_training_set(
                 "no local community has a derivable ground-truth label; "
@@ -307,27 +301,15 @@ class LoCEC:
     def _build_community_classifier(self) -> CommunityClassifier:
         assert self.feature_builder_ is not None
         if self.config.community_model == "cnn":
-            # The pipeline-level nn_backend knob governs the CommCNN execution
-            # engine; a CommCNNConfig.nn_backend set directly still wins when
-            # the pipeline knob is left on "auto".
-            cnn_config = self.config.cnn
-            if self.config.nn_backend != "auto":
-                cnn_config = replace(cnn_config, nn_backend=self.config.nn_backend)
             return CNNCommunityClassifier(
                 self.feature_builder_,
                 num_classes=self._num_classes,
-                config=cnn_config,
+                config=self.config.cnn,
             )
-        # The pipeline-level ml_backend knob governs the model layer; a
-        # GBDTConfig.backend set directly still wins when the pipeline knob
-        # is left on "auto".
-        gbdt_config = self.config.gbdt
-        if self.config.ml_backend != "auto":
-            gbdt_config = replace(gbdt_config, backend=self.config.ml_backend)
         return GBDTCommunityClassifier(
             self.feature_builder_,
             num_classes=self._num_classes,
-            config=gbdt_config,
+            config=self.config.gbdt,
         )
 
     def _score_communities(
@@ -565,7 +547,6 @@ class LoCEC:
                 num_shards=min(4, len(dirty_egos)),
                 num_workers=1,
                 detector=self.config.community_detector,
-                backend=self.config.backend,
                 resilience=resilience,
                 fault_plan=fault_plan,
                 clock=self._clock,
@@ -665,8 +646,7 @@ class LoCEC:
         """Predicted :class:`RelationType` for each edge, in input order.
 
         The whole batch is featurized (Equation 4) and scored through the
-        Phase III logistic regression in one pass, on whichever aggregation
-        backend the pipeline was configured with.  Edges whose endpoints
+        Phase III logistic regression in one pass.  Edges whose endpoints
         share no classified community fall back to the zero feature vector
         rather than failing.  For a long-lived serving loop — caching,
         latency accounting, incremental updates between batches — wrap the
@@ -682,8 +662,8 @@ class LoCEC:
 
         Row ``i`` holds the per-class probabilities of ``edges[i]`` (columns
         follow ``RelationType.classification_targets()`` order); an empty
-        batch yields a ``(0, num_classes)`` matrix.  Same backend and
-        fallback semantics as :meth:`predict_edges`.
+        batch yields a ``(0, num_classes)`` matrix.  Same fallback
+        semantics as :meth:`predict_edges`.
         """
         self._require_fitted()
         assert self.edge_labeler_ is not None

@@ -1,10 +1,10 @@
 """Graph substrate: undirected graphs, ego networks, feature and interaction stores.
 
-Two interchangeable graph backends live here:
+Two graph representations live here:
 
-* :class:`Graph` — the pure-Python ``dict[node, set[node]]`` reference.  It
-  is the mutable, readable implementation every algorithm is specified
-  against.
+* :class:`Graph` — the pure-Python ``dict[node, set[node]]`` container.  It
+  is the mutable, readable input type, and the implementation every
+  algorithm is specified against.
 * :class:`CSRGraph` (:mod:`repro.graph.csr`) — an immutable NumPy CSR
   snapshot with the kernels Phase I division routes through (ego-network
   extraction, Girvan-Newman over cached all-pairs Brandes betweenness).
@@ -13,19 +13,20 @@ The Phase II stores get the same treatment in :mod:`repro.graph.phase2`:
 :class:`Phase2Kernel` compiles :class:`InteractionStore` /
 :class:`NodeFeatureStore` into an :class:`InteractionMatrix` (CSR) plus a
 dense :class:`NodeFeatureMatrix`, and
-``repro.core.aggregation.FeatureMatrixBuilder(..., options=RuntimeOptions())``
-routes Algorithm 1 / statistic aggregation through it with bit-identical
-output.
+:class:`repro.core.aggregation.FeatureMatrixBuilder` routes Algorithm 1 /
+statistic aggregation through it.
 
-Which to use: build the graph with :class:`Graph`, then let
-``repro.core.division.divide(..., backend="auto")`` (the default) route hot
-loops through CSR — both backends produce identical communities and
-tightness values, so the knob is purely about speed.  Pick
-``backend="dict"`` only when debugging kernel parity.  Measured kernel
-speeds live in ``BENCH_kernels.json`` at the repo
-root (written by ``scripts/perf_report.py``): each entry records
+Which to use: build the graph with :class:`Graph` and call
+:func:`repro.core.division.divide`; it snapshots to CSR itself.  The
+pure-Python references are test oracles, not options: a *callable* detector
+(``divide(g, detector=get_detector("girvan_newman"))``) runs on ego-network
+:class:`Graph` objects, and ``reference_feature_matrix`` /
+``reference_statistic_vector`` in :mod:`repro.core.aggregation` are
+Algorithm 1 by per-pair store lookups.  Measured kernel speeds live in
+``BENCH_kernels.json`` at the repo root (written by
+``scripts/perf_report.py``): each entry records
 ``seconds_per_op``/``ops_per_sec`` per kernel and scale, and the
-``phase1_division_small`` pair is the headline dict-vs-CSR comparison —
+``phase1_division_small`` pair is the headline oracle-vs-CSR comparison —
 regenerate it with ``python scripts/perf_report.py --update`` after touching
 any kernel, and CI fails if a kernel regresses >30% against the committed
 baseline.

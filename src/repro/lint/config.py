@@ -9,9 +9,7 @@ configuration encodes this repo's invariant boundaries:
   while library and report-generating code must route through
   :mod:`repro.clock`;
 * NumPy-hygiene and multiprocessing-safety rules cover library, scripts and
-  benchmarks alike;
-* the parity-coverage rule is a project rule: it reads the library for
-  accepted backend literals and the test tree for coverage.
+  benchmarks alike.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ _MP_CRITICAL = _EVERYTHING + (
 DEFAULT_RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     "DET001": _LIBRARY_AND_SCRIPTS,
     "DET002": _LIBRARY_AND_SCRIPTS,
-    "PAR001": _LIBRARY,  # project rule: src side of the cross-reference
     "MP001": _MP_CRITICAL,
     "MP002": _LIBRARY,
     "MP003": _MP_CRITICAL,
@@ -52,17 +49,12 @@ class LintConfig:
 
     src_roots: Tuple[str, ...] = _EVERYTHING
     """Directories (relative to the lint root) scanned for source modules."""
-    test_roots: Tuple[str, ...] = ("tests",)
-    """Directories whose modules count as tests for cross-reference rules."""
     rule_scopes: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_RULE_SCOPES)
     )
     """Rule id → path prefixes it applies to.  A rule missing from the map
     applies to every ``src_roots`` file."""
     disabled_rules: Tuple[str, ...] = ()
-    backend_knobs: Tuple[str, ...] = ("backend", "ml_backend", "nn_backend")
-    """Config attribute names the parity-coverage rule treats as backend
-    knobs."""
 
     def applies_to(self, rule_id: str, rel_path: str) -> bool:
         """True when ``rule_id`` is in scope for ``rel_path``."""

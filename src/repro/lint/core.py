@@ -3,8 +3,8 @@
 A rule is a class decorated with :func:`register`.  Module rules implement
 ``check_module(ctx)`` and run once per in-scope file; project rules
 implement ``check_project(project)`` and run once over the whole tree (they
-see every parsed module plus the test modules), which is what cross-file
-contracts like backend-parity coverage need.
+see every parsed module), which is what cross-file contracts like the
+lease-owner lifecycle need.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ class ProjectContext:
     root: str
     modules: List[ModuleContext]
     """Every parsed source module (the union of all rule scopes)."""
-    test_modules: List[ModuleContext]
-    """Parsed modules under the configured test roots."""
-    backend_knobs: tuple = ("backend", "ml_backend", "nn_backend")
-    """Knob attribute names the parity rule cross-references (from
-    :class:`repro.lint.config.LintConfig.backend_knobs`)."""
 
 
 class Rule:

@@ -116,23 +116,10 @@ def run_lint(
         ctx, index = loaded
         modules.append(ctx)
         suppressions[ctx.path] = index
-    test_modules: List[ModuleContext] = []
-    for path in _discover(root, config.test_roots):
-        loaded = _load_module(root, path, result)
-        if loaded is None:
-            continue
-        ctx, index = loaded
-        test_modules.append(ctx)
-        suppressions.setdefault(ctx.path, index)
-    result.files_checked = len(modules) + len(test_modules)
+    result.files_checked = len(modules)
 
     raw: List[Finding] = []
-    project = ProjectContext(
-        root=str(root),
-        modules=modules,
-        test_modules=test_modules,
-        backend_knobs=config.backend_knobs,
-    )
+    project = ProjectContext(root=str(root), modules=modules)
     for rule in rules:
         if rule.scope == "project":
             raw.extend(

@@ -42,9 +42,8 @@ ML_BACKENDS = ("auto", "node", "array", "hist")
 tensors with the exact presorted, feature-batched split search, or the
 histogram split search of :mod:`repro.ml.hist`.  ``auto`` picks between the
 exact array kernels and the histogram search by row count (see
-:func:`resolve_ml_backend`); unlike the graph layer's dict backend, the
-whole ML substrate already requires NumPy, so ``"node"`` exists only as an
-explicit reference/debugging choice."""
+:func:`resolve_ml_backend`) and is what every product caller runs;
+``"node"`` exists only as the reference the parity suites compare against."""
 
 HIST_AUTO_MIN_ROWS = 4096
 """Row-count crossover for ``auto``: below this the exact array search is
@@ -65,10 +64,9 @@ a re-routing."""
 def resolve_ml_backend(backend: str, num_rows: int | None = None) -> str:
     """Resolve an ML backend name to the concrete implementation to run.
 
-    Mirrors :func:`repro.core.division.resolve_backend` in shape.  ``auto``
-    resolves to the exact array kernels, unless the fitting row count is
-    known (``num_rows``) and reaches :data:`HIST_AUTO_MIN_ROWS`, in which
-    case the histogram split search takes over.
+    ``auto`` resolves to the exact array kernels, unless the fitting row
+    count is known (``num_rows``) and reaches :data:`HIST_AUTO_MIN_ROWS`, in
+    which case the histogram split search takes over.
     """
     if backend not in ML_BACKENDS:
         raise ModelConfigError(

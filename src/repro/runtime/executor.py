@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import ResilienceConfig
-from repro.core.division import DivisionResult, divide, resolve_backend
+from repro.core.division import DivisionResult, divide
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.graph.shm import SharedCSRGraph, ShmLease
+from repro.graph.shm import SharedCSRGraph
 from repro.runtime.faultinject import FaultPlan
 from repro.runtime.resilience import (
     Clock,
@@ -52,27 +52,14 @@ from repro.types import Node
 
 
 # ------------------------------------------------- supervisor specialisation
-def _prepare_graph(payload: tuple[Graph, str]) -> Graph | CSRGraph:
-    """Resolve the backend once per process: CSR snapshots are per-graph,
-    not per-shard, so the O(V+E) conversion must not repeat for every task."""
-    graph, backend = payload
-    if resolve_backend(backend) == "csr" and not isinstance(graph, CSRGraph):
-        return CSRGraph.from_graph(graph)
-    return graph
+def _prepare_graph(graph: Graph | CSRGraph) -> CSRGraph:
+    """Snapshot once per process: CSR snapshots are per-graph, not
+    per-shard, so the O(V+E) conversion must not repeat for every task."""
+    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
 
 
-def _publish_graph(prepared: Graph | CSRGraph) -> ShmLease | None:
-    """Publish a CSR snapshot to shared memory; the dict backend has no
-    shared form, so ``"auto"`` ships it by pickle and ``"shm"`` refuses."""
-    if not isinstance(prepared, CSRGraph):
-        return None
-    return SharedCSRGraph.publish(prepared)
-
-
-def _divide_shard(
-    graph: Graph, shard: Shard, detector: str, backend: str
-) -> DivisionResult:
-    return divide(graph, egos=shard.egos, detector=detector, backend=backend)
+def _divide_shard(graph: CSRGraph, shard: Shard, detector: str) -> DivisionResult:
+    return divide(graph, egos=shard.egos, detector=detector)
 
 
 # ----------------------------------------------------------------- reporting
@@ -134,9 +121,6 @@ class ShardedDivisionExecutor:
         Community detector to run inside each ego network.
     strategy:
         Sharding strategy (see :func:`repro.runtime.sharding.shard_nodes`).
-    backend:
-        Graph backend for Phase I (``"auto"``/``"dict"``/``"csr"``, see
-        :func:`repro.core.division.divide`).
     resilience:
         Fault-tolerance knobs (:class:`repro.core.config.ResilienceConfig`):
         retry budget and backoff, per-shard timeout, ``on_shard_failure``
@@ -157,7 +141,6 @@ class ShardedDivisionExecutor:
         num_workers: int = 1,
         detector: str = "girvan_newman",
         strategy: str = "round_robin",
-        backend: str = "auto",
         resilience: ResilienceConfig | None = None,
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
@@ -166,7 +149,6 @@ class ShardedDivisionExecutor:
         self.num_workers = num_workers
         self.detector = detector
         self.strategy = strategy
-        self.backend = backend
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.resilience.validate()
         self.fault_plan = fault_plan
@@ -221,7 +203,7 @@ class ShardedDivisionExecutor:
         for shard in shards.values():
             checkpoint = resume_store.load(shard, self.detector) if resume_store else None
             if checkpoint is None:
-                tasks.append((shard.shard_id, (shard, self.detector, self.backend)))
+                tasks.append((shard.shard_id, (shard, self.detector)))
             else:
                 # attempts=0 marks a result that was loaded, never run.
                 resumed.append(
@@ -235,9 +217,9 @@ class ShardedDivisionExecutor:
                 )
 
         with ShardSupervisor(
-            (graph, self.backend),
+            graph,
             shard_fn=_divide_shard,
-            publish=_publish_graph,
+            publish=SharedCSRGraph.publish,
             prepare=_prepare_graph,
             num_workers=self.num_workers,
             resilience=self.resilience,

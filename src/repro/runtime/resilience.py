@@ -151,12 +151,9 @@ def shard_fingerprint(
 ) -> str:
     """Content hash identifying a shard's work: id, ego list and detector.
 
-    The graph backend is deliberately excluded — backends are bit-identical
-    by contract, so a checkpoint written under ``csr`` is valid for a resume
-    under ``dict`` and vice versa.  ``graph_id`` — the executor passes
-    :func:`graph_value_digest` — *is* included when known: a checkpoint is
-    only as trustworthy as the graph it was computed from, so any edge or
-    node change invalidates old checkpoints.
+    ``graph_id`` — the executor passes :func:`graph_value_digest` — is
+    included when known: a checkpoint is only as trustworthy as the graph it
+    was computed from, so any edge or node change invalidates old checkpoints.
     """
     work: tuple[object, ...] = (shard.shard_id, shard.egos, detector)
     if graph_id is not None:

@@ -548,7 +548,7 @@ class ShardSupervisor(Generic[ResultT]):
         if mode == "shm":
             raise ExecutorError(
                 "transport='shm' requires a payload with a shared-memory form "
-                "(the CSR graph backend) and a platform with POSIX shared memory"
+                "and a platform with POSIX shared memory"
             )
         payload_bytes = len(pickle.dumps(self.payload, pickle.HIGHEST_PROTOCOL))
         self._shipping = ("pickle", payload_bytes, 0, fallback_error)

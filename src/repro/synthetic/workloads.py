@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.core.division import DivisionResult, divide, resolve_backend
+from repro.core.division import DivisionResult, divide
 from repro.core.labels import split_labeled_edges
 from repro.synthetic.config import WeChatConfig
 from repro.synthetic.network import SocialNetworkDataset, generate_network
@@ -43,22 +43,11 @@ class ExperimentWorkload:
             return 0.0
         return len(self.labeled_edges) / self.dataset.num_edges
 
-    def division(
-        self, detector: str = "girvan_newman", backend: str = "auto"
-    ) -> DivisionResult:
-        """Phase I result for the full network, cached per (detector, backend).
-
-        The key uses the *resolved* backend so ``auto`` shares its cache
-        entry with whichever concrete backend it resolves to; both backends
-        produce identical results, so the split key exists only for
-        benchmarks that compare them explicitly.
-        """
-        key = f"{detector}:{resolve_backend(backend)}"
-        if key not in self._division_cache:
-            self._division_cache[key] = divide(
-                self.dataset.graph, detector=detector, backend=backend
-            )
-        return self._division_cache[key]
+    def division(self, detector: str = "girvan_newman") -> DivisionResult:
+        """Phase I result for the full network, cached per detector."""
+        if detector not in self._division_cache:
+            self._division_cache[detector] = divide(self.dataset.graph, detector=detector)
+        return self._division_cache[detector]
 
     def subsample_train(
         self, label_fraction: float, seed: int | None = None

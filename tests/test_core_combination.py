@@ -19,6 +19,7 @@ from repro.core import (
     majority_label,
     split_labeled_edges,
 )
+from repro.core.config import ResilienceConfig
 from repro.core.results import (
     CommunityClassification,
     EdgeClassification,
@@ -209,6 +210,14 @@ class TestConfigs:
         assert LoCECConfig.locec_cnn().community_model == "cnn"
         assert LoCECConfig.locec_xgb().community_model == "xgb"
         assert LoCECConfig.locec_cnn(k=10).k == 10
+        assert LoCECConfig.locec_xgb(k=5).k == 5
+        # An override is a constructor argument: a stale or misspelt name fails.
+        with pytest.raises(TypeError):
+            LoCECConfig.locec_xgb(backend="dict")
+        with pytest.raises(TypeError):
+            LoCECConfig.locec_cnn(bakcend="x")
+        with pytest.raises(ModelConfigError):
+            LoCECConfig.locec_cnn(k=0)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ModelConfigError):
@@ -221,6 +230,8 @@ class TestConfigs:
             LoCECConfig(edge_lr_iterations=0).validate()
         with pytest.raises(ModelConfigError):
             GBDTConfig(num_rounds=0).validate()
+        with pytest.raises(ModelConfigError):
+            LoCECConfig(resilience=ResilienceConfig(transport="tcp")).validate()
 
 
 class TestResults:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.core import LoCEC, LoCECConfig
+from repro.core import LoCEC, LoCECConfig, divide, get_detector
+from repro.core.aggregation import reference_feature_matrix, reference_statistic_vector
 from repro.exceptions import NotFittedError, PipelineError
+from repro.ml.gbdt import GradientBoostedClassifier
 from repro.types import RelationType
+from tests.test_nn_engine import _commcnn
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +176,52 @@ class TestDetectorAblation:
         report = pipeline.evaluate(tiny_workload.test_edges)
         assert report.overall is not None
         assert report.overall.f1 > 0.5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model", ["xgb", "cnn"])
+def test_every_layer_of_a_default_fit_matches_its_oracle(tiny_workload, model):
+    """No pipeline runs the oracles any more, so arbitrate layer by layer:
+    recompute each layer of a default ``fit`` with its reference, on the
+    pipeline's own intermediates, bit for bit."""
+    workload = tiny_workload
+    graph, features = workload.dataset.graph, workload.dataset.features
+    interactions = workload.dataset.interactions
+    config = getattr(LoCECConfig, f"locec_{model}")()
+    pipeline = LoCEC(config).fit(graph, features, interactions, workload.train_edges)
+
+    oracle = divide(graph, detector=get_detector(config.community_detector))
+    assert oracle.communities_by_ego == pipeline.division_.communities_by_ego
+
+    communities = list(pipeline.division_.all_communities())
+    builder = pipeline.feature_builder_
+    for community, routed in zip(communities, builder.feature_matrices(communities)):
+        reference = reference_feature_matrix(community, features, interactions, config.k)
+        assert reference.member_order == routed.member_order
+        assert np.array_equal(reference.matrix, routed.matrix)
+    assert np.array_equal(
+        [reference_statistic_vector(c, features, interactions) for c in communities],
+        builder.statistic_vectors(communities),
+    )
+
+    fitted = pipeline.community_classifier_
+    train, labels = pipeline._train_communities, np.asarray(pipeline._train_labels)
+    reference = copy.copy(fitted)
+    if model == "xgb":
+        reference._model = GradientBoostedClassifier(
+            num_rounds=config.gbdt.num_rounds,
+            learning_rate=config.gbdt.learning_rate,
+            max_depth=config.gbdt.max_depth,
+            min_samples_leaf=config.gbdt.min_samples_leaf,
+            subsample=config.gbdt.subsample,
+            num_classes=fitted.num_classes,
+            seed=config.gbdt.seed,
+            backend="node",
+        ).fit(builder.statistic_vectors(train), labels)
+    else:
+        reference._classifier = _commcnn(
+            config.k, builder.num_columns, fitted.num_classes, config.cnn, "loop"
+        ).fit(builder.matrices_as_tensor(train) / fitted._column_scale, labels)
+    assert np.array_equal(
+        reference.result_vectors(communities), fitted.result_vectors(communities)
+    )

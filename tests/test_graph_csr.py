@@ -1,9 +1,10 @@
-"""Parity tests: the CSR kernel layer must match the dict backend exactly.
+"""Parity tests: the CSR kernel layer must match its dict oracle exactly.
 
-Every kernel ``divide(backend="csr")`` routes through
-(:mod:`repro.graph.csr`, ``division._block_tightness``) has a dict-backend
-oracle, and ``divide(backend="csr")`` must reproduce
-``divide(backend="dict")`` bit-for-bit (members, ordering/index, tightness).
+Every kernel ``divide(graph)`` routes through (:mod:`repro.graph.csr`,
+``division._block_tightness``) has an oracle on ``Graph`` objects, and
+``divide(graph)`` must reproduce ``divide(graph, detector=ORACLE)`` — the
+same detector as a callable, which runs on ego-network ``Graph`` objects —
+bit-for-bit (members, ordering/index, tightness).
 The tests sweep randomized graphs across seeds and densities, including
 isolated nodes and singleton communities, plus the paper's example networks.
 """
@@ -20,10 +21,10 @@ from repro.core.division import (
     _neighbor_lists,
     divide,
     divide_ego,
-    resolve_backend,
+    get_detector,
 )
 from repro.core.tightness import community_tightness
-from repro.exceptions import NodeNotFoundError, PipelineError
+from repro.exceptions import NodeNotFoundError
 from repro.graph import Graph
 from repro.graph.csr import (
     _PYTHON_KERNEL_MAX,
@@ -37,6 +38,7 @@ from repro.graph.ego import ego_network
 from repro.graph.generators import paper_figure7_network
 
 SEEDS = (0, 1, 2, 3, 4)
+ORACLE = get_detector("girvan_newman")
 
 
 def random_graph(seed: int, n: int = 24, p: float = 0.18) -> Graph:
@@ -71,7 +73,7 @@ def assert_division_identical(left, right) -> None:
 
 
 def assert_hub_division_identical(friends: Graph) -> list:
-    """Divide one hub ego adjacent to every node of ``friends`` on both backends.
+    """Divide one hub ego adjacent to every node of ``friends`` on both routes.
 
     The hub's ego network *is* ``friends``, so this runs GN and tightness on
     a net of any chosen shape; returns the hub's communities.
@@ -80,8 +82,8 @@ def assert_hub_division_identical(friends: Graph) -> list:
     graph = Graph(nodes=friends.nodes(), edges=friends.edges())
     for node in friends.nodes():
         graph.add_edge(hub, node)
-    result = divide(graph, egos=[hub], backend="csr")
-    assert_division_identical(divide(graph, egos=[hub], backend="dict"), result)
+    result = divide(graph, egos=[hub])
+    assert_division_identical(divide(graph, egos=[hub], detector=ORACLE), result)
     return result.communities_of(hub)
 
 
@@ -220,22 +222,20 @@ class TestDivideParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_girvan_newman_backend_parity(self, seed):
         graph = random_graph(seed)
-        assert_division_identical(
-            divide(graph, backend="dict"), divide(graph, backend="csr")
-        )
+        assert_division_identical(divide(graph, detector=ORACLE), divide(graph))
 
     @pytest.mark.parametrize("detector", ["louvain", "label_propagation"])
     def test_alternative_detectors(self, detector):
+        # No CSR kernel: the name, the callable and a CSRGraph input agree.
         graph = random_graph(1, n=18, p=0.2)
+        by_name = divide(graph, detector=detector)
+        assert_division_identical(divide(graph, detector=get_detector(detector)), by_name)
         assert_division_identical(
-            divide(graph, detector=detector, backend="dict"),
-            divide(graph, detector=detector, backend="csr"),
+            divide(CSRGraph.from_graph(graph), detector=detector), by_name
         )
 
     def test_fig7(self, fig7_graph):
-        assert_division_identical(
-            divide(fig7_graph, backend="dict"), divide(fig7_graph, backend="csr")
-        )
+        assert_division_identical(divide(fig7_graph, detector=ORACLE), divide(fig7_graph))
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_large_sparse_component_takes_numpy_brandes(self, seed, monkeypatch):
@@ -260,39 +260,50 @@ class TestDivideParity:
 
     def test_isolated_and_singleton_egos(self):
         graph = Graph(edges=[(1, 2)], nodes=[3])
-        assert_division_identical(
-            divide(graph, backend="dict"), divide(graph, backend="csr")
-        )
+        result = divide(graph)
+        assert_division_identical(divide(graph, detector=ORACLE), result)
         # Ego 3 has no friends, egos 1/2 have singleton communities.
-        result = divide(graph, backend="csr")
         assert result.communities_of(3) == []
         assert result.communities_of(1)[0].tightness == {2: 1.0}
 
     def test_divide_ego_backend(self, fig7_graph):
+        # The single-ego entry point takes divide's route, and agrees with
+        # the oracle on members, index and tightness.
+        routed = divide(fig7_graph)
         for ego in fig7_graph.nodes():
-            left = divide_ego(fig7_graph, ego, backend="dict")
-            right = divide_ego(fig7_graph, ego, backend="csr")
-            assert [c.members for c in left] == [c.members for c in right]
+            left = divide_ego(fig7_graph, ego, detector=ORACLE)
+            right = divide_ego(fig7_graph, ego)
+            assert right == routed.communities_of(ego)
+            assert [(c.members, c.index, c.tightness) for c in left] == [
+                (c.members, c.index, c.tightness) for c in right
+            ]
+
+    def test_unknown_backend_raises(self, fig7_graph):
+        # There is no selector to get wrong: a stale ``backend=`` caller fails.
+        with pytest.raises(TypeError):
+            divide(fig7_graph, backend="dict")
+        with pytest.raises(TypeError):
+            divide_ego(fig7_graph, 1, backend="dict")
+
+    def test_name_takes_the_kernel_and_callable_the_reference(self, fig7_graph, monkeypatch):
+        # The parity above compares two implementations, not one with itself.
+        seen = []
+        divide(fig7_graph, detector=lambda net: seen.append(type(net)) or ORACLE(net))
+        assert set(seen) == {Graph}
+
+        def reference_called(graph):
+            raise AssertionError("the named route reached the reference detector")
+
+        monkeypatch.setattr("repro.core.division.girvan_newman", reference_called)
+        assert divide(fig7_graph).num_egos == fig7_graph.num_nodes
+        with pytest.raises(AssertionError):
+            divide(fig7_graph, detector=ORACLE)
 
     def test_divide_accepts_csr_graph(self, fig7_graph):
         csr = CSRGraph.from_graph(fig7_graph)
-        assert_division_identical(
-            divide(fig7_graph, backend="dict"), divide(csr, backend="csr")
-        )
-        assert_division_identical(
-            divide(fig7_graph, backend="dict"), divide(csr, backend="dict")
-        )
-
-    def test_unknown_backend_raises(self, fig7_graph):
-        with pytest.raises(PipelineError):
-            divide(fig7_graph, backend="sparse")
-
-    def test_resolve_backend(self):
-        assert resolve_backend("dict") == "dict"
-        assert resolve_backend("csr") == "csr"
-        assert resolve_backend("auto") in {"dict", "csr"}
-        with pytest.raises(PipelineError):
-            resolve_backend("gpu")
+        oracle = divide(fig7_graph, detector=ORACLE)
+        assert_division_identical(oracle, divide(csr))
+        assert_division_identical(oracle, divide(csr, detector=ORACLE))
 
 
 class TestDenseEgoNet:
@@ -317,6 +328,4 @@ class TestStringLabels:
         # String labels exercise the repr-based canonical edge ordering.
         edges = [("b", "a"), ("a", "c"), ("c", "b"), ("c", "d"), ("d", "e")]
         graph = Graph(edges=edges, nodes=["zz"])
-        assert_division_identical(
-            divide(graph, backend="dict"), divide(graph, backend="csr")
-        )
+        assert_division_identical(divide(graph, detector=ORACLE), divide(graph))

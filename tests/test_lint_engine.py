@@ -7,9 +7,7 @@ Three layers:
   (see ``tests/lint_fixtures/``);
 * **reporters** — the text and JSON renderers emit the documented shapes;
 * **meta** — the engine runs clean over the real repository (the same
-  invocation the ``static-analysis`` CI job blocks on), and the parity rule
-  demonstrably fails, naming the uncovered literal, when the covering tests
-  disappear.
+  invocation the ``static-analysis`` CI job blocks on).
 """
 
 from __future__ import annotations
@@ -53,11 +51,10 @@ EXPECTED_BAD_HITS = {
 }
 
 
-def _lint_fixture(rule_id: str, *fixture_names: str, test_fixtures=()):
+def _lint_fixture(rule_id: str, *fixture_names: str):
     """Run one rule over flat fixture files under ``tests/lint_fixtures``."""
     config = LintConfig(
         src_roots=tuple(f"{FIXTURES}/{name}.py" for name in fixture_names),
-        test_roots=tuple(f"{FIXTURES}/{name}.py" for name in test_fixtures),
         rule_scopes={},
     )
     return run_lint(root=TESTS_DIR, config=config, rule_ids=[rule_id])
@@ -112,42 +109,11 @@ def test_findings_carry_location_and_sort(rule_id="DET001"):
         assert "Clock" in finding.message  # points at the remedy
 
 
-def test_parity_rule_clean_when_every_literal_covered():
-    result = _lint_fixture(
-        "PAR001", "par001_src", test_fixtures=("par001_tests_full",)
-    )
-    assert result.ok, [f.message for f in result.findings]
-
-
-def test_parity_rule_names_uncovered_literal_when_test_deleted():
-    # Same source, but the beta parity test has been deleted.
-    result = _lint_fixture(
-        "PAR001", "par001_src", test_fixtures=("par001_tests_partial",)
-    )
-    assert len(result.findings) == 1
-    finding = result.findings[0]
-    assert finding.rule_id == "PAR001"
-    assert "'beta'" in finding.message
-    assert "backend='beta'" in finding.message
-    assert finding.path.endswith("par001_src.py")
-
-
-def test_parity_rule_fails_on_real_repo_without_its_parity_tests():
-    # Deleting the whole test tree must surface the repo's real backend
-    # literals as uncovered — proof the declaration scan reads the library.
-    config = LintConfig(test_roots=())
-    result = run_lint(root=REPO_ROOT, config=config, rule_ids=["PAR001"])
-    assert not result.ok
-    named = " ".join(f.message for f in result.findings)
-    for value in ("'csr'", "'hist'", "'fused'"):
-        assert value in named
-
-
 def test_parse_error_is_reported_not_crashed(tmp_path):
     bad = tmp_path / "src"
     bad.mkdir()
     (bad / "broken.py").write_text("def broken(:\n")
-    config = LintConfig(src_roots=("src",), test_roots=(), rule_scopes={})
+    config = LintConfig(src_roots=("src",), rule_scopes={})
     result = run_lint(root=tmp_path, config=config)
     assert not result.ok
     assert result.parse_errors and "broken.py" in result.parse_errors[0]
@@ -187,9 +153,8 @@ def test_json_reporter_schema():
 # ------------------------------------------------------- registry and CLI
 def test_rule_catalog_is_complete():
     catalog = {rule.rule_id for rule in all_rules()}
-    assert catalog == {"DET001", "DET002", "PAR001", "MP001", "MP002",
-                       "MP003", "MP004", "NPY001", "NPY002", "NPY003",
-                       "NPY004"}
+    assert catalog == {"DET001", "DET002", "MP001", "MP002", "MP003",
+                       "MP004", "NPY001", "NPY002", "NPY003", "NPY004"}
     for rule in all_rules():
         assert rule.name and rule.description and rule.rationale
 
@@ -232,7 +197,7 @@ def test_cli_json_and_rule_selection(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "PAR001", "MP002", "NPY004"):
+    for rule_id in ("DET001", "MP002", "NPY004"):
         assert rule_id in out
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.community_classifier import GBDTCommunityClassifier
-from repro.core.config import GBDTConfig, LoCECConfig, RuntimeOptions
+from repro.core.config import GBDTConfig
 from repro.core.division import LocalCommunity
 from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
 from repro.ml.forest import (
@@ -85,16 +85,6 @@ class TestBackendResolution:
             GradientRegressionTree(backend="csr")
         with pytest.raises(ModelConfigError):
             GradientBoostedClassifier(backend="csr")
-
-    def test_gbdt_config_backend_validation(self):
-        with pytest.raises(ModelConfigError):
-            GBDTConfig(backend="dict").validate()
-        GBDTConfig(backend="node").validate()
-
-    def test_locec_config_ml_backend_validation(self):
-        with pytest.raises(ModelConfigError):
-            LoCECConfig(ml_backend="csr").validate()
-        LoCECConfig(ml_backend="array").validate()
 
 
 class TestTreeParity:
@@ -388,24 +378,31 @@ class TestCommunityClassifierParity:
         from repro.core.aggregation import FeatureMatrixBuilder
 
         features, interactions, communities = random_stores_and_communities(seed)
-        labels = [index % 3 for index in range(len(communities))]
-        results = {}
-        for ml_backend in ("node", "array"):
-            builder = FeatureMatrixBuilder(features, interactions, k=6)
-            classifier = GBDTCommunityClassifier(
-                builder, config=GBDTConfig(num_rounds=6, backend=ml_backend)
-            ).fit(communities, labels)
-            results[ml_backend] = (
-                classifier.predict_proba(communities),
-                classifier.result_vectors(communities),
+        labels = np.array([index % 3 for index in range(len(communities))])
+        builder = FeatureMatrixBuilder(features, interactions, k=6)
+        classifier = GBDTCommunityClassifier(
+            builder, config=GBDTConfig(num_rounds=6)
+        ).fit(communities, labels)
+        probabilities = classifier.predict_proba(communities)
+        vectors = classifier.result_vectors(communities)
+        # The classifier's model on the same design, fitted by each kernel.
+        design = builder.statistic_vectors(communities)
+        node, array = (
+            GradientBoostedClassifier(num_rounds=6, num_classes=3, backend=backend).fit(
+                design, labels
             )
-        assert np.array_equal(results["node"][0], results["array"][0])
+            for backend in ("node", "array")
+        )
+        assert np.array_equal(node.predict_proba(design), array.predict_proba(design))
+        assert np.array_equal(node.predict_proba(design), probabilities)
         # The Phase III leaf-value embedding r_C must match bit-for-bit too.
-        assert np.array_equal(results["node"][1], results["array"][1])
+        assert np.array_equal(node.leaf_values(design), array.leaf_values(design))
+        assert np.array_equal(
+            node.leaf_values(design), classifier._model.leaf_values(design)
+        )
         # r_C's probability block is derived from the leaf values, not from
         # a second walk, and still is predict_proba to the last bit.
-        for probabilities, vectors in results.values():
-            assert np.array_equal(vectors[:, :3], probabilities)
+        assert np.array_equal(vectors[:, :3], probabilities)
 
     def test_result_vectors_walk_the_forest_once(self, monkeypatch):
         from repro.core.aggregation import FeatureMatrixBuilder
@@ -414,7 +411,7 @@ class TestCommunityClassifierParity:
         labels = [index % 3 for index in range(len(communities))]
         classifier = GBDTCommunityClassifier(
             FeatureMatrixBuilder(features, interactions, k=6),
-            config=GBDTConfig(num_rounds=4, backend="array"),
+            config=GBDTConfig(num_rounds=4),
         ).fit(communities, labels)
         walks = []
         leaf_slots = ForestTensor.leaf_slots
@@ -428,19 +425,17 @@ class TestCommunityClassifierParity:
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_matrices_as_tensor_path_bit_identical(self, seed):
-        """Direct Phase2Kernel->CNN tensor path vs the dict reference."""
-        from repro.core.aggregation import FeatureMatrixBuilder
+        """Direct Phase2Kernel->CNN tensor path vs the per-pair reference."""
+        from repro.core.aggregation import FeatureMatrixBuilder, reference_feature_matrix
 
         features, interactions, communities = random_stores_and_communities(seed)
         for k in (3, 6, 20):  # truncation, the default, and heavy padding
-            dict_builder = FeatureMatrixBuilder(
-                features, interactions, k=k, options=RuntimeOptions(backend="dict")
-            )
-            csr_builder = FeatureMatrixBuilder(
-                features, interactions, k=k, options=RuntimeOptions(backend="csr")
-            )
-            assert np.array_equal(
-                dict_builder.matrices_as_tensor(communities),
-                csr_builder.matrices_as_tensor(communities),
-            )
-        assert csr_builder.matrices_as_tensor([]).shape == (0, 1, 20, 7)
+            builder = FeatureMatrixBuilder(features, interactions, k=k)
+            reference = np.array(
+                [
+                    reference_feature_matrix(c, features, interactions, k).matrix
+                    for c in communities
+                ]
+            )[:, None]
+            assert np.array_equal(reference, builder.matrices_as_tensor(communities))
+        assert builder.matrices_as_tensor([]).shape == (0, 1, 20, 7)

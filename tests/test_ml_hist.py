@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import GBDTConfig, LoCECConfig
+from repro.core.config import GBDTConfig
 from repro.exceptions import ModelConfigError
 from repro.ml.forest import HIST_AUTO_MIN_ROWS, resolve_ml_backend
 from repro.ml.gbdt import GradientBoostedClassifier
@@ -129,8 +129,6 @@ class TestBinnedDataset:
 class TestBackendRouting:
     def test_hist_is_a_valid_backend_everywhere(self):
         assert resolve_ml_backend("hist") == "hist"
-        GBDTConfig(backend="hist").validate()
-        LoCECConfig(ml_backend="hist").validate()
         GradientRegressionTree(backend="hist")
         GradientBoostedClassifier(backend="hist")
 
@@ -321,7 +319,8 @@ class TestSubtraction:
 
 
 class TestPipelineIntegration:
-    def test_gbdt_community_classifier_accepts_hist(self):
+    def test_gbdt_community_classifier_accepts_hist(self, monkeypatch):
+        """Above the row crossover the classifier's default route is hist."""
         from repro.core.aggregation import FeatureMatrixBuilder
         from repro.core.community_classifier import GBDTCommunityClassifier
         from tests.test_ml_forest import random_stores_and_communities
@@ -329,9 +328,11 @@ class TestPipelineIntegration:
         features, interactions, communities = random_stores_and_communities(0)
         labels = [index % 3 for index in range(len(communities))]
         builder = FeatureMatrixBuilder(features, interactions, k=6)
+        monkeypatch.setattr("repro.ml.forest.HIST_AUTO_MIN_ROWS", len(communities))
         classifier = GBDTCommunityClassifier(
-            builder, config=GBDTConfig(num_rounds=4, backend="hist")
+            builder, config=GBDTConfig(num_rounds=4)
         ).fit(communities, labels)
+        assert classifier._model._resolved_backend == "hist"
         proba = classifier.predict_proba(communities)
         assert proba.shape == (len(communities), 3)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)

@@ -10,12 +10,10 @@ optimisers.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core.commcnn import build_commcnn_classifier
+from repro.core.commcnn import build_commcnn_classifier, build_commcnn_model
 from repro.core.config import CommCNNConfig
 from repro.exceptions import ModelConfigError
 from repro.ml.nn import (
@@ -33,6 +31,26 @@ from repro.ml.nn import (
 )
 
 
+def _commcnn(
+    k: int,
+    num_columns: int,
+    num_classes: int,
+    config: CommCNNConfig,
+    backend: str,
+    **branch_toggles: bool,
+) -> NeuralNetworkClassifier:
+    """``build_commcnn_classifier``'s classifier on a chosen engine."""
+    return NeuralNetworkClassifier(
+        build_commcnn_model(k, num_columns, num_classes, config=config, **branch_toggles),
+        num_classes=num_classes,
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        learning_rate=config.learning_rate,
+        seed=config.seed,
+        backend=backend,
+    )
+
+
 def _fit_pair(
     k: int,
     num_columns: int,
@@ -46,13 +64,7 @@ def _fit_pair(
     """Fit two identically-configured CommCNNs, one per backend."""
     fitted = []
     for backend in ("loop", "fused"):
-        clf = build_commcnn_classifier(
-            k,
-            num_columns,
-            num_classes,
-            config=replace(config, nn_backend=backend),
-            **branch_toggles,
-        )
+        clf = _commcnn(k, num_columns, num_classes, config, backend, **branch_toggles)
         if optimizer_factory is not None:
             clf.optimizer = optimizer_factory()
         clf.fit(X, y)
@@ -174,12 +186,7 @@ class TestCommCNNParity:
         X2, y2 = _random_problem(rng, 36, 8, 6, 3)
         fitted = []
         for backend in ("loop", "fused"):
-            clf = build_commcnn_classifier(
-                8,
-                6,
-                3,
-                config=CommCNNConfig(epochs=2, dropout=0.0, seed=9, nn_backend=backend),
-            )
+            clf = _commcnn(8, 6, 3, CommCNNConfig(epochs=2, dropout=0.0, seed=9), backend)
             clf.fit(X1, y1)
             clf.fit(X2, y2)
             fitted.append(clf)
@@ -190,11 +197,9 @@ class TestBackendResolution:
     def test_auto_uses_fused_for_commcnn(self):
         rng = np.random.default_rng(37)
         X, y = _random_problem(rng, 33, 8, 6, 2)
-        clf = build_commcnn_classifier(
-            8, 6, 2, config=CommCNNConfig(epochs=1, nn_backend="auto")
-        )
+        clf = build_commcnn_classifier(8, 6, 2, config=CommCNNConfig(epochs=1))
         clf.fit(X, y)
-        assert clf.backend_used_ == "fused"
+        assert clf.backend == "auto" and clf.backend_used_ == "fused"
 
     def test_auto_falls_back_on_unsupported_layer(self, rng):
         class Scale(Layer):

@@ -49,8 +49,8 @@ def test_quick_report_schema(quick_report):
     assert report["schema"] == 1
     benchmarks = report["benchmarks"]
     for expected in (
-        "ego_extraction_dict",
-        "ego_extraction_csr",
+        "ego_extraction_dense_dict",
+        "ego_extraction_dense_csr",
         "edge_betweenness_dict",
         "edge_betweenness_csr",
         "phase1_division_tiny_dict",
@@ -178,7 +178,7 @@ def test_committed_baseline_is_valid_json():
     report = json.loads(baseline.read_text())
     assert report["schema"] == 1
     assert "phase1_division_small_csr" in report["benchmarks"]
-    # The tentpole acceptance: CSR Phase I division is >= 5x the dict backend
+    # The tentpole acceptance: CSR Phase I division is >= 5x its dict oracle
     # at the small scale on the machine that produced the baseline.
     assert report["derived"]["speedup_phase1_division_small"] >= 5.0
     # PR 3 acceptance: the stacked forest tensors run GBDT inference

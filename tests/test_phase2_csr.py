@@ -1,10 +1,11 @@
-"""Parity tests: the Phase II kernel layer must match the dict backend exactly.
+"""Parity tests: the Phase II kernel layer must match its reference exactly.
 
-``FeatureMatrixBuilder(options=RuntimeOptions(backend="csr"))`` routes Equations 1-2, Algorithm 1 and
-the LoCEC-XGB statistic aggregation through the compiled
+``FeatureMatrixBuilder`` routes Equations 1-2, Algorithm 1 and the LoCEC-XGB
+statistic aggregation through the compiled
 :class:`repro.graph.phase2.Phase2Kernel`.  Interaction counts are
-integer-valued in every generated workload, so the CSR path must reproduce
-the dict path **bit-for-bit** — feature matrices, CNN input tensors and
+integer-valued in every generated workload, so the builder must reproduce
+``reference_feature_matrix`` / ``reference_statistic_vector`` (per-pair
+store lookups) **bit-for-bit** — feature matrices, CNN input tensors and
 statistic vectors alike.  The suite sweeps randomized stores and community
 shapes (missing nodes, singletons, non-member selections) plus the paper's
 example network, and carries the regression tests for the
@@ -23,16 +24,15 @@ from repro.core.aggregation import (
     FeatureMatrixBuilder,
     interact,
     interaction_feature_vector,
+    reference_feature_matrix,
+    reference_statistic_vector,
 )
-from repro.core.config import RuntimeOptions
 from repro.core.division import DivisionResult, LocalCommunity, divide
 from repro.exceptions import FeatureError
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.graph.phase2 import Phase2Kernel
 
 SEEDS = (0, 1, 2, 3, 4)
-DICT = RuntimeOptions(backend="dict")
-CSR = RuntimeOptions(backend="csr")
 
 
 def random_stores(
@@ -79,28 +79,34 @@ def random_communities(
     return communities
 
 
-def builders(
-    features: NodeFeatureStore, interactions: InteractionStore, k: int = 6
-) -> tuple[FeatureMatrixBuilder, FeatureMatrixBuilder]:
-    return (
-        FeatureMatrixBuilder(features, interactions, k=k, options=DICT),
-        FeatureMatrixBuilder(features, interactions, k=k, options=CSR),
+def reference_matrices(builder: FeatureMatrixBuilder, communities) -> list:
+    return [
+        reference_feature_matrix(c, builder.features, builder.interactions, builder.k)
+        for c in communities
+    ]
+
+
+def reference_statistics(builder: FeatureMatrixBuilder, communities) -> np.ndarray:
+    return np.array(
+        [
+            reference_statistic_vector(c, builder.features, builder.interactions)
+            for c in communities
+        ]
     )
 
 
-def assert_builders_identical(dict_builder, csr_builder, communities) -> None:
-    dict_matrices = dict_builder.feature_matrices(communities)
-    csr_matrices = csr_builder.feature_matrices(communities)
-    for left, right in zip(dict_matrices, csr_matrices):
+def assert_matches_reference(builder: FeatureMatrixBuilder, communities) -> None:
+    expected = reference_matrices(builder, communities)
+    for left, right in zip(expected, builder.feature_matrices(communities)):
         assert left.member_order == right.member_order
         assert np.array_equal(left.matrix, right.matrix)
     assert np.array_equal(
-        dict_builder.matrices_as_tensor(communities),
-        csr_builder.matrices_as_tensor(communities),
+        np.array([item.matrix for item in expected])[:, None],
+        builder.matrices_as_tensor(communities),
     )
     assert np.array_equal(
-        dict_builder.statistic_vectors(communities),
-        csr_builder.statistic_vectors(communities),
+        reference_statistics(builder, communities),
+        builder.statistic_vectors(communities),
     )
 
 
@@ -109,8 +115,9 @@ class TestRandomizedParity:
     def test_random_stores_and_communities_bit_identical(self, seed):
         features, interactions = random_stores(seed)
         communities = random_communities(seed)
-        dict_builder, csr_builder = builders(features, interactions)
-        assert_builders_identical(dict_builder, csr_builder, communities)
+        assert_matches_reference(
+            FeatureMatrixBuilder(features, interactions, k=6), communities
+        )
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_division_communities_bit_identical(self, seed):
@@ -123,45 +130,44 @@ class TestRandomizedParity:
                     graph.add_edge(u, v)
         features, interactions = random_stores(seed, num_nodes=24)
         communities = list(divide(graph).all_communities())
-        dict_builder, csr_builder = builders(features, interactions, k=4)
-        assert_builders_identical(dict_builder, csr_builder, communities)
+        assert_matches_reference(
+            FeatureMatrixBuilder(features, interactions, k=4), communities
+        )
 
     def test_workload_communities_bit_identical(self, tiny_workload, tiny_division):
         """The synthetic WeChat-like workload (the benchmark configuration)."""
         communities = list(tiny_division.all_communities())
-        dict_builder, csr_builder = builders(
+        builder = FeatureMatrixBuilder(
             tiny_workload.dataset.features, tiny_workload.dataset.interactions, k=20
         )
-        assert_builders_identical(dict_builder, csr_builder, communities)
+        assert_matches_reference(builder, communities)
 
     def test_non_integer_counts_stay_close(self):
         """Float counts lose the exactness guarantee but stay within ulps."""
         features, interactions = random_stores(7, integer_counts=False)
         communities = random_communities(7)
-        dict_builder, csr_builder = builders(features, interactions)
-        left = dict_builder.statistic_vectors(communities)
-        right = csr_builder.statistic_vectors(communities)
+        builder = FeatureMatrixBuilder(features, interactions, k=6)
+        left = reference_statistics(builder, communities)
+        right = builder.statistic_vectors(communities)
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch(self):
         features, interactions = random_stores(0)
-        _, csr_builder = builders(features, interactions)
-        assert csr_builder.feature_matrices([]) == []
-        assert csr_builder.statistic_vectors([]).shape == (
-            0,
-            2 * csr_builder.num_columns + 1,
-        )
+        builder = FeatureMatrixBuilder(features, interactions, k=6)
+        assert builder.feature_matrices([]) == []
+        assert builder.matrices_as_tensor([]).shape == (0, 1, 6, builder.num_columns)
+        assert builder.statistic_vectors([]).shape == (0, 2 * builder.num_columns + 1)
 
     def test_single_community_matches_batch(self):
         features, interactions = random_stores(3)
         community = random_communities(3)[0]
-        _, csr_builder = builders(features, interactions)
-        single = csr_builder.feature_matrix(community)
-        batch = csr_builder.feature_matrices([community])[0]
+        builder = FeatureMatrixBuilder(features, interactions, k=6)
+        single = builder.feature_matrix(community)
+        batch = builder.feature_matrices([community])[0]
         assert np.array_equal(single.matrix, batch.matrix)
         assert np.array_equal(
-            csr_builder.statistic_vector(community),
-            csr_builder.statistic_vectors([community])[0],
+            builder.statistic_vector(community),
+            builder.statistic_vectors([community])[0],
         )
 
 
@@ -192,26 +198,26 @@ class TestPhase2Kernel:
 
     def test_kernel_recompiles_after_store_mutation(self):
         """Store writes bump the version counters, so the compiled kernel can
-        never serve stale matrices — parity with dict holds across writes."""
+        never serve stale matrices — parity with the reference holds across
+        writes."""
         features, interactions = random_stores(2)
         community = random_communities(2)[2]
         members = sorted(community.members)[:2]
-        builder = FeatureMatrixBuilder(features, interactions, k=4, options=CSR)
-        dict_builder = FeatureMatrixBuilder(features, interactions, k=4, options=DICT)
+        builder = FeatureMatrixBuilder(features, interactions, k=4)
         assert np.array_equal(
             builder.feature_matrix(community).matrix,
-            dict_builder.feature_matrix(community).matrix,
+            reference_feature_matrix(community, features, interactions, 4).matrix,
         )
         interactions.record(members[0], members[-1], 0, 100)
         features.set(members[0], [9.0] * features.num_features)
         assert np.array_equal(
             builder.feature_matrix(community).matrix,
-            dict_builder.feature_matrix(community).matrix,
+            reference_feature_matrix(community, features, interactions, 4).matrix,
         )
 
     def test_explicit_invalidate_kernel(self):
         features, interactions = random_stores(2)
-        builder = FeatureMatrixBuilder(features, interactions, k=4, options=CSR)
+        builder = FeatureMatrixBuilder(features, interactions, k=4)
         builder.feature_matrices(random_communities(2)[:1])
         assert builder._kernel is not None
         builder.invalidate_kernel()
@@ -349,46 +355,3 @@ class TestCommunityContainingIndex:
         merged = left.merge(right)
         assert merged.community_containing(7, 42) is not None
         assert merged.community_containing(0, 2) is not None
-
-
-@pytest.mark.slow
-class TestPipelineBackendParity:
-    def test_fit_predict_identical_across_backends(self, tiny_workload):
-        """LoCEC end-to-end with backend='dict' vs 'csr' (XGB variant: its
-        design matrices are the statistic vectors, the widest CSR surface)."""
-        from repro.core.config import LoCECConfig
-        from repro.core.pipeline import LoCEC
-
-        predictions = {}
-        for backend in ("dict", "csr"):
-            config = LoCECConfig.locec_xgb(backend=backend)
-            config.gbdt.num_rounds = 5
-            pipeline = LoCEC(config)
-            pipeline.fit(
-                tiny_workload.dataset.graph,
-                tiny_workload.dataset.features,
-                tiny_workload.dataset.interactions,
-                tiny_workload.train_edges,
-            )
-            edges = [item.edge for item in tiny_workload.test_edges]
-            predictions[backend] = pipeline.predict_edge_proba(edges)
-        assert np.array_equal(predictions["dict"], predictions["csr"])
-
-
-def test_workload_statistic_speed_sanity(tiny_workload, tiny_division):
-    """The CSR path must not be slower than dict even at tiny scale."""
-    import time
-
-    communities = list(tiny_division.all_communities())
-    dict_builder, csr_builder = builders(
-        tiny_workload.dataset.features, tiny_workload.dataset.interactions, k=20
-    )
-    csr_builder.statistic_vectors(communities)  # compile outside timing
-
-    start = time.perf_counter()
-    dict_builder.statistic_vectors(communities)
-    dict_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    csr_builder.statistic_vectors(communities)
-    csr_seconds = time.perf_counter() - start
-    assert csr_seconds < dict_seconds * 2.0  # generous: CI boxes are noisy

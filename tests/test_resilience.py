@@ -137,6 +137,7 @@ class TestResilienceConfig:
         from repro.core.config import LoCECConfig
 
         config = LoCECConfig()
+        assert config.runtime_options is config.resilience  # what the bench records
         config.resilience.on_shard_failure = "bogus"
         with pytest.raises(ModelConfigError):
             config.validate()

@@ -10,7 +10,11 @@ The same rule holds for the ``measure_*`` / ``run_*`` drivers of
 README recipe as its only caller — ``core/pipeline.py`` is held to
 "every stage of Algorithm 2 has one call site, no function over 60 code
 lines", and under ``core/`` and ``graph/`` only the pipeline may import the
-sharded runtime (a process pool once grew inside Phase II aggregation).  The
+sharded runtime (a process pool once grew inside Phase II aggregation).
+Oracles are not options: which kernel computes a phase is chosen below the
+product surface, so outside ``ml/`` (whose model classes keep ``backend=``
+for the parity suites) nothing may be *named* after a backend selector, and
+every literal those classes accept must be exercised by some test.  The
 checks are by AST, so a mention in a docstring or comment does not count.
 CI runs this file in the ``static-analysis`` job as well.
 """
@@ -21,6 +25,8 @@ import ast
 from pathlib import Path
 
 from repro.graph import csr
+from repro.ml.forest import ML_BACKENDS
+from repro.ml.nn import NN_BACKENDS
 
 PACKAGE = Path(csr.__file__).resolve().parent.parent  # src/repro
 REPO = PACKAGE.parent.parent
@@ -155,3 +161,50 @@ def test_no_pipeline_function_outgrows_its_stage():
         f"functions in core/pipeline.py over {MAX_FUNCTION_CODE_LINES} code lines "
         f"(non-blank, non-comment, non-docstring) — split them into named stages: {too_long}"
     )
+
+
+SELECTOR_NAMES = {"backend", "ml_backend", "nn_backend"}
+
+
+def selector_sites(path: Path) -> list[str]:
+    """Parameters, annotated fields, keyword arguments and attributes named
+    after a backend selector, as ``file:line kind name``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.AnnAssign):
+            name = getattr(node.target, "id", None)
+        else:
+            continue
+        if name in SELECTOR_NAMES:
+            found.append(
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {type(node).__name__} {name}"
+            )
+    return found
+
+
+def test_no_backend_selector_above_the_kernel_layer():
+    sites = [
+        site
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (PACKAGE / "ml") not in path.parents
+        for site in selector_sites(path)
+    ]
+    assert sites == [], (
+        "a backend selector is growing back above repro.ml — reach an oracle "
+        "through its handle (a callable detector, reference_feature_matrix / "
+        f"reference_statistic_vector, the model classes' backend=): {sites}"
+    )
+
+
+def test_every_kernel_backend_literal_is_exercised_by_a_test():
+    tests = "".join(path.read_text() for path in (REPO / "tests").rglob("*.py"))
+    missing = [
+        literal
+        for literal in (*ML_BACKENDS, *NN_BACKENDS)
+        if f'backend="{literal}"' not in tests
+    ]
+    assert missing == [], f"backend literals no test passes: {missing}"

@@ -27,8 +27,8 @@ import pytest
 import repro.runtime.executor as executor_module
 import repro.runtime.supervisor as supervisor_module
 from repro.core.config import ResilienceConfig
-from repro.core.division import divide
-from repro.exceptions import ExecutorError, ModelConfigError
+from repro.core.division import divide, get_detector
+from repro.exceptions import ModelConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_figure7_network, planted_partition
 from repro.graph.graph import Graph
@@ -190,10 +190,10 @@ class TestAttachedDivision:
     @pytest.mark.parametrize("fixture", ["graph", "string_graph"])
     def test_matches_dict_oracle(self, fixture, detector, request):
         source = request.getfixturevalue(fixture)
-        oracle = divide(source, detector=detector, backend="dict")
+        oracle = divide(source, detector=get_detector(detector))
         with SharedCSRGraph.publish(CSRGraph.from_graph(source)) as lease:
             with lease.handle.attach() as attached:
-                detached = divide(attached, detector=detector, backend="csr")
+                detached = divide(attached, detector=detector)
         assert detached.communities_by_ego == oracle.communities_by_ego
 
 
@@ -217,28 +217,6 @@ class TestTransportParity:
         assert (
             pooled.division.communities_by_ego == clean.communities_by_ego
         )
-
-    def test_shm_requires_csr_backend(self, graph):
-        executor = ShardedDivisionExecutor(
-            num_shards=2,
-            num_workers=2,
-            backend="dict",
-            resilience=ResilienceConfig(transport="shm"),
-        )
-        with pytest.raises(ExecutorError):
-            executor.run(graph)
-
-    def test_auto_degrades_to_pickle_for_dict_backend(self, graph):
-        with ShardedDivisionExecutor(
-            num_shards=2,
-            num_workers=2,
-            backend="dict",
-            detector="label_propagation",
-            resilience=ResilienceConfig(transport="auto"),
-        ) as executor:
-            report = executor.run(graph)
-        assert report.transport.transport == "pickle"
-        assert report.transport.payload_bytes > 0
 
     def test_transport_accounting(self, graph):
         with ShardedDivisionExecutor(

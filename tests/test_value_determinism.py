@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import LoCEC, LoCECConfig
-from repro.core.division import divide
+from repro.core.division import divide, get_detector
 from repro.graph import Graph
 from repro.graph.csr import CSRGraph
 from repro.synthetic import make_workload
@@ -95,18 +95,15 @@ def test_bare_csr_arrays_divide_like_the_dict_oracle(tiny_workload, detector):
     graph = tiny_workload.dataset.graph
     snapshot = CSRGraph.from_graph(graph)
     bare = CSRGraph(snapshot.indptr, snapshot.indices, list(snapshot.nodes()))
-    oracle = divide(graph, detector=detector, backend="dict")
+    oracle = divide(graph, detector=get_detector(detector))
     # LocalCommunity equality covers ego, members, tightness and index.
-    assert (
-        divide(bare, detector=detector, backend="csr").communities_by_ego
-        == oracle.communities_by_ego
-    )
+    assert divide(bare, detector=detector).communities_by_ego == oracle.communities_by_ego
 
 
 # ------------------------------------------------------- (c) hash seeds
 _DIGEST_CHILD = """
 import hashlib, json
-from repro.core.division import divide
+from repro.core.division import divide, get_detector
 from repro.graph import Graph
 from repro.graph.generators import planted_partition
 
@@ -123,9 +120,9 @@ def digest(division):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 print(json.dumps({
-    f"{detector}:{backend}": digest(divide(graph, detector=detector, backend=backend))
-    for detector in ("girvan_newman", "label_propagation", "louvain")
-    for backend in ("dict", "csr")
+    f"{name}:{route}": digest(divide(graph, detector=detector))
+    for name in ("girvan_newman", "label_propagation", "louvain")
+    for route, detector in (("oracle", get_detector(name)), ("routed", name))
 }))
 """
 
@@ -148,7 +145,7 @@ def test_division_digest_is_hash_seed_independent():
     first, second = _digests_under("1"), _digests_under("2")
     assert first == second
     for detector in DETECTORS:
-        assert first[f"{detector}:dict"] == first[f"{detector}:csr"]
+        assert first[f"{detector}:oracle"] == first[f"{detector}:routed"]
 
 
 # ------------------------------------------------- (d) restorable updates
