@@ -279,6 +279,8 @@ def _command_serve_replay(
         )
     for key, value in report.as_dict().items():
         print(f"{key}: {value:.6g}")
+    stats = session.stats
+    print(f"labeler refits {stats.num_labeler_refits}/{stats.num_updates} updates")
     for name, latency in (
         ("query", report.query_latency),
         ("update", report.update_latency),

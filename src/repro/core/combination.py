@@ -137,21 +137,37 @@ class EdgeLabeler:
             num_classes=num_classes,
             seed=seed,
         )
-        self._fitted = False
+        self._design: tuple[np.ndarray, np.ndarray] | None = None
+        """The ``(X, y)`` the model was last trained on; ``None`` until fitted."""
+        self.num_model_fits = 0
+        """How many :meth:`fit` calls trained the model (the others found
+        the design matrix and targets they were handed already fitted)."""
 
     def fit(self, edges: Sequence[Edge], labels: Sequence[int]) -> "EdgeLabeler":
-        """Train on labeled edges (class indices in ``labels``)."""
+        """Train on labeled edges (class indices in ``labels``).
+
+        The model is a deterministic function of the Equation 4 design
+        matrix, the targets, the seed and the schedule, and the last two are
+        fixed at construction.  A re-``fit`` whose rebuilt design matrix and
+        targets equal the fitted ones *by value* therefore keeps the model:
+        training again would reproduce it bit for bit.
+        """
         if len(edges) != len(labels):
             raise PipelineError("edges and labels must have the same length")
         if not edges:
             raise PipelineError("cannot fit the edge labeler on zero edges")
-        X = self.feature_builder.edge_features(edges)
-        self._model.fit(X, np.asarray(labels, dtype=np.int64))
-        self._fitted = True
+        design = (
+            self.feature_builder.edge_features(edges),
+            np.asarray(labels, dtype=np.int64),
+        )
+        if self._design is None or not all(map(np.array_equal, design, self._design)):
+            self._model.fit(*design)
+            self._design = design
+            self.num_model_fits += 1
         return self
 
     def predict_proba(self, edges: Sequence[Edge]) -> np.ndarray:
-        if not self._fitted:
+        if self._design is None:
             raise NotFittedError(self)
         if not edges:
             return np.zeros((0, self.num_classes))

@@ -117,7 +117,10 @@ class DivisionResult:
     def invalidate_index(self) -> None:
         """Drop the lazy member index (only needed after a length-preserving
         in-place mutation of a community list; reassignments and length
-        changes are detected automatically)."""
+        changes are detected automatically).  No product code calls it:
+        :meth:`LoCEC.apply_updates` reassigns a re-divided ego's list, which
+        invalidates that ego's entry alone — the entry holds the old list,
+        so its identity cannot be reused while the entry lives."""
         self._member_index.clear()
 
     def all_communities(self) -> Iterator[LocalCommunity]:

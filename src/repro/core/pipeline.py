@@ -129,6 +129,9 @@ class UpdateReport:
     ``kernel_patched`` is ``True`` when every store delta was folded into
     the compiled Phase II kernel in place (delta compilation) — ``False``
     means a structural delta forced a full recompile on next use.
+    ``labeler_refit`` is ``True`` when the Phase III model was trained again
+    — ``False`` means the update left its Equation 4 design matrix equal, so
+    the fitted model is already the one a from-scratch fit would produce.
     """
 
     num_added_edges: int = 0
@@ -140,6 +143,7 @@ class UpdateReport:
     stale_egos: tuple[Node, ...] = ()
     num_rescored_communities: int = 0
     classifier_refit: bool = False
+    labeler_refit: bool = False
     kernel_patched: bool = True
     timings: PhaseTimings = field(default_factory=PhaseTimings)
 
@@ -193,6 +197,7 @@ class LoCEC:
         self._labeled_edges: list[LabeledEdge] = []
         self._train_communities: list[LocalCommunity] = []
         self._train_labels: list[int] = []
+        self._train_keys: set[CommunityKey] = set()
         self._stale_egos: set[Node] = set()
         self._update_epoch = 0
 
@@ -261,6 +266,7 @@ class LoCEC:
                 result_vectors=result_vectors,
                 result_vector_length=self.community_classifier_.result_vector_length,
             )
+            self.edge_labeler_ = self._build_edge_labeler()
             self._fit_edge_labeler()
 
         self.fit_summary_ = summary
@@ -295,6 +301,7 @@ class LoCEC:
         (``apply_updates`` refits only when that training set changes)."""
         self._train_communities = train_communities
         self._train_labels = train_labels
+        self._train_keys = {community_key(c) for c in train_communities}
         self.community_classifier_ = self._build_community_classifier()
         self.community_classifier_.fit(train_communities, train_labels)
 
@@ -324,10 +331,8 @@ class LoCEC:
             for index, community in enumerate(communities)
         }
 
-    def _fit_edge_labeler(self) -> None:
-        """Fit a fresh Phase III labeler on the stored labeled edges (seeded,
-        cheap and deterministic, so updates refit it rather than patch it)."""
-        self.edge_labeler_ = EdgeLabeler(
+    def _build_edge_labeler(self) -> EdgeLabeler:
+        return EdgeLabeler(
             self.edge_feature_builder_,
             num_classes=self._num_classes,
             learning_rate=self.config.edge_lr_learning_rate,
@@ -335,10 +340,18 @@ class LoCEC:
             l2=self.config.edge_lr_l2,
             seed=self.config.seed,
         )
+
+    def _fit_edge_labeler(self) -> bool:
+        """Fit the Phase III labeler on the stored labeled edges; return
+        whether its model was trained.  An update re-fits the labeler it has
+        (its feature builder is mutated in place), and :meth:`EdgeLabeler.fit`
+        keeps the model when the rebuilt design matrix equals the fitted one."""
+        fits_before = self.edge_labeler_.num_model_fits
         self.edge_labeler_.fit(
             [item.edge for item in self._labeled_edges],
             [int(item.label) for item in self._labeled_edges],
         )
+        return self.edge_labeler_.num_model_fits != fits_before
 
     # ----------------------------------------------------- incremental serving
     @property
@@ -388,8 +401,13 @@ class LoCEC:
            when a delta touched its training set, and only dirty communities
            are re-scored (CommCNN re-scores every community in one batch so
            inference batching matches a from-scratch fit bit for bit).  The
-           Phase III edge labeler is always refit — it is seeded, cheap and
-           deterministic.
+           Phase III edge labeler is retrained only when its Equation 4
+           design matrix moved (:attr:`UpdateReport.labeler_refit`): an
+           update that changed no ego's communities and re-scored nothing
+           cannot have moved it, and otherwise the matrix is rebuilt and
+           compared by value with the fitted one.  Training is a
+           deterministic function of that matrix, the fixed labels and the
+           seed, so the kept model is the one a from-scratch fit produces.
 
         The whole batch is validated before the first mutation, so bad
         input leaves the pipeline exactly as it was and raises the typed
@@ -432,23 +450,27 @@ class LoCEC:
                 interaction_writes, feature_writes
             )
             rescore_keys |= dirty_keys
-            train_communities, train_labels = self._derive_training_set(
-                "update removed every labeled community; refit from scratch"
-            )
+            # The training set is a function of the division and the fixed
+            # labeled edges: only a changed community list can move it.
+            train_set = kept_set = (self._train_communities, self._train_labels)
+            if changed_egos:
+                train_set = self._derive_training_set(
+                    "update removed every labeled community; refit from scratch"
+                )
             report.classifier_refit = (
-                train_communities != self._train_communities
-                or train_labels != self._train_labels
-                or any(community_key(c) in rescore_keys for c in train_communities)
+                train_set != kept_set or not rescore_keys.isdisjoint(self._train_keys)
             )
         if report.classifier_refit:
             with self._timed(timings, "training"):
-                self._fit_community_classifier(train_communities, train_labels)
+                self._fit_community_classifier(*train_set)
         with self._timed(timings, "aggregation"):
             report.num_rescored_communities = self._rescore(
                 rescore_keys, changed_egos, report.classifier_refit
             )
-        with self._timed(timings, "combination"):
-            self._fit_edge_labeler()
+        # Equation 4 reads the division and the result vectors, nothing else.
+        if changed_egos or report.num_rescored_communities:
+            with self._timed(timings, "combination"):
+                report.labeler_refit = self._fit_edge_labeler()
 
         self._update_epoch += 1
         return report
@@ -573,7 +595,6 @@ class LoCEC:
                 division.communities_by_ego[ego] = redivided[ego]
                 changed_egos.add(ego)
                 rescore_keys.update(community_key(c) for c in redivided[ego])
-        division.invalidate_index()
         return tuple(stale), rescore_keys, changed_egos
 
     def _apply_store_deltas(
@@ -627,17 +648,25 @@ class LoCEC:
         GBDT scoring is per-row and batch-invariant, so it scores subsets.
         """
         result_vectors = self.edge_feature_builder_.result_vectors
-        communities = list(self.division_.all_communities())
+        division = self.division_
         rescore_all = classifier_refit or (
             self.config.community_model == "cnn" and bool(rescore_keys)
         )
-        if not rescore_all:
-            communities = [c for c in communities if community_key(c) in rescore_keys]
+        if rescore_all:
+            communities = list(division.all_communities())
+        else:
+            communities = [
+                community
+                for ego in sorted({ego for ego, _ in rescore_keys}, key=node_key)
+                for community in division.communities_of(ego)
+                if community_key(community) in rescore_keys
+            ]
         fresh = self._score_communities(communities)
         if rescore_all:
             result_vectors.clear()
-        for key in [k for k in result_vectors if k[0] in changed_egos]:
-            del result_vectors[key]
+        elif changed_egos:
+            for key in [k for k in result_vectors if k[0] in changed_egos]:
+                del result_vectors[key]
         result_vectors.update(fresh)
         return len(communities)
 

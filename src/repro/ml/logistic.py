@@ -63,7 +63,6 @@ class LogisticRegression:
         self.seed = seed
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
-        self.loss_history_: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         """Fit the model on features ``X`` (n × d) and integer labels ``y``."""
@@ -77,7 +76,6 @@ class LogisticRegression:
         bias = np.zeros(num_classes)
         targets = one_hot(y, num_classes)
 
-        self.loss_history_ = []
         for _ in range(self.num_iterations):
             probabilities = softmax(X @ weights + bias)
             error = probabilities - targets
@@ -85,8 +83,6 @@ class LogisticRegression:
             grad_bias = error.mean(axis=0)
             weights -= self.learning_rate * grad_weights
             bias -= self.learning_rate * grad_bias
-            loss = self._loss(probabilities, targets, weights)
-            self.loss_history_.append(loss)
 
         self.weights_ = weights
         self.bias_ = bias
@@ -105,10 +101,13 @@ class LogisticRegression:
         """Predicted class index for each row of ``X``."""
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def _loss(
-        self, probabilities: np.ndarray, targets: np.ndarray, weights: np.ndarray
-    ) -> float:
+    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
+        """The objective :meth:`fit` descends, at the fitted parameters: mean
+        cross-entropy on ``(X, y)`` plus the L2 penalty on the weights."""
+        X, y = check_X_y(X, y)
+        probabilities = self.predict_proba(X)
+        targets = one_hot(y, self._num_classes)
         cross_entropy = -np.mean(
             np.sum(targets * np.log(np.clip(probabilities, 1e-12, 1.0)), axis=1)
         )
-        return float(cross_entropy + 0.5 * self.l2 * np.sum(weights**2))
+        return float(cross_entropy + 0.5 * self.l2 * np.sum(self.weights_**2))

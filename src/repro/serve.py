@@ -117,6 +117,7 @@ class ServingStats:
     cache_hits: int = 0
     cache_misses: int = 0
     num_updates: int = 0
+    num_labeler_refits: int = 0
     num_degraded_updates: int = 0
     query_seconds: float = 0.0
     update_seconds: float = 0.0
@@ -250,6 +251,7 @@ class ServingSession:
         )
         elapsed = self._clock.perf_counter() - start
         self.stats.num_updates += 1
+        self.stats.num_labeler_refits += report.labeler_refit
         if report.degraded:
             self.stats.num_degraded_updates += 1
         self.stats.update_seconds += elapsed

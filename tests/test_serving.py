@@ -10,14 +10,22 @@ adjacency sets in iteration order and perturbs detector tie-breaks.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import statistics
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline_module
 from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
 from repro.core.combination import community_key
+from repro.core.division import DivisionResult
+from repro.core.labels import EdgeLabelIndex, labeled_communities
 from repro.exceptions import (
     DimensionMismatchError,
     EdgeNotFoundError,
@@ -28,6 +36,7 @@ from repro.exceptions import (
 )
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.lifecycle import Closeable
+from repro.ml.logistic import LogisticRegression
 from repro.runtime import Fault, FaultPlan
 from repro.runtime.executor import ShardedDivisionExecutor
 from repro.runtime.supervisor import ShardSupervisor
@@ -210,6 +219,69 @@ class TestIncrementalParity:
                 _assert_bit_identical(incremental, scratch, queries)
 
 
+def _dirtied_keys(graph, division, u, v):
+    """The dirty-community rule: the ego is never a member of its own
+    communities, so a delta on (u, v) touches exactly the communities of
+    the common neighbourhood containing both endpoints."""
+    return {
+        community_key(community)
+        for ego in graph.neighbors(u) & graph.neighbors(v)
+        for community in division.communities_of(ego)
+        if u in community and v in community
+    }
+
+
+def _warm_pair(pipeline, workload):
+    """An interacting edge whose delta dirties only unlabeled communities
+    (and at least one): the common write when labels are sparse."""
+    graph, division = workload.dataset.graph, pipeline.division_
+    labeled = {
+        community_key(community)
+        for community in labeled_communities(
+            division, EdgeLabelIndex(workload.train_edges)
+        )[0]
+    }
+    for (u, v), vector in workload.dataset.interactions.items():
+        dirtied = _dirtied_keys(graph, division, u, v)
+        if vector.any() and dirtied and not dirtied & labeled:
+            return u, v
+    raise AssertionError("tiny workload has no warm interaction target")
+
+
+def _open_triangle_at_labeled_ego(workload):
+    """Non-adjacent ``(a, b)``, both joined to one ego by a training edge —
+    adding ``(a, b)`` re-divides that labeled ego (and ``a`` and ``b``)."""
+    graph = workload.dataset.graph
+    friends = defaultdict(list)
+    for item in workload.train_edges:
+        friends[item.u].append(item.v)
+        friends[item.v].append(item.u)
+    for members in friends.values():
+        for a, b in itertools.combinations(members, 2):
+            if not graph.has_edge(a, b):
+                return a, b
+    raise AssertionError("tiny workload has no open triangle at a labeled ego")
+
+
+def _assert_equals_scratch_fit(pipeline, workload):
+    """Every edge's served probabilities equal a from-scratch ``fit`` on
+    copies of the (live, updated) inputs, bit for bit.  Copies are safe
+    baselines here: ``fit`` is a function of its inputs' value
+    (``tests/test_value_determinism.py``), not of their insertion history."""
+    dataset = workload.dataset
+    with _fit(
+        _config(),
+        dataset.graph.copy(),
+        copy.deepcopy(dataset.features),
+        copy.deepcopy(dataset.interactions),
+        workload.train_edges,
+    ) as scratch:
+        edges = list(dataset.graph.edges())
+        assert np.array_equal(
+            pipeline.predict_edge_proba(edges), scratch.predict_edge_proba(edges)
+        )
+
+
 @pytest.fixture()
 def fitted_tiny():
     workload = make_workload("tiny", seed=1)
@@ -248,15 +320,7 @@ class TestWarmModels:
             for (u, v), vector in workload.dataset.interactions.items()
             if vector.any() and graph.neighbors(u) & graph.neighbors(v)
         )
-        # The dirty-community rule: the ego is never a member of its own
-        # communities, so a delta on (u, v) touches exactly the communities
-        # of the common neighbourhood containing both endpoints.
-        expected = {
-            community_key(community)
-            for ego in graph.neighbors(pair[0]) & graph.neighbors(pair[1])
-            for community in division.communities_of(ego)
-            if pair[0] in community and pair[1] in community
-        }
+        expected = _dirtied_keys(graph, division, *pair)
         total = sum(1 for _ in division.all_communities())
         delta = np.full(workload.dataset.interactions.num_dims, 5.0)
         report = pipeline.apply_updates(
@@ -271,13 +335,73 @@ class TestWarmModels:
             assert report.num_rescored_communities == len(expected)
             assert len(expected) < total
 
-    def test_update_epoch_and_always_fresh_labeler(self, fitted_tiny):
+    def test_update_epoch_and_labeler_refit_only_when_design_moved(self, fitted_tiny):
         pipeline, workload = fitted_tiny
-        labeler_before = pipeline.edge_labeler_
+        dataset = workload.dataset
         epoch_before = pipeline.update_epoch
-        pipeline.apply_updates(added_edges=[next(workload.dataset.graph.edges())])
+        u, v = _warm_pair(pipeline, workload)
+        delta = np.full(dataset.interactions.num_dims, 2.0)
+        warm = pipeline.apply_updates(interaction_deltas=[(u, v, delta)])
+        assert warm.num_rescored_communities > 0
+        assert warm.labeler_refit is False
+        assert warm.classifier_refit is False
         assert pipeline.update_epoch == epoch_before + 1
-        assert pipeline.edge_labeler_ is not labeler_before
+        _assert_equals_scratch_fit(pipeline, workload)
+
+        structural = pipeline.apply_updates(
+            added_edges=[_open_triangle_at_labeled_ego(workload)]
+        )
+        assert structural.num_redivided_egos >= 3  # the ego, a and b at least
+        assert structural.labeler_refit is True
+        _assert_equals_scratch_fit(pipeline, workload)
+
+        # A second ``fit`` starts over: a fresh labeler, trained once, never
+        # the kept design matrix of the previous fit.
+        labeler = pipeline.edge_labeler_
+        pipeline.fit(
+            dataset.graph, dataset.features, dataset.interactions, workload.train_edges
+        )
+        assert pipeline.edge_labeler_ is not labeler
+        assert pipeline.edge_labeler_.num_model_fits == 1
+
+    def test_a_write_does_work_proportional_to_what_it_dirtied(
+        self, fitted_tiny, monkeypatch
+    ):
+        """Call counts, not wall-clock: a warm write trains no Phase III
+        model, re-votes no community and keeps the member index; a refit
+        write does each once."""
+        pipeline, workload = fitted_tiny
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(LogisticRegression, "fit")
+        counted(pipeline_module, "labeled_communities")
+        counted(DivisionResult, "invalidate_index")
+
+        pipeline.predict_edge_proba(list(workload.dataset.graph.edges()))
+        index_before = dict(pipeline.division_._member_index)
+        assert index_before
+        u, v = _warm_pair(pipeline, workload)
+        delta = np.ones(workload.dataset.interactions.num_dims)
+        report = pipeline.apply_updates(interaction_deltas=[(u, v, delta)])
+        assert not report.classifier_refit and not report.labeler_refit
+        assert calls == Counter()
+        index_after = pipeline.division_._member_index
+        assert all(index_after.get(ego) is entry for ego, entry in index_before.items())
+
+        report = pipeline.apply_updates(
+            added_edges=[_open_triangle_at_labeled_ego(workload)]
+        )
+        assert report.classifier_refit and report.labeler_refit
+        assert calls == Counter(fit=1, labeled_communities=1)
 
     def test_training_time_is_zero_warm_and_positive_on_refit(self, ticking_clock):
         workload = make_workload("tiny", seed=1)
@@ -327,6 +451,62 @@ class TestWarmModels:
     def test_apply_updates_requires_fit(self):
         with pytest.raises(NotFittedError):
             LoCEC(_config()).apply_updates(added_edges=[(0, 1)])
+
+
+WRITE_KINDS = ("interaction_delta", "feature_update", "add", "remove", "readd")
+
+
+def _drawn_write(kind, a, b, dataset):
+    """``apply_updates`` keywords for a drawn write, resolved against the
+    current state of the live inputs."""
+    graph = dataset.graph
+    edges, nodes = sorted(graph.edges()), sorted(graph.nodes())
+    u, v = edges[a % len(edges)]
+    if kind == "interaction_delta":
+        delta = np.full(dataset.interactions.num_dims, 1.0 + b % 3)
+        return {"interaction_deltas": [(u, v, delta)]}
+    if kind == "feature_update":
+        node = nodes[a % len(nodes)]
+        return {"feature_updates": [(node, dataset.features.get_view(node) + 1.0 + b % 3)]}
+    if kind == "remove":
+        return {"removed_edges": [(u, v)]}
+    if kind == "readd":
+        return {"added_edges": [(u, v)]}
+    pairs = itertools.combinations(nodes[a % len(nodes) :] + nodes[: a % len(nodes)], 2)
+    return {"added_edges": [next(pair for pair in pairs if not graph.has_edge(*pair))]}
+
+
+# Each step costs a scratch fit; the drawn integers only pick targets.
+@pytest.mark.slow
+@settings(max_examples=4, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(WRITE_KINDS), st.integers(0, 10_000), st.integers(0, 2)),
+        min_size=3,
+        max_size=5,
+    )
+)
+def test_generated_write_sequences_match_a_scratch_fit(writes):
+    """After every write of a drawn sequence the pipeline equals a scratch
+    ``fit`` on the current inputs, and ``labeler_refit`` says exactly whether
+    the Equation 4 design matrix of the training edges moved."""
+    workload = make_workload("tiny", seed=1)
+    dataset = workload.dataset
+    train_edges = [item.edge for item in workload.train_edges]
+    with _fit(
+        _config(),
+        dataset.graph,
+        dataset.features,
+        dataset.interactions,
+        workload.train_edges,
+    ) as pipeline:
+        design = pipeline.edge_feature_builder_.edge_features(train_edges)
+        for kind, a, b in writes:
+            report = pipeline.apply_updates(**_drawn_write(kind, a, b, dataset))
+            design_before = design
+            design = pipeline.edge_feature_builder_.edge_features(train_edges)
+            assert report.labeler_refit == (not np.array_equal(design_before, design))
+            _assert_equals_scratch_fit(pipeline, workload)
 
 
 def _rejected_batches(graph, interactions, features):
@@ -520,6 +700,16 @@ class TestServingSession:
             )
             session.predict_proba(queries)
             assert session.stats.cache_misses == 2 * len(queries)
+
+    def test_stats_count_labeler_refits_beside_updates(self, fitted_tiny):
+        pipeline, workload = fitted_tiny
+        with ServingSession(pipeline, clock=FakeClock()) as session:
+            u, v = _warm_pair(pipeline, workload)
+            delta = np.ones(workload.dataset.interactions.num_dims)
+            session.apply_updates(interaction_deltas=[(u, v, delta)])
+            session.apply_updates(added_edges=[_open_triangle_at_labeled_ego(workload)])
+            assert session.stats.num_updates == 2
+            assert session.stats.num_labeler_refits == 1
 
     def test_lru_eviction_and_disabled_cache(self, fitted_tiny):
         pipeline, workload = fitted_tiny
