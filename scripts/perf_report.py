@@ -50,13 +50,12 @@ RATIO_GATE_MIN_SPEEDUP = 1.5
 # aggregation kernels, array/node for the tree-model kernels, fused/loop for
 # the NN engine, hist/array for the histogram split search (keyed with a
 # "_hist" suffix so it doesn't collide with the array/node pair), and
-# shm/pickle for the pool-worker graph transport.
+# incremental/full for the serving update path.
 SPEEDUP_PAIRS = (
     ("_csr", "_dict", ""),
     ("_array", "_node", ""),
     ("_fused", "_loop", ""),
     ("_hist", "_array", "_hist"),
-    ("_shm", "_pickle", ""),
     ("_incremental", "_full", ""),
 )
 
@@ -151,9 +150,7 @@ def build_benchmarks(
     (CNN input tensor emission, direct Phase2Kernel path on csr) and
     ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN SGD training and batched
     inference: layer-by-layer object graph vs the compiled tape engine of
-    ``repro.ml.nn.engine``; bit-identical outputs),
-    and ``graph_transport_dense_{pickle,shm}`` (per-worker graph
-    receive cost: full pickled copy vs O(1) handle + shared-memory attach).
+    ``repro.ml.nn.engine``; bit-identical outputs).
     """
     import numpy as np
 
@@ -199,42 +196,6 @@ def build_benchmarks(
         )
         benchmarks[f"phase1_division_{scale}_csr"] = lambda g=scale_graph: divide(g)
 
-    # Graph transport kernels: what one pool worker pays to receive the
-    # graph.  pickle transport deserializes a full copy (linear in graph
-    # size, per worker); shm transport unpickles an O(1) handle and attaches
-    # the published shared-memory segments: pickle cost is milliseconds on
-    # the dense graph, attach stays O(1).  Publishing happens outside the
-    # timed region (a once-per-pool cost) and the lease is closed, segments
-    # unlinked, when the suite exits.
-    import atexit
-    import pickle
-
-    from repro.graph.shm import SharedCSRGraph, shm_supported
-
-    # One "op" is a batch of worker receives: single receives are 0.1-2 ms,
-    # where scheduler jitter on one shm_open syscall could flap the ratio.
-    transport_batch = 8
-    payload = pickle.dumps(dense, pickle.HIGHEST_PROTOCOL)
-
-    def receive_pickle(p=payload):
-        for _ in range(transport_batch):
-            received = pickle.loads(p)
-        return received.num_nodes
-
-    benchmarks["graph_transport_dense_pickle"] = receive_pickle
-    if shm_supported():
-        lease = SharedCSRGraph.publish(dense_csr)
-        atexit.register(lease.close)
-        handle_payload = pickle.dumps(lease.handle, pickle.HIGHEST_PROTOCOL)
-
-        def receive_shm(p=handle_payload):
-            for _ in range(transport_batch):
-                attached = pickle.loads(p).attach()
-                num_nodes = attached.num_nodes
-                attached.close()
-            return num_nodes
-
-        benchmarks["graph_transport_dense_shm"] = receive_shm
     for scale in scales:
         workload = workloads[scale]
         communities = list(workload.division().all_communities())
@@ -340,6 +301,8 @@ def build_benchmarks(
     # periodic update batches through a ``ServingSession`` and reports the
     # replay's own clock-injected wall-clock.  All three use private
     # workload instances — replay mutates its graph and stores in place.
+    import atexit
+
     from repro.core.config import LoCECConfig
     from repro.core.pipeline import LoCEC
     from repro.serve import ServingSession, replay_traffic
@@ -415,7 +378,7 @@ def run_suite(quick: bool, repeats: int) -> dict:
     results: dict[str, dict[str, float]] = {}
     for name, function in benchmarks.items():
         if isinstance(function, SelfTimedBenchmark):
-            function.function()  # warm-up (pool/lease setup, compile caches)
+            function.function()  # warm-up (compile caches)
             results[name] = measure_self_timed(function, repeats)
             print(
                 f"{name:32s} {results[name]['seconds_per_op'] * 1e3:10.2f} ms/op "

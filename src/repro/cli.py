@@ -108,12 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=80,
         help="limit Phase I to the first N egos (default: 80)",
     )
-    chaos_parser.add_argument(
-        "--transport",
-        default="auto",
-        choices=["auto", "pickle", "shm"],
-        help="graph transport to pool workers (default: auto)",
-    )
 
     serve_parser = subparsers.add_parser(
         "serve-replay",
@@ -216,7 +210,6 @@ def _command_chaos(
     fault_rate: float,
     mode: str,
     max_egos: int,
-    transport: str,
 ) -> int:
     from repro.runtime import run_chaos
 
@@ -229,7 +222,6 @@ def _command_chaos(
         seed=seed,
         max_egos=max_egos,
         on_shard_failure=mode,
-        transport=transport,
     )
     print(report.to_text())
     # The chaos gate: a fault schedule that eventually succeeds must yield
@@ -342,7 +334,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.fault_rate,
             args.mode,
             args.max_egos,
-            args.transport,
         )
     return 2  # pragma: no cover - argparse enforces the choices above
 

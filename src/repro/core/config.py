@@ -93,12 +93,6 @@ class ResilienceConfig:
         degrades to in-process serial execution for the remaining shards.
     seed:
         Seed of the deterministic backoff jitter.
-    transport:
-        How the graph travels to pool workers: ``"pickle"`` ships the whole
-        graph once per worker (the historical behaviour), ``"shm"`` publishes
-        the CSR arrays to POSIX shared memory once and ships an O(1) handle
-        (:mod:`repro.graph.shm`), ``"auto"`` (default) picks shm whenever the
-        platform supports it, falling back to pickle otherwise.
     """
 
     max_attempts: int = 3
@@ -111,7 +105,6 @@ class ResilienceConfig:
     checkpoint_dir: str | None = None
     max_pool_rebuilds: int = 1
     seed: int = 0
-    transport: str = "auto"
 
     def validate(self) -> None:
         if self.max_attempts < 1:
@@ -131,10 +124,6 @@ class ResilienceConfig:
             )
         if self.max_pool_rebuilds < 0:
             raise ModelConfigError("max_pool_rebuilds must be >= 0")
-        if self.transport not in {"auto", "pickle", "shm"}:
-            raise ModelConfigError(
-                f"transport must be 'auto', 'pickle' or 'shm', got {self.transport!r}"
-            )
 
 
 @dataclass

@@ -760,7 +760,7 @@ class LoCEC:
     def close(self) -> None:
         """Public lifecycle hook; idempotent, and the pipeline stays usable.
 
-        Releases no pool or lease today: Phase II runs in-process and
+        Releases no pool today: Phase II runs in-process and
         re-division opens and closes its executor per write.  Callers
         (``with LoCEC(...)``, the benchmark harness) rely on the form.
         """

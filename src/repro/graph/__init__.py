@@ -46,12 +46,6 @@ from repro.graph.io import (
     write_labeled_edges,
 )
 from repro.graph.phase2 import InteractionMatrix, NodeFeatureMatrix, Phase2Kernel
-from repro.graph.shm import (
-    SharedCSRGraph,
-    ShmHandle,
-    ShmLease,
-    shm_supported,
-)
 
 __all__ = [
     "CSRGraph",
@@ -65,10 +59,6 @@ __all__ = [
     "ego_network",
     "ego_networks",
     "ego_network_size",
-    "SharedCSRGraph",
-    "ShmHandle",
-    "ShmLease",
-    "shm_supported",
     "read_edge_list",
     "write_edge_list",
     "read_labeled_edges",

@@ -20,10 +20,10 @@ from typing import Dict, Tuple
 _LIBRARY = ("src/repro",)
 _LIBRARY_AND_SCRIPTS = ("src/repro", "scripts")
 _EVERYTHING = ("src/repro", "scripts", "benchmarks")
-# The supervisor and its executor ship callables and shared-memory leases
-# across process boundaries; the MP rules MUST stay in scope for them even
-# if the broad src/repro prefix is ever narrowed.  (Both files are already
-# inside _EVERYTHING; listing them pins the invariant.)
+# The supervisor and its executor ship callables across process boundaries;
+# MP001 MUST stay in scope for them even if the broad src/repro prefix is
+# ever narrowed.  (Both files are already inside _EVERYTHING; listing them
+# pins the invariant.)
 _MP_CRITICAL = _EVERYTHING + (
     "src/repro/runtime/executor.py",
     "src/repro/runtime/supervisor.py",
@@ -34,8 +34,6 @@ DEFAULT_RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     "DET002": _LIBRARY_AND_SCRIPTS,
     "MP001": _MP_CRITICAL,
     "MP002": _LIBRARY,
-    "MP003": _MP_CRITICAL,
-    "MP004": _MP_CRITICAL,
     "NPY001": _EVERYTHING,
     "NPY002": _EVERYTHING,
     "NPY003": _EVERYTHING,

@@ -3,8 +3,8 @@
 A rule is a class decorated with :func:`register`.  Module rules implement
 ``check_module(ctx)`` and run once per in-scope file; project rules
 implement ``check_project(project)`` and run once over the whole tree (they
-see every parsed module), which is what cross-file contracts like the
-lease-owner lifecycle need.
+see every parsed module), which is what cross-file contracts like an
+exception class's picklable hierarchy need.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from repro.runtime.scalability import (
     run_chaos,
 )
 from repro.runtime.sharding import Shard, shard_by_degree, shard_nodes, validate_shards
-from repro.runtime.supervisor import TransportStats
 
 __all__ = [
     "Shard",
@@ -48,7 +47,6 @@ __all__ = [
     "ShardedDivisionExecutor",
     "ExecutionReport",
     "ShardReport",
-    "TransportStats",
     "ShardFailure",
     "RetryPolicy",
     "Clock",

@@ -13,10 +13,11 @@ What is Phase I's own lives here:
   :class:`~repro.core.division.DivisionResult`.
 
 Everything that makes the run survivable — retries, per-shard timeouts,
-broken-pool rebuild, degrade-to-serial, ``on_shard_failure`` semantics and
-the ``auto|shm|pickle`` graph transport — is the shared
-:class:`~repro.runtime.supervisor.ShardSupervisor`, opened for the duration
-of each ``run`` so neither pool nor shared-memory lease outlives it.
+broken-pool rebuild, degrade-to-serial and ``on_shard_failure`` semantics —
+is the shared :class:`~repro.runtime.supervisor.ShardSupervisor`, opened for
+the duration of each ``run`` so no pool outlives it.  Its payload is the
+graph's :class:`~repro.graph.csr.CSRGraph` snapshot, built once per run in
+this process and handed to every pool worker as is.
 
 The invariant throughout: any fault schedule that eventually succeeds yields
 a merged :class:`~repro.core.division.DivisionResult` bit-identical to the
@@ -32,7 +33,6 @@ from repro.core.config import ResilienceConfig
 from repro.core.division import DivisionResult, divide
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.graph.shm import SharedCSRGraph
 from repro.runtime.faultinject import FaultPlan
 from repro.runtime.resilience import (
     Clock,
@@ -52,12 +52,6 @@ from repro.types import Node
 
 
 # ------------------------------------------------- supervisor specialisation
-def _prepare_graph(graph: Graph | CSRGraph) -> CSRGraph:
-    """Snapshot once per process: CSR snapshots are per-graph, not
-    per-shard, so the O(V+E) conversion must not repeat for every task."""
-    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-
-
 def _divide_shard(graph: CSRGraph, shard: Shard, detector: str) -> DivisionResult:
     return divide(graph, egos=shard.egos, detector=detector)
 
@@ -216,17 +210,21 @@ class ShardedDivisionExecutor:
                     )
                 )
 
-        with ShardSupervisor(
-            graph,
-            shard_fn=_divide_shard,
-            publish=SharedCSRGraph.publish,
-            prepare=_prepare_graph,
-            num_workers=self.num_workers,
-            resilience=self.resilience,
-            fault_plan=self.fault_plan,
-            clock=self.clock,
-        ) as supervisor:
-            computed = supervisor.run(tasks, report, on_result=spill)
+        computed: list[ShardOutcome[DivisionResult]] = []
+        if tasks:
+            # One O(V + E) snapshot per run, not per shard or per worker.
+            snapshot = (
+                graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+            )
+            with ShardSupervisor(
+                snapshot,
+                shard_fn=_divide_shard,
+                num_workers=self.num_workers,
+                resilience=self.resilience,
+                fault_plan=self.fault_plan,
+                clock=self.clock,
+            ) as supervisor:
+                computed = supervisor.run(tasks, report, on_result=spill)
 
         for outcome in sorted(resumed + computed, key=lambda item: item.shard_id):
             report.division = report.division.merge(outcome.result)
@@ -247,10 +245,9 @@ class ShardedDivisionExecutor:
     def close(self) -> None:
         """Reset the module-level worker globals.
 
-        The supervisor (pool, shared-memory lease, prepared graph) is opened
-        and closed inside each ``run``, so nothing is held between runs;
-        this is the :class:`~repro.lifecycle.Closeable` surface callers
-        already use.  Idempotent and safe to call at any point; the
+        The supervisor (pool and snapshot) is opened and closed inside each
+        ``run``, so nothing is held between runs; this is the close surface
+        callers already use.  Idempotent and safe to call at any point; the
         context-manager form calls it on exit.
         """
         reset_worker_state()

@@ -153,10 +153,6 @@ class ChaosReport:
     pool_rebuilds: int
     degraded_to_serial: bool
     identical_to_clean: bool
-    transport: str = "inline"
-    """Resolved graph transport of the faulted run."""
-    swept_segments: int = 0
-    """Shared-memory segments unlinked by rebuild/finalizer sweeps."""
 
     def to_text(self) -> str:
         return "\n".join([
@@ -166,12 +162,6 @@ class ChaosReport:
             f"timeouts         : {self.total_timeouts}",
             f"pool rebuilds    : {self.pool_rebuilds}"
             + (" (degraded to serial)" if self.degraded_to_serial else ""),
-            f"transport        : {self.transport}"
-            + (
-                f" ({self.swept_segments} segments swept)"
-                if self.swept_segments
-                else ""
-            ),
             f"failed shards    : {self.failed_shards or 'none'}",
             f"identical to clean run: {self.identical_to_clean}",
         ])
@@ -188,7 +178,6 @@ def run_chaos(
     on_shard_failure: str = "skip",
     shard_timeout: float = 30.0,
     kinds: tuple[str, ...] = ("transient", "hang", "kill"),
-    transport: str = "auto",
 ) -> ChaosReport:
     """Chaos knob: run the shard executor under a seeded fault schedule.
 
@@ -211,7 +200,6 @@ def run_chaos(
         on_shard_failure=on_shard_failure,
         shard_timeout=shard_timeout,
         seed=seed,
-        transport=transport,
     )
     plan = FaultPlan.random(
         list(range(num_shards)),
@@ -246,8 +234,6 @@ def run_chaos(
         identical_to_clean=(
             faulted.division.communities_by_ego == clean.division.communities_by_ego
         ),
-        transport=faulted.transport.transport,
-        swept_segments=faulted.transport.swept_segments,
     )
 
 

@@ -10,37 +10,31 @@ this module is the only place that knows how to make that survivable:
   classification),
 * per-shard **timeouts** (``future.result(timeout=...)`` under a process
   pool; simulated on the injected clock under serial fault injection),
-* a broken process pool is **rebuilt** up to ``max_pool_rebuilds`` times —
-  sweeping the published shared-memory lease each time — and then the
-  supervisor **degrades to in-process serial execution** for the remaining
-  shards,
+* a broken process pool is **rebuilt** up to ``max_pool_rebuilds`` times,
+  and then the supervisor **degrades to in-process serial execution** for
+  the remaining shards,
 * ``on_shard_failure`` selects the failure semantics once a shard's attempt
   budget is spent — abort (``"raise"``), keep going with a first-class
   partial result (``"skip"``), or retry once in-process
-  (``"serial_fallback"``),
-* the payload reaches the workers once per process, by ``auto|shm|pickle``
-  **transport**: published to POSIX shared memory and attached through an
-  O(1) handle, or pickled whole.
+  (``"serial_fallback"``).
 
-A specialisation supplies only data and module-level callables: the payload,
-``publish(local_payload) -> ShmLease | None``, an optional worker-side
-``prepare(payload)``, and ``shard_fn(prepared_payload, *task_args)``.
+A specialisation supplies only data and a module-level callable: the payload
+every shard computes against, and ``shard_fn(payload, *task_args)``.  The
+payload reaches each pool worker once, as the pool initializer's argument:
+inherited under ``fork``, pickled under ``spawn`` / ``forkserver``.
 Supervision changes *when* work happens, never *what* it computes, so any
 fault schedule that eventually succeeds yields results identical to the clean
 serial run.
 
 Pool lifetime is the caller's ``with`` scope: the pool starts on the first
-pooled :meth:`ShardSupervisor.run` and lives, with its lease, until
+pooled :meth:`ShardSupervisor.run` and lives until
 :meth:`ShardSupervisor.close`.
 """
 
 from __future__ import annotations
 
-import pickle
-import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, Protocol, Sequence, TypeVar
@@ -53,7 +47,6 @@ from repro.exceptions import (
     ShardTimeoutError,
     WorkerCrashError,
 )
-from repro.graph.shm import ShmLease, handle_nbytes, shm_supported
 from repro.runtime.faultinject import FaultPlan
 from repro.runtime.resilience import Clock, RetryPolicy, ShardFailure
 
@@ -74,56 +67,29 @@ def reset_worker_state() -> None:
     """Explicit worker teardown: drop the cached payload and fault plan.
 
     Module globals live as long as the process, so without this a stale
-    payload (and, for shm transport, its segment mappings) would survive
-    across runs and pool generations.  ``_init_worker`` calls it before
-    installing new state, and ``close`` calls it in the parent so in-process
-    tests can assert nothing lingers.
+    payload would survive in the parent after its pool is gone; ``close``
+    calls it so in-process tests can assert nothing lingers.
     """
     global _WORKER_PAYLOAD, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
-    payload, _WORKER_PAYLOAD = _WORKER_PAYLOAD, None
+    _WORKER_PAYLOAD = None
     _WORKER_FAULT_PLAN = None
     _WORKER_TIMEOUT = None
-    close = getattr(payload, "close", None)
-    if callable(close):
-        close()
 
 
 def _init_worker(
-    payload: object,
-    prepare: Callable[[Any], object] | None,
-    fault_plan: FaultPlan | None,
-    shard_timeout: float | None,
+    payload: object, fault_plan: FaultPlan | None, shard_timeout: float | None
 ) -> None:
     """Process-pool initializer: receive the payload once per worker process.
 
-    Under ``transport="pickle"`` the payload is the object itself — pickled
-    once per worker instead of once per shard task — and ``prepare`` (when
-    given) builds the form ``shard_fn`` consumes.  Under ``"shm"`` it is a
-    handle of a few hundred bytes and the worker attaches the published
-    segments zero-copy, so startup cost stops scaling with payload size.
-    The fault plan (tests / chaos runs only) travels alongside either way.
+    Under ``fork`` the worker inherits the parent's object; under ``spawn``
+    or ``forkserver`` it arrives pickled, once per worker instead of once
+    per shard task.  The fault plan (tests / chaos runs only) travels
+    alongside.
     """
     global _WORKER_PAYLOAD, _WORKER_FAULT_PLAN, _WORKER_TIMEOUT
-    reset_worker_state()
-    attach = getattr(payload, "attach", None)
-    if callable(attach):  # a shared-memory handle
-        _WORKER_PAYLOAD = attach()
-    else:
-        _WORKER_PAYLOAD = prepare(payload) if prepare is not None else payload
+    _WORKER_PAYLOAD = payload
     _WORKER_FAULT_PLAN = fault_plan
     _WORKER_TIMEOUT = shard_timeout
-
-
-def _peak_rss_bytes() -> int:
-    """Peak resident set size of this process in bytes (0 if unavailable)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is bytes on macOS, kilobytes everywhere else.
-    scale = 1 if sys.platform == "darwin" else 1024
-    return int(peak) * scale
 
 
 def _timed_call(
@@ -143,48 +109,17 @@ def _run_in_worker(
     shard_id: int,
     attempt: int,
     args: tuple[Any, ...],
-) -> tuple[ResultT, float, int]:
+) -> tuple[ResultT, float]:
     if _WORKER_PAYLOAD is None:
         raise ExecutorError("worker initializer did not run")
     if _WORKER_FAULT_PLAN is not None:
         _WORKER_FAULT_PLAN.apply(
             shard_id, attempt, in_worker=True, timeout=_WORKER_TIMEOUT
         )
-    result, seconds = _timed_call(shard_fn, _WORKER_PAYLOAD, args)
-    return result, seconds, _peak_rss_bytes()
+    return _timed_call(shard_fn, _WORKER_PAYLOAD, args)
 
 
 # ----------------------------------------------------------------- reporting
-@dataclass
-class TransportStats:
-    """How the payload reached the workers, and what that shipping cost.
-
-    ``transport`` is the *resolved* mode (``"auto"`` never appears here):
-    ``"inline"`` for serial in-process runs where nothing is shipped,
-    ``"pickle"`` when each worker deserializes its own copy of the payload,
-    ``"shm"`` when workers attach a published shared-memory snapshot.
-    """
-
-    transport: str = "inline"
-    payload_bytes: int = 0
-    """Pickled size of the per-worker payload (the object, or its handle)."""
-    segment_bytes: int = 0
-    """Total bytes of published shared-memory segments (shm transport only)."""
-    num_workers: int = 0
-    peak_worker_rss_bytes: int = 0
-    """Largest per-process peak RSS sampled at shard completion (bytes)."""
-    swept_segments: int = 0
-    """Shared-memory segments unlinked by pool-rebuild / finalizer sweeps."""
-    fallback_error: str = ""
-    """``repr`` of the publish failure that made ``"auto"`` fall back to
-    pickle; empty when publishing succeeded or was never attempted."""
-
-    @property
-    def shipped_bytes(self) -> int:
-        """Bytes serialized across the pool at startup (payload × workers)."""
-        return self.payload_bytes * max(self.num_workers, 1)
-
-
 class _ShardCounts(Protocol):
     """What a per-shard report must expose for the run-level totals."""
 
@@ -214,8 +149,6 @@ class SupervisionReport(Generic[ShardReportT]):
     """Times a broken process pool was torn down and rebuilt."""
     degraded_to_serial: bool = False
     """True when repeated pool breakage forced in-process serial execution."""
-    transport: TransportStats = field(default_factory=TransportStats)
-    """Payload-shipping accounting (resolved transport, bytes, peak RSS)."""
 
     @property
     def total_seconds(self) -> float:
@@ -268,23 +201,16 @@ class ShardSupervisor(Generic[ResultT]):
     Parameters
     ----------
     payload:
-        What every shard computes against (a graph, a compiled kernel).
-        Shipped to each pool worker once, by the resolved transport.
+        What every shard computes against (the executor's CSR snapshot).
+        Passed to each pool worker once, as the pool initializer's argument.
     shard_fn:
-        Module-level ``shard_fn(prepared_payload, *task_args) -> result``.
-    publish:
-        Module-level ``publish(local_payload) -> ShmLease | None``: copy the
-        parent's prepared payload into shared memory, or return ``None``
-        when this payload has no shared-memory form.
-    prepare:
-        Optional module-level ``prepare(payload)`` building, once per
-        process, the form ``shard_fn`` consumes.
+        Module-level ``shard_fn(payload, *task_args) -> result``.
     num_workers:
         1 for serial (deterministic) execution; >1 uses a process pool.
     resilience:
         Fault-tolerance knobs (:class:`repro.core.config.ResilienceConfig`):
         retry budget and backoff, per-shard timeout, ``on_shard_failure``
-        mode, pool-rebuild budget, transport selection.
+        mode, pool-rebuild budget.
     fault_plan:
         Optional :class:`~repro.runtime.faultinject.FaultPlan` injecting
         deterministic faults into shard attempts (tests / chaos runs).
@@ -299,8 +225,6 @@ class ShardSupervisor(Generic[ResultT]):
         payload: object,
         *,
         shard_fn: Callable[..., ResultT],
-        publish: Callable[[Any], ShmLease | None],
-        prepare: Callable[[Any], object] | None = None,
         num_workers: int,
         resilience: ResilienceConfig,
         fault_plan: FaultPlan | None = None,
@@ -309,24 +233,13 @@ class ShardSupervisor(Generic[ResultT]):
         resilience.validate()
         self.payload = payload
         self.shard_fn = shard_fn
-        self.publish = publish
-        self.prepare = prepare
         self.num_workers = num_workers
         self.resilience = resilience
         self.retry_policy = RetryPolicy.from_config(resilience)
         self.fault_plan = fault_plan
         self.clock = clock
-        # Parent-process form of the payload, built lazily.
-        self._local: object | None = None
         self._pool: ProcessPoolExecutor | None = None
-        # Published shared-memory lease while a pool is live (shm transport).
-        self._lease: ShmLease | None = None
-        # (transport, payload_bytes, segment_bytes, fallback_error) of the
-        # standing pool, re-reported to every run that reuses it.
-        self._shipping: tuple[str, int, int, str] = ("inline", 0, 0, "")
-        # What the current (or most recent) ``run`` accumulates into.  The
-        # lease outlives ``run``, so a sweep — on rebuild or at close — is
-        # credited to whichever run's report was current when it happened.
+        # What the current ``run`` accumulates into.
         self._report: SupervisionReport[Any] = SupervisionReport()
         self._on_result: Callable[[ShardOutcome[ResultT]], None] | None = None
         self._outcomes: list[ShardOutcome[ResultT]] = []
@@ -344,7 +257,6 @@ class ShardSupervisor(Generic[ResultT]):
         in the parent as each shard completes (checkpoint spill).
         """
         self._report, self._on_result, self._outcomes = report, on_result, []
-        report.transport.num_workers = self.num_workers
         states = [ShardAttempts(shard_id, args) for shard_id, args in tasks]
         if states:
             if self.num_workers <= 1:
@@ -359,17 +271,14 @@ class ShardSupervisor(Generic[ResultT]):
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the pool, the published lease and worker globals.
+        """Release the pool and worker globals.
 
         Idempotent and safe at any point; the context-manager form calls it
-        on exit.  Whatever happened in ``run``, no published segment
-        outlives the supervisor that published it.
+        on exit.
         """
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        self._sweep_lease()
-        self._local = None
         reset_worker_state()
 
     def __enter__(self) -> "ShardSupervisor[ResultT]":
@@ -379,17 +288,7 @@ class ShardSupervisor(Generic[ResultT]):
         self.close()
 
     # ------------------------------------------------------------- internals
-    def _local_payload(self) -> object:
-        """The parent's prepared payload (prepared once, not per shard)."""
-        if self._local is None:
-            self._local = (
-                self.prepare(self.payload) if self.prepare is not None else self.payload
-            )
-        return self._local
-
-    def _complete(
-        self, state: ShardAttempts, result: ResultT, seconds: float, rss: int
-    ) -> None:
+    def _complete(self, state: ShardAttempts, result: ResultT, seconds: float) -> None:
         outcome = ShardOutcome(
             shard_id=state.shard_id,
             result=result,
@@ -398,8 +297,6 @@ class ShardSupervisor(Generic[ResultT]):
             timeouts=state.timeouts,
         )
         self._outcomes.append(outcome)
-        stats = self._report.transport
-        stats.peak_worker_rss_bytes = max(stats.peak_worker_rss_bytes, rss)
         if self._on_result is not None:
             self._on_result(outcome)
 
@@ -411,7 +308,6 @@ class ShardSupervisor(Generic[ResultT]):
         kills surface as ``WorkerCrashError`` — the parent process is never
         actually stalled or killed.
         """
-        payload = self._local_payload()
         for state in states:
             while True:
                 try:
@@ -423,7 +319,9 @@ class ShardSupervisor(Generic[ResultT]):
                             clock=self.clock,
                             timeout=self.resilience.shard_timeout,
                         )
-                    result, seconds = _timed_call(self.shard_fn, payload, state.args)
+                    result, seconds = _timed_call(
+                        self.shard_fn, self.payload, state.args
+                    )
                 except Exception as exc:  # noqa: BLE001 — supervision boundary
                     state.record_failure(exc)
                     if self._should_retry(state, exc):
@@ -433,7 +331,7 @@ class ShardSupervisor(Generic[ResultT]):
                         continue
                     self._handle_exhausted(state, exc)
                     break
-                self._complete(state, result, seconds, _peak_rss_bytes())
+                self._complete(state, result, seconds)
                 break
 
     def _run_pool(self, states: list[ShardAttempts]) -> None:
@@ -443,9 +341,7 @@ class ShardSupervisor(Generic[ResultT]):
         pool = self._ensure_pool()
         pending = states
         while pending:
-            futures: list[
-                tuple[ShardAttempts, Future[tuple[ResultT, float, int]] | None]
-            ] = []
+            futures: list[tuple[ShardAttempts, Future[tuple[ResultT, float]] | None]] = []
             broken = False
             for state in pending:
                 future = None
@@ -467,15 +363,15 @@ class ShardSupervisor(Generic[ResultT]):
                 exc: Exception
                 if future is None:
                     exc = WorkerCrashError(state.shard_id, detail="process pool broken")
+                elif not wait([future], timeout=timeout).done:
+                    # Waited, not ``future.result(timeout=...)``: since Python
+                    # 3.11 a shard that itself raised the builtin
+                    # ``TimeoutError`` would look exactly like an expired wait.
+                    exc = ShardTimeoutError(state.shard_id, timeout or 0.0)
+                    future.cancel()
                 else:
                     try:
-                        result, seconds, worker_rss = future.result(timeout=timeout)
-                    except FutureTimeoutError:
-                        # Also reached with no timeout set when the shard
-                        # itself raised the builtin TimeoutError (the same
-                        # class since Python 3.11), hence the 0.0.
-                        exc = ShardTimeoutError(state.shard_id, timeout or 0.0)
-                        future.cancel()
+                        result, seconds = future.result()
                     except BrokenProcessPool:
                         broken = True
                         exc = WorkerCrashError(
@@ -484,7 +380,7 @@ class ShardSupervisor(Generic[ResultT]):
                     except Exception as raw:  # noqa: BLE001 — supervision boundary
                         exc = raw
                     else:
-                        self._complete(state, result, seconds, worker_rss)
+                        self._complete(state, result, seconds)
                         continue
                 state.record_failure(exc)
                 if self._should_retry(state, exc):
@@ -495,10 +391,6 @@ class ShardSupervisor(Generic[ResultT]):
             if broken:
                 pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
-                # Unlink-on-rebuild sweep (MP003): a crashed worker cannot
-                # close its attachments, so the parent unlinks the published
-                # segments here and republishes for the next pool.
-                self._sweep_lease()
                 report.pool_rebuilds += 1
                 if report.pool_rebuilds > self.resilience.max_pool_rebuilds:
                     # The pool keeps dying: degrade to in-process serial
@@ -519,70 +411,14 @@ class ShardSupervisor(Generic[ResultT]):
                 )
             pending = retry_wave
 
-    def _worker_payload(self) -> object:
-        """Resolve the transport and build the per-worker initializer payload.
-
-        ``"auto"`` publishes to shared memory when the platform has it and
-        the payload has a shared form, and ships a full pickle otherwise —
-        recording why in ``fallback_error`` when publishing itself failed;
-        ``"shm"`` raises when either precondition is missing instead of
-        silently shipping a full pickle.  Under shm transport the arrays are
-        published once here and every worker receives only the O(1) handle.
-        """
-        mode = self.resilience.transport
-        lease: ShmLease | None = None
-        fallback_error = ""
-        if mode != "pickle" and shm_supported():
-            try:
-                lease = self.publish(self._local_payload())
-            except Exception as exc:  # noqa: BLE001 — fall back rather than fail startup
-                if mode == "shm":
-                    raise
-                fallback_error = repr(exc)
-        if lease is not None:
-            self._lease = lease
-            self._shipping = (
-                "shm", handle_nbytes(lease.handle), lease.segment_nbytes, ""
-            )
-            return lease.handle
-        if mode == "shm":
-            raise ExecutorError(
-                "transport='shm' requires a payload with a shared-memory form "
-                "and a platform with POSIX shared memory"
-            )
-        payload_bytes = len(pickle.dumps(self.payload, pickle.HIGHEST_PROTOCOL))
-        self._shipping = ("pickle", payload_bytes, 0, fallback_error)
-        return self.payload
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.num_workers,
                 initializer=_init_worker,
-                initargs=(
-                    self._worker_payload(),
-                    self.prepare,
-                    self.fault_plan,
-                    self.resilience.shard_timeout,
-                ),
+                initargs=(self.payload, self.fault_plan, self.resilience.shard_timeout),
             )
-        stats = self._report.transport
-        (
-            stats.transport,
-            stats.payload_bytes,
-            stats.segment_bytes,
-            stats.fallback_error,
-        ) = self._shipping
         return self._pool
-
-    def _sweep_lease(self) -> None:
-        """Unlink the published lease (idempotent; rebuilds and finalizers)."""
-        lease, self._lease = self._lease, None
-        if lease is None:
-            return
-        swept = 0 if lease.released else len(lease.segment_names)
-        lease.close()
-        self._report.transport.swept_segments += swept
 
     def _should_retry(self, state: ShardAttempts, exc: Exception) -> bool:
         return (
@@ -598,14 +434,12 @@ class ShardSupervisor(Generic[ResultT]):
             # the fault-injection layer (both model infrastructure faults,
             # and the in-process path has neither workers nor injectors).
             try:
-                result, seconds = _timed_call(
-                    self.shard_fn, self._local_payload(), state.args
-                )
+                result, seconds = _timed_call(self.shard_fn, self.payload, state.args)
             except Exception as fallback_exc:  # noqa: BLE001 — supervision boundary
                 raise ShardFailedError(
                     state.shard_id, state.attempt + 1, fallback_exc
                 ) from fallback_exc
-            self._complete(state, result, seconds, _peak_rss_bytes())
+            self._complete(state, result, seconds)
             return
         if mode == "skip":
             self._report.failed_shards.append(

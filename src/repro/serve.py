@@ -154,9 +154,9 @@ class ServingSession:
         Injectable time source for latency accounting (tests pass
         :class:`repro.clock.FakeClock`).
 
-    The session follows the repo-wide lifecycle protocol: use as a context
-    manager or call :meth:`close` (idempotent) when done.  Closing drops the
-    cache and refuses further use; it releases no pool or lease today.
+    Use as a context manager or call :meth:`close` (idempotent) when done.
+    Closing drops the cache and refuses further use; it releases no pool
+    today.
     """
 
     def __init__(

@@ -8,11 +8,11 @@ def run_all(payload, tasks: list, report, **options) -> list:
     def double(value, shard):
         return shard * 2
 
-    with ShardSupervisor(
-        payload, shard_fn=double, publish=lambda prepared: None, **options
-    ) as runner:
+    with ShardSupervisor(payload, shard_fn=double, **options) as runner:
         doubled = runner.run(tasks, report)
     with supervisor.ShardSupervisor(
-        payload, shard_fn=max, publish=print, prepare=lambda raw: raw, **options
+        payload, shard_fn=lambda value, shard: shard, **options
     ) as runner:
+        doubled += runner.run(tasks, report)
+    with supervisor.ShardSupervisor(payload, shard_fn=max, **options) as runner:
         return doubled + runner.run(tasks, report)

@@ -122,7 +122,7 @@ def test_static_analysis_job_runs_typed_core_mypy(workflow):
     assert "mypy" in install and "numpy" in install
 
 
-def test_static_analysis_guards_the_single_supervision_loop(workflow):
+def test_static_analysis_guards_the_single_supervision_loop(workflow, tmp_path):
     # The guard is only worth having if it is blocking and passes on the
     # tree it ships with: run the step's own script from the repo root.
     job = workflow["jobs"]["static-analysis"]
@@ -130,14 +130,28 @@ def test_static_analysis_guards_the_single_supervision_loop(workflow):
         step for step in job["steps"] if "BrokenProcessPool" in str(step.get("run", ""))
     ]
     assert not guard.get("continue-on-error")
-    result = subprocess.run(
-        ["bash", "-c", guard["run"]],
-        cwd=WORKFLOW_PATH.parent.parent.parent,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+
+    def run_guard(root: Path) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["bash", "-c", guard["run"]],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    result = run_guard(WORKFLOW_PATH.parent.parent.parent)
     assert result.returncode == 0, result.stderr
+    # A second way to reach a worker fails it, even in supervisor.py.
+    home = tmp_path / "src" / "repro" / "runtime"
+    home.mkdir(parents=True)
+    (home / "supervisor.py").write_text(
+        "from multiprocessing import shared_memory\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+    )
+    result = run_guard(tmp_path)
+    assert result.returncode != 0
+    assert "shared_memory" in result.stderr
 
 
 def test_static_analysis_runs_the_routed_kernel_guard(workflow):

@@ -231,7 +231,7 @@ class TestConfigs:
         with pytest.raises(ModelConfigError):
             GBDTConfig(num_rounds=0).validate()
         with pytest.raises(ModelConfigError):
-            LoCECConfig(resilience=ResilienceConfig(transport="tcp")).validate()
+            LoCECConfig(resilience=ResilienceConfig(max_pool_rebuilds=-1)).validate()
 
 
 class TestResults:

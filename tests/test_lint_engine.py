@@ -33,7 +33,7 @@ TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 FIXTURES = "lint_fixtures"
 
-MODULE_RULE_IDS = ["DET001", "DET002", "MP001", "MP002", "MP003", "MP004",
+MODULE_RULE_IDS = ["DET001", "DET002", "MP001", "MP002",
                    "NPY001", "NPY002", "NPY003", "NPY004"]
 
 #: rule id -> finding count expected on its ``*_bad.py`` fixture.
@@ -42,8 +42,6 @@ EXPECTED_BAD_HITS = {
     "DET002": 4,   # shuffle, random, np.random.rand, np.random.randint
     "MP001": 2,    # lambda to submit, nested function to map
     "MP002": 1,    # ShardError
-    "MP003": 2,    # unguarded attach, creator with close but no unlink
-    "MP004": 2,    # direct lease owner, transitive holder — both lifecycle-free
     "NPY001": 3,   # wrapping arange, astype, concatenate
     "NPY002": 2,   # two bare .astype calls
     "NPY003": 3,   # dtype=object, dtype="O", dtype=np.object_
@@ -89,10 +87,10 @@ def test_rule_silenced_by_suppressions(rule_id):
 
 def test_mp001_follows_the_supervisor_indirection():
     """``pool.submit`` inside the supervisor only ever names its trampoline;
-    the callables that really travel arrive as ShardSupervisor keywords."""
+    the callable that really travels arrives as a ShardSupervisor keyword."""
     result = _lint_fixture("MP001", "mp001_supervisor_bad")
-    # nested shard_fn, lambda publish, lambda prepare (builtins are fine)
-    assert len(result.findings) == 3
+    # nested shard_fn, lambda shard_fn (builtins are fine)
+    assert len(result.findings) == 2
     assert all(f.rule_id == "MP001" for f in result.findings)
     assert all("ShardSupervisor(" in f.message for f in result.findings)
     clean = _lint_fixture("MP001", "mp001_supervisor_clean")
@@ -153,8 +151,8 @@ def test_json_reporter_schema():
 # ------------------------------------------------------- registry and CLI
 def test_rule_catalog_is_complete():
     catalog = {rule.rule_id for rule in all_rules()}
-    assert catalog == {"DET001", "DET002", "MP001", "MP002", "MP003",
-                       "MP004", "NPY001", "NPY002", "NPY003", "NPY004"}
+    assert catalog == {"DET001", "DET002", "MP001", "MP002",
+                       "NPY001", "NPY002", "NPY003", "NPY004"}
     for rule in all_rules():
         assert rule.name and rule.description and rule.rationale
 

@@ -35,7 +35,6 @@ from repro.exceptions import (
     SelfLoopError,
 )
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
-from repro.lifecycle import Closeable
 from repro.ml.logistic import LogisticRegression
 from repro.runtime import Fault, FaultPlan
 from repro.runtime.executor import ShardedDivisionExecutor
@@ -813,13 +812,14 @@ class TestStreamingMoments:
         assert set(summary) == {"count", "mean", "std", "p50", "p95", "p99"}
 
 
-def test_lease_owners_conform_to_closeable_protocol():
-    # MP004's runtime counterpart: the two lease owners and the two public
-    # lifecycle holders (which own none today) satisfy the structural protocol.
+def test_resource_owners_close_and_work_as_context_managers():
+    # The pool owners and the two public entry points (which own no pool
+    # today) share one close surface: ``close()`` and the ``with`` form.
     for owner in (
         ShardSupervisor,
         ShardedDivisionExecutor,
         ServingSession,
         LoCEC,
     ):
-        assert issubclass(owner, Closeable), owner.__name__
+        for method in ("close", "__enter__", "__exit__"):
+            assert callable(getattr(owner, method, None)), (owner.__name__, method)

@@ -2,27 +2,23 @@
 
 The supervisor is driven directly with trivial module-level callables — no
 graph, no kernel — so what is under test is the supervision itself: attempt
-bookkeeping, retry ordering, backoff, ``on_shard_failure`` semantics,
-transport resolution and lease lifetime.  Everything runs on a
-:class:`FakeClock`; the pooled wave loop is exercised in the fast tier
-through an in-process stand-in for ``ProcessPoolExecutor`` and once, in the
-``slow`` tier, against real worker processes and real shared memory.
+bookkeeping, retry ordering, backoff, ``on_shard_failure`` semantics and
+pool lifetime.  Everything runs on a :class:`FakeClock`; the pooled wave
+loop is exercised in the fast tier through an in-process stand-in for
+``ProcessPoolExecutor`` and once, in the ``slow`` tier, against real worker
+processes.
 """
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
 import repro.runtime.supervisor as supervisor_module
 from repro.core.config import ResilienceConfig
 from repro.exceptions import (
-    ExecutorError,
     RetryExhaustedError,
     ShardFailedError,
     ShardTimeoutError,
@@ -30,15 +26,10 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_figure7_network
-from repro.graph.shm import SharedCSRGraph, handle_nbytes, shm_supported
 from repro.lint.config import default_config
 from repro.runtime import FakeClock, Fault, FaultPlan, RetryPolicy
 from repro.runtime.faultinject import PermanentInjectedError
-from repro.runtime.supervisor import (
-    ShardSupervisor,
-    SupervisionReport,
-    TransportStats,
-)
+from repro.runtime.supervisor import ShardSupervisor, SupervisionReport
 
 PAYLOAD = 3
 TASKS = [(shard_id, ([shard_id, shard_id + 10],)) for shard_id in range(3)]
@@ -56,52 +47,20 @@ def _scale_unless_negative(factor, values):
     return _scale(factor, values)
 
 
-def _double(payload):
-    return payload * 2
+def _scale_first(boxed, values):
+    return _scale(boxed[0], values)
 
 
-def _no_shared_form(prepared):
-    return None
+#: Shards that already raised their own ``TimeoutError`` once.
+_TIMED_OUT_ONCE: set[int] = set()
 
 
-def _publish_fails(prepared):
-    raise OSError("no space left on /dev/shm")
-
-
-def _must_not_publish(prepared):  # pragma: no cover - only fires on regression
-    raise AssertionError("transport='pickle' must never publish")
-
-
-@dataclass
-class _FakeHandle:
-    value: int
-
-    def attach(self):
-        return self.value
-
-
-class _FakeLease:
-    """Duck-typed :class:`~repro.graph.shm.ShmLease` that counts its closes."""
-
-    segment_names = ("psm_fake_a", "psm_fake_b")
-    segment_nbytes = 128
-
-    def __init__(self, value):
-        self.handle = _FakeHandle(value)
-        self.released = False
-        self.closes = 0
-
-    def close(self):
-        self.closes += 1
-        self.released = True
-
-
-_PUBLISHED: list[_FakeLease] = []
-
-
-def _publish_fake(prepared):
-    _PUBLISHED.append(_FakeLease(prepared))
-    return _PUBLISHED[-1]
+def _scale_after_own_timeout(factor, values):
+    """Raise the builtin ``TimeoutError`` (a socket read, say) once per shard."""
+    if values[0] not in _TIMED_OUT_ONCE:
+        _TIMED_OUT_ONCE.add(values[0])
+        raise TimeoutError("read timed out")
+    return _scale(factor, values)
 
 
 def _supervise(
@@ -109,8 +68,6 @@ def _supervise(
     *,
     payload=PAYLOAD,
     shard_fn=_scale,
-    publish=_no_shared_form,
-    prepare=None,
     num_workers=1,
     clock=None,
     **resilience,
@@ -118,8 +75,6 @@ def _supervise(
     return ShardSupervisor(
         payload,
         shard_fn=shard_fn,
-        publish=publish,
-        prepare=prepare,
         num_workers=num_workers,
         resilience=ResilienceConfig(**resilience),
         fault_plan=plan,
@@ -160,11 +115,6 @@ class TestReportTotals:
         assert report.total_timeouts == 3
         assert report.total_retries == 2
 
-    def test_transport_stats_default_is_inline_with_no_fallback(self):
-        stats = TransportStats()
-        assert (stats.transport, stats.fallback_error) == ("inline", "")
-        assert stats.shipped_bytes == 0
-
 
 # ---------------------------------------------------------------- serial loop
 class TestSerialLoop:
@@ -177,21 +127,12 @@ class TestSerialLoop:
         assert _results(outcomes) == CLEAN
         assert all((o.attempts, o.timeouts) == (1, 0) for o in outcomes)
         assert clock.sleeps == []
-        assert report.transport.transport == "inline"
-        assert report.transport.num_workers == 1
-        assert report.transport.peak_worker_rss_bytes > 0
+        assert report.failed_shards == []
 
     def test_no_tasks_is_a_no_op(self):
         with _supervise(num_workers=2) as supervisor:
             assert supervisor.run([], SupervisionReport()) == []
             assert supervisor._pool is None
-
-    def test_prepare_runs_once_in_the_parent(self, no_real_sleep):
-        with _supervise(prepare=_double) as supervisor:
-            outcomes = supervisor.run(TASKS, SupervisionReport())
-        assert _results(outcomes) == {
-            shard_id: [2 * value for value in block] for shard_id, block in CLEAN.items()
-        }
 
     def test_transient_retries_in_place_then_succeeds(self, no_real_sleep):
         plan = FaultPlan([Fault(1, 0, "transient"), Fault(1, 1, "transient")])
@@ -303,11 +244,9 @@ class _InlinePool:
 
 @pytest.fixture
 def inline_pool(monkeypatch, no_real_sleep):
-    _PUBLISHED.clear()
     monkeypatch.setattr(_InlinePool, "created", 0)
     monkeypatch.setattr(_InlinePool, "broken_generations", 0)
     monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(supervisor_module, "shm_supported", lambda: True)
     yield _InlinePool
     supervisor_module.reset_worker_state()
 
@@ -328,73 +267,47 @@ class TestPooledLoop:
         policy = RetryPolicy.from_config(ResilienceConfig())
         assert clock.sleeps == [max(policy.delay(1, key=0), policy.delay(1, key=2))]
 
-    def test_payload_without_shared_form_travels_by_pickle(self, inline_pool):
-        report = SupervisionReport()
-        with _supervise(num_workers=2, prepare=_double) as supervisor:
-            outcomes = supervisor.run(TASKS, report)
-        assert outcomes[1].result == [2 * value for value in CLEAN[1]]
-        stats = report.transport
-        assert (stats.transport, stats.fallback_error) == ("pickle", "")
-        assert stats.payload_bytes == len(pickle.dumps(PAYLOAD, pickle.HIGHEST_PROTOCOL))
-        assert stats.shipped_bytes == 2 * stats.payload_bytes
-        assert stats.segment_bytes == 0
-
-    def test_explicit_pickle_never_publishes(self, inline_pool):
-        report = SupervisionReport()
-        with _supervise(
-            num_workers=2, publish=_must_not_publish, transport="pickle"
-        ) as supervisor:
-            assert _results(supervisor.run(TASKS, report)) == CLEAN
-        assert report.transport.transport == "pickle"
-
-    def test_auto_records_why_it_fell_back_to_pickle(self, inline_pool):
-        report = SupervisionReport()
-        with _supervise(num_workers=2, publish=_publish_fails) as supervisor:
-            assert _results(supervisor.run(TASKS, report)) == CLEAN
-        assert report.transport.transport == "pickle"
-        assert report.transport.fallback_error == repr(
-            OSError("no space left on /dev/shm")
-        )
-
-    def test_explicit_shm_raises_the_publish_failure(self, inline_pool):
-        with _supervise(
-            num_workers=2, publish=_publish_fails, transport="shm"
-        ) as supervisor:
-            with pytest.raises(OSError, match="no space left"):
-                supervisor.run(TASKS, SupervisionReport())
-            assert supervisor._pool is None
-
-    def test_explicit_shm_refuses_a_payload_without_shared_form(self, inline_pool):
-        with _supervise(num_workers=2, transport="shm") as supervisor:
-            with pytest.raises(ExecutorError, match="shared-memory form"):
-                supervisor.run(TASKS, SupervisionReport())
-
-    def test_lease_is_published_once_and_swept_exactly_once(self, inline_pool):
-        first, second = SupervisionReport(), SupervisionReport()
-        supervisor = _supervise(num_workers=2, publish=_publish_fake)
-        assert _results(supervisor.run(TASKS, first)) == CLEAN
-        assert _results(supervisor.run(TASKS, second)) == CLEAN
-        (lease,) = _PUBLISHED  # the standing pool and lease served both runs
+    def test_standing_pool_serves_every_run_until_close(self, inline_pool):
+        payload = [PAYLOAD]  # an object whose identity the workers can show
+        supervisor = _supervise(num_workers=2, payload=payload, shard_fn=_scale_first)
+        assert _results(supervisor.run(TASKS, SupervisionReport())) == CLEAN
+        assert _results(supervisor.run(TASKS, SupervisionReport())) == CLEAN
+        # One pool served both runs, and its workers hold the payload as given.
         assert inline_pool.created == 1
-        for report in (first, second):
-            stats = report.transport
-            assert (stats.transport, stats.segment_bytes) == ("shm", 128)
-            assert stats.payload_bytes == handle_nbytes(lease.handle)
-        assert not lease.released
+        assert supervisor_module._WORKER_PAYLOAD is payload
         supervisor.close()
         supervisor.close()  # idempotent
-        assert lease.closes == 1
-        # The sweep is credited to the run that was current when it happened.
-        assert (first.transport.swept_segments, second.transport.swept_segments) == (0, 2)
-        assert supervisor._pool is None and supervisor._lease is None
+        assert supervisor._pool is None
         assert supervisor_module._WORKER_PAYLOAD is None
+
+    def test_a_shards_own_timeout_error_is_not_a_shard_timeout(self, inline_pool):
+        """Since Python 3.11 ``concurrent.futures.TimeoutError`` *is* the
+        builtin: a shard that raises it must count as the plain error it is,
+        under a pool exactly as serially."""
+        counts, causes = {}, {}
+        for workers in (1, 2):
+            _TIMED_OUT_ONCE.clear()
+            report = SupervisionReport()
+            with _supervise(
+                num_workers=workers, shard_fn=_scale_after_own_timeout
+            ) as supervisor:
+                outcomes = supervisor.run(TASKS, report)
+            assert _results(outcomes) == CLEAN
+            counts[workers] = [(o.attempts, o.timeouts) for o in outcomes]
+            _TIMED_OUT_ONCE.clear()
+            with _supervise(
+                num_workers=workers, shard_fn=_scale_after_own_timeout, max_attempts=1
+            ) as supervisor:
+                with pytest.raises(RetryExhaustedError) as info:
+                    supervisor.run(TASKS, SupervisionReport())
+            causes[workers] = type(info.value.cause)
+        assert counts[1] == counts[2] == [(2, 0)] * 3
+        assert causes[1] is causes[2] is TimeoutError
 
     def test_broken_pool_is_rebuilt_then_degrades_to_serial(self, inline_pool):
         inline_pool.broken_generations = 2
         report = SupervisionReport()
-        with _supervise(
-            num_workers=2, publish=_publish_fake, max_pool_rebuilds=1
-        ) as supervisor:
+        with _supervise(num_workers=2, max_pool_rebuilds=1) as supervisor:
             outcomes = supervisor.run(TASKS, report)
             assert supervisor._pool is None  # degraded: no pool left standing
         assert _results(outcomes) == CLEAN
@@ -402,9 +315,6 @@ class TestPooledLoop:
         assert [o.attempts for o in outcomes] == [3, 3, 3]
         assert (report.pool_rebuilds, report.degraded_to_serial) == (2, True)
         assert inline_pool.created == 2
-        # Every generation's lease was swept on its rebuild, once.
-        assert [lease.closes for lease in _PUBLISHED] == [1, 1]
-        assert report.transport.swept_segments == 4
 
     def test_broken_pool_exhausting_the_attempt_budget_raises(self, inline_pool):
         inline_pool.broken_generations = 2
@@ -418,9 +328,8 @@ class TestPooledLoop:
 class TestLintScope:
     def test_mp_rules_cover_the_supervised_runtime(self):
         config = default_config()
-        for rule in ("MP001", "MP003"):
-            assert config.applies_to(rule, "src/repro/runtime/executor.py")
-            assert config.applies_to(rule, "src/repro/runtime/supervisor.py")
+        assert config.applies_to("MP001", "src/repro/runtime/executor.py")
+        assert config.applies_to("MP001", "src/repro/runtime/supervisor.py")
 
     def test_pinned_entries_survive_scope_narrowing(self):
         """The explicit file entries keep the MP rules on the supervisor and
@@ -441,16 +350,7 @@ def _degree_sum(graph, nodes):
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(not shm_supported(), reason="POSIX shared memory unavailable")
 def test_killed_worker_exhausts_rebuild_budget_and_degrades_without_leaking():
-    shm_dir = Path("/dev/shm")
-
-    def segments():
-        if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-            return set()
-        return {p.name for p in shm_dir.iterdir() if p.name.startswith("psm_")}
-
-    before = segments()
     graph = CSRGraph.from_graph(paper_figure7_network())
     nodes = list(graph.nodes())
     tasks = [(shard_id, (nodes[shard_id::3],)) for shard_id in range(3)]
@@ -459,16 +359,14 @@ def test_killed_worker_exhausts_rebuild_budget_and_degrades_without_leaking():
     with ShardSupervisor(
         graph,
         shard_fn=_degree_sum,
-        publish=SharedCSRGraph.publish,
         num_workers=2,
-        resilience=ResilienceConfig(max_pool_rebuilds=0, transport="shm"),
+        resilience=ResilienceConfig(max_pool_rebuilds=0),
         fault_plan=FaultPlan([Fault(0, 0, "kill")]),
         clock=FakeClock(),
     ) as supervisor:
         outcomes = supervisor.run(tasks, report)
+        assert supervisor._pool is None  # the dead pool was not kept standing
     assert _results(outcomes) == clean
     assert (report.pool_rebuilds, report.degraded_to_serial) == (1, True)
-    assert report.transport.transport == "shm"
-    assert report.transport.swept_segments > 0
     assert outcomes[0].attempts >= 2
-    assert segments() - before == set()
+    assert supervisor_module._WORKER_PAYLOAD is None
