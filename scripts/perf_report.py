@@ -280,7 +280,6 @@ def build_benchmarks(
         return classifier.fit(tensor, cnn_labels)
 
     cnn_fitted = {backend: commcnn_fit(backend) for backend in ("loop", "fused")}
-    cnn_fitted["fused"].predict_proba(tensor)  # grow workspaces outside timing
     for backend in ("loop", "fused"):
         benchmarks[f"commcnn_fit_{model_scale}_{backend}"] = (
             lambda be=backend: commcnn_fit(be)

@@ -398,9 +398,10 @@ class LoCEC:
            and *delta-compiled* into the Phase II kernel in place where
            possible (:meth:`FeatureMatrixBuilder.patch_kernel`).
         3. Fitted models stay warm: the community classifier is refit only
-           when a delta touched its training set, and only dirty communities
-           are re-scored (CommCNN re-scores every community in one batch so
-           inference batching matches a from-scratch fit bit for bit).  The
+           when a delta touched its training set, and otherwise only dirty
+           communities are re-scored, for either model: CommCNN scores in
+           fixed-shape blocks, so a community's ``r_C`` does not depend on
+           which communities share its batch.  The
            Phase III edge labeler is retrained only when its Equation 4
            design matrix moved (:attr:`UpdateReport.labeler_refit`): an
            update that changed no ego's communities and re-scored nothing
@@ -641,18 +642,15 @@ class LoCEC:
     ) -> int:
         """Refresh the stored result vectors; return how many were scored.
 
-        CommCNN inference is re-run over the full community list in one
-        batch whenever anything is dirty: scoring a subset would change the
-        inference batch shape relative to a from-scratch fit, and GEMM-based
-        convolution is only guaranteed bit-stable for identical batches.
-        GBDT scoring is per-row and batch-invariant, so it scores subsets.
+        A refit classifier re-scores every community; a warm one scores only
+        the dirty ones.  Both community models score a row independently of
+        the rows scored beside it — GBDT per row, CommCNN in fixed-shape
+        blocks (:meth:`NeuralNetworkClassifier.predict_proba`) — so a
+        subset's vectors equal the ones a from-scratch fit stores.
         """
         result_vectors = self.edge_feature_builder_.result_vectors
         division = self.division_
-        rescore_all = classifier_refit or (
-            self.config.community_model == "cnn" and bool(rescore_keys)
-        )
-        if rescore_all:
+        if classifier_refit:
             communities = list(division.all_communities())
         else:
             communities = [
@@ -662,7 +660,7 @@ class LoCEC:
                 if community_key(community) in rescore_keys
             ]
         fresh = self._score_communities(communities)
-        if rescore_all:
+        if classifier_refit:
             result_vectors.clear()
         elif changed_egos:
             for key in [k for k in result_vectors if k[0] in changed_egos]:

@@ -9,14 +9,17 @@ on :class:`NeuralNetworkClassifier` (``"loop"`` / ``"fused"`` / ``"auto"``):
   This is the readable reference implementation.
 * **fused** — the compiled execution engine in :mod:`repro.ml.nn.engine`:
   the model is compiled once per fit into a flat tape of shape-specialised
-  array ops with precomputed im2col gather/scatter index plans, preallocated
-  activation/gradient workspaces reused across mini-batches, and all
+  array ops with precomputed im2col gather/scatter index plans, one
+  ``batch_size``-row activation/gradient workspace reused by every
+  mini-batch and inference block, and all
   parameters/gradients/optimiser moments packed into contiguous vectors so
   an optimiser step is a handful of whole-vector ops.
 
 Both backends run the same float operations in the same order, so logits,
 fitted weights and loss histories are **bit-identical**
-(``tests/test_nn_engine.py`` arbitrates).  ``"auto"`` (the default) picks
+(``tests/test_nn_engine.py`` arbitrates).  Both score in padded blocks of
+exactly ``batch_size`` rows, so a row's probabilities do not depend on the
+rows sharing its ``predict_proba`` call.  ``"auto"`` (the default) picks
 the fused engine whenever the model compiles — i.e. it is built from the
 layer types above, which every CommCNN is — and falls back to the loop
 backend when compilation raises :class:`~repro.ml.nn.engine.

@@ -8,9 +8,14 @@ tape of shape-specialised array ops:
   pass is one ``np.take`` plus one batched 2-D GEMM and a backward pass is
   two GEMMs plus one ``np.bincount`` scatter-add — no Python loops over
   kernel positions;
-* all activations, gradients and im2col workspaces are preallocated once and
-  reused across the fixed-shape mini-batches of an epoch (ragged last
-  batches run on leading-axis views of the same buffers);
+* all activations, gradients and im2col workspaces form one workspace of
+  ``capacity`` rows, allocated once at compile time and reused by every
+  training mini-batch and every inference block (a ragged last training
+  batch runs on leading-axis views of the same buffers).  The workspace
+  never grows: :meth:`CompiledNetwork.forward` rejects more than
+  ``capacity`` rows, and ``NeuralNetworkClassifier.predict_proba`` feeds
+  it padded blocks of exactly ``capacity`` (= ``batch_size``) rows, so
+  every inference GEMM has one shape;
 * all parameters, gradients and Adam/SGD optimiser state live in single
   contiguous vectors, so an optimiser step is a handful of whole-vector ops
   with one shared timestep instead of a Python walk over parameter tensors.
@@ -59,23 +64,18 @@ class EngineCompileError(ModelConfigError):
 
 # ----------------------------------------------------------------- workspaces
 class _Slot:
-    """A preallocated ``(capacity, *shape)`` workspace, grown on demand.
+    """A ``(capacity, *shape)`` workspace, allocated once at compile time.
 
-    ``training_only`` slots (gradients, argmax caches, dropout masks, GEMM
-    scratch) are sized to the training batch only; inference-driven capacity
-    growth leaves them untouched so a large ``predict`` batch does not
-    allocate backward-pass mirrors of every activation.
+    Training batches and inference blocks both run on leading-axis views of
+    it; no call ever reallocates it, so its size is fixed by ``capacity``
+    (the classifier's ``batch_size``), not by the largest batch scored.
     """
 
-    __slots__ = ("shape", "dtype", "array", "training_only")
+    __slots__ = ("shape", "array")
 
-    def __init__(
-        self, shape: tuple[int, ...], dtype=np.float64, training_only: bool = False
-    ) -> None:
+    def __init__(self, shape: tuple[int, ...], capacity: int, dtype=np.float64) -> None:
         self.shape = tuple(int(s) for s in shape)
-        self.dtype = dtype
-        self.training_only = training_only
-        self.array: np.ndarray | None = None
+        self.array = np.empty((capacity,) + self.shape, dtype=dtype)
 
     def view(self, n: int) -> np.ndarray:
         return self.array[:n]
@@ -132,18 +132,20 @@ class _ConvOp:
         self.gather_idx = conv_im2col_indices(
             channels, height, width, layer.kernel_h, layer.kernel_w
         )
-        self.scatter_idx: np.ndarray | None = None
         if self.identity_cols:
             self.cols = _ViewSlot(in_slot, (k, positions))
             self.cols_grad = _ViewSlot(in_grad, (k, positions))
         else:
             self.cols = engine._new_slot((k, positions))
-            self.cols_grad = engine._new_slot((k, positions), training_only=True)
-        self.grad_weight_work = engine._new_slot(
-            (layer.out_channels, k), training_only=True
-        )
+            self.cols_grad = engine._new_slot((k, positions))
+            # Per-sample flat scatter targets: sample i writes into block i.
+            self.scatter_idx = (
+                np.arange(engine.capacity)[:, None, None] * self.flat_size
+                + self.gather_idx[None, :, :]
+            )
+        self.grad_weight_work = engine._new_slot((layer.out_channels, k))
         self.out3 = engine._new_slot((layer.out_channels, positions))
-        self.out3_grad = engine._new_slot((layer.out_channels, positions), training_only=True)
+        self.out3_grad = engine._new_slot((layer.out_channels, positions))
         self.out_slot = _ViewSlot(self.out3, (layer.out_channels, self.out_h, self.out_w))
         self.out_grad = _ViewSlot(
             self.out3_grad, (layer.out_channels, self.out_h, self.out_w)
@@ -152,16 +154,6 @@ class _ConvOp:
         self.weight = engine._register(layer.weight)
         self.bias = engine._register(layer.bias)
         self.weight_shape = layer.weight.shape
-        engine._train_growers.append(self)
-
-    def grow_train(self, capacity: int) -> None:
-        if self.identity_cols:
-            return
-        # Per-sample flat scatter targets: sample i writes into block i.
-        self.scatter_idx = (
-            np.arange(capacity)[:, None, None] * self.flat_size
-            + self.gather_idx[None, :, :]
-        )
 
     def forward(self, n: int, training: bool) -> None:
         cols = self.cols.view(n)
@@ -210,7 +202,7 @@ class _ReLUOp:
         self.needs_input_grad = needs_input_grad
         self.mask = engine._new_slot(shape, dtype=bool)
         self.out_slot = engine._new_slot(shape)
-        self.out_grad = engine._new_slot(shape, training_only=True)
+        self.out_grad = engine._new_slot(shape)
         self.out_shape = shape
 
     def forward(self, n: int, training: bool) -> None:
@@ -253,10 +245,10 @@ class _MaxPoolOp:
         self.window = window
         self.out_shape = (channels, self.out_h, self.out_w)
         self.out_slot = engine._new_slot(self.out_shape)
-        self.out_grad = engine._new_slot(self.out_shape, training_only=True)
-        self.arg = engine._new_slot((self.num_windows,), dtype=np.intp, training_only=True)
+        self.out_grad = engine._new_slot(self.out_shape)
+        self.arg = engine._new_slot((self.num_windows,), dtype=np.intp)
         self.gathered = engine._new_slot((window, self.num_windows))
-        self._better = engine._new_slot((self.num_windows,), dtype=bool, training_only=True)
+        self._better = engine._new_slot((self.num_windows,), dtype=bool)
         # (windows, pool_h*pool_w) flat input index per window element.
         rows = (
             np.arange(self.out_h)[:, None] * self.pool_h
@@ -276,11 +268,7 @@ class _MaxPoolOp:
         # contiguous row of the gathered buffer.
         self.gather_idx_flat = np.ascontiguousarray(self.gather_idx.T).reshape(-1)
         self.window_idx = np.arange(self.num_windows)[None, :]
-        self.sample_idx: np.ndarray | None = None
-        engine._train_growers.append(self)
-
-    def grow_train(self, capacity: int) -> None:
-        self.sample_idx = np.arange(capacity)[:, None]
+        self.sample_idx = np.arange(engine.capacity)[:, None]
 
     def forward(self, n: int, training: bool) -> None:
         # Gathered layout is (n, window_slot, windows): one take, then the
@@ -333,14 +321,10 @@ class _GlobalMaxPoolOp:
         self.needs_input_grad = needs_input_grad
         self.out_shape = (channels,)
         self.out_slot = engine._new_slot(self.out_shape)
-        self.out_grad = engine._new_slot(self.out_shape, training_only=True)
+        self.out_grad = engine._new_slot(self.out_shape)
         self.arg = engine._new_slot(self.out_shape, dtype=np.intp)
         self.channel_idx = np.arange(channels)[None, :]
-        self.sample_idx: np.ndarray | None = None
-        engine._growers.append(self)
-
-    def grow(self, capacity: int) -> None:
-        self.sample_idx = np.arange(capacity)[:, None]
+        self.sample_idx = np.arange(engine.capacity)[:, None]
 
     def forward(self, n: int, training: bool) -> None:
         flat = self.in_slot.view(n).reshape(n, self.out_shape[0], self.spatial)
@@ -369,7 +353,7 @@ class _DenseOp:
         self.needs_input_grad = needs_input_grad
         self.out_shape = (layer.weight.shape[1],)
         self.out_slot = engine._new_slot(self.out_shape)
-        self.out_grad = engine._new_slot(self.out_shape, training_only=True)
+        self.out_grad = engine._new_slot(self.out_shape)
         self.weight = engine._register(layer.weight)
         self.bias = engine._register(layer.bias)
 
@@ -394,9 +378,9 @@ class _DropoutOp:
         self.in_slot = in_slot
         self.in_grad = in_grad
         self.needs_input_grad = needs_input_grad
-        self.mask = engine._new_slot(shape, training_only=True)
+        self.mask = engine._new_slot(shape)
         self.out_slot = engine._new_slot(shape)
-        self.out_grad = engine._new_slot(shape, training_only=True)
+        self.out_grad = engine._new_slot(shape)
         self.out_shape = shape
         self._masked = False
 
@@ -432,7 +416,7 @@ class _ParallelOp:
         total = int(self.offsets[-1])
         self.out_shape = (total,)
         self.out_slot = engine._new_slot(self.out_shape)
-        self.out_grad = engine._new_slot(self.out_shape, training_only=True)
+        self.out_grad = engine._new_slot(self.out_shape)
 
     def forward(self, n: int, training: bool) -> None:
         out = self.out_slot.view(n)
@@ -598,9 +582,15 @@ class CompiledNetwork:
     num_classes:
         Expected logits width; checked once at compile time instead of once
         per batch.
+    capacity:
+        Rows of the one workspace, allocated here and never grown: the
+        training mini-batch size, and the most rows one :meth:`forward`
+        call accepts.
     """
 
-    def __init__(self, model, input_shape: tuple[int, ...], num_classes: int) -> None:
+    def __init__(
+        self, model, input_shape: tuple[int, ...], num_classes: int, capacity: int
+    ) -> None:
         from repro.ml.nn.network import ParallelConcat, Sequential
 
         self._sequential_type = Sequential
@@ -608,16 +598,13 @@ class CompiledNetwork:
         self.model = model
         self.input_shape = tuple(int(s) for s in input_shape)
         self.num_classes = num_classes
-        self.capacity = 0
-        self.train_capacity = 0
+        self.capacity = capacity
         self.slots: list[_Slot] = []
         self.param_refs: list[_ParamRef] = []
-        self._growers: list = []
-        self._train_growers: list = []
         self._param_size = 0
 
         self.in_slot = self._new_slot(self.input_shape)
-        self.in_grad = self._new_slot(self.input_shape, training_only=True)
+        self.in_grad = self._new_slot(self.input_shape)
         self.ops: list = []
         out_slot, out_grad, out_shape = self._compile(
             model, self.in_slot, self.in_grad, self.input_shape, self.ops, False
@@ -652,10 +639,8 @@ class CompiledNetwork:
         self.sync_from_model()
 
     # ------------------------------------------------------------ compilation
-    def _new_slot(
-        self, shape: tuple[int, ...], dtype=np.float64, training_only: bool = False
-    ) -> _Slot:
-        slot = _Slot(shape, dtype, training_only=training_only)
+    def _new_slot(self, shape: tuple[int, ...], dtype=np.float64) -> _Slot:
+        slot = _Slot(shape, self.capacity, dtype)
         self.slots.append(slot)
         return slot
 
@@ -678,7 +663,7 @@ class CompiledNetwork:
             widths = []
             for branch in layer.branches:
                 seg_ops: list = []
-                seg_in_grad = self._new_slot(in_shape, training_only=True)
+                seg_in_grad = self._new_slot(in_shape)
                 seg_out, seg_out_grad, seg_shape = self._compile(
                     branch, in_slot, seg_in_grad, in_shape, seg_ops, needs_input_grad
                 )
@@ -723,22 +708,6 @@ class CompiledNetwork:
         return op.out_slot, op.out_grad, op.out_shape
 
     # -------------------------------------------------------------- execution
-    def _ensure_capacity(self, n: int, training: bool = False) -> None:
-        if n > self.capacity:
-            for slot in self.slots:
-                if not slot.training_only:
-                    slot.array = np.empty((n,) + slot.shape, dtype=slot.dtype)
-            for grower in self._growers:
-                grower.grow(n)
-            self.capacity = n
-        if training and n > self.train_capacity:
-            for slot in self.slots:
-                if slot.training_only:
-                    slot.array = np.empty((n,) + slot.shape, dtype=slot.dtype)
-            for grower in self._train_growers:
-                grower.grow_train(n)
-            self.train_capacity = n
-
     def _run_forward(self, n: int, training: bool) -> None:
         for op in self.ops:
             op.forward(n, training)
@@ -759,16 +728,22 @@ class CompiledNetwork:
             source_grad[...] = ref.grad
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Inference logits for ``X``; bit-identical to the loop backend."""
+        """Inference logits for at most ``capacity`` rows of ``X``.
+
+        Bit-identical to the loop backend on the same rows.  More rows than
+        the workspace holds raise :class:`DimensionMismatchError`; callers
+        score larger inputs block by block.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1:] != self.input_shape:
             raise DimensionMismatchError(
                 f"expected input of shape (N, {self.input_shape}), got {X.shape}"
             )
         n = X.shape[0]
-        if n == 0:
-            return np.zeros((0, self.num_classes))
-        self._ensure_capacity(n)
+        if n > self.capacity:
+            raise DimensionMismatchError(
+                f"{n} rows exceed the engine's capacity of {self.capacity}"
+            )
         self.in_slot.view(n)[...] = X
         self._run_forward(n, training=False)
         return self.logits_slot.view(n).copy()
@@ -786,16 +761,16 @@ class CompiledNetwork:
         y: np.ndarray,
         *,
         epochs: int,
-        batch_size: int,
         seed: int,
         optimizer: Optimizer,
         loss,
     ) -> list[float]:
-        """Mini-batch training; mirrors ``NeuralNetworkClassifier.fit`` exactly."""
+        """Mini-batch training in batches of ``capacity`` rows; mirrors
+        ``NeuralNetworkClassifier.fit`` exactly."""
         n_samples = X.shape[0]
+        batch_size = self.capacity
         self.sync_from_model()
         stepper = self._make_stepper(optimizer)
-        self._ensure_capacity(min(batch_size, n_samples), training=True)
 
         rng = np.random.default_rng(seed)
         history: list[float] = []

@@ -175,7 +175,9 @@ class NeuralNetworkClassifier:
         from repro.ml.nn.engine import CompiledNetwork, EngineCompileError
 
         try:
-            return CompiledNetwork(self.model, input_shape, self.num_classes)
+            return CompiledNetwork(
+                self.model, input_shape, self.num_classes, capacity=self.batch_size
+            )
         except EngineCompileError:
             if self.backend == "fused":
                 raise
@@ -202,7 +204,6 @@ class NeuralNetworkClassifier:
                 X,
                 y,
                 epochs=self.epochs,
-                batch_size=self.batch_size,
                 seed=self.seed,
                 optimizer=self.optimizer,
                 loss=self.loss,
@@ -249,13 +250,31 @@ class NeuralNetworkClassifier:
         return history
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability matrix of shape ``(n_samples, num_classes)``."""
+        """Class-probability matrix of shape ``(n_samples, num_classes)``.
+
+        Rows are scored in blocks of exactly ``batch_size`` rows on either
+        backend; the last block is zero-padded and the padding rows dropped.
+        BLAS is bit-stable only for a fixed GEMM shape, and every GEMM here
+        has one shape, so a row's result does not depend on which rows
+        share its call: ``predict_proba(X[idx])`` equals
+        ``predict_proba(X)[idx]`` bit for bit, for any subset and order
+        ``idx`` (with a single BLAS thread).  An empty ``X`` gives a
+        ``(0, num_classes)`` matrix.
+        """
         check_fitted(self, "loss_history_")
         X = np.asarray(X, dtype=np.float64)
-        if self._engine is not None:
-            logits = self._engine.forward(X)
-        else:
-            logits = self.model.forward(X, training=False)
+        size = self.batch_size
+        logits = np.empty((X.shape[0], self.num_classes))
+        block = np.zeros((size,) + X.shape[1:])
+        for start in range(0, X.shape[0], size):
+            rows = min(size, X.shape[0] - start)
+            block[:rows] = X[start : start + rows]
+            block[rows:] = 0.0
+            if self._engine is not None:
+                block_logits = self._engine.forward(block)
+            else:
+                block_logits = self.model.forward(block, training=False)
+            logits[start : start + rows] = block_logits[:rows]
         return SoftmaxCrossEntropy.probabilities(logits)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

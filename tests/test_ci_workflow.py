@@ -80,6 +80,14 @@ def test_no_job_pins_the_hash_seed(workflow):
         assert "PYTHONHASHSEED" not in str(scope.get("run", ""))
 
 
+def test_workflow_pins_one_blas_thread(workflow):
+    # Same pin as benchmarks/e2e/run.py.  The blocked-inference contract in
+    # tests/test_nn_engine.py holds per GEMM shape and thread count.
+    env = workflow.get("env", {})
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert str(env.get(name)) == "1", name
+
+
 def test_perf_gate_runs_ratio_check(workflow):
     run = _steps_text(workflow["jobs"]["perf-gate"])
     assert "scripts/perf_report.py" in run

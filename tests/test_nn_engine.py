@@ -5,17 +5,20 @@ Every test fits (or runs) the same model twice — once layer-by-layer
 asserts exact equality (``np.array_equal``, no tolerances) of logits, fitted
 weights, gradients and loss histories.  Randomized CommCNN configurations
 cover all three branch toggles, ragged last batches, dropout on/off and both
-optimisers.
+optimisers.  ``TestBlockedInference`` holds the block contract on each
+backend: a row's probabilities do not depend on the rows sharing its call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.commcnn import build_commcnn_classifier, build_commcnn_model
 from repro.core.config import CommCNNConfig
-from repro.exceptions import ModelConfigError
+from repro.exceptions import DimensionMismatchError, ModelConfigError
 from repro.ml.nn import (
     SGD,
     Adam,
@@ -161,7 +164,7 @@ class TestCommCNNParity:
             )
 
     def test_predict_on_unseen_larger_batch(self):
-        """Inference capacity grows past the training batch size."""
+        """A batch larger than ``batch_size`` is scored block by block."""
         rng = np.random.default_rng(29)
         X, y = _random_problem(rng, 40, 10, 7, 3)
         config = CommCNNConfig(epochs=2, dropout=0.1, seed=8)
@@ -170,14 +173,11 @@ class TestCommCNNParity:
         assert np.array_equal(
             loop_clf.predict_proba(X_big), fused_clf.predict_proba(X_big)
         )
-        # Inference growth must not allocate training-only workspaces
-        # (gradients, dropout masks, scratch) at the big batch size.
+        # The 300 rows ran through the one workspace: nothing grew.
         engine = fused_clf._engine
-        assert engine.capacity >= 300
-        assert engine.train_capacity <= 32
+        assert engine.capacity == config.batch_size
         for slot in engine.slots:
-            if slot.training_only:
-                assert slot.array.shape[0] <= 32
+            assert slot.array.shape[0] <= config.batch_size
 
     def test_refit_same_classifier(self):
         """A second fit recompiles and stays bit-identical to the loop."""
@@ -191,6 +191,37 @@ class TestCommCNNParity:
             clf.fit(X2, y2)
             fitted.append(clf)
         _assert_identical(fitted[0], fitted[1], X2)
+
+
+@pytest.fixture(scope="module")
+def blocked_problem():
+    """One fitted classifier per backend and 100 rows to score (4 blocks)."""
+    rng = np.random.default_rng(41)
+    X, y = _random_problem(rng, 100, 10, 7, 3)
+    config = CommCNNConfig(epochs=1, dropout=0.1, seed=12)
+    loop_clf, fused_clf = _fit_pair(10, 7, 3, X, y, config)
+    return {"loop": loop_clf, "fused": fused_clf}, X
+
+
+class TestBlockedInference:
+    """``predict_proba`` scores fixed-shape blocks: a row's result does not
+    depend on the rows that share its call (the contract that lets a write
+    re-score only the communities it dirtied)."""
+
+    @pytest.mark.parametrize("backend", ["loop", "fused"])
+    @settings(max_examples=40, deadline=None)
+    @given(indices=st.lists(st.integers(0, 99), unique=True, max_size=100))
+    def test_subset_rows_equal_full_rows(self, blocked_problem, backend, indices):
+        classifiers, X = blocked_problem
+        clf = classifiers[backend]
+        idx = np.asarray(indices, dtype=np.intp)
+        assert np.array_equal(clf.predict_proba(X[idx]), clf.predict_proba(X)[idx])
+
+    @pytest.mark.parametrize("backend", ["loop", "fused"])
+    def test_empty_batch(self, blocked_problem, backend):
+        classifiers, X = blocked_problem
+        proba = classifiers[backend].predict_proba(X[:0])
+        assert proba.shape == (0, 3)
 
 
 class TestBackendResolution:
@@ -244,7 +275,7 @@ class TestCompiledNetworkDirect:
         model = Sequential(
             [Dense(6, 16, seed=0), ReLU(), Dense(16, 3, seed=1)]
         )
-        engine = CompiledNetwork(model, (6,), 3)
+        engine = CompiledNetwork(model, (6,), 3, capacity=25)
         X = rng.normal(size=(25, 6))
         assert np.array_equal(engine.forward(X), model.forward(X, training=False))
 
@@ -252,19 +283,25 @@ class TestCompiledNetworkDirect:
         model = Sequential(
             [Conv2D(1, 3, (2, 2), seed=2), ReLU(), Flatten(), Dense(3 * 3 * 2, 2, seed=3)]
         )
-        engine = CompiledNetwork(model, (1, 4, 3), 2)
+        engine = CompiledNetwork(model, (1, 4, 3), 2, capacity=16)
         X = rng.normal(size=(9, 1, 4, 3))
         assert np.array_equal(engine.forward(X), model.forward(X, training=False))
 
     def test_empty_input_forward(self):
         model = Sequential([Dense(4, 2, seed=0)])
-        engine = CompiledNetwork(model, (4,), 2)
+        engine = CompiledNetwork(model, (4,), 2, capacity=8)
         assert engine.forward(np.zeros((0, 4))).shape == (0, 2)
+
+    def test_forward_rejects_more_rows_than_capacity(self, rng):
+        model = Sequential([Dense(4, 2, seed=0)])
+        engine = CompiledNetwork(model, (4,), 2, capacity=8)
+        with pytest.raises(DimensionMismatchError, match="capacity of 8"):
+            engine.forward(rng.normal(size=(9, 4)))
 
     def test_rejects_non_2d_output(self):
         model = Sequential([Conv2D(1, 2, (2, 2), seed=0)])
         with pytest.raises(EngineCompileError):
-            CompiledNetwork(model, (1, 4, 4), 2)
+            CompiledNetwork(model, (1, 4, 4), 2, capacity=8)
 
     def test_custom_optimizer_subclass_uses_generic_path(self, rng):
         """An Adam subclass must not be silently fused; results still match."""

@@ -187,13 +187,17 @@ def test_committed_baseline_is_valid_json():
     assert "forest_predict_small_array" in report["benchmarks"]
     assert report["derived"]["speedup_forest_predict_small"] >= 5.0
     # PR 4 acceptance: the fused NN engine beats the layer-by-layer loop on
-    # CommCNN training and batched inference at the small scale (measured
-    # 1.9x / 2.9x on the baseline machine; asserted with safety margin —
+    # CommCNN training and batched inference at the small scale (training
+    # measured 1.9x on the baseline machine; asserted with safety margin —
     # both backends share the bit-identical batched GEMMs that bound the
-    # training ratio, see ROADMAP "backend roadmap").
+    # training ratio, see ROADMAP "backend roadmap").  Inference scores
+    # fixed 32-row blocks on both backends, which made both faster and
+    # narrowed the gap: 1,132 rows, six alternating one-BLAS-thread runs,
+    # loop 65-93 ms vs fused 31-48 ms, ratio 1.94-2.20x (median 2.1x); the
+    # floor keeps a margin and stays above the ratio gate's 1.5x.
     assert "commcnn_fit_small_fused" in report["benchmarks"]
     assert report["derived"]["speedup_commcnn_fit_small"] >= 1.4
-    assert report["derived"]["speedup_commcnn_predict_small"] >= 2.0
+    assert report["derived"]["speedup_commcnn_predict_small"] >= 1.8
     # PR 17 acceptance: the presorted, feature-batched exact split search fits
     # the small-scale GBDT ~8.9x faster than the node scan on the baseline
     # machine (asserted with safety margin).  It replaces PR 5's claim that
