@@ -42,25 +42,16 @@ class Economix:
         Number of latent factors kept from the SVD.
     count_bins:
         Interaction counts are tokenised into this many logarithmic bins.
-    lr_iterations:
-        Training iterations of the logistic-regression head.
-    seed:
-        Seed of the logistic-regression initialisation.
+
+    The logistic-regression head is the minimiser of its objective on the
+    latent factors, so the fitted model has no seed or schedule.
     """
 
-    def __init__(
-        self,
-        rank: int = 16,
-        count_bins: int = 4,
-        lr_iterations: int = 300,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, rank: int = 16, count_bins: int = 4) -> None:
         if rank < 1 or count_bins < 1:
             raise PipelineError("rank and count_bins must be positive")
         self.rank = rank
         self.count_bins = count_bins
-        self.lr_iterations = lr_iterations
-        self.seed = seed
         self._graph: Graph | None = None
         self._interactions: InteractionStore | None = None
         self._components: np.ndarray | None = None
@@ -93,9 +84,7 @@ class Economix:
 
         latent = centered @ self._components.T
         self._model = LogisticRegression(
-            num_iterations=self.lr_iterations,
-            num_classes=len(RelationType.classification_targets()),
-            seed=self.seed,
+            num_classes=len(RelationType.classification_targets())
         )
         self._model.fit(latent, labels)
         return self

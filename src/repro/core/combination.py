@@ -115,28 +115,19 @@ class EdgeLabeler:
         Equation 4 feature builder.
     num_classes:
         Number of relationship types.
-    learning_rate / num_iterations / l2 / seed:
-        Logistic-regression training schedule.
+    l2:
+        L2 strength of the logistic-regression objective (weights and bias).
     """
 
     def __init__(
         self,
         feature_builder: EdgeFeatureBuilder,
         num_classes: int = len(RelationType.classification_targets()),
-        learning_rate: float = 0.5,
-        num_iterations: int = 400,
         l2: float = 1e-4,
-        seed: int = 0,
     ) -> None:
         self.feature_builder = feature_builder
         self.num_classes = num_classes
-        self._model = LogisticRegression(
-            learning_rate=learning_rate,
-            num_iterations=num_iterations,
-            l2=l2,
-            num_classes=num_classes,
-            seed=seed,
-        )
+        self._model = LogisticRegression(l2=l2, num_classes=num_classes)
         self._design: tuple[np.ndarray, np.ndarray] | None = None
         """The ``(X, y)`` the model was last trained on; ``None`` until fitted."""
         self.num_model_fits = 0
@@ -146,11 +137,11 @@ class EdgeLabeler:
     def fit(self, edges: Sequence[Edge], labels: Sequence[int]) -> "EdgeLabeler":
         """Train on labeled edges (class indices in ``labels``).
 
-        The model is a deterministic function of the Equation 4 design
-        matrix, the targets, the seed and the schedule, and the last two are
-        fixed at construction.  A re-``fit`` whose rebuilt design matrix and
-        targets equal the fitted ones *by value* therefore keeps the model:
-        training again would reproduce it bit for bit.
+        The model is the minimiser of its objective over the Equation 4
+        design matrix and the targets, solved deterministically from them
+        alone.  A re-``fit`` whose rebuilt design matrix and targets equal
+        the fitted ones *by value* therefore keeps the model: training again
+        would reproduce it bit for bit.
         """
         if len(edges) != len(labels):
             raise PipelineError("edges and labels must have the same length")

@@ -60,7 +60,6 @@ def build_commcnn_model(
         model enables all three.
     """
     config = config or CommCNNConfig()
-    config.validate()
     if k < 1 or num_columns < 1:
         raise ModelConfigError("k and num_columns must be positive")
     if num_classes < 2:
@@ -138,7 +137,7 @@ def build_commcnn_model(
         Dense(concat_width, config.dense_units, seed=seed + 30),
         ReLU(),
     ]
-    if config.dropout > 0.0:
+    if config.dropout != 0.0:  # Dropout rejects a rate outside [0, 1)
         head.append(Dropout(config.dropout, seed=seed + 31))
     head.extend(
         [

@@ -161,16 +161,7 @@ class GBDTCommunityClassifier(CommunityClassifier):
         if not communities:
             raise PipelineError("cannot fit the community classifier on zero communities")
         design = self.builder.statistic_vectors(communities)
-        self._model = GradientBoostedClassifier(
-            num_rounds=self.config.num_rounds,
-            learning_rate=self.config.learning_rate,
-            max_depth=self.config.max_depth,
-            min_samples_leaf=self.config.min_samples_leaf,
-            subsample=self.config.subsample,
-            num_classes=self.num_classes,
-            seed=self.config.seed,
-            max_bins=self.config.max_bins,
-        )
+        self._model = self.config.classifier(self.num_classes)
         self._model.fit(design, np.asarray(labels, dtype=np.int64))
         return self
 

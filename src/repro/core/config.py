@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import ModelConfigError
+from repro.ml.gbdt import GradientBoostedClassifier
+from repro.ml.logistic import LogisticRegression
 
 
 @dataclass
@@ -24,12 +26,11 @@ class CommCNNConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.num_filters < 1 or self.dense_units < 1:
-            raise ModelConfigError("num_filters and dense_units must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ModelConfigError("epochs and batch_size must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ModelConfigError("dropout must be in [0, 1)")
+        """Build the CommCNN classifier for a one-cell input: its layer and
+        trainer constructors hold every range check on these values."""
+        from repro.core.commcnn import build_commcnn_classifier
+
+        build_commcnn_classifier(k=1, num_columns=1, num_classes=2, config=self)
 
 
 @dataclass
@@ -47,11 +48,22 @@ class GBDTConfig:
     takes at :data:`repro.ml.forest.HIST_AUTO_MIN_ROWS` rows and above
     (ignored by the exact search below it)."""
 
+    def classifier(self, num_classes: int | None = None) -> GradientBoostedClassifier:
+        """The boosted-tree model these hyper-parameters define."""
+        return GradientBoostedClassifier(
+            num_rounds=self.num_rounds,
+            learning_rate=self.learning_rate,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            subsample=self.subsample,
+            num_classes=num_classes,
+            seed=self.seed,
+            max_bins=self.max_bins,
+        )
+
     def validate(self) -> None:
-        if self.num_rounds < 1:
-            raise ModelConfigError("num_rounds must be positive")
-        if self.max_bins < 2:
-            raise ModelConfigError("max_bins must be >= 2")
+        """Build :meth:`classifier`: its constructor holds every range check."""
+        self.classifier()
 
 
 @dataclass
@@ -140,17 +152,19 @@ class LoCECConfig:
     community_detector:
         Phase I algorithm: ``"girvan_newman"`` (paper default),
         ``"label_propagation"`` or ``"louvain"`` (ablations).
-    edge_lr_iterations / edge_lr_learning_rate / edge_lr_l2:
-        Training schedule of the Phase III logistic-regression edge labeler.
+    edge_lr_l2:
+        L2 strength of the Phase III logistic-regression edge labeler, whose
+        fit is the minimiser of its penalised objective (so it must be
+        positive; see :class:`repro.ml.logistic.LogisticRegression`).
     seed:
-        Master seed propagated to all stochastic components.
+        Recorded with the run but read by no component: the Phase III fit
+        has no seed, and the community models take ``cnn.seed`` /
+        ``gbdt.seed``.
     """
 
     k: int = 20
     community_model: str = "cnn"
     community_detector: str = "girvan_newman"
-    edge_lr_iterations: int = 400
-    edge_lr_learning_rate: float = 0.5
     edge_lr_l2: float = 1e-4
     seed: int = 0
     cnn: CommCNNConfig = field(default_factory=CommCNNConfig)
@@ -161,6 +175,9 @@ class LoCECConfig:
     :class:`ResilienceConfig`."""
 
     def validate(self) -> None:
+        """Reject up front every value a model constructor would reject after
+        Phases I-II: the model settings are checked by calling those
+        constructors, which hold each check."""
         if self.k < 1:
             raise ModelConfigError("k must be >= 1")
         if self.community_model not in {"cnn", "xgb"}:
@@ -177,8 +194,7 @@ class LoCECConfig:
                 f"'label_propagation', 'louvain', got {self.community_detector!r}"
             )
         self.resilience.validate()
-        if self.edge_lr_iterations < 1:
-            raise ModelConfigError("edge_lr_iterations must be positive")
+        LogisticRegression(l2=self.edge_lr_l2)
         self.cnn.validate()
         self.gbdt.validate()
 

@@ -335,10 +335,7 @@ class LoCEC:
         return EdgeLabeler(
             self.edge_feature_builder_,
             num_classes=self._num_classes,
-            learning_rate=self.config.edge_lr_learning_rate,
-            num_iterations=self.config.edge_lr_iterations,
             l2=self.config.edge_lr_l2,
-            seed=self.config.seed,
         )
 
     def _fit_edge_labeler(self) -> bool:

@@ -95,10 +95,12 @@ class DimensionMismatchError(ReproError, ValueError):
 
 
 class TrainingDivergedError(ModelConfigError):
-    """Training produced a non-finite loss (exploding gradients, bad inputs).
+    """Training produced a non-finite loss (exploding gradients, bad inputs),
+    or a solve did not converge.
 
     Raised instead of silently recording ``NaN``/``inf`` into a model's loss
-    history; the message names the epoch at which the divergence occurred.
+    history, or returning an unconverged model; the message names the epoch
+    or the step budget at which training gave up.
     """
 
 

@@ -115,7 +115,7 @@ def evaluate_method(
         model.fit(dataset.graph, train)
         y_pred = np.array([int(label) for label in model.predict(test_edges)])
     elif method == "Economix":
-        model = Economix(seed=seed)
+        model = Economix()
         model.fit(dataset.graph, dataset.interactions, train)
         y_pred = np.array([int(label) for label in model.predict(test_edges)])
     elif method == "XGBoost":

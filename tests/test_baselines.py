@@ -86,14 +86,14 @@ class TestEconomix:
             Economix(rank=0)
 
     def test_probabilities_normalised(self, tiny_data):
-        model = Economix(seed=0).fit(
+        model = Economix().fit(
             tiny_data.dataset.graph, tiny_data.dataset.interactions, tiny_data.train_edges
         )
         probabilities = model.predict_proba([item.edge for item in tiny_data.test_edges[:10]])
         np.testing.assert_allclose(probabilities.sum(axis=1), np.ones(10), atol=1e-9)
 
     def test_beats_chance_on_synthetic_network(self, tiny_data):
-        model = Economix(seed=0).fit(
+        model = Economix().fit(
             tiny_data.dataset.graph, tiny_data.dataset.interactions, tiny_data.train_edges
         )
         predictions = model.predict([item.edge for item in tiny_data.test_edges])

@@ -7,10 +7,12 @@ import pytest
 
 from repro.core import (
     AgreementEdgeLabeler,
+    CommCNNConfig,
     EdgeFeatureBuilder,
     EdgeLabelIndex,
     EdgeLabeler,
     GBDTConfig,
+    LoCEC,
     LoCECConfig,
     community_ground_truth,
     community_key,
@@ -167,7 +169,7 @@ class TestEdgeLabeler:
         builder = self._builder(fig7_division)
         edges = [(1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (5, 6)]
         labels = [0, 0, 2, 2, 0, 2]
-        labeler = EdgeLabeler(builder, num_iterations=300)
+        labeler = EdgeLabeler(builder)
         labeler.fit(edges, labels)
         predictions = labeler.predict(edges)
         assert predictions.shape == (6,)
@@ -176,7 +178,7 @@ class TestEdgeLabeler:
 
     def test_predict_types_returns_relation_types(self, fig7_division):
         builder = self._builder(fig7_division)
-        labeler = EdgeLabeler(builder, num_iterations=50)
+        labeler = EdgeLabeler(builder)
         labeler.fit([(1, 2), (1, 5)], [0, 2])
         types = labeler.predict_types([(1, 2)])
         assert isinstance(types[0], RelationType)
@@ -227,9 +229,34 @@ class TestConfigs:
         with pytest.raises(ModelConfigError):
             LoCECConfig(community_detector="metis").validate()
         with pytest.raises(ModelConfigError):
-            LoCECConfig(edge_lr_iterations=0).validate()
+            LoCECConfig(edge_lr_l2=0.0).validate()
+        with pytest.raises(ModelConfigError):
+            LoCECConfig(edge_lr_l2=-1.0).validate()
         with pytest.raises(ModelConfigError):
             GBDTConfig(num_rounds=0).validate()
+        # Every value a model constructor rejects after Phases I-II is
+        # rejected by LoCEC(config), before any work is done.
+        for gbdt in (
+            GBDTConfig(learning_rate=0.0),
+            GBDTConfig(subsample=0.0),
+            GBDTConfig(subsample=1.5),
+            GBDTConfig(max_depth=0),
+            GBDTConfig(min_samples_leaf=0),
+            GBDTConfig(max_bins=1),
+        ):
+            with pytest.raises(ModelConfigError):
+                LoCEC(LoCECConfig(community_model="xgb", gbdt=gbdt))
+        for cnn in (
+            CommCNNConfig(learning_rate=-1.0),
+            CommCNNConfig(epochs=0),
+            CommCNNConfig(batch_size=0),
+            CommCNNConfig(num_filters=0),
+            CommCNNConfig(dense_units=0),
+            CommCNNConfig(dropout=-0.1),
+            CommCNNConfig(dropout=1.0),
+        ):
+            with pytest.raises(ModelConfigError):
+                LoCEC(LoCECConfig(cnn=cnn))
         with pytest.raises(ModelConfigError):
             LoCECConfig(resilience=ResilienceConfig(max_pool_rebuilds=-1)).validate()
 

@@ -11,6 +11,7 @@ from repro.core import LoCEC, LoCECConfig, divide, get_detector
 from repro.core.aggregation import reference_feature_matrix, reference_statistic_vector
 from repro.exceptions import NotFittedError, PipelineError
 from repro.ml.gbdt import GradientBoostedClassifier
+from repro.synthetic import make_workload
 from repro.types import RelationType
 from tests.test_nn_engine import _commcnn
 
@@ -124,16 +125,29 @@ class TestPipelinePredictions:
         # The aggregated-feature pipeline must clearly beat a majority guess.
         assert report.overall.f1 > 0.6
 
-    def test_agreement_rule_is_usable_but_not_better(self, fitted_xgb):
-        workload, pipeline = fitted_xgb
-        edges = [item.edge for item in workload.test_edges]
-        y_true = np.array([int(item.label) for item in workload.test_edges])
-        naive = pipeline.agreement_rule_predictions(edges)
-        learned = np.array([int(x) for x in pipeline.predict_edges(edges)])
-        naive_accuracy = float((naive == y_true).mean())
-        learned_accuracy = float((learned == y_true).mean())
-        assert naive_accuracy > 0.3
-        assert learned_accuracy >= naive_accuracy - 0.05
+    @pytest.mark.slow
+    def test_agreement_rule_is_usable_but_not_better(self):
+        """Accuracy means over seeds 0-4: one ~50-edge test set moves by
+        more than the margin when a single edge flips."""
+        naive_accuracy, learned_accuracy = [], []
+        for seed in range(5):
+            workload = make_workload("tiny", seed=seed)
+            config = LoCECConfig.locec_xgb()
+            config.gbdt.num_rounds = 15
+            pipeline = LoCEC(config).fit(
+                workload.dataset.graph,
+                workload.dataset.features,
+                workload.dataset.interactions,
+                workload.train_edges,
+            )
+            edges = [item.edge for item in workload.test_edges]
+            y_true = np.array([int(item.label) for item in workload.test_edges])
+            naive = pipeline.agreement_rule_predictions(edges)
+            learned = np.array([int(x) for x in pipeline.predict_edges(edges)])
+            naive_accuracy.append(float((naive == y_true).mean()))
+            learned_accuracy.append(float((learned == y_true).mean()))
+        assert np.mean(naive_accuracy) > 0.3
+        assert np.mean(learned_accuracy) >= np.mean(naive_accuracy) - 0.05
 
 
 class TestNetworkClassification:

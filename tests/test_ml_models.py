@@ -10,6 +10,7 @@ from repro.exceptions import (
     FeatureError,
     ModelConfigError,
     NotFittedError,
+    TrainingDivergedError,
 )
 from repro.ml import (
     GradientBoostedClassifier,
@@ -17,6 +18,7 @@ from repro.ml import (
     LogisticRegression,
     RegressionTreeConfig,
 )
+from repro.ml.logistic import GRADIENT_TOLERANCE
 
 
 def _linearly_separable(n: int = 120, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -34,24 +36,61 @@ def _three_class_blobs(n: int = 150, seed: int = 0) -> tuple[np.ndarray, np.ndar
     return X, y
 
 
+def _descent_fit(X: np.ndarray, y: np.ndarray, l2: float) -> LogisticRegression:
+    """Oracle: 400 full-batch gradient steps at step size 0.5 on the same
+    objective from zero, written into a fitted model's parameters."""
+    model = LogisticRegression(l2=l2).fit(X, y)
+    num_classes = model.bias_.shape[0]
+    design = np.hstack([X, np.ones((len(y), 1))])
+    targets = np.eye(num_classes)[y]
+    theta = np.zeros((design.shape[1], num_classes))
+    for _ in range(400):
+        logits = design @ theta
+        probabilities = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probabilities /= probabilities.sum(axis=1, keepdims=True)
+        theta -= 0.5 * (design.T @ (probabilities - targets) / len(y) + l2 * theta)
+    model.weights_, model.bias_ = theta[:-1], theta[-1]
+    return model
+
+
+def _gradient(model: LogisticRegression, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    design = np.hstack([X, np.ones((len(y), 1))])
+    error = model.predict_proba(X) - np.eye(model.bias_.shape[0])[y]
+    theta = np.vstack([model.weights_, model.bias_])
+    return design.T @ error / len(y) + model.l2 * theta
+
+
 class TestLogisticRegression:
     def test_learns_linear_boundary(self):
         X, y = _linearly_separable()
-        model = LogisticRegression(num_iterations=400).fit(X, y)
+        model = LogisticRegression().fit(X, y)
         assert (model.predict(X) == y).mean() > 0.95
 
     def test_three_class_problem(self):
         X, y = _three_class_blobs()
-        model = LogisticRegression(num_iterations=400).fit(X, y)
+        model = LogisticRegression().fit(X, y)
         assert (model.predict(X) == y).mean() > 0.95
         probabilities = model.predict_proba(X)
         np.testing.assert_allclose(probabilities.sum(axis=1), np.ones(len(y)), atol=1e-9)
 
     def test_loss_decreases(self):
+        """The fit is the objective's minimiser: its gradient is below the
+        solve's tolerance, and no 400-step descent reaches a lower loss."""
+        for X, y in (_linearly_separable(), _three_class_blobs()):
+            for l2 in (1e-4, 1e-2):
+                model = LogisticRegression(l2=l2).fit(X, y)
+                assert np.abs(_gradient(model, X, y)).max() < GRADIENT_TOLERANCE
+                assert model.loss(X, y) <= _descent_fit(X, y, l2).loss(X, y)
+
+    def test_unsolvable_fit_raises_and_keeps_the_model(self):
         X, y = _linearly_separable()
-        one_step = LogisticRegression(num_iterations=1).fit(X, y)
-        trained = LogisticRegression(num_iterations=200).fit(X, y)
-        assert trained.loss(X, y) < one_step.loss(X, y)
+        model = LogisticRegression().fit(X, y)
+        weights = model.weights_.copy()
+        X_bad = X.copy()
+        X_bad[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            model.fit(X_bad, y)
+        assert np.array_equal(model.weights_, weights)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -59,16 +98,16 @@ class TestLogisticRegression:
 
     def test_single_row_prediction(self):
         X, y = _linearly_separable()
-        model = LogisticRegression(num_iterations=100).fit(X, y)
+        model = LogisticRegression().fit(X, y)
         assert model.predict_proba(X[0]).shape == (1, 2)
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ModelConfigError):
-            LogisticRegression(learning_rate=0.0)
-        with pytest.raises(ModelConfigError):
-            LogisticRegression(num_iterations=0)
-        with pytest.raises(ModelConfigError):
             LogisticRegression(l2=-1.0)
+        with pytest.raises(ModelConfigError):
+            LogisticRegression(l2=0.0)
+        with pytest.raises(TypeError):
+            LogisticRegression(num_iterations=400)
 
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
@@ -79,8 +118,9 @@ class TestLogisticRegression:
     def test_explicit_num_classes_allows_missing_class_in_train(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 0, 1])
-        model = LogisticRegression(num_classes=3, num_iterations=50).fit(X, y)
+        model = LogisticRegression(num_classes=3).fit(X, y)
         assert model.predict_proba(X).shape == (3, 3)
+        assert np.isfinite(model.bias_).all()
 
 
 class TestRegressionTree:
