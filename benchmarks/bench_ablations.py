@@ -139,7 +139,7 @@ def test_ablation_tightness_ordering(benchmark, bench_workload):
 def test_ablation_combination_rule(benchmark, bench_workload):
     """Phase III ablation: learned LR combiner vs the naive agreement rule."""
     dataset = bench_workload.dataset
-    config = LoCECConfig.locec_xgb(seed=1)
+    config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 15
     pipeline = LoCEC(config)
     pipeline.fit(

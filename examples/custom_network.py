@@ -72,7 +72,7 @@ def main() -> None:
         members = ", ".join(sorted(community.members))
         print(f"  community {community.index}: {{{members}}}")
 
-    config = LoCECConfig.locec_xgb(seed=0)  # GBDT variant: fast on tiny data
+    config = LoCECConfig.locec_xgb()  # GBDT variant: fast on tiny data
     config.gbdt.num_rounds = 20
     pipeline = LoCEC(config)
     pipeline.fit(graph, features, interactions, labeled)

@@ -28,7 +28,7 @@ def main() -> None:
     print(f"interaction sparsity: {dataset.interaction_sparsity():.0%} of pairs are silent")
 
     # LoCEC-CNN: Girvan-Newman local communities + CommCNN + logistic regression.
-    config = LoCECConfig.locec_cnn(seed=0)
+    config = LoCECConfig.locec_cnn()
     pipeline = LoCEC(config)
     pipeline.fit(
         dataset.graph,

@@ -28,7 +28,7 @@ def main() -> None:
     dataset = workload.dataset
 
     print("fitting LoCEC-CNN to obtain relationship labels for every edge...")
-    pipeline = LoCEC(LoCECConfig.locec_cnn(seed=2))
+    pipeline = LoCEC(LoCECConfig.locec_cnn())
     pipeline.fit(
         dataset.graph,
         dataset.features,

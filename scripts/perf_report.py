@@ -307,7 +307,7 @@ def build_benchmarks(
     from repro.serve import ServingSession, replay_traffic
 
     def serving_pipeline(workload):
-        config = LoCECConfig.locec_xgb(seed=0)
+        config = LoCECConfig.locec_xgb()
         config.gbdt.num_rounds = 10
         return LoCEC(config).fit(
             workload.dataset.graph,
@@ -321,7 +321,7 @@ def build_benchmarks(
     full_workload = make_workload(serve_scale, seed=0)
 
     def full_refit(w=full_workload):
-        config = LoCECConfig.locec_xgb(seed=0)
+        config = LoCECConfig.locec_xgb()
         config.gbdt.num_rounds = 10
         return LoCEC(config).fit(
             w.dataset.graph,

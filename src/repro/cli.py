@@ -243,7 +243,7 @@ def _command_serve_replay(
     from repro.serve import ServingSession, replay_traffic
 
     workload = make_workload(scale=scale, seed=seed)
-    config = LoCECConfig.locec_xgb(seed=seed)
+    config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 10
     pipeline = LoCEC(config)
     pipeline.fit(

@@ -156,17 +156,12 @@ class LoCECConfig:
         L2 strength of the Phase III logistic-regression edge labeler, whose
         fit is the minimiser of its penalised objective (so it must be
         positive; see :class:`repro.ml.logistic.LogisticRegression`).
-    seed:
-        Recorded with the run but read by no component: the Phase III fit
-        has no seed, and the community models take ``cnn.seed`` /
-        ``gbdt.seed``.
     """
 
     k: int = 20
     community_model: str = "cnn"
     community_detector: str = "girvan_newman"
     edge_lr_l2: float = 1e-4
-    seed: int = 0
     cnn: CommCNNConfig = field(default_factory=CommCNNConfig)
     gbdt: GBDTConfig = field(default_factory=GBDTConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)

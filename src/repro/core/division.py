@@ -187,10 +187,11 @@ def get_detector(name: str) -> DetectorFn:
         ) from None
 
 
-def _ego_divider(
+def _divider(
     graph: Graph | CSRGraph, detector: DetectorFn | str
-) -> Callable[[Node], list[LocalCommunity]]:
-    """Resolve the Phase I route once; the returned callable divides one ego.
+) -> Callable[[list[Node]], dict[Node, list[LocalCommunity]]]:
+    """Resolve the Phase I route once; the returned callable divides a list
+    of distinct egos.
 
     A detector *name* runs its routed kernel: ``"girvan_newman"`` the CSR
     engine of :mod:`repro.graph.csr`, the ablation detectors (which have
@@ -202,10 +203,12 @@ def _ego_divider(
     """
     if detector == "girvan_newman":
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-        return lambda ego: _divide_ego_csr(csr, ego)
+        return lambda egos: _divide_csr(csr, egos)
     source = graph.to_graph() if isinstance(graph, CSRGraph) else graph
     detect = get_detector(detector) if isinstance(detector, str) else detector
-    return lambda ego: _detect_communities(ego_network(source, ego), ego, detect)
+    return lambda egos: {
+        ego: _detect_communities(ego_network(source, ego), ego, detect) for ego in egos
+    }
 
 
 def divide_ego(
@@ -218,9 +221,10 @@ def divide_ego(
 
     Returns the ego's local communities with per-member tightness values.
     An ego with no friends yields an empty list.  For repeated calls prefer
-    :func:`divide`, which builds the CSR snapshot once for all egos.
+    :func:`divide`, which builds the CSR snapshot once and runs the egos'
+    Girvan-Newman sweeps in lockstep.
     """
-    return _ego_divider(graph, detector)(ego)
+    return _divider(graph, detector)([ego])[ego]
 
 
 def _detect_communities(
@@ -245,26 +249,34 @@ def _detect_communities(
     return communities
 
 
-def _divide_ego_csr(csr: CSRGraph, ego: Node) -> list[LocalCommunity]:
-    """Girvan-Newman (the paper's detector) for one ego, entirely on the
-    flat local arrays; results are identical to the callable detector's."""
-    net = dense_ego_net(csr, ego)
-    if net.num_nodes == 0:
-        return []
+def _divide_csr(csr: CSRGraph, egos: list[Node]) -> dict[Node, list[LocalCommunity]]:
+    """Girvan-Newman (the paper's detector) for every ego, entirely on the
+    flat local arrays; results are identical to the callable detector's.
+
+    Every ego net is extracted first, so an unknown ego raises
+    :class:`NodeNotFoundError` before any GN work; the GN sweeps then run in
+    lockstep (:func:`repro.graph.csr.girvan_newman_dense`)."""
+    nets = [dense_ego_net(csr, ego) for ego in egos]
+    return {
+        ego: _communities_csr(ego, net, blocks)
+        for ego, net, blocks in zip(egos, nets, girvan_newman_dense(nets))
+    }
+
+
+def _communities_csr(
+    ego: Node, net: DenseEgoNet, blocks: list[list[int]]
+) -> list[LocalCommunity]:
+    """Wrap one ego's GN blocks as communities with their tightness."""
     neighbors = _neighbor_lists(net)
-    communities = []
-    for index, block in enumerate(girvan_newman_dense(net)):
-        if not block:
-            continue
-        communities.append(
-            LocalCommunity(
-                ego=ego,
-                members=frozenset(net.labels[i] for i in block),
-                tightness=_block_tightness(net.labels, neighbors, block),
-                index=index,
-            )
+    return [
+        LocalCommunity(
+            ego=ego,
+            members=frozenset(net.labels[i] for i in block),
+            tightness=_block_tightness(net.labels, neighbors, block),
+            index=index,
         )
-    return communities
+        for index, block in enumerate(blocks)
+    ]
 
 
 def _neighbor_lists(net: DenseEgoNet) -> list[list[int]]:
@@ -311,14 +323,18 @@ def divide(
     detector: DetectorFn | str = "girvan_newman",
 ) -> DivisionResult:
     """Run Phase I for every ego in ``egos`` (default: every node of the graph,
-    in :data:`repro.types.node_key` order).
+    in :data:`repro.types.node_key` order; a repeated ego is divided once).
 
-    The per-ego work is embarrassingly parallel; :mod:`repro.runtime` shards
-    this same function across workers for the scalability experiments.
-    ``detector`` is a name (its routed kernel) or a callable over ego-network
-    :class:`Graph` objects (see :func:`get_detector` for the references).
+    No ego's division depends on another's: :mod:`repro.runtime` shards this
+    same function across workers, and on the Girvan-Newman route the egos of
+    one call step in lockstep so that each round's Brandes work is scored in
+    one batched kernel call (see :func:`repro.graph.csr.girvan_newman_dense`);
+    the result is the same whichever egos share a call.  That route extracts
+    every ego net before any GN work, so an unknown ego raises
+    :class:`~repro.exceptions.NodeNotFoundError` up front.  ``detector`` is a
+    name (its routed kernel) or a callable over ego-network :class:`Graph`
+    objects (see :func:`get_detector` for the references).
     """
-    divide_one = _ego_divider(graph, detector)
     if egos is None:
         egos = sorted(graph.nodes(), key=node_key)
-    return DivisionResult({ego: divide_one(ego) for ego in egos})
+    return DivisionResult(_divider(graph, detector)(list(dict.fromkeys(egos))))

@@ -124,7 +124,7 @@ def evaluate_method(
         y_pred = np.array([int(label) for label in model.predict(test_edges)])
     elif method in {"LoCEC-XGB", "LoCEC-CNN"}:
         variant = "xgb" if method == "LoCEC-XGB" else "cnn"
-        config = LoCECConfig(community_model=variant, k=k, seed=seed)
+        config = LoCECConfig(community_model=variant, k=k)
         config.cnn.epochs = cnn_epochs
         pipeline = LoCEC(config)
         pipeline.fit(

@@ -23,7 +23,7 @@ def run(
     """
     workload = workload or make_workload(scale=scale, seed=seed)
     dataset = workload.dataset
-    config = LoCECConfig.locec_cnn(seed=seed)
+    config = LoCECConfig.locec_cnn()
     config.cnn.epochs = cnn_epochs
     pipeline = LoCEC(config)
     pipeline.fit(

@@ -34,7 +34,7 @@ def run(
     dataset = workload.dataset
 
     if use_predicted_labels:
-        config = LoCECConfig.locec_cnn(seed=seed)
+        config = LoCECConfig.locec_cnn()
         config.cnn.epochs = cnn_epochs
         pipeline = LoCEC(config)
         pipeline.fit(

@@ -49,7 +49,7 @@ def run(
     y_true = labels_array[test_idx]
 
     builder = FeatureMatrixBuilder(dataset.features, dataset.interactions, k=k)
-    config = LoCECConfig(seed=seed)
+    config = LoCECConfig()
     config.cnn.epochs = cnn_epochs
 
     rows: list[dict[str, object]] = []

@@ -7,7 +7,8 @@ Two graph representations live here:
   algorithm is specified against.
 * :class:`CSRGraph` (:mod:`repro.graph.csr`) — an immutable NumPy CSR
   snapshot with the kernels Phase I division routes through (ego-network
-  extraction, Girvan-Newman over cached all-pairs Brandes betweenness).
+  extraction, Girvan-Newman over cached per-component betweenness, every
+  ego of a call in lockstep over one batched all-sources Brandes kernel).
 
 The Phase II stores get the same treatment in :mod:`repro.graph.phase2`:
 :class:`Phase2Kernel` compiles :class:`InteractionStore` /

@@ -14,10 +14,13 @@ product route selects it:
   per-friend Python loop in :mod:`repro.graph.ego`, emitting the flat
   :class:`DenseEgoNet` edge arrays the GN engine runs on.
 * :func:`girvan_newman_dense` — the full GN dendrogram sweep on those
-  arrays, partitions identical to :func:`repro.community.girvan_newman`.
-* :func:`edge_betweenness_csr` — the all-pairs Brandes kernel (every
-  source at once, one matrix product per BFS level) that the GN engine
-  uses on large components, exposed whole-graph as its test handle.
+  arrays for many ego nets at once, partitions identical to
+  :func:`repro.community.girvan_newman`.  The egos step in lockstep:
+  cliques, trees and tiny components are scored in closed form, and every
+  other component a round dirties, across all egos, goes to one batched
+  all-sources Brandes kernel on padded ``(B, P, P)`` adjacency stacks.
+* :func:`edge_betweenness_csr` — that kernel on a stack of one whole
+  graph, public as its test and perf-gate handle.
 
 Path counts and degrees are integers (exactly representable in float64), so
 the kernels match the dict-backend references bit-for-bit wherever the
@@ -30,7 +33,7 @@ speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -293,110 +296,93 @@ def dense_ego_net(csr: CSRGraph, ego: Node) -> DenseEgoNet:
 
 
 # ======================================================================
-# All-pairs Brandes (dense, level-synchronous, every source at once)
+# Batched all-sources Brandes (level-synchronous, every source at once)
 # ======================================================================
 
 
-def _all_pairs_bfs_brandes(
-    adjacency: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run Brandes' accumulation from every source simultaneously.
+def _brandes_through(adjacency: np.ndarray) -> np.ndarray:
+    """Brandes' accumulation from every source of every graph in a stack.
 
-    Returns ``(dist, sigma, delta)`` where each is ``k x k`` indexed by
-    ``[source, node]``: BFS distance (-1 when unreachable), shortest-path
-    counts and Brandes' node dependencies.  Path counts are integers, so
-    ``sigma`` is exact; the frontier expansion is one matrix product per BFS
-    level instead of a Python loop per (source, node) pair.
+    ``adjacency`` is a ``(B, P, P)`` stack of symmetric 0/1 matrices.  Rows
+    of each state array are ``[graph, source, node]``: the forward pass
+    expands every frontier with one batched product per BFS level and
+    carries the shortest-path counts ``sigma`` (integers, so exact); the
+    backward pass accumulates Brandes' dependencies ``delta`` one level at
+    a time.  Returns ``through``, where ``through[b, u, v]`` sums over all
+    sources the dependency that crosses ``u -> v`` away from the source, so
+    the betweenness of an edge ``(u, v)`` of graph ``b`` is
+    ``(through[b, u, v] + through[b, v, u]) / 2``; entries off the edges
+    mean nothing.
+
+    Zero padding is inert: a padded node is an isolated node, and a graph
+    whose BFS ends before the stack's deepest level adds exact zeros on the
+    extra levels, so a graph's values do not depend on its stack-mates.
+    Level masks are multiplied in rather than selected with ``np.where`` /
+    ``np.divide(where=)``, which are 10-30x slower at these shapes.  Once
+    the forward pass is done ``sigma`` is clamped to ``max(sigma, 1)``:
+    that keeps the masked-out quotients finite and leaves every reached
+    entry — the only ones a mask lets through — unchanged.  Every level
+    works in three preallocated buffers, so a stack costs seven arrays of
+    its size plus one bool mask per level.
     """
-    k = adjacency.shape[0]
-    dist = np.full((k, k), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    sigma = np.zeros((k, k), dtype=np.float64)
-    np.fill_diagonal(sigma, 1.0)
-    frontier = np.eye(k, dtype=bool)
-    frontiers: list[np.ndarray] = [frontier]
-    stacked = np.zeros((2 * k, k), dtype=np.float64)
-    product_buffer = np.empty((2 * k, k), dtype=np.float64)
-    level = 0
+    reached = np.broadcast_to(np.eye(adjacency.shape[1], dtype=bool), adjacency.shape).copy()
+    levels = [reached.copy()]
+    front = reached * 1.0
+    sigma = front.copy()
+    paths = np.empty_like(sigma)
     while True:
-        # One stacked GEMM per level expands the frontier (rows 0..k) and
-        # propagates path counts (rows k..2k) simultaneously.
-        np.copyto(stacked[:k], frontier)
-        np.multiply(sigma, frontier, out=stacked[k:])
-        product = np.matmul(stacked, adjacency, out=product_buffer)
-        new_frontier = (product[:k] > 0.0) & (dist < 0)
-        if not new_frontier.any():
+        np.matmul(front, adjacency, out=paths)
+        new = (paths > 0.0) & ~reached
+        if not new.any():
             break
-        level += 1
-        dist[new_frontier] = level
-        sigma[new_frontier] = product[k:][new_frontier]
-        frontier = new_frontier
-        frontiers.append(new_frontier)
-
-    delta = np.zeros((k, k), dtype=np.float64)
-    coef = np.empty((k, k), dtype=np.float64)
-    for level_index in range(len(frontiers) - 1, 0, -1):
-        level_mask = frontiers[level_index]
-        coef.fill(0.0)
-        np.divide(1.0 + delta, sigma, out=coef, where=level_mask)
-        contrib = (coef @ adjacency) * sigma
-        previous_mask = frontiers[level_index - 1]
-        delta[previous_mask] += contrib[previous_mask]
-    return dist, sigma, delta
-
-
-def _edge_betweenness_values(
-    dist: np.ndarray,
-    sigma: np.ndarray,
-    delta: np.ndarray,
-    eu: np.ndarray,
-    ev: np.ndarray,
-) -> np.ndarray:
-    """Per-edge betweenness from the all-pairs Brandes state (undirected)."""
-    du, dv = dist[:, eu], dist[:, ev]
-    su, sv = sigma[:, eu], sigma[:, ev]
-    contrib_uv = np.where(
-        dv == du + 1, su * (1.0 + delta[:, ev]) / np.where(sv > 0, sv, 1.0), 0.0
-    ).sum(axis=0)
-    contrib_vu = np.where(
-        du == dv + 1, sv * (1.0 + delta[:, eu]) / np.where(su > 0, su, 1.0), 0.0
-    ).sum(axis=0)
-    return (contrib_uv + contrib_vu) / 2.0
+        reached |= new
+        np.multiply(paths, new, out=front)
+        sigma += front
+        levels.append(new)
+    np.maximum(sigma, 1.0, out=sigma)
+    coef, parents, product = front, paths, np.empty_like(sigma)
+    delta = np.zeros_like(sigma)
+    through = np.zeros_like(sigma)
+    for depth in range(len(levels) - 1, 0, -1):
+        np.add(delta, 1.0, out=coef)
+        coef /= sigma
+        coef *= levels[depth]
+        np.multiply(sigma, levels[depth - 1], out=parents)
+        np.matmul(coef, adjacency, out=product)
+        product *= parents
+        delta += product
+        np.matmul(parents.transpose(0, 2, 1), coef, out=product)
+        through += product
+    return through
 
 
 def edge_betweenness_csr(graph: Graph | CSRGraph) -> dict[Edge, float]:
-    """Vectorized drop-in for :func:`repro.community.betweenness.edge_betweenness`.
+    """Vectorized drop-in for :func:`repro.community.betweenness.edge_betweenness`:
+    the GN engine's batched Brandes kernel on a stack of one whole graph.
 
     Matches the reference to ~1e-12 (the accumulation order over sources
     differs, path counts themselves are exact).
     """
     csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
     n = csr.num_nodes
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    row_ids = np.repeat(np.arange(n), np.diff(csr.indptr).astype(np.int64, copy=False))
-    adjacency[row_ids, csr.indices] = 1.0
-    eu, ev = np.nonzero(np.triu(adjacency, 1))
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    upper = rows < csr.indices
+    eu, ev = rows[upper], csr.indices[upper]
     if eu.size == 0:
         return {}
-    dist, sigma, delta = _all_pairs_bfs_brandes(adjacency)
-    values = _edge_betweenness_values(dist, sigma, delta, eu, ev)
-    labels = [csr.label_of(i) for i in range(n)]
+    adjacency = np.zeros((1, n, n))
+    adjacency[0, rows, csr.indices] = 1.0
+    through = _brandes_through(adjacency)[0]
+    values = (through[eu, ev] + through[ev, eu]) / 2.0
     return {
-        canonical_edge(labels[int(u)], labels[int(v)]): float(value)
-        for u, v, value in zip(eu, ev, values)
+        canonical_edge(csr.label_of(u), csr.label_of(v)): value
+        for u, v, value in zip(eu.tolist(), ev.tolist(), values.tolist())
     }
 
 
 # ======================================================================
-# Girvan-Newman on the dense local arrays
+# Girvan-Newman on the dense local arrays, all egos of a call in lockstep
 # ======================================================================
-
-_PYTHON_KERNEL_MAX = 48
-"""Components at or below this many nodes use the flat-list Brandes kernel.
-Micro-benchmarks put the fixed cost of the ~50-NumPy-op dense kernel at
-~55us per call, which the int-indexed Python loop undercuts until roughly
-this size; beyond it the O(V*E) loop loses to the vectorized all-pairs
-sweep (only egos whose friends form one large sparse component get there)."""
 
 _MEMO_KERNEL_MAX = 6
 """Components at or below this many nodes resolve betweenness through the
@@ -467,6 +453,30 @@ def _small_betweenness(num_nodes: int, mask: int) -> tuple[float, ...]:
     return tuple(round(value / 2.0, 9) for value in acc)
 
 
+_STACK_SIDE = 8
+"""Brandes stacks are padded to a multiple of this many nodes: a component
+of ``n`` nodes always lands in a stack of side ``ceil(n / 8) * 8``,
+whatever else shares its round.  Finer buckets mean more, smaller stacks
+per round; coarser ones spend ``side ** 3`` work on padding.  On
+``division_dense`` (components of 7-23 nodes, so three buckets) sides of
+4, 6, 8 and 12 measured within noise of each other."""
+
+_STACK_CELLS = 1 << 13
+"""Most matrix cells in one Brandes stack; a bucket with more requests is
+cut into several stacks.  The kernel holds seven float64 arrays of the
+stack's size, so this caps its working set near 0.5 MiB (14 components of
+17-24 nodes, 128 of up to 8).  Twice or half this measured within noise on
+``division_dense``; unbounded stacks (a whole round's bucket) added ~1 MiB
+to a fit's peak RSS there."""
+
+_GN_WINDOW = 64
+"""Most engines stepping in lockstep; the next ego starts as one finishes.
+The width is what shares a NumPy call's fixed cost: ``divide`` on
+``division_dense`` (66 egos, one window) took 0.37 s at 16, 0.29 s at 32
+and 0.26 s at 64.  The bound keeps the live engines' Python state (~14 KB
+each there) from growing with the number of egos in a call."""
+
+
 class _Component:
     """A live connected component inside the GN engine."""
 
@@ -476,7 +486,6 @@ class _Component:
         "orig_edge_ids",
         "degree_sum",
         "min_pos",
-        "dirty",
         "best_key",
         "best_eid",
     )
@@ -485,10 +494,9 @@ class _Component:
         self.nodes = nodes
         self.edge_ids = edge_ids
         self.min_pos = min_pos
-        self.dirty = True
-        # Cached argmax over this component's edges, maintained by _refresh:
-        # clean components never rescan their edges in the global argmax.
-        self.best_key: tuple[float, str] | None = None
+        # Cached argmax over this component's edges, set once its edges are
+        # scored: clean components never rescan their edges.
+        self.best_key: tuple[float, int] = (0.0, -1)
         self.best_eid = -1
         # Modularity bookkeeping against the *original* ego net: the ids of
         # original edges with both endpoints inside this component, and the
@@ -501,20 +509,24 @@ class _Component:
 
 
 class _GNEngine:
-    """Girvan-Newman over one ego net with per-component betweenness caching.
+    """Girvan-Newman over one ego net, stepped by a lockstep driver.
 
     Removing one edge only changes shortest paths inside the component that
     contained it (betweenness is additive across components), so cached
-    per-edge values stay valid everywhere else and each iteration recomputes
-    Brandes only on the affected component.  Components are processed by a
-    size-adaptive kernel: the vectorized all-pairs Brandes for large ones,
-    an int-indexed flat-list Brandes for small ones (the common case — GN
-    removes bridges first, so components shrink quickly).  Results are
-    identical to ``girvan_newman_levels``: values are quantized to 9 decimals
-    before the argmax on both backends, which absorbs the summation-order
-    ulps, and both emit the blocks of a partition in canonical order — by
-    their smallest member under :data:`repro.types.node_key` — which is also
-    the order modularity is accumulated in.
+    per-edge values stay valid everywhere else and a step re-scores only
+    the one or two components it dirtied.  Cliques, trees and components of
+    at most :data:`_MEMO_KERNEL_MAX` nodes have closed forms the engine
+    applies inline, so :meth:`advance` keeps stepping until a dirtied
+    component needs Brandes and hands those back; the driver,
+    :func:`girvan_newman_dense`, scores every engine's requests of a round
+    with one batched kernel and returns the values through :meth:`take`.
+    Results are identical to ``girvan_newman_levels``: values are quantized
+    to 9 decimals before the argmax on both backends, which absorbs the
+    summation-order ulps, and both emit the blocks of a partition in
+    canonical order — by their smallest member under
+    :data:`repro.types.node_key` — which is also the order modularity is
+    accumulated in.  The best-modularity partition so far is kept in
+    :attr:`best_blocks`.
     """
 
     def __init__(self, net: DenseEgoNet) -> None:
@@ -531,37 +543,48 @@ class _GNEngine:
         ev = net.ev.tolist()
         self.edge_u = eu
         self.edge_v = ev
-        self.edge_repr = []
+        # Ties in betweenness go to the larger edge_key; the engine keeps
+        # each edge's rank in that order instead of the string.
+        reprs = []
         for u, v in zip(eu, ev):
             ru, rv = label_keys[u], label_keys[v]
             if rv < ru:
                 ru, rv = rv, ru
-            self.edge_repr.append(f"({ru}, {rv})")
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        # Neighbour-only mirror of ``adj`` for the BFS sweeps, which never
-        # need edge ids and save a tuple unpack per visit.
+            reprs.append(f"({ru}, {rv})")
+        self.edge_rank = [0] * len(eu)
+        for rank, eid in enumerate(sorted(range(len(eu)), key=reprs.__getitem__)):
+            self.edge_rank[eid] = rank
+        # Adjacency as two parallel lists per node: neighbours, and the id of
+        # the edge to each (ints, not (neighbour, id) tuples, to keep a
+        # window of live engines small).
         self.adj_nbr: list[list[int]] = [[] for _ in range(k)]
+        self.adj_eid: list[list[int]] = [[] for _ in range(k)]
         for eid, (u, v) in enumerate(zip(eu, ev)):
-            self.adj[u].append((v, eid))
-            self.adj[v].append((u, eid))
             self.adj_nbr[u].append(v)
+            self.adj_eid[u].append(eid)
             self.adj_nbr[v].append(u)
+            self.adj_eid[v].append(eid)
         self.rounded: list[float] = [0.0] * len(eu)
         self.node_comp: list[int] = [-1] * k
+        # Every component (the partition) and the ones that still have edges
+        # (the argmax candidates).
         self.comps: dict[int, _Component] = {}
+        self._edged: dict[int, _Component] = {}
         self._next_comp_id = 0
-        self._ordered_comps: list[_Component] = []
         # Original structure for modularity (evaluated on the input graph).
-        self._deg0 = [len(rows) for rows in self.adj]
+        self._deg0 = [len(rows) for rows in self.adj_nbr]
         self._m0 = len(eu)
-        self._init_components()
-        # Scratch state for the flat-list Brandes kernel.
-        self._dist = [-1] * k
-        self._sigma = [0.0] * k
-        self._delta = [0.0] * k
-        self._acc: list[float] = [0.0] * len(eu)
+        # Scratch: parent edge / subtree size for the tree sweep, visited
+        # flags for the split check, local slot per node for Brandes stacks.
+        self._parent = [-1] * k
+        self._size = [0.0] * k
         self._visited = [False] * k
-        self._queue = [0] * k
+        self.slot = [0] * k
+        self.best_q = float("-inf")
+        self.best_blocks: list[list[int]] = []
+        self._init_components()
+        self._dirty = list(self._edged.values())
+        self._record_level()
 
     # ------------------------------------------------------------ components
     def _init_components(self) -> None:
@@ -581,7 +604,7 @@ class _GNEngine:
                         members.append(other)
             edge_ids: list[int] = []
             for node in members:
-                for other, eid in self.adj[node]:
+                for other, eid in zip(self.adj_nbr[node], self.adj_eid[node]):
                     if node < other:  # each edge once
                         edge_ids.append(eid)
             self._add_component(members, edge_ids, list(edge_ids))
@@ -591,7 +614,7 @@ class _GNEngine:
         nodes: list[int],
         edge_ids: list[int],
         orig_edge_ids: list[int],
-    ) -> int:
+    ) -> _Component:
         comp_id = self._next_comp_id
         self._next_comp_id += 1
         min_pos = min(self.position[node] for node in nodes)
@@ -600,52 +623,76 @@ class _GNEngine:
         deg0 = self._deg0
         comp.degree_sum = sum(deg0[node] for node in nodes)
         self.comps[comp_id] = comp
+        if edge_ids:
+            self._edged[comp_id] = comp
         for node in nodes:
             self.node_comp[node] = comp_id
-        return comp_id
+        return comp
 
-    def _partition(self) -> list[list[int]]:
-        """Current components, ordered by their smallest member's key."""
+    def _record_level(self) -> None:
+        """Newman modularity of the current partition on the original net;
+        keep the partition if it beats every earlier level.
+
+        Uses the per-component integer intra-edge and degree counts that are
+        maintained across splits; the per-block terms and their accumulation
+        order (blocks by smallest member) are the same as in
+        :func:`repro.community.modularity.modularity`, so the value is
+        bit-identical to what the dict backend computes by rescanning.
+        """
         ordered = sorted(self.comps.values(), key=lambda comp: comp.min_pos)
-        self._ordered_comps = ordered
-        return [comp.nodes for comp in ordered]
+        m = self._m0
+        two_m = 2.0 * m
+        q = 0.0
+        for comp in ordered:
+            q += len(comp.orig_edge_ids) / m - (comp.degree_sum / two_m) ** 2
+        if q > self.best_q:
+            self.best_q = q
+            self.best_blocks = [comp.nodes for comp in ordered]
 
-    # ------------------------------------------------------- betweenness cache
-    def _refresh(self, comp: _Component) -> None:
-        if comp.edge_ids:
-            num_nodes = len(comp.nodes)
-            num_edges = len(comp.edge_ids)
-            if num_edges == num_nodes * (num_nodes - 1) // 2:
-                # Clique: the only shortest path between any pair is the
-                # direct edge, so every edge has betweenness exactly 1.
-                rounded = self.rounded
-                for eid in comp.edge_ids:
-                    rounded[eid] = 1.0
-            elif num_edges == num_nodes - 1:
-                self._betweenness_tree(comp)
-            elif num_nodes <= _MEMO_KERNEL_MAX:
-                self._brandes_memo(comp)
-            elif num_nodes <= _PYTHON_KERNEL_MAX:
-                self._brandes_flat(comp)
-            else:
-                self._brandes_numpy(comp)
+    # ------------------------------------------------------------ scoring
+    def _closed_form(self, comp: _Component) -> bool:
+        """Score ``comp`` without Brandes if it has a closed form; report
+        whether it did."""
+        num_nodes = len(comp.nodes)
+        num_edges = len(comp.edge_ids)
+        if num_edges == num_nodes * (num_nodes - 1) // 2:
+            # Clique: the only shortest path between any pair is the direct
+            # edge, so every edge has betweenness exactly 1.
             rounded = self.rounded
-            edge_repr = self.edge_repr
-            edge_ids = comp.edge_ids
-            best_eid = edge_ids[0]
-            best_value = rounded[best_eid]
-            best_repr = edge_repr[best_eid]
-            for eid in edge_ids:
-                value = rounded[eid]
-                if value > best_value or (
-                    value == best_value and edge_repr[eid] > best_repr
-                ):
-                    best_value = value
-                    best_repr = edge_repr[eid]
-                    best_eid = eid
-            comp.best_key = (best_value, best_repr)
-            comp.best_eid = best_eid
-        comp.dirty = False
+            for eid in comp.edge_ids:
+                rounded[eid] = 1.0
+        elif num_edges == num_nodes - 1:
+            self._betweenness_tree(comp)
+        elif num_nodes <= _MEMO_KERNEL_MAX:
+            self._brandes_memo(comp)
+        else:
+            return False
+        self._set_best(comp)
+        return True
+
+    def take(self, comp: _Component, values: list[float]) -> None:
+        """Store rounded Brandes values for ``comp``'s edges (in ``edge_ids``
+        order)."""
+        rounded = self.rounded
+        for eid, value in zip(comp.edge_ids, values):
+            rounded[eid] = value
+        self._set_best(comp)
+
+    def _set_best(self, comp: _Component) -> None:
+        rounded = self.rounded
+        edge_rank = self.edge_rank
+        edge_ids = comp.edge_ids
+        best_eid = edge_ids[0]
+        best_value = rounded[best_eid]
+        best_rank = edge_rank[best_eid]
+        for eid in edge_ids:
+            value = rounded[eid]
+            if value > best_value or (value == best_value and edge_rank[eid] > best_rank):
+                best_value = value
+                best_rank = edge_rank[eid]
+                best_eid = eid
+        comp.best_key = (best_value, best_rank)
+        comp.best_eid = best_eid
 
     def _betweenness_tree(self, comp: _Component) -> None:
         """Exact betweenness for a tree component in one O(V) sweep.
@@ -655,9 +702,9 @@ class _GNEngine:
         shortest path over that edge, so that product *is* the betweenness
         (an exact integer — identical to what Brandes accumulates).
         """
-        adj = self.adj
-        parent = self._dist  # scratch: parent edge id per node
-        size = self._sigma  # scratch: subtree size per node
+        adj_nbr, adj_eid = self.adj_nbr, self.adj_eid
+        parent = self._parent
+        size = self._size
         total = len(comp.nodes)
         root = comp.nodes[0]
         parent[root] = -2
@@ -666,7 +713,7 @@ class _GNEngine:
         while cursor < len(queue):
             node = queue[cursor]
             cursor += 1
-            for other, eid in adj[node]:
+            for other, eid in zip(adj_nbr[node], adj_eid[node]):
                 if parent[other] == -1:
                     parent[other] = eid
                     queue.append(other)
@@ -708,115 +755,49 @@ class _GNEngine:
         for eid, bit in zip(comp.edge_ids, bits):
             rounded[eid] = values[bit]
 
-    def _brandes_flat(self, comp: _Component) -> None:
-        """Brandes restricted to ``comp`` on int-indexed Python lists.
-
-        Predecessors are stored as edge ids only (the predecessor node is
-        recovered as ``u + v - node``) and scratch state is reset during the
-        back-propagation sweep, so no per-source clearing pass is needed.
-        """
-        rounded = self.rounded
-        adj = self.adj
-        adj_nbr = self.adj_nbr
-        dist = self._dist
-        sigma = self._sigma
-        delta = self._delta
-        acc = self._acc
-        queue = self._queue
-        for eid in comp.edge_ids:
-            acc[eid] = 0.0
-        for source in comp.nodes:
-            dist[source] = 0
-            sigma[source] = 1.0
-            queue[0] = source
-            filled = 1
-            cursor = 0
-            while cursor < filled:
-                node = queue[cursor]
-                cursor += 1
-                next_dist = dist[node] + 1
-                sigma_node = sigma[node]
-                for other in adj_nbr[node]:
-                    level = dist[other]
-                    if level < 0:
-                        dist[other] = next_dist
-                        queue[filled] = other
-                        filled += 1
-                        sigma[other] = sigma_node
-                    elif level == next_dist:
-                        sigma[other] += sigma_node
-            # Predecessors are re-identified from the distance labels during
-            # the reverse sweep (pred iff dist == dist[node] - 1), avoiding
-            # per-visit predecessor-list allocations.  Scratch state is wiped
-            # as each node finishes; the source is wiped without scanning
-            # since dist -1 would otherwise look like a predecessor level.
-            for position in range(filled - 1, 0, -1):
-                node = queue[position]
-                prev_dist = dist[node] - 1
-                coef = (1.0 + delta[node]) / sigma[node]
-                for other, eid in adj[node]:
-                    if dist[other] == prev_dist:
-                        contribution = sigma[other] * coef
-                        acc[eid] += contribution
-                        delta[other] += contribution
-                dist[node] = -1
-                sigma[node] = 0.0
-                delta[node] = 0.0
-            dist[source] = -1
-            sigma[source] = 0.0
-            delta[source] = 0.0
-        for eid in comp.edge_ids:
-            rounded[eid] = round(acc[eid] / 2.0, 9)
-
-    def _brandes_numpy(self, comp: _Component) -> None:
-        """Vectorized all-pairs Brandes on the component submatrix."""
-        nodes = comp.nodes
-        local = {node: i for i, node in enumerate(nodes)}
-        sub = np.zeros((len(nodes), len(nodes)), dtype=np.float64)
-        for node in nodes:
-            row = local[node]
-            for other in self.adj_nbr[node]:
-                sub[row, local[other]] = 1.0
-        dist, sigma, delta = _all_pairs_bfs_brandes(sub)
-        eu = np.array([local[self.edge_u[eid]] for eid in comp.edge_ids], dtype=np.intp)
-        ev = np.array([local[self.edge_v[eid]] for eid in comp.edge_ids], dtype=np.intp)
-        values = _edge_betweenness_values(dist, sigma, delta, eu, ev)
-        rounded = self.rounded
-        for eid, value in zip(comp.edge_ids, values.tolist()):
-            rounded[eid] = round(value, 9)
-
     # ------------------------------------------------------------- main sweep
-    def levels(self) -> Iterator[list[list[int]]]:
-        """Yield successive GN partitions (mirrors ``girvan_newman_levels``)."""
-        yield self._partition()
-        edge_u, edge_v = self.edge_u, self.edge_v
-        while True:
-            best_key = None
-            best_comp = None
-            for comp in self.comps.values():
-                if not comp.edge_ids:
-                    continue
-                if comp.dirty:
-                    self._refresh(comp)
-                if best_key is None or comp.best_key > best_key:
-                    best_key = comp.best_key
-                    best_comp = comp
-            if best_comp is None:
-                return
-            best_eid = best_comp.best_eid
-            u, v = edge_u[best_eid], edge_v[best_eid]
-            self.adj[u].remove((v, best_eid))
-            self.adj[v].remove((u, best_eid))
-            self.adj_nbr[u].remove(v)
-            self.adj_nbr[v].remove(u)
-            best_comp.edge_ids.remove(best_eid)
-            if self._split(best_comp, u, v):
-                yield self._partition()
-            else:
-                best_comp.dirty = True
+    def advance(self) -> list[_Component]:
+        """Remove edges until a step dirties components without a closed
+        form, and return them for Brandes; ``[]`` once no edge is left.
 
-    def _split(self, comp: _Component, u: int, v: int) -> bool:
-        """Re-check connectivity of ``comp`` after removing edge ``(u, v)``."""
+        The caller scores each returned component through :meth:`take`
+        before calling again.
+        """
+        dirty = self._dirty
+        edged = self._edged
+        while True:
+            waiting = [comp for comp in dirty if not self._closed_form(comp)]
+            if waiting:
+                self._dirty = []
+                return waiting
+            best = None
+            for comp in edged.values():
+                if best is None or comp.best_key > best.best_key:
+                    best = comp
+            if best is None:
+                return []
+            dirty = self._remove_best(best)
+
+    def _remove_best(self, comp: _Component) -> list[_Component]:
+        """Remove ``comp``'s top edge; return the components it dirtied."""
+        eid = comp.best_eid
+        u, v = self.edge_u[eid], self.edge_v[eid]
+        for node, other in ((u, v), (v, u)):
+            position = self.adj_nbr[node].index(other)
+            del self.adj_nbr[node][position]
+            del self.adj_eid[node][position]
+        comp.edge_ids.remove(eid)
+        halves = self._split(comp, u, v)
+        if halves is None:
+            return [comp]
+        self._record_level()
+        return [half for half in halves if half.edge_ids]
+
+    def _split(
+        self, comp: _Component, u: int, v: int
+    ) -> tuple[_Component, _Component] | None:
+        """Re-check connectivity of ``comp`` after removing edge ``(u, v)``;
+        return the two halves if it fell apart."""
         visited = self._visited
         adj_nbr = self.adj_nbr
         if not adj_nbr[u]:
@@ -847,7 +828,7 @@ class _GNEngine:
             if connected:
                 for node in queue:
                     visited[node] = False
-                return False
+                return None
         half_nodes = [node for node in comp.nodes if visited[node]]
         rest_nodes = [node for node in comp.nodes if not visited[node]]
         edge_u = self.edge_u
@@ -870,45 +851,93 @@ class _GNEngine:
             visited[node] = False
         comp_id = self.node_comp[u]
         del self.comps[comp_id]
-        self._add_component(half_nodes, half_edges, half_orig)
-        self._add_component(rest_nodes, rest_edges, rest_orig)
-        return True
-
-    # -------------------------------------------------------------- modularity
-    def current_modularity(self) -> float:
-        """Newman modularity of the last-yielded partition on the original net.
-
-        Uses the per-component integer intra-edge and degree counts that are
-        maintained across splits; the per-block terms and their accumulation
-        order are the same as in
-        :func:`repro.community.modularity.modularity`, so the value is
-        bit-identical to what the dict backend computes by rescanning.
-        """
-        if self._m0 == 0:
-            return 0.0
-        m = self._m0
-        two_m = 2.0 * m
-        q = 0.0
-        for comp in self._ordered_comps:
-            q += len(comp.orig_edge_ids) / m - (comp.degree_sum / two_m) ** 2
-        return q
+        del self._edged[comp_id]
+        return (
+            self._add_component(half_nodes, half_edges, half_orig),
+            self._add_component(rest_nodes, rest_edges, rest_orig),
+        )
 
 
-def girvan_newman_dense(net: DenseEgoNet) -> list[list[int]]:
-    """Best-modularity GN partition of a dense ego net.
+def _score(requests: list[tuple[_GNEngine, _Component]]) -> None:
+    """Run one round's Brandes requests as padded stacks, one per side."""
+    buckets: dict[int, list[tuple[_GNEngine, _Component]]] = {}
+    for request in requests:
+        side = -(-len(request[1].nodes) // _STACK_SIDE) * _STACK_SIDE
+        buckets.setdefault(side, []).append(request)
+    for side, bucket in buckets.items():
+        height = max(1, _STACK_CELLS // (side * side))
+        for start in range(0, len(bucket), height):
+            _score_stack(side, bucket[start : start + height])
 
-    Returns the blocks as local index lists, ordered by their smallest
-    member's :data:`repro.types.node_key`.
+
+def _score_stack(side: int, stack: list[tuple[_GNEngine, _Component]]) -> None:
+    """Score one padded stack of same-side Brandes requests."""
+    us: list[int] = []
+    vs: list[int] = []
+    counts: list[int] = []
+    for engine, comp in stack:
+        slot = engine.slot
+        for i, node in enumerate(comp.nodes):
+            slot[node] = i
+        edge_u, edge_v = engine.edge_u, engine.edge_v
+        us += [slot[edge_u[eid]] for eid in comp.edge_ids]
+        vs += [slot[edge_v[eid]] for eid in comp.edge_ids]
+        counts.append(len(comp.edge_ids))
+    # Flat positions of each edge, u -> v and v -> u, in the stack.
+    base = np.repeat(np.arange(0, len(stack) * side * side, side * side), counts)
+    u, v = np.array(us), np.array(vs)
+    forward = base + u * side + v
+    backward = base + v * side + u
+    adjacency = np.zeros(len(stack) * side * side)
+    adjacency[forward] = 1.0
+    adjacency[backward] = 1.0
+    through = _brandes_through(adjacency.reshape(len(stack), side, side)).ravel()
+    values = (through[forward] + through[backward]) / 2.0
+    # Python's round(., 9) per value, as the oracle quantizes; a stack
+    # repeats most of its values, so each distinct one is rounded once.
+    distinct, inverse = np.unique(values, return_inverse=True)
+    rounded = np.array([round(value, 9) for value in distinct.tolist()])
+    values = rounded[inverse].tolist()
+    start = 0
+    for (engine, comp), count in zip(stack, counts):
+        engine.take(comp, values[start : start + count])
+        start += count
+
+
+def girvan_newman_dense(nets: Sequence[DenseEgoNet]) -> list[list[list[int]]]:
+    """Best-modularity GN partition of each dense ego net.
+
+    The nets' engines run in lockstep, up to :data:`_GN_WINDOW` at a time:
+    each round collects every engine's Brandes requests and scores them all
+    at once, so the fixed cost of a NumPy call is shared across egos.  An
+    engine's partition does not depend on which others share its rounds.
+    Returns, per net, the blocks as local index lists, ordered by their
+    smallest member's :data:`repro.types.node_key`.
     """
-    if net.num_edges == 0:
-        by_key = sorted(range(net.num_nodes), key=lambda i: node_key(net.labels[i]))
-        return [[i] for i in by_key]
-    engine = _GNEngine(net)
-    best_blocks: list[list[int]] = []
-    best_q = float("-inf")
-    for blocks in engine.levels():
-        q = engine.current_modularity()
-        if q > best_q:
-            best_q = q
-            best_blocks = blocks
-    return best_blocks
+    partitions: list[list[list[int]]] = [[] for _ in nets]
+    queue = iter(range(len(nets)))
+    live: list[tuple[int, _GNEngine]] = []
+    while True:
+        while len(live) < _GN_WINDOW:
+            position = next(queue, None)
+            if position is None:
+                break
+            net = nets[position]
+            if net.num_edges:
+                live.append((position, _GNEngine(net)))
+            else:
+                by_key = sorted(range(net.num_nodes), key=lambda i: node_key(net.labels[i]))
+                partitions[position] = [[i] for i in by_key]
+        if not live:
+            return partitions
+        requests = []
+        waiting = []
+        for position, engine in live:
+            comps = engine.advance()
+            if comps:
+                requests += [(engine, comp) for comp in comps]
+                waiting.append((position, engine))
+            else:
+                partitions[position] = engine.best_blocks
+        live = waiting
+        _score(requests)

@@ -135,7 +135,7 @@ class TestXGBoostEdge:
             tiny_data.dataset.interactions,
             tiny_data.train_edges,
         )
-        config = LoCECConfig.locec_xgb(seed=0)
+        config = LoCECConfig.locec_xgb()
         config.gbdt.num_rounds = 15
         locec = LoCEC(config)
         locec.fit(

@@ -20,7 +20,7 @@ from tests.test_nn_engine import _commcnn
 def fitted_xgb(request):
     """A LoCEC-XGB pipeline fitted on the tiny shared workload."""
     workload = request.getfixturevalue("tiny_workload")
-    config = LoCECConfig.locec_xgb(seed=0)
+    config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 15
     pipeline = LoCEC(config)
     pipeline.fit(
@@ -74,7 +74,7 @@ class TestPipelineFit:
     def test_training_is_timed_apart_from_aggregation(
         self, tiny_workload, ticking_clock, model
     ):
-        config = getattr(LoCECConfig, f"locec_{model}")(seed=0)
+        config = getattr(LoCECConfig, f"locec_{model}")()
         config.gbdt.num_rounds = 4
         config.cnn.epochs = 1
         pipeline = LoCEC(config, clock=ticking_clock).fit(
@@ -177,7 +177,7 @@ class TestNetworkClassification:
 
 class TestDetectorAblation:
     def test_label_propagation_detector_pipeline(self, tiny_workload):
-        config = LoCECConfig.locec_xgb(community_detector="label_propagation", seed=0)
+        config = LoCECConfig.locec_xgb(community_detector="label_propagation")
         config.gbdt.num_rounds = 10
         pipeline = LoCEC(config)
         pipeline.fit(

@@ -14,9 +14,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.community.betweenness import edge_betweenness
 from repro.core.division import (
+    DivisionResult,
     _block_tightness,
     _neighbor_lists,
     divide,
@@ -26,11 +29,10 @@ from repro.core.division import (
 from repro.core.tightness import community_tightness
 from repro.exceptions import NodeNotFoundError
 from repro.graph import Graph
+from repro.graph import csr as csr_module
 from repro.graph.csr import (
-    _PYTHON_KERNEL_MAX,
     CSRGraph,
     DenseEgoNet,
-    _GNEngine,
     dense_ego_net,
     edge_betweenness_csr,
 )
@@ -239,24 +241,24 @@ class TestDivideParity:
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_large_sparse_component_takes_numpy_brandes(self, seed, monkeypatch):
-        # One ego whose friends form a single sparse component above
-        # _PYTHON_KERNEL_MAX (56-node ring + 20 chords): the only shape that
-        # reaches the vectorized all-pairs Brandes kernel inside the GN engine.
+        # One ego whose friends form a single sparse component of 56 nodes
+        # (ring + 20 chords): no closed form applies, so the batched Brandes
+        # kernel scores it whole, in a stack of its own size bucket.
         rng = random.Random(seed)
         ring = Graph(edges=[(i, (i + 1) % 56) for i in range(56)])
         for _ in range(20):
             u, v = rng.sample(range(56), 2)
             ring.add_edge(u, v)
         sizes: list[int] = []
-        brandes_numpy = _GNEngine._brandes_numpy
+        brandes_through = csr_module._brandes_through
 
-        def spy(engine, comp):
-            sizes.append(len(comp.nodes))
-            return brandes_numpy(engine, comp)
+        def spy(adjacency):
+            sizes.extend((adjacency.sum(axis=2) > 0).sum(axis=1).tolist())
+            return brandes_through(adjacency)
 
-        monkeypatch.setattr(_GNEngine, "_brandes_numpy", spy)
+        monkeypatch.setattr(csr_module, "_brandes_through", spy)
         assert_hub_division_identical(ring)
-        assert sizes and max(sizes) > _PYTHON_KERNEL_MAX
+        assert max(sizes) == 56
 
     def test_isolated_and_singleton_egos(self):
         graph = Graph(edges=[(1, 2)], nodes=[3])
@@ -329,3 +331,104 @@ class TestStringLabels:
         edges = [("b", "a"), ("a", "c"), ("c", "b"), ("c", "d"), ("d", "e")]
         graph = Graph(edges=edges, nodes=["zz"])
         assert_division_identical(divide(graph, detector=ORACLE), divide(graph))
+
+
+@st.composite
+def mixed_ego_graphs(draw) -> Graph:
+    """Two hubs over node-disjoint components of every kind GN scores
+    differently: a clique, a tree and a <= 6-node cycle (closed forms),
+    one 7-8-node and one 9-23-node sparse component and a >= 49-node ring
+    (Brandes, in different stack sizes).  Hub ``"hub"`` sees all but the
+    ring; hub ``-1`` sees the ring and one more component, so the rings and
+    the medium components are scored in the same lockstep round.  Each
+    component is labelled with ints or with strings, so node keys of both
+    kinds meet in one ego net."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = {
+        "clique": draw(st.integers(3, 7)),
+        "tree": draw(st.integers(2, 12)),
+        "cycle": draw(st.integers(4, 6)),
+        "medium_small": draw(st.integers(7, 8)),
+        "medium_large": draw(st.integers(9, 23)),
+        "ring": draw(st.integers(49, 56)),
+    }
+    graph = Graph()
+    members: dict[str, list] = {}
+    next_id = 0
+    for kind, size in sizes.items():
+        as_str = draw(st.booleans())
+        nodes = [f"n{next_id + i}" if as_str else next_id + i for i in range(size)]
+        next_id += size
+        members[kind] = nodes
+        if kind == "clique":
+            pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        elif kind == "tree":
+            pairs = [(rng.randrange(i), i) for i in range(1, size)]
+        else:  # cycles, chorded where a closed form must not apply
+            pairs = [(i, (i + 1) % size) for i in range(size)]
+            chords = {"cycle": 0, "medium_small": 2, "medium_large": 4, "ring": 3}[kind]
+            pairs += [tuple(rng.sample(range(size), 2)) for _ in range(chords)]
+        for i, j in pairs:
+            graph.add_edge(nodes[i], nodes[j])
+    shared = draw(st.sampled_from(sorted(set(sizes) - {"ring"})))
+    for kind, nodes in members.items():
+        for node in nodes:
+            if kind != "ring":
+                graph.add_edge("hub", node)
+            if kind in ("ring", shared):
+                graph.add_edge(-1, node)
+    return graph
+
+
+class TestLockstepDivision:
+    """``divide`` runs the GN sweeps of all its egos in lockstep, scoring a
+    round's Brandes requests together: no partition may depend on which
+    egos share a round, and the boundary egos behave as one-at-a-time
+    division did."""
+
+    @given(graph=mixed_ego_graphs())
+    @settings(max_examples=8, deadline=None)
+    def test_lockstep_equals_one_ego_at_a_time_and_the_oracle(self, graph):
+        sides: list[set[int]] = []
+        score = csr_module._score
+
+        def spy(requests):
+            side = csr_module._STACK_SIDE
+            sides.append({-(-len(comp.nodes) // side) for _, comp in requests})
+            return score(requests)
+
+        # Both hubs first, so they share the first round; every other ego
+        # after them, and again in the default order, so the same ego runs
+        # beside different others.
+        egos = ["hub", -1, *graph.nodes()]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csr_module, "_score", spy)
+            together = divide(graph, egos=egos)
+        assert len(sides[0]) >= 3
+        assert divide(graph).communities_by_ego == together.communities_by_ego
+        alone = DivisionResult(
+            {
+                ego: divide(graph, egos=[ego]).communities_of(ego)
+                for ego in together.communities_by_ego
+            }
+        )
+        assert_division_identical(together, alone)
+        assert_division_identical(divide(graph, egos=egos, detector=ORACLE), together)
+
+    def test_boundary_egos(self, monkeypatch):
+        graph = Graph(edges=[(1, 2), (2, 3), (1, 3), (3, 4), ("x", 1)], nodes=["alone"])
+        egos = ["alone", "x", 1, "x", 3, 1]
+        result = divide(graph, egos=egos)
+        # Duplicates divide once, in first-seen order; no friends -> no
+        # communities; one friend -> one singleton community.
+        assert list(result.communities_by_ego) == ["alone", "x", 1, 3]
+        assert result.communities_of("alone") == []
+        assert [c.members for c in result.communities_of("x")] == [frozenset({1})]
+        assert_division_identical(divide(graph, egos=egos, detector=ORACLE), result)
+
+        def no_gn(nets):
+            raise AssertionError("GN ran before the unknown ego was rejected")
+
+        monkeypatch.setattr("repro.core.division.girvan_newman_dense", no_gn)
+        with pytest.raises(NodeNotFoundError):
+            divide(graph, egos=[1, 3, "missing"])

@@ -32,11 +32,11 @@ PACKAGE = Path(csr.__file__).resolve().parent.parent  # src/repro
 REPO = PACKAGE.parent.parent
 NOT_A_ROUTE = {PACKAGE / "graph" / "csr.py", PACKAGE / "graph" / "__init__.py"}
 
-# The all-pairs Brandes kernel is routed — the GN engine runs it on components
-# too large for the flat-list loop — but only through the private
-# ``_GNEngine._brandes_numpy``.  ``edge_betweenness_csr`` is the same kernel
-# on a whole graph, public so the parity tests and the perf gate can drive it
-# directly against ``community.betweenness.edge_betweenness``.
+# The batched all-sources Brandes kernel is routed — the GN engine runs it on
+# every component without a closed form — but only through the private
+# ``_brandes_through``.  ``edge_betweenness_csr`` is the same kernel on a
+# stack of one whole graph, public so the parity tests and the perf gate can
+# drive it directly against ``community.betweenness.edge_betweenness``.
 TEST_HANDLES = {"edge_betweenness_csr"}
 
 

@@ -24,7 +24,7 @@ from repro.runtime import (
 
 
 def _fast_xgb_config() -> LoCECConfig:
-    config = LoCECConfig.locec_xgb(seed=0, community_detector="label_propagation")
+    config = LoCECConfig.locec_xgb(community_detector="label_propagation")
     config.gbdt.num_rounds = 4
     return config
 

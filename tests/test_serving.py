@@ -46,7 +46,7 @@ from repro.types import LabeledEdge
 
 def _config(detector="label_propagation", model="xgb"):
     maker = LoCECConfig.locec_xgb if model == "xgb" else LoCECConfig.locec_cnn
-    config = maker(seed=0, community_detector=detector)
+    config = maker(community_detector=detector)
     config.gbdt.num_rounds = 8
     config.cnn.epochs = 2
     return config

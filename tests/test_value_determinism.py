@@ -43,7 +43,7 @@ DETECTORS = ["girvan_newman", "label_propagation", "louvain"]
 
 def _config(model: str) -> LoCECConfig:
     maker = LoCECConfig.locec_xgb if model == "xgb" else LoCECConfig.locec_cnn
-    config = maker(seed=0)
+    config = maker()
     config.gbdt.num_rounds = 8
     config.cnn.epochs = 2
     return config
