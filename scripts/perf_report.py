@@ -26,9 +26,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
+
+# One BLAS thread, as CI and benchmarks/e2e/run.py measure: pinned before
+# NumPy loads, or the speedup ratios are read on a multi-threaded BLAS.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"

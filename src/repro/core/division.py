@@ -76,9 +76,6 @@ class DivisionResult:
     """Phase I output: local communities for every processed ego."""
 
     communities_by_ego: dict[Node, list[LocalCommunity]] = field(default_factory=dict)
-    _member_index: dict[
-        Node, tuple[list[LocalCommunity] | None, int, dict[Node, LocalCommunity]]
-    ] = field(default_factory=dict, repr=False, compare=False)
 
     def communities_of(self, ego: Node) -> list[LocalCommunity]:
         """All local communities in ``ego``'s ego network."""
@@ -88,40 +85,20 @@ class DivisionResult:
         """The local community of ``ego``'s ego network that contains ``friend``.
 
         Returns ``None`` when ``ego`` was not processed or ``friend`` is not a
-        friend of ``ego`` (which can happen on sharded / partial runs).
+        friend of ``ego`` (which can happen on sharded / partial runs).  The
+        built-in detectors emit partitions; if a custom detector's blocks
+        overlap on a member, the community earlier in the list wins.
 
-        Backed by a lazily-built per-ego ``member -> community`` index, so
-        Phase III's two lookups per edge are O(1) dict probes instead of a
-        scan over the ego's community list.  The built-in detectors emit
-        partitions; if a custom detector's blocks overlap on a member, the
-        community with the lower ``index`` wins.  The cache entry is keyed on
-        the identity and length of the ego's community list, so reassigning
-        the list or changing its length invalidates it automatically; any
-        length-preserving in-place mutation (replacing an element,
-        pop-then-append) is invisible to the key and requires an explicit
-        :meth:`invalidate_index`.
+        A scan of the ego's current list, so it always reads the division as
+        it is.  Phase III does not probe here: it compiles its own edge index
+        (:class:`repro.core.combination.EdgeFeatureBuilder`), and the callers
+        are the tests (this is that index's oracle) and the benchmark's write
+        scripts.
         """
-        communities = self.communities_by_ego.get(ego)
-        length = len(communities) if communities is not None else 0
-        cached = self._member_index.get(ego)
-        if cached is not None and cached[0] is communities and cached[1] == length:
-            return cached[2].get(friend)
-        index: dict[Node, LocalCommunity] = {}
-        for community in communities or ():
-            for member in community.members:
-                if member not in index:
-                    index[member] = community
-        self._member_index[ego] = (communities, length, index)
-        return index.get(friend)
-
-    def invalidate_index(self) -> None:
-        """Drop the lazy member index (only needed after a length-preserving
-        in-place mutation of a community list; reassignments and length
-        changes are detected automatically).  No product code calls it:
-        :meth:`LoCEC.apply_updates` reassigns a re-divided ego's list, which
-        invalidates that ego's entry alone — the entry holds the old list,
-        so its identity cannot be reused while the entry lives."""
-        self._member_index.clear()
+        for community in self.communities_by_ego.get(ego, ()):
+            if friend in community.members:
+                return community
+        return None
 
     def all_communities(self) -> Iterator[LocalCommunity]:
         """Iterate over every local community, by ``(node_key(ego), index)``.

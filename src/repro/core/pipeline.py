@@ -19,7 +19,7 @@ A fitted pipeline also serves *online*: :meth:`LoCEC.apply_updates` folds a
 batch of graph/store deltas into the fitted state incrementally (re-dividing
 only the egos whose ego networks changed and re-scoring only the dirty
 communities), and :class:`repro.serve.ServingSession` wraps the pipeline in a
-request layer with batched prediction, caching and latency accounting.
+request layer with batched prediction and latency accounting.
 """
 
 from __future__ import annotations
@@ -259,11 +259,12 @@ class LoCEC:
         with self._timed(timings, "training"):
             self._fit_community_classifier(train_communities, train_labels)
         with self._timed(timings, "aggregation"):
-            result_vectors = self._score_communities(list(division.all_communities()))
+            communities = list(division.all_communities())
+            vectors = self._score_communities(communities)
         with self._timed(timings, "combination"):
             self.edge_feature_builder_ = EdgeFeatureBuilder(
                 division=division,
-                result_vectors=result_vectors,
+                result_vectors=dict(zip(map(community_key, communities), vectors)),
                 result_vector_length=self.community_classifier_.result_vector_length,
             )
             self.edge_labeler_ = self._build_edge_labeler()
@@ -319,17 +320,11 @@ class LoCEC:
             config=self.config.gbdt,
         )
 
-    def _score_communities(
-        self, communities: Sequence[LocalCommunity]
-    ) -> dict[CommunityKey, np.ndarray]:
-        """Result vector ``r_C`` of each community, keyed by community."""
+    def _score_communities(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
+        """Result vector ``r_C`` of each community, one row each."""
         if not communities:
-            return {}
-        vectors = self.community_classifier_.result_vectors(communities)
-        return {
-            community_key(community): vectors[index]
-            for index, community in enumerate(communities)
-        }
+            return np.zeros((0, self.community_classifier_.result_vector_length))
+        return self.community_classifier_.result_vectors(communities)
 
     def _build_edge_labeler(self) -> EdgeLabeler:
         return EdgeLabeler(
@@ -402,8 +397,9 @@ class LoCEC:
            Phase III edge labeler is retrained only when its Equation 4
            design matrix moved (:attr:`UpdateReport.labeler_refit`): an
            update that changed no ego's communities and re-scored nothing
-           cannot have moved it, and otherwise the matrix is rebuilt and
-           compared by value with the fitted one.  Training is a
+           cannot have moved it, and otherwise the matrix is rebuilt (two
+           gathers from the edge index) and compared by value with the
+           fitted one.  Training is a
            deterministic function of that matrix, the fixed labels and the
            seed, so the kept model is the one a from-scratch fit produces.
 
@@ -643,9 +639,10 @@ class LoCEC:
         the dirty ones.  Both community models score a row independently of
         the rows scored beside it — GBDT per row, CommCNN in fixed-shape
         blocks (:meth:`NeuralNetworkClassifier.predict_proba`) — so a
-        subset's vectors equal the ones a from-scratch fit stores.
+        subset's vectors equal the ones a from-scratch fit stores.  The
+        Phase III edge index takes them at the cost of what they dirtied
+        (:meth:`EdgeFeatureBuilder.refresh`).
         """
-        result_vectors = self.edge_feature_builder_.result_vectors
         division = self.division_
         if classifier_refit:
             communities = list(division.all_communities())
@@ -656,13 +653,14 @@ class LoCEC:
                 for community in division.communities_of(ego)
                 if community_key(community) in rescore_keys
             ]
-        fresh = self._score_communities(communities)
-        if classifier_refit:
-            result_vectors.clear()
-        elif changed_egos:
-            for key in [k for k in result_vectors if k[0] in changed_egos]:
-                del result_vectors[key]
-        result_vectors.update(fresh)
+            if not (communities or changed_egos):
+                return 0
+        self.edge_feature_builder_.refresh(
+            [community_key(community) for community in communities],
+            self._score_communities(communities),
+            changed_egos,
+            rescored_all=classifier_refit,
+        )
         return len(communities)
 
     # --------------------------------------------------------------- inference
@@ -672,8 +670,8 @@ class LoCEC:
         The whole batch is featurized (Equation 4) and scored through the
         Phase III logistic regression in one pass.  Edges whose endpoints
         share no classified community fall back to the zero feature vector
-        rather than failing.  For a long-lived serving loop — caching,
-        latency accounting, incremental updates between batches — wrap the
+        rather than failing.  For a long-lived serving loop — latency
+        accounting, incremental updates between batches — wrap the
         pipeline in :class:`repro.serve.ServingSession` and fold graph
         changes in with :meth:`apply_updates`.
         """

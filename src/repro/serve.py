@@ -4,12 +4,13 @@ The paper's production system classifies WeChat edges *continuously*; this
 module is the request-side counterpart of :meth:`repro.core.LoCEC.fit`:
 
 * :class:`ServingSession` — wraps a fitted pipeline in a long-lived session
-  with batched :meth:`~ServingSession.predict_edges`, an LRU result cache
-  keyed on the Phase II store versions (so any update — through the session
-  or out of band — invalidates exactly the stale entries), and streaming
-  latency accounting.
-* :class:`StreamingMoments` — a Welford-style mean/variance accumulator used
-  for latency percentiles without retaining per-request samples.
+  with batched :meth:`~ServingSession.predict_edges` and streaming latency
+  accounting.  Every batch is scored against the live state through
+  :meth:`LoCEC.predict_edge_proba` (two gathers from the compiled Phase III
+  edge index), so a read after any write sees the new state.
+* :class:`StreamingMoments` — a Welford mean/variance accumulator beside a
+  fixed-size log-bucket histogram, for latency percentiles without
+  retaining per-request samples.
 * :func:`replay_traffic` — a deterministic replay driver firing synthetic
   edge-update + query traffic (deltas drawn via
   :func:`repro.synthetic.sample_interaction_delta`) to measure sustained
@@ -29,10 +30,10 @@ update succeeds.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -54,27 +55,59 @@ __all__ = [
     "replay_traffic",
 ]
 
+_LOWEST = 1e-7
+"""Lower edge of the first finite histogram bucket (100 ns in seconds)."""
+_PER_OCTAVE = 8
+"""Buckets per doubling: a bucket's midpoint is within 4.4 % of its values."""
+_BUCKETS = 1 + 40 * _PER_OCTAVE
+"""Bucket 0 holds values below :data:`_LOWEST`; the last one everything
+from ``_LOWEST * 2**40`` (~1.1e5 s) up.  Percentiles clamp to the observed
+range, so either end bucket reads no further out than the sample."""
+_EDGES = [_LOWEST * 2 ** (i / _PER_OCTAVE) for i in range(_BUCKETS - 1)]
+"""Lower edge of bucket ``i + 1``: a value's bucket is ``bisect_right``."""
+
 
 @dataclass
 class StreamingMoments:
-    """Welford's streaming mean/variance accumulator.
+    """Streaming mean/variance and percentiles of a sample.
 
-    Holds three scalars (count, mean, sum of squared deviations) no matter
-    how many samples arrive, so a serving session can account for millions
-    of request latencies without retaining them.  Percentiles come from a
-    normal approximation (``mean + z_q * std``) — exact enough for latency
-    dashboards, and the trade the paper's serving tier makes too.
+    Welford's update keeps the mean and variance exactly in three scalars;
+    percentiles come from a fixed-size histogram of log-spaced buckets
+    (:data:`_PER_OCTAVE` per doubling from :data:`_LOWEST`), so a serving
+    session can account for millions of request latencies without
+    retaining them, and a bimodal sample (cache-like hits beside misses)
+    keeps both modes.  Two accumulators :meth:`merge` exactly.
     """
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
+    low: float = math.inf
+    high: float = -math.inf
+    buckets: list[int] = field(default_factory=lambda: [0] * _BUCKETS, repr=False)
 
     def add(self, value: float) -> None:
         self.count += 1
         delta = value - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (value - self.mean)
+        self.low, self.high = min(self.low, value), max(self.high, value)
+        self.buckets[bisect_right(_EDGES, value)] += 1
+
+    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
+        """The accumulator of both samples (Chan et al.'s pairwise update)."""
+        count = self.count + other.count
+        if not count:
+            return StreamingMoments()
+        delta = other.mean - self.mean
+        return StreamingMoments(
+            count=count,
+            mean=self.mean + delta * other.count / count,
+            m2=self.m2 + other.m2 + delta * delta * self.count * other.count / count,
+            low=min(self.low, other.low),
+            high=max(self.high, other.high),
+            buckets=[a + b for a, b in zip(self.buckets, other.buckets)],
+        )
 
     @property
     def variance(self) -> float:
@@ -88,14 +121,23 @@ class StreamingMoments:
         return math.sqrt(self.variance)
 
     def percentile(self, q: float) -> float:
-        """Normal-approximation percentile, ``q`` in (0, 1)."""
+        """Percentile ``q`` in (0, 1), linearly interpolated between the
+        two nearest ranks (numpy's default) and read off the histogram:
+        each rank's value is its bucket's midpoint, clamped to the
+        observed range — exact for a constant sample."""
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
         if self.count == 0:
             return 0.0
-        if self.variance == 0.0:
-            return self.mean
-        return self.mean + NormalDist().inv_cdf(q) * self.std
+        position = (self.count - 1) * q
+        below = math.floor(position)
+        cumulative = list(accumulate(self.buckets))
+        # A rank's value: its bucket's geometric midpoint, clamped.
+        lower, upper = (
+            min(max(_LOWEST * 2 ** ((bucket - 0.5) / _PER_OCTAVE), self.low), self.high)
+            for bucket in (bisect_right(cumulative, rank) for rank in (below, below + 1))
+        )
+        return lower + (position - below) * (upper - lower)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -110,7 +152,13 @@ class StreamingMoments:
 
 @dataclass
 class ServingStats:
-    """Running counters of a :class:`ServingSession`."""
+    """Running counters of a :class:`ServingSession`.
+
+    ``cache_hits`` (always 0) and ``cache_misses`` (edges scored) are a
+    shim: the session has no cache, and the frozen end-to-end benchmark
+    still reads both for its ``serve.hit_ratio`` / ``serve.miss_edges``
+    rows.  The change that next edits the benchmark drops them.
+    """
 
     num_queries: int = 0
     num_batches: int = 0
@@ -123,11 +171,6 @@ class ServingStats:
     update_seconds: float = 0.0
     batch_latency: StreamingMoments = field(default_factory=StreamingMoments)
     update_latency: StreamingMoments = field(default_factory=StreamingMoments)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        looked_up = self.cache_hits + self.cache_misses
-        return self.cache_hits / looked_up if looked_up else 0.0
 
     @property
     def sustained_qps(self) -> float:
@@ -143,82 +186,40 @@ class ServingSession:
     ----------
     pipeline:
         A fitted pipeline.  The session serves from (and applies updates
-        to) the pipeline's live state; it does not copy it.
-    cache_size:
-        Maximum number of cached per-edge probability rows (LRU eviction;
-        ``0`` disables caching).  Entries are keyed on the edge *and* a
-        version token ``(feature store version, interaction store version,
-        update epoch)``, so any update invalidates exactly the entries
-        whose inputs moved — including out-of-band store writes.
+        to) the pipeline's live state; it does not copy it, and keeps no
+        results of its own, so every read sees every applied write —
+        including out-of-band store writes folded in through the pipeline.
     clock:
         Injectable time source for latency accounting (tests pass
         :class:`repro.clock.FakeClock`).
 
     Use as a context manager or call :meth:`close` (idempotent) when done.
-    Closing drops the cache and refuses further use; it releases no pool
-    today.
+    Closing refuses further use; it releases no pool today.
     """
 
-    def __init__(
-        self,
-        pipeline: LoCEC,
-        cache_size: int = 4096,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, pipeline: LoCEC, clock: Clock | None = None) -> None:
         if pipeline.edge_labeler_ is None:
             raise NotFittedError(pipeline)
-        if cache_size < 0:
-            raise PipelineError("cache_size must be >= 0")
         self.pipeline: LoCEC = pipeline
-        self.cache_size = cache_size
         self._clock = clock if clock is not None else SystemClock()
-        self._num_classes = len(RelationType.classification_targets())
-        self._cache: OrderedDict[
-            Edge, tuple[tuple[int, int, int], np.ndarray]
-        ] = OrderedDict()
         self._closed = False
         self.stats = ServingStats()
 
     # ---------------------------------------------------------------- queries
     def predict_proba(self, edges: Sequence[Edge]) -> np.ndarray:
-        """Class-probability matrix for a batch of edges, cache-assisted.
-
-        Cache misses are featurized and scored in a single batched pass
-        through :meth:`LoCEC.predict_edge_proba`; hits are served from the
-        LRU cache when their version token still matches the live stores.
-        """
+        """Class-probability matrix for a batch of edges, scored in one
+        :meth:`LoCEC.predict_edge_proba` pass and timed."""
         self._ensure_open()
         batch = list(edges)
         start = self._clock.perf_counter()
-        token = self._version_token()
-        rows: list[np.ndarray | None] = []
-        miss_edges: list[Edge] = []
-        miss_positions: list[int] = []
-        for position, edge in enumerate(batch):
-            cached = self._cache.get(edge)
-            if cached is not None and cached[0] == token:
-                self._cache.move_to_end(edge)
-                self.stats.cache_hits += 1
-                rows.append(cached[1])
-            else:
-                self.stats.cache_misses += 1
-                rows.append(None)
-                miss_edges.append(edge)
-                miss_positions.append(position)
-        if miss_edges:
-            scored = self.pipeline.predict_edge_proba(miss_edges)
-            for index, position in enumerate(miss_positions):
-                row = scored[index]
-                rows[position] = row
-                self._cache_store(batch[position], token, row)
+        proba = self.pipeline.predict_edge_proba(batch)
         elapsed = self._clock.perf_counter() - start
+        self.stats.cache_misses += len(batch)
         self.stats.num_queries += len(batch)
         self.stats.num_batches += 1
         self.stats.query_seconds += elapsed
         self.stats.batch_latency.add(elapsed)
-        if not batch:
-            return np.zeros((0, self._num_classes))
-        return np.vstack([row for row in rows if row is not None])
+        return proba
 
     def predict_edges(self, edges: Sequence[Edge]) -> list[RelationType]:
         """Predicted :class:`RelationType` per edge (argmax of the proba)."""
@@ -234,12 +235,7 @@ class ServingSession:
         feature_updates: Sequence[tuple[Node, Sequence[float]]] = (),
         fault_plan: "FaultPlan | None" = None,
     ) -> UpdateReport:
-        """Fold deltas into the served state (see :meth:`LoCEC.apply_updates`).
-
-        Bumping the pipeline's update epoch shifts the cache version token,
-        so every cached row is invalidated in O(1) without touching the
-        cache structure itself.
-        """
+        """Fold deltas into the served state (see :meth:`LoCEC.apply_updates`)."""
         self._ensure_open()
         start = self._clock.perf_counter()
         report = self.pipeline.apply_updates(
@@ -265,9 +261,8 @@ class ServingSession:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Drop the cache and refuse further use.  Idempotent."""
+        """Refuse further use.  Idempotent."""
         self._closed = True
-        self._cache.clear()
 
     def __enter__(self) -> "ServingSession":
         return self
@@ -280,25 +275,6 @@ class ServingSession:
         if self._closed:
             raise PipelineError("ServingSession is closed")
 
-    def _version_token(self) -> tuple[int, int, int]:
-        builder = self.pipeline.feature_builder_
-        assert builder is not None
-        return (
-            builder.features.version,
-            builder.interactions.version,
-            self.pipeline.update_epoch,
-        )
-
-    def _cache_store(
-        self, edge: Edge, token: tuple[int, int, int], row: np.ndarray
-    ) -> None:
-        if self.cache_size == 0:
-            return
-        self._cache[edge] = (token, row)
-        self._cache.move_to_end(edge)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
 
 @dataclass
 class ReplayReport:
@@ -310,7 +286,6 @@ class ReplayReport:
     num_degraded_updates: int = 0
     num_structural_updates: int = 0
     seconds: float = 0.0
-    cache_hit_rate: float = 0.0
     sustained_qps: float = 0.0
     query_latency: dict[str, float] = field(default_factory=dict)
     update_latency: dict[str, float] = field(default_factory=dict)
@@ -324,7 +299,6 @@ class ReplayReport:
             "num_degraded_updates": float(self.num_degraded_updates),
             "num_structural_updates": float(self.num_structural_updates),
             "seconds": self.seconds,
-            "cache_hit_rate": self.cache_hit_rate,
             "sustained_qps": self.sustained_qps,
             "num_stale_egos": float(len(self.stale_egos)),
         }
@@ -402,7 +376,6 @@ def replay_traffic(
         report.num_batches += 1
         report.num_queries += len(queries)
     report.seconds = session._clock.perf_counter() - start
-    report.cache_hit_rate = session.stats.cache_hit_rate
     report.sustained_qps = (
         report.num_queries / report.seconds if report.seconds > 0 else 0.0
     )

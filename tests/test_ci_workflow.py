@@ -12,7 +12,9 @@ first broken PR.
 
 from __future__ import annotations
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,34 @@ def test_workflow_pins_one_blas_thread(workflow):
     env = workflow.get("env", {})
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert str(env.get(name)) == "1", name
+
+
+def test_perf_report_pins_one_blas_thread():
+    # The kernel gate must read its ratios the way CI and
+    # benchmarks/e2e/run.py run: the pin is in force when NumPy is imported.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    probe = (
+        "import importlib.abc, importlib.util, os, sys\n"
+        "seen = []\n"
+        "class Watch(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.append([os.environ.get(n) for n in {names!r}])\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "spec = importlib.util.spec_from_file_location('perf_report', sys.argv[1])\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print(seen)\n"
+    )
+    script = Path(__file__).resolve().parent.parent / "scripts" / "perf_report.py"
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[['1', '1', '1']]"
 
 
 def test_perf_gate_runs_ratio_check(workflow):

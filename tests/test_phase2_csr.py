@@ -9,7 +9,7 @@ store lookups) **bit-for-bit** — feature matrices, CNN input tensors and
 statistic vectors alike.  The suite sweeps randomized stores and community
 shapes (missing nodes, singletons, non-member selections) plus the paper's
 example network, and carries the regression tests for the
-``DivisionResult.community_containing`` member index and the Equation-1
+``DivisionResult.community_containing`` lookup and the Equation-1
 ``interact`` delegation.
 """
 
@@ -331,13 +331,12 @@ class TestCommunityContainingIndex:
         )  # same list object, new length -> cache miss
         assert division.community_containing(0, 99) is not None
 
-    def test_invalidate_index_after_inplace_replacement(self):
+    def test_inplace_replacement_detected_automatically(self):
         division = self.build_division()
         assert division.community_containing(0, 99) is None
         division.communities_by_ego[0][0] = LocalCommunity(
             ego=0, members=frozenset({99}), tightness={99: 1.0}
-        )  # same list, same length: the one case needing explicit invalidation
-        division.invalidate_index()
+        )  # same list object, same length: still read as it is now
         assert division.community_containing(0, 99) is not None
 
     def test_merge_produces_fresh_index(self):

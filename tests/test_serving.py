@@ -24,7 +24,6 @@ import repro.core.pipeline as pipeline_module
 from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
 from repro.core.combination import community_key
-from repro.core.division import DivisionResult
 from repro.core.labels import EdgeLabelIndex, labeled_communities
 from repro.exceptions import (
     DimensionMismatchError,
@@ -267,11 +266,13 @@ def _open_triangle_at_labeled_ego(workload):
     raise AssertionError("tiny workload has no open triangle at a labeled ego")
 
 
-def _assert_equals_scratch_fit(pipeline, workload):
-    """Every edge's served probabilities equal a from-scratch ``fit`` on
-    copies of the (live, updated) inputs, bit for bit.  Copies are safe
-    baselines here: ``fit`` is a function of its inputs' value
-    (``tests/test_value_determinism.py``), not of their insertion history."""
+def _assert_equals_scratch_fit(pipeline, workload, read=None):
+    """Every edge's served probabilities (``read``, by default the
+    pipeline's own) equal a from-scratch ``fit`` on copies of the (live,
+    updated) inputs, bit for bit.  Copies are safe baselines here: ``fit``
+    is a function of its inputs' value (``tests/test_value_determinism.py``),
+    not of their insertion history."""
+    read = read or pipeline.predict_edge_proba
     dataset = workload.dataset
     with _fit(
         _config(),
@@ -281,9 +282,7 @@ def _assert_equals_scratch_fit(pipeline, workload):
         workload.train_edges,
     ) as scratch:
         edges = list(dataset.graph.edges())
-        assert np.array_equal(
-            pipeline.predict_edge_proba(edges), scratch.predict_edge_proba(edges)
-        )
+        assert np.array_equal(read(edges), scratch.predict_edge_proba(edges))
 
 
 @pytest.fixture()
@@ -372,8 +371,8 @@ class TestWarmModels:
         self, fitted_tiny, monkeypatch
     ):
         """Call counts, not wall-clock: a warm write trains no Phase III
-        model, re-votes no community and keeps the member index; a refit
-        write does each once."""
+        model and re-votes no community; a refit write does each once.
+        (The edge index's share is counted by the test below.)"""
         pipeline, workload = fitted_tiny
         calls = Counter()
 
@@ -388,24 +387,43 @@ class TestWarmModels:
 
         counted(LogisticRegression, "fit")
         counted(pipeline_module, "labeled_communities")
-        counted(DivisionResult, "invalidate_index")
 
-        pipeline.predict_edge_proba(list(workload.dataset.graph.edges()))
-        index_before = dict(pipeline.division_._member_index)
-        assert index_before
         u, v = _warm_pair(pipeline, workload)
         delta = np.ones(workload.dataset.interactions.num_dims)
         report = pipeline.apply_updates(interaction_deltas=[(u, v, delta)])
         assert not report.classifier_refit and not report.labeler_refit
         assert calls == Counter()
-        index_after = pipeline.division_._member_index
-        assert all(index_after.get(ego) is entry for ego, entry in index_before.items())
 
         report = pipeline.apply_updates(
             added_edges=[_open_triangle_at_labeled_ego(workload)]
         )
         assert report.classifier_refit and report.labeler_refit
         assert calls == Counter(fit=1, labeled_communities=1)
+
+    def test_the_edge_index_costs_what_a_write_dirtied(self, fitted_tiny):
+        """Counted, not timed: ``fit`` compiles the Phase III edge index
+        once; a warm write compiles nothing and writes exactly the rows of
+        the communities it re-scored; a structural write splices, and only
+        a node new to the index forces a second compile."""
+        pipeline, workload = fitted_tiny
+        builder = pipeline.edge_feature_builder_
+        assert builder.num_compiles == 1
+        written = builder.num_rows_written
+        u, v = _warm_pair(pipeline, workload)
+        delta = np.ones(workload.dataset.interactions.num_dims)
+        warm = pipeline.apply_updates(interaction_deltas=[(u, v, delta)])
+        assert not warm.classifier_refit
+        assert builder.num_rows_written - written == warm.num_rescored_communities > 0
+        assert builder.num_compiles == 1
+        structural = pipeline.apply_updates(
+            added_edges=[_open_triangle_at_labeled_ego(workload)]
+        )
+        assert structural.num_redivided_egos >= 3
+        assert builder.num_compiles == 1
+        pipeline.apply_updates(added_edges=[(u, "newcomer")])
+        assert pipeline.edge_feature_builder_ is builder
+        assert builder.num_compiles == 2
+        _assert_equals_scratch_fit(pipeline, workload)
 
     def test_training_time_is_zero_warm_and_positive_on_refit(self, ticking_clock):
         workload = make_workload("tiny", seed=1)
@@ -688,22 +706,21 @@ class TestChaosDegradation:
 
 
 class TestServingSession:
-    def test_cache_hits_and_version_invalidation(self, fitted_tiny):
+    def test_a_read_after_a_write_sees_the_new_state(self, fitted_tiny):
+        """The session keeps no results of its own: after a warm and then a
+        structural write, its reads equal a scratch fit on the updated
+        inputs, bit for bit."""
         pipeline, workload = fitted_tiny
-        queries = [item.edge for item in workload.test_edges[:6]]
-        with ServingSession(pipeline, cache_size=64, clock=FakeClock()) as session:
-            first = session.predict_proba(queries)
-            assert session.stats.cache_misses == len(queries)
-            assert session.stats.cache_hits == 0
-            second = session.predict_proba(queries)
-            assert session.stats.cache_hits == len(queries)
-            assert np.array_equal(first, second)
-            # Any update bumps the epoch: every cached row is stale at once.
-            session.apply_updates(
-                added_edges=[next(workload.dataset.graph.edges())]
-            )
-            session.predict_proba(queries)
-            assert session.stats.cache_misses == 2 * len(queries)
+        edges = list(workload.dataset.graph.edges())
+        with ServingSession(pipeline, clock=FakeClock()) as session:
+            before = session.predict_proba(edges)
+            u, v = _warm_pair(pipeline, workload)
+            delta = np.full(workload.dataset.interactions.num_dims, 4.0)
+            session.apply_updates(interaction_deltas=[(u, v, delta)])
+            assert not np.array_equal(session.predict_proba(edges), before)
+            _assert_equals_scratch_fit(pipeline, workload, read=session.predict_proba)
+            session.apply_updates(added_edges=[_open_triangle_at_labeled_ego(workload)])
+            _assert_equals_scratch_fit(pipeline, workload, read=session.predict_proba)
 
     def test_stats_count_labeler_refits_beside_updates(self, fitted_tiny):
         pipeline, workload = fitted_tiny
@@ -715,20 +732,17 @@ class TestServingSession:
             assert session.stats.num_updates == 2
             assert session.stats.num_labeler_refits == 1
 
-    def test_lru_eviction_and_disabled_cache(self, fitted_tiny):
+    def test_stats_count_every_queried_edge_as_scored(self, fitted_tiny):
+        """``cache_hits`` / ``cache_misses`` remain as the benchmark's shim:
+        never a hit, and every queried edge scored."""
         pipeline, workload = fitted_tiny
-        e1, e2, e3 = [item.edge for item in workload.test_edges[:3]]
-        with ServingSession(pipeline, cache_size=2, clock=FakeClock()) as session:
-            for edge in (e1, e2, e3):  # e3 evicts e1 (LRU)
-                session.predict_proba([edge])
-            session.predict_proba([e3])
-            assert session.stats.cache_hits == 1
-            session.predict_proba([e1])
-            assert session.stats.cache_misses == 4
-        with ServingSession(pipeline, cache_size=0, clock=FakeClock()) as session:
-            session.predict_proba([e1])
-            session.predict_proba([e1])
-            assert session.stats.cache_hits == 0
+        e1, e2 = [item.edge for item in workload.test_edges[:2]]
+        with ServingSession(pipeline, clock=FakeClock()) as session:
+            for batch in ([e1, e2], [e1], []):
+                session.predict_proba(batch)
+            stats = session.stats
+            assert (stats.cache_hits, stats.cache_misses) == (0, 3)
+            assert (stats.num_queries, stats.num_batches) == (3, 3)
 
     def test_predict_edges_and_empty_batch(self, fitted_tiny):
         pipeline, workload = fitted_tiny
@@ -749,8 +763,8 @@ class TestServingSession:
         session.close()  # idempotent
         with pytest.raises(PipelineError):
             session.predict_proba([next(workload.dataset.graph.edges())])
-        with pytest.raises(PipelineError):
-            ServingSession(pipeline, cache_size=-1)
+        with pytest.raises(TypeError):  # the session has no cache to size
+            ServingSession(pipeline, cache_size=64)
         with pytest.raises(NotFittedError):
             ServingSession(LoCEC(_config()))
 
@@ -815,6 +829,33 @@ class TestStreamingMoments:
             spread.percentile(1.0)
         summary = spread.summary()
         assert set(summary) == {"count", "mean", "std", "p50", "p95", "p99"}
+
+    def test_percentiles_of_a_bimodal_sample_are_measured(self):
+        """Batch latencies are bimodal — fast batches beside slow ones.  A
+        normal approximation puts p50 between the modes and p99 below the
+        slow one; the histogram reads both to within its bucket width."""
+        sample = [0.4e-3] * 95 + [1.44e-3] * 5
+        moments = StreamingMoments()
+        for value in sample:
+            moments.add(value)
+        for q in (0.50, 0.99):
+            expected = np.percentile(sample, 100 * q)
+            assert moments.percentile(q) == pytest.approx(expected, rel=0.05), q
+
+    def test_merge_equals_one_accumulator_over_both_samples(self):
+        values = [0.3e-3, 2.0e-3, 0.5e-3, 1.1e-3, 7.0e-3, 0.2e-3, 0.6e-3]
+        left, right, both = StreamingMoments(), StreamingMoments(), StreamingMoments()
+        for position, value in enumerate(values):
+            (left if position % 3 else right).add(value)
+            both.add(value)
+        merged = left.merge(right)
+        assert merged.count == both.count
+        assert merged.buckets == both.buckets
+        assert (merged.low, merged.high) == (both.low, both.high)
+        assert merged.mean == pytest.approx(both.mean)
+        assert merged.std == pytest.approx(both.std)
+        assert merged.summary() == pytest.approx(both.summary())
+        assert StreamingMoments().merge(StreamingMoments()).count == 0
 
 
 def test_resource_owners_close_and_work_as_context_managers():
