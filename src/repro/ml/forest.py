@@ -241,6 +241,18 @@ class ForestTensor:
         return self.leaf_id[self.leaf_slots(X)]
 
 
+def split_threshold(lo: float, hi: float) -> float:
+    """The threshold of a split between adjacent present values ``lo < hi``.
+
+    The midpoint, unless it rounds up to ``hi`` — which happens when ``lo``
+    and ``hi`` are adjacent doubles — in which case ``lo`` (scikit-learn's
+    rule).  Inference sends ``x <= threshold`` left, so either way every
+    training row lands in the leaf it was grown into.
+    """
+    threshold = float(0.5 * (lo + hi))
+    return float(lo) if threshold == hi else threshold
+
+
 def boosted_scores(
     leaf_values: np.ndarray,
     base_score: np.ndarray,
@@ -381,6 +393,6 @@ def best_split_array(
     position = low + int(np.argmax(gains[feature]))
     rows = sorted_idx[feature]
     values = presort.columns[feature]
-    threshold = 0.5 * (values[rows[position]] + values[rows[position + 1]])
+    threshold = split_threshold(values[rows[position]], values[rows[position + 1]])
     # Copies, so the children do not pin this node's (features, rows) matrix.
-    return feature, float(threshold), rows[: position + 1].copy(), rows[position + 1 :].copy()
+    return feature, threshold, rows[: position + 1].copy(), rows[position + 1 :].copy()

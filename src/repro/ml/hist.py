@@ -24,10 +24,10 @@ order out of the per-node path entirely, the way LightGBM/XGBoost-hist do:
 
 Exactness contract (the hist twin of the bit-parity suites): whenever a
 feature has at most ``max_bins`` distinct values it is binned *exactly* —
-one bin per distinct value, candidate thresholds computed as the same
-``0.5 * (lo + hi)`` midpoints between the node's adjacent present values
-that the exact search uses.  In that regime the chosen splits (feature,
-threshold, and row partition) are **identical** to
+one bin per distinct value, candidate thresholds computed by the same
+:func:`~repro.ml.forest.split_threshold` rule between the node's adjacent
+present values that the exact search uses.  In that regime the chosen
+splits (feature, threshold, and row partition) are **identical** to
 :func:`~repro.ml.forest.best_split_array`; only the cumulative float sums
 behind the gains are associated differently (per-bin partial sums instead
 of a row-ordered ``cumsum``), which perturbs gains and leaf values at the
@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ModelConfigError
+from repro.ml.forest import split_threshold
 
 
 class BinnedDataset:
@@ -156,8 +157,9 @@ class BinnedDataset:
         ``boundary`` in a node whose per-bin row counts are ``counts``.
 
         Exact features reproduce the exact search's threshold arithmetic:
-        the midpoint between the node's largest present value left of the
-        boundary and its smallest present value right of it (present = the
+        :func:`~repro.ml.forest.split_threshold` between the node's largest
+        present value left of the boundary and its smallest present value
+        right of it (present = the
         node's count histogram is non-zero there — a deeper node may skip
         values, so the global bin edges would give a different, though
         equivalent, cut).  Quantile features use the bin edge, which is the
@@ -172,7 +174,7 @@ class BinnedDataset:
         present = np.flatnonzero(counts[: self.num_bins[feature]] > 0)
         lo = present[present <= boundary].max()
         hi = present[present > boundary].min()
-        return float(0.5 * (values[lo] + values[hi]))
+        return split_threshold(values[lo], values[hi])
 
 
 class HistTreeGrower:

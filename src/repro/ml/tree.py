@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
-from repro.ml.forest import FeaturePresort, TreeTensor, best_split_array, resolve_ml_backend
+from repro.ml.forest import (
+    FeaturePresort,
+    TreeTensor,
+    best_split_array,
+    resolve_ml_backend,
+    split_threshold,
+)
 
 
 @dataclass
@@ -236,11 +242,12 @@ class GradientRegressionTree:
                     - parent_score
                 ) - self.config.gamma
                 if gain > best_gain:
-                    threshold = 0.5 * (sorted_values[position] + sorted_values[position + 1])
                     best_gain = gain
                     best = (
                         feature,
-                        float(threshold),
+                        split_threshold(
+                            sorted_values[position], sorted_values[position + 1]
+                        ),
                         sorted_idx[: position + 1],
                         sorted_idx[position + 1 :],
                     )

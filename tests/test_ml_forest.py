@@ -87,6 +87,27 @@ class TestBackendResolution:
             GradientBoostedClassifier(backend="csr")
 
 
+class TestSplitThreshold:
+    """Between adjacent doubles the midpoint rounds up to the upper value; a
+    threshold equal to it would send the rows grown into the right leaf to
+    the left one (``x <= threshold`` goes left)."""
+
+    @pytest.mark.parametrize("backend", ("node", "array", "hist"))
+    def test_adjacent_doubles_keep_training_rows_in_their_leaf(self, backend):
+        # Column 5 of division_dense's design holds this pair.
+        lo, hi = 0.1818181818181818, 0.18181818181818182
+        assert np.nextafter(lo, 1.0) == hi and 0.5 * (lo + hi) == hi
+        X = np.array([[lo], [lo], [hi], [hi]])
+        config = RegressionTreeConfig(max_depth=1, min_samples_leaf=1)
+        tree = GradientRegressionTree(config, backend=backend).fit(
+            X, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4)
+        )
+        assert tree.root_.threshold == lo
+        np.testing.assert_array_equal(
+            tree.predict(X), [2.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0]
+        )
+
+
 class TestTreeParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fitted_splits_bit_identical(self, seed):
