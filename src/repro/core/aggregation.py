@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.division import LocalCommunity
+from repro.core.division import DivisionResult, LocalCommunity
 from repro.exceptions import FeatureError, PipelineError
 from repro.graph.features import NodeFeatureStore
 from repro.graph.interactions import InteractionStore
@@ -205,6 +205,11 @@ class FeatureMatrixBuilder:
         self.k = k
         self._kernel = None
         self._kernel_versions: tuple[int, int] | None = None
+        self._division: DivisionResult | None = None
+        self._lists: dict[Node, list[LocalCommunity]] = {}
+        self._rows: dict[Node, np.ndarray] = {}
+        self.num_rows_computed = 0
+        """Statistic rows computed by :meth:`statistic_vectors` so far."""
 
     @property
     def num_columns(self) -> int:
@@ -331,9 +336,75 @@ class FeatureMatrixBuilder:
         return self.statistic_vectors([community])[0]
 
     def statistic_vectors(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
-        """Stack per-community statistic vectors into a 2-D design matrix."""
+        """Compute per-community statistic vectors, stacked into a 2-D design
+        matrix.  A row depends on its community alone, not on the batch.
+
+        The one call that computes rows (``num_rows_computed`` counts them);
+        :meth:`statistic_rows` serves the rows kept per community of a
+        followed division from it."""
         pairs = [
             (community.members, community.members_by_tightness())
             for community in communities
         ]
+        self.num_rows_computed += len(pairs)
         return self._compiled_kernel().community_statistics(pairs)
+
+    # ------------------------------------------- rows kept per community
+    def follow(self, division: DivisionResult) -> None:
+        """Keep one statistic row per community of ``division`` from now on.
+
+        Rows are kept per ego, beside the community list they were computed
+        for, and computed on first use: :meth:`statistic_rows` recomputes an
+        ego whose list is no longer the division's (a re-division replaced
+        it) and gathers the rest.  A store write that changes a community's
+        inputs without re-dividing is the caller's to report, through
+        :meth:`refresh_rows`.
+        """
+        self._division = division
+        self._lists, self._rows = {}, {}
+
+    def statistic_rows(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
+        """:meth:`statistic_vectors` of ``communities``, bit for bit, from the
+        rows kept for the followed division (computed when nothing is
+        followed).  Each community must be the one at its index in its
+        ego's current list."""
+        if self._division is None:
+            return self.statistic_vectors(communities)
+        by_ego, lists = self._division.communities_by_ego, self._lists
+        stale = [
+            ego
+            for ego in dict.fromkeys(community.ego for community in communities)
+            if lists.get(ego) is not by_ego.get(ego)
+        ]
+        if stale:
+            fresh = [by_ego.get(ego, []) for ego in stale]
+            rows = self.statistic_vectors([c for listed in fresh for c in listed])
+            bounds = np.cumsum([0] + [len(listed) for listed in fresh])
+            for ego, listed, start, stop in zip(stale, fresh, bounds, bounds[1:]):
+                lists[ego], self._rows[ego] = listed, rows[start:stop]
+        out = np.empty((len(communities), 2 * self.num_columns + 1))
+        for position, community in enumerate(communities):
+            listed = lists.get(community.ego, ())
+            if not (community.index < len(listed) and listed[community.index] is community):
+                raise PipelineError(
+                    f"community {community.index} of ego {community.ego!r} is not in "
+                    "the division this builder follows"
+                )
+            out[position] = self._rows[community.ego][community.index]
+        return out
+
+    def refresh_rows(self, communities: Sequence[LocalCommunity]) -> None:
+        """Recompute, in place, the kept rows of ``communities`` after a
+        store write changed their inputs.  Rows not kept — an ego never used
+        or re-divided since — are left to :meth:`statistic_rows`."""
+        if self._division is None:
+            return
+        by_ego, lists = self._division.communities_by_ego, self._lists
+        kept = [
+            community
+            for community in communities
+            if community.ego in lists and lists[community.ego] is by_ego.get(community.ego)
+        ]
+        if kept:
+            for community, row in zip(kept, self.statistic_vectors(kept)):
+                self._rows[community.ego][community.index] = row

@@ -140,6 +140,10 @@ class GBDTCommunityClassifier(CommunityClassifier):
     of the ensemble's leaf values — the "values of the leaf nodes of the
     generated trees" that the paper uses as the community embedding, reduced
     per class so the embedding length does not grow with the round count.
+
+    Designs are gathered with :meth:`FeatureMatrixBuilder.statistic_rows`,
+    so a builder that follows the division hands every community's row
+    over from where it is kept instead of computing it again.
     """
 
     def __init__(
@@ -152,6 +156,7 @@ class GBDTCommunityClassifier(CommunityClassifier):
         self.num_classes = num_classes
         self.config = config or GBDTConfig()
         self._model: GradientBoostedClassifier | None = None
+        self._fitted: tuple[list[LocalCommunity], np.ndarray] | None = None
 
     def fit(
         self, communities: Sequence[LocalCommunity], labels: Sequence[int]
@@ -160,9 +165,13 @@ class GBDTCommunityClassifier(CommunityClassifier):
             raise PipelineError("communities and labels must have the same length")
         if not communities:
             raise PipelineError("cannot fit the community classifier on zero communities")
-        design = self.builder.statistic_vectors(communities)
+        design = self.builder.statistic_rows(communities)
         self._model = self.config.classifier(self.num_classes)
         self._model.fit(design, np.asarray(labels, dtype=np.int64))
+        # The fit knows the leaf of every training row; the scoring that
+        # follows it reads their vectors from here, and the model lets go.
+        self._fitted = (list(communities), self._vectors(self._model.train_leaf_values_))
+        self._model.train_leaf_values_ = None
         return self
 
     def predict_proba(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
@@ -170,25 +179,43 @@ class GBDTCommunityClassifier(CommunityClassifier):
             raise NotFittedError(self)
         if not communities:
             return np.zeros((0, self.num_classes))
-        design = self.builder.statistic_vectors(communities)
-        return self._model.predict_proba(design)
+        return self._model.predict_proba(self.builder.statistic_rows(communities))
 
     def result_vectors(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
-        """Probabilities concatenated with per-class leaf-value scores."""
+        """Probabilities concatenated with per-class leaf-value scores.
+
+        The first call after :meth:`fit` takes the training communities'
+        vectors from the fit; every other community walks the forest once,
+        on its row kept per community
+        (:meth:`FeatureMatrixBuilder.statistic_rows`).
+        """
         if self._model is None:
             raise NotFittedError(self)
         if not communities:
             return np.zeros((0, self.result_vector_length))
-        design = self.builder.statistic_vectors(communities)
-        # One forest walk: the probabilities are derived from the leaf values.
-        leaf_values = self._model.leaf_values(design)
+        fitted, self._fitted = self._fitted, None
+        if fitted is None:
+            return self._vectors(self._model.leaf_values(self.builder.statistic_rows(communities)))
+        row_of = {id(community): row for row, community in enumerate(fitted[0])}
+        rows = np.array([row_of.get(id(community), -1) for community in communities])
+        vectors = np.empty((len(communities), self.result_vector_length))
+        taken = rows >= 0
+        vectors[taken] = fitted[1][rows[taken]]
+        walk = np.flatnonzero(~taken)
+        if walk.size:
+            design = self.builder.statistic_rows([communities[i] for i in walk])
+            vectors[walk] = self._vectors(self._model.leaf_values(design))
+        return vectors
+
+    def _vectors(self, leaf_values: np.ndarray) -> np.ndarray:
+        """``r_C`` of the rows behind a leaf-value matrix (row by row)."""
         probabilities = self._model.proba_from_leaf_values(leaf_values)
         # Leaf columns cycle through classes within each round: reduce them to
-        # one summed score per class, then squash with a softmax so the scale
-        # matches the probability block.
-        per_class = np.zeros((design.shape[0], self.num_classes))
-        for column in range(leaf_values.shape[1]):
-            per_class[:, column % self.num_classes] += leaf_values[:, column]
+        # one summed score per class, round by round, then squash with a
+        # softmax so the scale matches the probability block.
+        per_class = np.zeros((leaf_values.shape[0], self.num_classes))
+        for start in range(0, leaf_values.shape[1], self.num_classes):
+            per_class += leaf_values[:, start : start + self.num_classes]
         return np.hstack([probabilities, softmax(per_class)])
 
     @property

@@ -210,20 +210,16 @@ def _detect_communities(
     """Run ``detector`` on an ego-network :class:`Graph` and score tightness."""
     if ego_net.num_nodes == 0:
         return []
-    communities: list[LocalCommunity] = []
-    for index, block in enumerate(detector(ego_net)):
-        members = frozenset(block)
-        if not members:
-            continue
-        communities.append(
-            LocalCommunity(
-                ego=ego,
-                members=members,
-                tightness=community_tightness(ego_net, members),
-                index=index,
-            )
+    blocks = [members for members in map(frozenset, detector(ego_net)) if members]
+    return [
+        LocalCommunity(
+            ego=ego,
+            members=members,
+            tightness=community_tightness(ego_net, members),
+            index=index,
         )
-    return communities
+        for index, members in enumerate(blocks)
+    ]
 
 
 def _divide_csr(csr: CSRGraph, egos: list[Node]) -> dict[Node, list[LocalCommunity]]:

@@ -11,10 +11,10 @@ working with labeled-edge collections.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.division import DivisionResult, LocalCommunity
-from repro.types import Edge, LabeledEdge, Node, RelationType, canonical_edge
+from repro.types import Edge, LabeledEdge, Node, RelationType, canonical_edge, node_key
 
 
 class EdgeLabelIndex:
@@ -22,14 +22,22 @@ class EdgeLabelIndex:
 
     def __init__(self, labeled_edges: Iterable[LabeledEdge] = ()) -> None:
         self._labels: dict[Edge, RelationType] = {}
+        self._by_node: dict[Node, dict[Node, RelationType]] = {}
         for item in labeled_edges:
             self.add(item)
 
     def add(self, labeled_edge: LabeledEdge) -> None:
-        self._labels[labeled_edge.edge] = labeled_edge.label
+        u, v = labeled_edge.edge
+        self._labels[(u, v)] = labeled_edge.label
+        self._by_node.setdefault(u, {})[v] = labeled_edge.label
+        self._by_node.setdefault(v, {})[u] = labeled_edge.label
 
     def get(self, u: Node, v: Node) -> RelationType | None:
-        return self._labels.get(canonical_edge(u, v))
+        return self.labels_of(u).get(v)
+
+    def labels_of(self, node: Node) -> Mapping[Node, RelationType]:
+        """The labels of ``node``'s labeled edges, by their other endpoint."""
+        return self._by_node.get(node, {})
 
     def __contains__(self, edge: Edge) -> bool:
         return canonical_edge(*edge) in self._labels
@@ -74,33 +82,75 @@ def community_ground_truth(
     relationships the survey asks about).  Returns ``None`` when fewer than
     ``min_labeled_members`` member edges are labeled.
     """
-    member_labels = [
-        label
-        for member in community.members
-        if (label := label_index.get(community.ego, member)) is not None
-    ]
+    labels = label_index.labels_of(community.ego)
+    member_labels = [labels[member] for member in community.members if member in labels]
     if len(member_labels) < min_labeled_members:
         return None
     return majority_label(member_labels)
+
+
+class CommunityVotes:
+    """Majority votes kept per ego between calls of :func:`labeled_communities`.
+
+    A vote reads the community and the labeled edges only, so an ego whose
+    community list is the same object as at its last vote keeps its votes;
+    a re-division replaces the list, and only then is the ego voted again.
+    Keep one instance per label index and ``min_labeled_members``.
+    """
+
+    __slots__ = ("_lists", "_votes", "num_voted")
+
+    def __init__(self) -> None:
+        self._lists: dict[Node, list[LocalCommunity]] = {}
+        self._votes: dict[Node, tuple[int | None, ...]] = {}
+        self.num_voted = 0
+        """Communities voted so far — a work counter."""
+
+    def of(
+        self,
+        ego: Node,
+        communities: list[LocalCommunity],
+        label_index: EdgeLabelIndex,
+        min_labeled_members: int,
+    ) -> tuple[int | None, ...]:
+        """The class index each of ``ego``'s ``communities`` votes for
+        (``None``: no derivable label)."""
+        if self._lists.get(ego) is not communities:
+            labels = (
+                community_ground_truth(community, label_index, min_labeled_members)
+                for community in communities
+            )
+            self._lists[ego] = communities
+            self._votes[ego] = tuple(None if label is None else int(label) for label in labels)
+            self.num_voted += len(communities)
+        return self._votes[ego]
 
 
 def labeled_communities(
     division: DivisionResult,
     label_index: EdgeLabelIndex,
     min_labeled_members: int = 1,
+    votes: CommunityVotes | None = None,
 ) -> tuple[list[LocalCommunity], list[int]]:
     """Collect all communities with a derivable ground-truth label.
 
     Returns a parallel pair ``(communities, class_indices)`` ready for
-    :class:`repro.core.community_classifier.CommunityClassifier.fit`.
+    :class:`repro.core.community_classifier.CommunityClassifier.fit`, in
+    :meth:`DivisionResult.all_communities` order.  ``votes`` keeps the votes
+    of egos whose community list did not change since the last call.
     """
+    if votes is None:
+        votes = CommunityVotes()
     communities: list[LocalCommunity] = []
     labels: list[int] = []
-    for community in division.all_communities():
-        label = community_ground_truth(community, label_index, min_labeled_members)
-        if label is not None:
-            communities.append(community)
-            labels.append(int(label))
+    for ego in sorted(division.communities_by_ego, key=node_key):
+        listed = division.communities_by_ego[ego]
+        for community, label in zip(
+            listed, votes.of(ego, listed, label_index, min_labeled_members)
+        ):
+            if label is not None:
+                communities.append(community)
+                labels.append(label)
     return communities, labels
 
 

@@ -46,7 +46,7 @@ from repro.core.community_classifier import (
 )
 from repro.core.config import LoCECConfig, ResilienceConfig
 from repro.core.division import DivisionResult, LocalCommunity, divide
-from repro.core.labels import EdgeLabelIndex, labeled_communities
+from repro.core.labels import CommunityVotes, EdgeLabelIndex, labeled_communities
 from repro.core.results import (
     CommunityClassification,
     EdgeClassification,
@@ -195,6 +195,8 @@ class LoCEC:
         self._features: NodeFeatureStore | None = None
         self._interactions: InteractionStore | None = None
         self._labeled_edges: list[LabeledEdge] = []
+        self._label_index = EdgeLabelIndex()
+        self._votes = CommunityVotes()
         self._train_communities: list[LocalCommunity] = []
         self._train_labels: list[int] = []
         self._train_keys: set[CommunityKey] = set()
@@ -234,6 +236,8 @@ class LoCEC:
         self._features = features
         self._interactions = interactions
         self._labeled_edges = list(labeled_edges)
+        self._label_index = EdgeLabelIndex(self._labeled_edges)
+        self._votes = CommunityVotes()
         self._stale_egos = set()
         summary = FitSummary(num_training_edges=len(labeled_edges))
         timings = summary.timings
@@ -251,6 +255,7 @@ class LoCEC:
             self.feature_builder_ = FeatureMatrixBuilder(
                 features=features, interactions=interactions, k=self.config.k
             )
+            self.feature_builder_.follow(division)
             train_communities, train_labels = self._derive_training_set(
                 "no local community has a derivable ground-truth label; "
                 "check that labeled edges overlap the processed egos"
@@ -287,9 +292,10 @@ class LoCEC:
     ) -> tuple[list[LocalCommunity], list[int]]:
         """Communities of the current division with a derivable label, in
         :meth:`DivisionResult.all_communities` order — ``(node_key(ego),
-        index)`` — so the training rows are a function of the inputs' value."""
+        index)`` — so the training rows are a function of the inputs' value.
+        Only egos whose community list a write replaced are voted again."""
         communities, labels = labeled_communities(
-            self.division_, EdgeLabelIndex(self._labeled_edges), min_labeled_members=1
+            self.division_, self._label_index, min_labeled_members=1, votes=self._votes
         )
         if not communities:
             raise PipelineError(empty_message)
@@ -605,7 +611,7 @@ class LoCEC:
         not a member), so an interaction delta on (u, v) dirties exactly the
         communities of egos in N(u) ∩ N(v) containing both endpoints — and a
         feature update on n, the degenerate pair (n, n), the communities of
-        N(n) containing n.
+        N(n) containing n.  Their kept statistic rows are recomputed here.
         """
         graph = self._graph
         for u, v, vector in interaction_writes:
@@ -617,15 +623,16 @@ class LoCEC:
         kernel_patched = self.feature_builder_.patch_kernel(
             feature_nodes=touched_nodes, interaction_edges=touched_edges
         )
-        dirty_keys: set[CommunityKey] = set()
+        dirty: dict[CommunityKey, LocalCommunity] = {}
         for u, v in touched_edges + [(node, node) for node in touched_nodes]:
             if u not in graph or v not in graph:
                 continue
             for ego in graph.neighbors(u) & graph.neighbors(v):
                 for community in self.division_.communities_of(ego):
                     if u in community and v in community:
-                        dirty_keys.add(community_key(community))
-        return kernel_patched, dirty_keys
+                        dirty[community_key(community)] = community
+        self.feature_builder_.refresh_rows(list(dirty.values()))
+        return kernel_patched, set(dirty)
 
     def _rescore(
         self,
@@ -753,9 +760,11 @@ class LoCEC:
     def close(self) -> None:
         """Public lifecycle hook; idempotent, and the pipeline stays usable.
 
-        Releases no pool today: Phase II runs in-process and
-        re-division opens and closes its executor per write.  Callers
-        (``with LoCEC(...)``, the benchmark harness) rely on the form.
+        Releases nothing, by design: ``fit`` divides in-process (a pool
+        route lost under the end-to-end benchmark, README "Why ``fit``
+        divides serially"), Phase II runs in-process and re-division opens
+        and closes its executor per write.  Callers (``with LoCEC(...)``,
+        the benchmark harness) rely on the form.
         """
 
     def __enter__(self) -> "LoCEC":

@@ -244,9 +244,9 @@ class ForestTensor:
 def split_threshold(lo: float, hi: float) -> float:
     """The threshold of a split between adjacent present values ``lo < hi``.
 
-    The midpoint, unless it rounds up to ``hi`` — which happens when ``lo``
-    and ``hi`` are adjacent doubles — in which case ``lo`` (scikit-learn's
-    rule).  Inference sends ``x <= threshold`` left, so either way every
+    The midpoint, unless it rounds up to ``hi`` — which can happen only when
+    ``lo`` and ``hi`` are adjacent doubles — in which case ``lo``
+    (scikit-learn's rule).  Inference sends ``x <= threshold`` left, so either way every
     training row lands in the leaf it was grown into.
     """
     threshold = float(0.5 * (lo + hi))
@@ -262,14 +262,15 @@ def boosted_scores(
     """Raw boosted scores from a ``(rows, trees)`` leaf-weight matrix.
 
     Per-tree contributions are accumulated sequentially in round-major
-    order (round 0's class trees, then round 1's, ...) — the same float
-    additions in the same order as the node backend's per-round loop,
-    keeping the raw scores bit-identical — and a caller that already holds
-    the leaf-value embedding gets the scores without a second forest walk.
+    order (round 0's class trees, then round 1's, ...), one round of class
+    columns per step — each score sees the same float additions in the same
+    order as the node backend's per-round loop, keeping the raw scores
+    bit-identical — and a caller that already holds the leaf-value
+    embedding gets the scores without a second forest walk.
     """
     raw = np.tile(base_score, (leaf_values.shape[0], 1))
-    for tree_index in range(leaf_values.shape[1]):
-        raw[:, tree_index % num_classes] += learning_rate * leaf_values[:, tree_index]
+    for start in range(0, leaf_values.shape[1], num_classes):
+        raw += learning_rate * leaf_values[:, start : start + num_classes]
     return raw
 
 

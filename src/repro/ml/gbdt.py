@@ -61,6 +61,12 @@ class GradientBoostedClassifier:
         Histogram resolution of the ``"hist"`` backend (ignored by the
         exact backends).
 
+    Every backend places a split between the adjacent present values
+    ``lo < hi`` at their midpoint, or at ``lo`` when the midpoint rounds to
+    ``hi`` (:func:`~repro.ml.forest.split_threshold`), so a training row is
+    predicted from the leaf it was grown into and :meth:`fit` takes the
+    training scores from the partitions instead of walking the trees.
+
     Examples
     --------
     >>> import numpy as np
@@ -112,10 +118,21 @@ class GradientBoostedClassifier:
         self.base_score_: np.ndarray | None = None
         self.num_features_: int | None = None
         self.train_loss_history_: list[float] = []
+        self.train_leaf_values_: np.ndarray | None = None
 
     # --------------------------------------------------------------------- fit
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedClassifier":
-        """Fit the boosted ensemble on features ``X`` and integer labels ``y``."""
+        """Fit the boosted ensemble on features ``X`` and integer labels ``y``.
+
+        Each round adds the new trees' leaf values of the training rows to
+        the running scores.  Those values are read off the partitions the
+        growers built (:meth:`GradientRegressionTree.fit_predict`); a
+        subsampled round walks its trees over ``X``, since rows outside the
+        round's subset have no leaf yet.  ``train_leaf_values_`` keeps them
+        as the ``(rows, trees)`` matrix :meth:`leaf_values` returns for
+        ``X``, bit for bit.  A caller that has read it may set it to
+        ``None`` so the model does not keep a copy.
+        """
         X, y = check_X_y(X, y)
         finite_columns = np.isfinite(X).all(axis=0)
         if not finite_columns.all():
@@ -138,6 +155,7 @@ class GradientBoostedClassifier:
         rng = np.random.default_rng(self.seed)
         self.trees_ = []
         self.train_loss_history_ = []
+        leaf_values = np.empty((n_samples, self.num_rounds * num_classes))
 
         # The feature matrix is prepared exactly once per fit — quantized
         # for the hist backend, sorted for the exact array backend — and
@@ -155,7 +173,7 @@ class GradientBoostedClassifier:
         elif resolved == "array":
             presort = FeaturePresort.from_matrix(X)
 
-        for _ in range(self.num_rounds):
+        for round_index in range(self.num_rounds):
             probabilities = softmax(raw_scores)
             gradients = probabilities - targets
             hessians = probabilities * (1.0 - probabilities)
@@ -175,14 +193,18 @@ class GradientBoostedClassifier:
             round_trees: list[GradientRegressionTree] = []
             for class_index in range(num_classes):
                 tree = GradientRegressionTree(self.tree_config, backend=resolved)
-                tree.fit(
+                values = tree.fit_predict(
                     X_round,
                     gradients[row_idx, class_index],
                     hessians[row_idx, class_index],
                     binned=round_binned,
                     presort=round_presort,
                 )
-                raw_scores[:, class_index] += self.learning_rate * tree.predict(X)
+                if self.subsample < 1.0:
+                    # Rows outside the round's subset have no leaf yet.
+                    values = tree.predict(X)
+                leaf_values[:, round_index * num_classes + class_index] = values
+                raw_scores[:, class_index] += self.learning_rate * values
                 round_trees.append(tree)
             self.trees_.append(round_trees)
 
@@ -198,6 +220,7 @@ class GradientBoostedClassifier:
 
         self._num_classes = num_classes
         self.num_features_ = X.shape[1]
+        self.train_leaf_values_ = leaf_values
         self.forest_ = None
         if self._resolved_backend in ("array", "hist"):
             self.forest_ = ForestTensor.from_trees(

@@ -293,13 +293,13 @@ class HistTreeGrower:
         node.value = tree._leaf_weight(grad_sum, hess_sum)
 
         if depth >= config.max_depth or indices.size < 2 * config.min_samples_leaf:
-            return tree._finalise_leaf(node)
+            return tree._finalise_leaf(node, indices)
 
         if hist is None:
             hist = self._accumulate(indices)
         split = self._best_split(hist, grad_sum, hess_sum, indices.size)
         if split is None:
-            return tree._finalise_leaf(node)
+            return tree._finalise_leaf(node, indices)
 
         feature, boundary = split
         node.feature = feature

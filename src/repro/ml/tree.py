@@ -86,6 +86,13 @@ class GradientRegressionTree:
         trees and produce bit-identical predictions
         (``tests/test_ml_forest.py``); the hist backend's exactness regime is
         arbitrated by ``tests/test_ml_hist.py``.
+
+    A split between the adjacent present values ``lo < hi`` sits at their
+    midpoint, or at ``lo`` when the midpoint rounds to ``hi``
+    (:func:`~repro.ml.forest.split_threshold`): inference sends
+    ``x <= threshold`` left, so every training row is predicted from the
+    leaf it was grown into, and :meth:`fit_predict` reads the training
+    predictions off that partition.
     """
 
     def __init__(
@@ -98,6 +105,7 @@ class GradientRegressionTree:
         self.root_: _TreeNode | None = None
         self.tensor_: TreeTensor | None = None
         self.num_leaves_: int = 0
+        self._train_values: np.ndarray | None = None
 
     def fit(
         self,
@@ -116,6 +124,26 @@ class GradientRegressionTree:
         tree; each is ignored by the other backends, and a tree fitted on
         its own builds what it needs.
         """
+        self.fit_predict(X, gradients, hessians, binned=binned, presort=presort)
+        return self
+
+    def fit_predict(
+        self,
+        X: np.ndarray,
+        gradients: np.ndarray,
+        hessians: np.ndarray,
+        binned: "object | None" = None,
+        presort: FeaturePresort | None = None,
+    ) -> np.ndarray:
+        """:meth:`fit`, then :meth:`predict` of the training rows — read off
+        the partition the growth built instead of walked.
+
+        Every grower records the leaf value of a leaf's rows as it finalises
+        the leaf.  Split thresholds follow
+        :func:`~repro.ml.forest.split_threshold`, so inference routes each
+        training row into the leaf it was grown into, and the result equals
+        ``predict(X)`` bit for bit.
+        """
         X = np.asarray(X, dtype=np.float64)
         gradients = np.asarray(gradients, dtype=np.float64)
         hessians = np.asarray(hessians, dtype=np.float64)
@@ -129,6 +157,7 @@ class GradientRegressionTree:
         self.tensor_ = None
         self._resolved_backend = resolve_ml_backend(self.backend, num_rows=X.shape[0])
         indices = np.arange(X.shape[0])
+        self._train_values = np.empty(X.shape[0], dtype=np.float64)
         if self._resolved_backend == "hist":
             from repro.ml.hist import BinnedDataset, HistTreeGrower
 
@@ -141,9 +170,7 @@ class GradientRegressionTree:
                 )
             grower = HistTreeGrower(binned, gradients, hessians, self.config)
             self.root_ = grower.grow(self, indices)
-            self.tensor_ = TreeTensor.from_root(self.root_)
-            return self
-        if self._resolved_backend == "array":
+        elif self._resolved_backend == "array":
             if presort is None:
                 presort = FeaturePresort.from_matrix(X)
             elif presort.codes.shape[1] != X.shape[0]:
@@ -152,10 +179,12 @@ class GradientRegressionTree:
                     f"{X.shape[0]}; pass a row-aligned FeaturePresort.subset"
                 )
             self.root_ = self._build(presort, gradients, hessians, indices, depth=0)
+        else:
+            self.root_ = self._build(X, gradients, hessians, indices, depth=0)
+        if self._resolved_backend != "node":
             self.tensor_ = TreeTensor.from_root(self.root_)
-            return self
-        self.root_ = self._build(X, gradients, hessians, indices, depth=0)
-        return self
+        values, self._train_values = self._train_values, None
+        return values
 
     # ------------------------------------------------------------------ growth
     def _build(
@@ -172,11 +201,11 @@ class GradientRegressionTree:
         node.value = self._leaf_weight(grad_sum, hess_sum)
 
         if depth >= self.config.max_depth or len(indices) < 2 * self.config.min_samples_leaf:
-            return self._finalise_leaf(node)
+            return self._finalise_leaf(node, indices)
 
         split = self._best_split(X, gradients, hessians, indices, grad_sum, hess_sum)
         if split is None:
-            return self._finalise_leaf(node)
+            return self._finalise_leaf(node, indices)
 
         feature, threshold, left_idx, right_idx = split
         node.feature = feature
@@ -185,8 +214,10 @@ class GradientRegressionTree:
         node.right = self._build(X, gradients, hessians, right_idx, depth + 1)
         return node
 
-    def _finalise_leaf(self, node: _TreeNode) -> _TreeNode:
+    def _finalise_leaf(self, node: _TreeNode, indices: np.ndarray) -> _TreeNode:
+        """Make ``node`` a leaf and record its value for its training rows."""
         node.feature = None
+        self._train_values[indices] = node.value
         node.leaf_id = self.num_leaves_
         self.num_leaves_ += 1
         return node

@@ -15,6 +15,7 @@ Phase2Kernel CNN tensor path, plus the iterative-depth regression test.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -366,6 +367,97 @@ class TestGeneratedParity:
         )
 
 
+
+@st.composite
+def partition_problems(draw):
+    """A design of tie-heavy and ulp-adjacent columns (the midpoint of two
+    adjacent doubles rounds to the upper one about half the time), with
+    gradients, hessians and class labels for it."""
+    num_rows = draw(st.integers(4, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            palette = draw(st.sampled_from([p for p in COLUMN_PALETTES if p]))
+        else:
+            base = draw(st.floats(-4.0, 4.0, allow_nan=False))
+            palette = (base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf))
+        values = st.sampled_from(palette)
+        columns.append(draw(st.lists(values, min_size=num_rows, max_size=num_rows)))
+    X = np.array(columns, dtype=np.float64).T
+    weights = st.floats(-2.0, 2.0, allow_nan=False)
+    gradients = np.array(draw(st.lists(weights, min_size=num_rows, max_size=num_rows)))
+    hessians = np.abs(gradients[::-1]) + 0.1
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=num_rows, max_size=num_rows)))
+    y[:3] = [0, 1, 2]
+    config = dict(
+        max_depth=draw(st.integers(1, 4)), min_samples_leaf=draw(st.integers(1, 3))
+    )
+    return X, gradients, hessians, y, config
+
+
+def _walked_fit_predict():
+    """``fit_predict`` as a walk: grow, then predict the training rows."""
+    grow = GradientRegressionTree.fit_predict
+
+    def walked(self, X, *args, **kwargs):
+        grow(self, X, *args, **kwargs)
+        return self.predict(X)
+
+    return mock.patch.object(GradientRegressionTree, "fit_predict", walked)
+
+
+def _forest(model):
+    trees = [tree for round_trees in model.trees_ for tree in round_trees]
+    return model.forest_ or ForestTensor.from_trees(trees)
+
+
+class TestScoresFromThePartition:
+    """The growers' recorded training values are ``predict(X)``, so a fit
+    that reads them grows the model a fit that walks its trees grows."""
+
+    @given(problem=partition_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_recorded_training_values_are_predictions(self, problem):
+        X, gradients, hessians, _, config = problem
+        for backend in ("node", "array", "hist"):
+            tree = GradientRegressionTree(RegressionTreeConfig(**config), backend=backend)
+            values = tree.fit_predict(X, gradients, hessians)
+            np.testing.assert_array_equal(values, tree.predict(X), err_msg=backend)
+
+    @given(problem=partition_problems(), subsample=st.sampled_from((1.0, 0.6)))
+    @settings(max_examples=30, deadline=None)
+    def test_fit_equals_a_walk_based_fit(self, problem, subsample):
+        X, _, _, y, config = problem
+        for backend in ("node", "array", "hist"):
+            kwargs = dict(num_rounds=3, subsample=subsample, backend=backend, **config)
+            fitted = GradientBoostedClassifier(**kwargs).fit(X, y)
+            with _walked_fit_predict():
+                walked = GradientBoostedClassifier(**kwargs).fit(X, y)
+            for name in ForestTensor.__slots__:
+                np.testing.assert_array_equal(
+                    getattr(_forest(fitted), name),
+                    getattr(_forest(walked), name),
+                    err_msg=f"{backend} {name}",
+                )
+            assert fitted.train_loss_history_ == walked.train_loss_history_
+            np.testing.assert_array_equal(fitted.train_leaf_values_, walked.leaf_values(X))
+
+    @pytest.mark.parametrize("backend", ("array", "hist"))
+    def test_an_unsampled_fit_walks_no_tree(self, backend, monkeypatch):
+        X, y = random_classification_problem(2)
+        walks = []
+        leaf_slots = TreeTensor.leaf_slots
+        monkeypatch.setattr(
+            TreeTensor,
+            "leaf_slots",
+            lambda self, rows: walks.append(len(rows)) or leaf_slots(self, rows),
+        )
+        GradientBoostedClassifier(num_rounds=4, backend=backend).fit(X, y)
+        assert walks == []
+        # A subsampled round still walks: rows outside its subset have no leaf.
+        GradientBoostedClassifier(num_rounds=4, subsample=0.6, backend=backend).fit(X, y)
+        assert walks == [len(X)] * 4 * 3
+
 def random_stores_and_communities(seed: int):
     """Random Phase II stores plus communities (mirrors test_phase2_csr)."""
     from repro.graph.features import NodeFeatureStore
@@ -426,14 +518,18 @@ class TestCommunityClassifierParity:
         assert np.array_equal(vectors[:, :3], probabilities)
 
     def test_result_vectors_walk_the_forest_once(self, monkeypatch):
+        """Once, and only over the rows the fit did not partition: the first
+        scoring after the fit takes the training communities' vectors from
+        it, and a later scoring walks everything it is asked for."""
         from repro.core.aggregation import FeatureMatrixBuilder
 
         features, interactions, communities = random_stores_and_communities(0)
-        labels = [index % 3 for index in range(len(communities))]
+        trained = communities[::2]
+        labels = [index % 3 for index in range(len(trained))]
         classifier = GBDTCommunityClassifier(
             FeatureMatrixBuilder(features, interactions, k=6),
             config=GBDTConfig(num_rounds=4),
-        ).fit(communities, labels)
+        ).fit(trained, labels)
         walks = []
         leaf_slots = ForestTensor.leaf_slots
         monkeypatch.setattr(
@@ -441,8 +537,11 @@ class TestCommunityClassifierParity:
             "leaf_slots",
             lambda self, X: walks.append(len(X)) or leaf_slots(self, X),
         )
-        classifier.result_vectors(communities)
-        assert walks == [len(communities)]
+        first = classifier.result_vectors(communities)
+        assert walks == [len(communities) - len(trained)]
+        again = classifier.result_vectors(communities)
+        assert walks == [len(communities) - len(trained), len(communities)]
+        np.testing.assert_array_equal(first, again)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_matrices_as_tensor_path_bit_identical(self, seed):

@@ -425,6 +425,41 @@ class TestWarmModels:
         assert builder.num_compiles == 2
         _assert_equals_scratch_fit(pipeline, workload)
 
+    def test_phase_ii_rows_and_votes_cost_what_a_write_changed(self, fitted_tiny):
+        """Counted, not timed: ``fit`` computes each community's statistic
+        row once and votes it once; a warm write computes exactly the rows
+        it dirtied and votes nothing; a refit write computes and votes only
+        the communities of the egos whose community list it replaced."""
+        pipeline, workload = fitted_tiny
+        builder, votes = pipeline.feature_builder_, pipeline._votes
+        num_communities = pipeline.fit_summary_.num_communities
+        assert builder.num_rows_computed == num_communities
+        assert votes.num_voted == num_communities
+
+        rows, voted = builder.num_rows_computed, votes.num_voted
+        u, v = _warm_pair(pipeline, workload)
+        delta = np.ones(workload.dataset.interactions.num_dims)
+        warm = pipeline.apply_updates(interaction_deltas=[(u, v, delta)])
+        assert not warm.classifier_refit
+        assert builder.num_rows_computed - rows == warm.num_rescored_communities > 0
+        assert votes.num_voted == voted
+
+        rows = builder.num_rows_computed
+        lists = dict(pipeline.division_.communities_by_ego)
+        refit = pipeline.apply_updates(
+            added_edges=[_open_triangle_at_labeled_ego(workload)]
+        )
+        assert refit.classifier_refit
+        replaced = sum(
+            len(listed)
+            for ego, listed in pipeline.division_.communities_by_ego.items()
+            if listed is not lists.get(ego)
+        )
+        assert 0 < replaced < num_communities
+        assert builder.num_rows_computed - rows == replaced
+        assert votes.num_voted - voted == replaced
+        _assert_equals_scratch_fit(pipeline, workload)
+
     def test_training_time_is_zero_warm_and_positive_on_refit(self, ticking_clock):
         workload = make_workload("tiny", seed=1)
         dataset = workload.dataset
@@ -511,7 +546,10 @@ def _drawn_write(kind, a, b, dataset):
 def test_generated_write_sequences_match_a_scratch_fit(writes):
     """After every write of a drawn sequence the pipeline equals a scratch
     ``fit`` on the current inputs, and ``labeler_refit`` says exactly whether
-    the Equation 4 design matrix of the training edges moved."""
+    the Equation 4 design matrix of the training edges moved.  The sequence
+    ends in refit writes and their inverses — one that re-divides a labeled
+    ego, one that changes a labeled friend's features — so the statistic
+    rows and votes kept across writes are checked against a scratch fit."""
     workload = make_workload("tiny", seed=1)
     dataset = workload.dataset
     train_edges = [item.edge for item in workload.train_edges]
@@ -529,6 +567,20 @@ def test_generated_write_sequences_match_a_scratch_fit(writes):
             design = pipeline.edge_feature_builder_.edge_features(train_edges)
             assert report.labeler_refit == (not np.array_equal(design_before, design))
             _assert_equals_scratch_fit(pipeline, workload)
+        edge = _open_triangle_at_labeled_ego(workload)
+        friend = workload.train_edges[0].v
+        saved = dataset.features.get_view(friend).copy()
+        refits = []
+        for deltas in (
+            {"added_edges": [edge]},
+            {"feature_updates": [(friend, saved + 1.0)]},
+            {"removed_edges": [edge]},
+            {"feature_updates": [(friend, saved)]},
+        ):
+            refits.append(pipeline.apply_updates(**deltas).classifier_refit)
+            _assert_equals_scratch_fit(pipeline, workload)
+        # The friend sits in a community of its labeled ego: a training row.
+        assert refits[1] and refits[3]
 
 
 def _rejected_batches(graph, interactions, features):
