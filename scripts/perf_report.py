@@ -154,7 +154,7 @@ def build_benchmarks(
     ``forest_predict_{node,array}`` (probabilities + leaf-value embedding,
     the LoCEC-XGB inference hot path), ``commcnn_tensor_{dict,csr}``
     (CNN input tensor emission, direct Phase2Kernel path on csr) and
-    ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN SGD training and batched
+    ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN Adam training and batched
     inference: layer-by-layer object graph vs the compiled tape engine of
     ``repro.ml.nn.engine``; bit-identical outputs).
     """

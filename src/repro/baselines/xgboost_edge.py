@@ -24,7 +24,7 @@ class XGBoostEdgeClassifier:
 
     Parameters
     ----------
-    num_rounds, max_depth, learning_rate, seed:
+    num_rounds, max_depth, learning_rate:
         Hyper-parameters of the underlying gradient-boosted trees.
     """
 
@@ -33,12 +33,10 @@ class XGBoostEdgeClassifier:
         num_rounds: int = 40,
         max_depth: int = 4,
         learning_rate: float = 0.3,
-        seed: int = 0,
     ) -> None:
         self.num_rounds = num_rounds
         self.max_depth = max_depth
         self.learning_rate = learning_rate
-        self.seed = seed
         self._features: NodeFeatureStore | None = None
         self._interactions: InteractionStore | None = None
         self._model: GradientBoostedClassifier | None = None
@@ -61,7 +59,6 @@ class XGBoostEdgeClassifier:
             max_depth=self.max_depth,
             learning_rate=self.learning_rate,
             num_classes=len(RelationType.classification_targets()),
-            seed=self.seed,
         )
         self._model.fit(X, y)
         return self

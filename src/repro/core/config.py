@@ -41,8 +41,6 @@ class GBDTConfig:
     learning_rate: float = 0.3
     max_depth: int = 3
     min_samples_leaf: int = 2
-    subsample: float = 1.0
-    seed: int = 0
     max_bins: int = 256
     """Histogram resolution of the histogram split search, which the fit
     takes at :data:`repro.ml.forest.HIST_AUTO_MIN_ROWS` rows and above
@@ -55,9 +53,7 @@ class GBDTConfig:
             learning_rate=self.learning_rate,
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
-            subsample=self.subsample,
             num_classes=num_classes,
-            seed=self.seed,
             max_bins=self.max_bins,
         )
 

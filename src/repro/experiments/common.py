@@ -119,7 +119,7 @@ def evaluate_method(
         model.fit(dataset.graph, dataset.interactions, train)
         y_pred = np.array([int(label) for label in model.predict(test_edges)])
     elif method == "XGBoost":
-        model = XGBoostEdgeClassifier(seed=seed)
+        model = XGBoostEdgeClassifier()
         model.fit(dataset.features, dataset.interactions, train)
         y_pred = np.array([int(label) for label in model.predict(test_edges)])
     elif method in {"LoCEC-XGB", "LoCEC-CNN"}:

@@ -1,6 +1,6 @@
 """From-scratch machine-learning substrate (GBDT, logistic regression, CNN, metrics)."""
 
-from repro.ml.base import Classifier, one_hot, softmax
+from repro.ml.base import one_hot, softmax
 from repro.ml.forest import (
     HIST_AUTO_MIN_ROWS,
     ML_BACKENDS,
@@ -21,17 +21,10 @@ from repro.ml.metrics import (
     precision_recall_f1,
     weighted_prf,
 )
-from repro.ml.preprocessing import (
-    MinMaxScaler,
-    StandardScaler,
-    kfold_indices,
-    train_test_split,
-    train_test_split_indices,
-)
+from repro.ml.preprocessing import train_test_split_indices
 from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
 
 __all__ = [
-    "Classifier",
     "softmax",
     "one_hot",
     "LogisticRegression",
@@ -53,9 +46,5 @@ __all__ = [
     "macro_f1",
     "precision_recall_f1",
     "weighted_prf",
-    "StandardScaler",
-    "MinMaxScaler",
-    "train_test_split",
     "train_test_split_indices",
-    "kfold_indices",
 ]

@@ -1,37 +1,18 @@
-"""Common estimator protocol for the from-scratch ML substrate.
+"""Input checks and shared math of the from-scratch ML substrate.
 
-All classifiers in :mod:`repro.ml` follow a small fit/predict protocol so the
-LoCEC pipeline can swap the community classifier (GBDT vs CommCNN) without
-special-casing:
-
-* ``fit(X, y)`` — train on a 2-D (or, for CNNs, 3-D) feature array and an
-  integer label vector; returns ``self``.
-* ``predict_proba(X)`` — return an ``(n_samples, n_classes)`` array of class
-  probabilities.
-* ``predict(X)`` — return the argmax class indices.
+Every classifier in :mod:`repro.ml` follows the same fit/predict shape:
+``fit(X, y)`` trains on a 2-D (or, for CNNs, 4-D) feature array and an
+integer label vector and returns ``self``; ``predict_proba(X)`` returns an
+``(n_samples, n_classes)`` probability matrix; ``predict(X)`` the argmax
+class indices.  :func:`check_X_y` is the one validation every ``fit``
+runs.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, NotFittedError
-
-
-@runtime_checkable
-class Classifier(Protocol):
-    """Structural protocol every classifier in the library satisfies."""
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Classifier":  # pragma: no cover
-        ...
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
-        ...
-
-    def predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
-        ...
 
 
 def check_fitted(estimator: object, attribute: str) -> None:

@@ -324,13 +324,6 @@ class FeaturePresort:
         np.put_along_axis(codes, order, ranks, axis=1)
         return cls(columns, codes)
 
-    def subset(self, row_indices: np.ndarray) -> "FeaturePresort":
-        """The presort of ``X[row_indices]`` for a subsampled round: codes
-        stay order-preserving under row selection, so nothing is re-sorted."""
-        return FeaturePresort(
-            self.columns.take(row_indices, axis=1), self.codes.take(row_indices, axis=1)
-        )
-
 
 def best_split_array(
     presort: FeaturePresort,

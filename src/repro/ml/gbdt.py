@@ -35,12 +35,8 @@ class GradientBoostedClassifier:
         Shrinkage applied to every tree's contribution.
     max_depth, min_samples_leaf, reg_lambda, gamma:
         Per-tree hyper-parameters (see :class:`RegressionTreeConfig`).
-    subsample:
-        Row subsampling fraction per round (1.0 disables subsampling).
     num_classes:
         Number of classes; inferred from the labels when ``None``.
-    seed:
-        Seed for row subsampling.
     backend:
         ``"node"`` for per-row ``_TreeNode`` walks, ``"array"`` for the
         stacked :class:`~repro.ml.forest.ForestTensor` kernels (one batched
@@ -86,9 +82,7 @@ class GradientBoostedClassifier:
         min_samples_leaf: int = 2,
         reg_lambda: float = 1.0,
         gamma: float = 0.0,
-        subsample: float = 1.0,
         num_classes: int | None = None,
-        seed: int = 0,
         backend: str = "auto",
         max_bins: int = 256,
     ) -> None:
@@ -96,8 +90,6 @@ class GradientBoostedClassifier:
             raise ModelConfigError("num_rounds must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
             raise ModelConfigError("learning_rate must be in (0, 1]")
-        if not 0.0 < subsample <= 1.0:
-            raise ModelConfigError("subsample must be in (0, 1]")
         self.num_rounds = num_rounds
         self.learning_rate = learning_rate
         self.tree_config = RegressionTreeConfig(
@@ -108,9 +100,7 @@ class GradientBoostedClassifier:
             max_bins=max_bins,
         )
         self.tree_config.validate()
-        self.subsample = subsample
         self.num_classes = num_classes
-        self.seed = seed
         self.backend = backend
         self._resolved_backend = resolve_ml_backend(backend)
         self.trees_: list[list[GradientRegressionTree]] | None = None
@@ -124,11 +114,11 @@ class GradientBoostedClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedClassifier":
         """Fit the boosted ensemble on features ``X`` and integer labels ``y``.
 
-        Each round adds the new trees' leaf values of the training rows to
-        the running scores.  Those values are read off the partitions the
-        growers built (:meth:`GradientRegressionTree.fit_predict`); a
-        subsampled round walks its trees over ``X``, since rows outside the
-        round's subset have no leaf yet.  ``train_leaf_values_`` keeps them
+        Every round grows its trees on all rows and adds their leaf values
+        of the training rows to the running scores.  Those values are read
+        off the partitions the growers built
+        (:meth:`GradientRegressionTree.fit_predict`), not walked.
+        ``train_leaf_values_`` keeps them
         as the ``(rows, trees)`` matrix :meth:`leaf_values` returns for
         ``X``, bit for bit.  A caller that has read it may set it to
         ``None`` so the model does not keep a copy.
@@ -152,17 +142,14 @@ class GradientBoostedClassifier:
         self.base_score_ = np.log(priors)
         raw_scores = np.tile(self.base_score_, (n_samples, 1))
 
-        rng = np.random.default_rng(self.seed)
         self.trees_ = []
         self.train_loss_history_ = []
         leaf_values = np.empty((n_samples, self.num_rounds * num_classes))
 
         # The feature matrix is prepared exactly once per fit — quantized
         # for the hist backend, sorted for the exact array backend — and
-        # every tree of every round reuses it (row-subset copies when
-        # subsampling).  Resolving here (with the row count) also pins the
-        # auto choice for all trees, so a subsampled round cannot flip
-        # backends mid-fit.
+        # every tree of every round reuses it.  Resolving here (with the row
+        # count) also pins the auto choice for all trees.
         resolved = resolve_ml_backend(self.backend, num_rows=n_samples)
         self._resolved_backend = resolved
         binned = presort = None
@@ -178,31 +165,16 @@ class GradientBoostedClassifier:
             gradients = probabilities - targets
             hessians = probabilities * (1.0 - probabilities)
 
-            if self.subsample < 1.0:
-                sample_size = min(n_samples, max(2, int(round(self.subsample * n_samples))))
-                row_idx = rng.choice(n_samples, size=sample_size, replace=False)
-                round_binned = binned.subset(row_idx) if binned is not None else None
-                round_presort = presort.subset(row_idx) if presort is not None else None
-                X_round = X[row_idx]
-            else:
-                row_idx = np.arange(n_samples)
-                round_binned = binned
-                round_presort = presort
-                X_round = X
-
             round_trees: list[GradientRegressionTree] = []
             for class_index in range(num_classes):
                 tree = GradientRegressionTree(self.tree_config, backend=resolved)
                 values = tree.fit_predict(
-                    X_round,
-                    gradients[row_idx, class_index],
-                    hessians[row_idx, class_index],
-                    binned=round_binned,
-                    presort=round_presort,
+                    X,
+                    gradients[:, class_index],
+                    hessians[:, class_index],
+                    binned=binned,
+                    presort=presort,
                 )
-                if self.subsample < 1.0:
-                    # Rows outside the round's subset have no leaf yet.
-                    values = tree.predict(X)
                 leaf_values[:, round_index * num_classes + class_index] = values
                 raw_scores[:, class_index] += self.learning_rate * values
                 round_trees.append(tree)

@@ -137,19 +137,6 @@ class BinnedDataset:
         """Histogram row width: the widest feature's bin count."""
         return int(self.num_bins.max())
 
-    def subset(self, row_indices: np.ndarray) -> "BinnedDataset":
-        """A row subset for subsampled trees: the codes are a fancy-index
-        *copy* of the selected rows (one ``(rows, features)`` int64
-        allocation per call); only the bin metadata is shared."""
-        return BinnedDataset(
-            self.codes[row_indices],
-            self.num_bins,
-            self.exact,
-            self.bin_values,
-            self.edges,
-            self.max_bins,
-        )
-
     def boundary_threshold(
         self, feature: int, boundary: int, counts: np.ndarray
     ) -> float:

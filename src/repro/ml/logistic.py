@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ModelConfigError, TrainingDivergedError
+from repro.exceptions import DimensionMismatchError, ModelConfigError, TrainingDivergedError
 from repro.ml.base import check_fitted, check_X_y, one_hot, softmax
 
 GRADIENT_TOLERANCE = 1e-8
@@ -146,6 +146,11 @@ class LogisticRegression:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
+        num_features = self.weights_.shape[0]
+        if X.ndim != 2 or X.shape[1] != num_features:
+            raise DimensionMismatchError(
+                f"model was fitted on {num_features} features, got X of shape {X.shape}"
+            )
         return softmax(X @ self.weights_ + self.bias_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

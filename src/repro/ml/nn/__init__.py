@@ -1,29 +1,27 @@
 """From-scratch NumPy neural-network stack used to build CommCNN.
 
 The stack executes on one of two backends, selected by the ``backend`` knob
-on :class:`NeuralNetworkClassifier` (``"loop"`` / ``"fused"`` / ``"auto"``):
+on :class:`NeuralNetworkClassifier` (``"fused"`` / ``"loop"``):
 
+* **fused** (the default) — the compiled execution engine in
+  :mod:`repro.ml.nn.engine`: the model is compiled once per fit into a flat
+  tape of shape-specialised array ops with precomputed im2col
+  gather/scatter index plans, one ``batch_size``-row activation/gradient
+  workspace reused by every mini-batch and inference block, and all
+  parameters/gradients/Adam moments packed into contiguous vectors so an
+  Adam step is a handful of whole-vector ops.  A model the engine cannot
+  compile raises :class:`~repro.ml.nn.engine.EngineCompileError`; every
+  CommCNN compiles.
 * **loop** — the layer-by-layer object graph in :mod:`repro.ml.nn.layers` /
   :mod:`repro.ml.nn.network`: each layer's ``forward``/``backward`` allocates
-  its own tensors and the optimiser walks the ``(name, param, grad)`` list.
-  This is the readable reference implementation.
-* **fused** — the compiled execution engine in :mod:`repro.ml.nn.engine`:
-  the model is compiled once per fit into a flat tape of shape-specialised
-  array ops with precomputed im2col gather/scatter index plans, one
-  ``batch_size``-row activation/gradient workspace reused by every
-  mini-batch and inference block, and all
-  parameters/gradients/optimiser moments packed into contiguous vectors so
-  an optimiser step is a handful of whole-vector ops.
+  its own tensors and :class:`Adam` walks the ``(name, param, grad)`` list.
+  This is the readable reference implementation, kept as the oracle.
 
 Both backends run the same float operations in the same order, so logits,
 fitted weights and loss histories are **bit-identical**
 (``tests/test_nn_engine.py`` arbitrates).  Both score in padded blocks of
 exactly ``batch_size`` rows, so a row's probabilities do not depend on the
-rows sharing its ``predict_proba`` call.  ``"auto"`` (the default) picks
-the fused engine whenever the model compiles — i.e. it is built from the
-layer types above, which every CommCNN is — and falls back to the loop
-backend when compilation raises :class:`~repro.ml.nn.engine.
-EngineCompileError` (custom layer types, unsupported shapes).
+rows sharing its ``predict_proba`` call.
 """
 
 from repro.ml.nn.layers import (
@@ -44,7 +42,7 @@ from repro.ml.nn.network import (
     ParallelConcat,
     Sequential,
 )
-from repro.ml.nn.optimizers import SGD, Adam, Optimizer
+from repro.ml.nn.optimizers import Adam
 
 __all__ = [
     "Layer",
@@ -62,7 +60,5 @@ __all__ = [
     "CompiledNetwork",
     "EngineCompileError",
     "NN_BACKENDS",
-    "Optimizer",
-    "SGD",
     "Adam",
 ]

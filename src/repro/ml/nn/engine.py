@@ -16,9 +16,9 @@ tape of shape-specialised array ops:
   ``capacity`` rows, and ``NeuralNetworkClassifier.predict_proba`` feeds
   it padded blocks of exactly ``capacity`` (= ``batch_size``) rows, so
   every inference GEMM has one shape;
-* all parameters, gradients and Adam/SGD optimiser state live in single
-  contiguous vectors, so an optimiser step is a handful of whole-vector ops
-  with one shared timestep instead of a Python walk over parameter tensors.
+* all parameters, gradients and Adam moments live in single contiguous
+  vectors, so an Adam step is a handful of whole-vector ops with one shared
+  timestep instead of a Python walk over parameter tensors.
 
 The engine performs the *same float operations in the same order* as the
 layer-by-layer loop backend — the GEMM/scatter primitives are shared with
@@ -28,9 +28,8 @@ fitted weights and loss histories are bit-identical between the two
 backends (arbitrated by ``tests/test_nn_engine.py``).
 
 Models containing layer types the engine does not know are rejected at
-compile time with :class:`EngineCompileError`;
-``NeuralNetworkClassifier(backend="auto")`` catches it and falls back to the
-loop backend.
+compile time with :class:`EngineCompileError`; every CommCNN compiles, and
+``NeuralNetworkClassifier`` does not fall back to the loop backend.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from repro.ml.nn.layers import (
     conv_grad_weight,
     conv_im2col_indices,
 )
-from repro.ml.nn.optimizers import SGD, Adam, Optimizer
+from repro.ml.nn.optimizers import Adam
 
 
 class EngineCompileError(ModelConfigError):
@@ -460,11 +459,10 @@ class _ParamRef:
 class _FusedAdam:
     """Whole-vector Adam on the packed parameter/gradient buffers.
 
-    Elementwise identical to :class:`repro.ml.nn.optimizers.Adam` walking the
-    parameter list: every parameter steps on every batch, so the per-name
-    timesteps all equal the shared timestep.  On ``finish`` the packed
-    moments are written back into the optimiser's per-name dictionaries so a
-    later loop-backend fit (or refit) continues from the same state.
+    Elementwise identical to a fresh :class:`repro.ml.nn.optimizers.Adam`
+    walking the parameter list: every parameter steps on every batch, so the
+    per-name timesteps all equal the shared timestep.  Only the optimiser's
+    hyper-parameters are read; its per-name state is never touched.
     """
 
     def __init__(self, optimizer: Adam, engine: "CompiledNetwork") -> None:
@@ -497,75 +495,6 @@ class _FusedAdam:
         m_hat *= opt.learning_rate
         m_hat /= v_hat
         theta -= m_hat
-
-    def finish(self) -> None:
-        opt = self.optimizer
-        for name, ref in zip(self.engine.param_names, self.engine.param_refs):
-            opt._first_moment[name] = (
-                self.first_moment[ref.offset : ref.offset + ref.size]
-                .reshape(ref.shape)
-                .copy()
-            )
-            opt._second_moment[name] = (
-                self.second_moment[ref.offset : ref.offset + ref.size]
-                .reshape(ref.shape)
-                .copy()
-            )
-            opt._step_count[name] = self.step_count
-
-
-class _FusedSGD:
-    """Whole-vector SGD (with momentum) on the packed buffers."""
-
-    def __init__(self, optimizer: SGD, engine: "CompiledNetwork") -> None:
-        self.optimizer = optimizer
-        self.engine = engine
-        self.velocity = (
-            np.zeros(engine.theta.size) if optimizer.momentum > 0.0 else None
-        )
-
-    def step(self) -> None:
-        opt = self.optimizer
-        theta, grad = self.engine.theta, self.engine.grad
-        if self.velocity is not None:
-            self.velocity *= opt.momentum
-            self.velocity -= opt.learning_rate * grad
-            theta += self.velocity
-        else:
-            theta -= opt.learning_rate * grad
-
-    def finish(self) -> None:
-        if self.velocity is None:
-            return
-        opt = self.optimizer
-        for name, ref in zip(self.engine.param_names, self.engine.param_refs):
-            opt._velocity[name] = (
-                self.velocity[ref.offset : ref.offset + ref.size]
-                .reshape(ref.shape)
-                .copy()
-            )
-
-
-class _GenericStepper:
-    """Fallback for custom/stateful optimisers: per-parameter views.
-
-    The views alias the packed buffers, so ``optimizer.step`` mutates theta
-    directly; names match the loop backend's ``model.parameters()`` names,
-    so name-keyed optimiser state carries across backends.
-    """
-
-    def __init__(self, optimizer: Optimizer, engine: "CompiledNetwork") -> None:
-        self.optimizer = optimizer
-        self.triples = [
-            (name, ref.value, ref.grad)
-            for name, ref in zip(engine.param_names, engine.param_refs)
-        ]
-
-    def step(self) -> None:
-        self.optimizer.step(self.triples)
-
-    def finish(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------- the engine
@@ -621,7 +550,8 @@ class CompiledNetwork:
         self.logits_grad = out_grad
 
         # Pack parameters/grads into contiguous vectors; verify the packing
-        # order matches model.parameters() so names line up one-to-one.
+        # order matches model.parameters() so write_back pairs each
+        # parameter with its own gradient.
         self.theta = np.empty(self._param_size)
         self.grad = np.zeros(self._param_size)
         for ref in self.param_refs:
@@ -634,7 +564,6 @@ class CompiledNetwork:
             raise EngineCompileError(
                 "compiled parameter order disagrees with model.parameters()"
             )
-        self.param_names = [name for name, _, _ in named]
         self._source_grads = [grad for _, _, grad in named]
         self.sync_from_model()
 
@@ -748,13 +677,6 @@ class CompiledNetwork:
         self._run_forward(n, training=False)
         return self.logits_slot.view(n).copy()
 
-    def _make_stepper(self, optimizer: Optimizer):
-        if type(optimizer) is Adam and not optimizer._first_moment:
-            return _FusedAdam(optimizer, self)
-        if type(optimizer) is SGD and not optimizer._velocity:
-            return _FusedSGD(optimizer, self)
-        return _GenericStepper(optimizer, self)
-
     def train(
         self,
         X: np.ndarray,
@@ -762,15 +684,16 @@ class CompiledNetwork:
         *,
         epochs: int,
         seed: int,
-        optimizer: Optimizer,
+        optimizer: Adam,
         loss,
     ) -> list[float]:
-        """Mini-batch training in batches of ``capacity`` rows; mirrors
-        ``NeuralNetworkClassifier.fit`` exactly."""
+        """Mini-batch Adam training in batches of ``capacity`` rows, from the
+        model's current weights with zero moments; mirrors the loop backend
+        of ``NeuralNetworkClassifier.fit`` exactly."""
         n_samples = X.shape[0]
         batch_size = self.capacity
         self.sync_from_model()
-        stepper = self._make_stepper(optimizer)
+        stepper = _FusedAdam(optimizer, self)
 
         rng = np.random.default_rng(seed)
         history: list[float] = []
@@ -795,7 +718,6 @@ class CompiledNetwork:
                 stepper.step()
                 epoch_loss += batch_loss
                 num_batches += 1
-            history.append(epoch_loss / max(num_batches, 1))
-        stepper.finish()
+            history.append(epoch_loss / num_batches)
         self.write_back()
         return history

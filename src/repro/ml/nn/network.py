@@ -8,12 +8,13 @@ branch-and-concatenate pattern, and :class:`NeuralNetworkClassifier` wraps a
 model with the softmax-cross-entropy loss, mini-batch Adam training and the
 common ``fit`` / ``predict_proba`` / ``predict`` protocol.
 
-The classifier executes on one of two backends (``backend="loop"|"fused"|
-"auto"``): the layer-by-layer object graph defined here, or the compiled
-tape of :mod:`repro.ml.nn.engine`.  Both run the same float operations in
-the same order, so logits, fitted weights and loss histories are
-bit-identical; ``"auto"`` picks the fused engine whenever the model compiles
-(every CommCNN does) and falls back to the loop otherwise.
+The classifier executes on one of two backends (``backend="fused"|"loop"``):
+the compiled tape of :mod:`repro.ml.nn.engine` (the default; every CommCNN
+compiles, and a model that does not raises
+:class:`~repro.ml.nn.engine.EngineCompileError`), or the layer-by-layer
+object graph defined here, kept as the oracle.  Both run the same float
+operations in the same order, so logits, fitted weights and loss histories
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ModelConfigError, TrainingDivergedError
-from repro.ml.base import check_fitted
+from repro.ml.base import check_fitted, check_X_y
+from repro.ml.nn.engine import CompiledNetwork
 from repro.ml.nn.layers import Layer
 from repro.ml.nn.losses import SoftmaxCrossEntropy
-from repro.ml.nn.optimizers import Adam, Optimizer
+from repro.ml.nn.optimizers import Adam
 
 #: Valid values of the ``backend`` knob on :class:`NeuralNetworkClassifier`.
-NN_BACKENDS = ("auto", "loop", "fused")
+NN_BACKENDS = ("fused", "loop")
 
 
 class Sequential(Layer):
@@ -126,15 +128,17 @@ class NeuralNetworkClassifier:
         Mini-batch Adam training schedule.
     seed:
         Seed controlling the shuffling of mini-batches.
-    optimizer:
-        Optional custom optimiser instance; default is Adam.
     backend:
-        Execution backend: ``"loop"`` walks the layer object graph,
-        ``"fused"`` compiles the model into the flat tape of
-        :mod:`repro.ml.nn.engine` (bit-identical, several times faster on
-        CommCNN-sized models), ``"auto"`` (default) tries the fused engine
-        and falls back to the loop when the model contains a layer the
-        engine cannot compile.
+        ``"fused"`` (default) compiles the model into the flat tape of
+        :mod:`repro.ml.nn.engine` and raises
+        :class:`~repro.ml.nn.engine.EngineCompileError` for a model it
+        cannot compile; ``"loop"`` walks the layer object graph, the
+        bit-identical oracle.
+
+    Each :meth:`fit` trains with a fresh :class:`~repro.ml.nn.optimizers.Adam`,
+    starting from the model's current weights: a second ``fit`` continues
+    from the weights the first one left, with zero Adam moments, on either
+    backend.
     """
 
     def __init__(
@@ -145,13 +149,14 @@ class NeuralNetworkClassifier:
         batch_size: int = 32,
         learning_rate: float = 1e-3,
         seed: int = 0,
-        optimizer: Optimizer | None = None,
-        backend: str = "auto",
+        backend: str = "fused",
     ) -> None:
         if num_classes < 2:
             raise ModelConfigError("need at least two classes")
         if epochs < 1 or batch_size < 1:
             raise ModelConfigError("epochs and batch_size must be positive")
+        if learning_rate <= 0:
+            raise ModelConfigError("learning_rate must be positive")
         if backend not in NN_BACKENDS:
             raise ModelConfigError(
                 f"backend must be one of {NN_BACKENDS}, got {backend!r}"
@@ -160,64 +165,43 @@ class NeuralNetworkClassifier:
         self.num_classes = num_classes
         self.epochs = epochs
         self.batch_size = batch_size
+        self.learning_rate = learning_rate
         self.seed = seed
-        self.optimizer = optimizer or Adam(learning_rate=learning_rate)
         self.loss = SoftmaxCrossEntropy()
         self.backend = backend
         self.loss_history_: list[float] | None = None
-        self.backend_used_: str | None = None
-        self._engine = None
-
-    def _compile_engine(self, input_shape: tuple[int, ...]):
-        """Engine for ``input_shape`` per the backend knob (None → loop)."""
-        if self.backend == "loop":
-            return None
-        from repro.ml.nn.engine import CompiledNetwork, EngineCompileError
-
-        try:
-            return CompiledNetwork(
-                self.model, input_shape, self.num_classes, capacity=self.batch_size
-            )
-        except EngineCompileError:
-            if self.backend == "fused":
-                raise
-            return None
+        self._engine: CompiledNetwork | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "NeuralNetworkClassifier":
         """Train on ``X`` (any shape with leading sample axis) and labels ``y``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ModelConfigError(
-                f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}"
-            )
+        X, y = check_X_y(X, y, min_dim=2)
         # Reset fitted state up front: a fit that raises (e.g.
         # TrainingDivergedError) must leave the classifier reporting
         # not-fitted rather than serving a half-trained model.
         self.loss_history_ = None
-        self.backend_used_ = None
         self._engine = None
 
-        engine = self._compile_engine(X.shape[1:])
-        if engine is not None:
+        optimizer = Adam(learning_rate=self.learning_rate)
+        if self.backend == "fused":
+            engine = CompiledNetwork(
+                self.model, X.shape[1:], self.num_classes, capacity=self.batch_size
+            )
             history = engine.train(
                 X,
                 y,
                 epochs=self.epochs,
                 seed=self.seed,
-                optimizer=self.optimizer,
+                optimizer=optimizer,
                 loss=self.loss,
             )
             self._engine = engine
-            self.backend_used_ = "fused"
         else:
-            history = self._fit_loop(X, y)
-            self.backend_used_ = "loop"
+            history = self._fit_loop(X, y, optimizer)
         self.loss_history_ = history
         self.model.clear_caches()
         return self
 
-    def _fit_loop(self, X: np.ndarray, y: np.ndarray) -> list[float]:
+    def _fit_loop(self, X: np.ndarray, y: np.ndarray, optimizer: Adam) -> list[float]:
         """Layer-by-layer reference training loop."""
         n_samples = X.shape[0]
         rng = np.random.default_rng(self.seed)
@@ -243,10 +227,10 @@ class NeuralNetworkClassifier:
                     )
                 grad = self.loss.backward()
                 self.model.backward(grad)
-                self.optimizer.step(self.model.parameters())
+                optimizer.step(self.model.parameters())
                 epoch_loss += batch_loss
                 num_batches += 1
-            history.append(epoch_loss / max(num_batches, 1))
+            history.append(epoch_loss / num_batches)
         return history
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

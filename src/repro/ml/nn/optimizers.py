@@ -1,16 +1,17 @@
-"""Optimisers for the NumPy neural-network stack (SGD with momentum, Adam).
+"""Adam, the optimiser CommCNN trains with (Kingma & Ba 2015).
 
-Optimiser state (momentum velocities, Adam moments, timesteps) is keyed by
-the *parameter name* handed to :meth:`Optimizer.step`, not by ``id(param)``:
-an array id can be recycled by the allocator after a parameter is garbage
-collected, which would silently splice stale state onto a fresh parameter.
-Names are stable for the lifetime of a model (``Sequential`` and
-``ParallelConcat`` prefix them with the layer/branch position), so they make
-a collision-free key as long as each named parameter appears at most once
-per ``step`` call.  The flip side: do not share one optimiser instance
-across *different* models — their parameter names coincide
-(``layer0.weight``, ...), so the second model would inherit the first
-model's moments and timesteps.  Use one optimiser per model.
+The loop backend steps it over ``model.parameters()``; the fused engine
+(:mod:`repro.ml.nn.engine`) runs the same update on its packed vectors and
+reads only the hyper-parameters from here.  Every ``fit`` builds a fresh
+instance.
+
+Moments and timesteps are keyed by the *parameter name* handed to
+:meth:`Adam.step`, not by ``id(param)``: an array id can be recycled by the
+allocator after a parameter is garbage collected, which would silently
+splice stale state onto a fresh parameter.  Names are stable for the
+lifetime of a model (``Sequential`` and ``ParallelConcat`` prefix them with
+the layer/branch position), so they make a collision-free key as long as
+each named parameter appears at most once per ``step`` call.
 """
 
 from __future__ import annotations
@@ -20,40 +21,9 @@ import numpy as np
 from repro.exceptions import ModelConfigError
 
 
-class Optimizer:
-    """Base optimiser: updates parameters in place given (name, param, grad) triples."""
-
-    def step(self, parameters: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ModelConfigError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ModelConfigError("momentum must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def step(self, parameters: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
-        for name, param, grad in parameters:
-            if self.momentum > 0.0:
-                velocity = self._velocity.get(name)
-                if velocity is None:
-                    velocity = self._velocity[name] = np.zeros_like(param)
-                velocity *= self.momentum
-                velocity -= self.learning_rate * grad
-                param += velocity
-            else:
-                param -= self.learning_rate * grad
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba 2015)."""
+class Adam:
+    """Adam optimiser (Kingma & Ba 2015); updates parameters in place given
+    ``(name, param, grad)`` triples."""
 
     def __init__(
         self,

@@ -1,14 +1,12 @@
-"""Dataset splitting and feature scaling utilities."""
+"""Train/test index splitting."""
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
-
-T = TypeVar("T")
+from repro.exceptions import DimensionMismatchError, ModelConfigError
 
 
 def train_test_split_indices(
@@ -63,101 +61,3 @@ def train_test_split_indices(
         np.sort(np.concatenate(train_parts)).astype(np.int64, copy=False),
         np.sort(np.concatenate(test_parts)).astype(np.int64, copy=False),
     )
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float = 0.2,
-    seed: int | None = 0,
-    stratify: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``(X, y)`` into ``(X_train, X_test, y_train, y_test)``."""
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(
-            f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}"
-        )
-    train_idx, test_idx = train_test_split_indices(
-        X.shape[0],
-        test_fraction=test_fraction,
-        seed=seed,
-        stratify=y if stratify else None,
-    )
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
-class StandardScaler:
-    """Zero-mean unit-variance feature scaling (constant columns left as zero)."""
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "StandardScaler":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise DimensionMismatchError(f"expected 2-D array, got shape {X.shape}")
-        self.mean_ = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError(self)
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-class MinMaxScaler:
-    """Scale each feature into [0, 1] (constant columns map to 0)."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise DimensionMismatchError(f"expected 2-D array, got shape {X.shape}")
-        self.min_ = X.min(axis=0)
-        value_range = X.max(axis=0) - self.min_
-        value_range[value_range == 0.0] = 1.0
-        self.range_ = value_range
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise NotFittedError(self)
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-def kfold_indices(
-    num_samples: int, num_folds: int = 5, seed: int | None = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """K-fold cross-validation index pairs ``(train_idx, val_idx)``."""
-    if num_folds < 2:
-        raise ModelConfigError("num_folds must be >= 2")
-    if num_samples < num_folds:
-        raise ModelConfigError("num_samples must be >= num_folds")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(num_samples)
-    folds = np.array_split(order, num_folds)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for index in range(num_folds):
-        val_idx = np.sort(folds[index])
-        train_idx = np.sort(
-            np.concatenate([folds[j] for j in range(num_folds) if j != index])
-        )
-        pairs.append((train_idx, val_idx))
-    return pairs

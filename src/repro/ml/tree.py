@@ -166,7 +166,7 @@ class GradientRegressionTree:
             elif binned.codes.shape[0] != X.shape[0]:
                 raise DimensionMismatchError(
                     f"binned dataset has {binned.codes.shape[0]} rows but X has "
-                    f"{X.shape[0]}; pass a row-aligned BinnedDataset.subset"
+                    f"{X.shape[0]}; pass one built from X"
                 )
             grower = HistTreeGrower(binned, gradients, hessians, self.config)
             self.root_ = grower.grow(self, indices)
@@ -176,7 +176,7 @@ class GradientRegressionTree:
             elif presort.codes.shape[1] != X.shape[0]:
                 raise DimensionMismatchError(
                     f"presort has {presort.codes.shape[1]} rows but X has "
-                    f"{X.shape[0]}; pass a row-aligned FeaturePresort.subset"
+                    f"{X.shape[0]}; pass one built from X"
                 )
             self.root_ = self._build(presort, gradients, hessians, indices, depth=0)
         else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,20 @@ from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.graph.generators import paper_figure1_network, paper_figure7_network
 from repro.synthetic import make_workload
 from repro.types import InteractionDim, RelationType
+
+pytest_plugins = ["pytester"]
+
+# When a @given test fails, hypothesis imports libcst to print a patch hint.
+# With some libcst / mypy_extensions pairs that import warns
+# DeprecationWarning, which pytest.ini's error::DeprecationWarning turns into
+# an INTERNALERROR that hides the falsifying example.  Import it once here,
+# with that warning silenced; without libcst hypothesis skips the hint.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst.metadata  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -113,7 +113,7 @@ class TestXGBoostEdge:
             )
 
     def test_beats_chance_on_synthetic_network(self, tiny_data):
-        model = XGBoostEdgeClassifier(num_rounds=20, seed=0).fit(
+        model = XGBoostEdgeClassifier(num_rounds=20).fit(
             tiny_data.dataset.features,
             tiny_data.dataset.interactions,
             tiny_data.train_edges,
@@ -130,7 +130,7 @@ class TestXGBoostEdge:
         from repro.core import LoCEC, LoCECConfig
         from repro.ml.metrics import classification_report
 
-        raw = XGBoostEdgeClassifier(num_rounds=20, seed=0).fit(
+        raw = XGBoostEdgeClassifier(num_rounds=20).fit(
             tiny_data.dataset.features,
             tiny_data.dataset.interactions,
             tiny_data.train_edges,

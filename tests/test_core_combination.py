@@ -238,8 +238,6 @@ class TestConfigs:
         # rejected by LoCEC(config), before any work is done.
         for gbdt in (
             GBDTConfig(learning_rate=0.0),
-            GBDTConfig(subsample=0.0),
-            GBDTConfig(subsample=1.5),
             GBDTConfig(max_depth=0),
             GBDTConfig(min_samples_leaf=0),
             GBDTConfig(max_bins=1),

@@ -227,9 +227,7 @@ def test_every_layer_of_a_default_fit_matches_its_oracle(tiny_workload, model):
             learning_rate=config.gbdt.learning_rate,
             max_depth=config.gbdt.max_depth,
             min_samples_leaf=config.gbdt.min_samples_leaf,
-            subsample=config.gbdt.subsample,
             num_classes=fitted.num_classes,
-            seed=config.gbdt.seed,
             backend="node",
         ).fit(builder.statistic_vectors(train), labels)
     else:

@@ -5,20 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
+from repro.exceptions import DimensionMismatchError, ModelConfigError
 from repro.ml import (
-    MinMaxScaler,
-    StandardScaler,
     accuracy,
     classification_report,
     confusion_matrix,
     format_report,
-    kfold_indices,
     macro_f1,
     one_hot,
     precision_recall_f1,
     softmax,
-    train_test_split,
     train_test_split_indices,
     weighted_prf,
 )
@@ -136,58 +132,3 @@ class TestSplits:
             train_test_split_indices(1, test_fraction=0.5)
         with pytest.raises(DimensionMismatchError):
             train_test_split_indices(10, 0.2, stratify=np.zeros(5))
-
-    def test_train_test_split_arrays(self, rng):
-        X = rng.normal(size=(40, 3))
-        y = np.array([0, 1] * 20)
-        X_train, X_test, y_train, y_test = train_test_split(X, y, 0.25, seed=0)
-        assert X_train.shape[0] == y_train.shape[0] == 30
-        assert X_test.shape[0] == y_test.shape[0] == 10
-
-    def test_train_test_split_mismatched_lengths(self, rng):
-        with pytest.raises(DimensionMismatchError):
-            train_test_split(rng.normal(size=(5, 2)), np.zeros(4))
-
-    def test_kfold_indices_cover_everything(self):
-        folds = kfold_indices(20, num_folds=4, seed=0)
-        assert len(folds) == 4
-        all_validation = np.concatenate([val for _, val in folds])
-        assert sorted(all_validation.tolist()) == list(range(20))
-        for train, val in folds:
-            assert set(train).isdisjoint(set(val))
-
-    def test_kfold_validation(self):
-        with pytest.raises(ModelConfigError):
-            kfold_indices(10, num_folds=1)
-        with pytest.raises(ModelConfigError):
-            kfold_indices(3, num_folds=5)
-
-
-class TestScalers:
-    def test_standard_scaler_zero_mean_unit_variance(self, rng):
-        X = rng.normal(loc=5.0, scale=3.0, size=(200, 4))
-        scaled = StandardScaler().fit_transform(X)
-        np.testing.assert_allclose(scaled.mean(axis=0), np.zeros(4), atol=1e-9)
-        np.testing.assert_allclose(scaled.std(axis=0), np.ones(4), atol=1e-9)
-
-    def test_standard_scaler_constant_column(self):
-        X = np.array([[1.0, 2.0], [1.0, 4.0]])
-        scaled = StandardScaler().fit_transform(X)
-        np.testing.assert_allclose(scaled[:, 0], [0.0, 0.0])
-
-    def test_standard_scaler_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            StandardScaler().transform(np.zeros((2, 2)))
-
-    def test_standard_scaler_requires_2d(self):
-        with pytest.raises(DimensionMismatchError):
-            StandardScaler().fit(np.zeros(5))
-
-    def test_minmax_scaler_range(self, rng):
-        X = rng.normal(size=(50, 3)) * 10
-        scaled = MinMaxScaler().fit_transform(X)
-        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
-
-    def test_minmax_scaler_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            MinMaxScaler().transform(np.zeros((2, 2)))

@@ -172,11 +172,6 @@ class TestTreeParity:
             GradientRegressionTree(backend="array").fit(
                 X[:32], gradients[:32], hessians[:32], presort=presort
             )
-        # The row-aligned subset is the supported way to fit on fewer rows.
-        rows = np.arange(32)
-        GradientRegressionTree(backend="array").fit(
-            X[:32], gradients[:32], hessians[:32], presort=presort.subset(rows)
-        )
 
     def test_rank_codes_widen_past_65536_rows(self):
         # All-distinct values: the largest rank is rows - 1, which fits
@@ -228,7 +223,7 @@ class TestForestParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gbdt_outputs_bit_identical(self, seed):
         X, y = random_classification_problem(seed)
-        kwargs = dict(num_rounds=8, max_depth=3, seed=seed)
+        kwargs = dict(num_rounds=8, max_depth=3)
         node_model = GradientBoostedClassifier(backend="node", **kwargs).fit(X, y)
         array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
         assert node_model.train_loss_history_ == array_model.train_loss_history_
@@ -250,15 +245,6 @@ class TestForestParity:
             assert np.array_equal(
                 node_model.leaf_indices(batch), array_model.leaf_indices(batch)
             )
-
-    def test_subsampled_fit_bit_identical(self):
-        X, y = random_classification_problem(11, n=200)
-        kwargs = dict(num_rounds=10, subsample=0.6, seed=7)
-        node_model = GradientBoostedClassifier(backend="node", **kwargs).fit(X, y)
-        array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
-        assert np.array_equal(
-            node_model.predict_proba(X), array_model.predict_proba(X)
-        )
 
     @pytest.mark.parametrize("backend", ("node", "array"))
     def test_proba_from_leaf_values_is_predict_proba(self, backend):
@@ -339,8 +325,6 @@ def tie_heavy_problems(draw):
         min_samples_leaf=draw(st.integers(1, 5)),
         gamma=draw(st.sampled_from((0.0, 0.05, 0.5))),
         reg_lambda=draw(st.sampled_from((0.0, 1.0))),
-        subsample=draw(st.sampled_from((1.0, 0.8, 0.5))),
-        seed=draw(st.integers(0, 3)),
     )
     return X, y, kwargs
 
@@ -424,12 +408,12 @@ class TestScoresFromThePartition:
             values = tree.fit_predict(X, gradients, hessians)
             np.testing.assert_array_equal(values, tree.predict(X), err_msg=backend)
 
-    @given(problem=partition_problems(), subsample=st.sampled_from((1.0, 0.6)))
+    @given(problem=partition_problems())
     @settings(max_examples=30, deadline=None)
-    def test_fit_equals_a_walk_based_fit(self, problem, subsample):
+    def test_fit_equals_a_walk_based_fit(self, problem):
         X, _, _, y, config = problem
         for backend in ("node", "array", "hist"):
-            kwargs = dict(num_rounds=3, subsample=subsample, backend=backend, **config)
+            kwargs = dict(num_rounds=3, backend=backend, **config)
             fitted = GradientBoostedClassifier(**kwargs).fit(X, y)
             with _walked_fit_predict():
                 walked = GradientBoostedClassifier(**kwargs).fit(X, y)
@@ -454,9 +438,6 @@ class TestScoresFromThePartition:
         )
         GradientBoostedClassifier(num_rounds=4, backend=backend).fit(X, y)
         assert walks == []
-        # A subsampled round still walks: rows outside its subset have no leaf.
-        GradientBoostedClassifier(num_rounds=4, subsample=0.6, backend=backend).fit(X, y)
-        assert walks == [len(X)] * 4 * 3
 
 def random_stores_and_communities(seed: int):
     """Random Phase II stores plus communities (mirrors test_phase2_csr)."""

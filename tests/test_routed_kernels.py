@@ -15,7 +15,10 @@ Oracles are not options: which kernel computes a phase is chosen below the
 product surface, so outside ``ml/`` (whose model classes keep ``backend=``
 for the parity suites) nothing may be *named* after a backend selector, and
 every literal those classes accept must be exercised by some test.  The
-checks are by AST, so a mention in a docstring or comment does not count.
+model layer is held to the csr rule too: ``repro.ml`` once exported scalers,
+k-fold splits, an estimator protocol and an SGD optimiser that only tests
+called.  The checks are by AST, so a mention in a docstring or comment does
+not count.
 CI runs this file in the ``static-analysis`` job as well.
 """
 
@@ -24,6 +27,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import repro.ml
+import repro.ml.nn
 from repro.graph import csr
 from repro.ml.forest import ML_BACKENDS
 from repro.ml.nn import NN_BACKENDS
@@ -63,6 +68,75 @@ def test_every_public_csr_kernel_is_routed():
         f"delete them: {sorted(unrouted - TEST_HANDLES)}; allowlisted names "
         f"that are routed now and should leave TEST_HANDLES: "
         f"{sorted(TEST_HANDLES - unrouted)}"
+    )
+
+
+ML = PACKAGE / "ml"
+CALLER_ROOTS = ("src", "scripts", "examples", "benchmarks")
+
+# Exported names that need no reference outside the scope below.
+MODEL_LAYER_ALLOWLIST = {
+    # A public exception type: callers catch it, only the engine raises it.
+    "EngineCompileError",
+    # Report metrics that classification_report composes inside
+    # ml/metrics.py; exported for callers who want one number.
+    "confusion_matrix",
+    "precision_recall_f1",
+    "weighted_prf",
+    # The accepted backend literals and the auto crossover, read in their
+    # own modules (the constructors validate against them, resolve_ml_backend
+    # routes on the crossover) and by the tests.
+    "ML_BACKENDS",
+    "NN_BACKENDS",
+    "HIST_AUTO_MIN_ROWS",
+    # Parts of the CommCNN stack that NeuralNetworkClassifier composes inside
+    # ml/nn (the base layer type, the loss, the optimiser and the compiled
+    # engine); the parity suites drive each directly.
+    "Layer",
+    "SoftmaxCrossEntropy",
+    "Adam",
+    "CompiledNetwork",
+}
+
+
+def exporting_modules(package: Path) -> dict[str, Path]:
+    """Re-exported name -> the file its ``__init__`` imports it from."""
+    found = {}
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            source = PACKAGE.parent.joinpath(*node.module.split(".")).with_suffix(".py")
+            found.update({alias.name: source for alias in node.names})
+    return found
+
+
+def test_every_model_layer_export_is_referenced():
+    """A name in ``repro.ml.__all__`` needs a reference outside the module
+    that defines it; a name in ``repro.ml.nn.__all__`` — the CommCNN stack,
+    whose parts the classifier composes — needs one outside ``ml/nn``."""
+    inits = {ML / "__init__.py", ML / "nn" / "__init__.py"}
+    names_by_file = {
+        path: names_in_code(path)
+        for root in CALLER_ROOTS
+        for path in (REPO / root).rglob("*.py")
+        if path not in inits
+    }
+    sources = exporting_modules(ML)
+    homes = {name: {sources[name]} for name in repro.ml.__all__}
+    nn_files = set((ML / "nn").rglob("*.py"))
+    homes.update({name: nn_files for name in repro.ml.nn.__all__})
+    unreferenced = {
+        name
+        for name, home in homes.items()
+        if not any(
+            name in names for path, names in names_by_file.items() if path not in home
+        )
+    }
+    assert unreferenced == MODEL_LAYER_ALLOWLIST, (
+        "model-layer exports nothing in src/, scripts/, examples/ or benchmarks/ "
+        f"references — route them or delete them: "
+        f"{sorted(unreferenced - MODEL_LAYER_ALLOWLIST)}; allowlisted names that "
+        f"are referenced now and should leave the allowlist: "
+        f"{sorted(MODEL_LAYER_ALLOWLIST - unreferenced)}"
     )
 
 
