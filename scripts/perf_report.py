@@ -247,9 +247,10 @@ def build_benchmarks(
         ).fit(design, labels)
         for backend in ("node", "array")
     }
-    # gbdt_fit_hist: the histogram split search (one per-fit quantization,
-    # O(rows + bins) per node per feature, parent-minus-sibling histogram
-    # subtraction) against the exact array search above.
+    # gbdt_fit_hist: the histogram growth (one per-fit quantization, a
+    # round's class trees grown together level by level, one histogram pass
+    # per level with parent-minus-sibling subtraction) against the exact
+    # array search above.
     for backend in ("node", "array", "hist"):
         benchmarks[f"gbdt_fit_{model_scale}_{backend}"] = (
             lambda be=backend, d=design, y=labels: GradientBoostedClassifier(

@@ -573,8 +573,11 @@ class LoCEC:
                 fault_plan=fault_plan,
                 clock=self._clock,
             ) as executor:
+                # An ego's division reads only its ego network, and equal
+                # graphs divide equally: the executor snapshots the dirty
+                # egos' neighbourhoods, not the whole network.
                 redivided = executor.run(
-                    self._graph, egos=dirty_egos
+                    self._graph.neighborhood_subgraph(dirty_egos), egos=dirty_egos
                 ).division.communities_by_ego
         stale: list[Node] = []
         rescore_keys: set[CommunityKey] = set()

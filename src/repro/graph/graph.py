@@ -161,6 +161,18 @@ class Graph:
                     sub.add_edge(node, other)
         return sub
 
+    def neighborhood_subgraph(self, egos: Iterable[Node]) -> "Graph":
+        """Return the subgraph induced by ``egos`` and all their neighbours.
+
+        The ego network of every ego in ``egos`` lies in it whole, so a
+        re-division of those egos can read this instead of the network.
+        """
+        nodes: set[Node] = set()
+        for ego in egos:
+            nodes.add(ego)
+            nodes |= self.neighbors(ego)
+        return self.subgraph(nodes)
+
     def copy(self) -> "Graph":
         """Return a deep copy of the graph structure."""
         clone = Graph()

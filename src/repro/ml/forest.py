@@ -50,15 +50,16 @@ HIST_AUTO_MIN_ROWS = 4096
 kept (bit-identical splits), at or above it ``auto`` prefers the
 ``O(rows + bins)`` histogram search, whose threshold snapping is amortised
 away by ``max_bins`` quantile bins.  With the exact search presorted and
-feature-batched the two kernels cross at a few hundred rows — on the
-LoCEC-XGB design matrices (23 features, 40 rounds x 3 classes) exact fits
-154 rows ~2x *faster* than hist, ~1k rows ~1.5x slower and ~4k rows ~3x
-slower (table in the ROADMAP item "The write path and Phase III: stop
-refitting what did not change") — so hist still wins raw fit speed in
-the upper part of the exact range.  The constant stays conservative on
-purpose: ``auto`` trades exactness for speed only where the win is
-decisive, and no benchmark workload sits between the two regimes to judge
-a re-routing."""
+feature-batched, and the histogram trees of a round grown together level
+by level, the two kernels cross near 1k rows — on random 23-feature
+designs (40 rounds x 3 classes, default settings) exact fits 154 rows ~2x
+*faster* than hist, the two tie at ~1k rows and exact is ~3.5-4x slower
+at ~4k rows (table in the ROADMAP item "The write path and Phase III:
+stop refitting what did not change"); on the LoCEC-XGB designs exact is
+still ~1.4-1.8x faster at 93 and 154 rows.  The constant stays
+conservative on purpose: ``auto`` trades exactness for speed only where
+the win is decisive, and no benchmark workload sits between the two
+regimes to judge a re-routing."""
 
 
 def resolve_ml_backend(backend: str, num_rows: int | None = None) -> str:

@@ -21,6 +21,7 @@ import numpy as np
 from repro.exceptions import DimensionMismatchError, FeatureError, ModelConfigError
 from repro.ml.base import check_fitted, check_X_y, one_hot, softmax
 from repro.ml.forest import FeaturePresort, ForestTensor, boosted_scores, resolve_ml_backend
+from repro.ml.hist import BinnedDataset, HistTreeGrower
 from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
 
 
@@ -44,10 +45,10 @@ class GradientBoostedClassifier:
         :class:`~repro.ml.forest.FeaturePresort` built **once per fit**
         (every node searches all features in one pass over integer rank
         codes; no float column is sorted again), ``"hist"`` for the histogram
-        split search of :mod:`repro.ml.hist` (the feature matrix is
-        quantized into at most ``max_bins`` bins **once per fit** and every
-        tree of every round searches splits in ``O(rows + bins)`` per
-        feature), or ``"auto"`` (default) to pick by row count
+        growth of :mod:`repro.ml.hist` (the feature matrix is quantized into
+        at most ``max_bins`` bins **once per fit**, and a round's class
+        trees grow together, level by level, in ``O(rows + bins)`` per
+        feature and level), or ``"auto"`` (default) to pick by row count
         (:func:`~repro.ml.forest.resolve_ml_backend`).  Fitted models and
         every prediction are bit-identical between ``node`` and ``array``;
         ``hist`` chooses identical splits while each feature has at most
@@ -109,15 +110,23 @@ class GradientBoostedClassifier:
         self.num_features_: int | None = None
         self.train_loss_history_: list[float] = []
         self.train_leaf_values_: np.ndarray | None = None
+        self.num_hist_passes_: int = 0
 
     # --------------------------------------------------------------------- fit
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedClassifier":
         """Fit the boosted ensemble on features ``X`` and integer labels ``y``.
 
-        Every round grows its trees on all rows and adds their leaf values
-        of the training rows to the running scores.  Those values are read
-        off the partitions the growers built
-        (:meth:`GradientRegressionTree.fit_predict`), not walked.
+        Every round grows one tree per class on all rows and adds their
+        leaf values of the training rows to the running scores.  On the
+        hist backend one :class:`~repro.ml.hist.HistTreeGrower`, built once
+        per fit, grows a round's class trees together, level by level:
+        every level of a round is one histogram pass over rows, whatever
+        the class count (``num_hist_passes_`` counts them).  The exact
+        backends grow the trees one at a time
+        (:meth:`GradientRegressionTree.fit_predict`).  The softmax is taken
+        once a round: the probabilities behind a round's loss are the next
+        round's.  The training rows' leaf values are read off the
+        partitions the growers built, not walked.
         ``train_leaf_values_`` keeps them
         as the ``(rows, trees)`` matrix :meth:`leaf_values` returns for
         ``X``, bit for bit.  A caller that has read it may set it to
@@ -152,44 +161,46 @@ class GradientBoostedClassifier:
         # count) also pins the auto choice for all trees.
         resolved = resolve_ml_backend(self.backend, num_rows=n_samples)
         self._resolved_backend = resolved
-        binned = presort = None
+        grower = presort = None
         if resolved == "hist":
-            from repro.ml.hist import BinnedDataset
-
             binned = BinnedDataset.from_matrix(X, self.tree_config.max_bins)
+            grower = HistTreeGrower(binned, self.tree_config)
         elif resolved == "array":
             presort = FeaturePresort.from_matrix(X)
 
+        # One softmax a round: the one the loss takes is the next round's.
+        probabilities = softmax(raw_scores)
         for round_index in range(self.num_rounds):
-            probabilities = softmax(raw_scores)
             gradients = probabilities - targets
             hessians = probabilities * (1.0 - probabilities)
-
-            round_trees: list[GradientRegressionTree] = []
-            for class_index in range(num_classes):
-                tree = GradientRegressionTree(self.tree_config, backend=resolved)
-                values = tree.fit_predict(
-                    X,
-                    gradients[:, class_index],
-                    hessians[:, class_index],
-                    binned=binned,
-                    presort=presort,
+            round_trees = [
+                GradientRegressionTree(self.tree_config, backend=resolved)
+                for _ in range(num_classes)
+            ]
+            if grower is not None:
+                roots, values = grower.grow(gradients, hessians)
+                for tree, root in zip(round_trees, roots):
+                    tree._install(root)
+            else:
+                values = np.column_stack(
+                    [
+                        tree.fit_predict(X, gradients[:, k], hessians[:, k], presort=presort)
+                        for k, tree in enumerate(round_trees)
+                    ]
                 )
-                leaf_values[:, round_index * num_classes + class_index] = values
-                raw_scores[:, class_index] += self.learning_rate * values
-                round_trees.append(tree)
+            leaf_values[:, round_index * num_classes : (round_index + 1) * num_classes] = values
+            raw_scores += self.learning_rate * values
             self.trees_.append(round_trees)
 
+            probabilities = softmax(raw_scores)
             loss = -float(
                 np.mean(
-                    np.sum(
-                        targets * np.log(np.clip(softmax(raw_scores), 1e-12, 1.0)),
-                        axis=1,
-                    )
+                    np.sum(targets * np.log(np.clip(probabilities, 1e-12, 1.0)), axis=1)
                 )
             )
             self.train_loss_history_.append(loss)
 
+        self.num_hist_passes_ = 0 if grower is None else grower.num_passes
         self._num_classes = num_classes
         self.num_features_ = X.shape[1]
         self.train_leaf_values_ = leaf_values

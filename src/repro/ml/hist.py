@@ -1,30 +1,40 @@
-"""Histogram-based GBDT split search (``backend="hist"``).
+"""Histogram GBDT growth (``backend="hist"``): level-wise, class-batched.
 
 :func:`repro.ml.forest.best_split_array` made the exact greedy search
-array-fast and sorts the float columns only once per fit
-(:class:`~repro.ml.forest.FeaturePresort`), but every node still re-orders
-its rows by rank code and scans all of them for every feature — a
-``(features, rows)`` radix ``argsort`` plus row-length cumulative sums for
-every node of every tree of every boosting round.  This module takes row
-order out of the per-node path entirely, the way LightGBM/XGBoost-hist do:
+array-fast, but every node still re-orders its rows by rank code and scans
+all of them for every feature.  This module takes row order out of the
+split search the way LightGBM (Ke et al., NeurIPS 2017) and XGBoost-hist
+with its depthwise grow policy (Chen & Guestrin, KDD 2016) do:
 
 * :class:`BinnedDataset` — built **once per fit**: each feature column is
   quantized into at most ``max_bins`` ordered bins (one bin per distinct
   value when the column has ``<= max_bins`` of them, quantile-spaced edges
   otherwise), and the whole matrix is re-expressed as integer bin codes.
-* :class:`HistTreeGrower` — grows a tree on the codes.  A node's split
-  search is one flattened ``np.bincount`` accumulation of gradient /
-  hessian / count histograms over all features, a ``cumsum`` per feature,
-  and one masked-gain ``argmax`` over bin boundaries: ``O(rows + bins)``
-  per feature, with no per-row ordering at all.
-* **Parent-minus-sibling subtraction** — when a node splits, only the
-  *smaller* child's histogram is ever accumulated from rows; the larger
-  child's is the parent's histogram minus the sibling's, so the total
-  accumulation work per tree level is halved.
+* :class:`HistTreeGrower` — grows the ``K`` class trees of a boosting
+  round together, level by level (a lone tree is ``K = 1``).  A level is
+  one ``np.bincount`` per statistic over (node, feature, bin) keys for the
+  smaller child of every split node, parent-minus-sibling subtraction for
+  the larger children on whole ``(nodes, features, width)`` stacks, and
+  one masked-gain pass over the real bin boundaries with one
+  first-maximum ``argmax`` per node.  Every tree's root holds all rows, so
+  the root's count histogram and the (feature, bin) cell of every value
+  are built once per fit, and a round's root pass reads those cells
+  without a per-tree copy of them.
 
-Exactness contract (the hist twin of the bit-parity suites): whenever a
-feature has at most ``max_bins`` distinct values it is binned *exactly* —
-one bin per distinct value, candidate thresholds computed by the same
+Bit-identity with the recursive one-tree-at-a-time grower this replaced
+(kept in ``tests/hist_reference.py`` as the oracle): every node's rows stay
+in the order that grower kept them, so each per-bin partial sum sees the
+same float additions in the same order; a node's gradient and hessian
+totals are ``gradients[rows].sum()`` as before; ties go to the first
+feature, then the first boundary, as the flat row-major ``argmax`` did;
+and leaves are numbered left-first DFS after growth.  A level is cut into
+stacks of at most ``_STACK_CELLS`` histogram cells, and the stacks are
+grown last-in first-out, so a deep tree never holds a whole wide level of
+histograms at once.
+
+Exactness contract with the exact search: whenever a feature has at most
+``max_bins`` distinct values it is binned *exactly* — one bin per distinct
+value, candidate thresholds computed by the same
 :func:`~repro.ml.forest.split_threshold` rule between the node's adjacent
 present values that the exact search uses.  In that regime the chosen
 splits (feature, threshold, and row partition) are **identical** to
@@ -32,8 +42,7 @@ splits (feature, threshold, and row partition) are **identical** to
 behind the gains are associated differently (per-bin partial sums instead
 of a row-ordered ``cumsum``), which perturbs gains and leaf values at the
 last-ulp level but never the argmax on non-degenerate data.
-``tests/test_ml_hist.py`` arbitrates, in the same style as
-``tests/test_ml_forest.py`` does for the array backend.
+``tests/test_ml_hist.py`` arbitrates both contracts.
 
 Above ``max_bins`` distinct values the search becomes approximate: split
 thresholds snap to quantile bin edges (the classic hist-vs-exact
@@ -46,7 +55,15 @@ import numpy as np
 
 from repro.exceptions import ModelConfigError
 from repro.ml.forest import split_threshold
+from repro.ml.tree import _TreeNode, leaf_weight
 
+_STACK_CELLS = 1 << 17
+"""Most histogram cells (nodes x features x width) in one stack of a
+level; a wider level is grown as several stacks.  Splitting a stack holds
+about fifteen arrays of at most this many cells (1 MiB each as float64),
+so a level's working set stays near 16 MiB however wide the tree grows,
+while a LoCEC-XGB round (3 trees of depth 3 on 23 features of up to 256
+bins: at most 12 searching nodes a level) is one stack per level."""
 
 class BinnedDataset:
     """A feature matrix quantized to integer bin codes, built once per fit.
@@ -165,161 +182,233 @@ class BinnedDataset:
 
 
 class HistTreeGrower:
-    """Grows one regression tree with histogram split search.
+    """Grows the class trees of a boosting round together, level by level.
 
-    Mirrors :meth:`repro.ml.tree.GradientRegressionTree._build` exactly —
-    same stopping rules, same leaf-id numbering (left-first DFS), same leaf
-    weights, same gain formula, same first-strict-maximum tie-breaking —
-    with the per-node sort replaced by histogram accumulation and
-    parent-minus-sibling subtraction.
+    Built once per fit on the fit's :class:`BinnedDataset`; each
+    :meth:`grow` grows one round, one tree per gradient column (one column
+    for a lone tree).  It applies the recursive grower's rules exactly —
+    same stopping rules, leaf weights, gain formula, first-maximum
+    tie-breaking, left-first DFS leaf numbering and parent-minus-sibling
+    choice of which child to accumulate — to every node of a level at
+    once.  ``num_passes`` counts histogram accumulation passes over rows:
+    at most one per level of a round, whatever the number of trees.
     """
 
-    def __init__(
-        self,
-        binned: BinnedDataset,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        config,
-    ) -> None:
+    def __init__(self, binned: BinnedDataset, config) -> None:
         self.binned = binned
-        self.gradients = gradients
-        self.hessians = hessians
         self.config = config
-        width = binned.hist_width
+        self.num_passes = 0
+        num_features, width = binned.num_features, binned.hist_width
         self._width = width
-        self._offsets = np.arange(binned.num_features, dtype=np.int64) * width
-        self._total = binned.num_features * width
-        # boundary b of feature f is a real boundary only while b < bins - 1.
-        self._boundary_ok = (
-            np.arange(width - 1)[None, :] < (binned.num_bins - 1)[:, None]
+        self._shape = (num_features, width)
+        self._total = num_features * width
+        # Histogram cell (feature, bin) of every value, row-major.
+        self._cells = binned.codes + np.arange(num_features, dtype=np.int64) * width
+        # Cells of the real boundaries: bin b of feature f ends one while
+        # b < bins - 1; the search reads only these.
+        self._boundaries = np.flatnonzero(
+            np.arange(width)[None, :] < (binned.num_bins - 1)[:, None]
         )
-
-    # ------------------------------------------------------------- histograms
-    def _accumulate(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Count/gradient/hessian histograms of ``indices``, all features at
-        once via one flattened ``bincount`` per statistic."""
-        codes = self.binned.codes[indices]
-        flat = (codes + self._offsets).ravel()
-        shape = (self.binned.num_features, self._width)
-        counts = np.bincount(flat, minlength=self._total).reshape(shape)
-        grad_weights = np.broadcast_to(
-            self.gradients[indices][:, None], codes.shape
-        ).ravel()
-        hess_weights = np.broadcast_to(
-            self.hessians[indices][:, None], codes.shape
-        ).ravel()
-        grads = np.bincount(flat, weights=grad_weights, minlength=self._total)
-        hessians = np.bincount(flat, weights=hess_weights, minlength=self._total)
-        return counts, grads.reshape(shape), hessians.reshape(shape)
-
-    # ------------------------------------------------------------ split search
-    def _best_split(
-        self,
-        hist: tuple[np.ndarray, np.ndarray, np.ndarray],
-        grad_sum: float,
-        hess_sum: float,
-        num_rows: int,
-    ) -> tuple[int, int] | None:
-        """Best ``(feature, boundary)`` over all bin boundaries, or ``None``.
-
-        The gain arithmetic matches the exact search term for term; the flat
-        row-major ``argmax`` picks the first boundary of the first feature
-        attaining the maximum, exactly like the exact search's sequential
-        strict-``>`` scan.
-        """
-        if self._width < 2:
-            return None  # every feature is constant: no boundary exists
-        counts, grads, hessians = hist
-        config = self.config
-        lam = config.reg_lambda
-        parent_score = grad_sum * grad_sum / (hess_sum + lam)
-        count_left = np.cumsum(counts, axis=1)[:, :-1]
-        grad_left = np.cumsum(grads, axis=1)[:, :-1]
-        hess_left = np.cumsum(hessians, axis=1)[:, :-1]
-        grad_right = grad_sum - grad_left
-        hess_right = hess_sum - hess_left
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gains = (
-                0.5
-                * (
-                    grad_left * grad_left / (hess_left + lam)
-                    + grad_right * grad_right / (hess_right + lam)
-                    - parent_score
-                )
-                - config.gamma
-            )
-        valid = (
-            self._boundary_ok
-            & (count_left >= config.min_samples_leaf)
-            & (num_rows - count_left >= config.min_samples_leaf)
-        )
-        # NaN gains (zero-hessian, zero-lambda corner) lose every strict `>`
-        # comparison on the exact backends; mask them out identically.
-        gains = np.where(valid & ~np.isnan(gains), gains, -np.inf)
-        flat_best = int(np.argmax(gains))
-        gain = gains.ravel()[flat_best]
-        if not gain > config.min_gain:
-            return None
-        feature, boundary = divmod(flat_best, self._width - 1)
-        return feature, boundary
+        # Every root holds all rows: its count histogram is built once.
+        self._root_counts = np.bincount(
+            self._cells.ravel(), minlength=self._total
+        ).reshape(self._shape)
 
     # ----------------------------------------------------------------- growth
-    def grow(self, tree, indices: np.ndarray):
-        """Grow and return the root ``_TreeNode`` (leaf ids via ``tree``)."""
-        return self._build(tree, indices, depth=0, hist=None)
+    def grow(
+        self, gradients: np.ndarray, hessians: np.ndarray
+    ) -> tuple[list[_TreeNode], np.ndarray]:
+        """Grow one tree per column of the ``(rows, trees)`` ``gradients``
+        / ``hessians``; return the roots (leaf ids unset) and the ``(rows,
+        trees)`` leaf values of the training rows.
 
-    def _build(self, tree, indices: np.ndarray, depth: int, hist):
-        from repro.ml.tree import _TreeNode
+        Stacks are split last-in first-out, so a level cut into several
+        stacks is grown one stack's subtree at a time and the histograms
+        alive at once stay within a few stacks per level.
+        """
+        num_rows, num_trees = gradients.shape
+        self._grads = np.ascontiguousarray(gradients.T)
+        self._hessians = np.ascontiguousarray(hessians.T)
+        self._values = np.empty((num_rows, num_trees))
+        rows = np.arange(num_rows)
+        roots, level = [], []
+        for tree in range(num_trees):
+            root, searcher = self._open(tree, rows, depth=0)
+            roots.append(root)
+            if searcher is not None:
+                level.append(searcher)
+        # Roots search together or not at all: they hold the same rows.
+        stacks = [(level, self._root_histograms())] if level else []
+        while stacks:
+            stacks.extend(self._split(*stacks.pop()))
+        values, self._values = self._values, None
+        self._grads = self._hessians = None
+        return roots, values
 
+    def _open(self, tree: int, rows: np.ndarray, depth: int):
+        """A new node of ``tree`` over ``rows``: its leaf weight, and the
+        search entry ``(tree, rows, node, grad_sum, hess_sum)`` when it may
+        split (``None`` makes it a leaf now)."""
         config = self.config
-        node = _TreeNode(depth=depth)
-        grad_sum = self.gradients[indices].sum()
-        hess_sum = self.hessians[indices].sum()
-        node.value = tree._leaf_weight(grad_sum, hess_sum)
-
-        if depth >= config.max_depth or indices.size < 2 * config.min_samples_leaf:
-            return tree._finalise_leaf(node, indices)
-
-        if hist is None:
-            hist = self._accumulate(indices)
-        split = self._best_split(hist, grad_sum, hess_sum, indices.size)
-        if split is None:
-            return tree._finalise_leaf(node, indices)
-
-        feature, boundary = split
-        node.feature = feature
-        node.threshold = self.binned.boundary_threshold(
-            feature, boundary, hist[0][feature]
+        grad_sum = self._grads[tree][rows].sum()
+        hess_sum = self._hessians[tree][rows].sum()
+        node = _TreeNode(
+            depth=depth, value=leaf_weight(grad_sum, hess_sum, config.reg_lambda)
         )
-        go_left = self.binned.codes[indices, feature] <= boundary
-        left_idx = indices[go_left]
-        right_idx = indices[~go_left]
+        if depth < config.max_depth and rows.size >= 2 * config.min_samples_leaf:
+            return node, (tree, rows, node, grad_sum, hess_sum)
+        self._values[rows, tree] = node.value
+        return node, None
 
-        # Parent-minus-sibling: accumulate only the smaller child (and only
-        # when a child will actually search — a to-be leaf needs no histogram).
-        def needs_hist(child_indices: np.ndarray) -> bool:
-            return (
-                depth + 1 < config.max_depth
-                and child_indices.size >= 2 * config.min_samples_leaf
+    def _split(self, level: list, hist: tuple):
+        """Split every node of one stack; return its children's stacks."""
+        counts = hist[0]
+        best = self._best_splits(level, hist)
+        codes = self.binned.codes
+        smaller: list[np.ndarray] = []
+        smaller_trees: list[int] = []
+        children = []  # (search entry, smaller slot, parent position or -1)
+        for position, (tree, rows, node, _, _) in enumerate(level):
+            if best[position] < 0:
+                self._values[rows, tree] = node.value
+                continue
+            feature, boundary = divmod(int(best[position]), self._width)
+            node.feature = feature
+            node.threshold = self.binned.boundary_threshold(
+                feature, boundary, counts[position, feature]
             )
+            go_left = codes[rows, feature] <= boundary
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            node.left, left = self._open(tree, left_rows, node.depth + 1)
+            node.right, right = self._open(tree, right_rows, node.depth + 1)
+            if left is None and right is None:
+                continue
+            # Parent-minus-sibling: only the smaller child is accumulated
+            # from rows; the larger is its parent's histogram minus it.
+            left_small = left_rows.size <= right_rows.size
+            slot = len(smaller)
+            smaller.append(left_rows if left_small else right_rows)
+            smaller_trees.append(tree)
+            if left is not None:
+                children.append((left, slot, -1 if left_small else position))
+            if right is not None:
+                children.append((right, slot, position if left_small else -1))
+        if not children:
+            return []
+        # One pass for the level: every smaller child's rows, keyed by slot.
+        sizes = [rows.size for rows in smaller]
+        rows = np.concatenate(smaller)
+        slots = np.repeat(np.arange(len(smaller), dtype=np.int64) * self._total, sizes)
+        small = self._histograms(
+            len(smaller),
+            (self._cells[rows] + slots[:, None]).ravel(),
+            np.repeat(smaller_trees, sizes),
+            rows,
+        )
+        height = max(1, _STACK_CELLS // self._total)
+        stacks = []
+        for start in range(0, len(children), height):
+            chunk = children[start : start + height]
+            slots = np.array([slot for _, slot, _ in chunk])
+            parents = np.array([parent for _, _, parent in chunk])
+            derived = parents >= 0
+            stats = []
+            for parent_stat, small_stat in zip(hist, small):
+                stat = small_stat[slots]
+                stat[derived] = parent_stat[parents[derived]] - small_stat[slots[derived]]
+                stats.append(stat)
+            stacks.append(([entry for entry, _, _ in chunk], tuple(stats)))
+        return stacks[::-1]
 
-        left_hist = right_hist = None
-        need_left, need_right = needs_hist(left_idx), needs_hist(right_idx)
-        if need_left or need_right:
-            left_is_small = left_idx.size <= right_idx.size
-            small_idx = left_idx if left_is_small else right_idx
-            small_hist = self._accumulate(small_idx)
-            big_hist = tuple(parent - small for parent, small in zip(hist, small_hist))
-            left_hist, right_hist = (
-                (small_hist, big_hist) if left_is_small else (big_hist, small_hist)
-            )
-            if not need_left:
-                left_hist = None
-            if not need_right:
-                right_hist = None
+    # ------------------------------------------------------------- histograms
+    def _root_histograms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Count/gradient/hessian histograms of every tree's root: the fit's
+        count histogram, and per tree one ``bincount`` per statistic over
+        the cells of all rows (no tree-keyed copy of them)."""
+        self.num_passes += 1
+        num_features = self._shape[0]
+        shape = (self._grads.shape[0], *self._shape)
+        cells = self._cells.ravel()
+        grads, hessians = (
+            np.stack(
+                [
+                    np.bincount(
+                        cells, weights=np.repeat(column, num_features), minlength=self._total
+                    )
+                    for column in stat
+                ]
+            ).reshape(shape)
+            for stat in (self._grads, self._hessians)
+        )
+        return np.broadcast_to(self._root_counts, shape), grads, hessians
 
-        node.left = self._build(tree, left_idx, depth + 1, left_hist)
-        node.right = self._build(tree, right_idx, depth + 1, right_hist)
-        return node
+    def _histograms(
+        self, num_nodes: int, keys: np.ndarray, trees: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Count/gradient/hessian histograms of ``num_nodes`` nodes: one
+        ``bincount`` per statistic over ``keys`` — the (node, feature, bin)
+        cells of the values of ``rows``, row-major — weighted by each row's
+        gradient and hessian in its tree (``trees``).  A node's rows keep
+        their order, so each bin sums its rows in that order."""
+        self.num_passes += 1
+        num_features = self._shape[0]
+        shape = (num_nodes, *self._shape)
+        length = num_nodes * self._total
+        counts = np.bincount(keys, minlength=length).reshape(shape)
+        grads, hessians = (
+            np.bincount(
+                keys, weights=np.repeat(stat[trees, rows], num_features), minlength=length
+            ).reshape(shape)
+            for stat in (self._grads, self._hessians)
+        )
+        return counts, grads, hessians
+
+    # ------------------------------------------------------------ split search
+    def _best_splits(self, level: list, hist: tuple) -> np.ndarray:
+        """Histogram cell ``feature * width + boundary`` of each node's best
+        split, or ``-1`` where no boundary gains more than ``min_gain``.
+
+        The gain arithmetic is the exact search's, term for term, on the
+        real boundaries only; a node's ``argmax`` over them in row-major
+        order picks the first boundary of the first feature attaining its
+        maximum, like the exact search's strict-``>`` scan.  NaN gains (the
+        zero-hessian, zero-lambda corner) lose every strict comparison
+        there, so they are masked out here.
+        """
+        cells = self._boundaries
+        if not cells.size:
+            return np.full(len(level), -1)  # every feature is constant
+        config = self.config
+        lam = config.reg_lambda
+        size = len(level)
+        grad_sum = np.array([entry[3] for entry in level])[:, None]
+        hess_sum = np.array([entry[4] for entry in level])[:, None]
+        num_rows = np.array([entry[1].size for entry in level])[:, None]
+        count_left, grad_left, hess_left = (
+            np.cumsum(stat, axis=2).reshape(size, -1).take(cells, axis=1)
+            for stat in hist
+        )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            parent_score = grad_sum * grad_sum / (hess_sum + lam)
+            grad_right = grad_sum - grad_left
+            hess_right = hess_sum - hess_left
+            # gains = 0.5 * (G_L²/(H_L+λ) + G_R²/(H_R+λ) - G²/(H+λ)) - γ,
+            # one operation at a time in place.
+            gains = grad_left
+            gains *= grad_left
+            hess_left += lam
+            gains /= hess_left
+            grad_right *= grad_right
+            hess_right += lam
+            grad_right /= hess_right
+            gains += grad_right
+            gains -= parent_score
+            gains *= 0.5
+            gains -= config.gamma
+        invalid = count_left < config.min_samples_leaf
+        invalid |= count_left > num_rows - config.min_samples_leaf
+        invalid |= np.isnan(gains)
+        gains[invalid] = -np.inf
+        best = np.argmax(gains, axis=1)
+        best_gain = np.take_along_axis(gains, best[:, None], axis=1)[:, 0]
+        return np.where(best_gain > config.min_gain, cells[best], -1)

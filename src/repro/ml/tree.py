@@ -42,6 +42,11 @@ class _TreeNode:
         return self.feature is None
 
 
+def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
+    """The Newton-optimal weight ``-G / (H + λ)`` of a node's rows."""
+    return float(-grad_sum / (hess_sum + reg_lambda))
+
+
 @dataclass
 class RegressionTreeConfig:
     """Hyper-parameters of a gradient regression tree."""
@@ -105,6 +110,7 @@ class GradientRegressionTree:
         self.root_: _TreeNode | None = None
         self.tensor_: TreeTensor | None = None
         self.num_leaves_: int = 0
+        self.num_hist_passes_: int = 0
         self._train_values: np.ndarray | None = None
 
     def fit(
@@ -117,12 +123,16 @@ class GradientRegressionTree:
     ) -> "GradientRegressionTree":
         """Grow the tree greedily on ``(X, gradients, hessians)``.
 
-        ``binned`` / ``presort`` optionally supply a prebuilt, row-aligned
+        ``binned`` / ``presort`` optionally supply a prebuilt
         :class:`~repro.ml.hist.BinnedDataset` (hist backend) or
-        :class:`~repro.ml.forest.FeaturePresort` (array backend) so a
-        boosting loop can quantize or sort once per fit instead of once per
-        tree; each is ignored by the other backends, and a tree fitted on
-        its own builds what it needs.
+        :class:`~repro.ml.forest.FeaturePresort` (array backend) of ``X``
+        itself — one of another shape raises
+        :class:`~repro.exceptions.DimensionMismatchError` — so a caller can
+        quantize or sort once for several trees; each is ignored by the
+        other backends, and a tree fitted on its own builds what it needs.
+        On the hist backend the tree is grown by a one-tree
+        :class:`~repro.ml.hist.HistTreeGrower`, and ``num_hist_passes_``
+        counts its histogram passes (at most one per level).
         """
         self.fit_predict(X, gradients, hessians, binned=binned, presort=presort)
         return self
@@ -153,38 +163,58 @@ class GradientRegressionTree:
             raise DimensionMismatchError(
                 "gradients and hessians must be 1-D with one entry per sample"
             )
+        if binned is not None and binned.codes.shape != X.shape:
+            raise DimensionMismatchError(
+                f"binned dataset has codes of shape {binned.codes.shape} but X has "
+                f"shape {X.shape}; pass one built from X"
+            )
+        if presort is not None and presort.codes.shape != X.T.shape:
+            raise DimensionMismatchError(
+                f"presort has codes of shape {presort.codes.shape} but X.T has "
+                f"shape {X.T.shape}; pass one built from X"
+            )
         self.num_leaves_ = 0
+        self.num_hist_passes_ = 0
         self.tensor_ = None
         self._resolved_backend = resolve_ml_backend(self.backend, num_rows=X.shape[0])
-        indices = np.arange(X.shape[0])
-        self._train_values = np.empty(X.shape[0], dtype=np.float64)
         if self._resolved_backend == "hist":
             from repro.ml.hist import BinnedDataset, HistTreeGrower
 
             if binned is None:
                 binned = BinnedDataset.from_matrix(X, self.config.max_bins)
-            elif binned.codes.shape[0] != X.shape[0]:
-                raise DimensionMismatchError(
-                    f"binned dataset has {binned.codes.shape[0]} rows but X has "
-                    f"{X.shape[0]}; pass one built from X"
-                )
-            grower = HistTreeGrower(binned, gradients, hessians, self.config)
-            self.root_ = grower.grow(self, indices)
-        elif self._resolved_backend == "array":
+            grower = HistTreeGrower(binned, self.config)
+            roots, values = grower.grow(gradients[:, None], hessians[:, None])
+            self._install(roots[0])
+            self.num_hist_passes_ = grower.num_passes
+            return values[:, 0]
+        indices = np.arange(X.shape[0])
+        self._train_values = np.empty(X.shape[0], dtype=np.float64)
+        if self._resolved_backend == "array":
             if presort is None:
                 presort = FeaturePresort.from_matrix(X)
-            elif presort.codes.shape[1] != X.shape[0]:
-                raise DimensionMismatchError(
-                    f"presort has {presort.codes.shape[1]} rows but X has "
-                    f"{X.shape[0]}; pass one built from X"
-                )
             self.root_ = self._build(presort, gradients, hessians, indices, depth=0)
+            self.tensor_ = TreeTensor.from_root(self.root_)
         else:
             self.root_ = self._build(X, gradients, hessians, indices, depth=0)
-        if self._resolved_backend != "node":
-            self.tensor_ = TreeTensor.from_root(self.root_)
         values, self._train_values = self._train_values, None
         return values
+
+    def _install(self, root: _TreeNode) -> None:
+        """Adopt a tree grown by :class:`~repro.ml.hist.HistTreeGrower`:
+        number its leaves left-first DFS, as :meth:`_build` does while it
+        grows, and flatten it."""
+        self.root_ = root
+        self.num_leaves_ = 0
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                node.leaf_id = self.num_leaves_
+                self.num_leaves_ += 1
+            else:
+                stack.append(node.right)
+                stack.append(node.left)
+        self.tensor_ = TreeTensor.from_root(root)
 
     # ------------------------------------------------------------------ growth
     def _build(
@@ -285,7 +315,7 @@ class GradientRegressionTree:
         return best
 
     def _leaf_weight(self, grad_sum: float, hess_sum: float) -> float:
-        return float(-grad_sum / (hess_sum + self.config.reg_lambda))
+        return leaf_weight(grad_sum, hess_sum, self.config.reg_lambda)
 
     # --------------------------------------------------------------- inference
     def predict(self, X: np.ndarray) -> np.ndarray:

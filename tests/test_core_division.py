@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DivisionResult,
@@ -154,3 +156,35 @@ class TestDivide:
         assert result.num_communities == 0
         assert list(result.all_communities()) == []
         assert result.communities_of(3) == []
+
+
+DETECTOR_NAMES = ("girvan_newman", "label_propagation", "louvain")
+
+
+@st.composite
+def graphs_with_dirty_egos(draw):
+    """A random graph (some nodes isolated, int and str labels mixed) and a
+    set of egos to re-divide."""
+    num_nodes = draw(st.integers(2, 30))
+    nodes = [f"u{i}" if i % 3 == 0 else i for i in range(num_nodes)]
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=90)) if u != v]
+    graph = Graph(edges=edges, nodes=nodes)
+    egos = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=6, unique=True))
+    return graph, egos
+
+
+@given(case=graphs_with_dirty_egos(), detector=st.sampled_from(DETECTOR_NAMES))
+@settings(max_examples=60, deadline=None)
+def test_a_neighborhood_snapshot_divides_like_the_network(case, detector):
+    # A write re-divides its dirty egos on the subgraph of their closed
+    # neighbourhoods; members, tightness and index must be the network's.
+    graph, egos = case
+    snapshot = graph.neighborhood_subgraph(egos)
+    expected = divide(graph, egos=egos, detector=detector).communities_by_ego
+    actual = divide(snapshot, egos=egos, detector=detector).communities_by_ego
+    assert set(actual) == set(expected)
+    for ego, communities in expected.items():
+        assert [
+            (c.members, c.tightness, c.index) for c in actual[ego]
+        ] == [(c.members, c.tightness, c.index) for c in communities]

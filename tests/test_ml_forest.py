@@ -173,6 +173,16 @@ class TestTreeParity:
                 X[:32], gradients[:32], hessians[:32], presort=presort
             )
 
+    def test_presort_of_another_width_rejected(self):
+        # A presort of a 7-column matrix handed to a tree on 4 of its
+        # columns would search features 4-6, which X does not have.
+        X, gradients, hessians = random_tree_problem(8, num_features=7)
+        presort = FeaturePresort.from_matrix(X)
+        with pytest.raises(DimensionMismatchError, match=r"\(7, 150\).*\(4, 150\)"):
+            GradientRegressionTree(backend="array").fit(
+                X[:, :4], gradients, hessians, presort=presort
+            )
+
     def test_rank_codes_widen_past_65536_rows(self):
         # All-distinct values: the largest rank is rows - 1, which fits
         # uint16 at exactly 65,536 rows and not one row later.

@@ -12,19 +12,31 @@ leaf *values* may differ in the last ulp; structure may not differ at all.
 Beyond the bin budget the search is approximate (thresholds snap to
 quantile bin edges); those tests assert consistency (training rows split
 the way the codes said they would) and model quality, not equality.
+
+The level-wise, class-batched grower is held to a second contract, in
+every regime: it must equal, bit for bit, the recursive one-tree-at-a-time
+grower it replaced (``tests/hist_reference.py``), and make at most one
+histogram pass over rows per level of a round.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GBDTConfig
-from repro.exceptions import ModelConfigError
+from repro.exceptions import DimensionMismatchError, ModelConfigError
 from repro.ml.forest import HIST_AUTO_MIN_ROWS, resolve_ml_backend
 from repro.ml.gbdt import GradientBoostedClassifier
 from repro.ml.hist import BinnedDataset, HistTreeGrower
 from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
+from tests.hist_reference import (
+    ReferenceHistTreeGrower,
+    reference_boosted_fit,
+    reference_tree_fit,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -138,13 +150,21 @@ class TestBackendRouting:
         assert tree._resolved_backend == "array"
 
     def test_misaligned_binned_dataset_rejected(self):
-        from repro.exceptions import DimensionMismatchError
-
         X, gradients, hessians = random_tree_problem(0, n=64)
         full = BinnedDataset.from_matrix(X, max_bins=32)
         with pytest.raises(DimensionMismatchError):
             GradientRegressionTree(backend="hist").fit(
                 X[:32], gradients[:32], hessians[:32], binned=full
+            )
+
+    def test_binned_dataset_of_another_width_rejected(self):
+        # Codes of a 7-column matrix handed to a tree on 4 of its columns
+        # would grow splits on features 4-6, which predict(X) cannot read.
+        X, gradients, hessians = random_tree_problem(0, n=64, num_features=7)
+        binned = BinnedDataset.from_matrix(X, max_bins=32)
+        with pytest.raises(DimensionMismatchError, match=r"\(64, 7\).*\(64, 4\)"):
+            GradientRegressionTree(backend="hist").fit(
+                X[:, :4], gradients, hessians, binned=binned
             )
 
 
@@ -237,7 +257,7 @@ class TestQuantileRegime:
             X, gradients, hessians
         )
         binned = BinnedDataset.from_matrix(X, 16)
-        grower = HistTreeGrower(binned, gradients, hessians, config)
+        grower = HistTreeGrower(binned, config)
 
         def route_by_codes(node, indices):
             if node.feature is None:
@@ -284,19 +304,223 @@ class TestSubtraction:
         gradients = rng.normal(size=200)
         hessians = np.abs(rng.normal(size=200)) + 0.05
         binned = BinnedDataset.from_matrix(X, max_bins=64)
-        grower = HistTreeGrower(
+        reference = ReferenceHistTreeGrower(
             binned, gradients, hessians, RegressionTreeConfig(max_depth=3)
         )
         indices = np.arange(200)
-        parent = grower._accumulate(indices)
+        parent = reference.accumulate(indices)
         left = indices[: 200 // 3]
         right = indices[200 // 3 :]
-        small = grower._accumulate(left)
+        small = reference.accumulate(left)
         derived_right = tuple(p - s for p, s in zip(parent, small))
-        direct_right = grower._accumulate(right)
+        direct_right = reference.accumulate(right)
         assert np.array_equal(derived_right[0], direct_right[0])  # counts: exact
         np.testing.assert_allclose(derived_right[1], direct_right[1], atol=1e-12)
         np.testing.assert_allclose(derived_right[2], direct_right[2], atol=1e-12)
+
+    def test_grower_derives_the_larger_child_like_the_reference(self):
+        # A derived histogram can hold a last-ulp residue where a direct one
+        # holds 0.0 (an empty bin), which breaks gain ties between
+        # boundaries differently: a deep tree on coarse bins picks other
+        # thresholds unless the grower accumulates exactly the children the
+        # reference did and derives the others the same way.
+        X, gradients, hessians = random_tree_problem(5, n=400)
+        config = RegressionTreeConfig(max_depth=6, min_samples_leaf=1, max_bins=16)
+        tree = GradientRegressionTree(config, backend="hist")
+        values = tree.fit_predict(X, gradients, hessians)
+        reference = GradientRegressionTree(config, backend="hist")
+        expected, _ = reference_tree_fit(reference, X, gradients, hessians)
+        assert_tensors_equal(tree.tensor_, reference.tensor_)
+        np.testing.assert_array_equal(values, expected)
+
+
+def assert_tensors_equal(actual, expected):
+    """Every array of two Tree/ForestTensors equal, NaN matching NaN."""
+    for name in type(expected).__slots__:
+        np.testing.assert_array_equal(
+            getattr(actual, name), getattr(expected, name), err_msg=name
+        )
+
+
+@st.composite
+def grower_problems(draw):
+    """A design from the grower's corners, plus K gradient/hessian columns.
+
+    Columns are rounded (tie-heavy), constant or continuous; ``max_bins``
+    may fall below a column's distinct count (the quantile regime); some
+    hessians are zero, which with ``reg_lambda = 0`` gives NaN gains; and
+    small designs with large ``min_samples_leaf`` leave nodes below
+    ``2 * min_samples_leaf`` rows.
+    """
+    num_rows = draw(st.integers(2, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("rounded", "constant", "continuous")))
+        if kind == "constant":
+            values = st.just(draw(st.sampled_from((0.0, -1.5, 3.0))))
+        elif kind == "rounded":
+            values = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0))
+        else:
+            values = st.floats(-4.0, 4.0, allow_nan=False, width=32)
+        columns.append(draw(st.lists(values, min_size=num_rows, max_size=num_rows)))
+    X = np.array(columns, dtype=np.float64).T
+    num_trees = draw(st.sampled_from((1, 2, 3, 5)))
+    weights = st.floats(-2.0, 2.0, allow_nan=False, width=32)
+    shape = (num_rows, num_trees)
+    size = num_rows * num_trees
+    gradients = np.array(
+        draw(st.lists(weights, min_size=size, max_size=size))
+    ).reshape(shape)
+    hessians = np.abs(gradients[::-1]) + draw(st.sampled_from((0.0, 0.1)))
+    if draw(st.booleans()):
+        hessians[: num_rows // 2] = 0.0  # zero-hessian rows
+    config = RegressionTreeConfig(
+        max_depth=draw(st.integers(1, 8)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        reg_lambda=draw(st.sampled_from((0.0, 1.0))),
+        gamma=draw(st.sampled_from((0.0, 0.05, 0.5))),
+        max_bins=draw(st.sampled_from((2, 3, 5, 8, 256))),
+    )
+    return X, gradients, hessians, config
+
+
+@st.composite
+def boosting_problems(draw):
+    """A tie-heavy classification design and boosting settings over K."""
+    X, _, _, config = draw(grower_problems())
+    num_classes = draw(st.sampled_from((2, 3, 5)))
+    labels = st.integers(0, num_classes - 1)
+    y = np.array(draw(st.lists(labels, min_size=len(X), max_size=len(X))))
+    kwargs = dict(
+        num_classes=num_classes,
+        num_rounds=draw(st.integers(1, 3)),
+        max_depth=config.max_depth,
+        min_samples_leaf=config.min_samples_leaf,
+        reg_lambda=config.reg_lambda,
+        gamma=config.gamma,
+        max_bins=config.max_bins,
+        backend="hist",
+    )
+    return X, y, kwargs
+
+
+class TestReferenceParity:
+    """The level-wise, class-batched grower against the recursive
+    one-tree-at-a-time grower it replaced (``tests/hist_reference.py``):
+    bit-identical trees, leaf ids, training leaf values and losses."""
+
+    @given(problem=grower_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_a_round_of_trees_equals_one_reference_tree_each(self, problem):
+        X, gradients, hessians, config = problem
+        binned = BinnedDataset.from_matrix(X, config.max_bins)
+        with np.errstate(all="ignore"):
+            roots, values = HistTreeGrower(binned, config).grow(gradients, hessians)
+            for tree_index, root in enumerate(roots):
+                tree = GradientRegressionTree(config, backend="hist")
+                tree._install(root)
+                reference = GradientRegressionTree(config, backend="hist")
+                expected, _ = reference_tree_fit(
+                    reference,
+                    X,
+                    gradients[:, tree_index],
+                    hessians[:, tree_index],
+                    binned=binned,
+                )
+                assert_tensors_equal(tree.tensor_, reference.tensor_)
+                assert tree.num_leaves_ == reference.num_leaves_
+                np.testing.assert_array_equal(values[:, tree_index], expected)
+                np.testing.assert_array_equal(tree.apply(X), reference.apply(X))
+
+    @given(problem=boosting_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_boosted_fit_equals_the_reference_fit(self, problem):
+        X, y, kwargs = problem
+        with np.errstate(all="ignore"):
+            model = GradientBoostedClassifier(**kwargs).fit(X, y)
+            forest, leaf_values, history, _ = reference_boosted_fit(
+                GradientBoostedClassifier(**kwargs), X, y
+            )
+            np.testing.assert_array_equal(
+                model.leaf_indices(X), forest.leaf_indices_matrix(X)
+            )
+        assert_tensors_equal(model.forest_, forest)
+        np.testing.assert_array_equal(model.train_leaf_values_, leaf_values)
+        np.testing.assert_array_equal(model.train_loss_history_, history)
+
+    def test_a_deep_tree_cut_into_bounded_stacks(self, monkeypatch):
+        # Two nodes' histograms per stack: a depth-12 tree's wide levels are
+        # cut into many stacks, so it makes more passes than it has levels,
+        # and still equals the reference.
+        X, gradients, hessians = random_tree_problem(9, n=400)
+        config = RegressionTreeConfig(max_depth=12, min_samples_leaf=1, max_bins=16)
+        binned = BinnedDataset.from_matrix(X, config.max_bins)
+        monkeypatch.setattr(
+            "repro.ml.hist._STACK_CELLS", 2 * binned.num_features * binned.hist_width
+        )
+        tree = GradientRegressionTree(config, backend="hist")
+        values = tree.fit_predict(X, gradients, hessians, binned=binned)
+        reference = GradientRegressionTree(config, backend="hist")
+        expected, _ = reference_tree_fit(reference, X, gradients, hessians, binned)
+        assert tree.depth > 6
+        assert tree.num_hist_passes_ > config.max_depth
+        assert_tensors_equal(tree.tensor_, reference.tensor_)
+        np.testing.assert_array_equal(values, expected)
+
+
+class TestCountedPasses:
+    """Histograms are accumulated once per level, not once per node."""
+
+    @pytest.fixture(scope="class")
+    def tiny_design(self):
+        from repro.core import LoCEC, LoCECConfig
+        from repro.synthetic import make_workload
+
+        workload = make_workload("tiny", seed=0)
+        captured = []
+        fit = GradientBoostedClassifier.fit
+
+        def capture(model, X, y):
+            captured.append((np.array(X), np.array(y)))
+            return fit(model, X, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GradientBoostedClassifier, "fit", capture)
+            LoCEC(LoCECConfig.locec_xgb()).fit(
+                workload.dataset.graph,
+                workload.dataset.features,
+                workload.dataset.interactions,
+                workload.train_edges,
+            )
+        return captured[0]
+
+    @pytest.mark.parametrize("num_classes", [3, 5])
+    @pytest.mark.parametrize("num_rounds,max_depth", [(4, 3), (3, 5)])
+    def test_a_boosted_fit_makes_at_most_one_pass_per_level(
+        self, tiny_design, num_classes, num_rounds, max_depth
+    ):
+        X, y = tiny_design
+        kwargs = dict(
+            num_rounds=num_rounds,
+            max_depth=max_depth,
+            num_classes=num_classes,
+            backend="hist",
+        )
+        model = GradientBoostedClassifier(**kwargs).fit(X, y)
+        assert 0 < model.num_hist_passes_ <= num_rounds * max_depth
+        # The recursive grower made one pass per accumulated node.
+        _, _, _, passes = reference_boosted_fit(
+            GradientBoostedClassifier(**kwargs), X, y
+        )
+        assert passes > num_rounds * max_depth
+
+    def test_a_lone_tree_makes_at_most_one_pass_per_level(self, tiny_design):
+        X, y = tiny_design
+        gradients = (y == 0) - 0.5
+        hessians = np.full(len(y), 0.25)
+        tree = GradientRegressionTree(RegressionTreeConfig(max_depth=4), backend="hist")
+        tree.fit(X, gradients, hessians)
+        assert 0 < tree.num_hist_passes_ <= 4
 
 
 class TestPipelineIntegration:
