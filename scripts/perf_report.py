@@ -40,6 +40,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+# The model-layer oracles are test modules (tests/*_reference.py).
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
 from repro.clock import Clock, SystemClock  # noqa: E402 — needs the sys.path fix above
 
@@ -53,9 +56,10 @@ SCHEMA_VERSION = 1
 RATIO_GATE_MIN_SPEEDUP = 1.5
 
 # Routed-kernel vs oracle speedup pairs: csr/dict for the graph +
-# aggregation kernels, array/node for the tree-model kernels, fused/loop for
-# the NN engine, hist/array for the histogram split search (keyed with a
-# "_hist" suffix so it doesn't collide with the array/node pair), and
+# aggregation kernels, array/node for the tree-model kernels against the
+# oracle in tests/exact_reference.py, fused/loop for the NN engine against
+# tests/nn_reference.py, hist/array for the histogram split search (keyed
+# with a "_hist" suffix so it doesn't collide with the array/node pair), and
 # incremental/full for the serving update path.
 SPEEDUP_PAIRS = (
     ("_csr", "_dict", ""),
@@ -149,14 +153,16 @@ def build_benchmarks(
     Phase II kernel is likewise compiled outside the timed region, matching
     its once-per-fit lifecycle).  The model layer gets the same treatment:
     ``gbdt_fit_{node,array,hist}`` (boosted fit on the statistic vectors:
-    pointer walks, exact vectorized split search, and the histogram split
-    search of ``repro.ml.hist``),
+    the scalar-scan oracle of ``tests/exact_reference.py``, the exact
+    vectorized split search, and the histogram split search of
+    ``repro.ml.hist``),
     ``forest_predict_{node,array}`` (probabilities + leaf-value embedding,
-    the LoCEC-XGB inference hot path), ``commcnn_tensor_{dict,csr}``
+    the LoCEC-XGB inference hot path: the oracle's per-tree pointer walks vs
+    the stacked forest tensors), ``commcnn_tensor_{dict,csr}``
     (CNN input tensor emission, direct Phase2Kernel path on csr) and
     ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN Adam training and batched
-    inference: layer-by-layer object graph vs the compiled tape engine of
-    ``repro.ml.nn.engine``; bit-identical outputs).
+    inference: the layer-by-layer oracle of ``tests/nn_reference.py`` vs the
+    compiled tape engine of ``repro.ml.nn.engine``; bit-identical outputs).
     """
     import numpy as np
 
@@ -174,6 +180,8 @@ def build_benchmarks(
     from repro.ml.gbdt import GradientBoostedClassifier
     from repro.ml.nn import NeuralNetworkClassifier
     from repro.synthetic import make_workload
+    from tests.exact_reference import ReferenceBoostedClassifier
+    from tests.nn_reference import LoopClassifier
 
     scales = ["tiny"] if quick else ["tiny", "small"]
     workloads = {scale: make_workload(scale, seed=0) for scale in scales}
@@ -235,27 +243,26 @@ def build_benchmarks(
 
     # Model-layer kernels: GBDT fit + batched forest inference on the last
     # scale's statistic vectors (the LoCEC-XGB design matrix; ``builder`` and
-    # ``communities`` are the loop's last), node walks vs stacked forest
-    # tensors.  10 rounds x 3 classes keeps the node fit within the
-    # benchmark budget while exercising every kernel.
+    # ``communities`` are the loop's last), the pointer-walk oracle
+    # ("node") vs stacked forest tensors.  10 rounds x 3 classes keeps the
+    # oracle's fit within the benchmark budget while exercising every kernel.
     model_scale = scales[-1]
     design = builder.statistic_vectors(communities)
     labels = np.arange(design.shape[0]) % 3
-    fitted = {
-        backend: GradientBoostedClassifier(
-            num_rounds=10, num_classes=3, backend=backend
-        ).fit(design, labels)
-        for backend in ("node", "array")
-    }
+
+    def gbdt(backend: str):
+        if backend == "node":
+            return ReferenceBoostedClassifier(num_rounds=10, num_classes=3)
+        return GradientBoostedClassifier(num_rounds=10, num_classes=3, backend=backend)
+
+    fitted = {backend: gbdt(backend).fit(design, labels) for backend in ("node", "array")}
     # gbdt_fit_hist: the histogram growth (one per-fit quantization, a
     # round's class trees grown together level by level, one histogram pass
     # per level with parent-minus-sibling subtraction) against the exact
     # array search above.
     for backend in ("node", "array", "hist"):
         benchmarks[f"gbdt_fit_{model_scale}_{backend}"] = (
-            lambda be=backend, d=design, y=labels: GradientBoostedClassifier(
-                num_rounds=10, num_classes=3, backend=be
-            ).fit(d, y)
+            lambda be=backend, d=design, y=labels: gbdt(be).fit(d, y)
         )
     for backend in ("node", "array"):
         benchmarks[f"forest_predict_{model_scale}_{backend}"] = (
@@ -267,22 +274,23 @@ def build_benchmarks(
 
     # CommCNN execution-engine kernels: the Figure-8 network trained on the
     # CNN input tensor of every division community (k=20 rows, |I|+|f|
-    # columns, 3 classes), layer-by-layer loop vs compiled fused tape.
-    # 4 epochs keeps the loop fit inside the benchmark budget while
-    # exercising ragged batches and every optimiser step.
+    # columns, 3 classes), the layer-by-layer oracle ("loop") vs the
+    # compiled tape ("fused").  4 epochs keeps the oracle's fit inside the
+    # benchmark budget while exercising ragged batches and every optimiser
+    # step.
     tensor = builder.matrices_as_tensor(communities)
     cnn_labels = np.arange(tensor.shape[0]) % 3
     cnn_config = CommCNNConfig(epochs=4)
 
     def commcnn_fit(backend: str):
-        classifier = NeuralNetworkClassifier(
+        classifier_type = LoopClassifier if backend == "loop" else NeuralNetworkClassifier
+        classifier = classifier_type(
             build_commcnn_model(20, builder.num_columns, 3, config=cnn_config),
             num_classes=3,
             epochs=cnn_config.epochs,
             batch_size=cnn_config.batch_size,
             learning_rate=cnn_config.learning_rate,
             seed=cnn_config.seed,
-            backend=backend,
         )
         return classifier.fit(tensor, cnn_labels)
 

@@ -16,8 +16,6 @@ connected layers with a softmax output over the relationship types.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import CommCNNConfig
 from repro.exceptions import ModelConfigError
 from repro.ml.nn import (
@@ -68,6 +66,10 @@ def build_commcnn_model(
     filters = config.num_filters
     seed = config.seed
     branches: list[Sequential] = []
+    # Each branch's output width, tracked as it is built; the engine
+    # re-derives every shape when it compiles and rejects a Dense layer of
+    # the wrong input width.
+    branch_widths: list[int] = []
 
     if include_square_branch:
         square_layers: list = [
@@ -94,6 +96,7 @@ def build_commcnn_model(
             width = max(1, (width - kernel_w + 1) // 2)
         square_layers.append(Flatten())
         branches.append(Sequential(square_layers))
+        branch_widths.append(filters * height * width)
 
     if include_wide_branch:
         branches.append(
@@ -107,6 +110,7 @@ def build_commcnn_model(
                 ]
             )
         )
+        branch_widths.append(filters)
 
     if include_long_branch:
         branches.append(
@@ -120,21 +124,14 @@ def build_commcnn_model(
                 ]
             )
         )
+        branch_widths.append(filters)
 
     if not branches:
         raise ModelConfigError("at least one CommCNN branch must be enabled")
 
-    convolution_module = ParallelConcat(branches)
-    # Probe the branch output width with a dummy forward pass so the dense
-    # head can be sized without hand-computing feature-map arithmetic.
-    probe = convolution_module.forward(
-        np.zeros((1, 1, k, num_columns), dtype=np.float64), training=False
-    )
-    concat_width = probe.shape[1]
-
     head: list = [
-        convolution_module,
-        Dense(concat_width, config.dense_units, seed=seed + 30),
+        ParallelConcat(branches),
+        Dense(sum(branch_widths), config.dense_units, seed=seed + 30),
         ReLU(),
     ]
     if config.dropout != 0.0:  # Dropout rejects a rate outside [0, 1)

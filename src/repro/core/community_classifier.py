@@ -13,12 +13,11 @@ combination phase:
   softmax probabilities) so the Phase III feature width stays bounded.
 
 Both classifiers gather their design tensors through the
-:class:`FeatureMatrixBuilder` they are handed and leave the model classes on
-their default route (:mod:`repro.ml.forest`'s tensors, the compiled tape of
-:mod:`repro.ml.nn.engine`).  The reference routes — ``backend="node"`` on
-:class:`~repro.ml.gbdt.GradientBoostedClassifier`, ``backend="loop"`` on
-:class:`~repro.ml.nn.NeuralNetworkClassifier` — are test oracles, reached on
-those classes directly.
+:class:`FeatureMatrixBuilder` they are handed and run the model classes'
+one executor each (:mod:`repro.ml.forest`'s tensors, the compiled tape of
+:mod:`repro.ml.nn.engine`).  The references those are held to are test
+oracles: ``tests/exact_reference.py`` (scalar split scan, pointer-walk
+trees) and ``tests/nn_reference.py`` (the layer-by-layer network).
 """
 
 from __future__ import annotations

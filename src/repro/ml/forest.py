@@ -1,11 +1,7 @@
 """Array-backed kernels for the tree/GBDT model layer.
 
-The node backend of :mod:`repro.ml.tree` walks one sample at a time through
-``_TreeNode`` objects — an interpreter-bound loop repeated for every tree of
-every boosting round.  This module flattens fitted trees into
-struct-of-arrays *tensors* and answers every inference question with batched
-level-wise traversal, mirroring the ``dict``/``csr`` kernel split of the
-graph layer:
+Fitted trees are flattened into struct-of-arrays *tensors*, and every
+inference question is answered with batched level-wise traversal:
 
 * :class:`TreeTensor` — one tree as parallel ``feature``/``threshold``/
   ``left``/``right``/``value``/``leaf_id`` arrays.  ``feature[i] < 0`` marks
@@ -17,16 +13,17 @@ graph layer:
   ``rows x trees`` cursors together, so ``predict_raw``, ``apply`` and the
   leaf-value embedding of all rounds x classes are a single batched walk.
 * :class:`FeaturePresort` + :func:`best_split_array` — the exact greedy
-  split search of :meth:`repro.ml.tree.GradientRegressionTree._best_split`,
-  XGBoost-style: every feature is sorted **once per fit** into integer rank
-  codes, and a node searches all its features in one pass (one radix
-  ``argsort`` of the codes, one 2-D ``cumsum``, one masked gain matrix, one
-  ``argmax``) instead of re-sorting a float column per feature per node.
+  split search, XGBoost-style: every feature is sorted **once per fit**
+  into integer rank codes, and a node searches all its features in one
+  pass (one radix ``argsort`` of the codes, one 2-D ``cumsum``, one masked
+  gain matrix, one ``argmax``) instead of re-sorting a float column per
+  feature per node.
 
-Parity contract: the array kernels execute the same float64 operations in
-the same order as the node walks (per-position gain arithmetic, threshold
-midpoints, sequential per-tree score accumulation), so fitted trees and all
-predictions are **bit-identical** across backends — the randomized suite in
+Parity contract: these kernels execute the same float64 operations in the
+same order as the oracle in ``tests/exact_reference.py`` — a scalar
+per-feature, per-position split scan and row-by-row ``_TreeNode`` pointer
+walks with sequential per-tree score accumulation — so fitted trees and
+all predictions are **bit-identical** to it; the randomized suite in
 ``tests/test_ml_forest.py`` arbitrates, exactly as the graph parity suites
 do for Phases I and II.
 """
@@ -37,13 +34,11 @@ import numpy as np
 
 from repro.exceptions import ModelConfigError
 
-ML_BACKENDS = ("auto", "node", "array", "hist")
-"""Valid model-layer backends: pointer-based ``_TreeNode`` walks, flat NumPy
-tensors with the exact presorted, feature-batched split search, or the
-histogram split search of :mod:`repro.ml.hist`.  ``auto`` picks between the
-exact array kernels and the histogram search by row count (see
-:func:`resolve_ml_backend`) and is what every product caller runs;
-``"node"`` exists only as the reference the parity suites compare against."""
+ML_BACKENDS = ("auto", "array", "hist")
+"""Valid model-layer backends: the exact presorted, feature-batched split
+search, or the histogram split search of :mod:`repro.ml.hist`.  ``auto``
+picks between them by row count (see :func:`resolve_ml_backend`) and is
+what every product caller runs."""
 
 HIST_AUTO_MIN_ROWS = 4096
 """Row-count crossover for ``auto``: below this the exact array search is
@@ -157,7 +152,7 @@ class TreeTensor:
             position = np.where(internal, child, position)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weight per row (batched twin of the node walk)."""
+        """Leaf weight per row."""
         return self.value[self.leaf_slots(X)]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -210,8 +205,7 @@ class ForestTensor:
         """Stack fitted :class:`~repro.ml.tree.GradientRegressionTree` objects.
 
         ``trees`` is the flat round-major tree list (round 0's class trees,
-        then round 1's, ...), matching the column order of the node backend's
-        leaf embeddings.
+        then round 1's, ...), the column order of the leaf embeddings.
         """
         return cls([tree.tensor() for tree in trees])
 
@@ -265,8 +259,8 @@ def boosted_scores(
     Per-tree contributions are accumulated sequentially in round-major
     order (round 0's class trees, then round 1's, ...), one round of class
     columns per step — each score sees the same float additions in the same
-    order as the node backend's per-round loop, keeping the raw scores
-    bit-identical — and a caller that already holds the leaf-value
+    order as the oracle's per-tree loop (``tests/exact_reference.py``),
+    keeping the raw scores bit-identical — and a caller that already holds the leaf-value
     embedding gets the scores without a second forest walk.
     """
     raw = np.tile(base_score, (leaf_values.shape[0], 1))
@@ -298,7 +292,7 @@ class FeaturePresort:
 
     ``X`` must be finite (:class:`~repro.ml.gbdt.GradientBoostedClassifier`
     rejects anything else before building one): NaNs get one code each and
-    would order differently from the node backend's value sort.
+    would order differently from the oracle's value sort.
     """
 
     __slots__ = ("columns", "codes", "row_starts")
@@ -335,7 +329,7 @@ def best_split_array(
     hess_sum: float,
     config,
 ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-    """Vectorized exact greedy split search (array twin of ``_best_split``).
+    """Vectorized exact greedy split search.
 
     One pass per node over **all** features: a stable ``argsort`` of the
     node's ``(features, rows)`` rank codes (a radix sort while the codes are
@@ -347,8 +341,8 @@ def best_split_array(
     the stable order (ties keep the order of ``indices``), the sequential
     float additions behind every cumulative sum, the per-position gain
     arithmetic and the first-strict-maximum winner are exactly those of the
-    node backend's scalar scan: the chosen splits (and therefore the fitted
-    trees) are bit-identical.  Working memory is a handful of
+    scalar scan in ``tests/exact_reference.py``: the chosen splits (and
+    therefore the fitted trees) are bit-identical.  Working memory is a handful of
     ``(features, rows)`` temporaries per node.
     """
     lam = config.reg_lambda
@@ -377,7 +371,7 @@ def best_split_array(
     )
     # Cannot split between equal feature values; NaN gains (possible only
     # with a zero-hessian, zero-lambda corner) lose every strict `>`
-    # comparison on the node backend, so they are masked out identically.
+    # comparison of the scalar scan, so they are masked out identically.
     splittable = sorted_codes[:, low:high] != sorted_codes[:, low + 1 : high + 1]
     gains = np.where(splittable & ~np.isnan(gains), gains, -np.inf)
 

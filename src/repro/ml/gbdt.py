@@ -11,7 +11,10 @@ The paper uses XGBoost in three places:
 
 This module implements multi-class Newton boosting over the
 :class:`repro.ml.tree.GradientRegressionTree` weak learner, including the
-leaf-value / leaf-index embeddings needed by LoCEC-XGB.
+leaf-value / leaf-index embeddings needed by LoCEC-XGB.  The oracles it is
+held to live in ``tests/``: ``exact_reference.py`` (the scalar split scan
+and per-tree pointer walks) and ``hist_reference.py`` (the recursive,
+one-tree-at-a-time histogram grower).
 """
 
 from __future__ import annotations
@@ -39,26 +42,28 @@ class GradientBoostedClassifier:
     num_classes:
         Number of classes; inferred from the labels when ``None``.
     backend:
-        ``"node"`` for per-row ``_TreeNode`` walks, ``"array"`` for the
-        stacked :class:`~repro.ml.forest.ForestTensor` kernels (one batched
-        traversal over all rounds x classes) and the exact split search on a
+        ``"array"`` for the exact split search on a
         :class:`~repro.ml.forest.FeaturePresort` built **once per fit**
         (every node searches all features in one pass over integer rank
-        codes; no float column is sorted again), ``"hist"`` for the histogram
-        growth of :mod:`repro.ml.hist` (the feature matrix is quantized into
-        at most ``max_bins`` bins **once per fit**, and a round's class
-        trees grow together, level by level, in ``O(rows + bins)`` per
-        feature and level), or ``"auto"`` (default) to pick by row count
-        (:func:`~repro.ml.forest.resolve_ml_backend`).  Fitted models and
-        every prediction are bit-identical between ``node`` and ``array``;
-        ``hist`` chooses identical splits while each feature has at most
+        codes; no float column is sorted again), ``"hist"`` for the
+        histogram growth of :mod:`repro.ml.hist` (the feature matrix is
+        quantized into at most ``max_bins`` bins **once per fit**, and a
+        round's class trees grow together, level by level, in
+        ``O(rows + bins)`` per feature and level), or ``"auto"`` (default)
+        to pick by row count (:func:`~repro.ml.forest.resolve_ml_backend`).
+        Every fit stacks its trees into one
+        :class:`~repro.ml.forest.ForestTensor` that answers every inference
+        call in one batched traversal over all rounds x classes.  The exact
+        search and the forest walks equal the scalar scan and per-tree
+        pointer walks of ``tests/exact_reference.py`` bit for bit; ``hist``
+        chooses identical splits while each feature has at most
         ``max_bins`` distinct values and snaps thresholds to quantile bin
         edges beyond that.
     max_bins:
         Histogram resolution of the ``"hist"`` backend (ignored by the
-        exact backends).
+        exact search).
 
-    Every backend places a split between the adjacent present values
+    Both backends place a split between the adjacent present values
     ``lo < hi`` at their midpoint, or at ``lo`` when the midpoint rounds to
     ``hi`` (:func:`~repro.ml.forest.split_threshold`), so a training row is
     predicted from the leaf it was grown into and :meth:`fit` takes the
@@ -122,7 +127,7 @@ class GradientBoostedClassifier:
         per fit, grows a round's class trees together, level by level:
         every level of a round is one histogram pass over rows, whatever
         the class count (``num_hist_passes_`` counts them).  The exact
-        backends grow the trees one at a time
+        search grows the trees one at a time
         (:meth:`GradientRegressionTree.fit_predict`).  The softmax is taken
         once a round: the probabilities behind a round's loss are the next
         round's.  The training rows' leaf values are read off the
@@ -180,7 +185,7 @@ class GradientBoostedClassifier:
             if grower is not None:
                 roots, values = grower.grow(gradients, hessians)
                 for tree, root in zip(round_trees, roots):
-                    tree._install(root)
+                    tree._install(root, X.shape[1])
             else:
                 values = np.column_stack(
                     [
@@ -204,24 +209,16 @@ class GradientBoostedClassifier:
         self._num_classes = num_classes
         self.num_features_ = X.shape[1]
         self.train_leaf_values_ = leaf_values
-        self.forest_ = None
-        if self._resolved_backend in ("array", "hist"):
-            self.forest_ = ForestTensor.from_trees(
-                [tree for round_trees in self.trees_ for tree in round_trees]
-            )
+        self.forest_ = ForestTensor.from_trees(
+            [tree for round_trees in self.trees_ for tree in round_trees]
+        )
         return self
 
     # --------------------------------------------------------------- inference
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw (pre-softmax) scores of shape ``(n_samples, n_classes)``."""
         X = self._check_inference_input(X)
-        if self.forest_ is not None:
-            return self._scores(self.forest_.leaf_values_matrix(X))
-        raw = np.tile(self.base_score_, (X.shape[0], 1))
-        for round_trees in self.trees_:
-            for class_index, tree in enumerate(round_trees):
-                raw[:, class_index] += self.learning_rate * tree.predict(X)
-        return raw
+        return self._scores(self.forest_.leaf_values_matrix(X))
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         """Alias of :meth:`decision_function` (XGBoost's ``predict_raw``)."""
@@ -266,24 +263,12 @@ class GradientBoostedClassifier:
         representation ``r_C``: each column is the leaf weight the sample
         reaches in one of the generated trees.
         """
-        X = self._check_inference_input(X)
-        if self.forest_ is not None:
-            return self.forest_.leaf_values_matrix(X)
-        columns = [
-            tree.predict(X) for round_trees in self.trees_ for tree in round_trees
-        ]
-        return np.column_stack(columns)
+        return self.forest_.leaf_values_matrix(self._check_inference_input(X))
 
     def leaf_indices(self, X: np.ndarray) -> np.ndarray:
         """Leaf-*index* embedding (as in Facebook's GBDT+LR): same shape as
         :meth:`leaf_values` but with integer leaf ids."""
-        X = self._check_inference_input(X)
-        if self.forest_ is not None:
-            return self.forest_.leaf_indices_matrix(X)
-        columns = [
-            tree.apply(X) for round_trees in self.trees_ for tree in round_trees
-        ]
-        return np.column_stack(columns)
+        return self.forest_.leaf_indices_matrix(self._check_inference_input(X))
 
     @property
     def num_trees(self) -> int:

@@ -1,27 +1,24 @@
 """From-scratch NumPy neural-network stack used to build CommCNN.
 
-The stack executes on one of two backends, selected by the ``backend`` knob
-on :class:`NeuralNetworkClassifier` (``"fused"`` / ``"loop"``):
+The layers (:mod:`repro.ml.nn.layers`) and containers
+(:mod:`repro.ml.nn.network`) are specifications: hyper-parameters and
+weights.  :class:`NeuralNetworkClassifier` runs them on one executor, the
+compiled engine of :mod:`repro.ml.nn.engine`: the model is compiled once
+per fit into a flat tape of shape-specialised array ops with precomputed
+im2col gather/scatter index plans, one ``batch_size``-row
+activation/gradient workspace reused by every mini-batch and inference
+block, and all parameters/gradients/Adam moments packed into contiguous
+vectors so an Adam step is a handful of whole-vector ops.  A model the
+engine cannot compile raises
+:class:`~repro.ml.nn.engine.EngineCompileError`; every CommCNN compiles.
 
-* **fused** (the default) — the compiled execution engine in
-  :mod:`repro.ml.nn.engine`: the model is compiled once per fit into a flat
-  tape of shape-specialised array ops with precomputed im2col
-  gather/scatter index plans, one ``batch_size``-row activation/gradient
-  workspace reused by every mini-batch and inference block, and all
-  parameters/gradients/Adam moments packed into contiguous vectors so an
-  Adam step is a handful of whole-vector ops.  A model the engine cannot
-  compile raises :class:`~repro.ml.nn.engine.EngineCompileError`; every
-  CommCNN compiles.
-* **loop** — the layer-by-layer object graph in :mod:`repro.ml.nn.layers` /
-  :mod:`repro.ml.nn.network`: each layer's ``forward``/``backward`` allocates
-  its own tensors and :class:`Adam` walks the ``(name, param, grad)`` list.
-  This is the readable reference implementation, kept as the oracle.
-
-Both backends run the same float operations in the same order, so logits,
-fitted weights and loss histories are **bit-identical**
-(``tests/test_nn_engine.py`` arbitrates).  Both score in padded blocks of
-exactly ``batch_size`` rows, so a row's probabilities do not depend on the
-rows sharing its ``predict_proba`` call.
+The layer-by-layer oracle — every layer's ``forward`` / ``backward`` on
+freshly allocated tensors and a per-parameter Adam — is
+``tests/nn_reference.py``; the tape's logits, fitted weights and loss
+histories are bit-identical to it (``tests/test_nn_engine.py``
+arbitrates).  Scoring runs in padded blocks of exactly ``batch_size``
+rows, so a row's probabilities do not depend on the rows sharing its
+``predict_proba`` call.
 """
 
 from repro.ml.nn.layers import (
@@ -36,13 +33,7 @@ from repro.ml.nn.layers import (
 )
 from repro.ml.nn.losses import SoftmaxCrossEntropy
 from repro.ml.nn.engine import CompiledNetwork, EngineCompileError
-from repro.ml.nn.network import (
-    NN_BACKENDS,
-    NeuralNetworkClassifier,
-    ParallelConcat,
-    Sequential,
-)
-from repro.ml.nn.optimizers import Adam
+from repro.ml.nn.network import NeuralNetworkClassifier, ParallelConcat, Sequential
 
 __all__ = [
     "Layer",
@@ -59,6 +50,4 @@ __all__ = [
     "NeuralNetworkClassifier",
     "CompiledNetwork",
     "EngineCompileError",
-    "NN_BACKENDS",
-    "Adam",
 ]

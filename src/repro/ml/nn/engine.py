@@ -1,4 +1,4 @@
-"""Compiled execution engine for the NumPy NN stack (the ``"fused"`` backend).
+"""Compiled execution engine for the NumPy NN stack.
 
 :class:`CompiledNetwork` compiles a built :class:`~repro.ml.nn.network.
 Sequential` / :class:`~repro.ml.nn.network.ParallelConcat` model into a flat
@@ -18,18 +18,19 @@ tape of shape-specialised array ops:
   every inference GEMM has one shape;
 * all parameters, gradients and Adam moments live in single contiguous
   vectors, so an Adam step is a handful of whole-vector ops with one shared
-  timestep instead of a Python walk over parameter tensors.
+  timestep instead of a Python walk over parameter tensors.  Adam's
+  learning rate is the classifier's; its other hyper-parameters are the
+  constants below.
 
 The engine performs the *same float operations in the same order* as the
-layer-by-layer loop backend — the GEMM/scatter primitives are shared with
-:mod:`repro.ml.nn.layers`, the mini-batch shuffling and dropout masks use
-the same generators, and accumulation orders are preserved — so logits,
-fitted weights and loss histories are bit-identical between the two
-backends (arbitrated by ``tests/test_nn_engine.py``).
+layer-by-layer oracle in ``tests/nn_reference.py`` — the GEMM primitives
+are shared with it through :mod:`repro.ml.nn.layers`, the mini-batch
+shuffling and dropout masks use the same generators, and accumulation
+orders are preserved — so logits, fitted weights and loss histories are
+bit-identical to it (arbitrated by ``tests/test_nn_engine.py``).
 
 Models containing layer types the engine does not know are rejected at
-compile time with :class:`EngineCompileError`; every CommCNN compiles, and
-``NeuralNetworkClassifier`` does not fall back to the loop backend.
+compile time with :class:`EngineCompileError`; every CommCNN compiles.
 """
 
 from __future__ import annotations
@@ -54,7 +55,11 @@ from repro.ml.nn.layers import (
     conv_grad_weight,
     conv_im2col_indices,
 )
-from repro.ml.nn.optimizers import Adam
+
+# Adam's decay rates and denominator guard (Kingma & Ba 2015's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class EngineCompileError(ModelConfigError):
@@ -220,8 +225,8 @@ class _MaxPoolOp:
     """Max pooling as one window-gather plus contiguous last-axis max/argmax.
 
     The gather index plan lays every ``(pool_h, pool_w)`` window out
-    contiguously in row-major order — the same element order the loop
-    backend's window view uses — so the max values and first-max argmax are
+    contiguously in row-major order — the same element order the oracle's
+    window view uses — so the max values and first-max argmax are
     identical; the backward pass scatters each window's gradient through the
     same plan.
     """
@@ -273,7 +278,7 @@ class _MaxPoolOp:
         # Gathered layout is (n, window_slot, windows): one take, then the
         # max/argmax fold runs `window - 1` full-array elementwise passes
         # instead of numpy's slow tiny-axis reductions.  Max is exact under
-        # any order; strict `>` keeps the loop backend's first-max argmax.
+        # any order; strict `>` keeps the first-max argmax.
         x_flat = self.in_slot.view(n).reshape(n, self.flat_size)
         gathered = self.gathered.view(n)
         np.take(
@@ -372,7 +377,7 @@ class _DenseOp:
 class _DropoutOp:
     def __init__(self, engine, layer: Dropout, in_slot, in_grad, shape, needs_input_grad):
         self.rate = layer.rate
-        self.rng = layer._rng  # shared with the loop layer: same mask sequence
+        self.rng = layer._rng  # the layer's own stream: fits continue it
         self.shape = shape
         self.in_slot = in_slot
         self.in_grad = in_grad
@@ -459,14 +464,13 @@ class _ParamRef:
 class _FusedAdam:
     """Whole-vector Adam on the packed parameter/gradient buffers.
 
-    Elementwise identical to a fresh :class:`repro.ml.nn.optimizers.Adam`
-    walking the parameter list: every parameter steps on every batch, so the
-    per-name timesteps all equal the shared timestep.  Only the optimiser's
-    hyper-parameters are read; its per-name state is never touched.
+    Elementwise identical to a fresh per-parameter Adam walking the
+    parameter list (the oracle's): every parameter steps on every batch, so
+    the per-name timesteps all equal the shared timestep.
     """
 
-    def __init__(self, optimizer: Adam, engine: "CompiledNetwork") -> None:
-        self.optimizer = optimizer
+    def __init__(self, learning_rate: float, engine: "CompiledNetwork") -> None:
+        self.learning_rate = learning_rate
         self.engine = engine
         size = engine.theta.size
         self.first_moment = np.zeros(size)
@@ -476,23 +480,22 @@ class _FusedAdam:
         self._v_hat = np.empty(size)
 
     def step(self) -> None:
-        opt = self.optimizer
         theta, grad = self.engine.theta, self.engine.grad
         m, v = self.first_moment, self.second_moment
         self.step_count += 1
         t = self.step_count
 
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * grad
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
 
         m_hat, v_hat = self._m_hat, self._v_hat
-        np.divide(m, 1.0 - opt.beta1**t, out=m_hat)
-        np.divide(v, 1.0 - opt.beta2**t, out=v_hat)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=v_hat)
         np.sqrt(v_hat, out=v_hat)
-        v_hat += opt.epsilon
-        m_hat *= opt.learning_rate
+        v_hat += ADAM_EPSILON
+        m_hat *= self.learning_rate
         m_hat /= v_hat
         theta -= m_hat
 
@@ -659,7 +662,7 @@ class CompiledNetwork:
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Inference logits for at most ``capacity`` rows of ``X``.
 
-        Bit-identical to the loop backend on the same rows.  More rows than
+        Bit-identical to the oracle on the same rows.  More rows than
         the workspace holds raise :class:`DimensionMismatchError`; callers
         score larger inputs block by block.
         """
@@ -684,16 +687,16 @@ class CompiledNetwork:
         *,
         epochs: int,
         seed: int,
-        optimizer: Adam,
+        learning_rate: float,
         loss,
     ) -> list[float]:
         """Mini-batch Adam training in batches of ``capacity`` rows, from the
-        model's current weights with zero moments; mirrors the loop backend
-        of ``NeuralNetworkClassifier.fit`` exactly."""
+        model's current weights with zero moments; the oracle's training
+        loop, op for op."""
         n_samples = X.shape[0]
         batch_size = self.capacity
         self.sync_from_model()
-        stepper = _FusedAdam(optimizer, self)
+        stepper = _FusedAdam(learning_rate, self)
 
         rng = np.random.default_rng(seed)
         history: list[float] = []

@@ -1,54 +1,39 @@
-"""NumPy neural-network layers used to assemble CommCNN.
+"""The layers CommCNN is assembled from, as specifications.
 
-All convolutional layers operate on tensors of shape ``(N, C, H, W)``; dense
-layers operate on ``(N, D)``.  Every layer implements
+A layer here holds what defines it — hyper-parameters, weights and, via
+``parameters()``, the ``(name, parameter, gradient)`` triples the compiled
+engine (:mod:`repro.ml.nn.engine`) packs, checks and writes back.  It does
+not execute: the engine compiles a model of these into one tape.  The
+layer-by-layer ``forward`` / ``backward`` the engine is held to is the
+oracle in ``tests/nn_reference.py``.
 
-* ``forward(x, training)`` → output,
-* ``backward(grad_output)`` → gradient with respect to the layer input, and
-* ``parameters()`` → list of ``(name, param_array, grad_array)`` triples for
-  the optimiser (empty for parameter-free layers).
-
-CommCNN's input matrices are tiny (``k × (|I|+|f|)``, typically 20 × 11), so
-the implementation favours clarity (im2col-based convolution) over peak
-throughput.
+Convolutional layers operate on tensors of shape ``(N, C, H, W)``; dense
+layers on ``(N, D)``.  The GEMM primitives below are shared by the engine
+and the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import DimensionMismatchError, ModelConfigError
+from repro.exceptions import ModelConfigError
 
 
 class Layer:
     """Base class for all layers."""
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def parameters(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """``(name, parameter, gradient)`` triples; default is parameter-free."""
         return []
-
-    def clear_caches(self) -> None:
-        """Drop tensors cached by ``forward(training=True)`` for the backward pass.
-
-        Training caches pin the last batch's activations; containers recurse
-        so :meth:`NeuralNetworkClassifier.fit` can release them after the
-        final epoch.  Parameter-free stateless layers have nothing to clear.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return type(self).__name__
 
 
 # ------------------------------------------------------------- GEMM primitives
-# Shared by the layer-by-layer "loop" backend below and the compiled "fused"
-# engine (repro.ml.nn.engine).  Both backends must perform the *same* float
-# ops in the same order so their outputs stay bit-identical; in particular
+# Shared by the compiled engine (repro.ml.nn.engine) and the layer-by-layer
+# oracle (tests/nn_reference.py).  Both must perform the *same* float ops in
+# the same order so their outputs stay bit-identical; in particular
 # np.einsum and BLAS matmul round differently, so every contraction goes
 # through exactly one of these helpers.
 
@@ -98,9 +83,8 @@ def conv_im2col_indices(
     """Gather-index plan mapping flat ``(C*H*W)`` input to im2col columns.
 
     Returns an ``(C*kh*kw, out_h*out_w)`` integer matrix ``idx`` such that
-    ``x.reshape(n, -1)[:, idx]`` equals :func:`_im2col` applied to ``x``
-    (stride 1, no padding).  Row order matches ``_im2col``'s layout:
-    ``k = (row*kw + col)*C + c``.
+    ``x.reshape(n, -1)[:, idx]`` is the im2col matrix of ``x`` (stride 1,
+    no padding) in the oracle's layout: ``k = (row*kw + col)*C + c``.
     """
     out_h = height - kernel_h + 1
     out_w = width - kernel_w + 1
@@ -110,50 +94,6 @@ def conv_im2col_indices(
     # (kh*kw, C) block layout -> k index = (row*kw+col)*C + c.
     rows = (offsets.reshape(-1, 1) + channel_base[None, :]).reshape(-1, 1)
     return rows + positions.reshape(1, -1)
-
-
-# --------------------------------------------------------------------- im2col
-def _im2col(x: np.ndarray, kernel_h: int, kernel_w: int) -> np.ndarray:
-    """Rearrange sliding ``kernel_h × kernel_w`` patches into columns.
-
-    Input ``(N, C, H, W)`` → output ``(N, C*kh*kw, out_h*out_w)`` for stride 1
-    and no padding.
-    """
-    n, channels, height, width = x.shape
-    out_h = height - kernel_h + 1
-    out_w = width - kernel_w + 1
-    cols = np.empty((n, channels * kernel_h * kernel_w, out_h * out_w), dtype=x.dtype)
-    col_index = 0
-    for row in range(kernel_h):
-        for col in range(kernel_w):
-            patch = x[:, :, row : row + out_h, col : col + out_w]
-            cols[:, col_index * channels : (col_index + 1) * channels, :] = patch.reshape(
-                n, channels, out_h * out_w
-            )
-            col_index += 1
-    return cols
-
-
-def _col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-) -> np.ndarray:
-    """Inverse of :func:`_im2col`: scatter-add column gradients back to the image."""
-    n, channels, height, width = x_shape
-    out_h = height - kernel_h + 1
-    out_w = width - kernel_w + 1
-    dx = np.zeros(x_shape, dtype=cols.dtype)
-    col_index = 0
-    for row in range(kernel_h):
-        for col in range(kernel_w):
-            patch = cols[:, col_index * channels : (col_index + 1) * channels, :]
-            dx[:, :, row : row + out_h, col : col + out_w] += patch.reshape(
-                n, channels, out_h, out_w
-            )
-            col_index += 1
-    return dx
 
 
 class Conv2D(Layer):
@@ -194,51 +134,12 @@ class Conv2D(Layer):
         self.bias = np.zeros(out_channels)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
-        self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise DimensionMismatchError(
-                f"Conv2D expected (N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        n, _, height, width = x.shape
-        if height < self.kernel_h or width < self.kernel_w:
-            raise DimensionMismatchError(
-                f"input {height}x{width} smaller than kernel "
-                f"{self.kernel_h}x{self.kernel_w}"
-            )
-        cols = _im2col(x, self.kernel_h, self.kernel_w)
-        weight_matrix = self.weight.reshape(self.out_channels, -1)
-        out = conv_forward_gemm(weight_matrix, cols, self.bias)
-        out_h = height - self.kernel_h + 1
-        out_w = width - self.kernel_w + 1
-        if training:
-            self._cache = (cols, x.shape)
-        return out.reshape(n, self.out_channels, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise DimensionMismatchError("backward called before forward(training=True)")
-        cols, x_shape = self._cache
-        n = grad_output.shape[0]
-        grad_flat = grad_output.reshape(n, self.out_channels, -1)
-        weight_matrix = self.weight.reshape(self.out_channels, -1)
-
-        self.grad_weight[...] = conv_grad_weight(grad_flat, cols).reshape(
-            self.weight.shape
-        )
-        self.grad_bias[...] = grad_flat.sum(axis=(0, 2))
-        grad_cols = conv_grad_cols(weight_matrix, grad_flat)
-        return _col2im(grad_cols, x_shape, self.kernel_h, self.kernel_w)
 
     def parameters(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         return [
             ("weight", self.weight, self.grad_weight),
             ("bias", self.bias, self.grad_bias),
         ]
-
-    def clear_caches(self) -> None:
-        self._cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -250,37 +151,6 @@ class Conv2D(Layer):
 class ReLU(Layer):
     """Element-wise rectified linear unit."""
 
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = x > 0
-        if training:
-            self._mask = mask
-        return x * mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._mask is not None
-        return grad_output * self._mask
-
-    def clear_caches(self) -> None:
-        self._mask = None
-
-
-def maxpool_window_argmax(windows: np.ndarray) -> np.ndarray:
-    """First-max flat argmax per pooling window.
-
-    ``windows`` has shape ``(N, C, out_h, pool_h, out_w, pool_w)``; the result
-    is the ``(N, C, out_h, out_w)`` index of the first maximal element in each
-    window's row-major ``(pool_h, pool_w)`` order.  Shared with the fused
-    engine so both backends route gradients to the same element on ties.
-    """
-    n, channels, out_h, pool_h, out_w, pool_w = windows.shape
-    per_window = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, channels, out_h, out_w, pool_h * pool_w
-    )
-    return per_window.argmax(axis=-1)
-
 
 class MaxPool2D(Layer):
     """Max pooling with pool size equal to stride (non-overlapping windows).
@@ -288,11 +158,8 @@ class MaxPool2D(Layer):
     Inputs whose spatial size is not divisible by the pool size are truncated
     (floor), matching common framework behaviour.  Pool windows are clamped so
     a dimension smaller than the pool size degenerates to size-1 pooling on
-    that axis, which keeps tiny CommCNN feature maps usable.
-
-    The training cache stores only the per-window flat argmax (first maximal
-    element, ties broken towards row-major order) instead of a full boolean
-    window mask; the backward pass scatters the gradient to those indices.
+    that axis, which keeps tiny CommCNN feature maps usable.  A window's
+    gradient goes to its first maximal element in row-major order.
     """
 
     def __init__(self, pool_size: tuple[int, int] = (2, 2)) -> None:
@@ -301,93 +168,14 @@ class MaxPool2D(Layer):
             raise ModelConfigError("pool dimensions must be positive")
         self.pool_h = pool_h
         self.pool_w = pool_w
-        self._cache: tuple[np.ndarray, int, int, tuple[int, ...]] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4:
-            raise DimensionMismatchError(f"MaxPool2D expects (N, C, H, W), got {x.shape}")
-        n, channels, height, width = x.shape
-        pool_h = min(self.pool_h, height)
-        pool_w = min(self.pool_w, width)
-        out_h = height // pool_h
-        out_w = width // pool_w
-        trimmed = x[:, :, : out_h * pool_h, : out_w * pool_w]
-        windows = trimmed.reshape(n, channels, out_h, pool_h, out_w, pool_w)
-        out = windows.max(axis=(3, 5))
-        if training:
-            arg = maxpool_window_argmax(windows)
-            self._cache = (arg, pool_h, pool_w, x.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        arg, pool_h, pool_w, x_shape = self._cache
-        n, channels, height, width = x_shape
-        out_h = height // pool_h
-        out_w = width // pool_w
-        rows = np.arange(out_h)[None, None, :, None] * pool_h + arg // pool_w
-        columns = np.arange(out_w)[None, None, None, :] * pool_w + arg % pool_w
-        dx = np.zeros((n, channels, height, width), dtype=grad_output.dtype)
-        dx[
-            np.arange(n)[:, None, None, None],
-            np.arange(channels)[None, :, None, None],
-            rows,
-            columns,
-        ] = grad_output
-        return dx
-
-    def clear_caches(self) -> None:
-        self._cache = None
 
 
 class GlobalMaxPool2D(Layer):
     """Global max pooling: ``(N, C, H, W)`` → ``(N, C)``."""
 
-    def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4:
-            raise DimensionMismatchError(
-                f"GlobalMaxPool2D expects (N, C, H, W), got {x.shape}"
-            )
-        n, channels, height, width = x.shape
-        flat = x.reshape(n, channels, height * width)
-        arg = flat.argmax(axis=2)
-        out = flat[np.arange(n)[:, None], np.arange(channels)[None, :], arg]
-        if training:
-            self._cache = (arg, x.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        arg, x_shape = self._cache
-        n, channels, height, width = x_shape
-        dx = np.zeros((n, channels, height * width), dtype=grad_output.dtype)
-        dx[np.arange(n)[:, None], np.arange(channels)[None, :], arg] = grad_output
-        return dx.reshape(x_shape)
-
-    def clear_caches(self) -> None:
-        self._cache = None
-
 
 class Flatten(Layer):
     """Flatten ``(N, ...)`` into ``(N, D)``."""
-
-    def __init__(self) -> None:
-        self._input_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._input_shape is not None
-        return grad_output.reshape(self._input_shape)
-
-    def clear_caches(self) -> None:
-        self._input_shape = None
 
 
 class Dense(Layer):
@@ -403,22 +191,6 @@ class Dense(Layer):
         self.bias = np.zeros(out_features)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
-        self._input: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
-            raise DimensionMismatchError(
-                f"Dense expected (N, {self.weight.shape[0]}), got {x.shape}"
-            )
-        if training:
-            self._input = x
-        return x @ self.weight + self.bias
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._input is not None
-        self.grad_weight[...] = self._input.T @ grad_output
-        self.grad_bias[...] = grad_output.sum(axis=0)
-        return grad_output @ self.weight.T
 
     def parameters(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         return [
@@ -426,34 +198,19 @@ class Dense(Layer):
             ("bias", self.bias, self.grad_bias),
         ]
 
-    def clear_caches(self) -> None:
-        self._input = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense({self.weight.shape[0]}->{self.weight.shape[1]})"
 
 
 class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
+    """Inverted dropout; identity at inference time.
+
+    Each training batch draws its keep mask from the layer's own generator,
+    seeded here; a second fit continues its stream.
+    """
 
     def __init__(self, rate: float = 0.5, seed: int = 0) -> None:
         if not 0.0 <= rate < 1.0:
             raise ModelConfigError("dropout rate must be in [0, 1)")
         self.rate = rate
         self._rng = np.random.default_rng(seed)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            return x
-        keep_prob = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep_prob) / keep_prob
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-    def clear_caches(self) -> None:
-        self._mask = None

@@ -8,28 +8,23 @@ branch-and-concatenate pattern, and :class:`NeuralNetworkClassifier` wraps a
 model with the softmax-cross-entropy loss, mini-batch Adam training and the
 common ``fit`` / ``predict_proba`` / ``predict`` protocol.
 
-The classifier executes on one of two backends (``backend="fused"|"loop"``):
-the compiled tape of :mod:`repro.ml.nn.engine` (the default; every CommCNN
-compiles, and a model that does not raises
-:class:`~repro.ml.nn.engine.EngineCompileError`), or the layer-by-layer
-object graph defined here, kept as the oracle.  Both run the same float
-operations in the same order, so logits, fitted weights and loss histories
-are bit-identical.
+The containers, like the layers, are specifications.  The classifier
+compiles the model into the tape of :mod:`repro.ml.nn.engine` (every
+CommCNN compiles, and a model that does not raises
+:class:`~repro.ml.nn.engine.EngineCompileError`) and trains and scores on
+it.  ``tests/nn_reference.py`` holds the layer-by-layer oracle the tape
+is bit-identical to: logits, fitted weights and loss histories.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ModelConfigError, TrainingDivergedError
+from repro.exceptions import ModelConfigError
 from repro.ml.base import check_fitted, check_X_y
 from repro.ml.nn.engine import CompiledNetwork
 from repro.ml.nn.layers import Layer
 from repro.ml.nn.losses import SoftmaxCrossEntropy
-from repro.ml.nn.optimizers import Adam
-
-#: Valid values of the ``backend`` knob on :class:`NeuralNetworkClassifier`.
-NN_BACKENDS = ("fused", "loop")
 
 
 class Sequential(Layer):
@@ -38,28 +33,12 @@ class Sequential(Layer):
     def __init__(self, layers: list[Layer]) -> None:
         self.layers = list(layers)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
     def parameters(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         collected: list[tuple[str, np.ndarray, np.ndarray]] = []
         for index, layer in enumerate(self.layers):
             for name, param, grad in layer.parameters():
                 collected.append((f"layer{index}.{name}", param, grad))
         return collected
-
-    def clear_caches(self) -> None:
-        for layer in self.layers:
-            layer.clear_caches()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(repr(layer) for layer in self.layers)
@@ -78,28 +57,6 @@ class ParallelConcat(Layer):
         if not branches:
             raise ModelConfigError("ParallelConcat needs at least one branch")
         self.branches = list(branches)
-        self._split_sizes: list[int] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        outputs = [branch.forward(x, training=training) for branch in self.branches]
-        for out in outputs:
-            if out.ndim != 2:
-                raise ModelConfigError(
-                    "every ParallelConcat branch must emit a 2-D output; "
-                    f"got shape {out.shape}"
-                )
-        self._split_sizes = [out.shape[1] for out in outputs]
-        return np.concatenate(outputs, axis=1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._split_sizes is not None
-        grads = np.split(grad_output, np.cumsum(self._split_sizes)[:-1], axis=1)
-        total: np.ndarray | None = None
-        for branch, grad in zip(self.branches, grads):
-            branch_grad = branch.backward(grad)
-            total = branch_grad if total is None else total + branch_grad
-        assert total is not None
-        return total
 
     def parameters(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         collected: list[tuple[str, np.ndarray, np.ndarray]] = []
@@ -107,11 +64,6 @@ class ParallelConcat(Layer):
             for name, param, grad in branch.parameters():
                 collected.append((f"branch{index}.{name}", param, grad))
         return collected
-
-    def clear_caches(self) -> None:
-        self._split_sizes = None
-        for branch in self.branches:
-            branch.clear_caches()
 
 
 class NeuralNetworkClassifier:
@@ -128,17 +80,11 @@ class NeuralNetworkClassifier:
         Mini-batch Adam training schedule.
     seed:
         Seed controlling the shuffling of mini-batches.
-    backend:
-        ``"fused"`` (default) compiles the model into the flat tape of
-        :mod:`repro.ml.nn.engine` and raises
-        :class:`~repro.ml.nn.engine.EngineCompileError` for a model it
-        cannot compile; ``"loop"`` walks the layer object graph, the
-        bit-identical oracle.
 
-    Each :meth:`fit` trains with a fresh :class:`~repro.ml.nn.optimizers.Adam`,
-    starting from the model's current weights: a second ``fit`` continues
-    from the weights the first one left, with zero Adam moments, on either
-    backend.
+    Each :meth:`fit` compiles the model into a
+    :class:`~repro.ml.nn.engine.CompiledNetwork` and trains it with fresh
+    Adam moments, starting from the model's current weights: a second
+    ``fit`` continues from the weights the first one left.
     """
 
     def __init__(
@@ -149,7 +95,6 @@ class NeuralNetworkClassifier:
         batch_size: int = 32,
         learning_rate: float = 1e-3,
         seed: int = 0,
-        backend: str = "fused",
     ) -> None:
         if num_classes < 2:
             raise ModelConfigError("need at least two classes")
@@ -157,10 +102,6 @@ class NeuralNetworkClassifier:
             raise ModelConfigError("epochs and batch_size must be positive")
         if learning_rate <= 0:
             raise ModelConfigError("learning_rate must be positive")
-        if backend not in NN_BACKENDS:
-            raise ModelConfigError(
-                f"backend must be one of {NN_BACKENDS}, got {backend!r}"
-            )
         self.model = model
         self.num_classes = num_classes
         self.epochs = epochs
@@ -168,7 +109,6 @@ class NeuralNetworkClassifier:
         self.learning_rate = learning_rate
         self.seed = seed
         self.loss = SoftmaxCrossEntropy()
-        self.backend = backend
         self.loss_history_: list[float] | None = None
         self._engine: CompiledNetwork | None = None
 
@@ -180,70 +120,30 @@ class NeuralNetworkClassifier:
         # not-fitted rather than serving a half-trained model.
         self.loss_history_ = None
         self._engine = None
-
-        optimizer = Adam(learning_rate=self.learning_rate)
-        if self.backend == "fused":
-            engine = CompiledNetwork(
-                self.model, X.shape[1:], self.num_classes, capacity=self.batch_size
-            )
-            history = engine.train(
-                X,
-                y,
-                epochs=self.epochs,
-                seed=self.seed,
-                optimizer=optimizer,
-                loss=self.loss,
-            )
-            self._engine = engine
-        else:
-            history = self._fit_loop(X, y, optimizer)
-        self.loss_history_ = history
-        self.model.clear_caches()
+        engine = CompiledNetwork(
+            self.model, X.shape[1:], self.num_classes, capacity=self.batch_size
+        )
+        self.loss_history_ = engine.train(
+            X,
+            y,
+            epochs=self.epochs,
+            seed=self.seed,
+            learning_rate=self.learning_rate,
+            loss=self.loss,
+        )
+        self._engine = engine
         return self
-
-    def _fit_loop(self, X: np.ndarray, y: np.ndarray, optimizer: Adam) -> list[float]:
-        """Layer-by-layer reference training loop."""
-        n_samples = X.shape[0]
-        rng = np.random.default_rng(self.seed)
-        history: list[float] = []
-        for epoch in range(self.epochs):
-            order = rng.permutation(n_samples)
-            epoch_loss = 0.0
-            num_batches = 0
-            for start in range(0, n_samples, self.batch_size):
-                batch_idx = order[start : start + self.batch_size]
-                logits = self.model.forward(X[batch_idx], training=True)
-                if logits.shape[1] != self.num_classes:
-                    raise ModelConfigError(
-                        f"model emits {logits.shape[1]} logits, "
-                        f"expected {self.num_classes}"
-                    )
-                batch_loss = self.loss.forward(logits, y[batch_idx])
-                if not np.isfinite(batch_loss):
-                    raise TrainingDivergedError(
-                        f"non-finite batch loss ({batch_loss}) in epoch "
-                        f"{epoch + 1} of {self.epochs}; lower the learning "
-                        "rate or check the inputs for non-finite values"
-                    )
-                grad = self.loss.backward()
-                self.model.backward(grad)
-                optimizer.step(self.model.parameters())
-                epoch_loss += batch_loss
-                num_batches += 1
-            history.append(epoch_loss / num_batches)
-        return history
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix of shape ``(n_samples, num_classes)``.
 
-        Rows are scored in blocks of exactly ``batch_size`` rows on either
-        backend; the last block is zero-padded and the padding rows dropped.
-        BLAS is bit-stable only for a fixed GEMM shape, and every GEMM here
-        has one shape, so a row's result does not depend on which rows
-        share its call: ``predict_proba(X[idx])`` equals
-        ``predict_proba(X)[idx]`` bit for bit, for any subset and order
-        ``idx`` (with a single BLAS thread).  An empty ``X`` gives a
-        ``(0, num_classes)`` matrix.
+        Rows are scored in blocks of exactly ``batch_size`` rows; the last
+        block is zero-padded and the padding rows dropped.  BLAS is
+        bit-stable only for a fixed GEMM shape, and every GEMM here has one
+        shape, so a row's result does not depend on which rows share its
+        call: ``predict_proba(X[idx])`` equals ``predict_proba(X)[idx]`` bit
+        for bit, for any subset and order ``idx`` (with a single BLAS
+        thread).  An empty ``X`` gives a ``(0, num_classes)`` matrix.
         """
         check_fitted(self, "loss_history_")
         X = np.asarray(X, dtype=np.float64)
@@ -254,11 +154,7 @@ class NeuralNetworkClassifier:
             rows = min(size, X.shape[0] - start)
             block[:rows] = X[start : start + rows]
             block[rows:] = 0.0
-            if self._engine is not None:
-                block_logits = self._engine.forward(block)
-            else:
-                block_logits = self.model.forward(block, training=False)
-            logits[start : start + rows] = block_logits[:rows]
+            logits[start : start + rows] = self._engine.forward(block)[:rows]
         return SoftmaxCrossEntropy.probabilities(logits)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

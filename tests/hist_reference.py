@@ -148,6 +148,7 @@ def reference_tree_fit(tree, X, gradients, hessians, binned=None):
         binned = BinnedDataset.from_matrix(X, tree.config.max_bins)
     grower = ReferenceHistTreeGrower(binned, gradients, hessians, tree.config)
     tree.num_leaves_ = 0
+    tree.num_features_ = X.shape[1]
     tree._train_values = np.empty(X.shape[0])
     tree.root_ = grower.grow(tree, np.arange(X.shape[0]))
     tree.tensor_ = TreeTensor.from_root(tree.root_)

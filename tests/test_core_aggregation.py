@@ -17,6 +17,7 @@ from repro.core import (
 from repro.exceptions import ModelConfigError, PipelineError
 from repro.graph import InteractionStore, NodeFeatureStore
 from repro.graph.generators import paper_figure7_network
+from repro.ml.nn import CompiledNetwork
 
 
 @pytest.fixture
@@ -144,10 +145,16 @@ class TestFeatureMatrixBuilder:
         np.testing.assert_allclose(result.matrix[:, 2:], np.zeros((3, 2)))
 
 
+def _logits(model, X):
+    """``model``'s logits on ``X`` through the compiled engine, which
+    re-derives every layer's shape and rejects a mis-sized dense head."""
+    return CompiledNetwork(model, X.shape[1:], 3, capacity=len(X)).forward(X)
+
+
 class TestCommCNN:
     def test_model_output_width_is_num_classes(self, rng):
         model = build_commcnn_model(k=10, num_columns=8, num_classes=3)
-        out = model.forward(rng.normal(size=(4, 1, 10, 8)))
+        out = _logits(model, rng.normal(size=(4, 1, 10, 8)))
         assert out.shape == (4, 3)
 
     def test_branch_toggles(self, rng):
@@ -158,7 +165,7 @@ class TestCommCNN:
             include_wide_branch=False,
             include_long_branch=False,
         )
-        assert model.forward(rng.normal(size=(2, 1, 10, 8))).shape == (2, 3)
+        assert _logits(model, rng.normal(size=(2, 1, 10, 8))).shape == (2, 3)
 
     def test_all_branches_disabled_raises(self):
         with pytest.raises(ModelConfigError):
@@ -173,7 +180,7 @@ class TestCommCNN:
 
     def test_small_k_still_builds(self, rng):
         model = build_commcnn_model(k=2, num_columns=5, num_classes=3)
-        assert model.forward(rng.normal(size=(2, 1, 2, 5))).shape == (2, 3)
+        assert _logits(model, rng.normal(size=(2, 1, 2, 5))).shape == (2, 3)
 
     def test_invalid_arguments(self):
         with pytest.raises(ModelConfigError):

@@ -10,9 +10,9 @@ import pytest
 from repro.core import LoCEC, LoCECConfig, divide, get_detector
 from repro.core.aggregation import reference_feature_matrix, reference_statistic_vector
 from repro.exceptions import NotFittedError, PipelineError
-from repro.ml.gbdt import GradientBoostedClassifier
 from repro.synthetic import make_workload
 from repro.types import RelationType
+from tests.exact_reference import ReferenceBoostedClassifier
 from tests.test_nn_engine import _commcnn
 
 
@@ -222,13 +222,12 @@ def test_every_layer_of_a_default_fit_matches_its_oracle(tiny_workload, model):
     train, labels = pipeline._train_communities, np.asarray(pipeline._train_labels)
     reference = copy.copy(fitted)
     if model == "xgb":
-        reference._model = GradientBoostedClassifier(
+        reference._model = ReferenceBoostedClassifier(
             num_rounds=config.gbdt.num_rounds,
             learning_rate=config.gbdt.learning_rate,
             max_depth=config.gbdt.max_depth,
             min_samples_leaf=config.gbdt.min_samples_leaf,
             num_classes=fitted.num_classes,
-            backend="node",
         ).fit(builder.statistic_vectors(train), labels)
     else:
         reference._classifier = _commcnn(

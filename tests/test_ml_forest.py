@@ -1,15 +1,18 @@
-"""Parity tests: the array-backed ML model layer must match the node backend.
+"""Parity tests: the array-backed ML model layer must match its oracle.
 
 ``backend="array"`` routes tree fitting through the vectorized split search
 (:func:`repro.ml.forest.best_split_array`) and all inference through the
-flattened :class:`TreeTensor` / :class:`ForestTensor` kernels.  Both backends
-execute the same float64 operations in the same order, so fitted splits,
-predictions, probabilities and the LoCEC-XGB leaf-value embedding must be
-**bit-identical** — this suite sweeps randomized regression targets, boosted
-multi-class problems, hypothesis-generated tie-heavy matrices (the presorted
-split search orders equal values by rank code, so ties are where it could
-part from the node scan), the Phase II community classifier and the direct
-Phase2Kernel CNN tensor path, plus the iterative-depth regression test.
+flattened :class:`TreeTensor` / :class:`ForestTensor` kernels.  The oracle,
+``tests/exact_reference.py``, scans each node feature by feature and walks
+``_TreeNode`` pointers row by row; both execute the same float64 operations
+in the same order, so fitted splits, predictions, probabilities and the
+LoCEC-XGB leaf-value embedding must be **bit-identical** — this suite
+sweeps randomized regression targets, boosted multi-class problems,
+hypothesis-generated tie-heavy matrices (the presorted split search orders
+equal values by rank code, so ties are where it could part from the scalar
+scan), the Phase II community classifier and the direct Phase2Kernel CNN
+tensor path, plus the iterative-depth regression test.  Parametrized cases
+name the oracle ``"node"``.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from repro.ml.forest import (
     resolve_ml_backend,
 )
 from repro.ml.gbdt import GradientBoostedClassifier
-from repro.ml.tree import (
-    GradientRegressionTree,
-    RegressionTreeConfig,
-    _node_depth,
-    _TreeNode,
+from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig, _TreeNode
+from tests.exact_reference import (
+    ReferenceBoostedClassifier,
+    ReferenceRegressionTree,
+    node_depth,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -60,6 +63,20 @@ def random_classification_problem(seed: int, n: int = 120, num_classes: int = 3)
     return X, y
 
 
+def make_tree(config=None, backend="auto"):
+    """A regression tree on ``backend``; ``"node"`` names the oracle."""
+    if backend == "node":
+        return ReferenceRegressionTree(config)
+    return GradientRegressionTree(config, backend=backend)
+
+
+def make_model(backend="auto", **kwargs):
+    """A boosted classifier on ``backend``; ``"node"`` names the oracle."""
+    if backend == "node":
+        return ReferenceBoostedClassifier(**kwargs)
+    return GradientBoostedClassifier(backend=backend, **kwargs)
+
+
 def flatten_structure(node: _TreeNode) -> list[tuple]:
     """Preorder (feature, threshold, value, leaf_id) tuples of a fitted tree."""
     out: list[tuple] = []
@@ -76,12 +93,17 @@ def flatten_structure(node: _TreeNode) -> list[tuple]:
 class TestBackendResolution:
     def test_auto_resolves_to_array_with_numpy(self):
         assert resolve_ml_backend("auto") == "array"
-        assert resolve_ml_backend("node") == "node"
         assert resolve_ml_backend("array") == "array"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ModelConfigError):
             resolve_ml_backend("tensor")
+        # The pointer-walk oracle is reached in tests/exact_reference.py,
+        # not through a backend name.
+        with pytest.raises(ModelConfigError):
+            resolve_ml_backend("node")
+        with pytest.raises(ModelConfigError):
+            GradientBoostedClassifier(backend="node")
         with pytest.raises(ModelConfigError):
             GradientRegressionTree(backend="csr")
         with pytest.raises(ModelConfigError):
@@ -100,7 +122,7 @@ class TestSplitThreshold:
         assert np.nextafter(lo, 1.0) == hi and 0.5 * (lo + hi) == hi
         X = np.array([[lo], [lo], [hi], [hi]])
         config = RegressionTreeConfig(max_depth=1, min_samples_leaf=1)
-        tree = GradientRegressionTree(config, backend=backend).fit(
+        tree = make_tree(config, backend).fit(
             X, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4)
         )
         assert tree.root_.threshold == lo
@@ -114,9 +136,7 @@ class TestTreeParity:
     def test_fitted_splits_bit_identical(self, seed):
         X, gradients, hessians = random_tree_problem(seed)
         config = RegressionTreeConfig(max_depth=4, min_samples_leaf=3)
-        node_tree = GradientRegressionTree(config, backend="node").fit(
-            X, gradients, hessians
-        )
+        node_tree = ReferenceRegressionTree(config).fit(X, gradients, hessians)
         array_tree = GradientRegressionTree(config, backend="array").fit(
             X, gradients, hessians
         )
@@ -129,9 +149,7 @@ class TestTreeParity:
     def test_predict_apply_leaf_values_bit_identical(self, seed):
         X, gradients, hessians = random_tree_problem(seed)
         config = RegressionTreeConfig(max_depth=5)
-        node_tree = GradientRegressionTree(config, backend="node").fit(
-            X, gradients, hessians
-        )
+        node_tree = ReferenceRegressionTree(config).fit(X, gradients, hessians)
         array_tree = GradientRegressionTree(config, backend="array").fit(
             X, gradients, hessians
         )
@@ -146,11 +164,12 @@ class TestTreeParity:
 
     def test_tensor_accessor_matches_node_walk(self):
         X, gradients, hessians = random_tree_problem(9)
-        node_tree = GradientRegressionTree(backend="node").fit(X, gradients, hessians)
-        tensor = node_tree.tensor()  # lazily flattened on the node backend
+        node_tree = ReferenceRegressionTree().fit(X, gradients, hessians)
+        tensor = node_tree.tensor()  # the oracle's tree, flattened
         assert isinstance(tensor, TreeTensor)
         assert np.array_equal(tensor.predict(X), node_tree.predict(X))
-        assert tensor.depth() == _node_depth(node_tree.root_)
+        assert np.array_equal(tensor.apply(X), node_tree.apply(X))
+        assert tensor.depth() == node_depth(node_tree.root_)
 
     def test_standalone_tree_builds_its_own_presort(self):
         # No presort handed in: the tree sorts for itself, and the result is
@@ -161,7 +180,7 @@ class TestTreeParity:
         shared = GradientRegressionTree(config, backend="array").fit(
             X, gradients, hessians, presort=FeaturePresort.from_matrix(X)
         )
-        node = GradientRegressionTree(config, backend="node").fit(X, gradients, hessians)
+        node = ReferenceRegressionTree(config).fit(X, gradients, hessians)
         assert flatten_structure(alone.root_) == flatten_structure(node.root_)
         assert flatten_structure(shared.root_) == flatten_structure(node.root_)
 
@@ -198,7 +217,7 @@ class TestTreeParity:
         array_tree = GradientRegressionTree(config, backend="array").fit(
             X, gradients, hessians, presort=presort
         )
-        node_tree = GradientRegressionTree(config, backend="node").fit(X, gradients, hessians)
+        node_tree = ReferenceRegressionTree(config).fit(X, gradients, hessians)
         assert array_tree.num_leaves_ == 2
         assert flatten_structure(array_tree.root_) == flatten_structure(node_tree.root_)
 
@@ -214,8 +233,9 @@ class TestTreeParity:
             GradientRegressionTree(backend="array").predict(np.zeros((2, 2)))
 
     def test_iterative_depth_survives_deep_chains(self):
-        # A 5000-deep left chain: the old recursive _node_depth blew the
-        # interpreter recursion limit (default 1000) on trees like this.
+        # A 5000-deep left chain: a recursive depth blew the interpreter
+        # recursion limit (default 1000) on trees like this, in the oracle's
+        # node_depth and in the product's TreeTensor.depth alike.
         leaf = _TreeNode(depth=5000, leaf_id=0)
         node = leaf
         for depth in range(4999, -1, -1):
@@ -226,7 +246,8 @@ class TestTreeParity:
                 left=node,
                 right=_TreeNode(depth=depth + 1, leaf_id=1),
             )
-        assert _node_depth(node) == 5000
+        assert node_depth(node) == 5000
+        assert TreeTensor.from_root(node).depth() == 5000
 
 
 class TestForestParity:
@@ -234,7 +255,7 @@ class TestForestParity:
     def test_gbdt_outputs_bit_identical(self, seed):
         X, y = random_classification_problem(seed)
         kwargs = dict(num_rounds=8, max_depth=3)
-        node_model = GradientBoostedClassifier(backend="node", **kwargs).fit(X, y)
+        node_model = ReferenceBoostedClassifier(**kwargs).fit(X, y)
         array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
         assert node_model.train_loss_history_ == array_model.train_loss_history_
         fresh = np.random.default_rng(seed + 200).normal(size=(40, X.shape[1]))
@@ -260,9 +281,9 @@ class TestForestParity:
     def test_proba_from_leaf_values_is_predict_proba(self, backend):
         # The one-walk scoring path: probabilities rebuilt from the leaf-value
         # embedding equal the walk-and-accumulate ones bit for bit (on the
-        # node backend that is an independent per-tree loop).
+        # oracle that is an independent per-tree loop).
         X, y = random_classification_problem(4)
-        model = GradientBoostedClassifier(num_rounds=6, backend=backend).fit(X, y)
+        model = make_model(backend, num_rounds=6).fit(X, y)
         fresh = np.random.default_rng(204).normal(size=(30, X.shape[1]))
         for batch in (X, fresh):
             assert np.array_equal(
@@ -277,7 +298,7 @@ class TestForestParity:
 
     def test_forest_tensor_from_node_trees(self):
         X, y = random_classification_problem(5)
-        node_model = GradientBoostedClassifier(num_rounds=4, backend="node").fit(X, y)
+        node_model = ReferenceBoostedClassifier(num_rounds=4).fit(X, y)
         forest = ForestTensor.from_trees(
             [tree for round_trees in node_model.trees_ for tree in round_trees]
         )
@@ -290,12 +311,15 @@ class TestForestParity:
         )
 
     def test_array_backend_populates_forest(self):
+        # Every fit stacks its forest, and every tree its tensor: inference
+        # has no per-tree fallback.
         X, y = random_classification_problem(6)
-        model = GradientBoostedClassifier(num_rounds=2, backend="array").fit(X, y)
-        assert model.forest_ is not None
-        assert model.forest_.num_trees == model.num_trees
-        node_model = GradientBoostedClassifier(num_rounds=2, backend="node").fit(X, y)
-        assert node_model.forest_ is None
+        for backend in ("array", "hist"):
+            model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
+            assert model.forest_ is not None
+            assert model.forest_.num_trees == model.num_trees
+            for round_trees in model.trees_:
+                assert all(tree.tensor_ is not None for tree in round_trees)
 
 
 # One value palette per column kind; ``None`` draws continuous floats.
@@ -347,7 +371,7 @@ class TestGeneratedParity:
         # reg_lambda=0 can saturate a leaf (zero hessian): both backends then
         # carry the same inf/NaN, which assert_array_equal compares as equal.
         with np.errstate(all="ignore"):
-            node_model = GradientBoostedClassifier(backend="node", **kwargs).fit(X, y)
+            node_model = ReferenceBoostedClassifier(**kwargs).fit(X, y)
             array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
         node_forest = ForestTensor.from_trees(
             [tree for round_trees in node_model.trees_ for tree in round_trees]
@@ -389,15 +413,16 @@ def partition_problems(draw):
     return X, gradients, hessians, y, config
 
 
-def _walked_fit_predict():
+def _walked_fit_predict(backend):
     """``fit_predict`` as a walk: grow, then predict the training rows."""
-    grow = GradientRegressionTree.fit_predict
+    tree_type = ReferenceRegressionTree if backend == "node" else GradientRegressionTree
+    grow = tree_type.fit_predict
 
     def walked(self, X, *args, **kwargs):
         grow(self, X, *args, **kwargs)
         return self.predict(X)
 
-    return mock.patch.object(GradientRegressionTree, "fit_predict", walked)
+    return mock.patch.object(tree_type, "fit_predict", walked)
 
 
 def _forest(model):
@@ -414,7 +439,7 @@ class TestScoresFromThePartition:
     def test_recorded_training_values_are_predictions(self, problem):
         X, gradients, hessians, _, config = problem
         for backend in ("node", "array", "hist"):
-            tree = GradientRegressionTree(RegressionTreeConfig(**config), backend=backend)
+            tree = make_tree(RegressionTreeConfig(**config), backend)
             values = tree.fit_predict(X, gradients, hessians)
             np.testing.assert_array_equal(values, tree.predict(X), err_msg=backend)
 
@@ -423,10 +448,9 @@ class TestScoresFromThePartition:
     def test_fit_equals_a_walk_based_fit(self, problem):
         X, _, _, y, config = problem
         for backend in ("node", "array", "hist"):
-            kwargs = dict(num_rounds=3, backend=backend, **config)
-            fitted = GradientBoostedClassifier(**kwargs).fit(X, y)
-            with _walked_fit_predict():
-                walked = GradientBoostedClassifier(**kwargs).fit(X, y)
+            fitted = make_model(backend, num_rounds=3, **config).fit(X, y)
+            with _walked_fit_predict(backend):
+                walked = make_model(backend, num_rounds=3, **config).fit(X, y)
             for name in ForestTensor.__slots__:
                 np.testing.assert_array_equal(
                     getattr(_forest(fitted), name),
@@ -489,12 +513,11 @@ class TestCommunityClassifierParity:
         ).fit(communities, labels)
         probabilities = classifier.predict_proba(communities)
         vectors = classifier.result_vectors(communities)
-        # The classifier's model on the same design, fitted by each kernel.
+        # The classifier's model on the same design, fitted by the oracle
+        # and by the array kernels.
         design = builder.statistic_vectors(communities)
         node, array = (
-            GradientBoostedClassifier(num_rounds=6, num_classes=3, backend=backend).fit(
-                design, labels
-            )
+            make_model(backend, num_rounds=6, num_classes=3).fit(design, labels)
             for backend in ("node", "array")
         )
         assert np.array_equal(node.predict_proba(design), array.predict_proba(design))

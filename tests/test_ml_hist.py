@@ -418,7 +418,7 @@ class TestReferenceParity:
             roots, values = HistTreeGrower(binned, config).grow(gradients, hessians)
             for tree_index, root in enumerate(roots):
                 tree = GradientRegressionTree(config, backend="hist")
-                tree._install(root)
+                tree._install(root, X.shape[1])
                 reference = GradientRegressionTree(config, backend="hist")
                 expected, _ = reference_tree_fit(
                     reference,

@@ -19,6 +19,7 @@ from repro.ml import (
     RegressionTreeConfig,
 )
 from repro.ml.logistic import GRADIENT_TOLERANCE
+from tests.exact_reference import ReferenceBoostedClassifier
 
 
 def _linearly_separable(n: int = 120, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +182,21 @@ class TestRegressionTree:
         with pytest.raises(NotFittedError):
             GradientRegressionTree().predict(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("backend", ("array", "hist"))
+    @pytest.mark.parametrize("width", (2, 6))  # narrower, wider than the fitted 3
+    def test_feature_count_mismatch_rejected(self, backend, width):
+        # Narrower used to die with a bare IndexError inside the traversal;
+        # wider was silently scored on its first columns.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        tree = GradientRegressionTree(backend=backend).fit(X, X[:, 2], np.ones(40))
+        message = rf"fitted on 3 features, got X of shape \(6, {width}\)"
+        for method in ("predict", "apply", "leaf_values"):
+            with pytest.raises(DimensionMismatchError, match=message):
+                getattr(tree, method)(np.zeros((6, width)))
+        with pytest.raises(DimensionMismatchError):
+            tree.predict(np.zeros(width))  # a single row is checked too
+
     def test_config_validation(self):
         with pytest.raises(ModelConfigError):
             RegressionTreeConfig(max_depth=0).validate()
@@ -247,7 +263,10 @@ class TestGradientBoostedClassifier:
         # Narrower used to die with a bare IndexError inside the traversal;
         # wider was silently scored on its first columns.
         X, y = _linearly_separable()
-        model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
+        if backend == "node":  # the pointer-walk oracle, tests/exact_reference.py
+            model = ReferenceBoostedClassifier(num_rounds=2).fit(X, y)
+        else:
+            model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
         wrong = np.zeros((6, width))
         for method in ("predict", "predict_proba", "leaf_values", "leaf_indices"):
             with pytest.raises(DimensionMismatchError, match="fitted on 4 features"):

@@ -1,4 +1,11 @@
-"""Tests for the NumPy neural-network stack (layers, losses, optimisers, models)."""
+"""Tests for the NumPy neural-network stack (layers, losses, optimisers, models).
+
+The product layers are specifications; their ``forward`` / ``backward``
+and the per-name Adam live in the oracle, ``tests/nn_reference.py``, and
+are checked here against numerical gradients and known values, because the
+compiled engine is held to that oracle bit for bit
+(``tests/test_nn_engine.py``).
+"""
 
 from __future__ import annotations
 
@@ -11,7 +18,6 @@ from repro.exceptions import (
     TrainingDivergedError,
 )
 from repro.ml.nn import (
-    Adam,
     Conv2D,
     Dense,
     Dropout,
@@ -24,6 +30,14 @@ from repro.ml.nn import (
     Sequential,
     SoftmaxCrossEntropy,
 )
+from tests.nn_reference import Adam, LoopClassifier, reference_layer
+
+
+def _classifier(backend, model, **kwargs):
+    """The classifier on ``backend``: ``"fused"`` is the product,
+    ``"loop"`` the layer-by-layer oracle."""
+    classifier_type = LoopClassifier if backend == "loop" else NeuralNetworkClassifier
+    return classifier_type(model, **kwargs)
 
 
 def _numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -44,31 +58,32 @@ def _numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> n
 
 class TestConv2D:
     def test_output_shape(self, rng):
-        layer = Conv2D(1, 4, (3, 3))
+        layer = reference_layer(Conv2D(1, 4, (3, 3)))
         out = layer.forward(rng.normal(size=(2, 1, 8, 6)))
         assert out.shape == (2, 4, 6, 4)
 
     def test_known_convolution_value(self):
-        layer = Conv2D(1, 1, (2, 2))
-        layer.weight[...] = np.ones((1, 1, 2, 2))
-        layer.bias[...] = 0.0
+        spec = Conv2D(1, 1, (2, 2))
+        spec.weight[...] = np.ones((1, 1, 2, 2))
+        spec.bias[...] = 0.0
         x = np.arange(9, dtype=float).reshape(1, 1, 3, 3)
-        out = layer.forward(x)
+        out = reference_layer(spec).forward(x)
         # Top-left window is [[0,1],[3,4]] -> sum 8.
         assert out[0, 0, 0, 0] == pytest.approx(8.0)
 
     def test_rejects_wrong_channel_count(self, rng):
-        layer = Conv2D(2, 3, (3, 3))
+        layer = reference_layer(Conv2D(2, 3, (3, 3)))
         with pytest.raises(DimensionMismatchError):
             layer.forward(rng.normal(size=(1, 1, 5, 5)))
 
     def test_rejects_too_small_input(self, rng):
-        layer = Conv2D(1, 1, (3, 3))
+        layer = reference_layer(Conv2D(1, 1, (3, 3)))
         with pytest.raises(DimensionMismatchError):
             layer.forward(rng.normal(size=(1, 1, 2, 5)))
 
     def test_weight_gradient_matches_numerical(self, rng):
-        layer = Conv2D(1, 2, (2, 2), seed=1)
+        spec = Conv2D(1, 2, (2, 2), seed=1)
+        layer = reference_layer(spec)
         x = rng.normal(size=(3, 1, 4, 4))
 
         def loss() -> float:
@@ -76,11 +91,11 @@ class TestConv2D:
 
         loss()
         layer.backward(np.ones((3, 2, 3, 3)))
-        numerical = _numerical_gradient(loss, layer.weight)
-        np.testing.assert_allclose(layer.grad_weight, numerical, atol=1e-4)
+        numerical = _numerical_gradient(loss, spec.weight)
+        np.testing.assert_allclose(spec.grad_weight, numerical, atol=1e-4)
 
     def test_input_gradient_matches_numerical(self, rng):
-        layer = Conv2D(1, 1, (2, 2), seed=2)
+        layer = reference_layer(Conv2D(1, 1, (2, 2), seed=2))
         x = rng.normal(size=(1, 1, 4, 3))
 
         def loss() -> float:
@@ -100,7 +115,7 @@ class TestConv2D:
 
 class TestPoolingAndActivation:
     def test_relu_forward_and_backward(self):
-        layer = ReLU()
+        layer = reference_layer(ReLU())
         x = np.array([[-1.0, 2.0], [3.0, -4.0]])
         out = layer.forward(x, training=True)
         np.testing.assert_allclose(out, [[0.0, 2.0], [3.0, 0.0]])
@@ -108,13 +123,13 @@ class TestPoolingAndActivation:
         np.testing.assert_allclose(grad, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_maxpool_forward(self):
-        layer = MaxPool2D((2, 2))
+        layer = reference_layer(MaxPool2D((2, 2)))
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         out = layer.forward(x)
         np.testing.assert_allclose(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
 
     def test_maxpool_backward_routes_to_argmax(self):
-        layer = MaxPool2D((2, 2))
+        layer = reference_layer(MaxPool2D((2, 2)))
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         layer.forward(x, training=True)
         dx = layer.backward(np.ones((1, 1, 2, 2)))
@@ -122,7 +137,7 @@ class TestPoolingAndActivation:
         assert dx[0, 0, 1, 1] == 1.0  # position of value 5
 
     def test_maxpool_clamps_small_inputs(self, rng):
-        layer = MaxPool2D((2, 2))
+        layer = reference_layer(MaxPool2D((2, 2)))
         out = layer.forward(rng.normal(size=(1, 3, 1, 5)))
         assert out.shape == (1, 3, 1, 2)
 
@@ -131,7 +146,7 @@ class TestPoolingAndActivation:
             MaxPool2D((0, 2))
 
     def test_global_maxpool_forward_backward(self):
-        layer = GlobalMaxPool2D()
+        layer = reference_layer(GlobalMaxPool2D())
         x = np.arange(12, dtype=float).reshape(1, 2, 2, 3)
         out = layer.forward(x, training=True)
         np.testing.assert_allclose(out, [[5.0, 11.0]])
@@ -141,19 +156,19 @@ class TestPoolingAndActivation:
         assert dx.sum() == pytest.approx(3.0)
 
     def test_flatten_round_trip(self, rng):
-        layer = Flatten()
+        layer = reference_layer(Flatten())
         x = rng.normal(size=(3, 2, 4, 5))
         out = layer.forward(x, training=True)
         assert out.shape == (3, 40)
         assert layer.backward(out).shape == x.shape
 
     def test_dropout_inference_is_identity(self, rng):
-        layer = Dropout(0.5)
+        layer = reference_layer(Dropout(0.5))
         x = rng.normal(size=(4, 10))
         np.testing.assert_allclose(layer.forward(x, training=False), x)
 
     def test_dropout_training_zeroes_some_units(self, rng):
-        layer = Dropout(0.5, seed=0)
+        layer = reference_layer(Dropout(0.5, seed=0))
         x = np.ones((10, 100))
         out = layer.forward(x, training=True)
         assert (out == 0).sum() > 0
@@ -167,14 +182,15 @@ class TestPoolingAndActivation:
 
 class TestDense:
     def test_forward_shape_and_validation(self, rng):
-        layer = Dense(4, 3)
+        layer = reference_layer(Dense(4, 3))
         out = layer.forward(rng.normal(size=(5, 4)))
         assert out.shape == (5, 3)
         with pytest.raises(DimensionMismatchError):
             layer.forward(rng.normal(size=(5, 2)))
 
     def test_gradients_match_numerical(self, rng):
-        layer = Dense(3, 2, seed=0)
+        spec = Dense(3, 2, seed=0)
+        layer = reference_layer(spec)
         x = rng.normal(size=(4, 3))
 
         def loss() -> float:
@@ -183,7 +199,7 @@ class TestDense:
         loss()
         dx = layer.backward(np.ones((4, 2)))
         np.testing.assert_allclose(
-            layer.grad_weight, _numerical_gradient(loss, layer.weight), atol=1e-5
+            spec.grad_weight, _numerical_gradient(loss, spec.weight), atol=1e-5
         )
         np.testing.assert_allclose(dx, _numerical_gradient(loss, x), atol=1e-5)
 
@@ -260,10 +276,11 @@ class TestLossAndOptimizers:
         assert abs(param[0]) < 0.5
 
     def test_optimizer_validation(self):
+        # Adam's one settable value is the classifier's learning rate; its
+        # decay rates and epsilon are engine constants, pinned by
+        # test_nn_engine.py::test_adam_constants_are_kingma_ba_defaults.
         with pytest.raises(ModelConfigError):
-            Adam(learning_rate=0.0)
-        with pytest.raises(ModelConfigError):
-            Adam(beta1=1.0)
+            NeuralNetworkClassifier(Sequential([Dense(2, 2)]), 2, learning_rate=0.0)
 
 
 class TestModelContainers:
@@ -278,13 +295,19 @@ class TestModelContainers:
                 Sequential([Conv2D(1, 3, (1, 4)), GlobalMaxPool2D()]),
             ]
         )
-        out = branches.forward(rng.normal(size=(2, 1, 4, 4)))
+        out = reference_layer(branches).forward(rng.normal(size=(2, 1, 4, 4)))
         assert out.shape == (2, 2 * 3 * 3 + 3)
 
     def test_parallel_concat_requires_2d_branches(self, rng):
         branches = ParallelConcat([Sequential([Conv2D(1, 2, (2, 2))])])
         with pytest.raises(ModelConfigError):
-            branches.forward(rng.normal(size=(1, 1, 4, 4)))
+            reference_layer(branches).forward(rng.normal(size=(1, 1, 4, 4)))
+        # The engine rejects the model when it compiles it.
+        model = Sequential([branches, Dense(18, 2)])
+        with pytest.raises(ModelConfigError):
+            NeuralNetworkClassifier(model, 2, epochs=1).fit(
+                rng.normal(size=(4, 1, 4, 4)), np.array([0, 1, 0, 1])
+            )
 
     def test_parallel_concat_requires_branches(self):
         with pytest.raises(ModelConfigError):
@@ -330,8 +353,8 @@ class TestModelContainers:
             model = Sequential(
                 [Dense(5, 8, seed=0), ReLU(), Dropout(0.3, seed=7), Dense(8, 2, seed=1)]
             )
-            clf = NeuralNetworkClassifier(
-                model, num_classes=2, epochs=4, batch_size=16, seed=3, backend=backend
+            clf = _classifier(
+                backend, model, num_classes=2, epochs=4, batch_size=16, seed=3
             )
             clf.fit(X, y)
             runs.append(clf)
@@ -346,7 +369,7 @@ class TestModelContainers:
         X = np.full((8, 3), np.nan)
         y = np.zeros(8, dtype=np.int64)
         model = Sequential([Dense(3, 4, seed=0), ReLU(), Dense(4, 2, seed=1)])
-        clf = NeuralNetworkClassifier(model, num_classes=2, epochs=3, backend=backend)
+        clf = _classifier(backend, model, num_classes=2, epochs=3)
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             clf.fit(X, y)
         # A diverged fit must leave the classifier reporting not-fitted
@@ -364,25 +387,28 @@ class TestModelContainers:
         model = Sequential(
             [Conv2D(1, 2, (2, 2), seed=0), Flatten(), Dense(2 * 3 * 2, 3, seed=1)]
         )
-        clf = NeuralNetworkClassifier(model, num_classes=3, epochs=2, backend=backend)
+        clf = _classifier(backend, model, num_classes=3, epochs=2)
         with pytest.raises(DimensionMismatchError, match="empty dataset"):
             clf.fit(np.zeros((0, 1, 4, 3)), np.zeros(0))
         assert clf.loss_history_ is None
 
     def test_fit_clears_training_caches(self, rng):
-        """Layer caches must not pin the last batch's tensors after fit."""
-        conv = Conv2D(1, 2, (2, 2), seed=0)
-        relu = ReLU()
-        pool = MaxPool2D((2, 2))
-        glob = GlobalMaxPool2D()
-        flat = Flatten()
-        drop = Dropout(0.4, seed=1)
-        dense = Dense(2, 2, seed=2)
-        model = Sequential([conv, relu, pool, glob, flat, drop, dense])
-        clf = NeuralNetworkClassifier(
-            model, num_classes=2, epochs=1, backend="loop"
+        """The oracle's layer caches must not pin the last batch's tensors
+        after fit; the product's layers hold no tensors but their weights."""
+        model = Sequential(
+            [
+                Conv2D(1, 2, (2, 2), seed=0),
+                ReLU(),
+                MaxPool2D((2, 2)),
+                GlobalMaxPool2D(),
+                Flatten(),
+                Dropout(0.4, seed=1),
+                Dense(2, 2, seed=2),
+            ]
         )
+        clf = LoopClassifier(model, num_classes=2, epochs=1)
         clf.fit(rng.normal(size=(12, 1, 6, 5)), rng.integers(0, 2, size=12))
+        conv, relu, pool, glob, flat, drop, dense = clf.network_.layers
         assert conv._cache is None
         assert relu._mask is None
         assert pool._cache is None
@@ -390,3 +416,7 @@ class TestModelContainers:
         assert flat._input_shape is None
         assert drop._mask is None
         assert dense._input is None
+        for layer in model.layers:
+            assert not any(
+                name.startswith(("_cache", "_mask", "_input")) for name in vars(layer)
+            )

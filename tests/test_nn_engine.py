@@ -1,12 +1,13 @@
-"""Parity suite: the fused NN engine must be bit-identical to the loop backend.
+"""Parity suite: the compiled NN engine must be bit-identical to its oracle.
 
-Every test fits (or runs) the same model twice — once layer-by-layer
-(``backend="loop"``), once on the compiled tape (``backend="fused"``) — and
-asserts exact equality (``np.array_equal``, no tolerances) of logits, fitted
-weights, gradients and loss histories.  Randomized CommCNN configurations
-cover all three branch toggles, ragged last batches, dropout on/off and a
-refit.  ``TestBlockedInference`` holds the block contract on each
-backend: a row's probabilities do not depend on the rows sharing its call.
+Every test fits (or runs) the same model twice — once layer by layer on the
+oracle of ``tests/nn_reference.py`` (``"loop"``), once on the compiled tape
+of the product classifier (``"fused"``) — and asserts exact equality
+(``np.array_equal``, no tolerances) of logits, fitted weights, gradients and
+loss histories.  Randomized CommCNN configurations cover all three branch
+toggles, ragged last batches, dropout on/off and a refit.
+``TestBlockedInference`` holds the block contract on each: a row's
+probabilities do not depend on the rows sharing its call.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.ml.nn import (
     ReLU,
     Sequential,
 )
+from repro.ml.nn.engine import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+from tests.nn_reference import LoopClassifier, reference_layer
 
 
 def _commcnn(
@@ -42,15 +45,16 @@ def _commcnn(
     backend: str,
     **branch_toggles: bool,
 ) -> NeuralNetworkClassifier:
-    """``build_commcnn_classifier``'s classifier on a chosen engine."""
-    return NeuralNetworkClassifier(
+    """``build_commcnn_classifier``'s classifier on the compiled tape
+    (``"fused"``) or on the layer-by-layer oracle (``"loop"``)."""
+    classifier_type = LoopClassifier if backend == "loop" else NeuralNetworkClassifier
+    return classifier_type(
         build_commcnn_model(k, num_columns, num_classes, config=config, **branch_toggles),
         num_classes=num_classes,
         epochs=config.epochs,
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
         seed=config.seed,
-        backend=backend,
     )
 
 
@@ -63,7 +67,7 @@ def _fit_pair(
     config: CommCNNConfig,
     **branch_toggles: bool,
 ) -> tuple[NeuralNetworkClassifier, NeuralNetworkClassifier]:
-    """Fit two identically-configured CommCNNs, one per backend."""
+    """Fit two identically-configured CommCNNs, the oracle and the tape."""
     fitted = []
     for backend in ("loop", "fused"):
         clf = _commcnn(k, num_columns, num_classes, config, backend, **branch_toggles)
@@ -200,41 +204,44 @@ class TestBackendResolution:
         X, y = _random_problem(rng, 33, 8, 6, 2)
         clf = build_commcnn_classifier(8, 6, 2, config=CommCNNConfig(epochs=1))
         clf.fit(X, y)
-        assert clf.backend == "fused" and clf._engine is not None
+        assert type(clf) is NeuralNetworkClassifier and clf._engine is not None
 
     def test_fused_raises_on_unsupported_layer(self, rng):
         class Scale(Layer):
-            def forward(self, x, training=False):
-                return x * 2.0
-
-            def backward(self, grad_output):
-                return grad_output * 2.0
+            """A layer type the engine has no op for."""
 
         model = Sequential([Dense(4, 8, seed=0), Scale()])
-        clf = NeuralNetworkClassifier(model, num_classes=2, epochs=1, backend="fused")
+        clf = NeuralNetworkClassifier(model, num_classes=2, epochs=1)
         with pytest.raises(EngineCompileError):
             clf.fit(rng.normal(size=(8, 4)), np.zeros(8, dtype=np.int64))
 
     def test_invalid_backend_rejected(self):
+        # There is no selector to get wrong: the layer-by-layer oracle is
+        # tests/nn_reference.py, and a stale ``backend=`` caller fails.
         model = Sequential([Dense(2, 2)])
-        with pytest.raises(ModelConfigError):
-            NeuralNetworkClassifier(model, num_classes=2, backend="jit")
+        with pytest.raises(TypeError):
+            NeuralNetworkClassifier(model, num_classes=2, backend="loop")
 
     def test_fused_detects_wrong_output_width_at_compile(self, rng):
         model = Sequential([Dense(3, 5, seed=0)])
-        clf = NeuralNetworkClassifier(model, num_classes=3, epochs=1, backend="fused")
+        clf = NeuralNetworkClassifier(model, num_classes=3, epochs=1)
         with pytest.raises(ModelConfigError, match="5 logits"):
             clf.fit(rng.normal(size=(8, 3)), np.zeros(8, dtype=np.int64))
 
 
 class TestCompiledNetworkDirect:
+    def test_adam_constants_are_kingma_ba_defaults(self):
+        # The oracle imports these, so the parity tests cannot see a change
+        # to them; every CommCNN ever fitted here used these values.
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+
     def test_dense_stack_parity(self, rng):
         model = Sequential(
             [Dense(6, 16, seed=0), ReLU(), Dense(16, 3, seed=1)]
         )
         engine = CompiledNetwork(model, (6,), 3, capacity=25)
         X = rng.normal(size=(25, 6))
-        assert np.array_equal(engine.forward(X), model.forward(X, training=False))
+        assert np.array_equal(engine.forward(X), reference_layer(model).forward(X))
 
     def test_conv_flatten_parity(self, rng):
         model = Sequential(
@@ -242,7 +249,7 @@ class TestCompiledNetworkDirect:
         )
         engine = CompiledNetwork(model, (1, 4, 3), 2, capacity=16)
         X = rng.normal(size=(9, 1, 4, 3))
-        assert np.array_equal(engine.forward(X), model.forward(X, training=False))
+        assert np.array_equal(engine.forward(X), reference_layer(model).forward(X))
 
     def test_empty_input_forward(self):
         model = Sequential([Dense(4, 2, seed=0)])

@@ -12,9 +12,13 @@ README recipe as its only caller — ``core/pipeline.py`` is held to
 lines", and under ``core/`` and ``graph/`` only the pipeline may import the
 sharded runtime (a process pool once grew inside Phase II aggregation).
 Oracles are not options: which kernel computes a phase is chosen below the
-product surface, so outside ``ml/`` (whose model classes keep ``backend=``
-for the parity suites) nothing may be *named* after a backend selector, and
-every literal those classes accept must be exercised by some test.  The
+product surface, so outside ``ml/`` (whose GBDT classes keep ``backend=``
+for the routed exact / histogram choice) nothing may be *named* after a
+backend selector, and every literal those classes accept must be exercised
+by some test.  A reference executor is a test oracle in ``tests/``
+(``exact_reference.py``, ``hist_reference.py``, ``nn_reference.py``), and
+those modules import only the standard library, NumPy and ``repro``: the CI
+kernel gate times them with nothing else installed.  The
 model layer is held to the csr rule too: ``repro.ml`` once exported scalers,
 k-fold splits, an estimator protocol and an SGD optimiser that only tests
 called.  The checks are by AST, so a mention in a docstring or comment does
@@ -25,13 +29,13 @@ CI runs this file in the ``static-analysis`` job as well.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import repro.ml
 import repro.ml.nn
 from repro.graph import csr
 from repro.ml.forest import ML_BACKENDS
-from repro.ml.nn import NN_BACKENDS
 
 PACKAGE = Path(csr.__file__).resolve().parent.parent  # src/repro
 REPO = PACKAGE.parent.parent
@@ -87,14 +91,12 @@ MODEL_LAYER_ALLOWLIST = {
     # own modules (the constructors validate against them, resolve_ml_backend
     # routes on the crossover) and by the tests.
     "ML_BACKENDS",
-    "NN_BACKENDS",
     "HIST_AUTO_MIN_ROWS",
     # Parts of the CommCNN stack that NeuralNetworkClassifier composes inside
-    # ml/nn (the base layer type, the loss, the optimiser and the compiled
-    # engine); the parity suites drive each directly.
+    # ml/nn (the base layer type, the loss and the compiled engine); the
+    # parity suites drive each directly.
     "Layer",
     "SoftmaxCrossEntropy",
-    "Adam",
     "CompiledNetwork",
 }
 
@@ -270,15 +272,37 @@ def test_no_backend_selector_above_the_kernel_layer():
     assert sites == [], (
         "a backend selector is growing back above repro.ml — reach an oracle "
         "through its handle (a callable detector, reference_feature_matrix / "
-        f"reference_statistic_vector, the model classes' backend=): {sites}"
+        "reference_statistic_vector, the tests/ oracles exact_reference.py, "
+        f"hist_reference.py and nn_reference.py): {sites}"
     )
 
 
 def test_every_kernel_backend_literal_is_exercised_by_a_test():
     tests = "".join(path.read_text() for path in (REPO / "tests").rglob("*.py"))
     missing = [
-        literal
-        for literal in (*ML_BACKENDS, *NN_BACKENDS)
-        if f'backend="{literal}"' not in tests
+        literal for literal in ML_BACKENDS if f'backend="{literal}"' not in tests
     ]
     assert missing == [], f"backend literals no test passes: {missing}"
+
+
+def test_reference_oracles_import_only_the_stdlib_numpy_and_repro():
+    """``scripts/perf_report.py`` times the ``tests/*_reference.py`` oracles
+    in a CI job that installs only NumPy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+    oracles = sorted((REPO / "tests").glob("*_reference.py"))
+    assert oracles, "no tests/*_reference.py oracle found"
+    foreign = []
+    for path in oracles:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if module.partition(".")[0] not in allowed
+            ]
+    assert foreign == [], f"oracle imports outside stdlib/numpy/repro: {foreign}"
