@@ -175,7 +175,7 @@ def build_benchmarks(
     from repro.core.commcnn import build_commcnn_model
     from repro.core.config import CommCNNConfig
     from repro.core.division import divide, get_detector
-    from repro.graph.csr import CSRGraph, dense_ego_net, edge_betweenness_csr
+    from repro.graph.csr import CSRGraph, dense_ego_nets, edge_betweenness_csr
     from repro.graph.ego import ego_network
     from repro.ml.gbdt import GradientBoostedClassifier
     from repro.ml.nn import NeuralNetworkClassifier
@@ -197,9 +197,7 @@ def build_benchmarks(
         "ego_extraction_dense_dict": lambda: [
             ego_network(dense, ego) for ego in dense_nodes
         ],
-        "ego_extraction_dense_csr": lambda: [
-            dense_ego_net(dense_csr, ego) for ego in dense_nodes
-        ],
+        "ego_extraction_dense_csr": lambda: dense_ego_nets(dense_csr, dense_nodes),
         "edge_betweenness_dict": lambda: edge_betweenness(graph),
         "edge_betweenness_csr": lambda: edge_betweenness_csr(csr),
     }

@@ -20,7 +20,7 @@ from repro.community.label_propagation import label_propagation_communities
 from repro.community.louvain import louvain_communities
 from repro.core.tightness import community_tightness
 from repro.exceptions import PipelineError
-from repro.graph.csr import CSRGraph, DenseEgoNet, dense_ego_net, girvan_newman_dense
+from repro.graph.csr import CSRGraph, DenseEgoNet, dense_ego_nets, girvan_newman_dense
 from repro.graph.ego import ego_network
 from repro.graph.graph import Graph
 from repro.types import Node, node_key
@@ -229,7 +229,7 @@ def _divide_csr(csr: CSRGraph, egos: list[Node]) -> dict[Node, list[LocalCommuni
     Every ego net is extracted first, so an unknown ego raises
     :class:`NodeNotFoundError` before any GN work; the GN sweeps then run in
     lockstep (:func:`repro.graph.csr.girvan_newman_dense`)."""
-    nets = [dense_ego_net(csr, ego) for ego in egos]
+    nets = dense_ego_nets(csr, egos)
     return {
         ego: _communities_csr(ego, net, blocks)
         for ego, net, blocks in zip(egos, nets, girvan_newman_dense(nets))

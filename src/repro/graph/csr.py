@@ -10,15 +10,19 @@ product route selects it:
 * :class:`CSRGraph` — int32 ``indptr``/``indices`` over a node <-> index
   interner, exposing the same read API as :class:`Graph` (``neighbors``,
   ``degree``, ``subgraph``, ``edges``, ``num_nodes``/``num_edges``).
-* :func:`dense_ego_net` — sorted-adjacency intersection instead of the
-  per-friend Python loop in :mod:`repro.graph.ego`, emitting the flat
-  :class:`DenseEgoNet` edge arrays the GN engine runs on.
-* :func:`girvan_newman_dense` — the full GN dendrogram sweep on those
-  arrays for many ego nets at once, partitions identical to
+* :func:`dense_ego_nets` — sorted-adjacency intersection instead of the
+  per-friend Python loop in :mod:`repro.graph.ego`, many egos per NumPy
+  pass, emitting the flat :class:`DenseEgoNet` edge arrays the GN engine
+  runs on.
+* :func:`girvan_newman_dense` — the GN dendrogram sweep on those arrays
+  for many ego nets at once, partitions identical to
   :func:`repro.community.girvan_newman`.  The egos step in lockstep:
   cliques, trees and tiny components are scored in closed form, and every
   other component a round dirties, across all egos, goes to one batched
   all-sources Brandes kernel on padded ``(B, P, P)`` adjacency stacks.
+  Each ego's sweep stops once an exact integer modularity bound shows no
+  later level can beat the best one, instead of running down to
+  singletons as the oracle does.
 * :func:`edge_betweenness_csr` — that kernel on a stack of one whole
   graph, public as its test and perf-gate handle.
 
@@ -33,6 +37,7 @@ speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +49,7 @@ from repro.types import Edge, Node, canonical_edge, node_key
 __all__ = [
     "CSRGraph",
     "DenseEgoNet",
-    "dense_ego_net",
+    "dense_ego_nets",
     "edge_betweenness_csr",
     "girvan_newman_dense",
 ]
@@ -186,10 +191,8 @@ class CSRGraph:
         labels = [self._nodes[i] for i in keep]
         if keep.size == 0:
             return CSRGraph(np.zeros(1, np.int32), np.empty(0, np.int32), labels)
-        starts = self.indptr[keep]
-        ends = self.indptr[keep + 1]
-        counts = (ends - starts).astype(np.int64, copy=False)
-        cat = _gather_rows(self.indices, starts, ends)
+        counts = (self.indptr[keep + 1] - self.indptr[keep]).astype(np.int64, copy=False)
+        cat = self.indices[_row_positions(self.indptr, keep, counts)]
         seg = np.repeat(np.arange(keep.size), counts)
         local, valid = _sorted_membership(keep, cat)
         seg, local = seg[valid], local[valid]
@@ -218,16 +221,6 @@ class CSRGraph:
         return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
 
-def _gather_rows(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate ``indices[starts[i]:ends[i]]`` for all i."""
-    if starts.size == 0:
-        return np.empty(0, dtype=indices.dtype)
-    return np.concatenate(
-        [indices[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-        or [np.empty(0, dtype=indices.dtype)]
-    )
-
-
 def _sorted_membership(
     sorted_values: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,11 +246,15 @@ class DenseEgoNet:
         Local index -> node label (the ego's friends, ascending global index).
     eu, ev:
         Endpoint index arrays of the ego-net edges (``eu < ev``).
+    index:
+        Local index -> the node's index in the :class:`CSRGraph` the net was
+        extracted from, so the nets of one snapshot share node identities.
     """
 
     labels: list[Node]
     eu: np.ndarray
     ev: np.ndarray
+    index: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -268,31 +265,89 @@ class DenseEgoNet:
         return int(self.eu.size)
 
 
-def dense_ego_net(csr: CSRGraph, ego: Node) -> DenseEgoNet:
-    """Extract the ego network of ``ego`` via sorted-adjacency intersection.
+_EXTRACT_CELLS = 1 << 12
+"""Most friend-of-friend candidates one :func:`dense_ego_nets` pass holds
+(an ego with more gets a pass of its own).  A pass keeps about ten int64
+arrays of this length, ~0.3 MiB.  Extracting every ego of ``serve_sparse``
+(77k candidates) took 5.7, 6.8 and 7.2 ms at 2^12, 2^14 and 2^16."""
 
-    One gather + one ``searchsorted`` over the concatenated friend rows
-    replaces the per-friend membership loop of :func:`repro.graph.ego.ego_network`.
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions in ``indices`` of the concatenated CSR rows ``rows``
+    (``counts`` their lengths)."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        indptr[rows].astype(np.int64, copy=False) - starts, counts
+    )
+
+
+def dense_ego_nets(csr: CSRGraph, egos: Sequence[Node]) -> list[DenseEgoNet]:
+    """Extract the ego networks of ``egos``, many egos per NumPy pass.
+
+    Sorted-adjacency intersection replaces the per-friend membership loop
+    of :func:`repro.graph.ego.ego_network`: a pass gathers the rows of its
+    egos' friends and keeps the entries found among the ego's own friends,
+    with one ``searchsorted`` over the pass's ``(ego, friend)`` codes.  Every
+    ego is looked up first, so an unknown ego raises
+    :class:`NodeNotFoundError` before any work.
     """
-    ego_idx = csr.index_of(ego)
-    friends = csr._row(ego_idx)
-    k = int(friends.size)
-    labels = [csr.label_of(int(i)) for i in friends]
-    if k > 0:
-        starts = csr.indptr[friends]
-        ends = csr.indptr[friends + 1]
-        counts = (ends - starts).astype(np.int64, copy=False)
-        cat = _gather_rows(csr.indices, starts, ends)
-        seg = np.repeat(np.arange(k), counts)
-        local, valid = _sorted_membership(friends, cat)
-        seg, local = seg[valid], local[valid]
-        # Keep each undirected edge once; rows are sorted, so (seg < local)
-        # yields the upper triangle in the same row-major order np.triu would.
-        upper = seg < local
-        eu, ev = seg[upper], local[upper]
-    else:
-        eu = ev = np.empty(0, dtype=np.int64)
-    return DenseEgoNet(labels=labels, eu=eu, ev=ev)
+    rows = np.array([csr.index_of(ego) for ego in egos], dtype=np.int64)
+    degree = np.diff(csr.indptr).astype(np.int64, copy=False)
+    # An ego's pass cost: the total degree of its friends.
+    reach = np.zeros(csr.indices.size + 1, dtype=np.int64)
+    np.cumsum(degree[csr.indices], out=reach[1:])
+    work = (reach[csr.indptr[rows + 1]] - reach[csr.indptr[rows]]).tolist()
+    cuts = [0]
+    load = 0
+    for position, cost in enumerate(work):
+        if load and load + cost > _EXTRACT_CELLS:
+            cuts.append(position)
+            load = 0
+        load += cost
+    cuts.append(len(work))
+    nets: list[DenseEgoNet] = []
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        nets += _extract_pass(csr, rows[start:end], degree)
+    return nets
+
+
+def _extract_pass(csr: CSRGraph, rows: np.ndarray, degree: np.ndarray) -> list[DenseEgoNet]:
+    """One :func:`dense_ego_nets` pass over the egos at CSR ``rows``."""
+    n = csr.num_nodes
+    counts = degree[rows]
+    friends = csr.indices[_row_positions(csr.indptr, rows, counts)]
+    slot = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts
+    # (ego slot, friend) codes ascend: slots in order, each row sorted.
+    codes = slot * n + friends
+    pair = np.repeat(np.arange(friends.size, dtype=np.int64), degree[friends])
+    other = csr.indices[_row_positions(csr.indptr, friends, degree[friends])]
+    wanted = slot[pair] * n + other
+    hit, found = _sorted_membership(codes, wanted)
+    base = first[slot[pair]]
+    local_u = pair - base
+    local_v = hit - base
+    # Keep each undirected edge once; candidates run friend by friend, each
+    # row sorted, so (u < v) yields the upper triangle in row-major order.
+    keep = found & (local_u < local_v)
+    eu, ev = local_u[keep], local_v[keep]
+    edge_end = np.cumsum(np.bincount(slot[pair][keep], minlength=rows.size)).tolist()
+    friend_end = np.cumsum(counts).tolist()
+    labels = csr._nodes
+    friend_list = friends.tolist()
+    nets: list[DenseEgoNet] = []
+    edge_start = friend_start = 0
+    for friend_stop, edge_stop in zip(friend_end, edge_end):
+        nets.append(
+            DenseEgoNet(
+                labels=[labels[i] for i in friend_list[friend_start:friend_stop]],
+                eu=eu[edge_start:edge_stop],
+                ev=ev[edge_start:edge_stop],
+                index=friends[friend_start:friend_stop],
+            )
+        )
+        friend_start, edge_start = friend_stop, edge_stop
+    return nets
 
 
 # ======================================================================
@@ -472,9 +527,18 @@ to a fit's peak RSS there."""
 _GN_WINDOW = 64
 """Most engines stepping in lockstep; the next ego starts as one finishes.
 The width is what shares a NumPy call's fixed cost: ``divide`` on
-``division_dense`` (66 egos, one window) took 0.37 s at 16, 0.29 s at 32
-and 0.26 s at 64.  The bound keeps the live engines' Python state (~14 KB
+``division_dense`` (66 egos, one window) took 0.30 s at 16, 0.29 s at 32
+and 0.26 s at 64 (medians of 15 interleaved runs on a 2-core host, with
+the stop rule).  The bound keeps the live engines' Python state (~14 KB
 each there) from growing with the number of egos in a call."""
+
+_EXACT_STOP_MAX_EDGES = 1 << 14
+"""Largest ego net, in edges, on which :class:`_GNEngine` stops its sweep
+early.  The stop compares exact integer modularity numerators, and that is
+the oracle's float comparison only while the float sum cannot reorder two
+distinct numerators — up to ~2^16 edges by step 4 of the argument in
+:class:`_GNEngine`; this takes 2^14 for a 64x margin.  Larger nets sweep to
+the end.  A constant of that argument, not a setting."""
 
 
 class _Component:
@@ -485,6 +549,9 @@ class _Component:
         "edge_ids",
         "orig_edge_ids",
         "degree_sum",
+        "square_sum",
+        "score",
+        "bound",
         "min_pos",
         "best_key",
         "best_eid",
@@ -500,12 +567,17 @@ class _Component:
         self.best_eid = -1
         # Modularity bookkeeping against the *original* ego net: the ids of
         # original edges with both endpoints inside this component, and the
-        # total original degree of its nodes.  Both are exact integers kept
-        # up to date across splits, so each dendrogram level's modularity is
-        # recomputed from the same counts the dict backend derives by
-        # rescanning the graph.
+        # total and squared-total original degree of its nodes.  All are
+        # exact integers kept up to date across splits, so each dendrogram
+        # level's modularity is recomputed from the same counts the oracle
+        # derives by rescanning the graph; ``score`` and ``bound`` are the
+        # component's modularity numerator and its refinement bound (see
+        # :class:`_GNEngine`).
         self.orig_edge_ids: list[int] = []
         self.degree_sum = 0
+        self.square_sum = 0
+        self.score = 0
+        self.bound = 0
 
 
 class _GNEngine:
@@ -525,35 +597,59 @@ class _GNEngine:
     summation-order ulps, and both emit the blocks of a partition in
     canonical order — by their smallest member under
     :data:`repro.types.node_key` — which is also the order modularity is
-    accumulated in.  The best-modularity partition so far is kept in
-    :attr:`best_blocks`.
+    accumulated in.  Nodes and edges arrive ranked by
+    :func:`girvan_newman_dense` (``position``: node_key order;
+    ``edge_rank``: edge_key order, where betweenness ties go to the
+    larger); a rank over a whole call restricted to one net keeps that
+    net's relative order.  The best-modularity
+    partition so far is kept in :attr:`best_blocks`.
+
+    **Stop rule.**  Scaled by ``4m²`` (``m`` original edges), a block with
+    ``l`` original intra edges and original degree sum ``D`` scores the
+    integer ``4m·l − D²``, and a level the sum over its blocks.  Each
+    component keeps an upper bound on what it and its future sub-blocks can
+    score, ``max(4m·l − D², 4m·(l − 1) − SS)`` with ``SS`` the sum of its
+    nodes' squared original degrees (an edgeless component scores only the
+    first term); a split swaps the parent's term in the engine's total for
+    the halves', and a removal that splits nothing leaves it alone.  Once
+    that total is strictly below the best level's numerator the engine is
+    done: :meth:`advance` returns ``[]`` before it scores anything more.
+    This never changes the partition the full sweep keeps:
+
+    1. GN levels only refine the partition, so every later level cuts each
+       current component into one or more blocks.
+    2. A connected component that splits cuts at least one current edge,
+       and every current edge is an original intra edge, so its blocks'
+       ``l`` sum to at most ``l − 1``.
+    3. ``(a + b)² ≥ a² + b²`` for ``a, b ≥ 0``, so the blocks' ``D²`` sum to
+       at least ``SS``: a component that splits scores at most
+       ``4m·(l − 1) − SS``, and one kept whole scores ``4m·l − D²``.
+    4. Distinct numerators differ by at least 1, which is ``1/(4m²)`` in Q.
+       :meth:`_record_level` adds at most ``2m`` non-zero terms (a block of
+       isolated nodes adds an exact ``0.0``), whose ``l/m`` and ``(D/2m)²``
+       parts each total at most 1, so its float value is within
+       ``2·γ(2m + 3)`` of Q (``γ(n) = n·u / (1 − n·u)``, ``u = 2**-53``).
+       While ``4·γ(2m + 3) < 1/(4m²)`` — for ``m`` up to ~2^16, see
+       :data:`_EXACT_STOP_MAX_EDGES` — the float comparison the oracle
+       makes cannot reorder two distinct numerators, so no later level
+       below the bound can win it.  An *equal* later level could, so the
+       stop is strict.
+
+    By step 4 :meth:`_record_level` also skips the float sum at a level
+    whose numerator is below the best one's.  ``num_removals`` and
+    ``num_brandes_requests`` count the edges this engine removed and the
+    components it handed to Brandes.
     """
 
-    def __init__(self, net: DenseEgoNet) -> None:
+    def __init__(self, net: DenseEgoNet, position: list[int], edge_rank: list[int]) -> None:
         k = net.num_nodes
         self.k = k
-        # Per-label keys are computed once: they rank the nodes (a local
-        # index is the graph's insertion order, not a value order) and spell
-        # edge_key(canonical_edge(u, v)) below without building tuples.
-        label_keys = [node_key(label) for label in net.labels]
-        self.position = [0] * k
-        for pos, node in enumerate(sorted(range(k), key=label_keys.__getitem__)):
-            self.position[node] = pos
+        self.position = position
+        self.edge_rank = edge_rank
         eu = net.eu.tolist()
         ev = net.ev.tolist()
         self.edge_u = eu
         self.edge_v = ev
-        # Ties in betweenness go to the larger edge_key; the engine keeps
-        # each edge's rank in that order instead of the string.
-        reprs = []
-        for u, v in zip(eu, ev):
-            ru, rv = label_keys[u], label_keys[v]
-            if rv < ru:
-                ru, rv = rv, ru
-            reprs.append(f"({ru}, {rv})")
-        self.edge_rank = [0] * len(eu)
-        for rank, eid in enumerate(sorted(range(len(eu)), key=reprs.__getitem__)):
-            self.edge_rank[eid] = rank
         # Adjacency as two parallel lists per node: neighbours, and the id of
         # the edge to each (ints, not (neighbour, id) tuples, to keep a
         # window of live engines small).
@@ -573,7 +669,15 @@ class _GNEngine:
         self._next_comp_id = 0
         # Original structure for modularity (evaluated on the input graph).
         self._deg0 = [len(rows) for rows in self.adj_nbr]
+        self._square0 = [degree * degree for degree in self._deg0]
         self._m0 = len(eu)
+        self._m4 = 4 * self._m0
+        # The current level's numerator, the total refinement bound, and the
+        # best level's numerator (-inf: never stop, on nets past the limit).
+        self._num = 0
+        self._bound = 0
+        self._best_num: float = float("-inf")
+        self._exact = self._m0 <= _EXACT_STOP_MAX_EDGES
         # Scratch: parent edge / subtree size for the tree sweep, visited
         # flags for the split check, local slot per node for Brandes stacks.
         self._parent = [-1] * k
@@ -582,6 +686,8 @@ class _GNEngine:
         self.slot = [0] * k
         self.best_q = float("-inf")
         self.best_blocks: list[list[int]] = []
+        self.num_removals = 0
+        self.num_brandes_requests = 0
         self._init_components()
         self._dirty = list(self._edged.values())
         self._record_level()
@@ -617,17 +723,31 @@ class _GNEngine:
     ) -> _Component:
         comp_id = self._next_comp_id
         self._next_comp_id += 1
-        min_pos = min(self.position[node] for node in nodes)
-        comp = _Component(nodes, edge_ids, min_pos)
+        comp = _Component(nodes, edge_ids, min(map(self.position.__getitem__, nodes)))
         comp.orig_edge_ids = orig_edge_ids
-        deg0 = self._deg0
-        comp.degree_sum = sum(deg0[node] for node in nodes)
+        comp.degree_sum = sum(map(self._deg0.__getitem__, nodes))
+        comp.square_sum = sum(map(self._square0.__getitem__, nodes))
+        self._tally(comp)
         self.comps[comp_id] = comp
         if edge_ids:
             self._edged[comp_id] = comp
         for node in nodes:
             self.node_comp[node] = comp_id
         return comp
+
+    def _tally(self, comp: _Component) -> None:
+        """Set ``comp``'s numerator and bound, and add them to the totals."""
+        intra = len(comp.orig_edge_ids)
+        comp.score = self._m4 * intra - comp.degree_sum * comp.degree_sum
+        comp.bound = comp.score
+        if comp.edge_ids:
+            comp.bound = max(comp.score, self._m4 * (intra - 1) - comp.square_sum)
+        self._num += comp.score
+        self._bound += comp.bound
+
+    def _untally(self, comp: _Component) -> None:
+        self._num -= comp.score
+        self._bound -= comp.bound
 
     def _record_level(self) -> None:
         """Newman modularity of the current partition on the original net;
@@ -637,8 +757,12 @@ class _GNEngine:
         maintained across splits; the per-block terms and their accumulation
         order (blocks by smallest member) are the same as in
         :func:`repro.community.modularity.modularity`, so the value is
-        bit-identical to what the dict backend computes by rescanning.
+        bit-identical to what the oracle computes by rescanning.  A level
+        whose exact numerator is below the best one's cannot win the float
+        comparison (step 4 of the class docstring) and is not summed.
         """
+        if self._num < self._best_num:
+            return
         ordered = sorted(self.comps.values(), key=lambda comp: comp.min_pos)
         m = self._m0
         two_m = 2.0 * m
@@ -648,6 +772,8 @@ class _GNEngine:
         if q > self.best_q:
             self.best_q = q
             self.best_blocks = [comp.nodes for comp in ordered]
+            if self._exact:
+                self._best_num = self._num
 
     # ------------------------------------------------------------ scoring
     def _closed_form(self, comp: _Component) -> bool:
@@ -758,7 +884,8 @@ class _GNEngine:
     # ------------------------------------------------------------- main sweep
     def advance(self) -> list[_Component]:
         """Remove edges until a step dirties components without a closed
-        form, and return them for Brandes; ``[]`` once no edge is left.
+        form, and return them for Brandes; ``[]`` once no edge is left or
+        no later level can beat the best one (the stop rule).
 
         The caller scores each returned component through :meth:`take`
         before calling again.
@@ -766,9 +893,13 @@ class _GNEngine:
         dirty = self._dirty
         edged = self._edged
         while True:
+            if self._bound < self._best_num:
+                self._dirty = []
+                return []
             waiting = [comp for comp in dirty if not self._closed_form(comp)]
             if waiting:
                 self._dirty = []
+                self.num_brandes_requests += len(waiting)
                 return waiting
             best = None
             for comp in edged.values():
@@ -780,6 +911,7 @@ class _GNEngine:
 
     def _remove_best(self, comp: _Component) -> list[_Component]:
         """Remove ``comp``'s top edge; return the components it dirtied."""
+        self.num_removals += 1
         eid = comp.best_eid
         u, v = self.edge_u[eid], self.edge_v[eid]
         for node, other in ((u, v), (v, u)):
@@ -787,48 +919,68 @@ class _GNEngine:
             del self.adj_nbr[node][position]
             del self.adj_eid[node][position]
         comp.edge_ids.remove(eid)
-        halves = self._split(comp, u, v)
-        if halves is None:
-            return [comp]
+        if not self.adj_nbr[u] or not self.adj_nbr[v]:
+            # An endpoint lost its last edge: it detaches on its own and the
+            # rest of the component stays connected — no reachability sweep.
+            parts = [self._detach(comp, u if not self.adj_nbr[u] else v)]
+        else:
+            halves = self._split(comp, u, v)
+            if halves is None:
+                return [comp]
+            parts = list(halves)
         self._record_level()
-        return [half for half in halves if half.edge_ids]
+        return [part for part in parts if part.edge_ids]
+
+    def _detach(self, comp: _Component, lone: int) -> _Component:
+        """Split the single node ``lone`` off ``comp`` and return ``comp``,
+        kept as the remainder instead of rebuilt: same id, and its nodes and
+        edges in the order a rebuild would list them."""
+        comp_id = self.node_comp[lone]
+        self._untally(comp)
+        nodes = comp.nodes.copy()  # a kept best level may hold the old list
+        nodes.remove(lone)
+        comp.nodes = nodes
+        edge_u, edge_v = self.edge_u, self.edge_v
+        comp.orig_edge_ids = [
+            eid for eid in comp.orig_edge_ids if edge_u[eid] != lone and edge_v[eid] != lone
+        ]
+        comp.degree_sum -= self._deg0[lone]
+        comp.square_sum -= self._square0[lone]
+        if self.position[lone] == comp.min_pos:
+            comp.min_pos = min(map(self.position.__getitem__, nodes))
+        if not comp.edge_ids:
+            del self._edged[comp_id]
+        self._tally(comp)
+        self._add_component([lone], [], [])
+        return comp
 
     def _split(
         self, comp: _Component, u: int, v: int
     ) -> tuple[_Component, _Component] | None:
-        """Re-check connectivity of ``comp`` after removing edge ``(u, v)``;
-        return the two halves if it fell apart."""
+        """Re-check connectivity of ``comp`` after removing edge ``(u, v)``
+        (both endpoints still have edges); return the two halves if it fell
+        apart."""
         visited = self._visited
         adj_nbr = self.adj_nbr
-        if not adj_nbr[u]:
-            # u lost its last edge: it detaches on its own and the remainder
-            # of the component stays connected — no reachability sweep.
-            queue = [u]
-            visited[u] = True
-        elif not adj_nbr[v]:
-            queue = [node for node in comp.nodes if node != v]
+        visited[u] = True
+        queue = [u]
+        cursor = 0
+        connected = False
+        while cursor < len(queue):
+            node = queue[cursor]
+            cursor += 1
+            for other in adj_nbr[node]:
+                if not visited[other]:
+                    if other == v:
+                        connected = True
+                        cursor = len(queue)
+                        break
+                    visited[other] = True
+                    queue.append(other)
+        if connected:
             for node in queue:
-                visited[node] = True
-        else:
-            visited[u] = True
-            queue = [u]
-            cursor = 0
-            connected = False
-            while cursor < len(queue):
-                node = queue[cursor]
-                cursor += 1
-                for other in adj_nbr[node]:
-                    if not visited[other]:
-                        if other == v:
-                            connected = True
-                            cursor = len(queue)
-                            break
-                        visited[other] = True
-                        queue.append(other)
-            if connected:
-                for node in queue:
-                    visited[node] = False
-                return None
+                visited[node] = False
+            return None
         half_nodes = [node for node in comp.nodes if visited[node]]
         rest_nodes = [node for node in comp.nodes if not visited[node]]
         edge_u = self.edge_u
@@ -852,6 +1004,7 @@ class _GNEngine:
         comp_id = self.node_comp[u]
         del self.comps[comp_id]
         del self._edged[comp_id]
+        self._untally(comp)
         return (
             self._add_component(half_nodes, half_edges, half_orig),
             self._add_component(rest_nodes, rest_edges, rest_orig),
@@ -904,16 +1057,68 @@ def _score_stack(side: int, stack: list[tuple[_GNEngine, _Component]]) -> None:
         start += count
 
 
+def _call_ranks(nets: Sequence[DenseEgoNet]) -> list[tuple[list[int], list[int]]]:
+    """Rank the nodes of ``nets`` in node_key order and their edges in
+    edge_key order, once for the whole call.
+
+    The nets come from one :class:`CSRGraph`, so a node's index there names
+    it in every net it appears in, and each node's key and each edge's
+    ``edge_key`` string is spelled once however many nets share it.
+    Returns, per net, its nodes' ranks and its edges' (``eu``/``ev`` order);
+    only their order within a net matters to the engine.
+    """
+    if not nets:
+        return []
+    index = np.concatenate([net.index for net in nets])
+    labels = list(chain.from_iterable(net.labels for net in nets))
+    _, first, inverse = np.unique(index, return_index=True, return_inverse=True)
+    keys = [node_key(labels[i]) for i in first.tolist()]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys))
+    node_rank = rank[inverse]
+    sizes = [net.num_nodes for net in nets]
+    offset = np.repeat(np.cumsum(sizes) - sizes, [net.num_edges for net in nets])
+    ru = node_rank[np.concatenate([net.eu for net in nets]) + offset]
+    rv = node_rank[np.concatenate([net.ev for net in nets]) + offset]
+    width = max(len(keys), 1)
+    codes, edge_inverse = np.unique(
+        np.minimum(ru, rv) * width + np.maximum(ru, rv), return_inverse=True
+    )
+    by_rank = [keys[i] for i in order]
+    spelled = [
+        f"({by_rank[low]}, {by_rank[high]})"
+        for low, high in zip((codes // width).tolist(), (codes % width).tolist())
+    ]
+    edge_rank = np.empty(len(spelled), dtype=np.int64)
+    edge_rank[sorted(range(len(spelled)), key=spelled.__getitem__)] = np.arange(len(spelled))
+    node_ranks = node_rank.tolist()
+    edge_ranks = edge_rank[edge_inverse].tolist()
+    ranks: list[tuple[list[int], list[int]]] = []
+    node_start = edge_start = 0
+    for net in nets:
+        node_stop, edge_stop = node_start + net.num_nodes, edge_start + net.num_edges
+        ranks.append((node_ranks[node_start:node_stop], edge_ranks[edge_start:edge_stop]))
+        node_start, edge_start = node_stop, edge_stop
+    return ranks
+
+
 def girvan_newman_dense(nets: Sequence[DenseEgoNet]) -> list[list[list[int]]]:
-    """Best-modularity GN partition of each dense ego net.
+    """Best-modularity GN partition of each dense ego net (all extracted
+    from one :class:`CSRGraph`).
 
     The nets' engines run in lockstep, up to :data:`_GN_WINDOW` at a time:
     each round collects every engine's Brandes requests and scores them all
     at once, so the fixed cost of a NumPy call is shared across egos.  An
     engine's partition does not depend on which others share its rounds.
+    Each engine stops once an exact integer bound shows no later level of
+    its dendrogram can beat the best one (the stop rule of
+    :class:`_GNEngine`), so a sweep rarely runs down to singletons; the
+    oracle, ``girvan_newman_levels``, still sweeps to the end.
     Returns, per net, the blocks as local index lists, ordered by their
     smallest member's :data:`repro.types.node_key`.
     """
+    ranks = _call_ranks(nets)
     partitions: list[list[list[int]]] = [[] for _ in nets]
     queue = iter(range(len(nets)))
     live: list[tuple[int, _GNEngine]] = []
@@ -924,9 +1129,9 @@ def girvan_newman_dense(nets: Sequence[DenseEgoNet]) -> list[list[list[int]]]:
                 break
             net = nets[position]
             if net.num_edges:
-                live.append((position, _GNEngine(net)))
+                live.append((position, _GNEngine(net, *ranks[position])))
             else:
-                by_key = sorted(range(net.num_nodes), key=lambda i: node_key(net.labels[i]))
+                by_key = sorted(range(net.num_nodes), key=ranks[position][0].__getitem__)
                 partitions[position] = [[i] for i in by_key]
         if not live:
             return partitions

@@ -33,7 +33,7 @@ from repro.graph import csr as csr_module
 from repro.graph.csr import (
     CSRGraph,
     DenseEgoNet,
-    dense_ego_net,
+    dense_ego_nets,
     edge_betweenness_csr,
 )
 from repro.graph.ego import ego_network
@@ -74,16 +74,20 @@ def assert_division_identical(left, right) -> None:
                 assert ca.tightness[node] == cb.tightness[node]
 
 
-def assert_hub_division_identical(friends: Graph) -> list:
-    """Divide one hub ego adjacent to every node of ``friends`` on both routes.
-
-    The hub's ego network *is* ``friends``, so this runs GN and tightness on
-    a net of any chosen shape; returns the hub's communities.
-    """
+def with_hub(friends: Graph) -> tuple[Graph, int]:
+    """``friends`` plus a hub adjacent to every node, and the hub: the hub's
+    ego network *is* ``friends``, a net of any chosen shape."""
     hub = friends.num_nodes  # int labels 0..n-1 are taken
     graph = Graph(nodes=friends.nodes(), edges=friends.edges())
     for node in friends.nodes():
         graph.add_edge(hub, node)
+    return graph, hub
+
+
+def assert_hub_division_identical(friends: Graph) -> list:
+    """Divide the hub of :func:`with_hub` on both routes; returns its
+    communities."""
+    graph, hub = with_hub(friends)
     result = divide(graph, egos=[hub])
     assert_division_identical(divide(graph, egos=[hub], detector=ORACLE), result)
     return result.communities_of(hub)
@@ -137,26 +141,43 @@ class TestCSRGraphReadAPI:
 
 class TestEgoNetworkParity:
     @staticmethod
-    def assert_same_ego_net(csr: CSRGraph, graph: Graph, ego) -> None:
-        net = dense_ego_net(csr, ego)
-        reference = ego_network(graph, ego)
-        assert set(net.labels) == set(reference.nodes())
-        assert len(net.labels) == reference.num_nodes
-        assert dense_edges(net) == {frozenset(edge) for edge in reference.edges()}
-        assert net.num_edges == reference.num_edges
+    def assert_same_ego_nets(csr: CSRGraph, graph: Graph, egos: list) -> None:
+        nets = dense_ego_nets(csr, egos)
+        assert len(nets) == len(egos)
+        for ego, net in zip(egos, nets):
+            reference = ego_network(graph, ego)
+            assert set(net.labels) == set(reference.nodes())
+            assert len(net.labels) == reference.num_nodes
+            assert dense_edges(net) == {frozenset(edge) for edge in reference.edges()}
+            assert net.num_edges == reference.num_edges
+            assert [csr.label_of(i) for i in net.index.tolist()] == net.labels
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_ego_matches(self, seed):
         graph = random_graph(seed)
         csr = CSRGraph.from_graph(graph)
-        for ego in graph.nodes():
-            self.assert_same_ego_net(csr, graph, ego)
+        self.assert_same_ego_nets(csr, graph, list(graph.nodes()))
 
     def test_fig7_matches(self):
         graph = paper_figure7_network()
         csr = CSRGraph.from_graph(graph)
-        for ego in graph.nodes():
-            self.assert_same_ego_net(csr, graph, ego)
+        self.assert_same_ego_nets(csr, graph, list(graph.nodes()))
+
+    def test_passes_split_without_changing_a_net(self, monkeypatch):
+        # One pass per ego, or all egos in one: the same nets, in ego order
+        # (repeats and friendless egos included).
+        graph = random_graph(2)
+        csr = CSRGraph.from_graph(graph)
+        egos = [*graph.nodes(), 5, 26, 5]
+        together = dense_ego_nets(csr, egos)
+        monkeypatch.setattr(csr_module, "_EXTRACT_CELLS", 1)
+        for one, net in zip(dense_ego_nets(csr, egos), together):
+            assert one.labels == net.labels
+            assert one.eu.tolist() == net.eu.tolist()
+            assert one.ev.tolist() == net.ev.tolist()
+        self.assert_same_ego_nets(csr, graph, egos)
+        with pytest.raises(NodeNotFoundError):
+            dense_ego_nets(csr, [0, "missing"])
 
 
 class TestBetweennessParity:
@@ -199,8 +220,8 @@ class TestTightnessParity:
         graph = random_graph(seed)
         csr = CSRGraph.from_graph(graph)
         rng = random.Random(seed + 7)
-        for ego in list(graph.nodes())[:10]:
-            net = dense_ego_net(csr, ego)
+        egos = list(graph.nodes())[:10]
+        for ego, net in zip(egos, dense_ego_nets(csr, egos)):
             if net.num_nodes == 0:
                 continue
             block = [i for i in range(net.num_nodes) if rng.random() < 0.6] or [0]
@@ -313,8 +334,8 @@ class TestDenseEgoNet:
     def test_dense_extraction_and_tightness(self, seed):
         graph = random_graph(seed)
         csr = CSRGraph.from_graph(graph)
-        for ego in list(graph.nodes())[:8]:
-            net = dense_ego_net(csr, ego)
+        egos = list(graph.nodes())[:8]
+        for ego, net in zip(egos, dense_ego_nets(csr, egos)):
             reference = ego_network(graph, ego)
             assert set(net.labels) == set(reference.nodes())
             assert net.num_edges == reference.num_edges
@@ -432,3 +453,138 @@ class TestLockstepDivision:
         monkeypatch.setattr("repro.core.division.girvan_newman_dense", no_gn)
         with pytest.raises(NodeNotFoundError):
             divide(graph, egos=[1, 3, "missing"])
+
+
+@st.composite
+def hub_friend_graphs(draw) -> Graph:
+    """The friends of one hub, on 4-12 nodes: a random graph of density
+    0.15-0.6, a cycle, a path, a star, or two cliques joined by one or two
+    bridges — the shapes whose best GN level comes early, late or first."""
+    size = draw(st.integers(4, 12))
+    kind = draw(st.sampled_from(["random", "cycle", "path", "star", "bridged cliques"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    graph = Graph(nodes=range(size))
+    if kind == "random":
+        density = draw(st.floats(0.15, 0.6))
+        pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        pairs = [pair for pair in pairs if rng.random() < density]
+    elif kind == "cycle":
+        pairs = [(i, (i + 1) % size) for i in range(size)]
+    elif kind == "path":
+        pairs = [(i, i + 1) for i in range(size - 1)]
+    elif kind == "star":
+        pairs = [(0, i) for i in range(1, size)]
+    else:
+        cut = draw(st.integers(2, size - 2))
+        pairs = [
+            (u, v)
+            for block in (range(cut), range(cut, size))
+            for u in block
+            for v in block
+            if u < v
+        ]
+        pairs += [
+            (rng.randrange(cut), rng.randrange(cut, size))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+    for u, v in pairs:
+        graph.add_edge(u, v)
+    return graph
+
+
+def counted_engines(graph: Graph, egos: list) -> list:
+    """The GN engines ``divide(graph, egos=egos)`` ran, kept for their
+    counters."""
+    engines = []
+
+    class Counted(csr_module._GNEngine):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            engines.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_GNEngine", Counted)
+        divide(graph, egos=egos)
+    return engines
+
+
+def engine_for(friends: Graph):
+    """A GN engine over ``friends`` as one hub's ego net, not yet advanced."""
+    graph, hub = with_hub(friends)
+    nets = dense_ego_nets(CSRGraph.from_graph(graph), [hub])
+    return csr_module._GNEngine(nets[0], *csr_module._call_ranks(nets)[0])
+
+
+class TestStopRule:
+    """The engine stops its sweep once an exact modularity bound shows no
+    later level can win; the oracle sweeps to the end, and the two must
+    keep the same partition."""
+
+    @given(friends=hub_friend_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_hub_ego_matches_the_full_sweep(self, friends):
+        assert_hub_division_identical(friends)
+
+    def test_pinned_split_level(self):
+        # Dropping the no-split term 4m*l - D^2 from a component's bound
+        # stops this sweep before its best level.
+        friends = Graph(edges=[(0, 5), (1, 4), (2, 3), (2, 5), (4, 5)])
+        communities = assert_hub_division_identical(friends)
+        assert [sorted(c.members) for c in communities] == [[0, 5], [1, 4], [2, 3]]
+
+    def test_a_bound_equal_to_the_best_level_does_not_stop(self):
+        # One edge: the whole net scores 4m*l - D^2 = 0 and can score no
+        # more, so the bound equals the best numerator from the start.  A
+        # later level could tie it and still win the float comparison, so
+        # the engine must go on.
+        engine = engine_for(Graph(edges=[(0, 1)]))
+        assert engine._bound == engine._best_num == 0
+        assert engine.advance() == []
+        assert engine.num_removals == 1
+        assert engine._bound == engine._num == -2
+
+    def test_a_bound_below_the_best_level_stops_before_scoring(self):
+        engine = engine_for(random_graph(3, n=16, p=0.3))
+        engine._bound = engine._best_num - 1
+        assert engine.advance() == []
+        assert engine.num_removals == engine.num_brandes_requests == 0
+
+    def test_nets_past_the_exactness_limit_sweep_to_the_end(self, monkeypatch):
+        friends = random_graph(0, n=12, p=0.3)
+        graph, hub = with_hub(friends)
+        [stopped] = counted_engines(graph, [hub])
+        assert stopped.num_removals < friends.num_edges
+        monkeypatch.setattr(csr_module, "_EXACT_STOP_MAX_EDGES", friends.num_edges - 1)
+        [swept] = counted_engines(graph, [hub])
+        assert swept.num_removals == friends.num_edges
+        assert swept.best_blocks == stopped.best_blocks
+        assert_hub_division_identical(friends)
+
+
+class TestCountedSweep:
+    """``num_removals`` / ``num_brandes_requests``: the lockstep contract
+    and the stop rule, counted."""
+
+    @pytest.fixture(scope="class")
+    def tiny_graph(self) -> Graph:
+        from repro.synthetic import make_workload
+
+        return make_workload("tiny", seed=0).dataset.graph
+
+    def test_lockstep_counts_equal_one_ego_at_a_time(self, tiny_graph):
+        egos = sorted(tiny_graph.nodes(), key=repr)
+        together = counted_engines(tiny_graph, egos)
+        alone = [engine for ego in egos for engine in counted_engines(tiny_graph, [ego])]
+        assert len(together) == len(alone) > 0
+        for counter in ("num_removals", "num_brandes_requests"):
+            assert sum(getattr(e, counter) for e in together) == sum(
+                getattr(e, counter) for e in alone
+            )
+        assert sum(e.num_brandes_requests for e in together) > 0
+
+    def test_the_sweep_stops_before_the_last_edge(self, tiny_graph):
+        # A full sweep removes every edge of every ego net.
+        egos = list(tiny_graph.nodes())
+        nets = dense_ego_nets(CSRGraph.from_graph(tiny_graph), egos)
+        removed = sum(e.num_removals for e in counted_engines(tiny_graph, egos))
+        assert 0 < removed < sum(net.num_edges for net in nets)
