@@ -10,9 +10,9 @@ The subcommands cover the common workflows without writing any Python:
   labels) and save it as a JSON bundle loadable with
   :func:`repro.graph.load_dataset_json`.
 * ``locec-repro chaos --scale tiny --fault-rate 0.3`` — chaos knob: run the
-  sharded Phase I executor under a seeded fault-injection schedule
-  (transient errors, timeouts, simulated worker kills) and exit non-zero
-  unless the merged division is bit-identical to a clean run.
+  sharded Phase I executor in-process under a seeded fault-injection
+  schedule (transient errors, simulated hangs and worker kills) and exit
+  non-zero unless the merged division is bit-identical to a clean run.
 * ``locec-repro serve-replay --scale tiny --fault-rate 0.3`` — serving
   smoke: fit a pipeline, open a :class:`repro.serve.ServingSession` and
   replay synthetic update + query traffic (optionally under injected
@@ -20,8 +20,8 @@ The subcommands cover the common workflows without writing any Python:
   exits non-zero if any query goes unanswered or an update degrades when
   the fault schedule guarantees recovery.
 * ``locec-repro lint`` — run the repo-native invariant lint engine
-  (:mod:`repro.lint`): determinism, multiprocessing safety and NumPy
-  hygiene rules; exits non-zero on any finding.
+  (:mod:`repro.lint`): determinism and NumPy hygiene rules; exits
+  non-zero on any finding.
 
 The CLI is also reachable as ``python -m repro.cli``.
 """
@@ -85,22 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=4, help="number of shards (default: 4)"
     )
     chaos_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes; 1 = serial fault simulation (default: 1)",
-    )
-    chaos_parser.add_argument(
         "--fault-rate",
         type=float,
         default=0.25,
         help="per-attempt fault probability in [0, 1] (default: 0.25)",
-    )
-    chaos_parser.add_argument(
-        "--mode",
-        default="skip",
-        choices=["raise", "skip", "serial_fallback"],
-        help="on_shard_failure mode (default: skip)",
     )
     chaos_parser.add_argument(
         "--max-egos",
@@ -206,9 +194,7 @@ def _command_chaos(
     scale: str,
     seed: int,
     shards: int,
-    workers: int,
     fault_rate: float,
-    mode: str,
     max_egos: int,
 ) -> int:
     from repro.runtime import run_chaos
@@ -217,11 +203,9 @@ def _command_chaos(
     report = run_chaos(
         workload.dataset,
         num_shards=shards,
-        num_workers=workers,
         fault_rate=fault_rate,
         seed=seed,
         max_egos=max_egos,
-        on_shard_failure=mode,
     )
     print(report.to_text())
     # The chaos gate: a fault schedule that eventually succeeds must yield
@@ -330,9 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.scale,
             args.seed,
             args.shards,
-            args.workers,
             args.fault_rate,
-            args.mode,
             args.max_egos,
         )
     return 2  # pragma: no cover - argparse enforces the choices above

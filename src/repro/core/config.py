@@ -64,13 +64,12 @@ class GBDTConfig:
 
 @dataclass
 class ResilienceConfig:
-    """Fault-tolerance knobs of the sharded execution runtime.
+    """Retry knobs of the sharded Phase I executor.
 
-    Consumed by :class:`repro.runtime.supervisor.ShardSupervisor` on behalf
-    of the sharded Phase I executor (``RetryPolicy.from_config`` derives the
-    backoff schedule).  Defaults reproduce the paper deployment's posture: a
-    few cheap retries with exponential backoff, fail loudly when a shard is
-    truly broken.
+    Read by :class:`repro.runtime.executor.ShardedDivisionExecutor`
+    (``RetryPolicy.from_config`` derives the backoff schedule).  A shard
+    whose attempts run out is skipped: its egos are missing from the merged
+    division and listed in ``ExecutionReport.failed_shards``.
 
     Attributes
     ----------
@@ -82,23 +81,6 @@ class ResilienceConfig:
     jitter:
         Extra delay fraction in ``[0, 1]``, drawn deterministically from
         ``(seed, shard_id, attempt)`` so schedules are reproducible.
-    shard_timeout:
-        Per-shard wall-clock budget in seconds (``None`` = unbounded).
-        Enforced via ``future.result(timeout=...)`` under a process pool and
-        via the injected clock under serial fault simulation.
-    on_shard_failure:
-        What happens once a shard's attempt budget is spent: ``"raise"``
-        aborts the run, ``"skip"`` records the shard in
-        ``ExecutionReport.failed_shards`` and keeps the partial result
-        first-class, ``"serial_fallback"`` re-runs the shard in-process
-        (bypassing pool/fault-injection flakiness) before giving up.
-    checkpoint_dir:
-        When set, every completed shard's ``DivisionResult`` spills to this
-        directory; ``run(resume_from=...)`` skips fingerprint-matching
-        checkpoints so a killed run resumes instead of recomputing.
-    max_pool_rebuilds:
-        How many times a broken process pool is rebuilt before the executor
-        degrades to in-process serial execution for the remaining shards.
     seed:
         Seed of the deterministic backoff jitter.
     """
@@ -108,10 +90,6 @@ class ResilienceConfig:
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
     jitter: float = 0.1
-    shard_timeout: float | None = None
-    on_shard_failure: str = "raise"
-    checkpoint_dir: str | None = None
-    max_pool_rebuilds: int = 1
     seed: int = 0
 
     def validate(self) -> None:
@@ -123,15 +101,6 @@ class ResilienceConfig:
             raise ModelConfigError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ModelConfigError("jitter must be in [0, 1]")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ModelConfigError("shard_timeout must be positive or None")
-        if self.on_shard_failure not in {"raise", "skip", "serial_fallback"}:
-            raise ModelConfigError(
-                "on_shard_failure must be 'raise', 'skip' or 'serial_fallback', "
-                f"got {self.on_shard_failure!r}"
-            )
-        if self.max_pool_rebuilds < 0:
-            raise ModelConfigError("max_pool_rebuilds must be >= 0")
 
 
 @dataclass
@@ -161,8 +130,7 @@ class LoCECConfig:
     cnn: CommCNNConfig = field(default_factory=CommCNNConfig)
     gbdt: GBDTConfig = field(default_factory=GBDTConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    """Fault-tolerance knobs consumed by the sharded execution runtime
-    (retries, timeouts, failure mode, checkpointing); see
+    """Retry knobs of a write's supervised re-division; see
     :class:`ResilienceConfig`."""
 
     def validate(self) -> None:

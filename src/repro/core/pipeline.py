@@ -25,7 +25,7 @@ request layer with batched prediction and latency accounting.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ from repro.core.community_classifier import (
     CommunityClassifier,
     GBDTCommunityClassifier,
 )
-from repro.core.config import LoCECConfig, ResilienceConfig
+from repro.core.config import LoCECConfig
 from repro.core.division import DivisionResult, LocalCommunity, divide
 from repro.core.labels import CommunityVotes, EdgeLabelIndex, labeled_communities
 from repro.core.results import (
@@ -124,7 +124,7 @@ class UpdateReport:
     """Bookkeeping produced by :meth:`LoCEC.apply_updates`.
 
     ``stale_egos`` lists egos whose supervised re-division failed this
-    update (``on_shard_failure="skip"`` degradation): their previous
+    update (their shard ran out of attempts and was skipped): their previous
     communities stay served until a later update or refit succeeds.
     ``kernel_patched`` is ``True`` when every store delta was folded into
     the compiled Phase II kernel in place (delta compilation) — ``False``
@@ -386,10 +386,11 @@ class LoCEC:
            A changed edge ``(a, b)`` dirties exactly the egos whose ego
            network contains it: ``{a, b} ∪ (N(a) ∩ N(b))``.  Only those are
            re-divided, through the supervised
-           :class:`~repro.runtime.executor.ShardedDivisionExecutor` with
-           ``on_shard_failure="skip"`` — a crashed re-division leaves the
-           ego's *previous* communities served (stale-but-consistent, see
-           :attr:`UpdateReport.stale_egos`) instead of failing the update.
+           :class:`~repro.runtime.executor.ShardedDivisionExecutor`, which
+           skips a shard whose attempts run out — a crashed re-division
+           leaves the ego's *previous* communities served
+           (stale-but-consistent, see :attr:`UpdateReport.stale_egos`)
+           instead of failing the update.
         2. ``interaction_deltas`` — ``(u, v, delta)`` triples added onto the
            stored interaction vector — and ``feature_updates`` —
            ``(node, values)`` replacements — are written to the live stores
@@ -416,12 +417,14 @@ class LoCEC:
         or listed twice (:class:`EdgeNotFoundError`), a wrong-length vector
         (:class:`DimensionMismatchError`), a non-finite one or a delta that
         would drive a stored count negative (:class:`FeatureError`).
-        Re-adding an existing edge is legal.  Failures *after* validation —
-        an executor error under ``on_shard_failure="raise"``, a diverged
-        refit, "update removed every labeled community" — can still leave a
-        half-applied update; staging those is the ROADMAP item "Failure-atomic
-        updates, a model-based serving test, and the paper's shape under a
-        gate".
+        Re-adding an existing edge is legal.  Two failures can still come
+        *after* validation: a refit that diverges
+        (:class:`TrainingDivergedError`) and an update that removed every
+        labeled community (:class:`PipelineError`).  Either one raises after
+        the graph, the stores and the division were already changed, so the
+        pipeline is left half-updated: nothing rolls those writes back, and
+        the models no longer match the inputs.  Refit with :meth:`fit`
+        before serving from it again.
 
         Returns an :class:`UpdateReport`; ``fault_plan`` injects
         deterministic re-division faults (chaos tests).
@@ -548,7 +551,7 @@ class LoCEC:
     ) -> tuple[tuple[Node, ...], set[CommunityKey], set[Node]]:
         """Supervised re-division of the dirty egos, folded into the division.
 
-        Returns the egos whose re-division failed (``on_shard_failure="skip"``:
+        Returns the egos whose re-division failed (their shard was skipped:
         they keep serving their previous communities, stale), the keys of the
         new communities (to score) and the egos whose community list changed
         (their old scores go).
@@ -558,18 +561,10 @@ class LoCEC:
         if dirty_egos:
             from repro.runtime.executor import ShardedDivisionExecutor
 
-            # The checkpoint directory belongs to the batch run's shards; a
-            # per-write re-division must not overwrite them.
-            resilience = replace(
-                self.config.resilience or ResilienceConfig(),
-                on_shard_failure="skip",
-                checkpoint_dir=None,
-            )
             with ShardedDivisionExecutor(
                 num_shards=min(4, len(dirty_egos)),
-                num_workers=1,
                 detector=self.config.community_detector,
-                resilience=resilience,
+                resilience=self.config.resilience,
                 fault_plan=fault_plan,
                 clock=self._clock,
             ) as executor:

@@ -13,38 +13,11 @@ class ReproError(Exception):
     """Base class for every error raised by this library."""
 
 
-def _rebuild_exception(
-    cls: "type[BaseException]", state: dict, args: tuple
-) -> BaseException:
-    """Unpickle helper for exceptions whose ``__init__`` signature does not
-    match ``args`` — rebuilds the instance without re-running ``__init__`` so
-    errors survive the trip back from worker processes."""
-    exc = cls.__new__(cls)
-    exc.args = args
-    exc.__dict__.update(state)
-    return exc
-
-
-class _PicklableErrorMixin:
-    """Gives an exception a signature-independent pickle round-trip.
-
-    ``BaseException.__reduce__`` replays ``__init__(*self.args)``, and
-    ``args`` holds the *formatted message*, not the constructor arguments —
-    so any exception with a custom ``__init__`` signature either fails to
-    unpickle or rebuilds garbled.  Every such class must carry this mixin
-    (lint rule ``MP002`` enforces it): the shard runtime ships exceptions
-    across process boundaries as first-class results.
-    """
-
-    def __reduce__(self) -> "tuple":  # type: ignore[override]
-        return (_rebuild_exception, (type(self), self.__dict__, self.args))
-
-
 class GraphError(ReproError):
     """Base class for errors raised by the graph substrate."""
 
 
-class NodeNotFoundError(_PicklableErrorMixin, GraphError, KeyError):
+class NodeNotFoundError(GraphError, KeyError):
     """A referenced node does not exist in the graph."""
 
     def __init__(self, node: object) -> None:
@@ -52,7 +25,7 @@ class NodeNotFoundError(_PicklableErrorMixin, GraphError, KeyError):
         self.node = node
 
 
-class EdgeNotFoundError(_PicklableErrorMixin, GraphError, KeyError):
+class EdgeNotFoundError(GraphError, KeyError):
     """A referenced edge does not exist in the graph."""
 
     def __init__(self, u: object, v: object) -> None:
@@ -60,7 +33,7 @@ class EdgeNotFoundError(_PicklableErrorMixin, GraphError, KeyError):
         self.edge = (u, v)
 
 
-class SelfLoopError(_PicklableErrorMixin, GraphError, ValueError):
+class SelfLoopError(GraphError, ValueError):
     """An operation attempted to add a self-loop, which the model forbids."""
 
     def __init__(self, node: object) -> None:
@@ -76,7 +49,7 @@ class CommunityError(ReproError):
     """Errors raised by the community-detection algorithms."""
 
 
-class NotFittedError(_PicklableErrorMixin, ReproError, RuntimeError):
+class NotFittedError(ReproError, RuntimeError):
     """An estimator was used before being fitted."""
 
     def __init__(self, estimator: object = None) -> None:
@@ -117,7 +90,7 @@ class ExperimentError(ReproError):
 
 
 # --------------------------------------------------------------- graph IO
-class EdgeListError(_PicklableErrorMixin, GraphError, DatasetError):
+class EdgeListError(GraphError, DatasetError):
     """Base class for edge-list / labeled-edge parsing errors.
 
     Derives from both :class:`GraphError` (the data is graph input) and
@@ -149,34 +122,8 @@ class ExecutorError(PipelineError):
     """Base class for failures inside the sharded execution runtime."""
 
 
-class ShardFailedError(_PicklableErrorMixin, ExecutorError):
-    """A shard task failed permanently (non-retryable or retries exhausted)."""
-
-    def __init__(self, shard_id: int, attempts: int, cause: BaseException) -> None:
-        super().__init__(
-            f"shard {shard_id} failed after {attempts} attempt(s): {cause!r}"
-        )
-        self.shard_id = shard_id
-        self.attempts = attempts
-        self.cause = cause
-
-
-class RetryExhaustedError(ShardFailedError):
-    """A shard kept failing with retryable errors until the attempt budget ran out."""
-
-    def __init__(self, shard_id: int, attempts: int, cause: BaseException) -> None:
-        ExecutorError.__init__(
-            self,
-            f"shard {shard_id}: retries exhausted after {attempts} attempt(s); "
-            f"last error: {cause!r}",
-        )
-        self.shard_id = shard_id
-        self.attempts = attempts
-        self.cause = cause
-
-
-class ShardTimeoutError(_PicklableErrorMixin, ExecutorError):
-    """A shard task exceeded its per-shard timeout (retryable by default)."""
+class ShardTimeoutError(ExecutorError):
+    """A shard attempt hung (a simulated stall); retryable by default."""
 
     def __init__(self, shard_id: int, timeout_seconds: float) -> None:
         super().__init__(
@@ -186,16 +133,12 @@ class ShardTimeoutError(_PicklableErrorMixin, ExecutorError):
         self.timeout_seconds = timeout_seconds
 
 
-class WorkerCrashError(_PicklableErrorMixin, ExecutorError):
-    """A worker process died mid-task (hard kill / broken pool); retryable."""
+class WorkerCrashError(ExecutorError):
+    """A shard's worker crashed mid-attempt (a simulated kill); retryable."""
 
     def __init__(self, shard_id: int | None = None, detail: str = "") -> None:
         where = f"shard {shard_id}" if shard_id is not None else "a shard task"
         suffix = f": {detail}" if detail else ""
-        super().__init__(f"worker process crashed while running {where}{suffix}")
+        super().__init__(f"worker crashed while running {where}{suffix}")
         self.shard_id = shard_id
         self.detail = detail
-
-
-class CheckpointError(ExecutorError):
-    """A shard checkpoint could not be written or read."""

@@ -1,9 +1,8 @@
 """Repo-native static analysis: the invariant lint engine.
 
 The LoCEC reproduction rests on invariants that ordinary linters cannot see:
-deterministic seeded execution (no stray wall-clock or global-RNG reads),
-pickle-safe exceptions for the sharded runtime, and hidden-copy-free NumPy
-hot paths.
+deterministic seeded execution (no stray wall-clock or global-RNG reads)
+and hidden-copy-free NumPy hot paths.
 This package turns those conventions into machine-checked, CI-blocking
 rules over the stdlib ``ast`` — no third-party dependencies.
 

@@ -8,8 +8,7 @@ configuration encodes this repo's invariant boundaries:
   ``benchmarks/`` — benchmark harnesses measure wall-clock time by design,
   while library and report-generating code must route through
   :mod:`repro.clock`;
-* NumPy-hygiene and multiprocessing-safety rules cover library, scripts and
-  benchmarks alike.
+* NumPy-hygiene rules cover library, scripts and benchmarks alike.
 """
 
 from __future__ import annotations
@@ -17,23 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
-_LIBRARY = ("src/repro",)
 _LIBRARY_AND_SCRIPTS = ("src/repro", "scripts")
 _EVERYTHING = ("src/repro", "scripts", "benchmarks")
-# The supervisor and its executor ship callables across process boundaries;
-# MP001 MUST stay in scope for them even if the broad src/repro prefix is
-# ever narrowed.  (Both files are already inside _EVERYTHING; listing them
-# pins the invariant.)
-_MP_CRITICAL = _EVERYTHING + (
-    "src/repro/runtime/executor.py",
-    "src/repro/runtime/supervisor.py",
-)
 
 DEFAULT_RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     "DET001": _LIBRARY_AND_SCRIPTS,
     "DET002": _LIBRARY_AND_SCRIPTS,
-    "MP001": _MP_CRITICAL,
-    "MP002": _LIBRARY,
     "NPY001": _EVERYTHING,
     "NPY002": _EVERYTHING,
     "NPY003": _EVERYTHING,

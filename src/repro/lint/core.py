@@ -1,10 +1,7 @@
 """Rule registry and the shared data model of the lint engine.
 
-A rule is a class decorated with :func:`register`.  Module rules implement
-``check_module(ctx)`` and run once per in-scope file; project rules
-implement ``check_project(project)`` and run once over the whole tree (they
-see every parsed module), which is what cross-file contracts like an
-exception class's picklable hierarchy need.
+A rule is a class decorated with :func:`register`.  Rules implement
+``check_module(ctx)`` and run once per in-scope file.
 """
 
 from __future__ import annotations
@@ -54,30 +51,17 @@ class ModuleContext:
         return ".".join(reversed(parts))
 
 
-@dataclass
-class ProjectContext:
-    """Whole-tree view handed to project rules."""
-
-    root: str
-    modules: List[ModuleContext]
-    """Every parsed source module (the union of all rule scopes)."""
-
-
 class Rule:
     """Base class for lint rules.  Subclass, set the metadata class
-    attributes, implement one of the two hooks, and decorate with
+    attributes, implement :meth:`check_module`, and decorate with
     :func:`register`."""
 
     rule_id: str = ""
     name: str = ""
     description: str = ""
     rationale: str = ""
-    scope: str = "module"  # "module" | "project"
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        raise NotImplementedError  # pragma: no cover - abstract hook
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         raise NotImplementedError  # pragma: no cover - abstract hook
 
 

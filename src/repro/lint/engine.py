@@ -1,10 +1,9 @@
 """Discovery, parsing and rule execution for :mod:`repro.lint`.
 
 ``run_lint`` walks the configured roots once, parses every module once, and
-hands the shared ASTs to each registered rule (module rules per file inside
-their scope, project rules once over the whole tree).  Findings on
-suppressed lines (see :mod:`repro.lint.suppress`) are dropped before
-reporting.
+hands the shared ASTs to each registered rule, per file inside its scope.
+Findings on suppressed lines (see :mod:`repro.lint.suppress`) are dropped
+before reporting.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.lint.config import LintConfig, default_config
 from repro.lint.core import (
     Finding,
     ModuleContext,
-    ProjectContext,
     all_rules,
     build_alias_map,
 )
@@ -119,18 +117,10 @@ def run_lint(
     result.files_checked = len(modules)
 
     raw: List[Finding] = []
-    project = ProjectContext(root=str(root), modules=modules)
     for rule in rules:
-        if rule.scope == "project":
-            raw.extend(
-                finding
-                for finding in rule.check_project(project)
-                if config.applies_to(rule.rule_id, finding.path)
-            )
-        else:
-            for ctx in modules:
-                if config.applies_to(rule.rule_id, ctx.path):
-                    raw.extend(rule.check_module(ctx))
+        for ctx in modules:
+            if config.applies_to(rule.rule_id, ctx.path):
+                raw.extend(rule.check_module(ctx))
 
     for finding in sorted(raw, key=Finding.sort_key):
         index = suppressions.get(finding.path)

@@ -6,6 +6,6 @@ and give it a scope in :mod:`repro.lint.config` plus fixtures under
 ``tests/lint_fixtures/``.  See ``docs/lint_rules.md`` for the full guide.
 """
 
-from repro.lint.rules import determinism, mp_safety, numpy_hygiene
+from repro.lint.rules import determinism, numpy_hygiene
 
-__all__ = ["determinism", "mp_safety", "numpy_hygiene"]
+__all__ = ["determinism", "numpy_hygiene"]

@@ -46,15 +46,22 @@ kept (bit-identical splits), at or above it ``auto`` prefers the
 ``O(rows + bins)`` histogram search, whose threshold snapping is amortised
 away by ``max_bins`` quantile bins.  With the exact search presorted and
 feature-batched, and the histogram trees of a round grown together level
-by level, the two kernels cross near 1k rows — on random 23-feature
-designs (40 rounds x 3 classes, default settings) exact fits 154 rows ~2x
-*faster* than hist, the two tie at ~1k rows and exact is ~3.5-4x slower
-at ~4k rows (table in the ROADMAP item "The write path and Phase III:
-stop refitting what did not change"); on the LoCEC-XGB designs exact is
-still ~1.4-1.8x faster at 93 and 154 rows.  The constant stays
-conservative on purpose: ``auto`` trades exactness for speed only where
-the win is decisive, and no benchmark workload sits between the two
-regimes to judge a re-routing."""
+by level, the two kernels cross near 1k rows.  Fit seconds on random
+23-column designs, 3 classes, default ``GBDTConfig``, two alternating runs
+a side:
+
+======  ===============  ===============  ==============
+rows    exact (array)    hist             faster
+======  ===============  ===============  ==============
+154     0.073-0.086 s    0.157-0.171 s    exact ~2x
+926     0.264-0.300 s    0.261-0.271 s    tie
+4024    1.19-1.24 s      0.300-0.352 s    hist ~3.5-4x
+======  ===============  ===============  ==============
+
+On the LoCEC-XGB designs exact is still ~1.4-1.8x faster at 93 and 154
+rows.  The constant stays conservative on purpose: ``auto`` trades
+exactness for speed only where the win is decisive, and no benchmark
+workload sits between 155 and 4,095 rows to judge a re-routing."""
 
 
 def resolve_ml_backend(backend: str, num_rows: int | None = None) -> str:

@@ -1,5 +1,12 @@
-"""Distributed-processing substrate: sharding, the supervised Phase I
-executor, resilience/fault-injection layer and the WeChat-scale cost model."""
+"""Distributed-processing substrate: the supervised Phase I executor (one
+in-process retry loop), the fault-injection layer and the WeChat-scale cost
+model.  Nothing here starts a worker process: the paper's multi-server scale
+is reproduced by the cost model.
+
+The executor's parts — sharding, the retry policy, the per-shard reports and
+the injected error types — stay in their modules
+(:mod:`repro.runtime.sharding`, :mod:`repro.runtime.resilience`,
+:mod:`repro.runtime.executor`, :mod:`repro.runtime.faultinject`)."""
 
 from repro.runtime.cost_model import (
     ClusterSpec,
@@ -8,27 +15,9 @@ from repro.runtime.cost_model import (
     RuntimeEstimate,
     WorkloadSpec,
 )
-from repro.runtime.executor import (
-    ExecutionReport,
-    ShardedDivisionExecutor,
-    ShardReport,
-)
-from repro.runtime.faultinject import (
-    Fault,
-    FaultPlan,
-    InjectedFaultError,
-    PermanentInjectedError,
-    TransientInjectedError,
-)
-from repro.runtime.resilience import (
-    Clock,
-    FakeClock,
-    RetryPolicy,
-    ShardCheckpointStore,
-    ShardFailure,
-    SystemClock,
-    shard_fingerprint,
-)
+from repro.runtime.executor import ExecutionReport, ShardedDivisionExecutor
+from repro.runtime.faultinject import Fault, FaultPlan
+from repro.runtime.resilience import Clock, FakeClock, SystemClock
 from repro.runtime.scalability import (
     ChaosReport,
     MeasuredPhaseTimes,
@@ -37,28 +26,15 @@ from repro.runtime.scalability import (
     measure_worker_scaling,
     run_chaos,
 )
-from repro.runtime.sharding import Shard, shard_by_degree, shard_nodes, validate_shards
 
 __all__ = [
-    "Shard",
-    "shard_nodes",
-    "shard_by_degree",
-    "validate_shards",
     "ShardedDivisionExecutor",
     "ExecutionReport",
-    "ShardReport",
-    "ShardFailure",
-    "RetryPolicy",
     "Clock",
     "SystemClock",
     "FakeClock",
-    "ShardCheckpointStore",
-    "shard_fingerprint",
     "Fault",
     "FaultPlan",
-    "InjectedFaultError",
-    "TransientInjectedError",
-    "PermanentInjectedError",
     "CostModel",
     "CostCalibration",
     "ClusterSpec",

@@ -1,32 +1,24 @@
 """Deterministic fault injection for the sharded execution runtime.
 
 A :class:`FaultPlan` maps ``(shard_id, attempt)`` pairs to faults and is
-applied at the entry of every shard task, so a test (or the CLI chaos knob)
-can script exactly which attempts fail and how:
+applied at the entry of every shard attempt, so a test (or the CLI chaos
+knob) can script exactly which attempts fail and how.  Every fault is
+simulated in-process:
 
 * ``transient`` — raises :class:`TransientInjectedError` (retryable: the
   error carries ``transient=True``, which :class:`~repro.runtime.resilience.
   RetryPolicy` honours).
 * ``permanent`` — raises :class:`PermanentInjectedError` (never retried).
-* ``hang`` — the task stalls past the per-shard timeout.  In a worker
-  process this is a real ``time.sleep`` (the supervisor's
-  ``future.result(timeout=...)`` fires); under serial execution the stall is
-  simulated on the injected clock and surfaces as the same
-  :class:`~repro.exceptions.ShardTimeoutError` the supervisor would raise —
-  zero real sleeps in the fast test tier.
-* ``kill`` — hard worker death.  In a worker process ``os._exit`` drops the
-  process without cleanup (the parent observes ``BrokenProcessPool``); under
-  serial execution it is simulated as :class:`~repro.exceptions.
-  WorkerCrashError` so the parent process is never actually killed.
-
-Plans are plain picklable data: they travel to worker processes through the
-pool initializer exactly like the graph does.
+* ``hang`` — the attempt stalls: the injected clock advances by
+  :attr:`Fault.duration` and :class:`~repro.exceptions.ShardTimeoutError`
+  is raised, so the fast test tier runs it on a ``FakeClock`` with zero real
+  sleeps.
+* ``kill`` — a crashed worker, raised as
+  :class:`~repro.exceptions.WorkerCrashError`.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -54,12 +46,6 @@ class InjectedFaultError(ReproError):
         self.shard_id = shard_id
         self.attempt = attempt
 
-    def __reduce__(
-        self,
-    ) -> "tuple[type[InjectedFaultError], tuple[int, int]]":
-        # Survive the trip back from worker processes.
-        return (type(self), (self.shard_id, self.attempt))
-
 
 class TransientInjectedError(InjectedFaultError):
     """A synthetic transient failure; retry policies classify it retryable."""
@@ -79,8 +65,7 @@ class Fault:
     attempt: int
     kind: str
     duration: float = 0.5
-    """``hang`` only: real seconds a worker-process task stalls.  Serial
-    (simulated) hangs advance the injected clock past the timeout instead."""
+    """``hang`` only: seconds the stall advances the injected clock."""
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -121,7 +106,6 @@ class FaultPlan:
         fault_rate: float = 0.25,
         max_attempts: int = 3,
         kinds: Sequence[str] = ("transient", "hang", "kill"),
-        hang_duration: float = 0.5,
     ) -> "FaultPlan":
         """Seeded chaos: each shard draws faults on its early attempts.
 
@@ -139,27 +123,15 @@ class FaultPlan:
                 if rng.random() >= fault_rate:
                     break  # this attempt succeeds; later ones never run
                 kind = kinds[rng.randrange(len(kinds))]
-                faults.append(
-                    Fault(shard_id=shard_id, attempt=attempt, kind=kind,
-                          duration=hang_duration)
-                )
+                faults.append(Fault(shard_id=shard_id, attempt=attempt, kind=kind))
         return cls(faults)
 
-    def apply(
-        self,
-        shard_id: int,
-        attempt: int,
-        *,
-        in_worker: bool,
-        clock: Clock | None = None,
-        timeout: float | None = None,
-    ) -> None:
+    def apply(self, shard_id: int, attempt: int, clock: Clock) -> None:
         """Trigger the fault scheduled for ``(shard_id, attempt)``, if any.
 
-        Called at the entry of every shard task.  ``in_worker`` selects the
-        real behaviour (sleep / hard ``os._exit``) versus the serial
-        simulation (clock advance / raised crash error) — the serial path
-        must never stall or kill the parent process.
+        Called at the entry of every shard attempt.  A hang stalls on
+        ``clock``: virtual time under a ``FakeClock``, real time under the
+        system clock.
         """
         fault = self.fault_for(shard_id, attempt)
         if fault is None:
@@ -169,18 +141,6 @@ class FaultPlan:
         if fault.kind == "permanent":
             raise PermanentInjectedError(shard_id, attempt)
         if fault.kind == "hang":
-            if in_worker:
-                # A *real* stall is the fault being injected: the parent's
-                # future-timeout path only fires against genuine wall time.
-                time.sleep(fault.duration)  # repro-lint: disable=DET001
-                return  # the parent's future timeout decides the task's fate
-            stall = fault.duration if timeout is None else max(
-                fault.duration, timeout * 2
-            )
-            if clock is not None:
-                clock.sleep(stall)
-            raise ShardTimeoutError(shard_id, timeout if timeout else stall)
-        if fault.kind == "kill":
-            if in_worker:
-                os._exit(1)  # hard death: no cleanup, parent sees BrokenProcessPool
-            raise WorkerCrashError(shard_id, detail="injected kill (serial simulation)")
+            clock.sleep(fault.duration)
+            raise ShardTimeoutError(shard_id, fault.duration)
+        raise WorkerCrashError(shard_id, detail="injected kill")  # kind == "kill"

@@ -150,8 +150,6 @@ class ChaosReport:
     injected_faults: int
     total_retries: int
     total_timeouts: int
-    pool_rebuilds: int
-    degraded_to_serial: bool
     identical_to_clean: bool
 
     def to_text(self) -> str:
@@ -160,8 +158,6 @@ class ChaosReport:
             f"injected faults  : {self.injected_faults}",
             f"retries          : {self.total_retries}",
             f"timeouts         : {self.total_timeouts}",
-            f"pool rebuilds    : {self.pool_rebuilds}"
-            + (" (degraded to serial)" if self.degraded_to_serial else ""),
             f"failed shards    : {self.failed_shards or 'none'}",
             f"identical to clean run: {self.identical_to_clean}",
         ])
@@ -170,13 +166,10 @@ class ChaosReport:
 def run_chaos(
     dataset: SocialNetworkDataset,
     num_shards: int = 4,
-    num_workers: int = 1,
     fault_rate: float = 0.25,
     seed: int = 0,
     max_egos: int | None = 80,
     detector: str = "label_propagation",
-    on_shard_failure: str = "skip",
-    shard_timeout: float = 30.0,
     kinds: tuple[str, ...] = ("transient", "hang", "kill"),
 ) -> ChaosReport:
     """Chaos knob: run the shard executor under a seeded fault schedule.
@@ -195,12 +188,7 @@ def run_chaos(
     if max_egos is not None:
         egos = egos[:max_egos]
 
-    resilience = ResilienceConfig(
-        max_attempts=3,
-        on_shard_failure=on_shard_failure,
-        shard_timeout=shard_timeout,
-        seed=seed,
-    )
+    resilience = ResilienceConfig(max_attempts=3, seed=seed)
     plan = FaultPlan.random(
         list(range(num_shards)),
         seed=seed,
@@ -208,19 +196,16 @@ def run_chaos(
         max_attempts=resilience.max_attempts,
         kinds=kinds,
     )
-    with ShardedDivisionExecutor(
+    faulted = ShardedDivisionExecutor(
         num_shards=num_shards,
-        num_workers=num_workers,
         detector=detector,
         resilience=resilience,
         fault_plan=plan,
         clock=FakeClock(),
-    ) as executor:
-        faulted = executor.run(dataset.graph, egos=egos)
-
-    clean = ShardedDivisionExecutor(
-        num_shards=num_shards, num_workers=1, detector=detector
     ).run(dataset.graph, egos=egos)
+    clean = ShardedDivisionExecutor(num_shards=num_shards, detector=detector).run(
+        dataset.graph, egos=egos
+    )
 
     return ChaosReport(
         num_shards=num_shards,
@@ -229,8 +214,6 @@ def run_chaos(
         injected_faults=len(plan),
         total_retries=faulted.total_retries,
         total_timeouts=faulted.total_timeouts,
-        pool_rebuilds=faulted.pool_rebuilds,
-        degraded_to_serial=faulted.degraded_to_serial,
         identical_to_clean=(
             faulted.division.communities_by_ego == clean.division.communities_by_ego
         ),
@@ -245,16 +228,14 @@ def measure_worker_scaling(
 ) -> list[tuple[int, float]]:
     """Projected Phase I makespan vs worker count (local analogue of Fig. 12b).
 
-    A projection, not a pool measurement: every shard runs serially and the
-    makespan is the slowest shard's measured seconds, so the result does not
-    depend on the host's actual core count.
+    A projection, not a measurement of parallel workers: every shard runs
+    in this process and the makespan is the slowest shard's measured
+    seconds, so the result does not depend on the host's core count.
     """
     egos = list(dataset.graph.nodes())[:max_egos]
     results: list[tuple[int, float]] = []
     for workers in worker_counts:
-        executor = ShardedDivisionExecutor(
-            num_shards=workers, num_workers=1, detector=detector
-        )
+        executor = ShardedDivisionExecutor(num_shards=workers, detector=detector)
         report = executor.run(dataset.graph, egos=egos)
         results.append((workers, report.makespan_seconds))
     return results

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.exceptions import PipelineError
-from repro.graph.graph import Graph
 from repro.types import Node
 
 
 @dataclass(frozen=True)
 class Shard:
-    """A shard: a worker index plus the ego nodes assigned to it."""
+    """A shard: an index plus the ego nodes assigned to it."""
 
     shard_id: int
     egos: tuple[Node, ...]
@@ -29,35 +28,18 @@ class Shard:
         return len(self.egos)
 
 
-def shard_nodes(
-    nodes: Sequence[Node], num_shards: int, strategy: str = "round_robin"
-) -> list[Shard]:
-    """Assign nodes to ``num_shards`` shards.
+def shard_nodes(nodes: Sequence[Node], num_shards: int) -> list[Shard]:
+    """Assign nodes to ``num_shards`` shards round-robin.
 
-    Strategies
-    ----------
-    ``round_robin``
-        Node ``i`` goes to shard ``i mod num_shards`` (the paper's streaming
-        scheme: each node is parsed separately, so any balanced assignment
-        works).
-    ``contiguous``
-        The node list is split into contiguous blocks (useful when node ids
-        correlate with storage locality).
+    Node ``i`` goes to shard ``i mod num_shards`` (the paper's streaming
+    scheme: each node is parsed separately, so any balanced assignment
+    works).
     """
     if num_shards < 1:
         raise PipelineError("num_shards must be >= 1")
-    nodes = _dedupe(nodes)
-    if strategy == "round_robin":
-        buckets: list[list[Node]] = [[] for _ in range(num_shards)]
-        for index, node in enumerate(nodes):
-            buckets[index % num_shards].append(node)
-    elif strategy == "contiguous":
-        buckets = [[] for _ in range(num_shards)]
-        block = max(1, (len(nodes) + num_shards - 1) // num_shards)
-        for index, node in enumerate(nodes):
-            buckets[min(index // block, num_shards - 1)].append(node)
-    else:
-        raise PipelineError(f"unknown sharding strategy {strategy!r}")
+    buckets: list[list[Node]] = [[] for _ in range(num_shards)]
+    for index, node in enumerate(_dedupe(nodes)):
+        buckets[index % num_shards].append(node)
     return [
         Shard(shard_id=shard_id, egos=tuple(bucket))
         for shard_id, bucket in enumerate(buckets)
@@ -80,14 +62,13 @@ def _dedupe(nodes: Sequence[Node]) -> list[Node]:
     return unique
 
 
-def validate_shards(shards: Sequence[Shard], drop_empty: bool = True) -> list[Shard]:
+def validate_shards(shards: Sequence[Shard]) -> list[Shard]:
     """Integrity-check a shard list before submission to the executor.
 
     Raises :class:`~repro.exceptions.PipelineError` on duplicate shard ids or
     on an ego assigned to more than one shard — both would corrupt the merge
-    silently (last-writer-wins report rows, double-processed egos).  With
-    ``drop_empty`` (the default) shards with no egos are removed, so the
-    executor never pays submission/checkpoint overhead for no-op tasks.
+    silently (last-writer-wins report rows, double-processed egos).  Shards
+    with no egos are dropped, so the executor never runs a no-op shard.
     """
     seen_ids: set[int] = set()
     seen_egos: set[Node] = set()
@@ -103,29 +84,6 @@ def validate_shards(shards: Sequence[Shard], drop_empty: bool = True) -> list[Sh
                     f"(second occurrence in shard {shard.shard_id})"
                 )
             seen_egos.add(ego)
-        if shard.size == 0 and drop_empty:
-            continue
-        valid.append(shard)
+        if shard.size:
+            valid.append(shard)
     return valid
-
-
-def shard_by_degree(graph: Graph, num_shards: int) -> list[Shard]:
-    """Degree-balanced sharding (longest-processing-time greedy assignment).
-
-    Ego-network cost grows with the ego's degree, so balancing the summed
-    degree per shard gives a tighter makespan than round-robin when the
-    degree distribution is heavy-tailed.
-    """
-    if num_shards < 1:
-        raise PipelineError("num_shards must be >= 1")
-    nodes = sorted(graph.nodes(), key=lambda node: -graph.degree(node))
-    loads = [0] * num_shards
-    buckets: list[list[Node]] = [[] for _ in range(num_shards)]
-    for node in nodes:
-        target = loads.index(min(loads))
-        buckets[target].append(node)
-        loads[target] += max(graph.degree(node), 1)
-    return [
-        Shard(shard_id=shard_id, egos=tuple(bucket))
-        for shard_id, bucket in enumerate(buckets)
-    ]

@@ -21,7 +21,7 @@ zero-sleep test tier can drive a whole serving session under virtual time
 and the determinism lint (``DET001``) stays clean.
 
 Staleness semantics: a re-division fault during
-:meth:`ServingSession.apply_updates` degrades (``on_shard_failure="skip"``)
+:meth:`ServingSession.apply_updates` degrades (the failed shard is skipped)
 to serving the affected egos' *previous* communities — stale but internally
 consistent; :attr:`ServingSession.stale_egos` lists them until a later
 update succeeds.

@@ -180,16 +180,21 @@ def test_static_analysis_guards_the_single_supervision_loop(workflow, tmp_path):
 
     result = run_guard(WORKFLOW_PATH.parent.parent.parent)
     assert result.returncode == 0, result.stderr
-    # A second way to reach a worker fails it, even in supervisor.py.
+    # A pool, multiprocessing or shared memory fails it in any module,
+    # the executor that holds the one supervision loop included.
     home = tmp_path / "src" / "repro" / "runtime"
     home.mkdir(parents=True)
-    (home / "supervisor.py").write_text(
-        "from multiprocessing import shared_memory\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-    )
-    result = run_guard(tmp_path)
-    assert result.returncode != 0
-    assert "shared_memory" in result.stderr
+    for source, named in (
+        ("from concurrent.futures import ProcessPoolExecutor\n", "ProcessPoolExecutor"),
+        ("from concurrent.futures.process import BrokenProcessPool\n", "BrokenProcessPool"),
+        ("import multiprocessing as mp\n", "multiprocessing"),
+        ("from multiprocessing import shared_memory\n", "shared_memory"),
+        ("import multiprocessing.shared_memory\n", "shared_memory"),
+    ):
+        (home / "executor.py").write_text(source)
+        result = run_guard(tmp_path)
+        assert result.returncode != 0, source
+        assert named in result.stderr, source
 
 
 def test_static_analysis_runs_the_routed_kernel_guard(workflow):
@@ -240,6 +245,10 @@ def test_full_suite_runs_chaos_gate(workflow):
     run = _steps_text(workflow["jobs"]["full-suite"])
     assert "tests/test_resilience.py" in run  # fault-injection suite
     assert "repro.cli chaos" in run  # seeded end-to-end chaos run
+    # The write path's supervised re-division under a recoverable schedule.
+    assert "serve-replay --scale tiny --seed 1 --fault-rate 0.4" in run
+    # There is no pool to run the chaos schedule on.
+    assert "--workers" not in run
 
 
 def test_jobs_use_pip_caching(workflow):

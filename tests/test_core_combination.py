@@ -256,7 +256,7 @@ class TestConfigs:
             with pytest.raises(ModelConfigError):
                 LoCEC(LoCECConfig(cnn=cnn))
         with pytest.raises(ModelConfigError):
-            LoCECConfig(resilience=ResilienceConfig(max_pool_rebuilds=-1)).validate()
+            LoCECConfig(resilience=ResilienceConfig(max_attempts=0)).validate()
 
 
 class TestResults:

@@ -21,8 +21,10 @@ those modules import only the standard library, NumPy and ``repro``: the CI
 kernel gate times them with nothing else installed.  The
 model layer is held to the csr rule too: ``repro.ml`` once exported scalers,
 k-fold splits, an estimator protocol and an SGD optimiser that only tests
-called.  The checks are by AST, so a mention in a docstring or comment does
-not count.
+called.  ``repro.runtime`` is held to it as well: it exported a sharding
+strategy, a degree balancer and checkpoint helpers that only tests called.
+The checks are by AST, so a mention in a docstring or comment does not
+count.
 CI runs this file in the ``static-analysis`` job as well.
 """
 
@@ -34,6 +36,7 @@ from pathlib import Path
 
 import repro.ml
 import repro.ml.nn
+import repro.runtime
 from repro.graph import csr
 from repro.ml.forest import ML_BACKENDS
 
@@ -139,6 +142,39 @@ def test_every_model_layer_export_is_referenced():
         f"{sorted(unreferenced - MODEL_LAYER_ALLOWLIST)}; allowlisted names that "
         f"are referenced now and should leave the allowlist: "
         f"{sorted(MODEL_LAYER_ALLOWLIST - unreferenced)}"
+    )
+
+
+RUNTIME = PACKAGE / "runtime"
+
+# Exported names that need no reference outside runtime/.
+RUNTIME_ALLOWLIST = {
+    # What a routed driver or the executor returns: callers read them and
+    # only runtime/ builds them.
+    "ExecutionReport",
+    "ChaosReport",
+    "MeasuredPhaseTimes",
+    "RuntimeEstimate",
+    # A FaultPlan's element and the virtual clock: what a test scripts a
+    # chaos schedule from and runs it on.
+    "Fault",
+    "FakeClock",
+}
+
+
+def test_every_runtime_export_is_referenced():
+    """A name in ``repro.runtime.__all__`` needs a reference outside
+    ``runtime/``: in the rest of ``src/repro`` (the pipeline, ``cli.py``,
+    ``experiments/``), ``examples/`` or ``scripts/``."""
+    files = [path for path in PACKAGE.rglob("*.py") if RUNTIME not in path.parents]
+    files += [*(REPO / "examples").rglob("*.py"), *(REPO / "scripts").rglob("*.py")]
+    used = set().union(*(names_in_code(path) for path in files))
+    unreferenced = set(repro.runtime.__all__) - used
+    assert unreferenced == RUNTIME_ALLOWLIST, (
+        "repro.runtime exports nothing outside runtime/ references — route "
+        f"them or delete them: {sorted(unreferenced - RUNTIME_ALLOWLIST)}; "
+        "allowlisted names that are referenced now and should leave the "
+        f"allowlist: {sorted(RUNTIME_ALLOWLIST - unreferenced)}"
     )
 
 

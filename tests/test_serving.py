@@ -3,9 +3,10 @@
 The parity suite asserts the serving layer's core contract:
 ``fit(G)`` followed by ``apply_updates(Δ)`` is **bit-identical** to a
 from-scratch ``fit(G + Δ)``.  Baselines are built by *re-running the
-deterministic generator* (identical dict/set insertion history) and
-mutating the fresh inputs the same way — never ``deepcopy``, which rebuilds
-adjacency sets in iteration order and perturbs detector tie-breaks.
+deterministic generator* and mutating the fresh inputs the same way.  A
+``deepcopy`` of a fitted pipeline is an equal baseline too: division is a
+function of the graph's value, not of its insertion history, so the
+generated fault schedules write to copies of one fit.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.ml.logistic import LogisticRegression
 from repro.runtime import Fault, FaultPlan
 from repro.runtime.executor import ShardedDivisionExecutor
-from repro.runtime.supervisor import ShardSupervisor
 from repro.serve import ServingSession, StreamingMoments, replay_traffic
 from repro.synthetic import make_workload
-from repro.types import LabeledEdge
+from repro.types import LabeledEdge, node_key
 
 
 def _config(detector="label_propagation", model="xgb"):
@@ -479,32 +479,6 @@ class TestWarmModels:
             assert refit.classifier_refit
             assert refit.timings.training > 0.0
 
-    def test_updates_leave_the_batch_runs_checkpoints_alone(self, tmp_path):
-        workload = make_workload("tiny", seed=0)
-        dataset = workload.dataset
-        config = _config()
-        config.resilience.checkpoint_dir = str(tmp_path / "ckpt")
-        batch = ShardedDivisionExecutor(
-            num_shards=4,
-            detector=config.community_detector,
-            resilience=config.resilience,
-        ).run(dataset.graph)
-        written = {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()}
-        assert len(written) == 4
-        with LoCEC(config).fit(
-            dataset.graph,
-            dataset.features,
-            dataset.interactions,
-            workload.train_edges,
-            division=batch.division,
-        ) as pipeline:
-            pair = next(e for e, vector in dataset.interactions.items() if vector.any())
-            delta = np.ones(dataset.interactions.num_dims)
-            pipeline.apply_updates(interaction_deltas=[(pair[0], pair[1], delta)])
-            report = pipeline.apply_updates(added_edges=[_first_non_edge(dataset.graph)])
-            assert report.num_redivided_egos > 0
-        assert {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()} == written
-
     def test_apply_updates_requires_fit(self):
         with pytest.raises(NotFittedError):
             LoCEC(_config()).apply_updates(added_edges=[(0, 1)])
@@ -717,7 +691,7 @@ class TestChaosDegradation:
         pipeline, workload = fitted_tiny
         edge = next(workload.dataset.graph.edges())
         queries = [item.edge for item in workload.test_edges[:10]]
-        # Permanent faults are never retried: with on_shard_failure="skip"
+        # Permanent faults are never retried: every shard is skipped, so
         # every dirty ego degrades to stale service immediately.
         plan = FaultPlan(
             [Fault(shard_id=shard, attempt=0, kind="permanent") for shard in range(4)]
@@ -755,6 +729,101 @@ class TestChaosDegradation:
         assert report.num_updates == 2
         assert report.num_degraded_updates == 0
         assert report.stale_egos == ()
+
+
+@pytest.fixture(scope="module")
+def fitted_seed0():
+    """One seed-0 ``tiny`` fit on a virtual clock; tests write to copies of it.
+    Partitions are a function of the graph's value, so a copy divides like
+    its source."""
+    workload = make_workload("tiny", seed=0)
+    dataset = workload.dataset
+    pipeline = LoCEC(_config(), clock=FakeClock()).fit(
+        dataset.graph, dataset.features, dataset.interactions, workload.train_edges
+    )
+    return pipeline, dataset
+
+
+# A fault on attempt 0 or 1 of one of the (at most four) re-division shards;
+# the default budget of three attempts always leaves a clean last one.
+RECOVERABLE_FAULTS = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.integers(0, 1), st.sampled_from(("transient", "hang", "kill"))
+    ),
+    unique_by=lambda fault: fault[:2],
+    max_size=8,
+)
+
+
+def _plan(faults):
+    return FaultPlan(Fault(s, a, kind, duration=0.01) for s, a, kind in faults)
+
+
+def _dirty_egos(graph, edge):
+    """The egos a write on ``edge`` re-divides, in the order the executor
+    shards them: ``{a, b} ∪ (N(a) ∩ N(b))`` by canonical node key."""
+    u, v = edge
+    return sorted({u, v} | (graph.neighbors(u) & graph.neighbors(v)), key=node_key)
+
+
+class TestGeneratedFaultSchedules:
+    """Seeded fault schedules through ``apply_updates``: a recoverable one
+    changes nothing, a permanent one makes exactly one shard's egos stale."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        faults=RECOVERABLE_FAULTS,
+        kind=st.sampled_from(("add", "remove", "readd")),
+        a=st.integers(0, 10_000),
+    )
+    def test_recoverable_plans_leave_the_write_bit_identical(self, fitted_seed0, faults, kind, a):
+        pipeline, dataset = fitted_seed0
+        write = _drawn_write(kind, a, 0, dataset)
+        clean, faulted = copy.deepcopy(pipeline), copy.deepcopy(pipeline)
+        expected = clean.apply_updates(**write)
+        report = faulted.apply_updates(**write, fault_plan=_plan(faults))
+        assert report.stale_egos == () and not faulted.stale_egos
+        assert report.num_redivided_egos == expected.num_redivided_egos > 0
+        edges = list(clean._graph.edges())
+        assert np.array_equal(
+            faulted.predict_edge_proba(edges), clean.predict_edge_proba(edges)
+        )
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        shard=st.integers(0, 3),
+        faults=RECOVERABLE_FAULTS,
+        new_edge=st.booleans(),
+        a=st.integers(0, 10_000),
+    )
+    def test_a_permanent_fault_makes_its_shards_egos_stale_until_healed(
+        self, fitted_seed0, shard, faults, new_edge, a
+    ):
+        pipeline, dataset = fitted_seed0
+        write = _drawn_write("add" if new_edge else "readd", a, 0, dataset)
+        (edge,) = write["added_edges"]
+        faults = [f for f in faults if f[0] != shard] + [(shard, 0, "permanent")]
+        clean, faulted = copy.deepcopy(pipeline), copy.deepcopy(pipeline)
+        before = {
+            ego: list(communities)
+            for ego, communities in pipeline.division_.communities_by_ego.items()
+        }
+        clean.apply_updates(**write)
+        report = faulted.apply_updates(**write, fault_plan=_plan(faults))
+        dirty = _dirty_egos(faulted._graph, edge)
+        expected_stale = dirty[shard :: min(4, len(dirty))]
+        assert report.stale_egos == tuple(expected_stale)
+        assert faulted.stale_egos == frozenset(expected_stale)
+        for ego in expected_stale:
+            assert faulted.division_.communities_by_ego[ego] == before[ego]
+        # The same edge again, with no plan: an idempotent re-add that
+        # re-divides the same egos and heals them.
+        healed = faulted.apply_updates(added_edges=[edge])
+        assert healed.stale_egos == () and not faulted.stale_egos
+        edges = list(clean._graph.edges())
+        assert np.array_equal(
+            faulted.predict_edge_proba(edges), clean.predict_edge_proba(edges)
+        )
 
 
 class TestServingSession:
@@ -911,13 +980,8 @@ class TestStreamingMoments:
 
 
 def test_resource_owners_close_and_work_as_context_managers():
-    # The pool owners and the two public entry points (which own no pool
-    # today) share one close surface: ``close()`` and the ``with`` form.
-    for owner in (
-        ShardSupervisor,
-        ShardedDivisionExecutor,
-        ServingSession,
-        LoCEC,
-    ):
+    # The executor and the two public entry points share one close surface:
+    # ``close()`` and the ``with`` form.
+    for owner in (ShardedDivisionExecutor, ServingSession, LoCEC):
         for method in ("close", "__enter__", "__exit__"):
             assert callable(getattr(owner, method, None)), (owner.__name__, method)
