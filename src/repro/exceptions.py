@@ -13,11 +13,37 @@ class ReproError(Exception):
     """Base class for every error raised by this library."""
 
 
+def _rebuild_exception(
+    cls: "type[BaseException]", state: dict, args: tuple
+) -> BaseException:
+    """Unpickle helper for exceptions whose ``__init__`` signature does not
+    match ``args`` — rebuilds the instance without re-running ``__init__``."""
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
+class _PicklableErrorMixin:
+    """Gives an exception a signature-independent pickle round-trip.
+
+    ``BaseException.__reduce__`` replays ``__init__(*self.args)``, and
+    ``args`` holds the *formatted message*, not the constructor arguments —
+    so any exception with a custom ``__init__`` signature either fails to
+    unpickle or rebuilds garbled.  Every such class carries this mixin, so a
+    caller that runs the library in its own worker processes gets the
+    library's errors back intact.
+    """
+
+    def __reduce__(self) -> "tuple":  # type: ignore[override]
+        return (_rebuild_exception, (type(self), self.__dict__, self.args))
+
+
 class GraphError(ReproError):
     """Base class for errors raised by the graph substrate."""
 
 
-class NodeNotFoundError(GraphError, KeyError):
+class NodeNotFoundError(_PicklableErrorMixin, GraphError, KeyError):
     """A referenced node does not exist in the graph."""
 
     def __init__(self, node: object) -> None:
@@ -25,7 +51,7 @@ class NodeNotFoundError(GraphError, KeyError):
         self.node = node
 
 
-class EdgeNotFoundError(GraphError, KeyError):
+class EdgeNotFoundError(_PicklableErrorMixin, GraphError, KeyError):
     """A referenced edge does not exist in the graph."""
 
     def __init__(self, u: object, v: object) -> None:
@@ -33,7 +59,7 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.edge = (u, v)
 
 
-class SelfLoopError(GraphError, ValueError):
+class SelfLoopError(_PicklableErrorMixin, GraphError, ValueError):
     """An operation attempted to add a self-loop, which the model forbids."""
 
     def __init__(self, node: object) -> None:
@@ -49,7 +75,7 @@ class CommunityError(ReproError):
     """Errors raised by the community-detection algorithms."""
 
 
-class NotFittedError(ReproError, RuntimeError):
+class NotFittedError(_PicklableErrorMixin, ReproError, RuntimeError):
     """An estimator was used before being fitted."""
 
     def __init__(self, estimator: object = None) -> None:
@@ -90,7 +116,7 @@ class ExperimentError(ReproError):
 
 
 # --------------------------------------------------------------- graph IO
-class EdgeListError(GraphError, DatasetError):
+class EdgeListError(_PicklableErrorMixin, GraphError, DatasetError):
     """Base class for edge-list / labeled-edge parsing errors.
 
     Derives from both :class:`GraphError` (the data is graph input) and
@@ -122,7 +148,7 @@ class ExecutorError(PipelineError):
     """Base class for failures inside the sharded execution runtime."""
 
 
-class ShardTimeoutError(ExecutorError):
+class ShardTimeoutError(_PicklableErrorMixin, ExecutorError):
     """A shard attempt hung (a simulated stall); retryable by default."""
 
     def __init__(self, shard_id: int, timeout_seconds: float) -> None:
@@ -133,7 +159,7 @@ class ShardTimeoutError(ExecutorError):
         self.timeout_seconds = timeout_seconds
 
 
-class WorkerCrashError(ExecutorError):
+class WorkerCrashError(_PicklableErrorMixin, ExecutorError):
     """A shard's worker crashed mid-attempt (a simulated kill); retryable."""
 
     def __init__(self, shard_id: int | None = None, detail: str = "") -> None:

@@ -46,6 +46,12 @@ class InjectedFaultError(ReproError):
         self.shard_id = shard_id
         self.attempt = attempt
 
+    def __reduce__(
+        self,
+    ) -> "tuple[type[InjectedFaultError], tuple[int, int]]":
+        # Survive a pickle round trip: rebuild from the constructor arguments.
+        return (type(self), (self.shard_id, self.attempt))
+
 
 class TransientInjectedError(InjectedFaultError):
     """A synthetic transient failure; retry policies classify it retryable."""

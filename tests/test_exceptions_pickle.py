@@ -1,13 +1,13 @@
 """Pickle-safety audit of the exception hierarchy.
 
-The sharded execution runtime ships exceptions across process boundaries as
-first-class results, so *every* exception class in :mod:`repro.exceptions`
-and the ``repro.runtime`` modules must survive ``pickle.dumps``/``loads``
-with its message and attributes intact.  ``BaseException.__reduce__``
-replays ``__init__(*args)`` with the *formatted message*, so any class with
-a custom ``__init__`` signature needs ``_PicklableErrorMixin`` (or its own
-``__reduce__``) — lint rule ``MP002`` enforces the convention statically;
-this suite proves it dynamically.
+A caller that runs the library in its own worker processes (a
+``concurrent.futures`` pool, a test runner's workers) gets the library's
+errors back through pickle, so *every* exception class in
+:mod:`repro.exceptions` and the ``repro.runtime`` modules must survive
+``pickle.dumps``/``loads`` with its message and attributes intact.
+``BaseException.__reduce__`` replays ``__init__(*args)`` with the *formatted
+message*, so any class with a custom ``__init__`` signature needs
+``_PicklableErrorMixin`` (or its own ``__reduce__``).
 
 The audit is discovery-based: a class added to the hierarchy without a
 representative instance below fails ``test_audit_covers_every_class``.
@@ -29,7 +29,6 @@ import repro.runtime.resilience  # noqa: F401
 import repro.runtime.scalability  # noqa: F401
 import repro.runtime.sharding  # noqa: F401
 from repro.exceptions import (
-    CheckpointError,
     CommunityError,
     DatasetError,
     DimensionMismatchError,
@@ -47,9 +46,7 @@ from repro.exceptions import (
     NotFittedError,
     PipelineError,
     ReproError,
-    RetryExhaustedError,
     SelfLoopError,
-    ShardFailedError,
     ShardTimeoutError,
     TrainingDivergedError,
     WorkerCrashError,
@@ -80,17 +77,11 @@ REPRESENTATIVES = [
     MalformedLineError("data/edges.txt", 3, "expected 2 fields, got 1"),
     NonFiniteWeightError("data/edges.txt", 9, "weight is NaN"),
     DuplicateEdgeError("data/edges.txt", 5, "edge (1, 2) repeated"),
-    ExecutorError("pool wedged"),
-    ShardFailedError(3, 2, ValueError("boom")),
-    # Cause is deliberately not an OSError subclass: stdlib OSError
-    # subtypes demote to OSError at pickle protocols 0/1, which would
-    # test CPython, not this hierarchy.
-    RetryExhaustedError(4, 5, RuntimeError("still down")),
+    ExecutorError("shard runtime failure"),
     ShardTimeoutError(2, 1.5),
     PermanentInjectedError(0, 0),
     WorkerCrashError(6, "hard kill"),
     WorkerCrashError(),
-    CheckpointError("cannot write shard 3 checkpoint"),
     InjectedFaultError(1, 0),
     TransientInjectedError(2, 1),
 ]
@@ -128,7 +119,7 @@ def test_round_trip_survives_all_protocols(exc):
 
 
 def test_restored_exceptions_keep_their_catch_contracts():
-    # The fine-grained hierarchy is part of the API: supervisors catch by
+    # The fine-grained hierarchy is part of the API: callers catch by
     # base class after the round trip.
     restored = pickle.loads(pickle.dumps(NodeNotFoundError(9)))
     assert isinstance(restored, (GraphError, KeyError))

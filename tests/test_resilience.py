@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
@@ -150,6 +151,14 @@ class TestFaultPlan:
         # fault beyond attempt index 1, so every shard can still succeed.
         assert all(fault.attempt < 2 for fault in plans[0])
         assert len(plans[0]) > 0
+
+    def test_injected_errors_survive_pickling(self):
+        for error in (TransientInjectedError(3, 1), PermanentInjectedError(2, 0)):
+            clone = pickle.loads(pickle.dumps(error))
+            assert type(clone) is type(error)
+            assert (clone.shard_id, clone.attempt) == (error.shard_id, error.attempt)
+        timeout = pickle.loads(pickle.dumps(ShardTimeoutError(4, 2.5)))
+        assert timeout.shard_id == 4 and timeout.timeout_seconds == 2.5
 
 # ---------------------------------------------------------- shard validation
 class TestShardValidation:
