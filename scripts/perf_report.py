@@ -20,13 +20,23 @@ Usage::
 
 The per-benchmark result is the *best* of ``--repeats`` runs, which is the
 standard way to suppress scheduler noise for CPU-bound micro-benchmarks.
+The two sides of each speedup pair are timed in interleaved rounds
+(alternating which goes first), and the pair's speedup is the median of
+the per-round ratios: the host here changes speed in steps lasting
+seconds, which moves both sides of a round together but can land on one
+side's whole best-of block.  In a round each side runs a block of calls
+lasting at least ``PAIR_BLOCK_SECONDS``, so a millisecond kernel is not
+read off one call.  The spread of the per-round ratios is printed beside
+each speedup.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 from pathlib import Path
 from typing import Callable
@@ -55,6 +65,10 @@ SCHEMA_VERSION = 1
 # evidence, like gbdt_fit_small_hist) would flap on scheduler noise.
 RATIO_GATE_MIN_SPEEDUP = 1.5
 
+# Shortest block of calls one side of a speedup pair runs in a round: one
+# call of a ~2 ms kernel read 8.3x-17.8x against its oracle within one run.
+PAIR_BLOCK_SECONDS = 0.05
+
 # Routed-kernel vs oracle speedup pairs: csr/dict for the graph +
 # aggregation kernels, array/node for the tree-model kernels against the
 # oracle in tests/exact_reference.py, fused/loop for the NN engine against
@@ -73,7 +87,7 @@ SPEEDUP_PAIRS = (
 class SelfTimedBenchmark:
     """A benchmark whose callable *returns* its seconds-per-op.
 
-    Most benchmarks are wall-clocked from the outside by :func:`measure`.
+    Most benchmarks are wall-clocked from the outside by :func:`_sample`.
     Benchmarks wrapped in this class instead report their own duration —
     used by ``serving_replay``, which reports the replay's own
     clock-injected wall-clock.
@@ -83,43 +97,59 @@ class SelfTimedBenchmark:
         self.function = function
 
 
-def _time_once(function: Callable[[], object], clock: Clock) -> float:
+def _sample(function: Callable[[], object] | SelfTimedBenchmark, clock: Clock) -> float:
+    """Seconds of one call, wall-clocked on the injectable ``clock`` (the
+    abstraction the runtime uses, so the lint engine's determinism rules
+    apply to this script unmodified), or as a self-timed benchmark reports
+    them."""
+    if isinstance(function, SelfTimedBenchmark):
+        return float(function.function())
     start = clock.perf_counter()
     function()
     return clock.perf_counter() - start
 
 
-def measure(
-    function: Callable[[], object], repeats: int, clock: Clock | None = None
-) -> dict[str, float]:
-    """Best-of-``repeats`` wall-clock timing for one benchmark callable.
-
-    The time source is an injectable :class:`repro.clock.Clock` (default
-    ``SystemClock``) — same abstraction the runtime uses, so the lint
-    engine's determinism rules apply to this script unmodified.
-    """
-    clock = clock or SystemClock()
-    best = min(_time_once(function, clock) for _ in range(repeats))
-    best = max(best, 1e-9)
-    return {
+def _result(samples: list[float], self_timed: bool = False) -> dict[str, float]:
+    """The best of ``samples`` as a report entry."""
+    best = max(min(samples), 1e-9)
+    result = {
         "seconds_per_op": best,
         "ops_per_sec": 1.0 / best,
-        "repeats": repeats,
+        "repeats": len(samples),
     }
+    if self_timed:
+        result["self_timed"] = True
+    return result
 
 
-def measure_self_timed(
-    benchmark: SelfTimedBenchmark, repeats: int
-) -> dict[str, float]:
-    """Best-of-``repeats`` for a benchmark that reports its own seconds."""
-    best = min(float(benchmark.function()) for _ in range(repeats))
-    best = max(best, 1e-9)
-    return {
-        "seconds_per_op": best,
-        "ops_per_sec": 1.0 / best,
-        "repeats": repeats,
-        "self_timed": True,
-    }
+def measure_pair(
+    fast: Callable[[], object] | SelfTimedBenchmark,
+    reference: Callable[[], object] | SelfTimedBenchmark,
+    rounds: int,
+    clock: Clock,
+) -> tuple[list[float], list[float]]:
+    """Seconds per call of ``fast`` and of ``reference`` over ``rounds``
+    interleaved rounds, the reference first in even rounds and second in
+    odd ones.  A side's sample is the mean of a block of calls sized, from
+    one call, to last at least :data:`PAIR_BLOCK_SECONDS`."""
+    fast_calls, reference_calls = (
+        max(1, math.ceil(PAIR_BLOCK_SECONDS / max(_sample(side, clock), 1e-9)))
+        for side in (fast, reference)
+    )
+
+    def block(side: Callable[[], object] | SelfTimedBenchmark, calls: int) -> float:
+        return sum(_sample(side, clock) for _ in range(calls)) / calls
+
+    fast_samples: list[float] = []
+    reference_samples: list[float] = []
+    for round_index in range(rounds):
+        if round_index % 2 == 0:
+            reference_samples.append(block(reference, reference_calls))
+            fast_samples.append(block(fast, fast_calls))
+        else:
+            fast_samples.append(block(fast, fast_calls))
+            reference_samples.append(block(reference, reference_calls))
+    return fast_samples, reference_samples
 
 
 def _dense_sample_graph(num_nodes: int, probability: float, seed: int = 0):
@@ -385,43 +415,65 @@ def build_benchmarks(
     return benchmarks
 
 
+def speedup_pairs(names: list[str]) -> list[tuple[str, str, str]]:
+    """``(derived key, fast name, reference name)`` for every benchmark pair
+    :data:`SPEEDUP_PAIRS` matches among ``names``."""
+    pairs = []
+    for fast, reference, key_suffix in SPEEDUP_PAIRS:
+        for name in names:
+            if name.endswith(fast):
+                twin = name[: -len(fast)] + reference
+                if twin in names:
+                    pairs.append((f"speedup_{name[: -len(fast)]}{key_suffix}", name, twin))
+    return pairs
+
+
 def run_suite(quick: bool, repeats: int) -> dict:
+    """Time every benchmark; each speedup pair in ``repeats`` interleaved
+    rounds, the rest ``repeats`` times in a row.  A benchmark's result is
+    the best of all its samples, a speedup the median of its per-round
+    ratios."""
     benchmarks = build_benchmarks(quick)
-    results: dict[str, dict[str, float]] = {}
+    pairs = speedup_pairs(list(benchmarks))
+    paired = {name for _, fast, reference in pairs for name in (fast, reference)}
+    clock = SystemClock()
+    samples: dict[str, list[float]] = {}
     for name, function in benchmarks.items():
-        if isinstance(function, SelfTimedBenchmark):
-            function.function()  # warm-up (compile caches)
-            results[name] = measure_self_timed(function, repeats)
-            print(
-                f"{name:32s} {results[name]['seconds_per_op'] * 1e3:10.2f} ms/op "
-                f"({results[name]['ops_per_sec']:10.3f} ops/s, self-timed)"
-            )
-            continue
-        function()  # warm-up (imports, allocator, caches)
-        results[name] = measure(function, repeats)
-        print(
-            f"{name:32s} {results[name]['seconds_per_op'] * 1e3:10.2f} ms/op "
-            f"({results[name]['ops_per_sec']:10.3f} ops/s)"
+        _sample(function, clock)  # warm-up (imports, allocator, compile caches)
+        if name not in paired:
+            samples[name] = [_sample(function, clock) for _ in range(repeats)]
+    derived: dict[str, float] = {}
+    spread: dict[str, tuple[float, float]] = {}
+    for key, fast, reference in pairs:
+        fast_samples, reference_samples = measure_pair(
+            benchmarks[fast], benchmarks[reference], repeats, clock
         )
-    report = {
+        samples.setdefault(fast, []).extend(fast_samples)
+        samples.setdefault(reference, []).extend(reference_samples)
+        ratios = [
+            slow / max(quicker, 1e-9) for slow, quicker in zip(reference_samples, fast_samples)
+        ]
+        derived[key] = statistics.median(ratios)
+        spread[key] = (min(ratios), max(ratios))
+    results = {
+        name: _result(samples[name], isinstance(function, SelfTimedBenchmark))
+        for name, function in benchmarks.items()
+    }
+    for name, result in results.items():
+        note = ", self-timed" if result.get("self_timed") else ""
+        print(
+            f"{name:32s} {result['seconds_per_op'] * 1e3:10.2f} ms/op "
+            f"({result['ops_per_sec']:10.3f} ops/s{note})"
+        )
+    for key, value in sorted(derived.items()):
+        low, high = spread[key]
+        print(f"{key:40s} {value:6.2f}x  (rounds {low:.2f}-{high:.2f}x)")
+    return {
         "schema": SCHEMA_VERSION,
         "quick": quick,
         "benchmarks": results,
-        "derived": {},
+        "derived": derived,
     }
-    for fast, reference, key_suffix in SPEEDUP_PAIRS:
-        for name in list(results):
-            if name.endswith(fast):
-                twin = name[: -len(fast)] + reference
-                if twin in results:
-                    speedup = results[twin]["seconds_per_op"] / results[name][
-                        "seconds_per_op"
-                    ]
-                    key = f"speedup_{name[: -len(fast)]}{key_suffix}"
-                    report["derived"][key] = speedup
-    for key, value in sorted(report["derived"].items()):
-        print(f"{key:40s} {value:6.2f}x")
-    return report
 
 
 def check_regressions(report: dict, baseline_path: Path) -> list[str]:

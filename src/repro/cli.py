@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="per-attempt fault probability injected into update re-divisions; "
-        "0 = fault-free replay (default: 0.0)",
+        "their backoff and hangs pass in virtual time, printed as "
+        "supervision_virtual_sleep_s; 0 = fault-free replay (default: 0.0)",
     )
 
     lint_parser = subparsers.add_parser(
@@ -221,6 +222,7 @@ def _command_serve_replay(
     queries_per_batch: int,
     fault_rate: float,
 ) -> int:
+    from repro.clock import FakeClock
     from repro.core.config import LoCECConfig
     from repro.core.pipeline import LoCEC
     from repro.runtime import FaultPlan
@@ -229,7 +231,12 @@ def _command_serve_replay(
     workload = make_workload(scale=scale, seed=seed)
     config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 10
-    pipeline = LoCEC(config)
+    # Supervision backs off, and injected hangs stall, on the pipeline's
+    # clock: a virtual one, so the replay times the work of each write and
+    # no injected sleep.  The session keeps the system clock, so latency
+    # and QPS are real.
+    supervision_clock = FakeClock()
+    pipeline = LoCEC(config, clock=supervision_clock)
     pipeline.fit(
         workload.dataset.graph,
         features=workload.dataset.features,
@@ -257,6 +264,7 @@ def _command_serve_replay(
         print(f"{key}: {value:.6g}")
     stats = session.stats
     print(f"labeler refits {stats.num_labeler_refits}/{stats.num_updates} updates")
+    print(f"supervision_virtual_sleep_s: {sum(supervision_clock.sleeps):.6g}")
     for name, latency in (
         ("query", report.query_latency),
         ("update", report.update_latency),

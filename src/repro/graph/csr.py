@@ -20,9 +20,11 @@ product route selects it:
   cliques, trees and tiny components are scored in closed form, and every
   other component a round dirties, across all egos, goes to one batched
   all-sources Brandes kernel on padded ``(B, P, P)`` adjacency stacks.
-  Each ego's sweep stops once an exact integer modularity bound shows no
-  later level can beat the best one, instead of running down to
-  singletons as the oracle does.
+  A round's stacks are gathered, quantized and argmaxed in array ops from
+  call-wide edge tables, so no Python runs per edge between the kernel and
+  the next removal.  Each ego's sweep stops once an exact integer
+  modularity bound shows no later level can beat the best one, instead of
+  running down to singletons as the oracle does.
 * :func:`edge_betweenness_csr` — that kernel on a stack of one whole
   graph, public as its test and perf-gate handle.
 
@@ -513,24 +515,26 @@ _STACK_SIDE = 8
 of ``n`` nodes always lands in a stack of side ``ceil(n / 8) * 8``,
 whatever else shares its round.  Finer buckets mean more, smaller stacks
 per round; coarser ones spend ``side ** 3`` work on padding.  On
-``division_dense`` (components of 7-23 nodes, so three buckets) sides of
-4, 6, 8 and 12 measured within noise of each other."""
+``division_dense`` (components of 7-23 nodes, so three buckets) ``divide``
+took 189, 191, 185 and 194 ms at sides 4, 6, 8 and 12: within noise of
+each other (medians of 12 interleaved runs on a 2-core host)."""
 
 _STACK_CELLS = 1 << 13
 """Most matrix cells in one Brandes stack; a bucket with more requests is
 cut into several stacks.  The kernel holds seven float64 arrays of the
 stack's size, so this caps its working set near 0.5 MiB (14 components of
-17-24 nodes, 128 of up to 8).  Twice or half this measured within noise on
-``division_dense``; unbounded stacks (a whole round's bucket) added ~1 MiB
-to a fit's peak RSS there."""
+17-24 nodes, 128 of up to 8).  ``divide`` on ``division_dense`` took 176,
+177 and 191 ms at half, one and twice this (medians of 12 interleaved
+runs); unbounded stacks (a whole round's bucket) added ~1 MiB to a fit's
+peak RSS there, measured before a round's values were scored as arrays."""
 
 _GN_WINDOW = 64
 """Most engines stepping in lockstep; the next ego starts as one finishes.
 The width is what shares a NumPy call's fixed cost: ``divide`` on
-``division_dense`` (66 egos, one window) took 0.30 s at 16, 0.29 s at 32
-and 0.26 s at 64 (medians of 15 interleaved runs on a 2-core host, with
-the stop rule).  The bound keeps the live engines' Python state (~14 KB
-each there) from growing with the number of egos in a call."""
+``division_dense`` (66 egos) took 263, 212, 205 and 192 ms at 16, 32, 64
+and 128 (medians of 12 interleaved runs on a 2-core host).  The bound
+keeps the live engines' Python state (~14 KB each there, measured before
+the engines had slots) from growing with the number of egos in a call."""
 
 _EXACT_STOP_MAX_EDGES = 1 << 14
 """Largest ego net, in edges, on which :class:`_GNEngine` stops its sweep
@@ -591,13 +595,15 @@ class _GNEngine:
     applies inline, so :meth:`advance` keeps stepping until a dirtied
     component needs Brandes and hands those back; the driver,
     :func:`girvan_newman_dense`, scores every engine's requests of a round
-    with one batched kernel and returns the values through :meth:`take`.
-    Results are identical to ``girvan_newman_levels``: values are quantized
-    to 9 decimals before the argmax on both backends, which absorbs the
-    summation-order ulps, and both emit the blocks of a partition in
-    canonical order — by their smallest member under
-    :data:`repro.types.node_key` — which is also the order modularity is
-    accumulated in.  Nodes and edges arrive ranked by
+    with one batched kernel and sets each one's top edge (``best_key`` /
+    ``best_eid``) in array ops.  Results are identical to
+    ``girvan_newman_levels``: values are quantized to 9 decimals before
+    the argmax on both backends — Python's ``round(v, 9)`` in the oracle
+    and the closed forms, its bit-identical array form :func:`_quantize`
+    on the Brandes path — which absorbs the summation-order ulps, and both
+    emit the blocks of a partition in canonical order — by their smallest
+    member under :data:`repro.types.node_key` — which is also the order
+    modularity is accumulated in.  Nodes and edges arrive ranked by
     :func:`girvan_newman_dense` (``position``: node_key order;
     ``edge_rank``: edge_key order, where betweenness ties go to the
     larger); a rank over a whole call restricted to one net keeps that
@@ -641,11 +647,58 @@ class _GNEngine:
     components it handed to Brandes.
     """
 
-    def __init__(self, net: DenseEgoNet, position: list[int], edge_rank: list[int]) -> None:
+    # Slots, not an instance dict: past 30 attributes CPython drops the
+    # shared-key layout and every attribute read in the sweep gets slower.
+    __slots__ = (
+        "k",
+        "position",
+        "edge_rank",
+        "tables",
+        "node_base",
+        "edge_base",
+        "edge_u",
+        "edge_v",
+        "adj_nbr",
+        "adj_eid",
+        "rounded",
+        "node_comp",
+        "comps",
+        "_edged",
+        "_next_comp_id",
+        "_deg0",
+        "_square0",
+        "_m0",
+        "_m4",
+        "_num",
+        "_bound",
+        "_best_num",
+        "_exact",
+        "_parent",
+        "_size",
+        "_visited",
+        "best_q",
+        "best_blocks",
+        "num_removals",
+        "num_brandes_requests",
+        "_dirty",
+    )
+
+    def __init__(
+        self,
+        net: DenseEgoNet,
+        position: list[int],
+        edge_rank: list[int],
+        tables: _CallTables,
+        node_base: int,
+        edge_base: int,
+    ) -> None:
         k = net.num_nodes
         self.k = k
         self.position = position
         self.edge_rank = edge_rank
+        self.tables = tables
+        self.node_base = node_base
+        self.edge_base = edge_base
         eu = net.eu.tolist()
         ev = net.ev.tolist()
         self.edge_u = eu
@@ -679,11 +732,10 @@ class _GNEngine:
         self._best_num: float = float("-inf")
         self._exact = self._m0 <= _EXACT_STOP_MAX_EDGES
         # Scratch: parent edge / subtree size for the tree sweep, visited
-        # flags for the split check, local slot per node for Brandes stacks.
+        # flags for the split check.
         self._parent = [-1] * k
         self._size = [0.0] * k
         self._visited = [False] * k
-        self.slot = [0] * k
         self.best_q = float("-inf")
         self.best_blocks: list[list[int]] = []
         self.num_removals = 0
@@ -796,14 +848,6 @@ class _GNEngine:
         self._set_best(comp)
         return True
 
-    def take(self, comp: _Component, values: list[float]) -> None:
-        """Store rounded Brandes values for ``comp``'s edges (in ``edge_ids``
-        order)."""
-        rounded = self.rounded
-        for eid, value in zip(comp.edge_ids, values):
-            rounded[eid] = value
-        self._set_best(comp)
-
     def _set_best(self, comp: _Component) -> None:
         rounded = self.rounded
         edge_rank = self.edge_rank
@@ -887,8 +931,8 @@ class _GNEngine:
         form, and return them for Brandes; ``[]`` once no edge is left or
         no later level can beat the best one (the stop rule).
 
-        The caller scores each returned component through :meth:`take`
-        before calling again.
+        The caller sets each returned component's ``best_key`` /
+        ``best_eid`` before calling again.
         """
         dirty = self._dirty
         edged = self._edged
@@ -1012,60 +1056,138 @@ class _GNEngine:
 
 
 def _score(requests: list[tuple[_GNEngine, _Component]]) -> None:
-    """Run one round's Brandes requests as padded stacks, one per side."""
+    """Score one round's Brandes requests and set each component's top edge.
+
+    Requests are bucketed by padded side and each bucket is cut into stacks
+    of at most :data:`_STACK_CELLS` cells; only the adjacency scatter and
+    :func:`_brandes_through` run per stack.  Everything else runs once over
+    the whole round, gathered from the call's :class:`_CallTables`: one
+    ``fromiter`` each over the requests' nodes and edges, shifted to call
+    ids (a component's ``i``-th node takes slot ``i`` of its matrix), one
+    :func:`_quantize`, and one segmented argmax — per request the largest
+    value wins and ties go to the larger edge rank, as ``_set_best``
+    decides for the closed forms.
+    """
+    if not requests:
+        return
     buckets: dict[int, list[tuple[_GNEngine, _Component]]] = {}
     for request in requests:
         side = -(-len(request[1].nodes) // _STACK_SIDE) * _STACK_SIDE
         buckets.setdefault(side, []).append(request)
+    ordered = list(chain.from_iterable(buckets.values()))
+    engines = [engine for engine, _ in ordered]
+    comps = [comp for _, comp in ordered]
+    stacks: list[tuple[int, int, int]] = []
+    sides: list[int] = []
+    rows: list[int] = []
     for side, bucket in buckets.items():
         height = max(1, _STACK_CELLS // (side * side))
         for start in range(0, len(bucket), height):
-            _score_stack(side, bucket[start : start + height])
+            size = min(height, len(bucket) - start)
+            stacks.append((side, len(rows), size))
+            sides += [side] * size
+            rows += range(size)
+    node_counts = np.array([len(comp.nodes) for comp in comps])
+    edge_counts = np.array([len(comp.edge_ids) for comp in comps])
+    tables = engines[0].tables
+    nodes = np.fromiter(
+        chain.from_iterable(comp.nodes for comp in comps), np.int64, int(node_counts.sum())
+    )
+    nodes += np.repeat(np.array([engine.node_base for engine in engines]), node_counts)
+    local = np.fromiter(
+        chain.from_iterable(comp.edge_ids for comp in comps), np.int64, int(edge_counts.sum())
+    )
+    edges = local + np.repeat(np.array([engine.edge_base for engine in engines]), edge_counts)
+    tables.slot[nodes] = np.arange(nodes.size) - np.repeat(
+        np.cumsum(node_counts) - node_counts, node_counts
+    )
+    u = tables.slot[tables.edge_u[edges]]
+    v = tables.slot[tables.edge_v[edges]]
+    # Flat positions of each edge, u -> v and v -> u, in its stack.
+    edge_side = np.repeat(np.array(sides), edge_counts)
+    cell = np.repeat(np.array(rows) * np.array(sides) ** 2, edge_counts)
+    forward = cell + u * edge_side + v
+    backward = cell + v * edge_side + u
+    edge_starts = np.cumsum(edge_counts) - edge_counts
+    bounds = np.append(edge_starts, edges.size).tolist()
+    both_ways = np.empty(edges.size)
+    for width, first, height in stacks:
+        part = slice(bounds[first], bounds[first + height])
+        adjacency = np.zeros(height * width * width)
+        adjacency[forward[part]] = 1.0
+        adjacency[backward[part]] = 1.0
+        through = _brandes_through(adjacency.reshape(height, width, width)).ravel()
+        np.add(through[forward[part]], through[backward[part]], out=both_ways[part])
+    values = _quantize(both_ways / 2.0)
+    best = np.maximum.reduceat(values, edge_starts)
+    tied = np.where(values == np.repeat(best, edge_counts), tables.edge_rank[edges], -1)
+    best_rank = np.maximum.reduceat(tied, edge_starts)
+    best_eid = local[tied == np.repeat(best_rank, edge_counts)]
+    for comp, value, rank, eid in zip(comps, best.tolist(), best_rank.tolist(), best_eid.tolist()):
+        comp.best_key = (value, rank)
+        comp.best_eid = eid
 
 
-def _score_stack(side: int, stack: list[tuple[_GNEngine, _Component]]) -> None:
-    """Score one padded stack of same-side Brandes requests."""
-    us: list[int] = []
-    vs: list[int] = []
-    counts: list[int] = []
-    for engine, comp in stack:
-        slot = engine.slot
-        for i, node in enumerate(comp.nodes):
-            slot[node] = i
-        edge_u, edge_v = engine.edge_u, engine.edge_v
-        us += [slot[edge_u[eid]] for eid in comp.edge_ids]
-        vs += [slot[edge_v[eid]] for eid in comp.edge_ids]
-        counts.append(len(comp.edge_ids))
-    # Flat positions of each edge, u -> v and v -> u, in the stack.
-    base = np.repeat(np.arange(0, len(stack) * side * side, side * side), counts)
-    u, v = np.array(us), np.array(vs)
-    forward = base + u * side + v
-    backward = base + v * side + u
-    adjacency = np.zeros(len(stack) * side * side)
-    adjacency[forward] = 1.0
-    adjacency[backward] = 1.0
-    through = _brandes_through(adjacency.reshape(len(stack), side, side)).ravel()
-    values = (through[forward] + through[backward]) / 2.0
-    # Python's round(., 9) per value, as the oracle quantizes; a stack
-    # repeats most of its values, so each distinct one is rounded once.
-    distinct, inverse = np.unique(values, return_inverse=True)
-    rounded = np.array([round(value, 9) for value in distinct.tolist()])
-    values = rounded[inverse].tolist()
-    start = 0
-    for (engine, comp), count in zip(stack, counts):
-        engine.take(comp, values[start : start + count])
-        start += count
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """``[round(v, 9) for v in values]`` bit for bit, in array ops.
+
+    CPython's ``round(v, 9)`` rounds the exact decimal value ``y = v·10⁹``
+    to an integer ``k`` (half to even) and returns the double nearest
+    ``k·10⁻⁹``.  Here ``p = fl(v · 1e9)`` is that product rounded once
+    (``1e9`` is exact), so ``|p − y| ≤ ulp(p) / 2``.  Wherever ``p`` lies
+    more than 2 ulps from every half-integer, no half-integer lies between
+    ``p`` and ``y`` and neither is one, so ``rint(p)`` is the same ``k``;
+    ``k`` and ``1e9`` are exact doubles and IEEE division rounds correctly,
+    so ``k / 1e9`` is the double nearest ``k·10⁻⁹`` as well.  The values
+    within 2 ulps of a half-integer fall back to Python's ``round``: ties
+    and near-ties, every ``p`` from 2⁵⁰ up (past 2⁵² half-integers are not
+    doubles, and ``rint(p)`` can be an integer away from ``k``), and any
+    non-finite ``p``.  Below 2⁵⁰ the margin is wider than it must be —
+    rounding is monotone, so ``p`` can land on a half-integer next to ``y``
+    but not cross it — and costs only a few fallbacks.
+    """
+    scaled = values * 1e9
+    quantized = np.rint(scaled) / 1e9
+    off_half = np.abs(scaled - np.floor(scaled) - 0.5)
+    near = ~(off_half > 2.0 * np.spacing(np.abs(scaled)))
+    if near.any():
+        quantized[near] = [round(value, 9) for value in values[near].tolist()]
+    return quantized
 
 
-def _call_ranks(nets: Sequence[DenseEgoNet]) -> list[tuple[list[int], list[int]]]:
+@dataclass
+class _CallTables:
+    """The arrays of one :func:`girvan_newman_dense` call that every round's
+    Brandes stacks are gathered from.
+
+    A node's *call id* is its local index plus its net's node offset, an
+    edge's its local id plus its net's edge offset (nets concatenated in
+    call order).
+    """
+
+    edge_u: np.ndarray
+    """Call id of each edge's ``eu`` endpoint."""
+    edge_v: np.ndarray
+    """Call id of each edge's ``ev`` endpoint."""
+    edge_rank: np.ndarray
+    """Each edge's rank in edge_key order over the whole call."""
+    slot: np.ndarray
+    """Scratch: each node's position in the component being stacked."""
+
+
+_NetRanks = tuple[list[int], list[int], _CallTables, int, int]
+
+
+def _call_ranks(nets: Sequence[DenseEgoNet]) -> list[_NetRanks]:
     """Rank the nodes of ``nets`` in node_key order and their edges in
     edge_key order, once for the whole call.
 
     The nets come from one :class:`CSRGraph`, so a node's index there names
     it in every net it appears in, and each node's key and each edge's
     ``edge_key`` string is spelled once however many nets share it.
-    Returns, per net, its nodes' ranks and its edges' (``eu``/``ev`` order);
-    only their order within a net matters to the engine.
+    Returns, per net, its nodes' ranks and its edges' (``eu``/``ev`` order)
+    — only their order within a net matters to the engine — then the
+    call's :class:`_CallTables` and the net's node and edge offsets in them.
     """
     if not nets:
         return []
@@ -1078,9 +1200,14 @@ def _call_ranks(nets: Sequence[DenseEgoNet]) -> list[tuple[list[int], list[int]]
     rank[order] = np.arange(len(keys))
     node_rank = rank[inverse]
     sizes = [net.num_nodes for net in nets]
-    offset = np.repeat(np.cumsum(sizes) - sizes, [net.num_edges for net in nets])
-    ru = node_rank[np.concatenate([net.eu for net in nets]) + offset]
-    rv = node_rank[np.concatenate([net.ev for net in nets]) + offset]
+    counts = [net.num_edges for net in nets]
+    node_base = np.cumsum(sizes) - sizes
+    edge_base = np.cumsum(counts) - counts
+    offset = np.repeat(node_base, counts)
+    edge_u = np.concatenate([net.eu for net in nets]) + offset
+    edge_v = np.concatenate([net.ev for net in nets]) + offset
+    ru = node_rank[edge_u]
+    rv = node_rank[edge_v]
     width = max(len(keys), 1)
     codes, edge_inverse = np.unique(
         np.minimum(ru, rv) * width + np.maximum(ru, rv), return_inverse=True
@@ -1092,15 +1219,20 @@ def _call_ranks(nets: Sequence[DenseEgoNet]) -> list[tuple[list[int], list[int]]
     ]
     edge_rank = np.empty(len(spelled), dtype=np.int64)
     edge_rank[sorted(range(len(spelled)), key=spelled.__getitem__)] = np.arange(len(spelled))
+    call_rank = edge_rank[edge_inverse]
+    tables = _CallTables(edge_u, edge_v, call_rank, np.zeros(index.size, dtype=np.int64))
     node_ranks = node_rank.tolist()
-    edge_ranks = edge_rank[edge_inverse].tolist()
-    ranks: list[tuple[list[int], list[int]]] = []
-    node_start = edge_start = 0
-    for net in nets:
-        node_stop, edge_stop = node_start + net.num_nodes, edge_start + net.num_edges
-        ranks.append((node_ranks[node_start:node_stop], edge_ranks[edge_start:edge_stop]))
-        node_start, edge_start = node_stop, edge_stop
-    return ranks
+    edge_ranks = call_rank.tolist()
+    return [
+        (
+            node_ranks[node_start : node_start + net.num_nodes],
+            edge_ranks[edge_start : edge_start + net.num_edges],
+            tables,
+            node_start,
+            edge_start,
+        )
+        for net, node_start, edge_start in zip(nets, node_base.tolist(), edge_base.tolist())
+    ]
 
 
 def girvan_newman_dense(nets: Sequence[DenseEgoNet]) -> list[list[list[int]]]:

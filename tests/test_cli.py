@@ -55,3 +55,18 @@ class TestCommands:
         assert features is not None and interactions is not None
         assert len(labels) > 0
         assert "wrote" in capsys.readouterr().out
+
+    def test_faulted_serve_replay_sleeps_in_virtual_time(self, capsys, monkeypatch):
+        # Injected hangs and retry backoff stall on the pipeline's virtual
+        # clock; a real sleep anywhere in the replay fails the run.
+        def no_sleep(seconds):
+            raise AssertionError(f"serve-replay slept {seconds} s of real time")
+
+        monkeypatch.setattr("time.sleep", no_sleep)
+        argv = ["serve-replay", "--scale", "tiny", "--seed", "1", "--fault-rate", "0.4"]
+        assert main(argv) == 0
+        printed = dict(
+            line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if ": " in line
+        )
+        assert float(printed["supervision_virtual_sleep_s"]) > 0.0
+        assert float(printed["num_stale_egos"]) == 0.0

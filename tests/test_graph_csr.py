@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -588,3 +589,66 @@ class TestCountedSweep:
         nets = dense_ego_nets(CSRGraph.from_graph(tiny_graph), egos)
         removed = sum(e.num_removals for e in counted_engines(tiny_graph, egos))
         assert 0 < removed < sum(net.num_edges for net in nets)
+
+
+def assert_quantized_like_round(values) -> None:
+    """``_quantize`` equals ``[round(v, 9) for v in values]`` bit for bit."""
+    values = np.asarray(values, dtype=float)
+    expected = np.array([round(value, 9) for value in values.tolist()], dtype=float)
+    got = csr_module._quantize(values)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+HALF_WAY = st.one_of(
+    # Dyadic rationals: k / 2**10 with k odd is an exact half of 1e-9.
+    st.builds(lambda k, m: k / 2.0**m, st.integers(0, 2**40), st.integers(0, 40)),
+    # Doubles next to (j + 0.5)·1e-9, whose product with 1e9 lands on or
+    # beside a half-integer.
+    st.builds(
+        lambda j, steps: float(
+            np.nextafter((j + 0.5) * 1e-9, np.inf if steps > 0 else 0.0)
+            if steps
+            else (j + 0.5) * 1e-9
+        ),
+        st.integers(0, 10**13),
+        st.integers(-1, 1),
+    ),
+)
+
+
+class TestQuantize:
+    """The Brandes path quantizes in array ops; it must be Python's
+    ``round(v, 9)``, which the oracle and the closed forms use, bit for
+    bit."""
+
+    @given(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_random_doubles(self, values):
+        assert_quantized_like_round(values)
+
+    @given(st.lists(HALF_WAY, min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_half_way_cases(self, values):
+        assert_quantized_like_round(values)
+
+    @given(st.lists(st.floats(0.0, 1e9), min_size=16, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_products_past_the_half_integers(self, values):
+        # From v·1e9 ≥ 2**52 on, no half-integer is a double and the
+        # rounded product can sit an integer away from round's k.
+        assert_quantized_like_round(values)
+
+    def test_betweenness_of_a_real_division(self, monkeypatch):
+        from repro.synthetic import make_workload
+
+        seen = []
+        quantize = csr_module._quantize
+
+        def spy(values):
+            seen.append(values.copy())
+            return quantize(values)
+
+        monkeypatch.setattr(csr_module, "_quantize", spy)
+        divide(make_workload("tiny", seed=0).dataset.graph)
+        assert seen
+        assert_quantized_like_round(np.concatenate(seen))

@@ -189,8 +189,8 @@ def test_committed_baseline_is_valid_json():
     # PR 4 acceptance: the fused NN engine beats the layer-by-layer loop on
     # CommCNN training and batched inference at the small scale (training
     # measured 1.9x on the baseline machine; asserted with safety margin —
-    # both backends share the bit-identical batched GEMMs that bound the
-    # training ratio, see ROADMAP "backend roadmap").  Inference scores
+    # both backends run the same bit-identical batched GEMMs, so the fused
+    # engine can only win on the work around them).  Inference scores
     # fixed 32-row blocks on both backends, which made both faster and
     # narrowed the gap: 1,132 rows, six alternating one-BLAS-thread runs,
     # loop 65-93 ms vs fused 31-48 ms, ratio 1.94-2.20x (median 2.1x); the

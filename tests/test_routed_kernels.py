@@ -155,10 +155,8 @@ RUNTIME_ALLOWLIST = {
     "ChaosReport",
     "MeasuredPhaseTimes",
     "RuntimeEstimate",
-    # A FaultPlan's element and the virtual clock: what a test scripts a
-    # chaos schedule from and runs it on.
+    # A FaultPlan's element: what a test scripts a chaos schedule from.
     "Fault",
-    "FakeClock",
 }
 
 
