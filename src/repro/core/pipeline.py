@@ -386,8 +386,12 @@ class LoCEC:
            A changed edge ``(a, b)`` dirties exactly the egos whose ego
            network contains it: ``{a, b} ∪ (N(a) ∩ N(b))``.  Only those are
            re-divided, through the supervised
-           :class:`~repro.runtime.executor.ShardedDivisionExecutor`, which
-           skips a shard whose attempts run out — a crashed re-division
+           :class:`~repro.runtime.executor.ShardedDivisionExecutor`: the
+           dirty egos go round-robin into ``min(4, len(dirty))`` shards,
+           and each supervision round divides every shard that passed its
+           fault-plan entry in one lockstep ``divide`` call (an error of
+           that call counts against every shard it carried).  A shard
+           whose attempts run out is skipped — a crashed re-division
            leaves the ego's *previous* communities served
            (stale-but-consistent, see :attr:`UpdateReport.stale_egos`)
            instead of failing the update.

@@ -60,9 +60,12 @@ def run_measured(
 ) -> ExperimentResult:
     """Local analogue of Figure 12(b): *projected* Phase I makespan vs workers.
 
-    Every shard runs serially in this process and the makespan is the slowest
-    shard's measured seconds — what ``workers`` cores would take if nothing
-    but the division were paid, not a pool measurement.
+    The egos are split into ``workers`` round-robin shards and each shard is
+    timed alone, as its own ``divide`` call on one CSR snapshot in this
+    process; the makespan is the slowest shard's seconds — what ``workers``
+    cores would take if nothing but the division were paid, not a pool
+    measurement.  (The supervised executor divides its shards together in
+    one lockstep call per round, so it reports no per-shard time.)
     """
     measurements = measure_worker_scaling(
         workload.dataset, worker_counts=list(worker_counts), max_egos=max_egos
@@ -73,7 +76,7 @@ def run_measured(
     ]
     return ExperimentResult(
         experiment_id="fig12-measured",
-        title="Projected Phase I makespan vs worker count (slowest shard of a serial run)",
+        title="Projected Phase I makespan vs worker count (slowest shard, each timed alone)",
         rows=rows,
         notes=f"{max_egos} egos, label-propagation detector; no process pool is started",
     )

@@ -5,19 +5,25 @@ reproduces the decomposition (shard → per-ego work → merge) in one process:
 
 * the node set is split into deterministic **shards**
   (:func:`repro.runtime.sharding.shard_nodes`), the unit of a fault,
-* each shard divides against one :class:`~repro.graph.csr.CSRGraph`
-  snapshot of the graph, built once per run,
-* a failed attempt is **retried** under a
-  :class:`~repro.runtime.resilience.RetryPolicy` (backoff on the injected
-  clock), and a shard whose attempts run out is **skipped**: it lands in
-  ``ExecutionReport.failed_shards`` and the merge covers the rest,
-* shard results **merge** into one
-  :class:`~repro.core.division.DivisionResult`.
+* the run proceeds in **supervision rounds**: every pending shard applies
+  its own fault-plan entry for its current attempt, and the shards that
+  pass are divided together in one lockstep
+  :func:`~repro.core.division.divide` call against one
+  :class:`~repro.graph.csr.CSRGraph` snapshot of the graph, built once per
+  run, so their egos share Girvan-Newman rounds,
+* a failed attempt is **retried** in the next round under a
+  :class:`~repro.runtime.resilience.RetryPolicy` (the shard's own backoff
+  on the injected clock), and a shard whose attempts run out is
+  **skipped**: it lands in ``ExecutionReport.failed_shards`` and the merge
+  covers the rest.  An error raised by the lockstep call itself counts as
+  one failed attempt of every shard that call carried,
+* the round's result is split back per shard and shard results **merge**
+  into one :class:`~repro.core.division.DivisionResult` in shard-id order.
 
 The invariant throughout: any fault schedule that eventually succeeds yields
 a merged :class:`~repro.core.division.DivisionResult` bit-identical to the
 clean run — supervision changes *when* work happens, never *what* it
-computes.
+computes (an ego's division does not depend on which egos share its call).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import ResilienceConfig
-from repro.core.division import DivisionResult, divide
+from repro.core.division import DivisionResult, LocalCommunity, divide
 from repro.exceptions import ShardTimeoutError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
@@ -38,12 +44,11 @@ from repro.types import Node
 # ----------------------------------------------------------------- reporting
 @dataclass
 class ShardReport:
-    """Timing, size and supervision information for one processed shard."""
+    """Size and supervision information for one processed shard."""
 
     shard_id: int
     num_egos: int
     num_communities: int
-    seconds: float
     attempts: int = 1
     """Total attempts made (1 = succeeded first try)."""
     timeouts: int = 0
@@ -61,22 +66,15 @@ class ExecutionReport:
     Partial results are first-class: the merged ``division`` covers every
     shard that succeeded and ``failed_shards`` names the ones that did not
     (with attempt counts and the final error), so callers can re-drive
-    exactly the missing work.
+    exactly the missing work.  Both lists are sorted by shard id.
     """
 
     division: DivisionResult
     shard_reports: list[ShardReport] = field(default_factory=list)
     failed_shards: list[ShardFailure] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        """Compute seconds summed over shards (the serial-equivalent)."""
-        return sum(report.seconds for report in self.shard_reports)
-
-    @property
-    def makespan_seconds(self) -> float:
-        """Parallel wall-clock estimate: the slowest shard dominates."""
-        return max((report.seconds for report in self.shard_reports), default=0.0)
+    seconds: float = 0.0
+    """Time spent in the run's lockstep ``divide`` calls, on the executor's
+    clock.  One call carries many shards, so there is no per-shard time."""
 
     @property
     def total_retries(self) -> int:
@@ -91,7 +89,7 @@ class ExecutionReport:
 
 # ------------------------------------------------------------------ executor
 class ShardedDivisionExecutor:
-    """Run LoCEC Phase I shard by shard under supervision, in this process.
+    """Run LoCEC Phase I over shards under supervision, in this process.
 
     Parameters
     ----------
@@ -106,7 +104,7 @@ class ShardedDivisionExecutor:
         Optional :class:`~repro.runtime.faultinject.FaultPlan` injecting
         deterministic faults into shard attempts (tests / chaos runs).
     clock:
-        Injectable time source for shard timings, backoff sleeps and
+        Injectable time source for the ``divide`` timing, backoff sleeps and
         simulated hangs; defaults to the system clock.  Tests inject
         :class:`~repro.runtime.resilience.FakeClock` so no retry path ever
         wall-sleeps.
@@ -129,55 +127,102 @@ class ShardedDivisionExecutor:
         self.clock = clock if clock is not None else SystemClock()
 
     def run(self, graph: Graph, egos: list[Node] | None = None) -> ExecutionReport:
-        """Execute Phase I over all (or the given) egos and merge shard results."""
+        """Execute Phase I over all (or the given) egos in supervision rounds.
+
+        Each round is one lockstep ``divide`` call over the pending shards
+        whose fault-plan entry let them through; a shard that failed (its
+        own fault, or an error of the call that carried it) backs off on the
+        injected clock and joins the next round, until it succeeds or its
+        attempts run out and it is skipped.
+        """
         nodes = list(graph.nodes()) if egos is None else list(egos)
         shards = validate_shards(shard_nodes(nodes, self.num_shards))
         report = ExecutionReport(division=DivisionResult())
-        if shards:
-            # One O(V + E) snapshot per run, not per shard.
-            snapshot = (
-                graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-            )
-            for shard in shards:
-                self._run_shard(snapshot, shard, report)
-        return report
-
-    def _run_shard(self, snapshot: CSRGraph, shard: Shard, report: ExecutionReport) -> None:
-        """Retry one shard in place until it succeeds or its attempts run out.
-
-        Faults are simulated: a hang advances the injected clock and raises
-        ``ShardTimeoutError``, a kill raises ``WorkerCrashError``.
-        """
-        attempt = timeouts = 0
-        while True:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.apply(shard.shard_id, attempt, self.clock)
-                start = self.clock.perf_counter()
-                result = divide(snapshot, egos=shard.egos, detector=self.detector)
-                seconds = self.clock.perf_counter() - start
-            except Exception as exc:  # noqa: BLE001 — supervision boundary
-                attempt += 1
-                timeouts += isinstance(exc, ShardTimeoutError)
-                if self._should_retry(exc, attempt):
-                    self.clock.sleep(self.retry_policy.delay(attempt, key=shard.shard_id))
+        if not shards:
+            return report
+        # One O(V + E) snapshot per run, not per shard or round.
+        snapshot = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+        attempts = {shard.shard_id: 0 for shard in shards}
+        timeouts = dict(attempts)
+        failures: dict[int, ShardFailure] = {}
+        communities: dict[Node, list[LocalCommunity]] = {}
+        pending = shards
+        while pending:
+            errors = self._round(snapshot, pending, attempts, communities, report)
+            retry: list[Shard] = []
+            for shard in pending:
+                if shard.shard_id not in errors:
                     continue
-                report.failed_shards.append(
-                    ShardFailure.from_error(shard.shard_id, attempt, exc, timeouts)
-                )
-                return
+                sid, error = shard.shard_id, errors[shard.shard_id]
+                attempts[sid] += 1
+                timeouts[sid] += isinstance(error, ShardTimeoutError)
+                if self._should_retry(error, attempts[sid]):
+                    self.clock.sleep(self.retry_policy.delay(attempts[sid], key=sid))
+                    retry.append(shard)
+                else:
+                    failures[sid] = ShardFailure.from_error(
+                        sid, attempts[sid], error, timeouts[sid]
+                    )
+            pending = retry
+        for shard in shards:
+            sid = shard.shard_id
+            if sid in failures:
+                report.failed_shards.append(failures[sid])
+                continue
+            result = DivisionResult({ego: communities[ego] for ego in shard.egos})
             report.division = report.division.merge(result)
             report.shard_reports.append(
                 ShardReport(
-                    shard_id=shard.shard_id,
+                    shard_id=sid,
                     num_egos=result.num_egos,
                     num_communities=result.num_communities,
-                    seconds=seconds,
-                    attempts=attempt + 1,
-                    timeouts=timeouts,
+                    attempts=attempts[sid] + 1,
+                    timeouts=timeouts[sid],
                 )
             )
-            return
+        return report
+
+    def _round(
+        self,
+        snapshot: CSRGraph,
+        pending: list[Shard],
+        attempts: dict[int, int],
+        communities: dict[Node, list[LocalCommunity]],
+        report: ExecutionReport,
+    ) -> dict[int, Exception]:
+        """One supervision round; returns the error of each shard that failed.
+
+        Every pending shard applies its fault-plan entry for its current
+        attempt (a hang advances the injected clock and raises
+        ``ShardTimeoutError``, a kill raises ``WorkerCrashError``).  The
+        shards that pass are divided in one ``divide`` call, in shard order;
+        if that call raises, the error is the failed attempt of every shard
+        it carried.
+        """
+        errors: dict[int, Exception] = {}
+        carried: list[Shard] = []
+        for shard in pending:
+            try:
+                if self.fault_plan is not None:
+                    self.fault_plan.apply(shard.shard_id, attempts[shard.shard_id], self.clock)
+            except Exception as exc:  # noqa: BLE001 — supervision boundary
+                errors[shard.shard_id] = exc
+            else:
+                carried.append(shard)
+        if carried:
+            start = self.clock.perf_counter()
+            try:
+                result = divide(
+                    snapshot,
+                    egos=[ego for shard in carried for ego in shard.egos],
+                    detector=self.detector,
+                )
+            except Exception as exc:  # noqa: BLE001 — supervision boundary
+                errors.update((shard.shard_id, exc) for shard in carried)
+            else:
+                communities.update(result.communities_by_ego)
+            report.seconds += self.clock.perf_counter() - start
+        return errors
 
     def _should_retry(self, exc: Exception, attempts: int) -> bool:
         return (

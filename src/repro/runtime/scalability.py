@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.clock import Clock, SystemClock
 from repro.core.config import LoCECConfig
+from repro.core.division import divide
 from repro.core.pipeline import LoCEC
+from repro.graph.csr import CSRGraph
 from repro.runtime.cost_model import (
     ClusterSpec,
     CostCalibration,
@@ -25,6 +27,7 @@ from repro.runtime.cost_model import (
     WorkloadSpec,
 )
 from repro.runtime.executor import ShardedDivisionExecutor
+from repro.runtime.sharding import shard_nodes, validate_shards
 from repro.synthetic.network import SocialNetworkDataset
 from repro.synthetic.workloads import ExperimentWorkload
 
@@ -228,14 +231,23 @@ def measure_worker_scaling(
 ) -> list[tuple[int, float]]:
     """Projected Phase I makespan vs worker count (local analogue of Fig. 12b).
 
-    A projection, not a measurement of parallel workers: every shard runs
-    in this process and the makespan is the slowest shard's measured
-    seconds, so the result does not depend on the host's core count.
+    A projection, not a measurement of parallel workers: the egos are split
+    into ``workers`` round-robin shards (:func:`shard_nodes`), each shard is
+    timed alone as one ``divide`` call on a shared
+    :class:`~repro.graph.csr.CSRGraph` snapshot in this process, and the
+    makespan is the slowest shard's seconds, so the result does not depend
+    on the host's core count.  (The executor divides its shards together
+    in one lockstep call and so has no per-shard time to offer.)
     """
     egos = list(dataset.graph.nodes())[:max_egos]
+    snapshot = CSRGraph.from_graph(dataset.graph)
+    clock = SystemClock()
     results: list[tuple[int, float]] = []
     for workers in worker_counts:
-        executor = ShardedDivisionExecutor(num_shards=workers, detector=detector)
-        report = executor.run(dataset.graph, egos=egos)
-        results.append((workers, report.makespan_seconds))
+        makespan = 0.0
+        for shard in validate_shards(shard_nodes(egos, workers)):
+            start = clock.perf_counter()
+            divide(snapshot, egos=shard.egos, detector=detector)
+            makespan = max(makespan, clock.perf_counter() - start)
+        results.append((workers, makespan))
     return results

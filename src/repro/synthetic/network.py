@@ -71,6 +71,15 @@ class SocialNetworkDataset:
     groups: GroupCollection
     profiles: dict[int, UserProfile] = field(default_factory=dict)
 
+    def __repr__(self) -> str:
+        # Sizes only: the generated field repr runs to tens of kB and buries
+        # the drawn values of a failing property test.
+        return (
+            f"SocialNetworkDataset(num_users={self.num_users}, "
+            f"num_edges={self.num_edges}, num_circles={len(self.circles)}, "
+            f"num_groups={len(self.groups)})"
+        )
+
     @property
     def num_users(self) -> int:
         return self.graph.num_nodes

@@ -22,6 +22,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline_module
+import repro.runtime.executor as executor_module
 from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
 from repro.core.combination import community_key
@@ -399,6 +400,27 @@ class TestWarmModels:
         )
         assert report.classifier_refit and report.labeler_refit
         assert calls == Counter(fit=1, labeled_communities=1)
+
+    def test_a_refit_write_divides_its_dirty_egos_in_one_call(
+        self, fitted_tiny, monkeypatch
+    ):
+        """Counted: the write's dirty egos span several shards, and a clean
+        write re-divides them all in one lockstep ``divide`` call."""
+        pipeline, workload = fitted_tiny
+        calls = []
+        divide = executor_module.divide
+
+        def counted(snapshot, egos, detector):
+            calls.append(list(egos))
+            return divide(snapshot, egos=egos, detector=detector)
+
+        monkeypatch.setattr(executor_module, "divide", counted)
+        report = pipeline.apply_updates(
+            added_edges=[_open_triangle_at_labeled_ego(workload)]
+        )
+        assert report.num_redivided_egos >= 3  # three shards at least
+        (egos,) = calls
+        assert len(set(egos)) == report.num_dirty_egos == report.num_redivided_egos
 
     def test_the_edge_index_costs_what_a_write_dirtied(self, fitted_tiny):
         """Counted, not timed: ``fit`` compiles the Phase III edge index

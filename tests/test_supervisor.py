@@ -1,20 +1,29 @@
 """Tests for the executor's supervision loop (:mod:`repro.runtime.executor`).
 
-Each shard of a :class:`ShardedDivisionExecutor` run is retried in place
-until it succeeds or its attempts run out, and then it is skipped.  What is
-under test here is that loop: attempt bookkeeping, retry ordering, backoff
-on the injected clock and skip semantics.  Everything runs on a
-:class:`FakeClock`, with zero real sleeps.
+A :class:`ShardedDivisionExecutor` run proceeds in supervision rounds: every
+pending shard applies its own fault-plan entry, the shards that pass are
+divided together in one lockstep ``divide`` call, and a failed shard backs
+off and joins the next round until it succeeds or its attempts run out, and
+then it is skipped.  An error of the lockstep call itself counts against
+every shard it carried.  What is under test here is that loop: attempt
+bookkeeping, the rounds (counted as ``divide`` calls), backoff on the
+injected clock and skip semantics, on hand-written and generated fault
+schedules.  Everything runs on a :class:`FakeClock`, with zero real sleeps.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.runtime.executor as executor_module
 from repro.core.config import ResilienceConfig
 from repro.graph.generators import paper_figure7_network
 from repro.runtime import FakeClock, Fault, FaultPlan, ShardedDivisionExecutor
+from repro.runtime.faultinject import FAULT_KINDS
 from repro.runtime.resilience import RetryPolicy
 
 DETECTOR = "label_propagation"
@@ -42,6 +51,20 @@ def _executor(plan=None, *, clock=None, **resilience):
 
 def _attempts(report):
     return [(r.shard_id, r.attempts, r.timeouts) for r in report.shard_reports]
+
+
+@pytest.fixture
+def divide_calls(monkeypatch):
+    """The egos of every lockstep ``divide`` call the executor makes."""
+    calls = []
+    divide = executor_module.divide
+
+    def counted(snapshot, egos, detector):
+        calls.append(list(egos))
+        return divide(snapshot, egos=egos, detector=detector)
+
+    monkeypatch.setattr(executor_module, "divide", counted)
+    return calls
 
 
 @pytest.fixture
@@ -89,7 +112,8 @@ class TestSerialLoop:
         plan = FaultPlan([Fault(1, 0, "transient"), Fault(1, 1, "transient")])
         clock = FakeClock()
         report = _executor(plan, clock=clock).run(graph)
-        # Retries happen in place: shard 1 finishes before shard 2 starts.
+        # Shards 0 and 2 are divided in round 0; shard 1 retries alone in
+        # rounds 1 and 2 and keeps its own attempt count and backoff keys.
         assert _attempts(report) == [(0, 1, 0), (1, 3, 0), (2, 1, 0)]
         assert report.division.communities_by_ego == clean
         policy = RetryPolicy.from_config(ResilienceConfig())
@@ -147,3 +171,105 @@ class TestSerialLoop:
         assert report.shard_reports == []
         assert [f.error.split("(")[0] for f in report.failed_shards] == ["TimeoutError"] * 3
         assert report.total_timeouts == 0
+
+
+# ------------------------------------------------------------- counted rounds
+class TestLockstepRounds:
+    def test_a_clean_run_is_one_divide_call(self, graph, clean, divide_calls):
+        report = _executor().run(graph)
+        nodes = list(graph.nodes())
+        # One call carrying every shard's egos, in shard order.
+        assert divide_calls == [nodes[0::3] + nodes[1::3] + nodes[2::3]]
+        assert report.division.communities_by_ego == clean
+
+    @pytest.mark.parametrize("kind", ["transient", "hang", "kill"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_faults_that_clear_by_attempt_r_make_r_plus_one_calls(
+        self, graph, clean, divide_calls, no_real_sleep, kind, r
+    ):
+        # Shard s fails its first min(s, r) attempts, so shard min(s, r)
+        # passes in each round 0..r and every round makes one call.
+        plan = FaultPlan(
+            Fault(shard, attempt, kind)
+            for shard in range(3)
+            for attempt in range(min(shard, r))
+        )
+        report = _executor(plan).run(graph)
+        assert len(divide_calls) == r + 1
+        assert [item.attempts for item in report.shard_reports] == [
+            min(shard, r) + 1 for shard in range(3)
+        ]
+        assert report.division.communities_by_ego == clean
+
+
+# -------------------------------------------------- generated fault schedules
+@pytest.fixture(scope="module")
+def figure7():
+    graph = paper_figure7_network()
+    return graph, _executor().run(graph).division.communities_by_ego
+
+
+def _expected_outcome(plan, shard_id, max_attempts):
+    """``(succeeded, attempts, timeouts, sleeps)`` of one shard, read off its
+    own plan entries: a fault fails the attempt, a permanent one or the last
+    attempt ends the shard, a clean attempt succeeds."""
+    timeouts, sleeps = 0, []
+    policy = RetryPolicy.from_config(ResilienceConfig(max_attempts=max_attempts))
+    for attempt in range(max_attempts):
+        fault = plan.fault_for(shard_id, attempt)
+        if fault is None:
+            return True, attempt + 1, timeouts, sleeps
+        if fault.kind == "hang":
+            timeouts += 1
+            sleeps.append(fault.duration)
+        if fault.kind == "permanent" or attempt + 1 == max_attempts:
+            return False, attempt + 1, timeouts, sleeps
+        sleeps.append(policy.delay(attempt + 1, key=shard_id))
+    raise AssertionError("unreachable: the last attempt always ends the shard")
+
+
+@st.composite
+def _fault_plans(draw):
+    max_attempts = draw(st.integers(1, 3))
+    slots = st.tuples(st.integers(0, 2), st.integers(0, max_attempts - 1))
+    faults = draw(st.dictionaries(slots, st.sampled_from(FAULT_KINDS), max_size=9))
+    plan = FaultPlan(
+        Fault(shard, attempt, kind, duration=0.25)
+        for (shard, attempt), kind in faults.items()
+    )
+    return max_attempts, plan
+
+
+class TestGeneratedFaultSchedules:
+    """Random fault plans on the Figure 7 graph: every shard's outcome is
+    what its own plan entries imply, whichever shards share its rounds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_fault_plans())
+    def test_each_shard_follows_its_own_plan(self, figure7, drawn):
+        graph, clean = figure7
+        max_attempts, plan = drawn
+        clock = FakeClock()
+        with mock.patch.object(
+            executor_module, "divide", wraps=executor_module.divide
+        ) as divide:
+            report = _executor(plan, clock=clock, max_attempts=max_attempts).run(graph)
+        expected = {s: _expected_outcome(plan, s, max_attempts) for s in range(3)}
+        survivors = [s for s in range(3) if expected[s][0]]
+        assert [f.shard_id for f in report.failed_shards] == [
+            s for s in range(3) if not expected[s][0]
+        ]
+        assert _attempts(report) == [(s, *expected[s][1:3]) for s in survivors]
+        assert [(f.attempts, f.timeouts) for f in report.failed_shards] == [
+            expected[s][1:3] for s in range(3) if not expected[s][0]
+        ]
+        nodes = list(graph.nodes())
+        assert report.division.communities_by_ego == {
+            ego: clean[ego] for s in survivors for ego in nodes[s::3]
+        }
+        assert sorted(clock.sleeps) == sorted(
+            sleep for s in range(3) for sleep in expected[s][3]
+        )
+        # A shard's attempt number is the round's: one call per round in
+        # which some shard passed.
+        assert divide.call_count == len({expected[s][1] for s in survivors})

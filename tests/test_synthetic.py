@@ -184,6 +184,13 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             make_workload("gigantic")
 
+    def test_dataset_repr_is_sizes_only(self):
+        """A failing property test prints its fixture values, so the dataset's
+        repr must not bury the drawn example under a dump of its fields."""
+        dataset = make_workload("tiny", seed=0).dataset
+        assert len(repr(dataset)) < 200
+        assert repr(dataset).startswith("SocialNetworkDataset(num_users=120, ")
+
     def test_split_is_disjoint(self, tiny_workload):
         train_edges = {item.edge for item in tiny_workload.train_edges}
         test_edges = {item.edge for item in tiny_workload.test_edges}
