@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 import sys
 
+from repro.clock import FakeClock
 from repro.core.division import DivisionResult, divide, get_detector
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.runtime import FakeClock, FaultPlan, ShardedDivisionExecutor
+from repro.runtime import FaultPlan, ShardedDivisionExecutor
 from repro.synthetic import make_workload
 
 DETECTORS = ("girvan_newman", "label_propagation", "louvain")

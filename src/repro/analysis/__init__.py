@@ -1,6 +1,6 @@
 """Dataset analyses reproducing the paper's Section II and parameter studies."""
 
-from repro.analysis.cdf import cdf_table, empirical_cdf, median, percentile
+from repro.analysis.cdf import empirical_cdf, median, percentile
 from repro.analysis.community_stats import (
     community_size_cdf,
     mean_size_by_type,
@@ -22,7 +22,6 @@ from repro.analysis.survey_stats import format_table1, major_type_share, table1_
 
 __all__ = [
     "empirical_cdf",
-    "cdf_table",
     "percentile",
     "median",
     "common_group_cdf",

@@ -23,13 +23,6 @@ def empirical_cdf(values: Sequence[float], points: Sequence[float]) -> list[floa
     return [float(np.searchsorted(data, point, side="right") / data.size) for point in points]
 
 
-def cdf_table(
-    series: dict[str, Sequence[float]], points: Sequence[float]
-) -> dict[str, list[float]]:
-    """Evaluate the CDF of several named samples at the same points."""
-    return {name: empirical_cdf(values, points) for name, values in series.items()}
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0-100) of ``values`` (0.0 for an empty sample)."""
     data = np.asarray(list(values), dtype=np.float64)

@@ -28,9 +28,17 @@ import numpy as np
 from repro.exceptions import NotFittedError, PipelineError
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
-from repro.graph.metrics import jaccard_similarity
 from repro.ml.logistic import LogisticRegression
-from repro.types import Edge, LabeledEdge, RelationType
+from repro.types import Edge, LabeledEdge, Node, RelationType
+
+
+def jaccard_similarity(graph: Graph, u: Node, v: Node) -> float:
+    """Jaccard similarity of the neighbour sets of ``u`` and ``v``."""
+    nu, nv = set(graph.neighbors(u)), set(graph.neighbors(v))
+    union = nu | nv
+    if not union:
+        return 0.0
+    return len(nu & nv) / len(union)
 
 
 class Economix:

@@ -10,9 +10,7 @@ callers inject :class:`SystemClock` (production) or :class:`FakeClock`
 
 This module is deliberately dependency-free (stdlib only, no intra-repo
 imports) so any layer — ``core``, ``runtime``, scripts — can use it without
-import cycles.  The classes are re-exported from
-:mod:`repro.runtime.resilience`, their historical home, so existing imports
-keep working.
+import cycles.
 """
 
 from __future__ import annotations

@@ -1,16 +1,11 @@
 """Community-detection substrate: Girvan–Newman and ablation alternatives."""
 
 from repro.community.betweenness import edge_betweenness
-from repro.community.connected import (
-    connected_components,
-    node_component_map,
-    number_connected_components,
-)
+from repro.community.connected import connected_components
 from repro.community.girvan_newman import (
     GirvanNewmanResult,
     girvan_newman,
     girvan_newman_levels,
-    partition_to_membership,
 )
 from repro.community.label_propagation import label_propagation_communities
 from repro.community.louvain import louvain_communities
@@ -19,12 +14,9 @@ from repro.community.modularity import modularity
 __all__ = [
     "edge_betweenness",
     "connected_components",
-    "number_connected_components",
-    "node_component_map",
     "girvan_newman",
     "girvan_newman_levels",
     "GirvanNewmanResult",
-    "partition_to_membership",
     "label_propagation_communities",
     "louvain_communities",
     "modularity",

@@ -32,17 +32,3 @@ def connected_components(graph: Graph) -> list[set[Node]]:
                     queue.append(neighbor)
         components.append(component)
     return components
-
-
-def number_connected_components(graph: Graph) -> int:
-    """Number of connected components of ``graph``."""
-    return len(connected_components(graph))
-
-
-def node_component_map(graph: Graph) -> dict[Node, int]:
-    """Map every node to the index of its connected component."""
-    mapping: dict[Node, int] = {}
-    for index, component in enumerate(connected_components(graph)):
-        for node in component:
-            mapping[node] = index
-    return mapping

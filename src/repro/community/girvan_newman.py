@@ -16,12 +16,11 @@ argument the paper makes for running GN *locally* rather than globally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.community.betweenness import edge_betweenness
 from repro.community.connected import connected_components
 from repro.community.modularity import modularity
-from repro.exceptions import CommunityError
 from repro.graph.graph import Graph
 from repro.types import Node, edge_key, node_key
 
@@ -43,17 +42,6 @@ class GirvanNewmanResult:
     communities: tuple[frozenset[Node], ...]
     modularity: float
     levels_explored: int
-
-    def community_of(self, node: Node) -> frozenset[Node]:
-        """The community containing ``node``."""
-        for block in self.communities:
-            if node in block:
-                return block
-        raise CommunityError(f"node {node!r} is not covered by the partition")
-
-    @property
-    def sizes(self) -> list[int]:
-        return sorted((len(block) for block in self.communities), reverse=True)
 
 
 def girvan_newman_levels(graph: Graph) -> Iterator[list[set[Node]]]:
@@ -142,16 +130,3 @@ def girvan_newman(
     return GirvanNewmanResult(
         communities=communities, modularity=best_q, levels_explored=levels
     )
-
-
-def partition_to_membership(
-    communities: Sequence[frozenset[Node] | set[Node]],
-) -> dict[Node, int]:
-    """Convert a partition into a node → community-index mapping."""
-    membership: dict[Node, int] = {}
-    for index, block in enumerate(communities):
-        for node in block:
-            if node in membership:
-                raise CommunityError(f"node {node!r} appears in multiple communities")
-            membership[node] = index
-    return membership

@@ -66,41 +66,27 @@ class GBDTConfig:
 class ResilienceConfig:
     """Retry knobs of the sharded Phase I executor.
 
-    Read by :class:`repro.runtime.executor.ShardedDivisionExecutor`
-    (``RetryPolicy.from_config`` derives the backoff schedule).  A shard
-    whose attempts run out is skipped: its egos are missing from the merged
-    division and listed in ``ExecutionReport.failed_shards``.
+    Read by :class:`repro.runtime.executor.ShardedDivisionExecutor`, whose
+    backoff schedule is fixed beside its retry loop
+    (:func:`repro.runtime.executor.backoff_delay`).  A shard whose attempts
+    run out is skipped: its egos are missing from the merged division and
+    listed in ``ExecutionReport.failed_shards``.
 
     Attributes
     ----------
     max_attempts:
         Total tries per shard (1 = no retries).
-    backoff_base / backoff_factor / backoff_max:
-        Exponential backoff schedule: the delay before retry ``n`` is
-        ``min(backoff_base * backoff_factor**(n-1), backoff_max)`` seconds.
-    jitter:
-        Extra delay fraction in ``[0, 1]``, drawn deterministically from
-        ``(seed, shard_id, attempt)`` so schedules are reproducible.
     seed:
-        Seed of the deterministic backoff jitter.
+        Seed of the deterministic backoff jitter, drawn per
+        ``(seed, shard_id, attempt)`` so schedules are reproducible.
     """
 
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.1
     seed: int = 0
 
     def validate(self) -> None:
         if self.max_attempts < 1:
             raise ModelConfigError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ModelConfigError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ModelConfigError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ModelConfigError("jitter must be in [0, 1]")
 
 
 @dataclass

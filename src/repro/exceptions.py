@@ -108,39 +108,11 @@ class PipelineError(ReproError):
 
 
 class DatasetError(ReproError):
-    """Errors raised by the synthetic dataset generators."""
+    """Errors raised by the synthetic dataset generators and the dataset JSON."""
 
 
 class ExperimentError(ReproError):
     """Errors raised by the experiment harness."""
-
-
-# --------------------------------------------------------------- graph IO
-class EdgeListError(_PicklableErrorMixin, GraphError, DatasetError):
-    """Base class for edge-list / labeled-edge parsing errors.
-
-    Derives from both :class:`GraphError` (the data is graph input) and
-    :class:`DatasetError` (callers that predate the fine-grained hierarchy
-    catch that).  Every instance names the offending file and 1-based line
-    number via ``.path`` / ``.lineno``.
-    """
-
-    def __init__(self, path: object, lineno: int, message: str) -> None:
-        super().__init__(f"{path}:{lineno}: {message}")
-        self.path = str(path)
-        self.lineno = lineno
-
-
-class MalformedLineError(EdgeListError):
-    """A line could not be parsed into the expected fields."""
-
-
-class NonFiniteWeightError(EdgeListError):
-    """An edge weight column parsed but is NaN or infinite."""
-
-
-class DuplicateEdgeError(EdgeListError):
-    """The same undirected edge appears more than once in the input."""
 
 
 # ------------------------------------------------------ execution runtime

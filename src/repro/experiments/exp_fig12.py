@@ -6,8 +6,7 @@ from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
 from repro.runtime.cost_model import CostCalibration
-from repro.runtime.scalability import ScalabilityStudy, measure_worker_scaling
-from repro.synthetic.workloads import ExperimentWorkload
+from repro.runtime.scalability import ScalabilityStudy
 
 
 def run(
@@ -50,33 +49,4 @@ def run(
         title="Scalability study (projected at WeChat scale)",
         rows=rows,
         notes="panel a uses 50 servers; panel b uses the full 1B-node workload",
-    )
-
-
-def run_measured(
-    workload: ExperimentWorkload,
-    worker_counts: Sequence[int] = (1, 2, 4),
-    max_egos: int = 200,
-) -> ExperimentResult:
-    """Local analogue of Figure 12(b): *projected* Phase I makespan vs workers.
-
-    The egos are split into ``workers`` round-robin shards and each shard is
-    timed alone, as its own ``divide`` call on one CSR snapshot in this
-    process; the makespan is the slowest shard's seconds — what ``workers``
-    cores would take if nothing but the division were paid, not a pool
-    measurement.  (The supervised executor divides its shards together in
-    one lockstep call per round, so it reports no per-shard time.)
-    """
-    measurements = measure_worker_scaling(
-        workload.dataset, worker_counts=list(worker_counts), max_egos=max_egos
-    )
-    rows = [
-        {"Workers": workers, "Phase I makespan (s)": round(seconds, 3)}
-        for workers, seconds in measurements
-    ]
-    return ExperimentResult(
-        experiment_id="fig12-measured",
-        title="Projected Phase I makespan vs worker count (slowest shard, each timed alone)",
-        rows=rows,
-        notes=f"{max_egos} egos, label-propagation detector; no process pool is started",
     )

@@ -1,6 +1,9 @@
 """Graph substrate: undirected graphs, ego networks, feature and interaction stores.
 
-Two graph representations live here:
+The product reaches this package three ways: Phase I divides a
+:class:`CSRGraph` snapshot, Phases II and III read the feature and
+interaction stores, and ``repro.cli generate`` writes the dataset JSON
+(:mod:`repro.graph.io`).  Two graph representations live here:
 
 * :class:`Graph` — the pure-Python ``dict[node, set[node]]`` container.  It
   is the mutable, readable input type, and the implementation every
@@ -9,11 +12,13 @@ Two graph representations live here:
   snapshot with the kernels Phase I division routes through (ego-network
   extraction, Girvan-Newman over cached per-component betweenness, every
   ego of a call in lockstep over one batched all-sources Brandes kernel).
+  It has no read API of its own: the kernels read its arrays, and
+  ``to_graph`` gives the :class:`Graph` back.
 
 The Phase II stores get the same treatment in :mod:`repro.graph.phase2`:
 :class:`Phase2Kernel` compiles :class:`InteractionStore` /
-:class:`NodeFeatureStore` into an :class:`InteractionMatrix` (CSR) plus a
-dense :class:`NodeFeatureMatrix`, and
+:class:`NodeFeatureStore` into an ``InteractionMatrix`` (CSR) plus a dense
+``NodeFeatureMatrix``, and
 :class:`repro.core.aggregation.FeatureMatrixBuilder` routes Algorithm 1 /
 statistic aggregation through it.
 
@@ -34,36 +39,21 @@ baseline.
 """
 
 from repro.graph.csr import CSRGraph, edge_betweenness_csr
-from repro.graph.ego import ego_network, ego_network_size, ego_networks
+from repro.graph.ego import ego_network
 from repro.graph.features import NodeFeatureStore
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
-from repro.graph.io import (
-    load_dataset_json,
-    read_edge_list,
-    read_labeled_edges,
-    save_dataset_json,
-    write_edge_list,
-    write_labeled_edges,
-)
-from repro.graph.phase2 import InteractionMatrix, NodeFeatureMatrix, Phase2Kernel
+from repro.graph.io import load_dataset_json, save_dataset_json
+from repro.graph.phase2 import Phase2Kernel
 
 __all__ = [
     "CSRGraph",
     "Graph",
-    "InteractionMatrix",
     "InteractionStore",
-    "NodeFeatureMatrix",
     "NodeFeatureStore",
     "Phase2Kernel",
     "edge_betweenness_csr",
     "ego_network",
-    "ego_networks",
-    "ego_network_size",
-    "read_edge_list",
-    "write_edge_list",
-    "read_labeled_edges",
-    "write_labeled_edges",
     "save_dataset_json",
     "load_dataset_json",
 ]

@@ -8,8 +8,8 @@ routes through on the CSR backend — a kernel lives here only while a
 product route selects it:
 
 * :class:`CSRGraph` — int32 ``indptr``/``indices`` over a node <-> index
-  interner, exposing the same read API as :class:`Graph` (``neighbors``,
-  ``degree``, ``subgraph``, ``edges``, ``num_nodes``/``num_edges``).
+  interner (``index_of`` / ``label_of``), a snapshot of a :class:`Graph`
+  that the kernels read as arrays; ``to_graph`` materialises it back.
 * :func:`dense_ego_nets` — sorted-adjacency intersection instead of the
   per-friend Python loop in :mod:`repro.graph.ego`, many egos per NumPy
   pass, emitting the flat :class:`DenseEgoNet` edge arrays the GN engine
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,9 +65,9 @@ class CSRGraph:
     ``i``, sorted ascending, which is what the intersection kernels rely on.
 
     The structure is immutable: build it once per (shard of the) global graph
-    with :meth:`from_graph` / :meth:`from_edges` and run read-only kernels
-    against it.  Mutating workloads (GN edge removal) copy into dense local
-    arrays first — ego networks are tiny, the global graph is not.
+    with :meth:`from_graph` and run read-only kernels against it.  Mutating
+    workloads (GN edge removal) copy into dense local arrays first — ego
+    networks are tiny, the global graph is not.
     """
 
     __slots__ = ("indptr", "indices", "_nodes", "_index")
@@ -106,20 +106,11 @@ class CSRGraph:
             cursor += row.size
         return cls(indptr, indices, nodes)
 
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[Node, Node]] | None = None,
-        nodes: Iterable[Node] | None = None,
-    ) -> "CSRGraph":
-        """Build from an edge list (plus optional isolated nodes)."""
-        return cls.from_graph(Graph(edges=edges, nodes=nodes))
-
     def to_graph(self) -> Graph:
         """Materialise the equivalent dict-backend :class:`Graph`."""
         graph = Graph(nodes=self._nodes)
         for i, u in enumerate(self._nodes):
-            for j in self._row(i):
+            for j in self.indices[self.indptr[i] : self.indptr[i + 1]]:
                 if i < j:
                     graph.add_edge(u, self._nodes[j])
         return graph
@@ -136,10 +127,7 @@ class CSRGraph:
         """Node label at dense ``index``."""
         return self._nodes[index]
 
-    def _row(self, index: int) -> np.ndarray:
-        return self.indices[self.indptr[index] : self.indptr[index + 1]]
-
-    # ---------------------------------------------------------- Graph read API
+    # -------------------------------------------------------------- contents
     @property
     def num_nodes(self) -> int:
         return len(self._nodes)
@@ -150,74 +138,6 @@ class CSRGraph:
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes)
-
-    def has_node(self, node: Node) -> bool:
-        return node in self._index
-
-    def neighbors(self, node: Node) -> set[Node]:
-        """Neighbour set of ``node`` (materialised from the CSR row)."""
-        row = self._row(self.index_of(node))
-        return {self._nodes[j] for j in row}
-
-    def neighbor_list(self, node: Node) -> list[Node]:
-        return [self._nodes[j] for j in self._row(self.index_of(node))]
-
-    def degree(self, node: Node) -> int:
-        i = self.index_of(node)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def degrees(self) -> dict[Node, int]:
-        counts = np.diff(self.indptr)
-        return {node: int(counts[i]) for i, node in enumerate(self._nodes)}
-
-    def has_edge(self, u: Node, v: Node) -> bool:
-        if u not in self._index or v not in self._index:
-            return False
-        row = self._row(self._index[u])
-        j = int(np.searchsorted(row, self._index[v]))
-        return j < row.size and int(row[j]) == self._index[v]
-
-    def edges(self) -> Iterator[Edge]:
-        """Iterate over edges once each, in row-major index order."""
-        for i, u in enumerate(self._nodes):
-            for j in self._row(i):
-                if i < j:
-                    yield canonical_edge(u, self._nodes[j])
-
-    def subgraph(self, nodes: Iterable[Node]) -> "CSRGraph":
-        """Induced subgraph on ``nodes`` (unknown nodes ignored), as CSR."""
-        keep = np.array(
-            sorted({self._index[node] for node in nodes if node in self._index}),
-            dtype=np.int32,
-        )
-        labels = [self._nodes[i] for i in keep]
-        if keep.size == 0:
-            return CSRGraph(np.zeros(1, np.int32), np.empty(0, np.int32), labels)
-        counts = (self.indptr[keep + 1] - self.indptr[keep]).astype(np.int64, copy=False)
-        cat = self.indices[_row_positions(self.indptr, keep, counts)]
-        seg = np.repeat(np.arange(keep.size), counts)
-        local, valid = _sorted_membership(keep, cat)
-        seg, local = seg[valid], local[valid]
-        indptr = np.zeros(keep.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(seg, minlength=keep.size), out=indptr[1:])
-        return CSRGraph(indptr, local.astype(np.int32, copy=False), labels)
-
-    # -------------------------------------------------------------- dunder
-    def __contains__(self, node: Node) -> bool:
-        return node in self._index
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self._nodes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CSRGraph):
-            return set(self._nodes) == set(other._nodes) and set(self.edges()) == set(
-                other.edges()
-            )
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

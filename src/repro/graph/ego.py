@@ -9,8 +9,6 @@ Girvan–Newman would return a single cluster.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from repro.graph.graph import Graph
 from repro.types import Node
 
@@ -39,31 +37,3 @@ def ego_network(graph: Graph, ego: Node) -> Graph:
             if other in friends and other != friend:
                 ego_net.add_edge(friend, other)
     return ego_net
-
-
-def ego_networks(
-    graph: Graph, egos: Iterable[Node] | None = None
-) -> Iterator[tuple[Node, Graph]]:
-    """Yield ``(ego, ego_network)`` pairs for ``egos`` (default: every node).
-
-    This is the streaming, per-node decomposition the paper exploits for
-    distributed processing: each ego network can be built and processed
-    independently of all others.
-    """
-    if egos is None:
-        egos = list(graph.nodes())
-    for ego in egos:
-        yield ego, ego_network(graph, ego)
-
-
-def ego_network_size(graph: Graph, ego: Node) -> tuple[int, int]:
-    """Return ``(num_friends, num_friend_edges)`` of the ego network of ``ego``.
-
-    Useful for cost modelling without materialising the ego network: the
-    dominant cost of Phase I for a node is governed by these two numbers.
-    """
-    friends = graph.neighbors(ego)
-    edge_count = 0
-    for friend in friends:
-        edge_count += sum(1 for other in graph.neighbors(friend) if other in friends)
-    return len(friends), edge_count // 2

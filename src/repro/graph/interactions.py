@@ -11,7 +11,7 @@ length ``|I|``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class InteractionStore:
             return 0.0
         silent = total_edges - len(self._counts)
         return max(0.0, silent / total_edges)
-
-    def as_mapping(self) -> Mapping[Edge, np.ndarray]:
-        """A read-only view of the underlying edge → vector mapping."""
-        return dict(self._counts)
 
     def _check_dim(self, dim: int) -> None:
         if not 0 <= int(dim) < self._num_dims:

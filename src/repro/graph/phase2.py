@@ -116,11 +116,6 @@ class InteractionMatrix:
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(indptr, dst[order], edge_data[edge_id[order]], num_dims)
 
-    @property
-    def num_entries(self) -> int:
-        """Number of directed (node, neighbour) entries (2x the edge count)."""
-        return int(self.indices.size)
-
     def _entry_position(self, src: int, dst: int) -> int:
         """Position of the directed entry ``src -> dst`` in ``data``, or -1.
 

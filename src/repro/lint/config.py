@@ -13,7 +13,7 @@ configuration encodes this repo's invariant boundaries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 _LIBRARY_AND_SCRIPTS = ("src/repro", "scripts")
@@ -53,12 +53,6 @@ class LintConfig:
             rel_path == scope or rel_path.startswith(scope.rstrip("/") + "/")
             for scope in scopes
         )
-
-    def with_scope(self, rule_id: str, *prefixes: str) -> "LintConfig":
-        """A copy of this config with ``rule_id`` rescoped to ``prefixes``."""
-        scopes = dict(self.rule_scopes)
-        scopes[rule_id] = tuple(prefixes)
-        return replace(self, rule_scopes=scopes)
 
 
 def default_config() -> LintConfig:

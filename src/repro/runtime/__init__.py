@@ -3,10 +3,11 @@ in-process retry loop), the fault-injection layer and the WeChat-scale cost
 model.  Nothing here starts a worker process: the paper's multi-server scale
 is reproduced by the cost model.
 
-The executor's parts — sharding, the retry policy, the per-shard reports and
-the injected error types — stay in their modules
-(:mod:`repro.runtime.sharding`, :mod:`repro.runtime.resilience`,
-:mod:`repro.runtime.executor`, :mod:`repro.runtime.faultinject`)."""
+The executor's parts stay in their modules: sharding in
+:mod:`repro.runtime.sharding`; the retry loop, its backoff constants and the
+per-shard reports in :mod:`repro.runtime.executor`; the injected error types
+in :mod:`repro.runtime.faultinject`.  The injectable clocks live in
+:mod:`repro.clock`."""
 
 from repro.runtime.cost_model import (
     ClusterSpec,
@@ -17,22 +18,17 @@ from repro.runtime.cost_model import (
 )
 from repro.runtime.executor import ExecutionReport, ShardedDivisionExecutor
 from repro.runtime.faultinject import Fault, FaultPlan
-from repro.runtime.resilience import Clock, FakeClock, SystemClock
 from repro.runtime.scalability import (
     ChaosReport,
     MeasuredPhaseTimes,
     ScalabilityStudy,
     measure_phases,
-    measure_worker_scaling,
     run_chaos,
 )
 
 __all__ = [
     "ShardedDivisionExecutor",
     "ExecutionReport",
-    "Clock",
-    "SystemClock",
-    "FakeClock",
     "Fault",
     "FaultPlan",
     "CostModel",
@@ -43,7 +39,6 @@ __all__ = [
     "ScalabilityStudy",
     "MeasuredPhaseTimes",
     "measure_phases",
-    "measure_worker_scaling",
     "ChaosReport",
     "run_chaos",
 ]

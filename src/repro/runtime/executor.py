@@ -11,12 +11,12 @@ reproduces the decomposition (shard → per-ego work → merge) in one process:
   :func:`~repro.core.division.divide` call against one
   :class:`~repro.graph.csr.CSRGraph` snapshot of the graph, built once per
   run, so their egos share Girvan-Newman rounds,
-* a failed attempt is **retried** in the next round under a
-  :class:`~repro.runtime.resilience.RetryPolicy` (the shard's own backoff
-  on the injected clock), and a shard whose attempts run out is
-  **skipped**: it lands in ``ExecutionReport.failed_shards`` and the merge
-  covers the rest.  An error raised by the lockstep call itself counts as
-  one failed attempt of every shard that call carried,
+* a failed attempt is **retried** in the next round after the shard's own
+  backoff (:func:`backoff_delay`) on the injected clock, and a shard whose
+  attempts run out is **skipped**: it lands in
+  ``ExecutionReport.failed_shards`` and the merge covers the rest.  An
+  error raised by the lockstep call itself counts as one failed attempt of
+  every shard that call carried,
 * the round's result is split back per shard and shard results **merge**
   into one :class:`~repro.core.division.DivisionResult` in shard-id order.
 
@@ -28,17 +28,58 @@ computes (an ego's division does not depend on which egos share its call).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
+from repro.clock import Clock, SystemClock
 from repro.core.config import ResilienceConfig
 from repro.core.division import DivisionResult, LocalCommunity, divide
-from repro.exceptions import ShardTimeoutError
+from repro.exceptions import ShardTimeoutError, WorkerCrashError
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.runtime.faultinject import FaultPlan
-from repro.runtime.resilience import Clock, RetryPolicy, ShardFailure, SystemClock
 from repro.runtime.sharding import Shard, shard_nodes, validate_shards
 from repro.types import Node
+
+
+# ------------------------------------------------------------------ retries
+#: Exception types retried: the simulated hang and kill, and the builtin
+#: ``TimeoutError`` / ``ConnectionError`` / ``OSError`` that model infra
+#: flakiness in a shard's own code.
+RETRYABLE: tuple[type[BaseException], ...] = (
+    ShardTimeoutError,
+    WorkerCrashError,
+    TimeoutError,
+    ConnectionError,
+    OSError,
+)
+
+#: The backoff before retry ``n`` (1-based) of a shard is
+#: ``min(BACKOFF_BASE * BACKOFF_FACTOR**(n-1), BACKOFF_MAX)`` seconds plus a
+#: jitter of up to ``JITTER`` times that.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+JITTER = 0.1
+
+
+def is_retryable(error: BaseException) -> bool:
+    """True when ``error`` is one of :data:`RETRYABLE` or carries a truthy
+    ``transient`` attribute (the fault injector marks its synthetic
+    transient errors that way)."""
+    return bool(getattr(error, "transient", False)) or isinstance(error, RETRYABLE)
+
+
+def backoff_delay(attempt: int, shard_id: int, seed: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1-based) of ``shard_id``.
+
+    The jitter is drawn from ``Random(f"{seed}:{shard_id}:{attempt}")``, a
+    pure function of the run's seed and the (shard, attempt) pair, so two
+    runs of one fault schedule sleep identically.
+    """
+    base = min(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
+    rng = random.Random(f"{seed}:{shard_id}:{attempt}")
+    return base + rng.uniform(0.0, JITTER * base)
 
 
 # ----------------------------------------------------------------- reporting
@@ -57,6 +98,17 @@ class ShardReport:
     @property
     def retries(self) -> int:
         return max(0, self.attempts - 1)
+
+
+@dataclass
+class ShardFailure:
+    """Record of a shard whose attempts ran out; the executor skips it."""
+
+    shard_id: int
+    attempts: int
+    error: str
+    timeouts: int = 0
+    """How many of the failed attempts were simulated hangs."""
 
 
 @dataclass
@@ -98,7 +150,7 @@ class ShardedDivisionExecutor:
     detector:
         Community detector to run inside each ego network.
     resilience:
-        Retry budget and backoff schedule
+        Attempt budget and backoff jitter seed
         (:class:`repro.core.config.ResilienceConfig`).
     fault_plan:
         Optional :class:`~repro.runtime.faultinject.FaultPlan` injecting
@@ -106,7 +158,7 @@ class ShardedDivisionExecutor:
     clock:
         Injectable time source for the ``divide`` timing, backoff sleeps and
         simulated hangs; defaults to the system clock.  Tests inject
-        :class:`~repro.runtime.resilience.FakeClock` so no retry path ever
+        :class:`~repro.clock.FakeClock` so no retry path ever
         wall-sleeps.
     """
 
@@ -122,7 +174,6 @@ class ShardedDivisionExecutor:
         self.detector = detector
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.resilience.validate()
-        self.retry_policy = RetryPolicy.from_config(self.resilience)
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
 
@@ -156,13 +207,11 @@ class ShardedDivisionExecutor:
                 sid, error = shard.shard_id, errors[shard.shard_id]
                 attempts[sid] += 1
                 timeouts[sid] += isinstance(error, ShardTimeoutError)
-                if self._should_retry(error, attempts[sid]):
-                    self.clock.sleep(self.retry_policy.delay(attempts[sid], key=sid))
+                if is_retryable(error) and attempts[sid] < self.resilience.max_attempts:
+                    self.clock.sleep(backoff_delay(attempts[sid], sid, self.resilience.seed))
                     retry.append(shard)
                 else:
-                    failures[sid] = ShardFailure.from_error(
-                        sid, attempts[sid], error, timeouts[sid]
-                    )
+                    failures[sid] = ShardFailure(sid, attempts[sid], repr(error), timeouts[sid])
             pending = retry
         for shard in shards:
             sid = shard.shard_id
@@ -223,12 +272,6 @@ class ShardedDivisionExecutor:
                 communities.update(result.communities_by_ego)
             report.seconds += self.clock.perf_counter() - start
         return errors
-
-    def _should_retry(self, exc: Exception, attempts: int) -> bool:
-        return (
-            self.retry_policy.is_retryable(exc)
-            and attempts < self.retry_policy.max_attempts
-        )
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -6,8 +6,8 @@ knob) can script exactly which attempts fail and how.  Every fault is
 simulated in-process:
 
 * ``transient`` — raises :class:`TransientInjectedError` (retryable: the
-  error carries ``transient=True``, which :class:`~repro.runtime.resilience.
-  RetryPolicy` honours).
+  error carries ``transient=True``, which
+  :func:`repro.runtime.executor.is_retryable` honours).
 * ``permanent`` — raises :class:`PermanentInjectedError` (never retried).
 * ``hang`` — the attempt stalls: the injected clock advances by
   :attr:`Fault.duration` and :class:`~repro.exceptions.ShardTimeoutError`
@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
+from repro.clock import Clock
 from repro.exceptions import (
     PipelineError,
     ReproError,
     ShardTimeoutError,
     WorkerCrashError,
 )
-from repro.runtime.resilience import Clock
 
 FAULT_KINDS = ("transient", "permanent", "hang", "kill")
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.clock import Clock, SystemClock
+from repro.clock import Clock, FakeClock, SystemClock
 from repro.core.config import LoCECConfig
-from repro.core.division import divide
 from repro.core.pipeline import LoCEC
-from repro.graph.csr import CSRGraph
 from repro.runtime.cost_model import (
     ClusterSpec,
     CostCalibration,
@@ -27,7 +25,6 @@ from repro.runtime.cost_model import (
     WorkloadSpec,
 )
 from repro.runtime.executor import ShardedDivisionExecutor
-from repro.runtime.sharding import shard_nodes, validate_shards
 from repro.synthetic.network import SocialNetworkDataset
 from repro.synthetic.workloads import ExperimentWorkload
 
@@ -180,12 +177,11 @@ def run_chaos(
     Builds a deterministic :class:`~repro.runtime.faultinject.FaultPlan`
     (faults only on non-final attempts, so every shard eventually succeeds),
     runs the supervised executor with an injected
-    :class:`~repro.runtime.resilience.FakeClock` (no real backoff sleeps),
+    :class:`~repro.clock.FakeClock` (no real backoff sleeps),
     and compares the merged division against a clean run of the same egos.
     """
     from repro.core.config import ResilienceConfig
     from repro.runtime.faultinject import FaultPlan
-    from repro.runtime.resilience import FakeClock
 
     egos = list(dataset.graph.nodes())
     if max_egos is not None:
@@ -221,33 +217,3 @@ def run_chaos(
             faulted.division.communities_by_ego == clean.division.communities_by_ego
         ),
     )
-
-
-def measure_worker_scaling(
-    dataset: SocialNetworkDataset,
-    worker_counts: list[int] = (1, 2, 4),
-    max_egos: int = 200,
-    detector: str = "label_propagation",
-) -> list[tuple[int, float]]:
-    """Projected Phase I makespan vs worker count (local analogue of Fig. 12b).
-
-    A projection, not a measurement of parallel workers: the egos are split
-    into ``workers`` round-robin shards (:func:`shard_nodes`), each shard is
-    timed alone as one ``divide`` call on a shared
-    :class:`~repro.graph.csr.CSRGraph` snapshot in this process, and the
-    makespan is the slowest shard's seconds, so the result does not depend
-    on the host's core count.  (The executor divides its shards together
-    in one lockstep call and so has no per-shard time to offer.)
-    """
-    egos = list(dataset.graph.nodes())[:max_egos]
-    snapshot = CSRGraph.from_graph(dataset.graph)
-    clock = SystemClock()
-    results: list[tuple[int, float]] = []
-    for workers in worker_counts:
-        makespan = 0.0
-        for shard in validate_shards(shard_nodes(egos, workers)):
-            start = clock.perf_counter()
-            divide(snapshot, egos=shard.egos, detector=detector)
-            makespan = max(makespan, clock.perf_counter() - start)
-        results.append((workers, makespan))
-    return results

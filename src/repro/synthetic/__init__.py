@@ -15,7 +15,7 @@ from repro.synthetic.network import (
 )
 from repro.synthetic.survey import SurveyResult, run_survey
 from repro.synthetic.users import UserProfile, generate_profiles, profiles_to_store
-from repro.synthetic.workloads import ExperimentWorkload, cached_workload, make_workload
+from repro.synthetic.workloads import ExperimentWorkload, make_workload
 
 __all__ = [
     "WeChatConfig",
@@ -35,6 +35,5 @@ __all__ = [
     "profiles_to_store",
     "ExperimentWorkload",
     "make_workload",
-    "cached_workload",
     "sample_interaction_delta",
 ]

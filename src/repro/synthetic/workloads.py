@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.core.division import DivisionResult, divide
 from repro.core.labels import split_labeled_edges
@@ -105,9 +104,3 @@ def _config_for_scale(scale: str, seed: int) -> WeChatConfig:
     else:
         raise ValueError(f"unknown scale {scale!r}; use tiny/small/medium/large")
     return config
-
-
-@lru_cache(maxsize=4)
-def cached_workload(scale: str = "small", seed: int = 0) -> ExperimentWorkload:
-    """Process-wide cached workload (used by benchmarks to share setup cost)."""
-    return make_workload(scale=scale, seed=seed)

@@ -258,15 +258,6 @@ class PRF:
         return cls(precision=precision, recall=recall, f1=f1)
 
 
-@dataclass(frozen=True)
-class CommunityLabel:
-    """Ground-truth label of a local community (majority vote of member edges)."""
-
-    ego: Node
-    members: tuple[Node, ...]
-    label: RelationType
-
-
 DEFAULT_FEATURE_NAMES: Sequence[str] = (
     "gender",
     "age_bucket",

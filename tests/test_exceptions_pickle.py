@@ -25,24 +25,19 @@ import repro.exceptions as exceptions_module
 import repro.runtime.cost_model  # noqa: F401 — loads every runtime module
 import repro.runtime.executor  # noqa: F401
 import repro.runtime.faultinject
-import repro.runtime.resilience  # noqa: F401
 import repro.runtime.scalability  # noqa: F401
 import repro.runtime.sharding  # noqa: F401
 from repro.exceptions import (
     CommunityError,
     DatasetError,
     DimensionMismatchError,
-    DuplicateEdgeError,
-    EdgeListError,
     EdgeNotFoundError,
     ExecutorError,
     ExperimentError,
     FeatureError,
     GraphError,
-    MalformedLineError,
     ModelConfigError,
     NodeNotFoundError,
-    NonFiniteWeightError,
     NotFittedError,
     PipelineError,
     ReproError,
@@ -73,10 +68,6 @@ REPRESENTATIVES = [
     PipelineError("phase 2 failed"),
     DatasetError("bad workload spec"),
     ExperimentError("missing sweep axis"),
-    EdgeListError("data/edges.txt", 12, "unreadable record"),
-    MalformedLineError("data/edges.txt", 3, "expected 2 fields, got 1"),
-    NonFiniteWeightError("data/edges.txt", 9, "weight is NaN"),
-    DuplicateEdgeError("data/edges.txt", 5, "edge (1, 2) repeated"),
     ExecutorError("shard runtime failure"),
     ShardTimeoutError(2, 1.5),
     PermanentInjectedError(0, 0),

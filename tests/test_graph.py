@@ -1,23 +1,13 @@
-"""Tests for the Graph class, ego-network extraction and structural metrics."""
+"""Tests for the Graph class, ego-network extraction and Economix's
+neighbourhood-overlap metric."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.economix import jaccard_similarity
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, SelfLoopError
-from repro.graph import Graph, ego_network, ego_network_size, ego_networks
-from repro.graph.metrics import (
-    average_clustering,
-    average_degree,
-    common_neighbors,
-    degree_histogram,
-    density,
-    edge_count_within,
-    is_connected,
-    jaccard_similarity,
-    local_clustering,
-    shortest_path_lengths,
-)
+from repro.graph import Graph, ego_network
 
 
 class TestGraphBasics:
@@ -145,69 +135,12 @@ class TestEgoNetwork:
         assert set(ego.nodes()) == {6}
         assert ego.num_edges == 0
 
-    def test_ego_networks_default_covers_all_nodes(self, triangle_graph):
-        results = dict(ego_networks(triangle_graph))
-        assert set(results) == {1, 2, 3}
-
-    def test_ego_networks_subset(self, fig7_graph):
-        results = dict(ego_networks(fig7_graph, egos=[1, 5]))
-        assert set(results) == {1, 5}
-
-    def test_ego_network_size_matches_materialised(self, fig7_graph):
-        for node in fig7_graph.nodes():
-            friends, edges = ego_network_size(fig7_graph, node)
-            ego = ego_network(fig7_graph, node)
-            assert friends == ego.num_nodes
-            assert edges == ego.num_edges
-
     def test_ego_network_of_missing_node_raises(self, fig7_graph):
         with pytest.raises(NodeNotFoundError):
             ego_network(fig7_graph, 42)
 
 
 class TestMetrics:
-    def test_density_of_clique(self, triangle_graph):
-        assert density(triangle_graph) == pytest.approx(1.0)
-
-    def test_density_of_trivial_graphs(self):
-        assert density(Graph()) == 0.0
-        assert density(Graph(nodes=[1])) == 0.0
-
-    def test_local_clustering_triangle(self, triangle_graph):
-        assert local_clustering(triangle_graph, 1) == pytest.approx(1.0)
-
-    def test_local_clustering_star_center_is_zero(self):
-        star = Graph(edges=[(0, 1), (0, 2), (0, 3)])
-        assert local_clustering(star, 0) == 0.0
-
-    def test_average_clustering_bounds(self, fig7_graph):
-        value = average_clustering(fig7_graph)
-        assert 0.0 <= value <= 1.0
-
-    def test_degree_histogram_sums_to_node_count(self, fig7_graph):
-        histogram = degree_histogram(fig7_graph)
-        assert sum(histogram.values()) == fig7_graph.num_nodes
-
-    def test_average_degree(self, triangle_graph):
-        assert average_degree(triangle_graph) == pytest.approx(2.0)
-
-    def test_shortest_path_lengths(self, two_cliques_graph):
-        lengths = shortest_path_lengths(two_cliques_graph, 0)
-        assert lengths[3] == 1
-        assert lengths[4] == 2
-        assert lengths[7] == 3
-
-    def test_is_connected(self, two_cliques_graph):
-        assert is_connected(two_cliques_graph)
-        two_cliques_graph.remove_edge(3, 4)
-        assert not is_connected(two_cliques_graph)
-
-    def test_is_connected_empty_graph(self):
-        assert is_connected(Graph())
-
-    def test_common_neighbors(self, fig7_graph):
-        assert common_neighbors(fig7_graph, 2, 3) == {1, 4}
-
     def test_jaccard_similarity_bounds_and_symmetry(self, fig7_graph):
         value = jaccard_similarity(fig7_graph, 2, 3)
         assert 0.0 < value <= 1.0
@@ -216,8 +149,3 @@ class TestMetrics:
     def test_jaccard_similarity_disjoint(self):
         graph = Graph(edges=[(1, 2), (3, 4)])
         assert jaccard_similarity(graph, 1, 3) == 0.0
-
-    def test_edge_count_within(self, fig7_graph):
-        assert edge_count_within(fig7_graph, [2, 3, 4]) == 3
-        assert edge_count_within(fig7_graph, [5, 6]) == 1
-        assert edge_count_within(fig7_graph, []) == 0

@@ -95,6 +95,9 @@ def assert_hub_division_identical(friends: Graph) -> list:
 
 
 class TestCSRGraphReadAPI:
+    """The snapshot is faithful: ``to_graph`` gives the graph back, and the
+    interner maps every node to its insertion index and back."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_graph(self, seed):
         graph = random_graph(seed)
@@ -102,42 +105,19 @@ class TestCSRGraphReadAPI:
         assert csr.num_nodes == graph.num_nodes
         assert csr.num_edges == graph.num_edges
         assert list(csr.nodes()) == list(graph.nodes())
-        assert set(csr.edges()) == set(graph.edges())
-        assert csr.degrees() == graph.degrees()
-        for node in graph.nodes():
-            assert csr.neighbors(node) == graph.neighbors(node)
-            assert csr.degree(node) == graph.degree(node)
-            assert csr.has_node(node) and node in csr
-        for u, v in graph.edges():
-            assert csr.has_edge(u, v) and csr.has_edge(v, u)
-        assert not csr.has_edge(0, "missing")
-
-    def test_from_edges_and_to_graph_roundtrip(self):
-        edges = [(1, 2), (2, 3), (3, 1), (4, 5)]
-        csr = CSRGraph.from_edges(edges, nodes=[9])
-        graph = Graph(edges=edges, nodes=[9])
         assert csr.to_graph() == graph
-        assert csr == CSRGraph.from_graph(graph)
-
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_subgraph_matches(self, seed):
-        graph = random_graph(seed)
-        csr = CSRGraph.from_graph(graph)
-        rng = random.Random(seed + 100)
-        keep = [node for node in graph.nodes() if rng.random() < 0.5] + [999]
-        assert csr.subgraph(keep).to_graph() == graph.subgraph(keep)
+        for i, node in enumerate(graph.nodes()):
+            assert csr.index_of(node) == i and csr.label_of(i) == node
 
     def test_missing_node_raises(self):
-        csr = CSRGraph.from_edges([(1, 2)])
-        with pytest.raises(NodeNotFoundError):
-            csr.neighbors(42)
+        csr = CSRGraph.from_graph(Graph(edges=[(1, 2)]))
         with pytest.raises(NodeNotFoundError):
             csr.index_of(42)
 
     def test_empty_graph(self):
         csr = CSRGraph.from_graph(Graph())
         assert csr.num_nodes == 0 and csr.num_edges == 0
-        assert list(csr.edges()) == []
+        assert csr.to_graph() == Graph()
 
 
 class TestEgoNetworkParity:

@@ -1,27 +1,17 @@
-"""Tests for graph IO and the random-graph generators."""
+"""Tests for the dataset JSON document and the random-graph generators."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exceptions import (
-    DatasetError,
-    DuplicateEdgeError,
-    GraphError,
-    MalformedLineError,
-    NonFiniteWeightError,
-)
+from repro.exceptions import DatasetError
 from repro.graph import (
     Graph,
     InteractionStore,
     NodeFeatureStore,
     load_dataset_json,
-    read_edge_list,
-    read_labeled_edges,
     save_dataset_json,
-    write_edge_list,
-    write_labeled_edges,
 )
 from repro.graph.generators import (
     barabasi_albert,
@@ -32,120 +22,6 @@ from repro.graph.generators import (
     planted_partition,
 )
 from repro.types import LabeledEdge, RelationType
-
-
-class TestEdgeListIO:
-    def test_round_trip(self, tmp_path, fig7_graph):
-        path = tmp_path / "edges.tsv"
-        write_edge_list(fig7_graph, path)
-        loaded = read_edge_list(path)
-        assert loaded == fig7_graph
-
-    def test_read_skips_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("# comment\n\n1\t2\n2 3\n")
-        graph = read_edge_list(path)
-        assert graph.num_edges == 2
-
-    def test_read_malformed_line_raises(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("justonetoken\n")
-        with pytest.raises(DatasetError):
-            read_edge_list(path)
-
-    def test_node_type_conversion(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("a b\n")
-        graph = read_edge_list(path, node_type=str)
-        assert graph.has_edge("a", "b")
-
-    def test_malformed_line_names_line_number(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("1 2\nnot-an-int 3\n")
-        with pytest.raises(MalformedLineError) as info:
-            read_edge_list(path)
-        assert info.value.lineno == 2
-        assert str(path) in str(info.value)
-
-    def test_self_loop_is_malformed(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("5 5\n")
-        with pytest.raises(MalformedLineError):
-            read_edge_list(path)
-
-    def test_duplicate_edge_raises_either_orientation(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("1 2\n2 1\n")
-        with pytest.raises(DuplicateEdgeError) as info:
-            read_edge_list(path)
-        assert info.value.lineno == 2
-
-    def test_weight_column_validated(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("1 2 0.5\n2 3 nan\n")
-        with pytest.raises(NonFiniteWeightError) as info:
-            read_edge_list(path)
-        assert info.value.lineno == 2
-        path.write_text("1 2 heavy\n")
-        with pytest.raises(MalformedLineError):
-            read_edge_list(path)
-
-    def test_on_error_skip_drops_bad_lines(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("1 2\nbroken\n2 3 0.7\n1 2\n3 4 inf\n")
-        graph = read_edge_list(path, on_error="skip")
-        # Kept: 1-2 and weighted 2-3.  Dropped: short line, duplicate 1-2,
-        # non-finite 3-4.
-        assert sorted(map(sorted, graph.edges())) == [[1, 2], [2, 3]]
-        with pytest.raises(DatasetError):
-            read_edge_list(path, on_error="quarantine")
-
-    def test_errors_are_both_graph_and_dataset_errors(self, tmp_path):
-        # Back-compat: callers catching the old DatasetError still work.
-        path = tmp_path / "edges.tsv"
-        path.write_text("justonetoken\n")
-        with pytest.raises(GraphError):
-            read_edge_list(path)
-        with pytest.raises(DatasetError):
-            read_edge_list(path)
-
-
-class TestLabeledEdgeIO:
-    def test_round_trip(self, tmp_path):
-        labels = [
-            LabeledEdge(1, 2, RelationType.FAMILY),
-            LabeledEdge(2, 3, RelationType.SCHOOLMATE),
-        ]
-        path = tmp_path / "labels.tsv"
-        write_labeled_edges(labels, path)
-        loaded = read_labeled_edges(path)
-        assert {item.edge for item in loaded} == {item.edge for item in labels}
-        assert {item.label for item in loaded} == {item.label for item in labels}
-
-    def test_unknown_label_raises(self, tmp_path):
-        path = tmp_path / "labels.tsv"
-        path.write_text("1\t2\tNOT_A_TYPE\n")
-        with pytest.raises(DatasetError):
-            read_labeled_edges(path)
-
-    def test_missing_column_raises(self, tmp_path):
-        path = tmp_path / "labels.tsv"
-        path.write_text("1\t2\n")
-        with pytest.raises(DatasetError):
-            read_labeled_edges(path)
-
-    def test_duplicate_labeled_edge_raises(self, tmp_path):
-        path = tmp_path / "labels.tsv"
-        path.write_text("1\t2\tFAMILY\n2\t1\tCOLLEAGUE\n")
-        with pytest.raises(DuplicateEdgeError) as info:
-            read_labeled_edges(path)
-        assert info.value.lineno == 2
-
-    def test_on_error_skip_drops_bad_labeled_lines(self, tmp_path):
-        path = tmp_path / "labels.tsv"
-        path.write_text("1\t2\tFAMILY\nx\nnope\t3\tNOT_A_TYPE\n2\t3\tSCHOOLMATE\n")
-        loaded = read_labeled_edges(path, on_error="skip")
-        assert [item.edge for item in loaded] == [(1, 2), (2, 3)]
 
 
 class TestDatasetJson:
@@ -187,6 +63,23 @@ class TestDatasetJson:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(DatasetError):
             load_dataset_json(path)
+
+    def test_string_ids_that_int_accepts_keep_their_spelling(self, tmp_path):
+        # int() accepts "007", "1_000" and "+5"; none is an int's own
+        # spelling, so each stays a string beside the int it would parse to.
+        graph = Graph(edges=[("007", 7), ("1_000", 1000), ("+5", 5)])
+        path = tmp_path / "dataset.json"
+        labels = [LabeledEdge("007", 7, RelationType.FAMILY)]
+        save_dataset_json(path, graph, labels=labels)
+        loaded, _, _, loaded_labels = load_dataset_json(path)
+        assert loaded.num_nodes == 6
+        assert loaded == graph
+        assert (loaded_labels[0].u, loaded_labels[0].v) == ("007", 7)
+
+    @pytest.mark.parametrize("graph", [Graph(edges=[(7, "7")]), Graph(nodes=["7", 1, 7])])
+    def test_nodes_sharing_a_spelling_are_rejected(self, tmp_path, graph):
+        with pytest.raises(DatasetError, match="'7'"):
+            save_dataset_json(tmp_path / "dataset.json", graph)
 
 
 class TestGenerators:

@@ -24,10 +24,18 @@ from repro.exceptions import (
     ShardTimeoutError,
     WorkerCrashError,
 )
+from repro.clock import FakeClock
 from repro.graph.generators import paper_figure7_network
-from repro.runtime import FakeClock, Fault, FaultPlan, ShardedDivisionExecutor, run_chaos
+from repro.runtime import Fault, FaultPlan, ShardedDivisionExecutor, run_chaos
+from repro.runtime.executor import (
+    BACKOFF_BASE,
+    BACKOFF_FACTOR,
+    BACKOFF_MAX,
+    JITTER,
+    backoff_delay,
+    is_retryable,
+)
 from repro.runtime.faultinject import PermanentInjectedError, TransientInjectedError
-from repro.runtime.resilience import RetryPolicy
 from repro.runtime.sharding import Shard, shard_nodes, validate_shards
 
 
@@ -63,50 +71,58 @@ def _executor(graph, plan=None, clock=None, **resilience_kwargs):
     )
 
 
-# --------------------------------------------------------------- RetryPolicy
+# ------------------------------------------------------------ retry policy
 class TestRetryPolicy:
+    """The executor's retry policy: fixed backoff constants, a jitter seeded
+    per (run seed, shard, attempt), and the retryable error classes."""
+
     def test_delay_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(base_delay=0.1, backoff_factor=2.0, max_delay=0.3,
-                             jitter=0.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.3)  # capped
-        assert policy.delay(9) == pytest.approx(0.3)
+        for attempt in range(1, 10):
+            base = min(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
+            assert base <= backoff_delay(attempt, 0, seed=0) <= base * (1 + JITTER)
+        assert backoff_delay(9, 0, seed=0) <= BACKOFF_MAX * (1 + JITTER)  # capped
+        # The schedule the six-field RetryPolicy produced from the defaults,
+        # to the bit: retiring it moved the numbers, not the sleeps.
+        assert [backoff_delay(n, 2, seed=11) for n in range(1, 9)] == [
+            0.05090673058974678, 0.10497296739640835, 0.21920819550909956,
+            0.4021035225355415, 0.850185710219497, 1.7204682638437487,
+            2.090921363854748, 2.014423099206591,
+        ]
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.5, seed=7)
-        first = policy.delay(1, key=3)
-        assert first == policy.delay(1, key=3)  # pure function of (seed, key, n)
-        assert 0.1 <= first <= 0.1 * 1.5
-        assert policy.delay(1, key=4) != first  # per-shard schedules differ
+        first = backoff_delay(1, 3, seed=7)
+        assert first == backoff_delay(1, 3, seed=7)  # pure function of (seed, shard, n)
+        assert BACKOFF_BASE <= first <= BACKOFF_BASE * (1 + JITTER)
+        assert backoff_delay(1, 4, seed=7) != first  # per-shard schedules differ
 
     def test_classification(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(ShardTimeoutError(0, 1.0))
-        assert policy.is_retryable(WorkerCrashError(0))
-        assert policy.is_retryable(TransientInjectedError(0, 0))  # transient attr
-        assert not policy.is_retryable(PermanentInjectedError(0, 0))
-        assert not policy.is_retryable(ValueError("boom"))
+        assert is_retryable(ShardTimeoutError(0, 1.0))
+        assert is_retryable(WorkerCrashError(0))
+        assert is_retryable(TransientInjectedError(0, 0))  # transient attr
+        assert not is_retryable(PermanentInjectedError(0, 0))
+        assert not is_retryable(ValueError("boom"))
 
-    def test_from_config(self):
-        config = ResilienceConfig(max_attempts=5, backoff_base=0.2, seed=11)
-        policy = RetryPolicy.from_config(config)
-        assert policy.max_attempts == 5
-        assert policy.base_delay == pytest.approx(0.2)
-        assert policy.seed == 11
+    def test_from_config(self, graph, no_real_sleep):
+        """The executor takes its attempt budget and jitter seed from
+        ``ResilienceConfig``."""
+        plan = FaultPlan([Fault(0, attempt, "transient") for attempt in range(4)])
+        clock = FakeClock()
+        report = _executor(graph, plan=plan, clock=clock, max_attempts=5, seed=11).run(graph)
+        assert report.failed_shards == [] and report.shard_reports[0].attempts == 5
+        assert clock.sleeps == [backoff_delay(n, 0, seed=11) for n in range(1, 5)]
+        report = _executor(graph, plan=plan, max_attempts=4, seed=11).run(graph)
+        assert [item.shard_id for item in report.failed_shards] == [0]
 
 
 class TestResilienceConfig:
     def test_validation(self):
         ResilienceConfig().validate()
-        for bad in (
-            {"max_attempts": 0},
-            {"backoff_base": -0.1},
-            {"backoff_factor": 0.5},
-            {"jitter": 1.5},
-        ):
-            with pytest.raises(ModelConfigError):
-                ResilienceConfig(**bad).validate()
+        assert [field.name for field in dataclasses.fields(ResilienceConfig)] == [
+            "max_attempts",
+            "seed",
+        ]
+        with pytest.raises(ModelConfigError):
+            ResilienceConfig(max_attempts=0).validate()
 
     def test_locec_config_carries_resilience(self):
         from repro.core.config import LoCECConfig

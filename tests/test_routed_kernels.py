@@ -2,12 +2,22 @@
 
 ``graph/csr.py`` once carried a fast twin for every kernel somebody guessed
 would be hot; five of them were exported, benchmarked and parity-tested while
-``core.division.divide`` never called them.  The rule since: a kernel is in
-``repro.graph.csr.__all__`` only while product code outside the module (and
-outside ``graph/__init__.py``'s re-export list) imports or references it.
+``core.division.divide`` never called them.  ``repro.ml`` exported scalers,
+k-fold splits, an estimator protocol and an SGD optimiser; ``repro.runtime``
+a sharding strategy, a degree balancer and checkpoint helpers;
+``repro.graph`` edge-list readers and writers, structural metrics and a
+second copy of the ``Graph`` read API on ``CSRGraph`` — all called only by
+tests.  The rule since, one helper for every layer: a name in the
+``__all__`` of a guarded module needs a reference from product code —
+``src/repro`` outside the name's home, ``scripts/`` or ``examples/`` —
+bar one commented allowlist.  A reference from ``tests/`` never counts,
+and neither does a package ``__init__``'s re-export.
 The same rule holds for the ``measure_*`` / ``run_*`` drivers of
-``repro.runtime.scalability`` — one of them lived on for nine PRs with a
-README recipe as its only caller — ``core/pipeline.py`` is held to
+``repro.runtime.scalability``, whose callers must be ``cli.py``, an
+experiment that ``EXPERIMENTS`` names, ``examples/`` or ``scripts/`` — one
+driver lived on for nine PRs with a README recipe as its only caller, and
+another behind an experiment function no registry entry ran.
+``core/pipeline.py`` is held to
 "every stage of Algorithm 2 has one call site, no function over 60 code
 lines", and under ``core/`` and ``graph/`` only the pipeline may import the
 sharded runtime (a process pool once grew inside Phase II aggregation).
@@ -18,11 +28,7 @@ backend selector, and every literal those classes accept must be exercised
 by some test.  A reference executor is a test oracle in ``tests/``
 (``exact_reference.py``, ``hist_reference.py``, ``nn_reference.py``), and
 those modules import only the standard library, NumPy and ``repro``: the CI
-kernel gate times them with nothing else installed.  The
-model layer is held to the csr rule too: ``repro.ml`` once exported scalers,
-k-fold splits, an estimator protocol and an SGD optimiser that only tests
-called.  ``repro.runtime`` is held to it as well: it exported a sharding
-strategy, a degree balancer and checkpoint helpers that only tests called.
+kernel gate times them with nothing else installed.
 The checks are by AST, so a mention in a docstring or comment does not
 count.
 CI runs this file in the ``static-analysis`` job as well.
@@ -31,25 +37,70 @@ CI runs this file in the ``static-analysis`` job as well.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
-import repro.ml
-import repro.ml.nn
-import repro.runtime
-from repro.graph import csr
+import repro
+from repro.experiments.registry import EXPERIMENTS
 from repro.ml.forest import ML_BACKENDS
 
-PACKAGE = Path(csr.__file__).resolve().parent.parent  # src/repro
+PACKAGE = Path(repro.__file__).resolve().parent  # src/repro
 REPO = PACKAGE.parent.parent
-NOT_A_ROUTE = {PACKAGE / "graph" / "csr.py", PACKAGE / "graph" / "__init__.py"}
 
-# The batched all-sources Brandes kernel is routed — the GN engine runs it on
-# every component without a closed form — but only through the private
-# ``_brandes_through``.  ``edge_betweenness_csr`` is the same kernel on a
-# stack of one whole graph, public so the parity tests and the perf gate can
-# drive it directly against ``community.betweenness.edge_betweenness``.
-TEST_HANDLES = {"edge_betweenness_csr"}
+# Guarded module -> the home a reference must come from outside of.  Where a
+# package's modules are parts of one whole — the CommCNN stack, the executor
+# with its fault plan and drivers — a part using a part is not a route, so
+# the home is the package; elsewhere it is the module that defines the name.
+GUARDED = {
+    "repro.graph": "module",
+    "repro.graph.csr": "module",
+    "repro.community": "module",
+    "repro.ml": "module",
+    "repro.ml.nn": "package",
+    "repro.runtime": "package",
+}
+
+# Exported names that need no reference from product code.
+ALLOWLIST = {
+    # repro.graph: the dataset JSON reader is the round-trip oracle of the
+    # writer ``repro.cli generate`` routes.
+    "load_dataset_json",
+    # repro.community: the Girvan-Newman oracle's result type, and the
+    # dendrogram it sweeps, which tests walk level by level.
+    "GirvanNewmanResult",
+    "girvan_newman_levels",
+    # repro.ml: report metrics that classification_report composes inside
+    # ml/metrics.py, exported for callers who want one number.
+    "accuracy",
+    "confusion_matrix",
+    "macro_f1",
+    "precision_recall_f1",
+    "weighted_prf",
+    # repro.ml: the accepted backend literals and the auto crossover, read in
+    # their own modules (the constructors validate against them,
+    # resolve_ml_backend routes on the crossover) and by the tests.
+    "ML_BACKENDS",
+    "HIST_AUTO_MIN_ROWS",
+    # repro.ml.nn: a public exception type (callers catch it, only the
+    # engine raises it), and the parts of the CommCNN stack that
+    # NeuralNetworkClassifier composes (the base layer type, the loss and the
+    # compiled engine), which the parity suites drive directly.
+    "EngineCompileError",
+    "Layer",
+    "SoftmaxCrossEntropy",
+    "CompiledNetwork",
+    # repro.runtime: what a routed driver or the executor returns (callers
+    # read them, only runtime/ builds them), and a FaultPlan's element, what
+    # a test scripts a chaos schedule from.
+    "ExecutionReport",
+    "ChaosReport",
+    "MeasuredPhaseTimes",
+    "RuntimeEstimate",
+    "Fault",
+}
 
 
 def names_in_code(path: Path) -> set[str]:
@@ -64,128 +115,57 @@ def names_in_code(path: Path) -> set[str]:
     return names
 
 
-def test_every_public_csr_kernel_is_routed():
-    used: set[str] = set()
-    for path in PACKAGE.rglob("*.py"):
-        if path not in NOT_A_ROUTE:
-            used |= names_in_code(path)
-    unrouted = set(csr.__all__) - used
-    assert unrouted == TEST_HANDLES, (
-        "repro.graph.csr.__all__ names no product module uses — route them or "
-        f"delete them: {sorted(unrouted - TEST_HANDLES)}; allowlisted names "
-        f"that are routed now and should leave TEST_HANDLES: "
-        f"{sorted(TEST_HANDLES - unrouted)}"
+def module_file(dotted: str) -> Path:
+    return Path(importlib.import_module(dotted).__file__).resolve()
+
+
+def home_of(exporter: str, name: str) -> set[Path]:
+    """The files a reference to ``exporter.name`` does not count from."""
+    path = module_file(exporter)
+    if GUARDED[exporter] == "package":
+        return set(path.parent.rglob("*.py"))
+    if path.name != "__init__.py":
+        return {path}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and name in {a.name for a in node.names}:
+            return {module_file(node.module)}
+    raise AssertionError(f"{exporter}.__init__ does not import {name}")
+
+
+def test_every_export_is_referenced_outside_its_home():
+    callers = [path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py"]
+    callers += [*(REPO / "scripts").rglob("*.py"), *(REPO / "examples").rglob("*.py")]
+    names_by_file = {path.resolve(): names_in_code(path) for path in callers}
+    unreferenced = set()
+    for exporter in GUARDED:
+        for name in importlib.import_module(exporter).__all__:
+            home = home_of(exporter, name)
+            if not any(
+                name in names for path, names in names_by_file.items() if path not in home
+            ):
+                unreferenced.add(name)
+    assert unreferenced == ALLOWLIST, (
+        "exports nothing in src/repro (outside their home), scripts/ or "
+        f"examples/ references — route them or delete them: "
+        f"{sorted(unreferenced - ALLOWLIST)}; allowlisted names that are "
+        f"referenced now, or no longer exported, and should leave the "
+        f"allowlist: {sorted(ALLOWLIST - unreferenced)}"
     )
 
 
-ML = PACKAGE / "ml"
-CALLER_ROOTS = ("src", "scripts", "examples", "benchmarks")
-
-# Exported names that need no reference outside the scope below.
-MODEL_LAYER_ALLOWLIST = {
-    # A public exception type: callers catch it, only the engine raises it.
-    "EngineCompileError",
-    # Report metrics that classification_report composes inside
-    # ml/metrics.py; exported for callers who want one number.
-    "confusion_matrix",
-    "precision_recall_f1",
-    "weighted_prf",
-    # The accepted backend literals and the auto crossover, read in their
-    # own modules (the constructors validate against them, resolve_ml_backend
-    # routes on the crossover) and by the tests.
-    "ML_BACKENDS",
-    "HIST_AUTO_MIN_ROWS",
-    # Parts of the CommCNN stack that NeuralNetworkClassifier composes inside
-    # ml/nn (the base layer type, the loss and the compiled engine); the
-    # parity suites drive each directly.
-    "Layer",
-    "SoftmaxCrossEntropy",
-    "CompiledNetwork",
-}
-
-
-def exporting_modules(package: Path) -> dict[str, Path]:
-    """Re-exported name -> the file its ``__init__`` imports it from."""
-    found = {}
-    for node in ast.parse((package / "__init__.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom):
-            source = PACKAGE.parent.joinpath(*node.module.split(".")).with_suffix(".py")
-            found.update({alias.name: source for alias in node.names})
-    return found
-
-
-def test_every_model_layer_export_is_referenced():
-    """A name in ``repro.ml.__all__`` needs a reference outside the module
-    that defines it; a name in ``repro.ml.nn.__all__`` — the CommCNN stack,
-    whose parts the classifier composes — needs one outside ``ml/nn``."""
-    inits = {ML / "__init__.py", ML / "nn" / "__init__.py"}
-    names_by_file = {
-        path: names_in_code(path)
-        for root in CALLER_ROOTS
-        for path in (REPO / root).rglob("*.py")
-        if path not in inits
-    }
-    sources = exporting_modules(ML)
-    homes = {name: {sources[name]} for name in repro.ml.__all__}
-    nn_files = set((ML / "nn").rglob("*.py"))
-    homes.update({name: nn_files for name in repro.ml.nn.__all__})
-    unreferenced = {
-        name
-        for name, home in homes.items()
-        if not any(
-            name in names for path, names in names_by_file.items() if path not in home
-        )
-    }
-    assert unreferenced == MODEL_LAYER_ALLOWLIST, (
-        "model-layer exports nothing in src/, scripts/, examples/ or benchmarks/ "
-        f"references — route them or delete them: "
-        f"{sorted(unreferenced - MODEL_LAYER_ALLOWLIST)}; allowlisted names that "
-        f"are referenced now and should leave the allowlist: "
-        f"{sorted(MODEL_LAYER_ALLOWLIST - unreferenced)}"
-    )
-
-
-RUNTIME = PACKAGE / "runtime"
-
-# Exported names that need no reference outside runtime/.
-RUNTIME_ALLOWLIST = {
-    # What a routed driver or the executor returns: callers read them and
-    # only runtime/ builds them.
-    "ExecutionReport",
-    "ChaosReport",
-    "MeasuredPhaseTimes",
-    "RuntimeEstimate",
-    # A FaultPlan's element: what a test scripts a chaos schedule from.
-    "Fault",
-}
-
-
-def test_every_runtime_export_is_referenced():
-    """A name in ``repro.runtime.__all__`` needs a reference outside
-    ``runtime/``: in the rest of ``src/repro`` (the pipeline, ``cli.py``,
-    ``experiments/``), ``examples/`` or ``scripts/``."""
-    files = [path for path in PACKAGE.rglob("*.py") if RUNTIME not in path.parents]
-    files += [*(REPO / "examples").rglob("*.py"), *(REPO / "scripts").rglob("*.py")]
-    used = set().union(*(names_in_code(path) for path in files))
-    unreferenced = set(repro.runtime.__all__) - used
-    assert unreferenced == RUNTIME_ALLOWLIST, (
-        "repro.runtime exports nothing outside runtime/ references — route "
-        f"them or delete them: {sorted(unreferenced - RUNTIME_ALLOWLIST)}; "
-        "allowlisted names that are referenced now and should leave the "
-        f"allowlist: {sorted(RUNTIME_ALLOWLIST - unreferenced)}"
-    )
-
-
-def calls_in_code(path: Path) -> list[str]:
+def calls_in_code(source: str) -> list[str]:
     """Name of every called function or method, once per call site."""
     return [
         getattr(node.func, "id", None) or getattr(node.func, "attr", "")
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(ast.parse(textwrap.dedent(source)))
         if isinstance(node, ast.Call)
     ]
 
 
 def test_every_scalability_driver_has_a_product_caller():
+    """A driver's caller is ``cli.py``, the body of a function ``EXPERIMENTS``
+    names, ``examples/`` or ``scripts/``: an experiment function no registry
+    entry runs is not a route."""
     module = ast.parse((PACKAGE / "runtime" / "scalability.py").read_text())
     drivers = {
         node.name
@@ -193,13 +173,16 @@ def test_every_scalability_driver_has_a_product_caller():
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith(("measure_", "run_"))
     }
-    callers = [PACKAGE / "cli.py", *(PACKAGE / "experiments").glob("*.py")]
-    callers += [*(REPO / "examples").glob("*.py"), *(REPO / "scripts").glob("*.py")]
-    called = {name for path in callers for name in calls_in_code(path)}
+    callers = [PACKAGE / "cli.py", *(REPO / "examples").glob("*.py")]
+    callers += [*(REPO / "scripts").glob("*.py")]
+    sources = [path.read_text() for path in callers]
+    sources += [inspect.getsource(run) for run in EXPERIMENTS.values()]
+    called = {name for source in sources for name in calls_in_code(source)}
     unrouted = drivers - called
     assert unrouted == set(), (
-        "repro.runtime.scalability drivers that cli.py, experiments/, examples/ "
-        f"and scripts/ never call — route them or delete them: {sorted(unrouted)}"
+        "repro.runtime.scalability drivers that cli.py, the EXPERIMENTS "
+        "functions, examples/ and scripts/ never call — route them or delete "
+        f"them: {sorted(unrouted)}"
     )
 
 
@@ -237,7 +220,7 @@ MAX_FUNCTION_CODE_LINES = 60
 
 
 def test_each_pipeline_stage_has_one_call_site():
-    calls = calls_in_code(PIPELINE)
+    calls = calls_in_code(PIPELINE.read_text())
     for stage in ("EdgeLabeler", "labeled_communities", "_build_community_classifier"):
         assert calls.count(stage) == 1, (
             f"core/pipeline.py calls {stage}( {calls.count(stage)} times: fit and "

@@ -17,7 +17,6 @@ from repro.runtime import (
     ShardedDivisionExecutor,
     WorkloadSpec,
     measure_phases,
-    measure_worker_scaling,
 )
 from repro.runtime.sharding import shard_nodes
 
@@ -161,11 +160,3 @@ class TestMeasuredScaling:
         unlabeled_sample = replace(tiny_workload, train_edges=elsewhere)
         with pytest.raises(PipelineError, match="no local community"):
             measure_phases(unlabeled_sample, _fast_xgb_config(), max_egos=5)
-
-    def test_measured_worker_scaling_monotonicity(self, tiny_workload):
-        results = measure_worker_scaling(
-            tiny_workload.dataset, worker_counts=[1, 4], max_egos=40
-        )
-        assert len(results) == 2
-        # The 4-shard makespan (slowest shard) must not exceed the 1-shard time.
-        assert results[1][1] <= results[0][1] * 1.1

@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.executor as executor_module
+from repro.clock import FakeClock
 from repro.core.config import ResilienceConfig
 from repro.graph.generators import paper_figure7_network
-from repro.runtime import FakeClock, Fault, FaultPlan, ShardedDivisionExecutor
+from repro.runtime import Fault, FaultPlan, ShardedDivisionExecutor
+from repro.runtime.executor import backoff_delay
 from repro.runtime.faultinject import FAULT_KINDS
-from repro.runtime.resilience import RetryPolicy
 
 DETECTOR = "label_propagation"
 
@@ -116,8 +117,7 @@ class TestSerialLoop:
         # rounds 1 and 2 and keeps its own attempt count and backoff keys.
         assert _attempts(report) == [(0, 1, 0), (1, 3, 0), (2, 1, 0)]
         assert report.division.communities_by_ego == clean
-        policy = RetryPolicy.from_config(ResilienceConfig())
-        assert clock.sleeps == [policy.delay(1, key=1), policy.delay(2, key=1)]
+        assert clock.sleeps == [backoff_delay(1, 1, seed=0), backoff_delay(2, 1, seed=0)]
 
     def test_hang_surfaces_as_timeout_and_retries(self, graph, clean, no_real_sleep):
         plan = FaultPlan([Fault(0, 0, "hang", duration=2.0)])
@@ -126,8 +126,7 @@ class TestSerialLoop:
         assert _attempts(report)[0] == (0, 2, 1)
         assert report.division.communities_by_ego == clean
         # The simulated stall (the fault's duration), then one backoff.
-        policy = RetryPolicy.from_config(ResilienceConfig())
-        assert clock.sleeps == [2.0, policy.delay(1, key=0)]
+        assert clock.sleeps == [2.0, backoff_delay(1, 0, seed=0)]
 
     def test_simulated_kill_is_retried(self, graph, no_real_sleep):
         report = _executor(FaultPlan([Fault(2, 0, "kill")])).run(graph)
@@ -214,7 +213,6 @@ def _expected_outcome(plan, shard_id, max_attempts):
     own plan entries: a fault fails the attempt, a permanent one or the last
     attempt ends the shard, a clean attempt succeeds."""
     timeouts, sleeps = 0, []
-    policy = RetryPolicy.from_config(ResilienceConfig(max_attempts=max_attempts))
     for attempt in range(max_attempts):
         fault = plan.fault_for(shard_id, attempt)
         if fault is None:
@@ -224,7 +222,7 @@ def _expected_outcome(plan, shard_id, max_attempts):
             sleeps.append(fault.duration)
         if fault.kind == "permanent" or attempt + 1 == max_attempts:
             return False, attempt + 1, timeouts, sleeps
-        sleeps.append(policy.delay(attempt + 1, key=shard_id))
+        sleeps.append(backoff_delay(attempt + 1, shard_id, seed=0))
     raise AssertionError("unreachable: the last attempt always ends the shard")
 
 
