@@ -10,7 +10,8 @@ second copy of the ``Graph`` read API on ``CSRGraph`` — all called only by
 tests.  The rule since, one helper for every layer: a name in the
 ``__all__`` of a guarded module needs a reference from product code —
 ``src/repro`` outside the name's home, ``scripts/`` or ``examples/`` —
-bar one commented allowlist.  A reference from ``tests/`` never counts,
+bar one commented allowlist.  Each layer's test calls that helper on its
+own modules, so a failure names the layer.  A reference from ``tests/`` never counts,
 and neither does a package ``__init__``'s re-export.
 The same rule holds for the ``measure_*`` / ``run_*`` drivers of
 ``repro.runtime.scalability``, whose callers must be ``cli.py``, an
@@ -63,43 +64,54 @@ GUARDED = {
     "repro.runtime": "package",
 }
 
-# Exported names that need no reference from product code.
+# Exported names that need no reference from product code, by guarded module.
 ALLOWLIST = {
-    # repro.graph: the dataset JSON reader is the round-trip oracle of the
-    # writer ``repro.cli generate`` routes.
-    "load_dataset_json",
-    # repro.community: the Girvan-Newman oracle's result type, and the
-    # dendrogram it sweeps, which tests walk level by level.
-    "GirvanNewmanResult",
-    "girvan_newman_levels",
-    # repro.ml: report metrics that classification_report composes inside
-    # ml/metrics.py, exported for callers who want one number.
-    "accuracy",
-    "confusion_matrix",
-    "macro_f1",
-    "precision_recall_f1",
-    "weighted_prf",
-    # repro.ml: the accepted backend literals and the auto crossover, read in
-    # their own modules (the constructors validate against them,
-    # resolve_ml_backend routes on the crossover) and by the tests.
-    "ML_BACKENDS",
-    "HIST_AUTO_MIN_ROWS",
-    # repro.ml.nn: a public exception type (callers catch it, only the
-    # engine raises it), and the parts of the CommCNN stack that
-    # NeuralNetworkClassifier composes (the base layer type, the loss and the
-    # compiled engine), which the parity suites drive directly.
-    "EngineCompileError",
-    "Layer",
-    "SoftmaxCrossEntropy",
-    "CompiledNetwork",
-    # repro.runtime: what a routed driver or the executor returns (callers
-    # read them, only runtime/ builds them), and a FaultPlan's element, what
-    # a test scripts a chaos schedule from.
-    "ExecutionReport",
-    "ChaosReport",
-    "MeasuredPhaseTimes",
-    "RuntimeEstimate",
-    "Fault",
+    "repro.graph": {
+        # The dataset JSON reader is the round-trip oracle of the writer
+        # ``repro.cli generate`` routes.
+        "load_dataset_json",
+    },
+    "repro.graph.csr": set(),
+    "repro.community": {
+        # The Girvan-Newman oracle's result type, and the dendrogram it
+        # sweeps, which tests walk level by level.
+        "GirvanNewmanResult",
+        "girvan_newman_levels",
+    },
+    "repro.ml": {
+        # Report metrics that classification_report composes inside
+        # ml/metrics.py, exported for callers who want one number.
+        "accuracy",
+        "confusion_matrix",
+        "macro_f1",
+        "precision_recall_f1",
+        "weighted_prf",
+        # The accepted backend literals and the auto crossover, read in their
+        # own modules (the constructors validate against them,
+        # resolve_ml_backend routes on the crossover) and by the tests.
+        "ML_BACKENDS",
+        "HIST_AUTO_MIN_ROWS",
+    },
+    "repro.ml.nn": {
+        # A public exception type (callers catch it, only the engine raises
+        # it), and the parts of the CommCNN stack that NeuralNetworkClassifier
+        # composes (the base layer type, the loss and the compiled engine),
+        # which the parity suites drive directly.
+        "EngineCompileError",
+        "Layer",
+        "SoftmaxCrossEntropy",
+        "CompiledNetwork",
+    },
+    "repro.runtime": {
+        # What a routed driver or the executor returns (callers read them,
+        # only runtime/ builds them), and a FaultPlan's element, what a test
+        # scripts a chaos schedule from.
+        "ExecutionReport",
+        "ChaosReport",
+        "MeasuredPhaseTimes",
+        "RuntimeEstimate",
+        "Fault",
+    },
 }
 
 
@@ -132,25 +144,56 @@ def home_of(exporter: str, name: str) -> set[Path]:
     raise AssertionError(f"{exporter}.__init__ does not import {name}")
 
 
-def test_every_export_is_referenced_outside_its_home():
+def assert_exports_referenced(*exporters: str) -> None:
+    """Every name in the ``__all__`` of ``exporters`` is referenced from
+    product code outside its home, or is on the allowlist; no allowlisted
+    name is referenced or gone."""
     callers = [path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py"]
     callers += [*(REPO / "scripts").rglob("*.py"), *(REPO / "examples").rglob("*.py")]
     names_by_file = {path.resolve(): names_in_code(path) for path in callers}
     unreferenced = set()
-    for exporter in GUARDED:
+    for exporter in exporters:
         for name in importlib.import_module(exporter).__all__:
             home = home_of(exporter, name)
             if not any(
                 name in names for path, names in names_by_file.items() if path not in home
             ):
                 unreferenced.add(name)
-    assert unreferenced == ALLOWLIST, (
-        "exports nothing in src/repro (outside their home), scripts/ or "
-        f"examples/ references — route them or delete them: "
-        f"{sorted(unreferenced - ALLOWLIST)}; allowlisted names that are "
-        f"referenced now, or no longer exported, and should leave the "
-        f"allowlist: {sorted(ALLOWLIST - unreferenced)}"
+    allowed = set().union(*(ALLOWLIST[exporter] for exporter in exporters))
+    assert unreferenced == allowed, (
+        f"{', '.join(exporters)} export names nothing in src/repro (outside "
+        f"their home), scripts/ or examples/ references — route them or "
+        f"delete them: {sorted(unreferenced - allowed)}; allowlisted names "
+        f"that are referenced now, or no longer exported, and should leave "
+        f"the allowlist: {sorted(allowed - unreferenced)}"
     )
+
+
+GRAPH_LAYER = ("repro.graph", "repro.community")
+CSR_LAYER = ("repro.graph.csr",)
+MODEL_LAYER = ("repro.ml", "repro.ml.nn")
+RUNTIME_LAYER = ("repro.runtime",)
+
+
+def test_every_guarded_module_is_checked():
+    checked = {*GRAPH_LAYER, *CSR_LAYER, *MODEL_LAYER, *RUNTIME_LAYER}
+    assert checked == set(GUARDED) == set(ALLOWLIST)
+
+
+def test_every_graph_layer_export_is_referenced():
+    assert_exports_referenced(*GRAPH_LAYER)
+
+
+def test_every_public_csr_kernel_is_routed():
+    assert_exports_referenced(*CSR_LAYER)
+
+
+def test_every_model_layer_export_is_referenced():
+    assert_exports_referenced(*MODEL_LAYER)
+
+
+def test_every_runtime_export_is_referenced():
+    assert_exports_referenced(*RUNTIME_LAYER)
 
 
 def calls_in_code(source: str) -> list[str]:
