@@ -2,16 +2,14 @@
 
     PYTHONPATH=src python scripts/division_probe.py
 
-For every detector, divides the same graph five more ways — rebuilt with
+For every detector, divides the same graph four more ways — rebuilt with
 shuffled node / edge insertion and random endpoint orientation on either
-route, through the routed kernel, as a bare
-``CSRGraph(indptr, indices, nodes)``, and through the supervised
-``ShardedDivisionExecutor`` (four shards divided in lockstep rounds under a
-seeded recoverable fault plan, on a ``FakeClock``) — and counts the egos
+route, through the routed kernel, and as a bare
+``CSRGraph(indptr, indices, nodes)`` — and counts the egos
 whose community list (members, index, tightness) differs from, or is
 missing against, the oracle (the detector as a callable, which runs on
 ego-network ``Graph`` objects) on the graph as generated.  Every cell must
-read ``0/N``; exits non-zero otherwise.  (~15 s.)
+read ``0/N``; exits non-zero otherwise.  (~10 s.)
 """
 
 from __future__ import annotations
@@ -19,18 +17,15 @@ from __future__ import annotations
 import random
 import sys
 
-from repro.clock import FakeClock
 from repro.core.division import DivisionResult, divide, get_detector
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
-from repro.runtime import FaultPlan, ShardedDivisionExecutor
 from repro.synthetic import make_workload
 
 DETECTORS = ("girvan_newman", "label_propagation", "louvain")
 GRID = (
-    ("tiny", DETECTORS, ("oracle shuffled", "routed", "routed shuffled", "routed source-less",
-                         "sharded")),
-    ("small", ("girvan_newman",), ("routed", "sharded")),
+    ("tiny", DETECTORS, ("oracle shuffled", "routed", "routed shuffled", "routed source-less")),
+    ("small", ("girvan_newman",), ("routed",)),
 )
 SEEDS = (0, 1, 2)
 
@@ -56,13 +51,6 @@ def divide_leg(graph: Graph, seed: int, detector: str, leg: str) -> DivisionResu
         return divide(shuffled(graph, seed), detector=detector)
     if leg == "routed source-less":
         return divide(source_less(graph), detector=detector)
-    if leg == "sharded":
-        # Faults only on attempts the default budget of three can retry.
-        plan = FaultPlan.random(range(4), seed=seed, fault_rate=0.5)
-        executor = ShardedDivisionExecutor(
-            num_shards=4, detector=detector, fault_plan=plan, clock=FakeClock()
-        )
-        return executor.run(graph).division
     return divide(graph, detector=detector)
 
 

@@ -10,7 +10,7 @@ Python library:
 * :mod:`repro.core` — the three-phase LoCEC pipeline (the paper's contribution),
 * :mod:`repro.baselines` — ProbWP, Economix, plain XGBoost, group-name rules,
 * :mod:`repro.synthetic` — WeChat-like synthetic data generation,
-* :mod:`repro.runtime` — sharded execution and the WeChat-scale cost model,
+* :mod:`repro.runtime` — the WeChat-scale cost model and scalability drivers,
 * :mod:`repro.ads` — the social-advertising application,
 * :mod:`repro.analysis` / :mod:`repro.experiments` — the paper's analyses,
   tables and figures.

@@ -9,16 +9,10 @@ The subcommands cover the common workflows without writing any Python:
   synthetic WeChat-like dataset (graph + features + interactions + survey
   labels) and save it as a JSON bundle loadable with
   :func:`repro.graph.load_dataset_json`.
-* ``locec-repro chaos --scale tiny --fault-rate 0.3`` — chaos knob: run the
-  sharded Phase I executor in-process under a seeded fault-injection
-  schedule (transient errors, simulated hangs and worker kills) and exit
-  non-zero unless the merged division is bit-identical to a clean run.
-* ``locec-repro serve-replay --scale tiny --fault-rate 0.3`` — serving
-  smoke: fit a pipeline, open a :class:`repro.serve.ServingSession` and
-  replay synthetic update + query traffic (optionally under injected
-  re-division faults); prints sustained QPS and latency percentiles and
-  exits non-zero if any query goes unanswered or an update degrades when
-  the fault schedule guarantees recovery.
+* ``locec-repro serve-replay --scale tiny`` — serving smoke: fit a
+  pipeline, open a :class:`repro.serve.ServingSession` and replay synthetic
+  update + query traffic; prints sustained QPS and latency percentiles and
+  exits non-zero if any query goes unanswered.
 * ``locec-repro lint`` — run the repo-native invariant lint engine
   (:mod:`repro.lint`): determinism and NumPy hygiene rules; exits
   non-zero on any finding.
@@ -69,39 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate_parser.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run the sharded Phase I executor under seeded fault injection "
-        "and verify the merged result matches a clean run",
-    )
-    chaos_parser.add_argument(
-        "--scale",
-        default="tiny",
-        choices=["tiny", "small", "medium", "large"],
-        help="synthetic workload size (default: tiny)",
-    )
-    chaos_parser.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    chaos_parser.add_argument(
-        "--shards", type=int, default=4, help="number of shards (default: 4)"
-    )
-    chaos_parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.25,
-        help="per-attempt fault probability in [0, 1] (default: 0.25)",
-    )
-    chaos_parser.add_argument(
-        "--max-egos",
-        type=int,
-        default=80,
-        help="limit Phase I to the first N egos (default: 80)",
-    )
-
     serve_parser = subparsers.add_parser(
         "serve-replay",
         help="fit a pipeline, open a ServingSession and replay synthetic "
         "update + query traffic; reports sustained QPS and latency "
-        "percentiles and exits non-zero if serving degrades unexpectedly",
+        "percentiles and exits non-zero if a query goes unanswered",
     )
     serve_parser.add_argument(
         "--scale",
@@ -118,14 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="edge queries per batch (default: 32)",
-    )
-    serve_parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="per-attempt fault probability injected into update re-divisions; "
-        "their backoff and hangs pass in virtual time, printed as "
-        "supervision_virtual_sleep_s; 0 = fault-free replay (default: 0.0)",
     )
 
     lint_parser = subparsers.add_parser(
@@ -191,52 +149,20 @@ def _command_generate(output: str, scale: str, seed: int) -> int:
     return 0
 
 
-def _command_chaos(
-    scale: str,
-    seed: int,
-    shards: int,
-    fault_rate: float,
-    max_egos: int,
-) -> int:
-    from repro.runtime import run_chaos
-
-    workload = make_workload(scale=scale, seed=seed)
-    report = run_chaos(
-        workload.dataset,
-        num_shards=shards,
-        fault_rate=fault_rate,
-        seed=seed,
-        max_egos=max_egos,
-    )
-    print(report.to_text())
-    # The chaos gate: a fault schedule that eventually succeeds must yield
-    # a merged division bit-identical to the clean run.
-    passed = report.identical_to_clean and not report.failed_shards
-    return 0 if passed else 1
-
-
 def _command_serve_replay(
     scale: str,
     seed: int,
     batches: int,
     queries_per_batch: int,
-    fault_rate: float,
 ) -> int:
-    from repro.clock import FakeClock
     from repro.core.config import LoCECConfig
     from repro.core.pipeline import LoCEC
-    from repro.runtime import FaultPlan
     from repro.serve import ServingSession, replay_traffic
 
     workload = make_workload(scale=scale, seed=seed)
     config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 10
-    # Supervision backs off, and injected hangs stall, on the pipeline's
-    # clock: a virtual one, so the replay times the work of each write and
-    # no injected sleep.  The session keeps the system clock, so latency
-    # and QPS are real.
-    supervision_clock = FakeClock()
-    pipeline = LoCEC(config, clock=supervision_clock)
+    pipeline = LoCEC(config)
     pipeline.fit(
         workload.dataset.graph,
         features=workload.dataset.features,
@@ -244,27 +170,17 @@ def _command_serve_replay(
         labeled_edges=workload.train_edges,
         division=workload.division(),
     )
-    # FaultPlan.random only injects recoverable faults (each shard's final
-    # attempt is clean), so even a chaos replay must end with zero stale
-    # egos — staleness here would mean the retry envelope leaked.
-    fault_plan = (
-        FaultPlan.random(range(4), seed=seed, fault_rate=fault_rate)
-        if fault_rate > 0.0
-        else None
-    )
     with ServingSession(pipeline) as session:
         report = replay_traffic(
             session,
             num_batches=batches,
             queries_per_batch=queries_per_batch,
             seed=seed,
-            fault_plan=fault_plan,
         )
     for key, value in report.as_dict().items():
         print(f"{key}: {value:.6g}")
     stats = session.stats
     print(f"labeler refits {stats.num_labeler_refits}/{stats.num_updates} updates")
-    print(f"supervision_virtual_sleep_s: {sum(supervision_clock.sleeps):.6g}")
     for name, latency in (
         ("query", report.query_latency),
         ("update", report.update_latency),
@@ -274,8 +190,6 @@ def _command_serve_replay(
     passed = (
         report.num_queries == batches * queries_per_batch
         and report.sustained_qps > 0.0
-        and not report.stale_egos
-        and report.num_degraded_updates == 0
     )
     return 0 if passed else 1
 
@@ -315,15 +229,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.seed,
             args.batches,
             args.queries_per_batch,
-            args.fault_rate,
-        )
-    if args.command == "chaos":
-        return _command_chaos(
-            args.scale,
-            args.seed,
-            args.shards,
-            args.fault_rate,
-            args.max_egos,
         )
     return 2  # pragma: no cover - argparse enforces the choices above
 

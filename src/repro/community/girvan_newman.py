@@ -35,13 +35,10 @@ class GirvanNewmanResult:
         The selected partition (list of frozensets of nodes).
     modularity:
         Modularity of the selected partition on the original graph.
-    levels_explored:
-        Number of dendrogram levels that were evaluated.
     """
 
     communities: tuple[frozenset[Node], ...]
     modularity: float
-    levels_explored: int
 
 
 def girvan_newman_levels(graph: Graph) -> Iterator[list[set[Node]]]:
@@ -71,27 +68,9 @@ def girvan_newman_levels(graph: Graph) -> Iterator[list[set[Node]]]:
             yield [set(block) for block in components]
 
 
-def girvan_newman(
-    graph: Graph,
-    max_communities: int | None = None,
-    min_community_size: int = 1,
-) -> GirvanNewmanResult:
-    """Run Girvan–Newman and return the best-modularity partition.
-
-    Parameters
-    ----------
-    graph:
-        The (small) graph to partition, typically an ego network.
-    max_communities:
-        Optional cap on the number of communities; dendrogram levels with
-        more communities than this are not considered.
-    min_community_size:
-        Singleton/tiny communities below this size are still returned (the
-        partition must cover all nodes) but a level is never *preferred*
-        solely because it shattered the graph into tiny fragments — this is
-        naturally handled by modularity, the parameter only provides an
-        early-exit: once every community at a level is smaller than
-        ``min_community_size`` the search stops.
+def girvan_newman(graph: Graph) -> GirvanNewmanResult:
+    """Run Girvan–Newman on ``graph`` (typically an ego network) and return
+    the best-modularity partition over every dendrogram level.
 
     Notes
     -----
@@ -100,33 +79,21 @@ def girvan_newman(
     size one" whose tightness the paper defines as 1).
     """
     if graph.num_nodes == 0:
-        return GirvanNewmanResult(communities=(), modularity=0.0, levels_explored=0)
+        return GirvanNewmanResult(communities=(), modularity=0.0)
     if graph.num_edges == 0:
         singleton = tuple(
             frozenset([node]) for node in sorted(graph.nodes(), key=node_key)
         )
-        return GirvanNewmanResult(
-            communities=singleton, modularity=0.0, levels_explored=1
-        )
+        return GirvanNewmanResult(communities=singleton, modularity=0.0)
 
     best_partition: list[set[Node]] | None = None
     best_q = float("-inf")
-    levels = 0
     for partition in girvan_newman_levels(graph):
-        levels += 1
-        if max_communities is not None and len(partition) > max_communities:
-            break
         q = modularity(graph, partition)
         if q > best_q:
             best_q = q
             best_partition = partition
-        if min_community_size > 1 and all(
-            len(block) < min_community_size for block in partition
-        ):
-            break
 
     assert best_partition is not None  # at least one level is always yielded
     communities = tuple(frozenset(block) for block in best_partition)
-    return GirvanNewmanResult(
-        communities=communities, modularity=best_q, levels_explored=levels
-    )
+    return GirvanNewmanResult(communities=communities, modularity=best_q)

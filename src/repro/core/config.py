@@ -63,33 +63,6 @@ class GBDTConfig:
 
 
 @dataclass
-class ResilienceConfig:
-    """Retry knobs of the sharded Phase I executor.
-
-    Read by :class:`repro.runtime.executor.ShardedDivisionExecutor`, whose
-    backoff schedule is fixed beside its retry loop
-    (:func:`repro.runtime.executor.backoff_delay`).  A shard whose attempts
-    run out is skipped: its egos are missing from the merged division and
-    listed in ``ExecutionReport.failed_shards``.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total tries per shard (1 = no retries).
-    seed:
-        Seed of the deterministic backoff jitter, drawn per
-        ``(seed, shard_id, attempt)`` so schedules are reproducible.
-    """
-
-    max_attempts: int = 3
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.max_attempts < 1:
-            raise ModelConfigError("max_attempts must be >= 1")
-
-
-@dataclass
 class LoCECConfig:
     """Top-level configuration of the LoCEC pipeline (Algorithm 2).
 
@@ -115,9 +88,6 @@ class LoCECConfig:
     edge_lr_l2: float = 1e-4
     cnn: CommCNNConfig = field(default_factory=CommCNNConfig)
     gbdt: GBDTConfig = field(default_factory=GBDTConfig)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    """Retry knobs of a write's supervised re-division; see
-    :class:`ResilienceConfig`."""
 
     def validate(self) -> None:
         """Reject up front every value a model constructor would reject after
@@ -138,16 +108,17 @@ class LoCECConfig:
                 "community_detector must be one of 'girvan_newman', "
                 f"'label_propagation', 'louvain', got {self.community_detector!r}"
             )
-        self.resilience.validate()
         LogisticRegression(l2=self.edge_lr_l2)
         self.cnn.validate()
         self.gbdt.validate()
 
     @property
-    def runtime_options(self) -> ResilienceConfig:
-        """Read-only view of :attr:`resilience`, the only runtime knobs left;
-        the end-to-end benchmark records ``asdict(config.runtime_options)``."""
-        return self.resilience
+    def runtime_options(self) -> "LoCECConfig":
+        """This config itself.  Kept because the end-to-end benchmark records
+        ``asdict(config.runtime_options)`` in every result row (so the row
+        carries the full resolved config); the change that next edits the
+        benchmark reads the config directly and drops this property."""
+        return self
 
     @classmethod
     def locec_cnn(cls, **overrides: object) -> "LoCECConfig":

@@ -298,9 +298,10 @@ def divide(
     """Run Phase I for every ego in ``egos`` (default: every node of the graph,
     in :data:`repro.types.node_key` order; a repeated ego is divided once).
 
-    No ego's division depends on another's: :mod:`repro.runtime` shards this
-    same function across workers, and on the Girvan-Newman route the egos of
-    one call step in lockstep so that each round's Brandes work is scored in
+    No ego's division depends on another's: a write's re-division
+    (:meth:`repro.core.pipeline.LoCEC.apply_updates`) calls this same
+    function on the dirty egos alone, and on the Girvan-Newman route the
+    egos of one call step in lockstep so that each round's Brandes work is scored in
     one batched kernel call (see :func:`repro.graph.csr.girvan_newman_dense`);
     the result is the same whichever egos share a call.  That route extracts
     every ego net before any GN work, so an unknown ego raises

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,9 +74,6 @@ from repro.types import (
     node_key,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
-    from repro.runtime.faultinject import FaultPlan
-
 
 @dataclass
 class PhaseTimings:
@@ -123,9 +120,6 @@ class FitSummary:
 class UpdateReport:
     """Bookkeeping produced by :meth:`LoCEC.apply_updates`.
 
-    ``stale_egos`` lists egos whose supervised re-division failed this
-    update (their shard ran out of attempts and was skipped): their previous
-    communities stay served until a later update or refit succeeds.
     ``kernel_patched`` is ``True`` when every store delta was folded into
     the compiled Phase II kernel in place (delta compilation) — ``False``
     means a structural delta forced a full recompile on next use.
@@ -139,18 +133,15 @@ class UpdateReport:
     num_interaction_deltas: int = 0
     num_feature_updates: int = 0
     num_dirty_egos: int = 0
-    num_redivided_egos: int = 0
-    stale_egos: tuple[Node, ...] = ()
     num_rescored_communities: int = 0
     classifier_refit: bool = False
     labeler_refit: bool = False
     kernel_patched: bool = True
     timings: PhaseTimings = field(default_factory=PhaseTimings)
-
-    @property
-    def degraded(self) -> bool:
-        """``True`` when at least one ego is being served stale communities."""
-        return bool(self.stale_egos)
+    stale_egos: tuple[Node, ...] = ()
+    """Always ``()``: a write lands whole or raises.  Kept because the
+    end-to-end benchmark reads it on every write; the change that next
+    edits the benchmark drops the read, and this field with it."""
 
 
 def _checked_vector(values: Sequence[float], length: int, where: str) -> np.ndarray:
@@ -200,7 +191,6 @@ class LoCEC:
         self._train_communities: list[LocalCommunity] = []
         self._train_labels: list[int] = []
         self._train_keys: set[CommunityKey] = set()
-        self._stale_egos: set[Node] = set()
         self._update_epoch = 0
 
     # ---------------------------------------------------------------- training
@@ -238,7 +228,6 @@ class LoCEC:
         self._labeled_edges = list(labeled_edges)
         self._label_index = EdgeLabelIndex(self._labeled_edges)
         self._votes = CommunityVotes()
-        self._stale_egos = set()
         summary = FitSummary(num_training_edges=len(labeled_edges))
         timings = summary.timings
 
@@ -362,39 +351,27 @@ class LoCEC:
         """Number of :meth:`apply_updates` calls folded into the fitted state."""
         return self._update_epoch
 
-    @property
-    def stale_egos(self) -> frozenset[Node]:
-        """Egos currently served stale communities after failed re-division."""
-        return frozenset(self._stale_egos)
-
     def apply_updates(
         self,
         added_edges: Sequence[Edge] = (),
         removed_edges: Sequence[Edge] = (),
         interaction_deltas: Sequence[tuple[Node, Node, Sequence[float]]] = (),
         feature_updates: Sequence[tuple[Node, Sequence[float]]] = (),
-        fault_plan: "FaultPlan | None" = None,
     ) -> UpdateReport:
         """Fold a batch of graph/store deltas into the fitted state.
 
         The incremental counterpart of :meth:`fit`: instead of re-running
         Algorithm 2 from scratch, only the state actually touched by the
         deltas is recomputed, and the result is **bit-identical** to a
-        from-scratch ``fit`` on the updated inputs (absent injected faults).
+        from-scratch ``fit`` on the updated inputs.
 
         1. ``added_edges`` / ``removed_edges`` mutate the friendship graph.
            A changed edge ``(a, b)`` dirties exactly the egos whose ego
            network contains it: ``{a, b} ∪ (N(a) ∩ N(b))``.  Only those are
-           re-divided, through the supervised
-           :class:`~repro.runtime.executor.ShardedDivisionExecutor`: the
-           dirty egos go round-robin into ``min(4, len(dirty))`` shards,
-           and each supervision round divides every shard that passed its
-           fault-plan entry in one lockstep ``divide`` call (an error of
-           that call counts against every shard it carried).  A shard
-           whose attempts run out is skipped — a crashed re-division
-           leaves the ego's *previous* communities served
-           (stale-but-consistent, see :attr:`UpdateReport.stale_egos`)
-           instead of failing the update.
+           re-divided, in one lockstep :func:`~repro.core.division.divide`
+           call on their neighbourhood subgraph.  If that call raises, the
+           graph edits are undone and the error propagates: nothing else has
+           changed by then, so the pipeline is exactly as it was.
         2. ``interaction_deltas`` — ``(u, v, delta)`` triples added onto the
            stored interaction vector — and ``feature_updates`` —
            ``(node, values)`` replacements — are written to the live stores
@@ -422,16 +399,13 @@ class LoCEC:
         (:class:`DimensionMismatchError`), a non-finite one or a delta that
         would drive a stored count negative (:class:`FeatureError`).
         Re-adding an existing edge is legal.  Two failures can still come
-        *after* validation: a refit that diverges
+        *after* the re-division: a refit that diverges
         (:class:`TrainingDivergedError`) and an update that removed every
         labeled community (:class:`PipelineError`).  Either one raises after
         the graph, the stores and the division were already changed, so the
         pipeline is left half-updated: nothing rolls those writes back, and
         the models no longer match the inputs.  Refit with :meth:`fit`
         before serving from it again.
-
-        Returns an :class:`UpdateReport`; ``fault_plan`` injects
-        deterministic re-division faults (chaos tests).
         """
         self._require_fitted()
         interaction_writes, feature_writes = self._validate_updates(
@@ -445,13 +419,11 @@ class LoCEC:
         )
         timings = report.timings
 
-        with self._timed(timings, "division"):
-            dirty_egos = self._apply_graph_deltas(added_edges, removed_edges)
-            report.stale_egos, rescore_keys, changed_egos = self._redivide(
-                dirty_egos, fault_plan
-            )
+        with self._timed(timings, "division"), self._graph_deltas(
+            added_edges, removed_edges
+        ) as dirty_egos:
+            rescore_keys, changed_egos = self._redivide(dirty_egos)
         report.num_dirty_egos = len(dirty_egos)
-        report.num_redivided_egos = len(dirty_egos) - len(report.stale_egos)
         with self._timed(timings, "aggregation"):
             report.kernel_patched, dirty_keys = self._apply_store_deltas(
                 interaction_writes, feature_writes
@@ -527,69 +499,63 @@ class LoCEC:
         ]
         return interaction_writes, feature_writes
 
-    def _apply_graph_deltas(
+    @contextmanager
+    def _graph_deltas(
         self, added_edges: Sequence[Edge], removed_edges: Sequence[Edge]
-    ) -> list[Node]:
-        """Mutate the graph; return the egos to re-divide, in canonical order.
+    ) -> Iterator[list[Node]]:
+        """Mutate the graph; yield the egos to re-divide, in canonical order.
 
         A changed edge ``(a, b)`` dirties ``{a, b} ∪ (N(a) ∩ N(b))``.  Egos
         outside the fitted division (subset fits) stay un-divided; nodes
-        introduced by this update always become egos.
+        introduced by this update always become egos.  If the block raises,
+        every touched edge is put back as it was and the new nodes go.
         """
         graph, fitted_egos = self._graph, self.division_.communities_by_ego
         new_nodes = {node for edge in added_edges for node in edge if node not in graph}
+        touched = [*added_edges, *removed_edges]
+        present = {canonical_edge(u, v): graph.has_edge(u, v) for u, v in touched}
         for u, v in added_edges:
             graph.add_edge(u, v)
         for u, v in removed_edges:
             graph.remove_edge(u, v)
         dirty_egos: set[Node] = set()
-        for u, v in (*added_edges, *removed_edges):
+        for u, v in touched:
             dirty_egos.update((u, v), graph.neighbors(u) & graph.neighbors(v))
-        return sorted(
-            (ego for ego in dirty_egos if ego in fitted_egos or ego in new_nodes),
-            key=node_key,
-        )
+        try:
+            yield sorted(
+                (ego for ego in dirty_egos if ego in fitted_egos or ego in new_nodes),
+                key=node_key,
+            )
+        except BaseException:
+            for edge, was_present in present.items():
+                if graph.has_edge(*edge) != was_present:
+                    (graph.add_edge if was_present else graph.remove_edge)(*edge)
+            for node in new_nodes:
+                graph.remove_node(node)
+            raise
 
-    def _redivide(
-        self, dirty_egos: list[Node], fault_plan: "FaultPlan | None"
-    ) -> tuple[tuple[Node, ...], set[CommunityKey], set[Node]]:
-        """Supervised re-division of the dirty egos, folded into the division.
+    def _redivide(self, dirty_egos: list[Node]) -> tuple[set[CommunityKey], set[Node]]:
+        """Re-divide the dirty egos in one lockstep ``divide`` call and fold
+        them into the division.
 
-        Returns the egos whose re-division failed (their shard was skipped:
-        they keep serving their previous communities, stale), the keys of the
-        new communities (to score) and the egos whose community list changed
-        (their old scores go).
+        Returns the keys of the new communities (to score) and the egos whose
+        community list changed (their old scores go).  The division is only
+        written after ``divide`` returned, so an error leaves it untouched.
         """
+        if not dirty_egos:
+            return set(), set()
+        # An ego's division reads only its ego network, and equal graphs
+        # divide equally: divide the dirty egos' neighbourhoods, not the
+        # whole network.
+        redivided = divide(
+            self._graph.neighborhood_subgraph(dirty_egos),
+            egos=dirty_egos,
+            detector=self.config.community_detector,
+        ).communities_by_ego
         division = self.division_
-        redivided: dict[Node, list[LocalCommunity]] = {}
-        if dirty_egos:
-            from repro.runtime.executor import ShardedDivisionExecutor
-
-            with ShardedDivisionExecutor(
-                num_shards=min(4, len(dirty_egos)),
-                detector=self.config.community_detector,
-                resilience=self.config.resilience,
-                fault_plan=fault_plan,
-                clock=self._clock,
-            ) as executor:
-                # An ego's division reads only its ego network, and equal
-                # graphs divide equally: the executor snapshots the dirty
-                # egos' neighbourhoods, not the whole network.
-                redivided = executor.run(
-                    self._graph.neighborhood_subgraph(dirty_egos), egos=dirty_egos
-                ).division.communities_by_ego
-        stale: list[Node] = []
         rescore_keys: set[CommunityKey] = set()
         changed_egos: set[Node] = set()
         for ego in dirty_egos:
-            if ego not in redivided:
-                # An ego new to this update has no previous communities and
-                # serves empty.
-                stale.append(ego)
-                self._stale_egos.add(ego)
-                division.communities_by_ego.setdefault(ego, [])
-                continue
-            self._stale_egos.discard(ego)
             # Identical communities (e.g. an idempotent edge re-add) keep the
             # old objects and their stored scores: rescoring identical inputs
             # would only write back identical values.
@@ -597,7 +563,7 @@ class LoCEC:
                 division.communities_by_ego[ego] = redivided[ego]
                 changed_egos.add(ego)
                 rescore_keys.update(community_key(c) for c in redivided[ego])
-        return tuple(stale), rescore_keys, changed_egos
+        return rescore_keys, changed_egos
 
     def _apply_store_deltas(
         self,
@@ -764,8 +730,8 @@ class LoCEC:
 
         Releases nothing, by design: ``fit`` divides in-process (a pool
         route lost under the end-to-end benchmark, README "Why ``fit``
-        divides serially"), Phase II runs in-process and re-division opens
-        and closes its executor per write.  Callers (``with LoCEC(...)``,
+        divides serially"), and Phase II and a write's re-division run
+        in-process too.  Callers (``with LoCEC(...)``,
         the benchmark harness) rely on the form.
         """
 

@@ -113,30 +113,3 @@ class DatasetError(ReproError):
 
 class ExperimentError(ReproError):
     """Errors raised by the experiment harness."""
-
-
-# ------------------------------------------------------ execution runtime
-class ExecutorError(PipelineError):
-    """Base class for failures inside the sharded execution runtime."""
-
-
-class ShardTimeoutError(_PicklableErrorMixin, ExecutorError):
-    """A shard attempt hung (a simulated stall); retryable by default."""
-
-    def __init__(self, shard_id: int, timeout_seconds: float) -> None:
-        super().__init__(
-            f"shard {shard_id} timed out after {timeout_seconds:g}s"
-        )
-        self.shard_id = shard_id
-        self.timeout_seconds = timeout_seconds
-
-
-class WorkerCrashError(_PicklableErrorMixin, ExecutorError):
-    """A shard's worker crashed mid-attempt (a simulated kill); retryable."""
-
-    def __init__(self, shard_id: int | None = None, detail: str = "") -> None:
-        where = f"shard {shard_id}" if shard_id is not None else "a shard task"
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"worker crashed while running {where}{suffix}")
-        self.shard_id = shard_id
-        self.detail = detail

@@ -2,9 +2,9 @@
 
 Combines the two halves of the scalability story:
 
-1. **Measured** — run the product (:class:`repro.core.pipeline.LoCEC`, the
-   shard executor) on a synthetic network and read the phase wall-clock it
-   reports about itself; nothing here re-implements a phase to time it.
+1. **Measured** — run the product (:class:`repro.core.pipeline.LoCEC`) on a
+   synthetic network and read the phase wall-clock it reports about itself;
+   nothing here re-implements a phase to time it.
 2. **Projected** — feed per-item costs (either measured or back-solved from
    the paper) into :class:`repro.runtime.cost_model.CostModel` to regenerate
    the WeChat-scale numbers of Table VI and Figure 12.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.clock import Clock, FakeClock, SystemClock
+from repro.clock import Clock, SystemClock
 from repro.core.config import LoCECConfig
 from repro.core.pipeline import LoCEC
 from repro.runtime.cost_model import (
@@ -24,8 +24,6 @@ from repro.runtime.cost_model import (
     RuntimeEstimate,
     WorkloadSpec,
 )
-from repro.runtime.executor import ShardedDivisionExecutor
-from repro.synthetic.network import SocialNetworkDataset
 from repro.synthetic.workloads import ExperimentWorkload
 
 
@@ -133,87 +131,3 @@ class ScalabilityStudy:
         """Figure 12(b): run time vs number of servers (full network)."""
         model = CostModel(self.calibration)
         return model.sweep_servers(list(server_counts))
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of a seeded fault-injection (chaos) run of the shard executor.
-
-    ``identical_to_clean`` is the headline resilience invariant: the merged
-    division of the faulted run must be bit-identical to a clean run over
-    the same egos whenever every shard eventually succeeded.
-    """
-
-    num_shards: int
-    completed_shards: int
-    failed_shards: list[int]
-    injected_faults: int
-    total_retries: int
-    total_timeouts: int
-    identical_to_clean: bool
-
-    def to_text(self) -> str:
-        return "\n".join([
-            f"shards           : {self.completed_shards}/{self.num_shards} completed",
-            f"injected faults  : {self.injected_faults}",
-            f"retries          : {self.total_retries}",
-            f"timeouts         : {self.total_timeouts}",
-            f"failed shards    : {self.failed_shards or 'none'}",
-            f"identical to clean run: {self.identical_to_clean}",
-        ])
-
-
-def run_chaos(
-    dataset: SocialNetworkDataset,
-    num_shards: int = 4,
-    fault_rate: float = 0.25,
-    seed: int = 0,
-    max_egos: int | None = 80,
-    detector: str = "label_propagation",
-    kinds: tuple[str, ...] = ("transient", "hang", "kill"),
-) -> ChaosReport:
-    """Chaos knob: run the shard executor under a seeded fault schedule.
-
-    Builds a deterministic :class:`~repro.runtime.faultinject.FaultPlan`
-    (faults only on non-final attempts, so every shard eventually succeeds),
-    runs the supervised executor with an injected
-    :class:`~repro.clock.FakeClock` (no real backoff sleeps),
-    and compares the merged division against a clean run of the same egos.
-    """
-    from repro.core.config import ResilienceConfig
-    from repro.runtime.faultinject import FaultPlan
-
-    egos = list(dataset.graph.nodes())
-    if max_egos is not None:
-        egos = egos[:max_egos]
-
-    resilience = ResilienceConfig(max_attempts=3, seed=seed)
-    plan = FaultPlan.random(
-        list(range(num_shards)),
-        seed=seed,
-        fault_rate=fault_rate,
-        max_attempts=resilience.max_attempts,
-        kinds=kinds,
-    )
-    faulted = ShardedDivisionExecutor(
-        num_shards=num_shards,
-        detector=detector,
-        resilience=resilience,
-        fault_plan=plan,
-        clock=FakeClock(),
-    ).run(dataset.graph, egos=egos)
-    clean = ShardedDivisionExecutor(num_shards=num_shards, detector=detector).run(
-        dataset.graph, egos=egos
-    )
-
-    return ChaosReport(
-        num_shards=num_shards,
-        completed_shards=len(faulted.shard_reports),
-        failed_shards=[item.shard_id for item in faulted.failed_shards],
-        injected_faults=len(plan),
-        total_retries=faulted.total_retries,
-        total_timeouts=faulted.total_timeouts,
-        identical_to_clean=(
-            faulted.division.communities_by_ego == clean.division.communities_by_ego
-        ),
-    )

@@ -14,17 +14,15 @@ module is the request-side counterpart of :meth:`repro.core.LoCEC.fit`:
 * :func:`replay_traffic` — a deterministic replay driver firing synthetic
   edge-update + query traffic (deltas drawn via
   :func:`repro.synthetic.sample_interaction_delta`) to measure sustained
-  QPS, optionally under injected re-division faults.
+  QPS.
 
 All timing routes through the injectable :class:`repro.clock.Clock`, so the
-zero-sleep test tier can drive a whole serving session under virtual time
-and the determinism lint (``DET001``) stays clean.
+test tier can drive a whole serving session under virtual time and the
+determinism lint (``DET001``) stays clean.
 
-Staleness semantics: a re-division fault during
-:meth:`ServingSession.apply_updates` degrades (the failed shard is skipped)
-to serving the affected egos' *previous* communities — stale but internally
-consistent; :attr:`ServingSession.stale_egos` lists them until a later
-update succeeds.
+No ego is served stale communities: a write whose re-division raises
+leaves the served state as it was (:meth:`LoCEC.apply_updates` also names
+the two later failures that still leave a half-updated pipeline).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +41,6 @@ from repro.core.pipeline import LoCEC, UpdateReport
 from repro.exceptions import NotFittedError, PipelineError
 from repro.synthetic.interactions_gen import sample_interaction_delta
 from repro.types import Edge, Node, RelationType
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
-    from repro.runtime.faultinject import FaultPlan
 
 __all__ = [
     "ReplayReport",
@@ -166,7 +161,6 @@ class ServingStats:
     cache_misses: int = 0
     num_updates: int = 0
     num_labeler_refits: int = 0
-    num_degraded_updates: int = 0
     query_seconds: float = 0.0
     update_seconds: float = 0.0
     batch_latency: StreamingMoments = field(default_factory=StreamingMoments)
@@ -233,7 +227,6 @@ class ServingSession:
         removed_edges: Sequence[Edge] = (),
         interaction_deltas: Sequence[tuple[Node, Node, Sequence[float]]] = (),
         feature_updates: Sequence[tuple[Node, Sequence[float]]] = (),
-        fault_plan: "FaultPlan | None" = None,
     ) -> UpdateReport:
         """Fold deltas into the served state (see :meth:`LoCEC.apply_updates`)."""
         self._ensure_open()
@@ -243,21 +236,20 @@ class ServingSession:
             removed_edges=removed_edges,
             interaction_deltas=interaction_deltas,
             feature_updates=feature_updates,
-            fault_plan=fault_plan,
         )
         elapsed = self._clock.perf_counter() - start
         self.stats.num_updates += 1
         self.stats.num_labeler_refits += report.labeler_refit
-        if report.degraded:
-            self.stats.num_degraded_updates += 1
         self.stats.update_seconds += elapsed
         self.stats.update_latency.add(elapsed)
         return report
 
     @property
     def stale_egos(self) -> frozenset[Node]:
-        """Egos currently served stale communities (degraded re-division)."""
-        return self.pipeline.stale_egos
+        """Always empty: a write lands whole or raises.  Kept because the
+        end-to-end benchmark reads it after every write; the change that
+        next edits the benchmark drops the read, and this property."""
+        return frozenset()
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -283,24 +275,20 @@ class ReplayReport:
     num_batches: int = 0
     num_queries: int = 0
     num_updates: int = 0
-    num_degraded_updates: int = 0
     num_structural_updates: int = 0
     seconds: float = 0.0
     sustained_qps: float = 0.0
     query_latency: dict[str, float] = field(default_factory=dict)
     update_latency: dict[str, float] = field(default_factory=dict)
-    stale_egos: tuple[Node, ...] = ()
 
     def as_dict(self) -> dict[str, float]:
         return {
             "num_batches": float(self.num_batches),
             "num_queries": float(self.num_queries),
             "num_updates": float(self.num_updates),
-            "num_degraded_updates": float(self.num_degraded_updates),
             "num_structural_updates": float(self.num_structural_updates),
             "seconds": self.seconds,
             "sustained_qps": self.sustained_qps,
-            "num_stale_egos": float(len(self.stale_egos)),
         }
 
 
@@ -312,7 +300,6 @@ def replay_traffic(
     update_every: int = 3,
     structural_every: int = 4,
     seed: int = 0,
-    fault_plan: "FaultPlan | None" = None,
 ) -> ReplayReport:
     """Fire deterministic synthetic update + query traffic at a session.
 
@@ -321,9 +308,7 @@ def replay_traffic(
     ``updates_per_batch`` interaction deltas (drawn with the offline
     generator's Poisson sampler), and every ``structural_every``-th update
     round also toggles a friendship edge (add a non-adjacent pair, or
-    remove one previously added).  ``fault_plan`` is forwarded to each
-    update's supervised re-division, so a chaos run measures sustained QPS
-    *while* re-divisions crash and egos degrade to stale service.
+    remove one previously added).
     """
     if num_batches < 1:
         raise PipelineError("num_batches must be >= 1")
@@ -359,15 +344,10 @@ def replay_traffic(
                             break
                 if added or removed:
                     report.num_structural_updates += 1
-            update = session.apply_updates(
-                added_edges=added,
-                removed_edges=removed,
-                interaction_deltas=deltas,
-                fault_plan=fault_plan,
+            session.apply_updates(
+                added_edges=added, removed_edges=removed, interaction_deltas=deltas
             )
             report.num_updates += 1
-            if update.degraded:
-                report.num_degraded_updates += 1
         edge_pool = list(graph.edges())
         queries = [
             edge_pool[rng.randrange(len(edge_pool))] for _ in range(queries_per_batch)
@@ -381,5 +361,4 @@ def replay_traffic(
     )
     report.query_latency = session.stats.batch_latency.summary()
     report.update_latency = session.stats.update_latency.summary()
-    report.stale_egos = tuple(sorted(session.stale_egos, key=repr))
     return report

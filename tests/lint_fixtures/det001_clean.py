@@ -3,5 +3,5 @@
 
 def measure(clock) -> float:
     start = clock.perf_counter()
-    clock.sleep(0.1)
+    sum(range(1000))
     return clock.perf_counter() - start

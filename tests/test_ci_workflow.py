@@ -160,7 +160,7 @@ def test_static_analysis_job_runs_typed_core_mypy(workflow):
     assert "mypy" in install and "numpy" in install
 
 
-def test_static_analysis_guards_the_single_supervision_loop(workflow, tmp_path):
+def test_static_analysis_runs_the_no_process_pool_guard(workflow, tmp_path):
     # The guard is only worth having if it is blocking and passes on the
     # tree it ships with: run the step's own script from the repo root.
     job = workflow["jobs"]["static-analysis"]
@@ -180,8 +180,7 @@ def test_static_analysis_guards_the_single_supervision_loop(workflow, tmp_path):
 
     result = run_guard(WORKFLOW_PATH.parent.parent.parent)
     assert result.returncode == 0, result.stderr
-    # A pool, multiprocessing or shared memory fails it in any module,
-    # the executor that holds the one supervision loop included.
+    # A pool, multiprocessing or shared memory fails it in any module.
     home = tmp_path / "src" / "repro" / "runtime"
     home.mkdir(parents=True)
     for source, named in (
@@ -191,7 +190,7 @@ def test_static_analysis_guards_the_single_supervision_loop(workflow, tmp_path):
         ("from multiprocessing import shared_memory\n", "shared_memory"),
         ("import multiprocessing.shared_memory\n", "shared_memory"),
     ):
-        (home / "executor.py").write_text(source)
+        (home / "pool.py").write_text(source)
         result = run_guard(tmp_path)
         assert result.returncode != 0, source
         assert named in result.stderr, source
@@ -232,8 +231,7 @@ def test_typed_core_mypy_config_is_strict(workflow):
 
 
 def test_every_job_has_a_timeout(workflow):
-    # A hung worker (the exact regression the resilience layer guards
-    # against) must not wedge CI: every job carries an explicit bound.
+    # A hung step must not wedge CI: every job carries an explicit bound.
     for name, job in workflow["jobs"].items():
         minutes = job.get("timeout-minutes")
         assert isinstance(minutes, int) and 0 < minutes <= 60, (
@@ -241,14 +239,16 @@ def test_every_job_has_a_timeout(workflow):
         )
 
 
-def test_full_suite_runs_chaos_gate(workflow):
-    run = _steps_text(workflow["jobs"]["full-suite"])
-    assert "tests/test_resilience.py" in run  # fault-injection suite
-    assert "repro.cli chaos" in run  # seeded end-to-end chaos run
-    # The write path's supervised re-division under a recoverable schedule.
-    assert "serve-replay --scale tiny --seed 1 --fault-rate 0.4" in run
-    # There is no pool to run the chaos schedule on.
-    assert "--workers" not in run
+def test_full_suite_runs_fault_free_serve_replay_smoke(workflow):
+    job = workflow["jobs"]["full-suite"]
+    (smoke,) = [
+        step for step in job["steps"] if "repro.cli serve-replay" in str(step.get("run", ""))
+    ]
+    assert "serve-replay --scale tiny --seed 1" in smoke["run"]
+    assert not smoke.get("continue-on-error")
+    # The fault injector and its chaos command are gone with the retry loop.
+    run = _steps_text(job)
+    assert "--fault-rate" not in run and "repro.cli chaos" not in run
 
 
 def test_jobs_use_pip_caching(workflow):

@@ -120,10 +120,6 @@ class TestGirvanNewman:
         covered = set().union(*result.communities)
         assert covered == set(fig7_graph.nodes())
 
-    def test_max_communities_cap(self, two_cliques_graph):
-        result = girvan_newman(two_cliques_graph, max_communities=2)
-        assert len(result.communities) <= 2
-
     def test_levels_are_monotonically_finer(self, two_cliques_graph):
         sizes = [len(partition) for partition in girvan_newman_levels(two_cliques_graph)]
         assert sizes == sorted(sizes)

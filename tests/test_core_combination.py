@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ from repro.core import (
     majority_label,
     split_labeled_edges,
 )
-from repro.core.config import ResilienceConfig
 from repro.core.results import (
     CommunityClassification,
     EdgeClassification,
@@ -221,6 +223,14 @@ class TestConfigs:
         with pytest.raises(ModelConfigError):
             LoCECConfig.locec_cnn(k=0)
 
+    def test_runtime_options_is_the_whole_config_and_json_safe(self):
+        # The end-to-end benchmark records asdict(config.runtime_options).
+        config = LoCECConfig.locec_xgb()
+        assert config.runtime_options is config
+        recorded = json.loads(json.dumps(asdict(config.runtime_options)))
+        assert recorded == asdict(config)
+        assert recorded["gbdt"]["num_rounds"] == config.gbdt.num_rounds
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ModelConfigError):
             LoCECConfig(k=0).validate()
@@ -255,8 +265,6 @@ class TestConfigs:
         ):
             with pytest.raises(ModelConfigError):
                 LoCEC(LoCECConfig(cnn=cnn))
-        with pytest.raises(ModelConfigError):
-            LoCECConfig(resilience=ResilienceConfig(max_attempts=0)).validate()
 
 
 class TestResults:

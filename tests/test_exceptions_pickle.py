@@ -23,16 +23,12 @@ import pytest
 
 import repro.exceptions as exceptions_module
 import repro.runtime.cost_model  # noqa: F401 — loads every runtime module
-import repro.runtime.executor  # noqa: F401
-import repro.runtime.faultinject
 import repro.runtime.scalability  # noqa: F401
-import repro.runtime.sharding  # noqa: F401
 from repro.exceptions import (
     CommunityError,
     DatasetError,
     DimensionMismatchError,
     EdgeNotFoundError,
-    ExecutorError,
     ExperimentError,
     FeatureError,
     GraphError,
@@ -42,14 +38,7 @@ from repro.exceptions import (
     PipelineError,
     ReproError,
     SelfLoopError,
-    ShardTimeoutError,
     TrainingDivergedError,
-    WorkerCrashError,
-)
-from repro.runtime.faultinject import (
-    InjectedFaultError,
-    PermanentInjectedError,
-    TransientInjectedError,
 )
 
 #: One representative, fully-populated instance per exception class.
@@ -68,13 +57,6 @@ REPRESENTATIVES = [
     PipelineError("phase 2 failed"),
     DatasetError("bad workload spec"),
     ExperimentError("missing sweep axis"),
-    ExecutorError("shard runtime failure"),
-    ShardTimeoutError(2, 1.5),
-    PermanentInjectedError(0, 0),
-    WorkerCrashError(6, "hard kill"),
-    WorkerCrashError(),
-    InjectedFaultError(1, 0),
-    TransientInjectedError(2, 1),
 ]
 
 _ids = [f"{type(exc).__name__}:{i}" for i, exc in enumerate(REPRESENTATIVES)]
@@ -115,11 +97,6 @@ def test_restored_exceptions_keep_their_catch_contracts():
     restored = pickle.loads(pickle.dumps(NodeNotFoundError(9)))
     assert isinstance(restored, (GraphError, KeyError))
     assert restored.node == 9
-    restored = pickle.loads(pickle.dumps(ShardTimeoutError(1, 0.5)))
-    assert isinstance(restored, ExecutorError)
-    assert restored.timeout_seconds == 0.5
-    restored = pickle.loads(pickle.dumps(TransientInjectedError(1, 2)))
-    assert restored.transient is True
 
 
 def _exception_classes(module) -> set[type]:

@@ -7,7 +7,8 @@ k-fold splits, an estimator protocol and an SGD optimiser; ``repro.runtime``
 a sharding strategy, a degree balancer and checkpoint helpers;
 ``repro.graph`` edge-list readers and writers, structural metrics and a
 second copy of the ``Graph`` read API on ``CSRGraph`` — all called only by
-tests.  The rule since, one helper for every layer: a name in the
+tests.  (``repro.runtime``'s sharded executor and fault injector went
+later: the product retried only the faults it injected itself.)  The rule since, one helper for every layer: a name in the
 ``__all__`` of a guarded module needs a reference from product code —
 ``src/repro`` outside the name's home, ``scripts/`` or ``examples/`` —
 bar one commented allowlist.  Each layer's test calls that helper on its
@@ -20,8 +21,8 @@ driver lived on for nine PRs with a README recipe as its only caller, and
 another behind an experiment function no registry entry ran.
 ``core/pipeline.py`` is held to
 "every stage of Algorithm 2 has one call site, no function over 60 code
-lines", and under ``core/`` and ``graph/`` only the pipeline may import the
-sharded runtime (a process pool once grew inside Phase II aggregation).
+lines", and nothing under ``core/`` and ``graph/`` may import the runtime
+(a process pool once grew inside Phase II aggregation).
 Oracles are not options: which kernel computes a phase is chosen below the
 product surface, so outside ``ml/`` (whose GBDT classes keep ``backend=``
 for the routed exact / histogram choice) nothing may be *named* after a
@@ -52,8 +53,8 @@ PACKAGE = Path(repro.__file__).resolve().parent  # src/repro
 REPO = PACKAGE.parent.parent
 
 # Guarded module -> the home a reference must come from outside of.  Where a
-# package's modules are parts of one whole — the CommCNN stack, the executor
-# with its fault plan and drivers — a part using a part is not a route, so
+# package's modules are parts of one whole — the CommCNN stack, the cost
+# model and its drivers — a part using a part is not a route, so
 # the home is the package; elsewhere it is the module that defines the name.
 GUARDED = {
     "repro.graph": "module",
@@ -103,14 +104,10 @@ ALLOWLIST = {
         "CompiledNetwork",
     },
     "repro.runtime": {
-        # What a routed driver or the executor returns (callers read them,
-        # only runtime/ builds them), and a FaultPlan's element, what a test
-        # scripts a chaos schedule from.
-        "ExecutionReport",
-        "ChaosReport",
+        # What a routed driver returns (callers read them, only runtime/
+        # builds them).
         "MeasuredPhaseTimes",
         "RuntimeEstimate",
-        "Fault",
     },
 }
 
@@ -241,8 +238,9 @@ def imported_modules(path: Path) -> set[str]:
     return modules
 
 
-def test_only_the_pipeline_reaches_into_the_sharded_runtime():
-    # pipeline.py: ShardedDivisionExecutor for re-division, FaultPlan for typing.
+def test_no_core_or_graph_module_imports_the_runtime():
+    # A write's re-division calls divide directly; the runtime is the cost
+    # model and the scalability drivers, which import core, not the reverse.
     importers = {
         str(path.relative_to(PACKAGE))
         for layer in ("core", "graph")
@@ -252,9 +250,9 @@ def test_only_the_pipeline_reaches_into_the_sharded_runtime():
             for module in imported_modules(path)
         )
     }
-    assert importers == {"core/pipeline.py"}, (
+    assert importers == set(), (
         "modules under core/ and graph/ importing repro.runtime — the layers "
-        f"below the runtime must not own a pool: {sorted(importers)}"
+        f"below the runtime must not depend on it: {sorted(importers)}"
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for sharding, the shard executor and the WeChat-scale cost model."""
+"""Tests for the WeChat-scale cost model and the scalability drivers."""
 
 from __future__ import annotations
 
@@ -8,53 +8,20 @@ import pytest
 
 from repro.core import LoCEC, LoCECConfig
 from repro.exceptions import ModelConfigError, PipelineError
-from repro.graph.generators import paper_figure7_network
 from repro.runtime import (
     ClusterSpec,
     CostCalibration,
     CostModel,
     ScalabilityStudy,
-    ShardedDivisionExecutor,
     WorkloadSpec,
     measure_phases,
 )
-from repro.runtime.sharding import shard_nodes
 
 
 def _fast_xgb_config() -> LoCECConfig:
     config = LoCECConfig.locec_xgb(community_detector="label_propagation")
     config.gbdt.num_rounds = 4
     return config
-
-
-class TestSharding:
-    def test_round_robin_covers_all_nodes(self):
-        shards = shard_nodes(list(range(10)), num_shards=3)
-        assert len(shards) == 3
-        covered = [node for shard in shards for node in shard.egos]
-        assert sorted(covered) == list(range(10))
-
-    def test_round_robin_is_balanced(self):
-        shards = shard_nodes(list(range(12)), num_shards=4)
-        assert all(shard.size == 3 for shard in shards)
-
-    def test_invalid_configuration(self):
-        with pytest.raises(PipelineError):
-            shard_nodes([1, 2], num_shards=0)
-
-
-class TestExecutor:
-    def test_sharded_division_matches_unsharded(self):
-        graph = paper_figure7_network()
-        report = ShardedDivisionExecutor(num_shards=3, detector="girvan_newman").run(graph)
-        assert report.division.num_egos == graph.num_nodes
-        assert len(report.shard_reports) == 3
-        assert report.seconds > 0.0
-
-    def test_subset_of_egos(self):
-        graph = paper_figure7_network()
-        report = ShardedDivisionExecutor(num_shards=2).run(graph, egos=[1, 2, 3])
-        assert report.division.num_egos == 3
 
 
 class TestCostModel:

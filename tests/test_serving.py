@@ -1,28 +1,27 @@
-"""Online serving layer: incremental updates, parity, chaos, sessions.
+"""Online serving layer: incremental updates, parity, atomic writes, sessions.
 
 The parity suite asserts the serving layer's core contract:
 ``fit(G)`` followed by ``apply_updates(Δ)`` is **bit-identical** to a
 from-scratch ``fit(G + Δ)``.  Baselines are built by *re-running the
-deterministic generator* and mutating the fresh inputs the same way.  A
-``deepcopy`` of a fitted pipeline is an equal baseline too: division is a
-function of the graph's value, not of its insertion history, so the
-generated fault schedules write to copies of one fit.
+deterministic generator* and mutating the fresh inputs the same way, or by
+fitting copies of the live inputs: division is a function of the graph's
+value, not of its insertion history.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import statistics
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline_module
-import repro.runtime.executor as executor_module
 from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
 from repro.core.combination import community_key
@@ -37,8 +36,6 @@ from repro.exceptions import (
 )
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.ml.logistic import LogisticRegression
-from repro.runtime import Fault, FaultPlan
-from repro.runtime.executor import ShardedDivisionExecutor
 from repro.serve import ServingSession, StreamingMoments, replay_traffic
 from repro.synthetic import make_workload
 from repro.types import LabeledEdge, node_key
@@ -126,7 +123,6 @@ class TestIncrementalParity:
                 interaction_deltas=[(pair[0], pair[1], delta)],
                 feature_updates=[(feat_node, new_feat)],
             )
-            assert not report.degraded
             assert report.num_dirty_egos > 0
 
             baseline = make_workload("tiny", seed=1)  # identical history
@@ -267,6 +263,17 @@ def _open_triangle_at_labeled_ego(workload):
     raise AssertionError("tiny workload has no open triangle at a labeled ego")
 
 
+def _division_digest(division):
+    """Every ego's community list — members, index and tightness bits — in
+    the division's own ego order."""
+    sha = hashlib.sha256()
+    for ego, communities in division.communities_by_ego.items():
+        for c in communities:
+            tight = sorted((node_key(m), v.hex()) for m, v in c.tightness.items())
+            sha.update(repr((ego, c.index, tight)).encode())
+    return sha.hexdigest()
+
+
 def _assert_equals_scratch_fit(pipeline, workload, read=None):
     """Every edge's served probabilities (``read``, by default the
     pipeline's own) equal a from-scratch ``fit`` on copies of the (live,
@@ -307,11 +314,9 @@ class TestWarmModels:
         edge = next(workload.dataset.graph.edges())
         report = pipeline.apply_updates(added_edges=[edge])
         assert report.num_dirty_egos >= 2
-        assert report.num_redivided_egos == report.num_dirty_egos
         assert report.num_rescored_communities == 0
         assert not report.classifier_refit
         assert report.kernel_patched
-        assert not report.degraded
 
     def test_interaction_delta_rescores_exactly_dirty_communities(
         self, fitted_tiny
@@ -355,7 +360,7 @@ class TestWarmModels:
         structural = pipeline.apply_updates(
             added_edges=[_open_triangle_at_labeled_ego(workload)]
         )
-        assert structural.num_redivided_egos >= 3  # the ego, a and b at least
+        assert structural.num_dirty_egos >= 3  # the ego, a and b at least
         assert structural.labeler_refit is True
         _assert_equals_scratch_fit(pipeline, workload)
 
@@ -404,23 +409,24 @@ class TestWarmModels:
     def test_a_refit_write_divides_its_dirty_egos_in_one_call(
         self, fitted_tiny, monkeypatch
     ):
-        """Counted: the write's dirty egos span several shards, and a clean
-        write re-divides them all in one lockstep ``divide`` call."""
+        """Counted: a clean write re-divides all of its dirty egos in one
+        lockstep ``divide`` call."""
         pipeline, workload = fitted_tiny
         calls = []
-        divide = executor_module.divide
+        divide = pipeline_module.divide
 
         def counted(snapshot, egos, detector):
             calls.append(list(egos))
             return divide(snapshot, egos=egos, detector=detector)
 
-        monkeypatch.setattr(executor_module, "divide", counted)
+        monkeypatch.setattr(pipeline_module, "divide", counted)
         report = pipeline.apply_updates(
             added_edges=[_open_triangle_at_labeled_ego(workload)]
         )
-        assert report.num_redivided_egos >= 3  # three shards at least
+        assert report.classifier_refit
+        assert report.num_dirty_egos >= 3  # the ego, a and b at least
         (egos,) = calls
-        assert len(set(egos)) == report.num_dirty_egos == report.num_redivided_egos
+        assert len(set(egos)) == len(egos) == report.num_dirty_egos
 
     def test_the_edge_index_costs_what_a_write_dirtied(self, fitted_tiny):
         """Counted, not timed: ``fit`` compiles the Phase III edge index
@@ -440,7 +446,7 @@ class TestWarmModels:
         structural = pipeline.apply_updates(
             added_edges=[_open_triangle_at_labeled_ego(workload)]
         )
-        assert structural.num_redivided_egos >= 3
+        assert structural.num_dirty_egos >= 3
         assert builder.num_compiles == 1
         pipeline.apply_updates(added_edges=[(u, "newcomer")])
         assert pipeline.edge_feature_builder_ is builder
@@ -653,7 +659,6 @@ class TestRejectedUpdatesLeaveNoTrace:
                 dataset.features.version,
                 dataset.interactions.version,
                 pipeline.update_epoch,
-                pipeline.stale_egos,
                 pipeline.predict_edge_proba(all_edges).tobytes(),
             )
 
@@ -693,6 +698,58 @@ class TestRejectedUpdatesLeaveNoTrace:
                 pipeline, scratch, [item.edge for item in workload.test_edges]
             )
 
+    def test_a_write_whose_redivision_raises_leaves_no_trace(
+        self, fitted_tiny, monkeypatch
+    ):
+        """A refit write whose one ``divide`` call raises propagates the
+        error with its graph edits undone — a removed edge re-added, added
+        edges and a new node gone — and no store, epoch, division or served
+        probability moved.  The same write retried clean equals a scratch
+        fit."""
+        pipeline, workload = fitted_tiny
+        dataset = workload.dataset
+        graph = dataset.graph
+        all_edges = list(graph.edges())
+        newcomer = max(graph.nodes()) + 1
+        a, b = _open_triangle_at_labeled_ego(workload)
+        removed = next(edge for edge in all_edges if a not in edge and b not in edge)
+        pair = next(edge for edge, vector in dataset.interactions.items() if vector.any())
+        write = {
+            "added_edges": [(a, b), (newcomer, a)],
+            "removed_edges": [removed],
+            "interaction_deltas": [(*pair, np.ones(dataset.interactions.num_dims))],
+            "feature_updates": [(newcomer, np.asarray(dataset.features.get_view(a)))],
+        }
+
+        def state():
+            return (
+                list(graph.nodes()),
+                # A re-added edge moves in edges() order, which reaches no output.
+                set(graph.edges()),
+                dataset.features.version,
+                dataset.interactions.version,
+                pipeline.update_epoch,
+                _division_digest(pipeline.division_),
+                pipeline.predict_edge_proba(all_edges).tobytes(),
+            )
+
+        class StageFault(Exception):
+            pass
+
+        def failing_divide(*args, **kwargs):
+            raise StageFault("injected re-division failure")
+
+        before = state()
+        monkeypatch.setattr(pipeline_module, "divide", failing_divide)
+        with pytest.raises(StageFault):
+            pipeline.apply_updates(**write)
+        assert state() == before
+
+        monkeypatch.undo()
+        report = pipeline.apply_updates(**write)
+        assert report.classifier_refit and newcomer in pipeline.division_.communities_by_ego
+        _assert_equals_scratch_fit(pipeline, workload)
+
     def test_error_names_the_offending_delta(self, fitted_tiny):
         pipeline, workload = fitted_tiny
         dims = workload.dataset.interactions.num_dims
@@ -706,169 +763,6 @@ class TestRejectedUpdatesLeaveNoTrace:
                     (7, np.full(workload.dataset.features.num_features, np.inf))
                 ]
             )
-
-
-class TestChaosDegradation:
-    def test_faulted_redivision_serves_stale_then_heals(self, fitted_tiny):
-        pipeline, workload = fitted_tiny
-        edge = next(workload.dataset.graph.edges())
-        queries = [item.edge for item in workload.test_edges[:10]]
-        # Permanent faults are never retried: every shard is skipped, so
-        # every dirty ego degrades to stale service immediately.
-        plan = FaultPlan(
-            [Fault(shard_id=shard, attempt=0, kind="permanent") for shard in range(4)]
-        )
-        with ServingSession(pipeline, clock=FakeClock()) as session:
-            before = session.predict_proba(queries)
-            report = session.apply_updates(added_edges=[edge], fault_plan=plan)
-            assert report.degraded
-            assert set(report.stale_egos) == set(session.stale_egos)
-            assert session.stale_egos
-            assert session.stats.num_degraded_updates == 1
-            # Stale-but-consistent: the previous communities keep serving,
-            # and an idempotent re-add changes no inputs, so the served
-            # probabilities are unchanged bit for bit.
-            after = session.predict_proba(queries)
-            assert np.array_equal(after, before)
-            # A later clean update over the same egos heals the staleness.
-            healed = session.apply_updates(added_edges=[edge])
-            assert not healed.degraded
-            assert not session.stale_egos
-
-    def test_replay_traffic_under_seeded_chaos(self, fitted_tiny):
-        pipeline, _ = fitted_tiny
-        plan = FaultPlan.random(range(4), seed=3, fault_rate=0.8, kinds=("transient",))
-        with ServingSession(pipeline, clock=FakeClock()) as session:
-            report = replay_traffic(
-                session,
-                num_batches=6,
-                queries_per_batch=8,
-                seed=3,
-                fault_plan=plan,
-            )
-        # Recoverable faults: every query answered, nothing left stale.
-        assert report.num_queries == 48
-        assert report.num_updates == 2
-        assert report.num_degraded_updates == 0
-        assert report.stale_egos == ()
-
-
-@pytest.fixture(scope="module")
-def fitted_seed0():
-    """One seed-0 ``tiny`` fit on a virtual clock; tests write to copies of it.
-    Partitions are a function of the graph's value, so a copy divides like
-    its source."""
-    workload = make_workload("tiny", seed=0)
-    dataset = workload.dataset
-    pipeline = LoCEC(_config(), clock=FakeClock()).fit(
-        dataset.graph, dataset.features, dataset.interactions, workload.train_edges
-    )
-    return pipeline, dataset
-
-
-# A fault on attempt 0 or 1 of one of the (at most four) re-division shards;
-# the default budget of three attempts always leaves a clean last one.
-RECOVERABLE_FAULTS = st.lists(
-    st.tuples(
-        st.integers(0, 3), st.integers(0, 1), st.sampled_from(("transient", "hang", "kill"))
-    ),
-    unique_by=lambda fault: fault[:2],
-    max_size=8,
-)
-
-
-def _plan(faults):
-    return FaultPlan(Fault(s, a, kind, duration=0.01) for s, a, kind in faults)
-
-
-@pytest.fixture(scope="module")
-def clean_writes(fitted_seed0):
-    """Each drawn write applied once, with no fault plan, to a copy of the
-    seed-0 fit: ``(report, edges, probabilities)`` after it.  Hypothesis
-    draws one write under many fault plans, and both tests draw the same
-    writes; the clean side is computed once per write."""
-    pipeline, _ = fitted_seed0
-    done = {}
-
-    def clean_write(write):
-        key = tuple((name, repr(value)) for name, value in sorted(write.items()))
-        if key not in done:
-            clean = copy.deepcopy(pipeline)
-            report = clean.apply_updates(**write)
-            edges = list(clean._graph.edges())
-            done[key] = (report, edges, clean.predict_edge_proba(edges))
-        return done[key]
-
-    return clean_write
-
-
-# Each example copies the fit and makes a write (~0.3 s): shrinking a
-# failure ran for ~10 minutes, so these tests report the drawn example
-# unshrunk (its values are an edge pick and a short fault list).
-NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
-
-
-def _dirty_egos(graph, edge):
-    """The egos a write on ``edge`` re-divides, in the order the executor
-    shards them: ``{a, b} ∪ (N(a) ∩ N(b))`` by canonical node key."""
-    u, v = edge
-    return sorted({u, v} | (graph.neighbors(u) & graph.neighbors(v)), key=node_key)
-
-
-class TestGeneratedFaultSchedules:
-    """Seeded fault schedules through ``apply_updates``: a recoverable one
-    changes nothing, a permanent one makes exactly one shard's egos stale."""
-
-    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
-    @given(
-        faults=RECOVERABLE_FAULTS,
-        kind=st.sampled_from(("add", "remove", "readd")),
-        a=st.integers(0, 10_000),
-    )
-    def test_recoverable_plans_leave_the_write_bit_identical(
-        self, fitted_seed0, clean_writes, faults, kind, a
-    ):
-        pipeline, dataset = fitted_seed0
-        write = _drawn_write(kind, a, 0, dataset)
-        expected, edges, clean_proba = clean_writes(write)
-        faulted = copy.deepcopy(pipeline)
-        report = faulted.apply_updates(**write, fault_plan=_plan(faults))
-        assert report.stale_egos == () and not faulted.stale_egos
-        assert report.num_redivided_egos == expected.num_redivided_egos > 0
-        assert np.array_equal(faulted.predict_edge_proba(edges), clean_proba)
-
-    @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
-    @given(
-        shard=st.integers(0, 3),
-        faults=RECOVERABLE_FAULTS,
-        new_edge=st.booleans(),
-        a=st.integers(0, 10_000),
-    )
-    def test_a_permanent_fault_makes_its_shards_egos_stale_until_healed(
-        self, fitted_seed0, clean_writes, shard, faults, new_edge, a
-    ):
-        pipeline, dataset = fitted_seed0
-        write = _drawn_write("add" if new_edge else "readd", a, 0, dataset)
-        (edge,) = write["added_edges"]
-        faults = [f for f in faults if f[0] != shard] + [(shard, 0, "permanent")]
-        faulted = copy.deepcopy(pipeline)
-        before = {
-            ego: list(communities)
-            for ego, communities in pipeline.division_.communities_by_ego.items()
-        }
-        _, edges, clean_proba = clean_writes(write)
-        report = faulted.apply_updates(**write, fault_plan=_plan(faults))
-        dirty = _dirty_egos(faulted._graph, edge)
-        expected_stale = dirty[shard :: min(4, len(dirty))]
-        assert report.stale_egos == tuple(expected_stale)
-        assert faulted.stale_egos == frozenset(expected_stale)
-        for ego in expected_stale:
-            assert faulted.division_.communities_by_ego[ego] == before[ego]
-        # The same edge again, with no plan: an idempotent re-add that
-        # re-divides the same egos and heals them.
-        healed = faulted.apply_updates(added_edges=[edge])
-        assert healed.stale_egos == () and not faulted.stale_egos
-        assert np.array_equal(faulted.predict_edge_proba(edges), clean_proba)
 
 
 class TestServingSession:
@@ -959,9 +853,7 @@ class TestServingSession:
             "num_batches",
             "num_queries",
             "num_updates",
-            "num_degraded_updates",
             "num_structural_updates",
-            "stale_egos",
         ):
             assert getattr(first, field) == getattr(second, field)
 
@@ -1025,8 +917,8 @@ class TestStreamingMoments:
 
 
 def test_resource_owners_close_and_work_as_context_managers():
-    # The executor and the two public entry points share one close surface:
-    # ``close()`` and the ``with`` form.
-    for owner in (ShardedDivisionExecutor, ServingSession, LoCEC):
+    # The two public entry points share one close surface: ``close()`` and
+    # the ``with`` form.
+    for owner in (ServingSession, LoCEC):
         for method in ("close", "__enter__", "__exit__"):
             assert callable(getattr(owner, method, None)), (owner.__name__, method)
