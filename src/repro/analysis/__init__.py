@@ -18,7 +18,7 @@ from repro.analysis.moments_stats import (
     silent_pair_fraction,
     total_interactions_per_pair,
 )
-from repro.analysis.survey_stats import format_table1, major_type_share, table1_rows
+from repro.analysis.survey_stats import major_type_share, table1_rows
 
 __all__ = [
     "empirical_cdf",
@@ -37,5 +37,4 @@ __all__ = [
     "mean_size_by_type",
     "table1_rows",
     "major_type_share",
-    "format_table1",
 ]

@@ -47,18 +47,3 @@ def major_type_share(survey: SurveyResult) -> float:
     return sum(
         first.get(relation, 0.0) for relation in RelationType.classification_targets()
     )
-
-
-def format_table1(survey: SurveyResult) -> str:
-    """Render Table I as aligned text."""
-    header = f"{'First Category':<16} {'First Ratio':>11}   {'Second Category':<20} {'Second Ratio':>12}"
-    lines = [header, "-" * len(header)]
-    last_first = None
-    for first_name, first_ratio, second_name, second_ratio in table1_rows(survey):
-        shown_first = first_name if first_name != last_first else ""
-        shown_ratio = f"{first_ratio:.0%}" if first_name != last_first else ""
-        lines.append(
-            f"{shown_first:<16} {shown_ratio:>11}   {second_name:<20} {second_ratio:>11.0%}"
-        )
-        last_first = first_name
-    return "\n".join(lines)

@@ -5,7 +5,7 @@ Every other module in the library is forbidden (and lint-enforced, see
 ``time.sleep()`` directly: wall-clock reads scattered through pipeline code
 silently break deterministic replay and exact timing tests.  Code that needs
 time takes a :class:`Clock` and callers inject :class:`SystemClock`
-(production) or :class:`FakeClock` (tests — virtual time).
+(production) or a virtual clock of their own (the tests keep one).
 
 This module is deliberately dependency-free (stdlib only, no intra-repo
 imports) so any layer — ``core``, ``runtime``, scripts — can use it without
@@ -44,14 +44,3 @@ class SystemClock(Clock):
 
     def perf_counter(self) -> float:
         return time.perf_counter()  # repro-lint: disable=DET001
-
-
-class FakeClock(Clock):
-    """Virtual clock: time stands at ``now`` until the caller moves it, so a
-    timed bracket in the product measures exactly what a test sets up."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
-    def monotonic(self) -> float:
-        return self.now

@@ -3,7 +3,6 @@
 from repro.core.aggregation import (
     CommunityFeatureMatrix,
     FeatureMatrixBuilder,
-    interact,
     interaction_feature_vector,
 )
 from repro.core.combination import (
@@ -39,7 +38,7 @@ from repro.core.results import (
     EdgeClassification,
     LoCECResult,
 )
-from repro.core.tightness import community_tightness, tightness
+from repro.core.tightness import community_tightness
 
 __all__ = [
     "LoCEC",
@@ -53,9 +52,7 @@ __all__ = [
     "get_detector",
     "DivisionResult",
     "LocalCommunity",
-    "tightness",
     "community_tightness",
-    "interact",
     "interaction_feature_vector",
     "FeatureMatrixBuilder",
     "CommunityFeatureMatrix",

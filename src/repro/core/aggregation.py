@@ -1,9 +1,9 @@
 """Phase II (part 1) — feature aggregation for local communities.
 
-Implements Equation 1 (per-member interaction shares), Equation 2 (the
-interaction feature vector ``I^C_u``) and Algorithm 1 (the ``k × (|I|+|f|)``
-community feature matrix ordered by tightness), plus the mean/std statistic
-aggregation used by LoCEC-XGB.
+Implements Equation 2 (the interaction feature vector ``I^C_u``: every
+dimension's Equation-1 member share at once) and Algorithm 1 (the
+``k × (|I|+|f|)`` community feature matrix ordered by tightness), plus the
+mean/std statistic aggregation used by LoCEC-XGB.
 
 The key property the paper relies on is densification: even when a single
 edge ``⟨ego, u⟩`` has no interaction at all, ``u`` usually interacts with
@@ -35,37 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.division import DivisionResult, LocalCommunity
-from repro.exceptions import FeatureError, PipelineError
+from repro.exceptions import PipelineError
 from repro.graph.features import NodeFeatureStore
 from repro.graph.interactions import InteractionStore
 from repro.types import Node
-
-
-def interact(
-    node: Node,
-    community: frozenset[Node] | set[Node],
-    dim: int,
-    interactions: InteractionStore,
-) -> float:
-    """Equation 1: ``node``'s share of the community's interactions on ``dim``.
-
-    ``interact(u, C, j) = (Σ_{v ∈ C\\{u}} I^j_{uv}) / (Σ_{v,w ∈ C} I^j_{vw})``
-
-    The denominator sums over all unordered member pairs.  When the community
-    has no interaction at all on dimension ``j`` the share is defined as 0.
-
-    Delegates to the Equation-2 kernel (:func:`interaction_feature_vector`)
-    so the scalar and vector paths share one zero-handling and summation
-    implementation and cannot drift apart.  Equation 1 is defined for
-    ``node ∈ C``; like the vector path, a node outside the community gets
-    share 0 (only member-member pairs enter the numerator).
-    """
-    dim = int(dim)
-    if not 0 <= dim < interactions.num_dims:
-        raise FeatureError(
-            f"interaction dimension {dim} out of range [0, {interactions.num_dims})"
-        )
-    return float(interaction_feature_vector(node, community, interactions)[dim])
 
 
 def interaction_feature_vector(
@@ -118,10 +91,6 @@ class CommunityFeatureMatrix:
     community: LocalCommunity
     matrix: np.ndarray
     member_order: tuple[Node, ...]
-
-    @property
-    def num_real_rows(self) -> int:
-        return len(self.member_order)
 
 
 def _reference_rows(
@@ -277,10 +246,6 @@ class FeatureMatrixBuilder:
         return True
 
     # ------------------------------------------------------------- Algorithm 1
-    def feature_matrix(self, community: LocalCommunity) -> CommunityFeatureMatrix:
-        """Algorithm 1: the ``k × (|I|+|f|)`` matrix of a local community."""
-        return self.feature_matrices([community])[0]
-
     def feature_matrices(
         self, communities: Sequence[LocalCommunity]
     ) -> list[CommunityFeatureMatrix]:
@@ -322,22 +287,18 @@ class FeatureMatrixBuilder:
         ]
 
     # -------------------------------------------------- LoCEC-XGB aggregation
-    def statistic_vector(self, community: LocalCommunity) -> np.ndarray:
-        """Mean/std aggregation used by LoCEC-XGB.
+    def statistic_vectors(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
+        """Mean/std aggregation used by LoCEC-XGB, one row per community,
+        stacked into a 2-D design matrix.  A row depends on its community
+        alone, not on the batch.
 
         The paper: "we compute the mean and standard deviation of each feature
         dimension regarding all nodes in a local community to form the feature
-        vector of a community".  The vector therefore has ``2 × (|I|+|f|)``
+        vector of a community".  A row therefore has ``2 × (|I|+|f|)``
         entries, plus the community size appended as a final column (size is
         what separates small family circles from large colleague circles and
         is available to XGBoost "for free" in the paper's setting via the
         number of aggregated rows).
-        """
-        return self.statistic_vectors([community])[0]
-
-    def statistic_vectors(self, communities: Sequence[LocalCommunity]) -> np.ndarray:
-        """Compute per-community statistic vectors, stacked into a 2-D design
-        matrix.  A row depends on its community alone, not on the batch.
 
         The one call that computes rows (``num_rows_computed`` counts them);
         :meth:`statistic_rows` serves the rows kept per community of a

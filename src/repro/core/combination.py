@@ -88,14 +88,6 @@ class EdgeFeatureBuilder:
         copied out of ``R``, which stays the one store."""
         return {key: self._matrix[row].copy() for key, row in self._row_of.items()}
 
-    def edge_feature(self, u: Node, v: Node) -> np.ndarray:
-        """Equation 4 feature vector for edge ``⟨u, v⟩``.
-
-        Endpoints are canonicalised first so the same undirected edge always
-        yields the same vector regardless of argument order.
-        """
-        return self.edge_features([(u, v)])[0]
-
     def edge_features(self, edges: Sequence[Edge]) -> np.ndarray:
         """Stack Equation 4 vectors for a batch of edges.
 

@@ -85,7 +85,8 @@ class DivisionResult:
         """The local community of ``ego``'s ego network that contains ``friend``.
 
         Returns ``None`` when ``ego`` was not processed or ``friend`` is not a
-        friend of ``ego`` (which can happen on sharded / partial runs).  The
+        friend of ``ego`` (a division of some egos only, or a pair that is
+        not an edge).  The
         built-in detectors emit partitions; if a custom detector's blocks
         overlap on a member, the community earlier in the list wins.
 
@@ -104,7 +105,7 @@ class DivisionResult:
         """Iterate over every local community, by ``(node_key(ego), index)``.
 
         Training rows and scoring batches inherit this order, so neither the
-        order shards were merged in nor the position an update appended an
+        order egos were divided in nor the position an update appended an
         ego at reaches a model.
         """
         for ego in sorted(self.communities_by_ego, key=node_key):
@@ -121,15 +122,6 @@ class DivisionResult:
     def community_sizes(self) -> list[int]:
         """Sizes of all local communities (used for the Figure 10a CDF)."""
         return [community.size for community in self.all_communities()]
-
-    def merge(self, other: "DivisionResult") -> "DivisionResult":
-        """Merge the per-ego results of two shards into a new result."""
-        merged = DivisionResult(dict(self.communities_by_ego))
-        for ego, communities in other.communities_by_ego.items():
-            if ego in merged.communities_by_ego:
-                raise PipelineError(f"ego {ego!r} present in both shards")
-            merged.communities_by_ego[ego] = communities
-        return merged
 
 
 DetectorFn = Callable[[Graph], Sequence[frozenset[Node]]]
@@ -267,8 +259,8 @@ def _block_tightness(
     """Equation 3 for one local community, on int-indexed adjacency lists.
 
     Same integer counts and float operations as
-    :func:`repro.core.tightness.tightness`, so the values match it bit for
-    bit.
+    :func:`repro.core.tightness.community_tightness`, so the values match it
+    bit for bit.
     """
     size = len(block)
     if size == 1:

@@ -172,7 +172,7 @@ class LoCEC:
         self.config = config or LoCECConfig()
         self.config.validate()
         # Phase timings route through the injectable clock so the zero-sleep
-        # test tier can drive fit() under virtual time (FakeClock).
+        # test tier can drive fit() under virtual time.
         self._clock = clock or SystemClock()
         self.division_: DivisionResult | None = None
         self.community_classifier_: CommunityClassifier | None = None

@@ -30,51 +30,15 @@ def friend_count_in(ego_net: Graph, node: Node, members: Collection[Node]) -> in
     return sum(1 for other in neighbors if other in member_set)
 
 
-def tightness(ego_net: Graph, node: Node, community: Collection[Node]) -> float:
-    """Equation 3: tightness of ``node`` with respect to ``community``.
-
-    Parameters
-    ----------
-    ego_net:
-        The ego network ``G_v`` the community was detected in.
-    node:
-        A member of ``community``.
-    community:
-        The local community ``C`` (must contain ``node``).
-
-    Returns
-    -------
-    float
-        A value in ``[0, 1]``; 1 for singleton communities.
-    """
-    member_set = set(community)
-    if node not in member_set:
-        raise ValueError(f"node {node!r} is not a member of the community")
-    size = len(member_set)
-    if size == 1:
-        return 1.0
-
-    friends_in_community = friend_count_in(ego_net, node, member_set)
-    friends_in_ego = ego_net.degree(node)
-    if friends_in_ego == 0:
-        # A completely isolated member of a multi-node community can only
-        # happen when the community was supplied externally (not by GN);
-        # it plays no representative role, so its tightness is 0.
-        return 0.0
-    return (friends_in_community / friends_in_ego) * (
-        friends_in_community / (size - 1)
-    )
-
-
 def community_tightness(
     ego_net: Graph, community: Collection[Node]
 ) -> dict[Node, float]:
     """Tightness of every member of ``community`` (Equation 3 applied per node).
 
-    The member set is materialised once and membership validation is implied
-    (every node iterated *is* a member), so this runs in O(sum of member
-    degrees) instead of the O(|C|^2) behaviour of calling :func:`tightness`
-    per member with a fresh set each time.
+    The member set is materialised once, so this runs in O(sum of member
+    degrees).  A member with no friend in the ego network (possible only for
+    a community supplied externally, not by GN) plays no representative role
+    and gets tightness 0.
     """
     member_set = community if isinstance(community, (set, frozenset)) else set(community)
     size = len(member_set)

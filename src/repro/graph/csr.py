@@ -64,8 +64,8 @@ class CSRGraph:
     ``indices[indptr[i]:indptr[i + 1]]`` holds the neighbour indices of node
     ``i``, sorted ascending, which is what the intersection kernels rely on.
 
-    The structure is immutable: build it once per (shard of the) global graph
-    with :meth:`from_graph` and run read-only kernels against it.  Mutating
+    The structure is immutable: build it once per graph with
+    :meth:`from_graph` and run read-only kernels against it.  Mutating
     workloads (GN edge removal) copy into dense local arrays first — ego
     networks are tiny, the global graph is not.
     """

@@ -7,7 +7,7 @@ the interaction features computed by Equation 1 of the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,17 +108,8 @@ class NodeFeatureStore:
         view.flags.writeable = False
         return view
 
-    def has(self, node: Node) -> bool:
-        return node in self._features
-
     def nodes(self) -> Iterator[Node]:
         return iter(self._features)
-
-    def set_many(
-        self, items: Iterable[tuple[Node, Sequence[float]]]
-    ) -> None:
-        for node, values in items:
-            self.set(node, values)
 
     # --------------------------------------------------------------- utilities
     def matrix(self, nodes: Sequence[Node]) -> np.ndarray:
@@ -130,24 +121,6 @@ class NodeFeatureStore:
             if vector is not None:
                 out[row] = vector
         return out
-
-    def feature_index(self, name: str) -> int:
-        """Index of feature ``name`` within the vectors."""
-        try:
-            return self._feature_names.index(name)
-        except ValueError:
-            raise FeatureError(
-                f"unknown feature {name!r}; known: {self._feature_names}"
-            ) from None
-
-    def restrict_to(self, nodes: Iterable[Node]) -> "NodeFeatureStore":
-        """Return a new store with only the given nodes' features."""
-        keep = set(nodes)
-        restricted = NodeFeatureStore(self._feature_names)
-        for node, vector in self._features.items():
-            if node in keep:
-                restricted._features[node] = vector.copy()
-        return restricted
 
     def __len__(self) -> int:
         return len(self._features)

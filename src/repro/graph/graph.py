@@ -69,9 +69,6 @@ class Graph:
         for other in neighbors:
             self._adj[other].discard(node)
 
-    def has_node(self, node: Node) -> bool:
-        return node in self._adj
-
     def nodes(self) -> Iterator[Node]:
         """Iterate over nodes in insertion order."""
         return iter(self._adj)
@@ -87,10 +84,6 @@ class Graph:
             raise SelfLoopError(u)
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)
-
-    def add_edges_from(self, edges: Iterable[tuple[Node, Node]]) -> None:
-        for u, v in edges:
-            self.add_edge(u, v)
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the undirected edge ``(u, v)``; endpoints are kept."""
@@ -123,26 +116,18 @@ class Graph:
 
     # -------------------------------------------------------------- neighbours
     def neighbors(self, node: Node) -> set[Node]:
-        """Return the neighbour set of ``node`` (a *copy-safe* frozen view).
+        """Return the neighbour set of ``node``.
 
-        The returned set is the internal set; callers must not mutate it.
-        Use :meth:`neighbor_list` when a mutable copy is needed.
+        The returned set is the internal set; callers must not mutate it
+        (copy it first when a mutable collection is needed).
         """
         try:
             return self._adj[node]
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def neighbor_list(self, node: Node) -> list[Node]:
-        """Return a mutable list copy of the neighbours of ``node``."""
-        return list(self.neighbors(node))
-
     def degree(self, node: Node) -> int:
         return len(self.neighbors(node))
-
-    def degrees(self) -> dict[Node, int]:
-        """Degree of every node, keyed by node."""
-        return {node: len(neighbors) for node, neighbors in self._adj.items()}
 
     # ---------------------------------------------------------------- subgraph
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":

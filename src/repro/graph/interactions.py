@@ -11,7 +11,7 @@ length ``|I|``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -57,11 +57,6 @@ class InteractionStore:
         """Write counter; compiled snapshots use it to detect staleness."""
         return self._version
 
-    @property
-    def num_edges_with_interaction(self) -> int:
-        """Number of edges that have at least one recorded interaction."""
-        return len(self._counts)
-
     # ------------------------------------------------------------------ writes
     def record(self, u: Node, v: Node, dim: int, count: float = 1.0) -> None:
         """Add ``count`` interactions of dimension ``dim`` between ``u`` and ``v``."""
@@ -89,13 +84,6 @@ class InteractionStore:
         else:
             self._counts.pop(edge, None)
         self._version += 1
-
-    def update_from(
-        self, records: Iterable[tuple[Node, Node, int, float]]
-    ) -> None:
-        """Bulk-record ``(u, v, dim, count)`` tuples."""
-        for u, v, dim, count in records:
-            self.record(u, v, dim, count)
 
     # ------------------------------------------------------------------- reads
     def get(self, u: Node, v: Node, dim: int) -> float:
@@ -131,9 +119,6 @@ class InteractionStore:
         vector = self._counts.get(canonical_edge(u, v))
         return float(vector.sum()) if vector is not None else 0.0
 
-    def has_interaction(self, u: Node, v: Node) -> bool:
-        return canonical_edge(u, v) in self._counts
-
     def edges_with_interaction(self) -> Iterator[Edge]:
         return iter(self._counts)
 
@@ -142,15 +127,6 @@ class InteractionStore:
         return iter(self._counts.items())
 
     # --------------------------------------------------------------- utilities
-    def restrict_to(self, nodes: Iterable[Node]) -> "InteractionStore":
-        """Return a new store containing only interactions between ``nodes``."""
-        keep = set(nodes)
-        restricted = InteractionStore(self._num_dims)
-        for (u, v), vector in self._counts.items():
-            if u in keep and v in keep:
-                restricted._counts[(u, v)] = vector.copy()
-        return restricted
-
     def sparsity(self, total_edges: int) -> float:
         """Fraction of ``total_edges`` with *no* recorded interaction."""
         if total_edges <= 0:

@@ -15,7 +15,7 @@ per-community question with batched NumPy gathers:
   the sentinel for nodes with no stored features, so batched gathers never
   branch on missing nodes.
 * :class:`Phase2Kernel` — the compiled pair plus
-  :meth:`Phase2Kernel.community_share_rows`, which computes every
+  :meth:`Phase2Kernel.community_rows_batch`, which computes every
   community's member-pair interaction totals **once** (``O(|C|^2)`` instead
   of ``O(k * |C|^2)``) and derives all requested members' Equation-2 share
   vectors from them in one shot, across a whole batch of communities, and
@@ -241,18 +241,6 @@ class Phase2Kernel:
     @property
     def num_nodes(self) -> int:
         return len(self._index)
-
-    def intern(self, nodes: Sequence[Node]) -> np.ndarray:
-        """Interned ids of ``nodes``; unknown nodes map to the zero-row sentinel."""
-        get = self._index.get
-        sentinel = self._sentinel
-        return np.fromiter(
-            (get(node, sentinel) for node in nodes), dtype=np.int64, count=len(nodes)
-        )
-
-    def feature_rows(self, nodes: Sequence[Node]) -> np.ndarray:
-        """``len(nodes) x |f|`` feature matrix (unknown nodes -> zero rows)."""
-        return self.features.rows(self.intern(nodes))
 
     # ------------------------------------------------------ delta compilation
     def patch_interaction(self, u: Node, v: Node, vector: np.ndarray | None) -> bool:
@@ -481,17 +469,6 @@ class Phase2Kernel:
         out[:, columns : 2 * columns] = np.sqrt(sums / counts[:, None])
         out[:, -1] = counts
         return out
-
-    def community_share_rows(
-        self, communities: Sequence[tuple[Collection[Node], Sequence[Node]]]
-    ) -> list[np.ndarray]:
-        """Equation-2 share vectors per community (views into one batch array)."""
-        rows, offsets = self.community_rows_batch(communities)
-        num_dims = self.interactions.num_dims
-        return [
-            rows[offsets[c] : offsets[c + 1], :num_dims]
-            for c in range(len(communities))
-        ]
 
     def community_tensor(
         self,

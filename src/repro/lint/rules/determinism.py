@@ -109,7 +109,7 @@ class WallClockRule(Rule):
                     message=(
                         f"wall-clock call {qualified}() — inject a "
                         "repro.clock.Clock (SystemClock in production, "
-                        "FakeClock in tests) instead"
+                        "a virtual clock in tests) instead"
                     ),
                 )
 

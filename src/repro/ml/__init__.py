@@ -15,9 +15,7 @@ from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import (
     accuracy,
     classification_report,
-    confusion_matrix,
     format_report,
-    macro_f1,
     precision_recall_f1,
     weighted_prf,
 )
@@ -41,9 +39,7 @@ __all__ = [
     "resolve_ml_backend",
     "accuracy",
     "classification_report",
-    "confusion_matrix",
     "format_report",
-    "macro_f1",
     "precision_recall_f1",
     "weighted_prf",
     "train_test_split_indices",

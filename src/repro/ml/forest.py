@@ -10,8 +10,8 @@ inference question is answered with batched level-wise traversal:
   Python loops.
 * :class:`ForestTensor` — every tree of a boosted ensemble concatenated into
   one node pool with per-tree root offsets.  One traversal sweep moves all
-  ``rows x trees`` cursors together, so ``predict_raw``, ``apply`` and the
-  leaf-value embedding of all rounds x classes are a single batched walk.
+  ``rows x trees`` cursors together, so the raw scores and the leaf-value
+  embedding of all rounds x classes are a single batched walk.
 * :class:`FeaturePresort` + :func:`best_split_array` — the exact greedy
   split search, XGBoost-style: every feature is sorted **once per fit**
   into integer rank codes, and a node searches all its features in one
@@ -237,10 +237,6 @@ class ForestTensor:
     def leaf_values_matrix(self, X: np.ndarray) -> np.ndarray:
         """``(rows, trees)`` leaf-weight matrix — the LoCEC-XGB embedding."""
         return self.value[self.leaf_slots(X)]
-
-    def leaf_indices_matrix(self, X: np.ndarray) -> np.ndarray:
-        """``(rows, trees)`` leaf-index matrix (GBDT+LR style)."""
-        return self.leaf_id[self.leaf_slots(X)]
 
 
 def split_threshold(lo: float, hi: float) -> float:

@@ -220,10 +220,6 @@ class GradientBoostedClassifier:
         X = self._check_inference_input(X)
         return self._scores(self.forest_.leaf_values_matrix(X))
 
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`decision_function` (XGBoost's ``predict_raw``)."""
-        return self.decision_function(X)
-
     def _check_inference_input(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "trees_")
         X = np.asarray(X, dtype=np.float64)
@@ -265,13 +261,3 @@ class GradientBoostedClassifier:
         """
         return self.forest_.leaf_values_matrix(self._check_inference_input(X))
 
-    def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """Leaf-*index* embedding (as in Facebook's GBDT+LR): same shape as
-        :meth:`leaf_values` but with integer leaf ids."""
-        return self.forest_.leaf_indices_matrix(self._check_inference_input(X))
-
-    @property
-    def num_trees(self) -> int:
-        """Total number of grown trees (rounds × classes)."""
-        check_fitted(self, "trees_")
-        return sum(len(round_trees) for round_trees in self.trees_)

@@ -16,24 +16,6 @@ from repro.exceptions import DimensionMismatchError
 from repro.types import PRF, ClassificationReport, RelationType
 
 
-def confusion_matrix(
-    y_true: Sequence[int] | np.ndarray,
-    y_pred: Sequence[int] | np.ndarray,
-    num_classes: int,
-) -> np.ndarray:
-    """Confusion matrix ``M`` with ``M[i, j]`` = count of true ``i`` predicted ``j``."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if y_true.shape != y_pred.shape:
-        raise DimensionMismatchError(
-            f"y_true and y_pred shapes differ: {y_true.shape} vs {y_pred.shape}"
-        )
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(y_true, y_pred):
-        matrix[true, pred] += 1
-    return matrix
-
-
 def precision_recall_f1(
     y_true: Sequence[int] | np.ndarray,
     y_pred: Sequence[int] | np.ndarray,
@@ -59,18 +41,6 @@ def accuracy(y_true: Sequence[int] | np.ndarray, y_pred: Sequence[int] | np.ndar
     if y_true.size == 0:
         return 0.0
     return float(np.mean(y_true == y_pred))
-
-
-def macro_f1(
-    y_true: Sequence[int] | np.ndarray,
-    y_pred: Sequence[int] | np.ndarray,
-    labels: Sequence[int],
-) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    if not labels:
-        return 0.0
-    scores = [precision_recall_f1(y_true, y_pred, label).f1 for label in labels]
-    return float(np.mean(scores))
 
 
 def weighted_prf(

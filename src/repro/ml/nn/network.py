@@ -160,7 +160,3 @@ class NeuralNetworkClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted class index for each sample."""
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars in the model."""
-        return int(sum(param.size for _, param, _ in self.model.parameters()))

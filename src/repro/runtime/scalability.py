@@ -73,7 +73,7 @@ def measure_phases(
     sample so the measurement fits a benchmark budget; ``fit`` raises its
     typed :class:`~repro.exceptions.PipelineError` when no community of the
     sample has a labeled edge.  ``config`` defaults to ``LoCECConfig()``
-    (LoCEC-CNN, the variant Table VI reports); tests inject a ``FakeClock``.
+    (LoCEC-CNN, the variant Table VI reports); tests inject a virtual clock.
     """
     clock = clock or SystemClock()
     dataset = workload.dataset

@@ -71,7 +71,7 @@ class StreamingMoments:
     (:data:`_PER_OCTAVE` per doubling from :data:`_LOWEST`), so a serving
     session can account for millions of request latencies without
     retaining them, and a bimodal sample (cache-like hits beside misses)
-    keeps both modes.  Two accumulators :meth:`merge` exactly.
+    keeps both modes.
     """
 
     count: int = 0
@@ -88,21 +88,6 @@ class StreamingMoments:
         self.m2 += delta * (value - self.mean)
         self.low, self.high = min(self.low, value), max(self.high, value)
         self.buckets[bisect_right(_EDGES, value)] += 1
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        """The accumulator of both samples (Chan et al.'s pairwise update)."""
-        count = self.count + other.count
-        if not count:
-            return StreamingMoments()
-        delta = other.mean - self.mean
-        return StreamingMoments(
-            count=count,
-            mean=self.mean + delta * other.count / count,
-            m2=self.m2 + other.m2 + delta * delta * self.count * other.count / count,
-            low=min(self.low, other.low),
-            high=max(self.high, other.high),
-            buckets=[a + b for a, b in zip(self.buckets, other.buckets)],
-        )
 
     @property
     def variance(self) -> float:
@@ -184,8 +169,8 @@ class ServingSession:
         results of its own, so every read sees every applied write —
         including out-of-band store writes folded in through the pipeline.
     clock:
-        Injectable time source for latency accounting (tests pass
-        :class:`repro.clock.FakeClock`).
+        Injectable time source for latency accounting (tests pass a
+        virtual clock).
 
     Use as a context manager or call :meth:`close` (idempotent) when done.
     Closing refuses further use; it releases no pool today.

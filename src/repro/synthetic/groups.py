@@ -81,9 +81,6 @@ class GroupCollection:
                 counts[pair] = counts.get(pair, 0) + 1
         return counts
 
-    def groups_of(self, node: Node) -> list[ChatGroup]:
-        return [group for group in self.groups if node in group.members]
-
 
 def generate_groups(
     circles: list[tuple[RelationType, list[Node]]],

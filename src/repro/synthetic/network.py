@@ -88,25 +88,6 @@ class SocialNetworkDataset:
     def num_edges(self) -> int:
         return self.graph.num_edges
 
-    def true_type(self, u: Node, v: Node) -> RelationType:
-        """Ground-truth type of edge ``(u, v)``."""
-        return self.edge_types[canonical_edge(u, v)]
-
-    def edges_of_type(self, relation: RelationType) -> list[Edge]:
-        return [edge for edge, label in self.edge_types.items() if label == relation]
-
-    def type_distribution(self) -> dict[RelationType, float]:
-        """Ground-truth distribution of edge types."""
-        total = len(self.edge_types)
-        if total == 0:
-            return {}
-        distribution: dict[RelationType, float] = {}
-        for relation in RelationType:
-            count = sum(1 for label in self.edge_types.values() if label == relation)
-            if count:
-                distribution[relation] = count / total
-        return distribution
-
     def interaction_sparsity(self) -> float:
         """Fraction of edges with no interaction at all (paper: ≈ 0.6)."""
         return self.interactions.sparsity(self.num_edges)

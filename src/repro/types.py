@@ -127,18 +127,6 @@ class InteractionDim(enum.IntEnum):
         """Number of interaction dimensions (the paper's ``|I|``)."""
         return len(cls)
 
-    @classmethod
-    def moments_dims(cls) -> tuple["InteractionDim", ...]:
-        """The Moments-related dimensions (everything except messaging)."""
-        return (
-            cls.LIKE_PICTURE,
-            cls.LIKE_ARTICLE,
-            cls.LIKE_GAME,
-            cls.COMMENT_PICTURE,
-            cls.COMMENT_ARTICLE,
-            cls.COMMENT_GAME,
-        )
-
 
 class MomentsCategory(enum.Enum):
     """Moments post categories analysed in Figure 3 of the paper."""
@@ -210,9 +198,6 @@ class ClassificationReport:
 
     per_class: dict[RelationType, "PRF"] = field(default_factory=dict)
     overall: "PRF | None" = None
-
-    def row(self, label: RelationType) -> "PRF":
-        return self.per_class[label]
 
     def as_rows(self) -> list[tuple[str, float, float, float]]:
         """Rows in the paper's table order: colleague, family, schoolmate, overall."""

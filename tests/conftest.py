@@ -7,11 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.clock import FakeClock
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
-from repro.graph.generators import paper_figure1_network, paper_figure7_network
 from repro.synthetic import make_workload
 from repro.types import InteractionDim, RelationType
+from tests.clocks import TickingClock
+from tests.graph_fixtures import paper_figure1_network, paper_figure7_network
 
 pytest_plugins = ["pytester"]
 
@@ -88,15 +88,6 @@ def tiny_workload():
 def tiny_division(tiny_workload):
     """Cached Phase I result for the tiny workload."""
     return tiny_workload.division()
-
-
-class TickingClock(FakeClock):
-    """Virtual clock whose every ``perf_counter`` read advances it one second,
-    so each timed bracket in the product measures a positive, exact span."""
-
-    def perf_counter(self) -> float:
-        self.now += 1.0
-        return self.now
 
 
 @pytest.fixture

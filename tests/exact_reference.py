@@ -12,7 +12,8 @@ keep the product classes' API over the scan and the walks:
 ``ReferenceRegressionTree.fit_predict`` / ``ReferenceBoostedClassifier.fit``
 are the reference fits, and ``predict`` / ``apply`` / ``depth`` /
 ``decision_function`` / ``leaf_values`` / ``leaf_indices`` walk the
-pointers.
+pointers.  :func:`forest_leaf_indices` reads the same leaf-index embedding
+off a fitted model's stacked forest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import check_X_y, one_hot, softmax
-from repro.ml.forest import TreeTensor, split_threshold
+from repro.ml.forest import ForestTensor, TreeTensor, split_threshold
 from repro.ml.gbdt import GradientBoostedClassifier
 from repro.ml.tree import GradientRegressionTree, _TreeNode
 
@@ -90,6 +91,13 @@ def node_depth(node: _TreeNode) -> int:
             stack.append((current.left, depth + 1))
             stack.append((current.right, depth + 1))
     return deepest
+
+
+def forest_leaf_indices(forest: ForestTensor, X: np.ndarray) -> np.ndarray:
+    """``(rows, trees)`` leaf ids of a stacked forest (GBDT+LR style), all
+    trees walked in lockstep; a single row may come as a vector."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return forest.leaf_id[forest.leaf_slots(X)]
 
 
 class ReferenceRegressionTree(GradientRegressionTree):

@@ -1,9 +1,9 @@
-"""Basic random-graph generators used in tests and micro-benchmarks.
+"""Small structural graph fixtures for the tests.
 
-The realistic WeChat-like generator lives in :mod:`repro.synthetic`; the
-functions here produce small structural test fixtures (Erdős–Rényi,
-Barabási–Albert, planted partitions, cliques and the paper's Figure 7
-example network).
+The realistic WeChat-like generator the product runs lives in
+:mod:`repro.synthetic`; the functions here build Erdős–Rényi,
+Barabási–Albert, planted-partition and clique graphs and the paper's
+Figure 1 and Figure 7 example networks.
 """
 
 from __future__ import annotations
@@ -115,16 +115,15 @@ def paper_figure7_network() -> Graph:
     and node 4 has tightness 2/3 to the first community because it also
     connects to node 6.
     """
-    graph = Graph()
-    edges = [
-        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
-        (2, 3), (2, 4), (3, 4),
-        (5, 6), (4, 6),
-        (6, 9),
-        (5, 7), (7, 8), (5, 8),
-    ]
-    graph.add_edges_from(edges)
-    return graph
+    return Graph(
+        edges=[
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+            (2, 3), (2, 4), (3, 4),
+            (5, 6), (4, 6),
+            (6, 9),
+            (5, 7), (7, 8), (5, 8),
+        ]
+    )
 
 
 def paper_figure1_network() -> Graph:
@@ -134,13 +133,12 @@ def paper_figure1_network() -> Graph:
     U2..U6 and splits into communities ``{U2, U3, U4}`` and ``{U5, U6}``;
     U2's ego network contains U1, U3, U4 and U7.
     """
-    graph = Graph()
-    edges = [
-        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
-        (2, 3), (2, 4), (3, 4),
-        (5, 6),
-        (2, 7), (7, 8),
-        (6, 9),
-    ]
-    graph.add_edges_from(edges)
-    return graph
+    return Graph(
+        edges=[
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+            (2, 3), (2, 4), (3, 4),
+            (5, 6),
+            (2, 7), (7, 8),
+            (6, 9),
+        ]
+    )

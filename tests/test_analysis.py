@@ -8,7 +8,6 @@ from repro.analysis import (
     common_group_cdf,
     community_size_cdf,
     empirical_cdf,
-    format_table1,
     interaction_count_cdf,
     interaction_rate_by_category,
     major_type_share,
@@ -19,6 +18,7 @@ from repro.analysis import (
     silent_pair_fraction,
     table1_rows,
 )
+from repro.experiments import exp_table1
 from repro.exceptions import ExperimentError
 from repro.types import MomentsCategory, RelationType
 
@@ -118,11 +118,11 @@ class TestSurveyStats:
         first_names = {row[0] for row in rows}
         assert {"Family Members", "Colleague", "Schoolmates", "Others"} <= first_names
 
+    def test_format_table1_renders(self, tiny_workload):
+        text = exp_table1.run(tiny_workload).to_text()
+        assert "First Category" in text
+        assert "Colleague" in text
+
     def test_major_type_share_close_to_paper(self, tiny_workload):
         share = major_type_share(tiny_workload.survey)
         assert 0.7 <= share <= 1.0
-
-    def test_format_table1_renders(self, tiny_workload):
-        text = format_table1(tiny_workload.survey)
-        assert "First Category" in text
-        assert "Colleague" in text

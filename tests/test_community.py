@@ -15,8 +15,8 @@ from repro.community import (
 )
 from repro.exceptions import CommunityError
 from repro.graph import Graph, ego_network
-from repro.graph.generators import planted_partition
 from repro.types import canonical_edge
+from tests.graph_fixtures import planted_partition
 
 
 class TestConnectedComponents:

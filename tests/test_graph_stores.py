@@ -39,7 +39,7 @@ class TestInteractionStore:
         store = InteractionStore()
         assert store.get(7, 8, 0) == 0.0
         assert store.total(7, 8) == 0.0
-        assert not store.has_interaction(7, 8)
+        assert store.vector_view(7, 8) is None
 
     def test_out_of_range_dimension_raises(self):
         store = InteractionStore(num_dims=3)
@@ -71,17 +71,7 @@ class TestInteractionStore:
         store = InteractionStore(num_dims=2)
         store.record(1, 2, 0, 1)
         store.set_vector(1, 2, np.zeros(2))
-        assert not store.has_interaction(1, 2)
-
-    def test_update_from_bulk(self):
-        store = InteractionStore(num_dims=2)
-        store.update_from([(1, 2, 0, 1.0), (2, 3, 1, 2.0)])
-        assert store.num_edges_with_interaction == 2
-
-    def test_restrict_to(self, small_interactions):
-        restricted = small_interactions.restrict_to([1, 2, 3])
-        assert restricted.has_interaction(1, 2)
-        assert not restricted.has_interaction(4, 5)
+        assert store.vector_view(1, 2) is None
 
     def test_sparsity(self):
         store = InteractionStore(num_dims=2)
@@ -140,19 +130,10 @@ class TestNodeFeatureStore:
     def test_matrix_empty(self, small_features):
         assert small_features.matrix([]).shape == (0, 2)
 
-    def test_feature_index(self, small_features):
-        assert small_features.feature_index("age") == 1
-        with pytest.raises(FeatureError):
-            small_features.feature_index("missing")
-
-    def test_restrict_to(self, small_features):
-        restricted = small_features.restrict_to([1, 2])
-        assert restricted.has(1)
-        assert not restricted.has(5)
-
     def test_set_many_and_contains(self):
         store = NodeFeatureStore(["a"])
-        store.set_many([(1, [1.0]), (2, [2.0])])
+        for node, values in [(1, [1.0]), (2, [2.0])]:
+            store.set(node, values)
         assert 1 in store and 2 in store
         assert len(store) == 2
 

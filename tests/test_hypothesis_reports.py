@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import repro
@@ -13,8 +14,10 @@ TESTS = Path(__file__).resolve().parent
 
 def test_failing_given_test_reports_its_falsifying_example(pytester, monkeypatch):
     # The run happens in a temporary directory: a relative PYTHONPATH=src
-    # would not find the package there.
-    monkeypatch.setenv("PYTHONPATH", str(Path(repro.__file__).resolve().parent.parent))
+    # would not find the package there, nor the repo root the test helpers
+    # the conftest imports (``tests.clocks``, ``tests.graph_fixtures``).
+    src = Path(repro.__file__).resolve().parent.parent
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join((str(src), str(TESTS.parent))))
     pytester.makeini((TESTS.parent / "pytest.ini").read_text())
     pytester.makeconftest((TESTS / "conftest.py").read_text())
     pytester.makepyfile(

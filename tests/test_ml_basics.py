@@ -9,9 +9,7 @@ from repro.exceptions import DimensionMismatchError, ModelConfigError
 from repro.ml import (
     accuracy,
     classification_report,
-    confusion_matrix,
     format_report,
-    macro_f1,
     one_hot,
     precision_recall_f1,
     softmax,
@@ -57,14 +55,9 @@ class TestBaseHelpers:
 
 
 class TestMetrics:
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix([0, 0, 1, 2], [0, 1, 1, 2], num_classes=3)
-        assert matrix[0, 0] == 1 and matrix[0, 1] == 1
-        assert matrix.sum() == 4
-
-    def test_confusion_matrix_shape_mismatch(self):
+    def test_accuracy_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            confusion_matrix([0, 1], [0], num_classes=2)
+            accuracy([0, 1], [0])
 
     def test_precision_recall_f1_known_values(self):
         y_true = [0, 0, 0, 1, 1, 1]
@@ -81,10 +74,6 @@ class TestMetrics:
     def test_accuracy(self):
         assert accuracy([1, 2, 3], [1, 2, 0]) == pytest.approx(2 / 3)
         assert accuracy([], []) == 0.0
-
-    def test_macro_f1_perfect(self):
-        assert macro_f1([0, 1, 2], [0, 1, 2], labels=[0, 1, 2]) == pytest.approx(1.0)
-        assert macro_f1([0], [0], labels=[]) == 0.0
 
     def test_weighted_prf_weights_by_support(self):
         y_true = [0] * 9 + [1]

@@ -40,6 +40,7 @@ from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig, _TreeNod
 from tests.exact_reference import (
     ReferenceBoostedClassifier,
     ReferenceRegressionTree,
+    forest_leaf_indices,
     node_depth,
 )
 
@@ -274,7 +275,8 @@ class TestForestParity:
                 node_model.leaf_values(batch), array_model.leaf_values(batch)
             )
             assert np.array_equal(
-                node_model.leaf_indices(batch), array_model.leaf_indices(batch)
+                node_model.leaf_indices(batch),
+                forest_leaf_indices(array_model.forest_, batch),
             )
 
     @pytest.mark.parametrize("backend", ("node", "array"))
@@ -291,23 +293,18 @@ class TestForestParity:
                 model.predict_proba(batch),
             )
 
-    def test_predict_raw_alias(self):
-        X, y = random_classification_problem(3)
-        model = GradientBoostedClassifier(num_rounds=3).fit(X, y)
-        assert np.array_equal(model.predict_raw(X), model.decision_function(X))
-
     def test_forest_tensor_from_node_trees(self):
         X, y = random_classification_problem(5)
         node_model = ReferenceBoostedClassifier(num_rounds=4).fit(X, y)
         forest = ForestTensor.from_trees(
             [tree for round_trees in node_model.trees_ for tree in round_trees]
         )
-        assert forest.num_trees == node_model.num_trees
+        assert forest.num_trees == sum(map(len, node_model.trees_))
         assert np.array_equal(
             forest.leaf_values_matrix(X), node_model.leaf_values(X)
         )
         assert np.array_equal(
-            forest.leaf_indices_matrix(X), node_model.leaf_indices(X)
+            forest_leaf_indices(forest, X), node_model.leaf_indices(X)
         )
 
     def test_array_backend_populates_forest(self):
@@ -317,7 +314,7 @@ class TestForestParity:
         for backend in ("array", "hist"):
             model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
             assert model.forest_ is not None
-            assert model.forest_.num_trees == model.num_trees
+            assert model.forest_.num_trees == sum(map(len, model.trees_))
             for round_trees in model.trees_:
                 assert all(tree.tensor_ is not None for tree in round_trees)
 

@@ -32,6 +32,7 @@ from repro.ml.forest import HIST_AUTO_MIN_ROWS, resolve_ml_backend
 from repro.ml.gbdt import GradientBoostedClassifier
 from repro.ml.hist import BinnedDataset, HistTreeGrower
 from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
+from tests.exact_reference import forest_leaf_indices
 from tests.hist_reference import (
     ReferenceHistTreeGrower,
     reference_boosted_fit,
@@ -220,7 +221,10 @@ class TestExactnessParity:
             array_model.predict_proba(X), hist_model.predict_proba(X), rtol=1e-9
         )
         assert np.array_equal(array_model.predict(X), hist_model.predict(X))
-        assert np.array_equal(array_model.leaf_indices(X), hist_model.leaf_indices(X))
+        assert np.array_equal(
+            forest_leaf_indices(array_model.forest_, X),
+            forest_leaf_indices(hist_model.forest_, X),
+        )
 
     def test_min_samples_leaf_respected(self):
         X, gradients, hessians = random_tree_problem(2, n=80)
@@ -442,7 +446,7 @@ class TestReferenceParity:
                 GradientBoostedClassifier(**kwargs), X, y
             )
             np.testing.assert_array_equal(
-                model.leaf_indices(X), forest.leaf_indices_matrix(X)
+                forest_leaf_indices(model.forest_, X), forest_leaf_indices(forest, X)
             )
         assert_tensors_equal(model.forest_, forest)
         np.testing.assert_array_equal(model.train_leaf_values_, leaf_values)

@@ -19,7 +19,7 @@ from repro.ml import (
     RegressionTreeConfig,
 )
 from repro.ml.logistic import GRADIENT_TOLERANCE
-from tests.exact_reference import ReferenceBoostedClassifier
+from tests.exact_reference import ReferenceBoostedClassifier, forest_leaf_indices
 
 
 def _linearly_separable(n: int = 120, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -232,11 +232,11 @@ class TestGradientBoostedClassifier:
         X, y = _three_class_blobs(n=90)
         model = GradientBoostedClassifier(num_rounds=4).fit(X, y)
         values = model.leaf_values(X[:7])
-        indices = model.leaf_indices(X[:7])
+        indices = forest_leaf_indices(model.forest_, X[:7])
         assert values.shape == (7, 4 * 3)
         assert indices.shape == (7, 4 * 3)
         assert indices.dtype == np.int64
-        assert model.num_trees == 12
+        assert model.forest_.num_trees == 12
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -268,7 +268,7 @@ class TestGradientBoostedClassifier:
         else:
             model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
         wrong = np.zeros((6, width))
-        for method in ("predict", "predict_proba", "leaf_values", "leaf_indices"):
+        for method in ("predict", "predict_proba", "leaf_values"):
             with pytest.raises(DimensionMismatchError, match="fitted on 4 features"):
                 getattr(model, method)(wrong)
         with pytest.raises(DimensionMismatchError):

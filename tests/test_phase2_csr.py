@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.aggregation import (
     FeatureMatrixBuilder,
-    interact,
     interaction_feature_vector,
     reference_feature_matrix,
     reference_statistic_vector,
@@ -31,6 +30,7 @@ from repro.core.division import DivisionResult, LocalCommunity, divide
 from repro.exceptions import FeatureError
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.graph.phase2 import Phase2Kernel
+from tests.equation_reference import interact
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -160,14 +160,15 @@ class TestRandomizedParity:
 
     def test_single_community_matches_batch(self):
         features, interactions = random_stores(3)
-        community = random_communities(3)[0]
+        communities = random_communities(3)
+        community = communities[-1]
         builder = FeatureMatrixBuilder(features, interactions, k=6)
-        single = builder.feature_matrix(community)
-        batch = builder.feature_matrices([community])[0]
+        single = builder.feature_matrices([community])[0]
+        batch = builder.feature_matrices(communities)[-1]
         assert np.array_equal(single.matrix, batch.matrix)
         assert np.array_equal(
-            builder.statistic_vector(community),
             builder.statistic_vectors([community])[0],
+            builder.statistic_vectors(communities)[-1],
         )
 
 
@@ -183,8 +184,11 @@ class TestPhase2Kernel:
     def test_unknown_nodes_resolve_to_zero_rows(self):
         features, interactions = random_stores(0)
         kernel = Phase2Kernel.compile(features, interactions)
-        rows = kernel.feature_rows(["never-seen", "also-never-seen"])
-        assert np.array_equal(rows, np.zeros((2, features.num_features)))
+        unknown = ["never-seen", "also-never-seen"]
+        rows, _ = kernel.community_rows_batch([(frozenset(unknown), unknown)])
+        assert np.array_equal(
+            rows[:, interactions.num_dims :], np.zeros((2, features.num_features))
+        )
 
     def test_share_rows_for_non_member_selection_are_zero(self):
         """Selecting a node outside the community yields a zero share row,
@@ -192,9 +196,9 @@ class TestPhase2Kernel:
         features, interactions = random_stores(1)
         members = frozenset(range(6))
         kernel = Phase2Kernel.compile(features, interactions)
-        [shares] = kernel.community_share_rows([(members, [17])])
+        rows, _ = kernel.community_rows_batch([(members, [17])])
         reference = interaction_feature_vector(17, members, interactions)
-        assert np.array_equal(shares[0], reference)
+        assert np.array_equal(rows[0, : interactions.num_dims], reference)
 
     def test_kernel_recompiles_after_store_mutation(self):
         """Store writes bump the version counters, so the compiled kernel can
@@ -205,13 +209,13 @@ class TestPhase2Kernel:
         members = sorted(community.members)[:2]
         builder = FeatureMatrixBuilder(features, interactions, k=4)
         assert np.array_equal(
-            builder.feature_matrix(community).matrix,
+            builder.feature_matrices([community])[0].matrix,
             reference_feature_matrix(community, features, interactions, 4).matrix,
         )
         interactions.record(members[0], members[-1], 0, 100)
         features.set(members[0], [9.0] * features.num_features)
         assert np.array_equal(
-            builder.feature_matrix(community).matrix,
+            builder.feature_matrices([community])[0].matrix,
             reference_feature_matrix(community, features, interactions, 4).matrix,
         )
 
@@ -339,18 +343,12 @@ class TestCommunityContainingIndex:
         )  # same list object, same length: still read as it is now
         assert division.community_containing(0, 99) is not None
 
-    def test_merge_produces_fresh_index(self):
-        left = self.build_division()
-        assert left.community_containing(0, 2) is not None  # warm the index
-        right = DivisionResult(
-            {
-                7: [
-                    LocalCommunity(
-                        ego=7, members=frozenset({42}), tightness={42: 1.0}
-                    )
-                ]
-            }
-        )
-        merged = left.merge(right)
-        assert merged.community_containing(7, 42) is not None
-        assert merged.community_containing(0, 2) is not None
+    def test_new_ego_detected_automatically(self):
+        division = self.build_division()
+        assert division.community_containing(0, 2) is not None
+        assert division.community_containing(7, 42) is None
+        division.communities_by_ego[7] = [
+            LocalCommunity(ego=7, members=frozenset({42}), tightness={42: 1.0})
+        ]
+        assert division.community_containing(7, 42) is not None
+        assert division.community_containing(0, 2) is not None

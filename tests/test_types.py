@@ -59,11 +59,6 @@ class TestInteractionDim:
     def test_count_matches_enum_size(self):
         assert InteractionDim.count() == len(InteractionDim) == 7
 
-    def test_moments_dims_exclude_messaging(self):
-        dims = InteractionDim.moments_dims()
-        assert InteractionDim.MESSAGE not in dims
-        assert len(dims) == 6
-
     def test_values_are_contiguous_indices(self):
         assert sorted(int(dim) for dim in InteractionDim) == list(range(7))
 
@@ -132,12 +127,6 @@ class TestClassificationReport:
         )
         names = [row[0] for row in report.as_rows()]
         assert names == ["Colleague", "Family Members", "Schoolmates", "Overall"]
-
-    def test_row_lookup(self):
-        report = ClassificationReport(
-            per_class={RelationType.FAMILY: PRF(0.5, 0.6, 0.55)}
-        )
-        assert report.row(RelationType.FAMILY).recall == 0.6
 
 
 class TestExceptions:

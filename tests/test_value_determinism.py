@@ -105,7 +105,7 @@ _DIGEST_CHILD = """
 import hashlib, json
 from repro.core.division import divide, get_detector
 from repro.graph import Graph
-from repro.graph.generators import planted_partition
+from tests.graph_fixtures import planted_partition
 
 base, _ = planted_partition([8, 8, 8], intra_prob=0.8, inter_prob=0.05, seed=7)
 graph = Graph(nodes=(f"user:{node:04d}" for node in base.nodes()))
