@@ -40,6 +40,7 @@ import statistics
 import sys
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 # One BLAS thread, as CI and benchmarks/e2e/run.py measure: pinned before
 # NumPy loads, or the speedup ratios are read on a multi-threaded BLAS.
@@ -207,6 +208,7 @@ def build_benchmarks(
     from repro.core.division import divide, get_detector
     from repro.graph.csr import CSRGraph, dense_ego_nets, edge_betweenness_csr
     from repro.graph.ego import ego_network
+    from repro.ml import gbdt as gbdt_module
     from repro.ml.gbdt import GradientBoostedClassifier
     from repro.ml.nn import NeuralNetworkClassifier
     from repro.synthetic import make_workload
@@ -278,19 +280,24 @@ def build_benchmarks(
     design = builder.statistic_vectors(communities)
     labels = np.arange(design.shape[0]) % 3
 
-    def gbdt(backend: str):
-        if backend == "node":
-            return ReferenceBoostedClassifier(num_rounds=10, num_classes=3)
-        return GradientBoostedClassifier(num_rounds=10, num_classes=3, backend=backend)
+    def gbdt_fit(route: str, X, y):
+        """A 10-round fit on ``route``: the oracle (``node``), or the
+        product with its row crossover moved for the one call so that it
+        grows by the exact (``array``) or the histogram (``hist``) search."""
+        if route == "node":
+            return ReferenceBoostedClassifier(num_rounds=10, num_classes=3).fit(X, y)
+        crossover = 0 if route == "hist" else len(X) + 1
+        with mock.patch.object(gbdt_module, "HIST_AUTO_MIN_ROWS", crossover):
+            return GradientBoostedClassifier(num_rounds=10, num_classes=3).fit(X, y)
 
-    fitted = {backend: gbdt(backend).fit(design, labels) for backend in ("node", "array")}
+    fitted = {route: gbdt_fit(route, design, labels) for route in ("node", "array")}
     # gbdt_fit_hist: the histogram growth (one per-fit quantization, a
     # round's class trees grown together level by level, one histogram pass
     # per level with parent-minus-sibling subtraction) against the exact
     # array search above.
-    for backend in ("node", "array", "hist"):
-        benchmarks[f"gbdt_fit_{model_scale}_{backend}"] = (
-            lambda be=backend, d=design, y=labels: gbdt(be).fit(d, y)
+    for route in ("node", "array", "hist"):
+        benchmarks[f"gbdt_fit_{model_scale}_{route}"] = (
+            lambda r=route, d=design, y=labels: gbdt_fit(r, d, y)
         )
     for backend in ("node", "array"):
         benchmarks[f"forest_predict_{model_scale}_{backend}"] = (

@@ -43,7 +43,7 @@ class GBDTConfig:
     min_samples_leaf: int = 2
     max_bins: int = 256
     """Histogram resolution of the histogram split search, which the fit
-    takes at :data:`repro.ml.forest.HIST_AUTO_MIN_ROWS` rows and above
+    takes at :data:`repro.ml.gbdt.HIST_AUTO_MIN_ROWS` rows and above
     (ignored by the exact search below it)."""
 
     def classifier(self, num_classes: int | None = None) -> GradientBoostedClassifier:

@@ -41,7 +41,7 @@ non-integer counts the two paths agree to accumulation-order ulps.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -208,30 +208,22 @@ class Phase2Kernel:
 
     @classmethod
     def compile(
-        cls,
-        features: NodeFeatureStore,
-        interactions: InteractionStore,
-        nodes: Iterable[Node] | None = None,
+        cls, features: NodeFeatureStore, interactions: InteractionStore
     ) -> "Phase2Kernel":
-        """Intern every node of both stores (or the given ``nodes``) and compile.
+        """Intern every node of both stores and compile.
 
         The interner order is deterministic: interaction endpoints in store
         iteration order, then feature-store nodes not already seen.
         """
         index: dict[Node, int] = {}
-        if nodes is not None:
-            for node in nodes:
-                if node not in index:
-                    index[node] = len(index)
-        else:
-            for u, v in interactions.edges_with_interaction():
-                if u not in index:
-                    index[u] = len(index)
-                if v not in index:
-                    index[v] = len(index)
-            for node in features.nodes():
-                if node not in index:
-                    index[node] = len(index)
+        for u, v in interactions.edges_with_interaction():
+            if u not in index:
+                index[u] = len(index)
+            if v not in index:
+                index[v] = len(index)
+        for node in features.nodes():
+            if node not in index:
+                index[node] = len(index)
         return cls(
             InteractionMatrix.from_store(interactions, index),
             NodeFeatureMatrix.from_store(features, index),

@@ -25,7 +25,8 @@ def check_X_y(X: np.ndarray, y: np.ndarray, min_dim: int = 2) -> tuple[np.ndarra
     """Validate and coerce a feature array and label vector.
 
     Ensures ``X`` is a float array with at least ``min_dim`` dimensions, ``y``
-    is a 1-D integer array, and their first dimensions agree.
+    is a 1-D array of class indices — numeric, integral and non-negative,
+    returned as int64 — and their first dimensions agree.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -41,6 +42,14 @@ def check_X_y(X: np.ndarray, y: np.ndarray, min_dim: int = 2) -> tuple[np.ndarra
         )
     if X.shape[0] == 0:
         raise DimensionMismatchError("cannot fit on an empty dataset")
+    if y.dtype.kind not in "biuf":
+        raise DimensionMismatchError(f"labels must be class indices, got dtype {y.dtype}")
+    if y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.floor(y))).all():
+        raise DimensionMismatchError(
+            "labels must be class indices, got a non-integral or non-finite value"
+        )
+    if y.min() < 0:
+        raise DimensionMismatchError(f"labels must be non-negative, got {y.min()}")
     return X, y.astype(np.int64, copy=False)
 
 

@@ -1,89 +1,91 @@
-"""Array-backed kernels for the tree/GBDT model layer.
+"""Regression trees and the one stacked forest of the GBDT model layer.
 
-Fitted trees are flattened into struct-of-arrays *tensors*, and every
-inference question is answered with batched level-wise traversal:
+A tree is fitted to per-sample gradients and hessians of the boosting
+objective, exactly as in the XGBoost formulation: a split's gain is
 
-* :class:`TreeTensor` — one tree as parallel ``feature``/``threshold``/
-  ``left``/``right``/``value``/``leaf_id`` arrays.  ``feature[i] < 0`` marks
-  a leaf.  Traversal advances *all* rows one level per NumPy step, so a
-  batch prediction costs ``O(depth)`` array ops instead of ``O(rows)``
-  Python loops.
+``0.5 * (G_L²/(H_L+λ) + G_R²/(H_R+λ) - G²/(H+λ)) - γ``
+
+and the optimal leaf weight is ``-G/(H+λ)``.  Every grown tree is
+flattened into struct-of-arrays form, and every inference question is
+answered with batched level-wise traversal:
+
+* :class:`TreeTensor` — one grown tree as parallel ``feature``/
+  ``threshold``/``left``/``right``/``value``/``leaf_id`` arrays, in
+  left-first preorder.  ``feature[i] < 0`` marks a leaf.
 * :class:`ForestTensor` — every tree of a boosted ensemble concatenated into
   one node pool with per-tree root offsets.  One traversal sweep moves all
   ``rows x trees`` cursors together, so the raw scores and the leaf-value
   embedding of all rounds x classes are a single batched walk.
-* :class:`FeaturePresort` + :func:`best_split_array` — the exact greedy
-  split search, XGBoost-style: every feature is sorted **once per fit**
-  into integer rank codes, and a node searches all its features in one
-  pass (one radix ``argsort`` of the codes, one 2-D ``cumsum``, one masked
-  gain matrix, one ``argmax``) instead of re-sorting a float column per
-  feature per node.
+* :class:`FeaturePresort` + :func:`best_split_array` + :func:`grow_exact` —
+  the exact greedy growth, XGBoost-style: every feature is sorted **once
+  per fit** into integer rank codes, and a node searches all its features
+  in one pass (one radix ``argsort`` of the codes, one 2-D ``cumsum``, one
+  masked gain matrix, one ``argmax``) instead of re-sorting a float column
+  per feature per node.  The histogram growth is :mod:`repro.ml.hist`.
 
 Parity contract: these kernels execute the same float64 operations in the
 same order as the oracle in ``tests/exact_reference.py`` — a scalar
-per-feature, per-position split scan and row-by-row ``_TreeNode`` pointer
-walks with sequential per-tree score accumulation — so fitted trees and
-all predictions are **bit-identical** to it; the randomized suite in
+per-feature, per-position split scan and row-by-row pointer walks with
+sequential per-tree score accumulation — so fitted trees and all
+predictions are **bit-identical** to it; the randomized suite in
 ``tests/test_ml_forest.py`` arbitrates, exactly as the graph parity suites
 do for Phases I and II.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.exceptions import ModelConfigError
 
-ML_BACKENDS = ("auto", "array", "hist")
-"""Valid model-layer backends: the exact presorted, feature-batched split
-search, or the histogram split search of :mod:`repro.ml.hist`.  ``auto``
-picks between them by row count (see :func:`resolve_ml_backend`) and is
-what every product caller runs."""
 
-HIST_AUTO_MIN_ROWS = 4096
-"""Row-count crossover for ``auto``: below this the exact array search is
-kept (bit-identical splits), at or above it ``auto`` prefers the
-``O(rows + bins)`` histogram search, whose threshold snapping is amortised
-away by ``max_bins`` quantile bins.  With the exact search presorted and
-feature-batched, and the histogram trees of a round grown together level
-by level, the two kernels cross near 1k rows.  Fit seconds on random
-23-column designs, 3 classes, default ``GBDTConfig``, two alternating runs
-a side:
+@dataclass
+class _TreeNode:
+    """A node of a tree under growth; :meth:`TreeTensor.from_root`
+    flattens it once the tree is grown."""
 
-======  ===============  ===============  ==============
-rows    exact (array)    hist             faster
-======  ===============  ===============  ==============
-154     0.073-0.086 s    0.157-0.171 s    exact ~2x
-926     0.264-0.300 s    0.261-0.271 s    tie
-4024    1.19-1.24 s      0.300-0.352 s    hist ~3.5-4x
-======  ===============  ===============  ==============
-
-On the LoCEC-XGB designs exact is still ~1.4-1.8x faster at 93 and 154
-rows.  The constant stays conservative on purpose: ``auto`` trades
-exactness for speed only where the win is decisive, and no benchmark
-workload sits between 155 and 4,095 rows to judge a re-routing."""
+    depth: int
+    value: float = 0.0
+    feature: int | None = None
+    threshold: float = 0.0
+    left: "_TreeNode | None" = None
+    right: "_TreeNode | None" = None
 
 
-def resolve_ml_backend(backend: str, num_rows: int | None = None) -> str:
-    """Resolve an ML backend name to the concrete implementation to run.
+def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
+    """The Newton-optimal weight ``-G / (H + λ)`` of a node's rows."""
+    return float(-grad_sum / (hess_sum + reg_lambda))
 
-    ``auto`` resolves to the exact array kernels, unless the fitting row
-    count is known (``num_rows``) and reaches :data:`HIST_AUTO_MIN_ROWS`, in
-    which case the histogram split search takes over.
-    """
-    if backend not in ML_BACKENDS:
-        raise ModelConfigError(
-            f"unknown ml backend {backend!r}; available: {sorted(ML_BACKENDS)}"
-        )
-    if backend == "auto":
-        if num_rows is not None and num_rows >= HIST_AUTO_MIN_ROWS:
-            return "hist"
-        return "array"
-    return backend
+
+@dataclass
+class RegressionTreeConfig:
+    """Hyper-parameters of every tree of a boosted fit."""
+
+    max_depth: int = 3
+    min_samples_leaf: int = 2
+    reg_lambda: float = 1.0
+    gamma: float = 0.0
+    min_gain: float = 1e-7
+    max_bins: int = 256
+    """Histogram resolution of :mod:`repro.ml.hist`: features with at most
+    this many distinct values are binned exactly (splits identical to the
+    exact search), wider features snap to quantile bin edges."""
+
+    def validate(self) -> None:
+        if self.max_depth < 1:
+            raise ModelConfigError("max_depth must be >= 1")
+        if self.min_samples_leaf < 1:
+            raise ModelConfigError("min_samples_leaf must be >= 1")
+        if self.reg_lambda < 0:
+            raise ModelConfigError("reg_lambda must be non-negative")
+        if self.max_bins < 2:
+            raise ModelConfigError("max_bins must be >= 2")
 
 
 class TreeTensor:
-    """A fitted regression tree flattened to struct-of-arrays form.
+    """A grown regression tree flattened to struct-of-arrays form.
 
     ``feature[i] >= 0`` marks an internal node splitting on that feature at
     ``threshold[i]`` with children ``left[i]``/``right[i]``; ``feature[i] < 0``
@@ -110,8 +112,10 @@ class TreeTensor:
         self.leaf_id = leaf_id
 
     @classmethod
-    def from_root(cls, root) -> "TreeTensor":
-        """Flatten a ``_TreeNode`` tree (preorder, root at slot 0)."""
+    def from_root(cls, root: _TreeNode) -> "TreeTensor":
+        """Flatten a grown tree: left-first preorder, root at slot 0, leaves
+        numbered ``0, 1, ...`` in that order (by an explicit stack, so a
+        chain deeper than the recursion limit flattens too)."""
         order = []
         stack = [root]
         while stack:
@@ -128,10 +132,12 @@ class TreeTensor:
         right = np.zeros(count, dtype=np.int64)
         value = np.zeros(count, dtype=np.float64)
         leaf_id = np.full(count, -1, dtype=np.int64)
+        num_leaves = 0
         for position, node in enumerate(order):
             value[position] = node.value
             if node.feature is None:
-                leaf_id[position] = node.leaf_id
+                leaf_id[position] = num_leaves
+                num_leaves += 1
             else:
                 feature[position] = node.feature
                 threshold[position] = node.threshold
@@ -142,40 +148,6 @@ class TreeTensor:
     @property
     def num_nodes(self) -> int:
         return int(self.feature.size)
-
-    def leaf_slots(self, X: np.ndarray) -> np.ndarray:
-        """Node-pool slot of the leaf each row of ``X`` falls into."""
-        num_rows = X.shape[0]
-        position = np.zeros(num_rows, dtype=np.int64)
-        row_index = np.arange(num_rows)
-        while True:
-            feature = self.feature[position]
-            internal = feature >= 0
-            if not internal.any():
-                return position
-            x_value = X[row_index, np.where(internal, feature, 0)]
-            go_left = x_value <= self.threshold[position]
-            child = np.where(go_left, self.left[position], self.right[position])
-            position = np.where(internal, child, position)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weight per row."""
-        return self.value[self.leaf_slots(X)]
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index (0-based, per tree) per row."""
-        return self.leaf_id[self.leaf_slots(X)]
-
-    def depth(self) -> int:
-        """Tree depth via a vectorized level sweep (no recursion)."""
-        frontier = np.array([0], dtype=np.int64)
-        depth = 0
-        while True:
-            internal = frontier[self.feature[frontier] >= 0]
-            if internal.size == 0:
-                return depth
-            frontier = np.concatenate([self.left[internal], self.right[internal]])
-            depth += 1
 
 
 class ForestTensor:
@@ -206,15 +178,6 @@ class ForestTensor:
         )
         self.value = np.concatenate([tensor.value for tensor in tensors])
         self.leaf_id = np.concatenate([tensor.leaf_id for tensor in tensors])
-
-    @classmethod
-    def from_trees(cls, trees) -> "ForestTensor":
-        """Stack fitted :class:`~repro.ml.tree.GradientRegressionTree` objects.
-
-        ``trees`` is the flat round-major tree list (round 0's class trees,
-        then round 1's, ...), the column order of the leaf embeddings.
-        """
-        return cls([tree.tensor() for tree in trees])
 
     @property
     def num_trees(self) -> int:
@@ -277,8 +240,7 @@ class FeaturePresort:
 
     The exact twin of :class:`repro.ml.hist.BinnedDataset`: built by
     :meth:`GradientBoostedClassifier.fit <repro.ml.gbdt.GradientBoostedClassifier.fit>`
-    before the first round (or by a tree fitted on its own) and shared by
-    every node of every tree, so no node ever sorts a float column again.
+    before the first round and shared by every node of every tree, so no node ever sorts a float column again.
 
     Attributes
     ----------
@@ -388,3 +350,41 @@ def best_split_array(
     threshold = split_threshold(values[rows[position]], values[rows[position + 1]])
     # Copies, so the children do not pin this node's (features, rows) matrix.
     return feature, threshold, rows[: position + 1].copy(), rows[position + 1 :].copy()
+
+
+def grow_exact(
+    presort: FeaturePresort,
+    gradients: np.ndarray,
+    hessians: np.ndarray,
+    config: RegressionTreeConfig,
+) -> tuple[TreeTensor, np.ndarray]:
+    """Grow one tree on ``presort``'s rows by :func:`best_split_array`,
+    recursively, left subtree first; return it flattened, and the leaf
+    value of every training row.
+
+    A leaf records its value for its rows as it is made.  Split thresholds
+    follow :func:`split_threshold`, so walking the tree routes each training
+    row into the leaf it was grown into, and the recorded values equal the
+    tree's predictions of the training rows bit for bit.
+    """
+    values = np.empty(gradients.shape[0], dtype=np.float64)
+
+    def build(indices: np.ndarray, depth: int) -> _TreeNode:
+        grad_sum = gradients[indices].sum()
+        hess_sum = hessians[indices].sum()
+        node = _TreeNode(depth, leaf_weight(grad_sum, hess_sum, config.reg_lambda))
+        split = None
+        if depth < config.max_depth and len(indices) >= 2 * config.min_samples_leaf:
+            split = best_split_array(
+                presort, gradients, hessians, indices, grad_sum, hess_sum, config
+            )
+        if split is None:
+            values[indices] = node.value
+            return node
+        node.feature, node.threshold, left_idx, right_idx = split
+        node.left = build(left_idx, depth + 1)
+        node.right = build(right_idx, depth + 1)
+        return node
+
+    root = build(np.arange(gradients.shape[0]), 0)
+    return TreeTensor.from_root(root), values

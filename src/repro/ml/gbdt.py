@@ -9,11 +9,12 @@ The paper uses XGBoost in three places:
   ``r_C`` for the combination phase ("values of the leaf nodes ... are
   considered as community embedding", Section IV-C).
 
-This module implements multi-class Newton boosting over the
-:class:`repro.ml.tree.GradientRegressionTree` weak learner, including the
-leaf-value / leaf-index embeddings needed by LoCEC-XGB.  The oracles it is
-held to live in ``tests/``: ``exact_reference.py`` (the scalar split scan
-and per-tree pointer walks) and ``hist_reference.py`` (the recursive,
+This module implements multi-class Newton boosting whose fit is one
+:class:`~repro.ml.forest.ForestTensor`: every grown tree goes straight into
+it, and it answers every inference call, including the leaf-value /
+leaf-index embeddings needed by LoCEC-XGB.  The oracles it is held to live
+in ``tests/``: ``exact_reference.py`` (the scalar split scan and per-tree
+pointer walks) and ``hist_reference.py`` (the recursive,
 one-tree-at-a-time histogram grower).
 """
 
@@ -23,9 +24,38 @@ import numpy as np
 
 from repro.exceptions import DimensionMismatchError, FeatureError, ModelConfigError
 from repro.ml.base import check_fitted, check_X_y, one_hot, softmax
-from repro.ml.forest import FeaturePresort, ForestTensor, boosted_scores, resolve_ml_backend
+from repro.ml.forest import (
+    FeaturePresort,
+    ForestTensor,
+    RegressionTreeConfig,
+    boosted_scores,
+    grow_exact,
+)
 from repro.ml.hist import BinnedDataset, HistTreeGrower
-from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
+
+HIST_AUTO_MIN_ROWS = 4096
+"""Row count from which :meth:`GradientBoostedClassifier.fit` grows its
+trees by the histogram search of :mod:`repro.ml.hist`; below it the exact
+presorted search (bit-identical splits) grows them.  The histogram search
+is ``O(rows + bins)`` per feature and level, and its threshold snapping is
+amortised away by ``max_bins`` quantile bins.  With the exact search
+presorted and feature-batched, and the histogram trees of a round grown
+together level by level, the two kernels cross near 1k rows.  Fit seconds
+on random 23-column designs, 3 classes, default ``GBDTConfig``, two
+alternating runs a side:
+
+======  ===============  ===============  ==============
+rows    exact            hist             faster
+======  ===============  ===============  ==============
+154     0.073-0.086 s    0.157-0.171 s    exact ~2x
+926     0.264-0.300 s    0.261-0.271 s    tie
+4024    1.19-1.24 s      0.300-0.352 s    hist ~3.5-4x
+======  ===============  ===============  ==============
+
+On the LoCEC-XGB designs exact is still ~1.4-1.8x faster at 93 and 154
+rows.  The constant stays conservative on purpose: a fit trades exactness
+for speed only where the win is decisive, and no benchmark workload sits
+between 155 and 4,095 rows to judge a re-routing."""
 
 
 class GradientBoostedClassifier:
@@ -41,29 +71,25 @@ class GradientBoostedClassifier:
         Per-tree hyper-parameters (see :class:`RegressionTreeConfig`).
     num_classes:
         Number of classes; inferred from the labels when ``None``.
-    backend:
-        ``"array"`` for the exact split search on a
-        :class:`~repro.ml.forest.FeaturePresort` built **once per fit**
-        (every node searches all features in one pass over integer rank
-        codes; no float column is sorted again), ``"hist"`` for the
-        histogram growth of :mod:`repro.ml.hist` (the feature matrix is
-        quantized into at most ``max_bins`` bins **once per fit**, and a
-        round's class trees grow together, level by level, in
-        ``O(rows + bins)`` per feature and level), or ``"auto"`` (default)
-        to pick by row count (:func:`~repro.ml.forest.resolve_ml_backend`).
-        Every fit stacks its trees into one
-        :class:`~repro.ml.forest.ForestTensor` that answers every inference
-        call in one batched traversal over all rounds x classes.  The exact
-        search and the forest walks equal the scalar scan and per-tree
-        pointer walks of ``tests/exact_reference.py`` bit for bit; ``hist``
-        chooses identical splits while each feature has at most
-        ``max_bins`` distinct values and snaps thresholds to quantile bin
-        edges beyond that.
     max_bins:
-        Histogram resolution of the ``"hist"`` backend (ignored by the
+        Histogram resolution of the histogram search (ignored by the
         exact search).
 
-    Both backends place a split between the adjacent present values
+    :meth:`fit` picks the split search from its row count alone (see
+    :data:`HIST_AUTO_MIN_ROWS`): below it, the exact search on a
+    :class:`~repro.ml.forest.FeaturePresort` built **once per fit** (every
+    node searches all features in one pass over integer rank codes; no
+    float column is sorted again); from it up, the histogram growth of
+    :mod:`repro.ml.hist` (the feature matrix is quantized into at most
+    ``max_bins`` bins **once per fit**, and a round's class trees grow
+    together, level by level, in ``O(rows + bins)`` per feature and
+    level).  The exact search and the forest walks equal the scalar scan
+    and per-tree pointer walks of ``tests/exact_reference.py`` bit for bit;
+    the histogram search chooses identical splits while each feature has
+    at most ``max_bins`` distinct values and snaps thresholds to quantile
+    bin edges beyond that.
+
+    Both searches place a split between the adjacent present values
     ``lo < hi`` at their midpoint, or at ``lo`` when the midpoint rounds to
     ``hi`` (:func:`~repro.ml.forest.split_threshold`), so a training row is
     predicted from the leaf it was grown into and :meth:`fit` takes the
@@ -89,7 +115,6 @@ class GradientBoostedClassifier:
         reg_lambda: float = 1.0,
         gamma: float = 0.0,
         num_classes: int | None = None,
-        backend: str = "auto",
         max_bins: int = 256,
     ) -> None:
         if num_rounds < 1:
@@ -107,9 +132,6 @@ class GradientBoostedClassifier:
         )
         self.tree_config.validate()
         self.num_classes = num_classes
-        self.backend = backend
-        self._resolved_backend = resolve_ml_backend(backend)
-        self.trees_: list[list[GradientRegressionTree]] | None = None
         self.forest_: ForestTensor | None = None
         self.base_score_: np.ndarray | None = None
         self.num_features_: int | None = None
@@ -122,20 +144,20 @@ class GradientBoostedClassifier:
         """Fit the boosted ensemble on features ``X`` and integer labels ``y``.
 
         Every round grows one tree per class on all rows and adds their
-        leaf values of the training rows to the running scores.  On the
-        hist backend one :class:`~repro.ml.hist.HistTreeGrower`, built once
-        per fit, grows a round's class trees together, level by level:
-        every level of a round is one histogram pass over rows, whatever
-        the class count (``num_hist_passes_`` counts them).  The exact
-        search grows the trees one at a time
-        (:meth:`GradientRegressionTree.fit_predict`).  The softmax is taken
-        once a round: the probabilities behind a round's loss are the next
-        round's.  The training rows' leaf values are read off the
-        partitions the growers built, not walked.
-        ``train_leaf_values_`` keeps them
-        as the ``(rows, trees)`` matrix :meth:`leaf_values` returns for
-        ``X``, bit for bit.  A caller that has read it may set it to
-        ``None`` so the model does not keep a copy.
+        leaf values of the training rows to the running scores.  From
+        :data:`HIST_AUTO_MIN_ROWS` rows up, one
+        :class:`~repro.ml.hist.HistTreeGrower`, built once per fit, grows a
+        round's class trees together, level by level: every level of a
+        round is one histogram pass over rows, whatever the class count
+        (``num_hist_passes_`` counts them).  Below it
+        :func:`~repro.ml.forest.grow_exact` grows the trees one at a time.
+        The softmax is taken once a round: the probabilities behind a
+        round's loss are the next round's.  The training rows' leaf values
+        are read off the partitions the growers built, not walked.
+        ``train_leaf_values_`` keeps them as the ``(rows, trees)`` matrix
+        :meth:`leaf_values` returns for ``X``, bit for bit.  A caller that
+        has read it may set it to ``None`` so the model does not keep a
+        copy.
         """
         X, y = check_X_y(X, y)
         finite_columns = np.isfinite(X).all(axis=0)
@@ -156,21 +178,18 @@ class GradientBoostedClassifier:
         self.base_score_ = np.log(priors)
         raw_scores = np.tile(self.base_score_, (n_samples, 1))
 
-        self.trees_ = []
         self.train_loss_history_ = []
         leaf_values = np.empty((n_samples, self.num_rounds * num_classes))
+        tensors = []
 
         # The feature matrix is prepared exactly once per fit — quantized
-        # for the hist backend, sorted for the exact array backend — and
-        # every tree of every round reuses it.  Resolving here (with the row
-        # count) also pins the auto choice for all trees.
-        resolved = resolve_ml_backend(self.backend, num_rows=n_samples)
-        self._resolved_backend = resolved
+        # for the histogram search, sorted for the exact one — and every
+        # tree of every round reuses it.
         grower = presort = None
-        if resolved == "hist":
+        if n_samples >= HIST_AUTO_MIN_ROWS:
             binned = BinnedDataset.from_matrix(X, self.tree_config.max_bins)
             grower = HistTreeGrower(binned, self.tree_config)
-        elif resolved == "array":
+        else:
             presort = FeaturePresort.from_matrix(X)
 
         # One softmax a round: the one the loss takes is the next round's.
@@ -178,24 +197,19 @@ class GradientBoostedClassifier:
         for round_index in range(self.num_rounds):
             gradients = probabilities - targets
             hessians = probabilities * (1.0 - probabilities)
-            round_trees = [
-                GradientRegressionTree(self.tree_config, backend=resolved)
-                for _ in range(num_classes)
-            ]
             if grower is not None:
-                roots, values = grower.grow(gradients, hessians)
-                for tree, root in zip(round_trees, roots):
-                    tree._install(root, X.shape[1])
+                round_tensors, values = grower.grow(gradients, hessians)
             else:
-                values = np.column_stack(
-                    [
-                        tree.fit_predict(X, gradients[:, k], hessians[:, k], presort=presort)
-                        for k, tree in enumerate(round_trees)
-                    ]
+                round_tensors, columns = zip(
+                    *(
+                        grow_exact(presort, gradients[:, k], hessians[:, k], self.tree_config)
+                        for k in range(num_classes)
+                    )
                 )
+                values = np.column_stack(columns)
+            tensors.extend(round_tensors)
             leaf_values[:, round_index * num_classes : (round_index + 1) * num_classes] = values
             raw_scores += self.learning_rate * values
-            self.trees_.append(round_trees)
 
             probabilities = softmax(raw_scores)
             loss = -float(
@@ -209,9 +223,7 @@ class GradientBoostedClassifier:
         self._num_classes = num_classes
         self.num_features_ = X.shape[1]
         self.train_leaf_values_ = leaf_values
-        self.forest_ = ForestTensor.from_trees(
-            [tree for round_trees in self.trees_ for tree in round_trees]
-        )
+        self.forest_ = ForestTensor(tensors)
         return self
 
     # --------------------------------------------------------------- inference
@@ -221,7 +233,7 @@ class GradientBoostedClassifier:
         return self._scores(self.forest_.leaf_values_matrix(X))
 
     def _check_inference_input(self, X: np.ndarray) -> np.ndarray:
-        check_fitted(self, "trees_")
+        check_fitted(self, "forest_")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
@@ -239,7 +251,7 @@ class GradientBoostedClassifier:
     def proba_from_leaf_values(self, leaf_values: np.ndarray) -> np.ndarray:
         """:meth:`predict_proba` of the rows behind a :meth:`leaf_values`
         matrix, bit for bit, without walking the trees a second time."""
-        check_fitted(self, "trees_")
+        check_fitted(self, "forest_")
         return softmax(self._scores(leaf_values))
 
     def _scores(self, leaf_values: np.ndarray) -> np.ndarray:
@@ -259,5 +271,6 @@ class GradientBoostedClassifier:
         representation ``r_C``: each column is the leaf weight the sample
         reaches in one of the generated trees.
         """
-        return self.forest_.leaf_values_matrix(self._check_inference_input(X))
+        X = self._check_inference_input(X)
+        return self.forest_.leaf_values_matrix(X)
 

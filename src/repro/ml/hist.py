@@ -1,17 +1,19 @@
-"""Histogram GBDT growth (``backend="hist"``): level-wise, class-batched.
+"""Histogram GBDT growth: level-wise, class-batched.
 
 :func:`repro.ml.forest.best_split_array` made the exact greedy search
 array-fast, but every node still re-orders its rows by rank code and scans
 all of them for every feature.  This module takes row order out of the
 split search the way LightGBM (Ke et al., NeurIPS 2017) and XGBoost-hist
-with its depthwise grow policy (Chen & Guestrin, KDD 2016) do:
+with its depthwise grow policy (Chen & Guestrin, KDD 2016) do.
+:meth:`GradientBoostedClassifier.fit <repro.ml.gbdt.GradientBoostedClassifier.fit>`
+grows with it from :data:`~repro.ml.gbdt.HIST_AUTO_MIN_ROWS` rows up:
 
 * :class:`BinnedDataset` — built **once per fit**: each feature column is
   quantized into at most ``max_bins`` ordered bins (one bin per distinct
   value when the column has ``<= max_bins`` of them, quantile-spaced edges
   otherwise), and the whole matrix is re-expressed as integer bin codes.
 * :class:`HistTreeGrower` — grows the ``K`` class trees of a boosting
-  round together, level by level (a lone tree is ``K = 1``).  A level is
+  round together, level by level.  A level is
   one ``np.bincount`` per statistic over (node, feature, bin) keys for the
   smaller child of every split node, parent-minus-sibling subtraction for
   the larger children on whole ``(nodes, features, width)`` stacks, and
@@ -27,7 +29,8 @@ in the order that grower kept them, so each per-bin partial sum sees the
 same float additions in the same order; a node's gradient and hessian
 totals are ``gradients[rows].sum()`` as before; ties go to the first
 feature, then the first boundary, as the flat row-major ``argmax`` did;
-and leaves are numbered left-first DFS after growth.  A level is cut into
+and :meth:`~repro.ml.forest.TreeTensor.from_root` numbers the leaves
+left-first, as that grower did while it grew.  A level is cut into
 stacks of at most ``_STACK_CELLS`` histogram cells, and the stacks are
 grown last-in first-out, so a deep tree never holds a whole wide level of
 histograms at once.
@@ -54,8 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ModelConfigError
-from repro.ml.forest import split_threshold
-from repro.ml.tree import _TreeNode, leaf_weight
+from repro.ml.forest import TreeTensor, _TreeNode, leaf_weight, split_threshold
 
 _STACK_CELLS = 1 << 17
 """Most histogram cells (nodes x features x width) in one stack of a
@@ -185,8 +187,7 @@ class HistTreeGrower:
     """Grows the class trees of a boosting round together, level by level.
 
     Built once per fit on the fit's :class:`BinnedDataset`; each
-    :meth:`grow` grows one round, one tree per gradient column (one column
-    for a lone tree).  It applies the recursive grower's rules exactly —
+    :meth:`grow` grows one round, one tree per gradient column.  It applies the recursive grower's rules exactly —
     same stopping rules, leaf weights, gain formula, first-maximum
     tie-breaking, left-first DFS leaf numbering and parent-minus-sibling
     choice of which child to accumulate — to every node of a level at
@@ -217,9 +218,9 @@ class HistTreeGrower:
     # ----------------------------------------------------------------- growth
     def grow(
         self, gradients: np.ndarray, hessians: np.ndarray
-    ) -> tuple[list[_TreeNode], np.ndarray]:
+    ) -> tuple[list[TreeTensor], np.ndarray]:
         """Grow one tree per column of the ``(rows, trees)`` ``gradients``
-        / ``hessians``; return the roots (leaf ids unset) and the ``(rows,
+        / ``hessians``; return the trees, flattened, and the ``(rows,
         trees)`` leaf values of the training rows.
 
         Stacks are split last-in first-out, so a level cut into several
@@ -243,7 +244,7 @@ class HistTreeGrower:
             stacks.extend(self._split(*stacks.pop()))
         values, self._values = self._values, None
         self._grads = self._hessians = None
-        return roots, values
+        return [TreeTensor.from_root(root) for root in roots], values
 
     def _open(self, tree: int, rows: np.ndarray, depth: int):
         """A new node of ``tree`` over ``rows``: its leaf weight, and the

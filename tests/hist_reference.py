@@ -3,21 +3,37 @@
 This is the grower :mod:`repro.ml.hist` used before growth became
 level-wise and class-batched, kept verbatim in its arithmetic: a node is
 built, its histogram accumulated (or derived parent-minus-sibling) and its
-best split searched before its left subtree is grown, then its right.
-:func:`reference_tree_fit` and :func:`reference_boosted_fit` drive it the
-way ``GradientRegressionTree.fit_predict`` and
-``GradientBoostedClassifier.fit`` did, so ``tests/test_ml_hist.py`` can
-hold the product grower to it bit for bit.
+best split searched before its left subtree is grown, then its right, and
+a leaf is numbered as it is made.  :func:`reference_tree_fit` grows one
+tree and :func:`reference_boosted_fit` boosts them one tree at a time, the
+way the product fitted before a round's trees grew together, so
+``tests/test_ml_hist.py`` can hold the product grower to it bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.ml.base import one_hot, softmax
-from repro.ml.forest import ForestTensor, TreeTensor
 from repro.ml.hist import BinnedDataset
-from repro.ml.tree import GradientRegressionTree, _TreeNode
+
+
+@dataclass
+class Node:
+    """A node of a reference tree; ``feature is None`` marks a leaf."""
+
+    value: float
+    feature: int | None = None
+    threshold: float = 0.0
+    leaf_id: int = -1
+    left: "Node | None" = None
+    right: "Node | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
 
 
 class ReferenceHistTreeGrower:
@@ -36,6 +52,8 @@ class ReferenceHistTreeGrower:
             np.arange(width - 1)[None, :] < (binned.num_bins - 1)[:, None]
         )
         self.num_passes = 0
+        self.num_leaves = 0
+        self.values = np.empty(binned.codes.shape[0])
 
     def accumulate(self, indices):
         """Count/gradient/hessian histograms of ``indices`` (one pass)."""
@@ -88,22 +106,28 @@ class ReferenceHistTreeGrower:
             return None
         return divmod(flat_best, self._width - 1)
 
-    def grow(self, tree, indices):
-        return self._build(tree, indices, depth=0, hist=None)
+    def grow(self):
+        """The root of the tree over all rows."""
+        return self._build(np.arange(self.binned.codes.shape[0]), depth=0, hist=None)
 
-    def _build(self, tree, indices, depth, hist):
+    def _leaf(self, node, indices):
+        self.values[indices] = node.value
+        node.leaf_id = self.num_leaves
+        self.num_leaves += 1
+        return node
+
+    def _build(self, indices, depth, hist):
         config = self.config
-        node = _TreeNode(depth=depth)
         grad_sum = self.gradients[indices].sum()
         hess_sum = self.hessians[indices].sum()
-        node.value = tree._leaf_weight(grad_sum, hess_sum)
+        node = Node(float(-grad_sum / (hess_sum + config.reg_lambda)))
         if depth >= config.max_depth or indices.size < 2 * config.min_samples_leaf:
-            return tree._finalise_leaf(node, indices)
+            return self._leaf(node, indices)
         if hist is None:
             hist = self.accumulate(indices)
         split = self.best_split(hist, grad_sum, hess_sum, indices.size)
         if split is None:
-            return tree._finalise_leaf(node, indices)
+            return self._leaf(node, indices)
         feature, boundary = split
         node.feature = feature
         node.threshold = self.binned.boundary_threshold(
@@ -133,34 +157,31 @@ class ReferenceHistTreeGrower:
                 left_hist = None
             if not need_right:
                 right_hist = None
-        node.left = self._build(tree, left_idx, depth + 1, left_hist)
-        node.right = self._build(tree, right_idx, depth + 1, right_hist)
+        node.left = self._build(left_idx, depth + 1, left_hist)
+        node.right = self._build(right_idx, depth + 1, right_hist)
         return node
 
 
-def reference_tree_fit(tree, X, gradients, hessians, binned=None):
-    """Grow ``tree`` (a hist-backend tree) with the reference grower.
+def reference_tree_fit(config, X, gradients, hessians, binned=None):
+    """Grow one tree with the reference grower.
 
-    Returns the training rows' leaf values and the grower's pass count.
+    Returns its root, the training rows' leaf values and the grower's pass
+    count.
     """
-    X = np.asarray(X, dtype=np.float64)
     if binned is None:
-        binned = BinnedDataset.from_matrix(X, tree.config.max_bins)
-    grower = ReferenceHistTreeGrower(binned, gradients, hessians, tree.config)
-    tree.num_leaves_ = 0
-    tree.num_features_ = X.shape[1]
-    tree._train_values = np.empty(X.shape[0])
-    tree.root_ = grower.grow(tree, np.arange(X.shape[0]))
-    tree.tensor_ = TreeTensor.from_root(tree.root_)
-    values, tree._train_values = tree._train_values, None
-    return values, grower.num_passes
+        binned = BinnedDataset.from_matrix(np.asarray(X, dtype=np.float64), config.max_bins)
+    grower = ReferenceHistTreeGrower(binned, gradients, hessians, config)
+    root = grower.grow()
+    return root, grower.values, grower.num_passes
 
 
 def reference_boosted_fit(model, X, y):
-    """``GradientBoostedClassifier.fit`` on the hist backend, one tree at a
-    time with the reference grower and two softmaxes a round.
+    """A boosted fit on the histogram search, one tree at a time with the
+    reference grower and two softmaxes a round; ``model`` supplies the
+    hyper-parameters.
 
-    Returns ``(forest, train_leaf_values, train_loss_history, passes)``.
+    Returns ``(roots, train_leaf_values, train_loss_history, passes)``,
+    ``roots`` round-major (round 0's class trees, then round 1's, ...).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -169,16 +190,15 @@ def reference_boosted_fit(model, X, y):
     priors = np.clip(targets.mean(axis=0), 1e-6, 1.0)
     raw_scores = np.tile(np.log(priors), (X.shape[0], 1))
     binned = BinnedDataset.from_matrix(X, model.tree_config.max_bins)
-    trees, history, passes = [], [], 0
+    roots, history, passes = [], [], 0
     leaf_values = np.empty((X.shape[0], model.num_rounds * num_classes))
     for round_index in range(model.num_rounds):
         probabilities = softmax(raw_scores)
         gradients = probabilities - targets
         hessians = probabilities * (1.0 - probabilities)
         for class_index in range(num_classes):
-            tree = GradientRegressionTree(model.tree_config, backend="hist")
-            values, tree_passes = reference_tree_fit(
-                tree,
+            root, values, tree_passes = reference_tree_fit(
+                model.tree_config,
                 X,
                 gradients[:, class_index],
                 hessians[:, class_index],
@@ -187,7 +207,7 @@ def reference_boosted_fit(model, X, y):
             passes += tree_passes
             leaf_values[:, round_index * num_classes + class_index] = values
             raw_scores[:, class_index] += model.learning_rate * values
-            trees.append(tree)
+            roots.append(root)
         history.append(
             -float(
                 np.mean(
@@ -198,4 +218,4 @@ def reference_boosted_fit(model, X, y):
                 )
             )
         )
-    return ForestTensor.from_trees(trees), leaf_values, history, passes
+    return roots, leaf_values, history, passes

@@ -50,6 +50,21 @@ class TestBaseHelpers:
             check_X_y(np.zeros(3), np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             check_X_y(np.zeros((0, 2)), np.zeros(0))
+        # Labels are class indices: a fractional, non-finite, negative or
+        # non-numeric label is rejected, not cast.
+        for labels in (
+            [0.9, 1.9, 2.9],
+            [0.0, 1.0, np.nan],
+            [0.0, 1.0, np.inf],
+            [-1, -2, -3],
+            [0, 1, -1],
+            ["a", "b", "c"],
+            np.array([0, 1, 2], dtype=object),
+        ):
+            with pytest.raises(DimensionMismatchError, match="labels must be"):
+                check_X_y(np.zeros((3, 2)), labels)
+        X, y = check_X_y(np.zeros((3, 2)), [0.0, 1.0, 2.0])
+        assert y.tolist() == [0, 1, 2] and y.dtype == np.int64
         X, y = check_X_y([[1, 2], [3, 4]], [0, 1])
         assert X.dtype == np.float64 and y.dtype == np.int64
 

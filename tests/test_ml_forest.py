@@ -1,23 +1,27 @@
-"""Parity tests: the array-backed ML model layer must match its oracle.
+"""Parity tests: the exact GBDT growth and the stacked forest must match
+their oracle.
 
-``backend="array"`` routes tree fitting through the vectorized split search
-(:func:`repro.ml.forest.best_split_array`) and all inference through the
-flattened :class:`TreeTensor` / :class:`ForestTensor` kernels.  The oracle,
-``tests/exact_reference.py``, scans each node feature by feature and walks
-``_TreeNode`` pointers row by row; both execute the same float64 operations
-in the same order, so fitted splits, predictions, probabilities and the
-LoCEC-XGB leaf-value embedding must be **bit-identical** — this suite
-sweeps randomized regression targets, boosted multi-class problems,
+A fit below :data:`~repro.ml.gbdt.HIST_AUTO_MIN_ROWS` rows grows its trees
+with the vectorized exact search (:func:`repro.ml.forest.grow_exact` over
+:func:`~repro.ml.forest.best_split_array`) and answers all inference from
+its one :class:`ForestTensor`.  The oracle, ``tests/exact_reference.py``,
+scans each node feature by feature and walks node pointers row by row;
+both execute the same float64 operations in the same order, so fitted
+splits, leaf numbering, predictions, probabilities and the LoCEC-XGB
+leaf-value embedding must be **bit-identical** — this suite sweeps
+randomized regression targets, boosted multi-class problems,
 hypothesis-generated tie-heavy matrices (the presorted split search orders
 equal values by rank code, so ties are where it could part from the scalar
 scan), the Phase II community classifier and the direct Phase2Kernel CNN
-tensor path, plus the iterative-depth regression test.  Parametrized cases
-name the oracle ``"node"``.
+tensor path, plus the iterative flattening of a deep chain.  Parametrized
+cases name the oracle ``"node"``, the exact grower ``"array"`` and the
+histogram grower ``"hist"``.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -25,23 +29,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tests.exact_reference as exact_reference
 from repro.core.community_classifier import GBDTCommunityClassifier
 from repro.core.config import GBDTConfig
 from repro.core.division import LocalCommunity
-from repro.exceptions import DimensionMismatchError, ModelConfigError, NotFittedError
+from repro.exceptions import NotFittedError
 from repro.ml.forest import (
     FeaturePresort,
     ForestTensor,
+    RegressionTreeConfig,
     TreeTensor,
-    resolve_ml_backend,
+    grow_exact,
 )
-from repro.ml.gbdt import GradientBoostedClassifier
-from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig, _TreeNode
+from repro.ml.gbdt import HIST_AUTO_MIN_ROWS, GradientBoostedClassifier
+from repro.ml.hist import BinnedDataset, HistTreeGrower
 from tests.exact_reference import (
+    Node,
     ReferenceBoostedClassifier,
-    ReferenceRegressionTree,
+    apply_nodes,
+    assert_forest_is,
+    forest_arrays,
     forest_leaf_indices,
     node_depth,
+    reference_tree,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -64,51 +74,86 @@ def random_classification_problem(seed: int, n: int = 120, num_classes: int = 3)
     return X, y
 
 
-def make_tree(config=None, backend="auto"):
-    """A regression tree on ``backend``; ``"node"`` names the oracle."""
-    if backend == "node":
-        return ReferenceRegressionTree(config)
-    return GradientRegressionTree(config, backend=backend)
+def grow_hist(X, gradients, hessians, config):
+    """One tree by :class:`HistTreeGrower` (a round of one gradient column)."""
+    binned = BinnedDataset.from_matrix(X, config.max_bins)
+    tensors, values = HistTreeGrower(binned, config).grow(
+        np.asarray(gradients, dtype=np.float64)[:, None],
+        np.asarray(hessians, dtype=np.float64)[:, None],
+    )
+    return tensors[0], values[:, 0]
 
 
-def make_model(backend="auto", **kwargs):
-    """A boosted classifier on ``backend``; ``"node"`` names the oracle."""
-    if backend == "node":
+class Grown(NamedTuple):
+    """One grown tree, read the same way whichever grower made it."""
+
+    threshold: float  # the root's split threshold (0.0 for a lone leaf)
+    predict: Callable  # rows -> walked leaf value per row
+    apply: Callable  # rows -> walked leaf id per row
+    values: np.ndarray  # the leaf values the grower recorded for its rows
+    num_leaves: int
+
+
+def grow_tree(route, X, gradients, hessians, config=None) -> Grown:
+    """One tree on ``route``: ``"node"`` the oracle's scan and pointer
+    walks, ``"array"`` :func:`grow_exact`, ``"hist"`` the histogram grower
+    (both read through a one-tree :class:`ForestTensor`)."""
+    config = config or RegressionTreeConfig()
+    X = np.asarray(X, dtype=np.float64)
+    if route == "node":
+        root, values = reference_tree(config, X, gradients, hessians)
+        return Grown(
+            root.threshold,
+            lambda rows: np.array([leaf.value for leaf in apply_nodes(root, rows)]),
+            lambda rows: np.array([leaf.leaf_id for leaf in apply_nodes(root, rows)]),
+            values,
+            int((forest_arrays([root])["feature"] < 0).sum()),
+        )
+    if route == "array":
+        presort = FeaturePresort.from_matrix(X)
+        tensor, values = grow_exact(presort, gradients, hessians, config)
+    else:
+        tensor, values = grow_hist(X, gradients, hessians, config)
+    forest = ForestTensor([tensor])
+    return Grown(
+        float(tensor.threshold[0]),
+        lambda rows: forest.leaf_values_matrix(np.atleast_2d(rows))[:, 0],
+        lambda rows: forest_leaf_indices(forest, rows)[:, 0],
+        values,
+        int((tensor.feature < 0).sum()),
+    )
+
+
+def make_model(route, **kwargs):
+    """A boosted classifier: ``"node"`` names the oracle, ``"array"`` the
+    product (every design here is below the histogram crossover)."""
+    if route == "node":
         return ReferenceBoostedClassifier(**kwargs)
-    return GradientBoostedClassifier(backend=backend, **kwargs)
+    return GradientBoostedClassifier(**kwargs)
 
 
-def flatten_structure(node: _TreeNode) -> list[tuple]:
-    """Preorder (feature, threshold, value, leaf_id) tuples of a fitted tree."""
-    out: list[tuple] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        out.append((current.feature, current.threshold, current.value, current.leaf_id))
-        if current.feature is not None:
-            stack.append(current.right)
-            stack.append(current.left)
-    return out
+def flat_roots(model: ReferenceBoostedClassifier) -> list[Node]:
+    return [root for round_trees in model.trees_ for root in round_trees]
 
 
 class TestBackendResolution:
     def test_auto_resolves_to_array_with_numpy(self):
-        assert resolve_ml_backend("auto") == "array"
-        assert resolve_ml_backend("array") == "array"
+        # Below the row crossover every fit grows exact trees.
+        X, y = random_classification_problem(0)
+        assert X.shape[0] < HIST_AUTO_MIN_ROWS
+        model = GradientBoostedClassifier(num_rounds=2).fit(X, y)
+        assert model.num_hist_passes_ == 0
+        assert_forest_is(
+            model.forest_, flat_roots(ReferenceBoostedClassifier(num_rounds=2).fit(X, y))
+        )
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ModelConfigError):
-            resolve_ml_backend("tensor")
-        # The pointer-walk oracle is reached in tests/exact_reference.py,
-        # not through a backend name.
-        with pytest.raises(ModelConfigError):
-            resolve_ml_backend("node")
-        with pytest.raises(ModelConfigError):
-            GradientBoostedClassifier(backend="node")
-        with pytest.raises(ModelConfigError):
-            GradientRegressionTree(backend="csr")
-        with pytest.raises(ModelConfigError):
-            GradientBoostedClassifier(backend="csr")
+        # There is no selector to get wrong: the row count picks the split
+        # search, and a stale ``backend=`` caller fails.  The pointer-walk
+        # oracle is reached in tests/exact_reference.py.
+        for backend in ("auto", "array", "hist", "node", "csr"):
+            with pytest.raises(TypeError):
+                GradientBoostedClassifier(backend=backend)
 
 
 class TestSplitThreshold:
@@ -123,10 +168,8 @@ class TestSplitThreshold:
         assert np.nextafter(lo, 1.0) == hi and 0.5 * (lo + hi) == hi
         X = np.array([[lo], [lo], [hi], [hi]])
         config = RegressionTreeConfig(max_depth=1, min_samples_leaf=1)
-        tree = make_tree(config, backend).fit(
-            X, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4)
-        )
-        assert tree.root_.threshold == lo
+        tree = grow_tree(backend, X, np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4), config)
+        assert tree.threshold == lo
         np.testing.assert_array_equal(
             tree.predict(X), [2.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0, -2.0 / 3.0]
         )
@@ -135,73 +178,61 @@ class TestSplitThreshold:
 class TestTreeParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fitted_splits_bit_identical(self, seed):
+        # Features, thresholds, values, child slots and leaf ids: the exact
+        # grower's flattened tree is the oracle's, leaf numbering included.
         X, gradients, hessians = random_tree_problem(seed)
         config = RegressionTreeConfig(max_depth=4, min_samples_leaf=3)
-        node_tree = ReferenceRegressionTree(config).fit(X, gradients, hessians)
-        array_tree = GradientRegressionTree(config, backend="array").fit(
-            X, gradients, hessians
+        root, expected = reference_tree(config, X, gradients, hessians)
+        tensor, values = grow_exact(
+            FeaturePresort.from_matrix(X), gradients, hessians, config
         )
-        assert flatten_structure(node_tree.root_) == flatten_structure(
-            array_tree.root_
-        )
-        assert node_tree.num_leaves_ == array_tree.num_leaves_
+        assert_forest_is(ForestTensor([tensor]), [root])
+        np.testing.assert_array_equal(values, expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_predict_apply_leaf_values_bit_identical(self, seed):
         X, gradients, hessians = random_tree_problem(seed)
         config = RegressionTreeConfig(max_depth=5)
-        node_tree = ReferenceRegressionTree(config).fit(X, gradients, hessians)
-        array_tree = GradientRegressionTree(config, backend="array").fit(
-            X, gradients, hessians
-        )
+        node_tree = grow_tree("node", X, gradients, hessians, config)
+        array_tree = grow_tree("array", X, gradients, hessians, config)
         fresh = np.random.default_rng(seed + 50).normal(size=(60, X.shape[1]))
         for batch in (X, fresh, fresh[0]):
             assert np.array_equal(node_tree.predict(batch), array_tree.predict(batch))
             assert np.array_equal(node_tree.apply(batch), array_tree.apply(batch))
-            assert np.array_equal(
-                node_tree.leaf_values(batch), array_tree.leaf_values(batch)
-            )
-        assert node_tree.depth == array_tree.depth
+        assert node_tree.num_leaves == array_tree.num_leaves
 
     def test_tensor_accessor_matches_node_walk(self):
+        # The oracle's own tree, flattened by TreeTensor.from_root: the
+        # forest walk lands every row where the pointer walk does, and the
+        # preorder numbering is the one the oracle gave while it grew.
         X, gradients, hessians = random_tree_problem(9)
-        node_tree = ReferenceRegressionTree().fit(X, gradients, hessians)
-        tensor = node_tree.tensor()  # the oracle's tree, flattened
+        root, _ = reference_tree(RegressionTreeConfig(), X, gradients, hessians)
+        tensor = TreeTensor.from_root(root)
         assert isinstance(tensor, TreeTensor)
-        assert np.array_equal(tensor.predict(X), node_tree.predict(X))
-        assert np.array_equal(tensor.apply(X), node_tree.apply(X))
-        assert tensor.depth() == node_depth(node_tree.root_)
+        assert_forest_is(ForestTensor([tensor]), [root])
+        forest = ForestTensor([tensor])
+        leaves = apply_nodes(root, X)
+        assert np.array_equal(
+            forest.leaf_values_matrix(X)[:, 0], [leaf.value for leaf in leaves]
+        )
+        assert np.array_equal(
+            forest_leaf_indices(forest, X)[:, 0], [leaf.leaf_id for leaf in leaves]
+        )
 
     def test_standalone_tree_builds_its_own_presort(self):
-        # No presort handed in: the tree sorts for itself, and the result is
-        # the one a boosting loop's shared presort gives (and the node scan's).
+        # A tree grown on a presort of its own equals one grown on a presort
+        # that already grew other trees (a fit shares one across all its
+        # trees, so growth must leave it untouched), and the node scan's.
         X, gradients, hessians = random_tree_problem(7)
         config = RegressionTreeConfig(max_depth=4)
-        alone = GradientRegressionTree(config, backend="array").fit(X, gradients, hessians)
-        shared = GradientRegressionTree(config, backend="array").fit(
-            X, gradients, hessians, presort=FeaturePresort.from_matrix(X)
-        )
-        node = ReferenceRegressionTree(config).fit(X, gradients, hessians)
-        assert flatten_structure(alone.root_) == flatten_structure(node.root_)
-        assert flatten_structure(shared.root_) == flatten_structure(node.root_)
-
-    def test_misaligned_presort_rejected(self):
-        X, gradients, hessians = random_tree_problem(8)
-        presort = FeaturePresort.from_matrix(X)
-        with pytest.raises(DimensionMismatchError):
-            GradientRegressionTree(backend="array").fit(
-                X[:32], gradients[:32], hessians[:32], presort=presort
-            )
-
-    def test_presort_of_another_width_rejected(self):
-        # A presort of a 7-column matrix handed to a tree on 4 of its
-        # columns would search features 4-6, which X does not have.
-        X, gradients, hessians = random_tree_problem(8, num_features=7)
-        presort = FeaturePresort.from_matrix(X)
-        with pytest.raises(DimensionMismatchError, match=r"\(7, 150\).*\(4, 150\)"):
-            GradientRegressionTree(backend="array").fit(
-                X[:, :4], gradients, hessians, presort=presort
-            )
+        shared = FeaturePresort.from_matrix(X)
+        for other in range(3):
+            grow_exact(shared, np.roll(gradients, other + 1), hessians, config)
+        alone, _ = grow_exact(FeaturePresort.from_matrix(X), gradients, hessians, config)
+        reused, _ = grow_exact(shared, gradients, hessians, config)
+        root, _ = reference_tree(config, X, gradients, hessians)
+        assert_forest_is(ForestTensor([alone]), [root])
+        assert_forest_is(ForestTensor([reused]), [root])
 
     def test_rank_codes_widen_past_65536_rows(self):
         # All-distinct values: the largest rank is rows - 1, which fits
@@ -215,40 +246,42 @@ class TestTreeParity:
         assert presort.codes.dtype == np.uint32
         assert int(presort.codes.max()) == 65536
         config = RegressionTreeConfig(max_depth=1)
-        array_tree = GradientRegressionTree(config, backend="array").fit(
-            X, gradients, hessians, presort=presort
-        )
-        node_tree = ReferenceRegressionTree(config).fit(X, gradients, hessians)
-        assert array_tree.num_leaves_ == 2
-        assert flatten_structure(array_tree.root_) == flatten_structure(node_tree.root_)
+        tensor, _ = grow_exact(presort, gradients, hessians, config)
+        root, _ = reference_tree(config, X, gradients, hessians)
+        assert int((tensor.feature < 0).sum()) == 2
+        assert_forest_is(ForestTensor([tensor]), [root])
 
     def test_single_leaf_tree(self):
         X = np.ones((8, 2))
-        gradients = np.full(8, -1.0)
-        tree = GradientRegressionTree(backend="array").fit(X, gradients, np.ones(8))
-        assert tree.num_leaves_ == 1
+        tree = grow_tree("array", X, np.full(8, -1.0), np.ones(8))
+        assert tree.num_leaves == 1
         assert np.array_equal(tree.apply(X), np.zeros(8, dtype=np.int64))
 
     def test_predict_before_fit_raises(self):
+        # A tree exists only inside a fitted forest: nothing reads one
+        # before a fit.
+        model = GradientBoostedClassifier()
         with pytest.raises(NotFittedError):
-            GradientRegressionTree(backend="array").predict(np.zeros((2, 2)))
+            model.leaf_values(np.zeros((2, 2)))
+        with pytest.raises(NotFittedError):
+            model.proba_from_leaf_values(np.zeros((2, 2)))
 
     def test_iterative_depth_survives_deep_chains(self):
-        # A 5000-deep left chain: a recursive depth blew the interpreter
-        # recursion limit (default 1000) on trees like this, in the oracle's
-        # node_depth and in the product's TreeTensor.depth alike.
-        leaf = _TreeNode(depth=5000, leaf_id=0)
-        node = leaf
-        for depth in range(4999, -1, -1):
-            node = _TreeNode(
-                depth=depth,
-                feature=0,
-                threshold=0.0,
-                left=node,
-                right=_TreeNode(depth=depth + 1, leaf_id=1),
-            )
+        # A 5000-deep left chain: recursion would blow the interpreter limit
+        # (default 1000) on trees like this, in the oracle's node_depth and
+        # in the product's TreeTensor.from_root alike.
+        node = Node(-1.0)
+        for _ in range(5000):
+            node = Node(0.0, feature=0, threshold=0.0, left=node, right=Node(1.0))
         assert node_depth(node) == 5000
-        assert TreeTensor.from_root(node).depth() == 5000
+        tensor = TreeTensor.from_root(node)
+        assert tensor.num_nodes == 10001
+        # Left-first preorder: the deepest leaf is leaf 0, the root's right
+        # child the last leaf.
+        forest = ForestTensor([tensor])
+        rows = np.array([[-1.0], [1.0]])
+        np.testing.assert_array_equal(forest_leaf_indices(forest, rows), [[0], [5000]])
+        np.testing.assert_array_equal(forest.leaf_values_matrix(rows), [[-1.0], [1.0]])
 
 
 class TestForestParity:
@@ -257,7 +290,8 @@ class TestForestParity:
         X, y = random_classification_problem(seed)
         kwargs = dict(num_rounds=8, max_depth=3)
         node_model = ReferenceBoostedClassifier(**kwargs).fit(X, y)
-        array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
+        array_model = GradientBoostedClassifier(**kwargs).fit(X, y)
+        assert_forest_is(array_model.forest_, flat_roots(node_model))
         assert node_model.train_loss_history_ == array_model.train_loss_history_
         fresh = np.random.default_rng(seed + 200).normal(size=(40, X.shape[1]))
         for batch in (X, fresh, fresh[0]):
@@ -296,10 +330,8 @@ class TestForestParity:
     def test_forest_tensor_from_node_trees(self):
         X, y = random_classification_problem(5)
         node_model = ReferenceBoostedClassifier(num_rounds=4).fit(X, y)
-        forest = ForestTensor.from_trees(
-            [tree for round_trees in node_model.trees_ for tree in round_trees]
-        )
-        assert forest.num_trees == sum(map(len, node_model.trees_))
+        forest = ForestTensor([TreeTensor.from_root(root) for root in flat_roots(node_model)])
+        assert forest.num_trees == 4 * 3
         assert np.array_equal(
             forest.leaf_values_matrix(X), node_model.leaf_values(X)
         )
@@ -308,15 +340,16 @@ class TestForestParity:
         )
 
     def test_array_backend_populates_forest(self):
-        # Every fit stacks its forest, and every tree its tensor: inference
-        # has no per-tree fallback.
+        # Every fit, on either split search, is one stacked forest of
+        # rounds x classes trees: inference has no per-tree fallback.
         X, y = random_classification_problem(6)
-        for backend in ("array", "hist"):
-            model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
-            assert model.forest_ is not None
-            assert model.forest_.num_trees == sum(map(len, model.trees_))
-            for round_trees in model.trees_:
-                assert all(tree.tensor_ is not None for tree in round_trees)
+        for route in ("array", "hist"):
+            with _routed(route):
+                model = GradientBoostedClassifier(num_rounds=2).fit(X, y)
+            assert isinstance(model.forest_, ForestTensor)
+            assert model.forest_.num_trees == 2 * 3
+            assert (model.num_hist_passes_ > 0) == (route == "hist")
+            assert model.leaf_values(X).shape == (len(X), 6)
 
 
 # One value palette per column kind; ``None`` draws continuous floats.
@@ -365,18 +398,12 @@ class TestGeneratedParity:
     @settings(max_examples=60, deadline=None)
     def test_fitted_forests_bit_identical(self, problem):
         X, y, kwargs = problem
-        # reg_lambda=0 can saturate a leaf (zero hessian): both backends then
+        # reg_lambda=0 can saturate a leaf (zero hessian): both sides then
         # carry the same inf/NaN, which assert_array_equal compares as equal.
         with np.errstate(all="ignore"):
             node_model = ReferenceBoostedClassifier(**kwargs).fit(X, y)
-            array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
-        node_forest = ForestTensor.from_trees(
-            [tree for round_trees in node_model.trees_ for tree in round_trees]
-        )
-        for name in ForestTensor.__slots__:
-            np.testing.assert_array_equal(
-                getattr(node_forest, name), getattr(array_model.forest_, name), err_msg=name
-            )
+            array_model = GradientBoostedClassifier(**kwargs).fit(X, y)
+        assert_forest_is(array_model.forest_, flat_roots(node_model))
         np.testing.assert_array_equal(
             node_model.train_loss_history_, array_model.train_loss_history_
         )
@@ -410,49 +437,68 @@ def partition_problems(draw):
     return X, gradients, hessians, y, config
 
 
-def _walked_fit_predict(backend):
-    """``fit_predict`` as a walk: grow, then predict the training rows."""
-    tree_type = ReferenceRegressionTree if backend == "node" else GradientRegressionTree
-    grow = tree_type.fit_predict
+def _walked_growth(route, X):
+    """The ``route``'s grower with its recorded training values replaced by
+    a walk of the trees it grew over ``X``."""
+    if route == "node":
+        grow = exact_reference.reference_tree
 
-    def walked(self, X, *args, **kwargs):
-        grow(self, X, *args, **kwargs)
-        return self.predict(X)
+        def walked(config, X, gradients, hessians):
+            root, _ = grow(config, X, gradients, hessians)
+            return root, np.array([leaf.value for leaf in apply_nodes(root, X)])
 
-    return mock.patch.object(tree_type, "fit_predict", walked)
+        return mock.patch.object(exact_reference, "reference_tree", walked)
+    if route == "array":
+        def walked(presort, gradients, hessians, config):
+            tensor, _ = grow_exact(presort, gradients, hessians, config)
+            return tensor, ForestTensor([tensor]).leaf_values_matrix(X)[:, 0]
+
+        return mock.patch("repro.ml.gbdt.grow_exact", walked)
+    grow = HistTreeGrower.grow
+
+    def walked(self, gradients, hessians):
+        tensors, _ = grow(self, gradients, hessians)
+        return tensors, ForestTensor(tensors).leaf_values_matrix(X)
+
+    return mock.patch.object(HistTreeGrower, "grow", walked)
+
+
+def _routed(route):
+    """``route``'s split search for every product fit in the block."""
+    crossover = 0 if route == "hist" else HIST_AUTO_MIN_ROWS
+    return mock.patch("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", crossover)
 
 
 def _forest(model):
-    trees = [tree for round_trees in model.trees_ for tree in round_trees]
-    return model.forest_ or ForestTensor.from_trees(trees)
+    if isinstance(model, ReferenceBoostedClassifier):
+        return forest_arrays(flat_roots(model))
+    return {name: getattr(model.forest_, name) for name in ForestTensor.__slots__}
 
 
 class TestScoresFromThePartition:
-    """The growers' recorded training values are ``predict(X)``, so a fit
-    that reads them grows the model a fit that walks its trees grows."""
+    """The growers' recorded training values are the walked predictions, so
+    a fit that reads them grows the model a fit that walks its trees grows."""
 
     @given(problem=partition_problems())
     @settings(max_examples=60, deadline=None)
     def test_recorded_training_values_are_predictions(self, problem):
         X, gradients, hessians, _, config = problem
-        for backend in ("node", "array", "hist"):
-            tree = make_tree(RegressionTreeConfig(**config), backend)
-            values = tree.fit_predict(X, gradients, hessians)
-            np.testing.assert_array_equal(values, tree.predict(X), err_msg=backend)
+        for route in ("node", "array", "hist"):
+            tree = grow_tree(route, X, gradients, hessians, RegressionTreeConfig(**config))
+            np.testing.assert_array_equal(tree.values, tree.predict(X), err_msg=route)
 
     @given(problem=partition_problems())
     @settings(max_examples=30, deadline=None)
     def test_fit_equals_a_walk_based_fit(self, problem):
         X, _, _, y, config = problem
-        for backend in ("node", "array", "hist"):
-            fitted = make_model(backend, num_rounds=3, **config).fit(X, y)
-            with _walked_fit_predict(backend):
-                walked = make_model(backend, num_rounds=3, **config).fit(X, y)
-            for name in ForestTensor.__slots__:
+        for route in ("node", "array", "hist"):
+            with _routed(route):
+                fitted = make_model(route, num_rounds=3, **config).fit(X, y)
+                with _walked_growth(route, X):
+                    walked = make_model(route, num_rounds=3, **config).fit(X, y)
+            for name, array in _forest(fitted).items():
                 np.testing.assert_array_equal(
-                    getattr(_forest(fitted), name),
-                    getattr(_forest(walked), name),
-                    err_msg=f"{backend} {name}",
+                    array, _forest(walked)[name], err_msg=f"{route} {name}"
                 )
             assert fitted.train_loss_history_ == walked.train_loss_history_
             np.testing.assert_array_equal(fitted.train_leaf_values_, walked.leaf_values(X))
@@ -461,13 +507,15 @@ class TestScoresFromThePartition:
     def test_an_unsampled_fit_walks_no_tree(self, backend, monkeypatch):
         X, y = random_classification_problem(2)
         walks = []
-        leaf_slots = TreeTensor.leaf_slots
+        leaf_slots = ForestTensor.leaf_slots
         monkeypatch.setattr(
-            TreeTensor,
+            ForestTensor,
             "leaf_slots",
             lambda self, rows: walks.append(len(rows)) or leaf_slots(self, rows),
         )
-        GradientBoostedClassifier(num_rounds=4, backend=backend).fit(X, y)
+        with _routed(backend):
+            model = GradientBoostedClassifier(num_rounds=4).fit(X, y)
+        assert (model.num_hist_passes_ > 0) == (backend == "hist")
         assert walks == []
 
 def random_stores_and_communities(seed: int):
@@ -514,8 +562,8 @@ class TestCommunityClassifierParity:
         # and by the array kernels.
         design = builder.statistic_vectors(communities)
         node, array = (
-            make_model(backend, num_rounds=6, num_classes=3).fit(design, labels)
-            for backend in ("node", "array")
+            make_model(route, num_rounds=6, num_classes=3).fit(design, labels)
+            for route in ("node", "array")
         )
         assert np.array_equal(node.predict_proba(design), array.predict_proba(design))
         assert np.array_equal(node.predict_proba(design), probabilities)

@@ -17,9 +17,16 @@ The level-wise, class-batched grower is held to a second contract, in
 every regime: it must equal, bit for bit, the recursive one-tree-at-a-time
 grower it replaced (``tests/hist_reference.py``), and make at most one
 histogram pass over rows per level of a round.
+
+A fit picks its split search from its row count alone; a test that needs
+the histogram route on a small design lowers
+:data:`~repro.ml.gbdt.HIST_AUTO_MIN_ROWS` for its duration, and the growers
+are also called directly.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,17 +34,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GBDTConfig
-from repro.exceptions import DimensionMismatchError, ModelConfigError
-from repro.ml.forest import HIST_AUTO_MIN_ROWS, resolve_ml_backend
-from repro.ml.gbdt import GradientBoostedClassifier
+from repro.exceptions import ModelConfigError
+from repro.ml.forest import FeaturePresort, ForestTensor, RegressionTreeConfig, grow_exact
+from repro.ml.gbdt import HIST_AUTO_MIN_ROWS, GradientBoostedClassifier
 from repro.ml.hist import BinnedDataset, HistTreeGrower
-from repro.ml.tree import GradientRegressionTree, RegressionTreeConfig
-from tests.exact_reference import forest_leaf_indices
+from tests.exact_reference import (
+    apply_nodes,
+    assert_forest_is,
+    forest_leaf_indices,
+    node_depth,
+)
 from tests.hist_reference import (
     ReferenceHistTreeGrower,
     reference_boosted_fit,
     reference_tree_fit,
 )
+from tests.test_ml_forest import grow_hist, grow_tree
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -59,18 +71,34 @@ def random_classification_problem(seed: int, n: int = 120, num_classes: int = 3)
     return X, y
 
 
-def tree_structure(root) -> list[tuple]:
-    """Preorder (feature, threshold, leaf_id) tuples — values excluded, they
-    are compared separately with an ulp tolerance."""
-    out: list[tuple] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append((node.feature, node.threshold, node.leaf_id))
-        if node.feature is not None:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+STRUCTURE = ("feature", "threshold", "left", "right", "leaf_id")
+"""A flattened tree's arrays bar ``value``, which the exactness regime may
+perturb in the last ulp."""
+
+
+def assert_same_structure(actual, expected):
+    for name in STRUCTURE:
+        np.testing.assert_array_equal(
+            getattr(actual, name), getattr(expected, name), err_msg=name
+        )
+
+
+@pytest.fixture
+def hist_route(monkeypatch):
+    """Every product fit in the test grows by the histogram search."""
+    monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 0)
+
+
+def routed_hist():
+    """:func:`hist_route` as a context manager, for hypothesis tests."""
+    return mock.patch("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 0)
+
+
+def assert_same_forest(actual, expected):
+    for name in ForestTensor.__slots__:
+        np.testing.assert_array_equal(
+            getattr(actual, name), getattr(expected, name), err_msg=name
+        )
 
 
 class TestBinnedDataset:
@@ -132,59 +160,43 @@ class TestBinnedDataset:
 
 
 class TestBackendRouting:
-    def test_hist_is_a_valid_backend_everywhere(self):
-        assert resolve_ml_backend("hist") == "hist"
-        GradientRegressionTree(backend="hist")
-        GradientBoostedClassifier(backend="hist")
-
     def test_auto_prefers_hist_above_row_crossover(self):
-        assert resolve_ml_backend("auto") == "array"
-        assert resolve_ml_backend("auto", num_rows=HIST_AUTO_MIN_ROWS - 1) == "array"
-        assert resolve_ml_backend("auto", num_rows=HIST_AUTO_MIN_ROWS) == "hist"
-        # Explicit choices are never overridden by the crossover.
-        assert resolve_ml_backend("array", num_rows=10**9) == "array"
-        assert resolve_ml_backend("hist", num_rows=1) == "hist"
+        # The row count alone picks the split search: one row short of the
+        # crossover a fit makes no histogram pass, at it at most one per
+        # level of a round.
+        rounds, depth = 2, 2
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(HIST_AUTO_MIN_ROWS, 3))
+        y = (X[:, 0] > 0).astype(int)
+        below = GradientBoostedClassifier(num_rounds=rounds, max_depth=depth)
+        assert below.fit(X[:-1], y[:-1]).num_hist_passes_ == 0
+        at = GradientBoostedClassifier(num_rounds=rounds, max_depth=depth).fit(X, y)
+        assert 1 <= at.num_hist_passes_ <= rounds * depth
 
-    def test_auto_tree_resolves_at_fit_time(self):
-        X, gradients, hessians = random_tree_problem(0, n=64)
-        tree = GradientRegressionTree(backend="auto").fit(X, gradients, hessians)
-        assert tree._resolved_backend == "array"
-
-    def test_misaligned_binned_dataset_rejected(self):
-        X, gradients, hessians = random_tree_problem(0, n=64)
-        full = BinnedDataset.from_matrix(X, max_bins=32)
-        with pytest.raises(DimensionMismatchError):
-            GradientRegressionTree(backend="hist").fit(
-                X[:32], gradients[:32], hessians[:32], binned=full
-            )
-
-    def test_binned_dataset_of_another_width_rejected(self):
-        # Codes of a 7-column matrix handed to a tree on 4 of its columns
-        # would grow splits on features 4-6, which predict(X) cannot read.
-        X, gradients, hessians = random_tree_problem(0, n=64, num_features=7)
-        binned = BinnedDataset.from_matrix(X, max_bins=32)
-        with pytest.raises(DimensionMismatchError, match=r"\(64, 7\).*\(64, 4\)"):
-            GradientRegressionTree(backend="hist").fit(
-                X[:, :4], gradients, hessians, binned=binned
-            )
+    def test_auto_tree_resolves_at_fit_time(self, monkeypatch):
+        # The route is the fit's, not the model's: one model refitted on
+        # either side of the crossover grows each time by the search its
+        # rows call for, and equals a fresh model's fit.
+        monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 100)
+        X, y = random_classification_problem(0, n=160)
+        model = GradientBoostedClassifier(num_rounds=2)
+        for rows, hist in ((99, False), (100, True), (99, False)):
+            model.fit(X[:rows], y[:rows])
+            assert (model.num_hist_passes_ > 0) == hist
+            fresh = GradientBoostedClassifier(num_rounds=2).fit(X[:rows], y[:rows])
+            assert_same_forest(model.forest_, fresh.forest_)
 
 
 class TestExactnessParity:
-    """max_bins >= distinct values per feature: splits identical to array."""
+    """max_bins >= distinct values per feature: splits identical to exact."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tree_structure_identical(self, seed):
         X, gradients, hessians = random_tree_problem(seed)
         config = RegressionTreeConfig(max_depth=4, min_samples_leaf=3, max_bins=512)
-        array_tree = GradientRegressionTree(config, backend="array").fit(
-            X, gradients, hessians
-        )
-        hist_tree = GradientRegressionTree(config, backend="hist").fit(
-            X, gradients, hessians
-        )
-        assert tree_structure(array_tree.root_) == tree_structure(hist_tree.root_)
-        assert array_tree.num_leaves_ == hist_tree.num_leaves_
-        assert hist_tree.tensor_ is not None  # hist builds the tensor eagerly
+        exact, _ = grow_exact(FeaturePresort.from_matrix(X), gradients, hessians, config)
+        hist, _ = grow_hist(X, gradients, hessians, config)
+        assert_same_structure(hist, exact)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tree_predictions_match_to_ulp(self, seed):
@@ -192,12 +204,8 @@ class TestExactnessParity:
         # instead of per sorted row, so allow last-ulp differences only.
         X, gradients, hessians = random_tree_problem(seed)
         config = RegressionTreeConfig(max_depth=5, max_bins=512)
-        array_tree = GradientRegressionTree(config, backend="array").fit(
-            X, gradients, hessians
-        )
-        hist_tree = GradientRegressionTree(config, backend="hist").fit(
-            X, gradients, hessians
-        )
+        array_tree = grow_tree("array", X, gradients, hessians, config)
+        hist_tree = grow_tree("hist", X, gradients, hessians, config)
         fresh = np.random.default_rng(seed + 50).normal(size=(60, X.shape[1]))
         for batch in (X, fresh):
             np.testing.assert_allclose(
@@ -207,16 +215,15 @@ class TestExactnessParity:
             assert np.array_equal(array_tree.apply(batch), hist_tree.apply(batch))
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_boosted_ensemble_structure_identical(self, seed):
+    def test_boosted_ensemble_structure_identical(self, seed, monkeypatch):
         X, y = random_classification_problem(seed)
         kwargs = dict(num_rounds=6, max_depth=3, max_bins=512)
-        array_model = GradientBoostedClassifier(backend="array", **kwargs).fit(X, y)
-        hist_model = GradientBoostedClassifier(backend="hist", **kwargs).fit(X, y)
-        for array_round, hist_round in zip(array_model.trees_, hist_model.trees_):
-            for array_tree, hist_tree in zip(array_round, hist_round):
-                assert tree_structure(array_tree.root_) == tree_structure(
-                    hist_tree.root_
-                )
+        array_model = GradientBoostedClassifier(**kwargs).fit(X, y)
+        monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 0)
+        hist_model = GradientBoostedClassifier(**kwargs).fit(X, y)
+        assert array_model.num_hist_passes_ == 0 < hist_model.num_hist_passes_
+        assert_same_structure(hist_model.forest_, array_model.forest_)
+        np.testing.assert_array_equal(hist_model.forest_.roots, array_model.forest_.roots)
         np.testing.assert_allclose(
             array_model.predict_proba(X), hist_model.predict_proba(X), rtol=1e-9
         )
@@ -229,19 +236,14 @@ class TestExactnessParity:
     def test_min_samples_leaf_respected(self):
         X, gradients, hessians = random_tree_problem(2, n=80)
         config = RegressionTreeConfig(max_depth=6, min_samples_leaf=9, max_bins=512)
-        tree = GradientRegressionTree(config, backend="hist").fit(
-            X, gradients, hessians
-        )
-        leaves = tree.apply(X)
-        _, counts = np.unique(leaves, return_counts=True)
+        tree = grow_tree("hist", X, gradients, hessians, config)
+        _, counts = np.unique(tree.apply(X), return_counts=True)
         assert (counts >= 9).all()
 
     def test_single_value_matrix_grows_single_leaf(self):
         X = np.ones((8, 2))
-        tree = GradientRegressionTree(backend="hist").fit(
-            X, np.full(8, -1.0), np.ones(8)
-        )
-        assert tree.num_leaves_ == 1
+        tree = grow_tree("hist", X, np.full(8, -1.0), np.ones(8))
+        assert tree.num_leaves == 1
         assert np.array_equal(tree.apply(X), np.zeros(8, dtype=np.int64))
 
 
@@ -250,51 +252,34 @@ class TestQuantileRegime:
 
     def test_training_partition_matches_inference(self):
         # Every internal node's threshold must route the training rows the
-        # same way the bin codes did during growth: train predictions off a
-        # freshly-traversed tensor equal the grower's leaf assignment.
+        # same way the bin codes did during growth: the leaf values the
+        # grower recorded off its code partition equal a walk of the tree,
+        # and every leaf the walk reaches holds one recorded value.
         rng = np.random.default_rng(3)
         X = rng.normal(size=(300, 4))
         gradients = rng.normal(size=300)
         hessians = np.abs(rng.normal(size=300)) + 0.05
         config = RegressionTreeConfig(max_depth=5, max_bins=16)
-        tree = GradientRegressionTree(config, backend="hist").fit(
-            X, gradients, hessians
-        )
-        binned = BinnedDataset.from_matrix(X, 16)
-        grower = HistTreeGrower(binned, config)
-
-        def route_by_codes(node, indices):
-            if node.feature is None:
-                return {node.leaf_id: set(indices.tolist())}
-            threshold = node.threshold
-            go_left = X[indices, node.feature] <= threshold
-            result = route_by_codes(node.left, indices[go_left])
-            result.update(route_by_codes(node.right, indices[~go_left]))
-            return result
-
-        routed = route_by_codes(tree.root_, np.arange(300))
+        tree = grow_tree("hist", X, gradients, hessians, config)
+        assert not BinnedDataset.from_matrix(X, 16).exact.any()
+        np.testing.assert_array_equal(tree.values, tree.predict(X))
         leaves = tree.apply(X)
-        for leaf_id, members in routed.items():
-            assert set(np.flatnonzero(leaves == leaf_id).tolist()) == members
-        assert grower.binned.hist_width <= 16
+        for leaf_id in np.unique(leaves):
+            assert np.unique(tree.values[leaves == leaf_id]).size == 1
+        assert tree.num_leaves > 8
 
-    def test_coarse_bins_still_learn(self):
+    def test_coarse_bins_still_learn(self, hist_route):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(400, 3))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        model = GradientBoostedClassifier(
-            num_rounds=15, num_classes=2, backend="hist", max_bins=16
-        ).fit(X, y)
+        model = GradientBoostedClassifier(num_rounds=15, num_classes=2, max_bins=16).fit(X, y)
         assert float((model.predict(X) == y).mean()) > 0.9
 
-    def test_hist_loss_tracks_exact_loss(self):
+    def test_hist_loss_tracks_exact_loss(self, monkeypatch):
         X, y = random_classification_problem(8, n=500)
-        array_model = GradientBoostedClassifier(
-            num_rounds=8, backend="array"
-        ).fit(X, y)
-        hist_model = GradientBoostedClassifier(
-            num_rounds=8, backend="hist", max_bins=32
-        ).fit(X, y)
+        array_model = GradientBoostedClassifier(num_rounds=8).fit(X, y)
+        monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 0)
+        hist_model = GradientBoostedClassifier(num_rounds=8, max_bins=32).fit(X, y)
         assert (
             hist_model.train_loss_history_[-1]
             <= array_model.train_loss_history_[-1] * 1.25
@@ -330,20 +315,10 @@ class TestSubtraction:
         # reference did and derives the others the same way.
         X, gradients, hessians = random_tree_problem(5, n=400)
         config = RegressionTreeConfig(max_depth=6, min_samples_leaf=1, max_bins=16)
-        tree = GradientRegressionTree(config, backend="hist")
-        values = tree.fit_predict(X, gradients, hessians)
-        reference = GradientRegressionTree(config, backend="hist")
-        expected, _ = reference_tree_fit(reference, X, gradients, hessians)
-        assert_tensors_equal(tree.tensor_, reference.tensor_)
+        tensor, values = grow_hist(X, gradients, hessians, config)
+        root, expected, _ = reference_tree_fit(config, X, gradients, hessians)
+        assert_forest_is(ForestTensor([tensor]), [root])
         np.testing.assert_array_equal(values, expected)
-
-
-def assert_tensors_equal(actual, expected):
-    """Every array of two Tree/ForestTensors equal, NaN matching NaN."""
-    for name in type(expected).__slots__:
-        np.testing.assert_array_equal(
-            getattr(actual, name), getattr(expected, name), err_msg=name
-        )
 
 
 @st.composite
@@ -403,7 +378,6 @@ def boosting_problems(draw):
         reg_lambda=config.reg_lambda,
         gamma=config.gamma,
         max_bins=config.max_bins,
-        backend="hist",
     )
     return X, y, kwargs
 
@@ -419,36 +393,38 @@ class TestReferenceParity:
         X, gradients, hessians, config = problem
         binned = BinnedDataset.from_matrix(X, config.max_bins)
         with np.errstate(all="ignore"):
-            roots, values = HistTreeGrower(binned, config).grow(gradients, hessians)
-            for tree_index, root in enumerate(roots):
-                tree = GradientRegressionTree(config, backend="hist")
-                tree._install(root, X.shape[1])
-                reference = GradientRegressionTree(config, backend="hist")
-                expected, _ = reference_tree_fit(
-                    reference,
+            tensors, values = HistTreeGrower(binned, config).grow(gradients, hessians)
+            for tree_index, tensor in enumerate(tensors):
+                root, expected, _ = reference_tree_fit(
+                    config,
                     X,
                     gradients[:, tree_index],
                     hessians[:, tree_index],
                     binned=binned,
                 )
-                assert_tensors_equal(tree.tensor_, reference.tensor_)
-                assert tree.num_leaves_ == reference.num_leaves_
+                assert_forest_is(ForestTensor([tensor]), [root])
                 np.testing.assert_array_equal(values[:, tree_index], expected)
-                np.testing.assert_array_equal(tree.apply(X), reference.apply(X))
+                np.testing.assert_array_equal(
+                    forest_leaf_indices(ForestTensor([tensor]), X)[:, 0],
+                    [leaf.leaf_id for leaf in apply_nodes(root, X)],
+                )
 
     @given(problem=boosting_problems())
     @settings(max_examples=40, deadline=None)
     def test_boosted_fit_equals_the_reference_fit(self, problem):
         X, y, kwargs = problem
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), routed_hist():
             model = GradientBoostedClassifier(**kwargs).fit(X, y)
-            forest, leaf_values, history, _ = reference_boosted_fit(
+            roots, leaf_values, history, _ = reference_boosted_fit(
                 GradientBoostedClassifier(**kwargs), X, y
             )
             np.testing.assert_array_equal(
-                forest_leaf_indices(model.forest_, X), forest_leaf_indices(forest, X)
+                forest_leaf_indices(model.forest_, X),
+                np.column_stack(
+                    [[leaf.leaf_id for leaf in apply_nodes(root, X)] for root in roots]
+                ),
             )
-        assert_tensors_equal(model.forest_, forest)
+        assert_forest_is(model.forest_, roots)
         np.testing.assert_array_equal(model.train_leaf_values_, leaf_values)
         np.testing.assert_array_equal(model.train_loss_history_, history)
 
@@ -462,14 +438,13 @@ class TestReferenceParity:
         monkeypatch.setattr(
             "repro.ml.hist._STACK_CELLS", 2 * binned.num_features * binned.hist_width
         )
-        tree = GradientRegressionTree(config, backend="hist")
-        values = tree.fit_predict(X, gradients, hessians, binned=binned)
-        reference = GradientRegressionTree(config, backend="hist")
-        expected, _ = reference_tree_fit(reference, X, gradients, hessians, binned)
-        assert tree.depth > 6
-        assert tree.num_hist_passes_ > config.max_depth
-        assert_tensors_equal(tree.tensor_, reference.tensor_)
-        np.testing.assert_array_equal(values, expected)
+        grower = HistTreeGrower(binned, config)
+        tensors, values = grower.grow(gradients[:, None], hessians[:, None])
+        root, expected, _ = reference_tree_fit(config, X, gradients, hessians, binned)
+        assert node_depth(root) > 6
+        assert grower.num_passes > config.max_depth
+        assert_forest_is(ForestTensor(tensors), [root])
+        np.testing.assert_array_equal(values[:, 0], expected)
 
 
 class TestCountedPasses:
@@ -501,15 +476,10 @@ class TestCountedPasses:
     @pytest.mark.parametrize("num_classes", [3, 5])
     @pytest.mark.parametrize("num_rounds,max_depth", [(4, 3), (3, 5)])
     def test_a_boosted_fit_makes_at_most_one_pass_per_level(
-        self, tiny_design, num_classes, num_rounds, max_depth
+        self, tiny_design, num_classes, num_rounds, max_depth, hist_route
     ):
         X, y = tiny_design
-        kwargs = dict(
-            num_rounds=num_rounds,
-            max_depth=max_depth,
-            num_classes=num_classes,
-            backend="hist",
-        )
+        kwargs = dict(num_rounds=num_rounds, max_depth=max_depth, num_classes=num_classes)
         model = GradientBoostedClassifier(**kwargs).fit(X, y)
         assert 0 < model.num_hist_passes_ <= num_rounds * max_depth
         # The recursive grower made one pass per accumulated node.
@@ -522,9 +492,10 @@ class TestCountedPasses:
         X, y = tiny_design
         gradients = (y == 0) - 0.5
         hessians = np.full(len(y), 0.25)
-        tree = GradientRegressionTree(RegressionTreeConfig(max_depth=4), backend="hist")
-        tree.fit(X, gradients, hessians)
-        assert 0 < tree.num_hist_passes_ <= 4
+        config = RegressionTreeConfig(max_depth=4)
+        grower = HistTreeGrower(BinnedDataset.from_matrix(X, config.max_bins), config)
+        grower.grow(gradients[:, None], hessians[:, None])
+        assert 0 < grower.num_passes <= 4
 
 
 class TestPipelineIntegration:
@@ -537,11 +508,11 @@ class TestPipelineIntegration:
         features, interactions, communities = random_stores_and_communities(0)
         labels = [index % 3 for index in range(len(communities))]
         builder = FeatureMatrixBuilder(features, interactions, k=6)
-        monkeypatch.setattr("repro.ml.forest.HIST_AUTO_MIN_ROWS", len(communities))
+        monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", len(communities))
         classifier = GBDTCommunityClassifier(
             builder, config=GBDTConfig(num_rounds=4)
         ).fit(communities, labels)
-        assert classifier._model._resolved_backend == "hist"
+        assert classifier._model.num_hist_passes_ > 0
         proba = classifier.predict_proba(communities)
         assert proba.shape == (len(communities), 3)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)

@@ -1,4 +1,9 @@
-"""Tests for logistic regression, regression trees and gradient boosting."""
+"""Tests for logistic regression, regression trees and gradient boosting.
+
+A regression tree exists only as a tree of a boosted fit: the tree tests
+grow one with the exact grower (:func:`repro.ml.forest.grow_exact`, through
+``tests.test_ml_forest.grow_tree``) or read one out of a fitted forest.
+"""
 
 from __future__ import annotations
 
@@ -12,14 +17,11 @@ from repro.exceptions import (
     NotFittedError,
     TrainingDivergedError,
 )
-from repro.ml import (
-    GradientBoostedClassifier,
-    GradientRegressionTree,
-    LogisticRegression,
-    RegressionTreeConfig,
-)
+from repro.ml import GradientBoostedClassifier, LogisticRegression, RegressionTreeConfig
+from repro.ml.forest import FeaturePresort, grow_exact
 from repro.ml.logistic import GRADIENT_TOLERANCE
 from tests.exact_reference import ReferenceBoostedClassifier, forest_leaf_indices
+from tests.test_ml_forest import grow_tree
 
 
 def _linearly_separable(n: int = 120, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +137,21 @@ class TestLogisticRegression:
         assert np.isfinite(model.bias_).all()
 
 
+def tree_depth(tensor) -> int:
+    """Depth of a flattened tree by a level sweep over its child slots."""
+    frontier, depth = np.array([0]), 0
+    while (internal := frontier[tensor.feature[frontier] >= 0]).size:
+        frontier = np.concatenate([tensor.left[internal], tensor.right[internal]])
+        depth += 1
+    return depth
+
+
 class TestRegressionTree:
     def test_fits_a_simple_step_function(self):
         X = np.linspace(0, 1, 50).reshape(-1, 1)
         gradients = np.where(X[:, 0] < 0.5, -1.0, 1.0)
         hessians = np.ones(50)
-        tree = GradientRegressionTree(RegressionTreeConfig(max_depth=2)).fit(
-            X, gradients, hessians
-        )
+        tree = grow_tree("array", X, gradients, hessians, RegressionTreeConfig(max_depth=2))
         predictions = tree.predict(X)
         # Leaf weight is -G/(H+λ): negative gradients → positive weights.
         assert predictions[0] > 0 > predictions[-1]
@@ -151,51 +160,59 @@ class TestRegressionTree:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 3))
         gradients = rng.normal(size=200)
-        tree = GradientRegressionTree(RegressionTreeConfig(max_depth=2)).fit(
-            X, gradients, np.ones(200)
+        tensor, _ = grow_exact(
+            FeaturePresort.from_matrix(X), gradients, np.ones(200), RegressionTreeConfig(max_depth=2)
         )
-        assert tree.depth <= 2
+        assert tree_depth(tensor) == 2
 
     def test_pure_leaf_when_no_split_improves(self):
         X = np.ones((10, 2))
         gradients = np.full(10, -1.0)
-        tree = GradientRegressionTree().fit(X, gradients, np.ones(10))
-        assert tree.num_leaves_ == 1
+        tree = grow_tree("array", X, gradients, np.ones(10))
+        assert tree.num_leaves == 1
 
     def test_apply_returns_valid_leaf_ids(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(100, 2))
         gradients = X[:, 0]
-        tree = GradientRegressionTree().fit(X, gradients, np.ones(100))
+        tree = grow_tree("array", X, gradients, np.ones(100))
         leaves = tree.apply(X)
         assert leaves.min() >= 0
-        assert leaves.max() < tree.num_leaves_
+        assert leaves.max() < tree.num_leaves
 
     def test_input_validation(self):
-        tree = GradientRegressionTree()
+        # A tree is grown only by a fit, which checks its inputs before any
+        # tree: a 1-D design or a label vector of another length is rejected.
+        model = GradientBoostedClassifier(num_rounds=1)
         with pytest.raises(DimensionMismatchError):
-            tree.fit(np.zeros(5), np.zeros(5), np.ones(5))
+            model.fit(np.zeros(5), np.zeros(5))
         with pytest.raises(DimensionMismatchError):
-            tree.fit(np.zeros((5, 2)), np.zeros(4), np.ones(5))
+            model.fit(np.zeros((5, 2)), np.zeros(4))
+        assert model.forest_ is None
 
     def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            GradientRegressionTree().predict(np.zeros((2, 2)))
+        for method in ("predict", "leaf_values"):
+            with pytest.raises(NotFittedError):
+                getattr(GradientBoostedClassifier(), method)(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("backend", ("array", "hist"))
     @pytest.mark.parametrize("width", (2, 6))  # narrower, wider than the fitted 3
-    def test_feature_count_mismatch_rejected(self, backend, width):
+    def test_feature_count_mismatch_rejected(self, backend, width, monkeypatch):
         # Narrower used to die with a bare IndexError inside the traversal;
-        # wider was silently scored on its first columns.
+        # wider was silently scored on its first columns.  Every tree is
+        # read through its forest, which checks the width on either route.
+        if backend == "hist":
+            monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 0)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
-        tree = GradientRegressionTree(backend=backend).fit(X, X[:, 2], np.ones(40))
+        model = GradientBoostedClassifier(num_rounds=1).fit(X, (X[:, 2] > 0).astype(int))
+        assert (model.num_hist_passes_ > 0) == (backend == "hist")
         message = rf"fitted on 3 features, got X of shape \(6, {width}\)"
-        for method in ("predict", "apply", "leaf_values"):
+        for method in ("predict", "predict_proba", "leaf_values"):
             with pytest.raises(DimensionMismatchError, match=message):
-                getattr(tree, method)(np.zeros((6, width)))
+                getattr(model, method)(np.zeros((6, width)))
         with pytest.raises(DimensionMismatchError):
-            tree.predict(np.zeros(width))  # a single row is checked too
+            model.leaf_values(np.zeros(width))  # a single row is checked too
 
     def test_config_validation(self):
         with pytest.raises(ModelConfigError):
@@ -259,14 +276,17 @@ class TestGradientBoostedClassifier:
 
     @pytest.mark.parametrize("backend", ("node", "array", "hist"))
     @pytest.mark.parametrize("width", (3, 5))  # narrower, wider than the fitted 4
-    def test_feature_count_mismatch_rejected(self, backend, width):
+    def test_feature_count_mismatch_rejected(self, backend, width, monkeypatch):
         # Narrower used to die with a bare IndexError inside the traversal;
         # wider was silently scored on its first columns.
         X, y = _linearly_separable()
         if backend == "node":  # the pointer-walk oracle, tests/exact_reference.py
             model = ReferenceBoostedClassifier(num_rounds=2).fit(X, y)
         else:
-            model = GradientBoostedClassifier(num_rounds=2, backend=backend).fit(X, y)
+            if backend == "hist":
+                monkeypatch.setattr("repro.ml.gbdt.HIST_AUTO_MIN_ROWS", 0)
+            model = GradientBoostedClassifier(num_rounds=2).fit(X, y)
+            assert (model.num_hist_passes_ > 0) == (backend == "hist")
         wrong = np.zeros((6, width))
         for method in ("predict", "predict_proba", "leaf_values"):
             with pytest.raises(DimensionMismatchError, match="fitted on 4 features"):
@@ -282,4 +302,5 @@ class TestGradientBoostedClassifier:
         model = GradientBoostedClassifier(num_rounds=2)
         with pytest.raises(FeatureError, match="first offending column: 2"):
             model.fit(X, y)
-        assert model.trees_ is None  # rejected before anything was fitted
+        assert model.forest_ is None  # rejected before anything was fitted
+

@@ -35,10 +35,9 @@ another behind an experiment function no registry entry ran.
 lines", and nothing under ``core/`` and ``graph/`` may import the runtime
 (a process pool once grew inside Phase II aggregation).
 Oracles are not options: which kernel computes a phase is chosen below the
-product surface, so outside ``ml/`` (whose GBDT classes keep ``backend=``
-for the routed exact / histogram choice) nothing may be *named* after a
-backend selector, and every literal those classes accept must be exercised
-by some test.  A reference executor is a test oracle in ``tests/``
+product surface, from the input alone (a GBDT fit picks the exact or the
+histogram split search by its row count), so nothing under ``src/repro``
+may be *named* after a backend selector.  A reference executor is a test oracle in ``tests/``
 (``exact_reference.py``, ``hist_reference.py``, ``nn_reference.py``), and
 those modules import only the standard library, NumPy and ``repro``: the CI
 kernel gate times them with nothing else installed.
@@ -59,7 +58,6 @@ from pathlib import Path
 
 import repro
 from repro.experiments.registry import EXPERIMENTS
-from repro.ml.forest import ML_BACKENDS
 
 PACKAGE = Path(repro.__file__).resolve().parent  # src/repro
 REPO = PACKAGE.parent.parent
@@ -79,10 +77,6 @@ ALLOWLIST = frozenset({
     # The reader half of the dataset JSON that `repro.cli generate` writes;
     # the round-trip tests hold the writer to it.
     "repro.graph.io.load_dataset_json",
-    # A tree's leaf id per row (read off its TreeTensor): the parity
-    # instrument by which the pointer-walk, array and histogram
-    # tree-structure suites compare fitted trees.
-    "repro.ml.tree.GradientRegressionTree.apply",
 })
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -699,27 +693,17 @@ def selector_sites(path: Path) -> list[str]:
     return found
 
 
-def test_no_backend_selector_above_the_kernel_layer():
+def test_no_backend_selector_anywhere_in_the_product():
     sites = [
-        site
-        for path in sorted(PACKAGE.rglob("*.py"))
-        if (PACKAGE / "ml") not in path.parents
-        for site in selector_sites(path)
+        site for path in sorted(PACKAGE.rglob("*.py")) for site in selector_sites(path)
     ]
     assert sites == [], (
-        "a backend selector is growing back above repro.ml — reach an oracle "
-        "through its handle (a callable detector, reference_feature_matrix / "
-        "reference_statistic_vector, the tests/ oracles exact_reference.py, "
-        f"hist_reference.py and nn_reference.py): {sites}"
+        "a backend selector is growing back in src/repro — pick the kernel "
+        "from the input, and reach an oracle through its handle (a callable "
+        "detector, reference_feature_matrix / reference_statistic_vector, the "
+        "tests/ oracles exact_reference.py, hist_reference.py and "
+        f"nn_reference.py): {sites}"
     )
-
-
-def test_every_kernel_backend_literal_is_exercised_by_a_test():
-    tests = "".join(path.read_text() for path in (REPO / "tests").rglob("*.py"))
-    missing = [
-        literal for literal in ML_BACKENDS if f'backend="{literal}"' not in tests
-    ]
-    assert missing == [], f"backend literals no test passes: {missing}"
 
 
 def test_reference_oracles_import_only_the_stdlib_numpy_and_repro():
