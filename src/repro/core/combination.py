@@ -29,8 +29,21 @@ CommunityKey = tuple[Node, int]
 """A community is identified by ``(ego, index-within-ego)``."""
 
 
+MAX_INDEX_NODES = 1 << 30
+"""The most nodes a Phase III edge index can hold: two ids and a direction
+bit share one ``int64`` key (:func:`_pair_keys`)."""
+
+
 def community_key(community: LocalCommunity) -> CommunityKey:
     return (community.ego, community.index)
+
+
+def _pair_keys(egos: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Edge-index keys of (ego, member) id pairs: ``(lo << 33) | (hi << 1) |
+    (ego == lo)``.  Ids below :data:`MAX_INDEX_NODES` keep every key in
+    ``[0, 2**63 - 1)``; a larger id wraps the sign bit."""
+    lo, hi = np.minimum(egos, members), np.maximum(egos, members)
+    return (lo << 33) | (hi << 1) | (egos == lo)
 
 
 class EdgeFeatureBuilder:
@@ -40,14 +53,17 @@ class EdgeFeatureBuilder:
 
     * a ``node -> id`` map, ids in :data:`~repro.types.node_key` order, so
       comparing two ids compares the nodes' canonical order;
-    * one sorted ``int64`` array of ``(ego_id << 32) | friend_id`` keys, one
-      per (ego, member) pair, beside the member's community row in ``R`` and
-      its tightness in that community (a member of two overlapping
-      communities takes the earlier one in the ego's list);
+    * one sorted ``int64`` array of keys, one per (ego, member) pair, beside
+      the member's community row in ``R`` and its tightness in that
+      community (a member of two overlapping communities takes the earlier
+      one in the ego's list).  A key packs the pair's ids as
+      ``(lo << 33) | (hi << 1) | (ego == lo)`` (:func:`_pair_keys`), so the
+      two directions of a pair sit next to each other, the one whose ego
+      has the larger id first;
     * ``R``, every ``r_C`` as a row of one matrix.  Row 0 stays zero and
       stands in for a missing community or vector.
 
-    :meth:`edge_features` is then one ``searchsorted`` per side and two
+    :meth:`edge_features` is then one ``searchsorted`` per batch and two
     gathers; :meth:`refresh` folds an update in at the cost of what it
     dirtied.
 
@@ -105,15 +121,20 @@ class EdgeFeatureBuilder:
             map(self._ids.get, chain.from_iterable(edges), repeat(-1)),
             dtype=np.int64,
             count=2 * len(edges),
-        ).reshape(-1, 2)
-        first, second = ends.min(axis=1), ends.max(axis=1)
-        # An unknown id (-1) makes the query negative: it never matches.
-        for side, (ego, friend) in enumerate(((second, first), (first, second))):
-            query = (ego << 32) | friend
-            at = np.searchsorted(self._keys, query)
-            at[self._keys[at] != query] = -1  # the trailing zero entry
-            out[:, side] = self._tightness[at]
-            out[:, 2 + side * length : 2 + (side + 1) * length] = self._matrix[self._rows[at]]
+        )
+        first, second = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
+        # The pair's key in ``second``'s ego network, then in ``first``'s one
+        # past it — if the first one is there.  An unknown id (-1) makes the
+        # query negative: it never matches.
+        query = (first << 33) | (second << 1)
+        at = np.searchsorted(self._keys, query)
+        hit = self._keys[at] == query
+        at_second = at + hit
+        misses = (~hit, self._keys[at_second] != query | 1)
+        for side, (index, miss) in enumerate(zip((at, at_second), misses)):
+            index[miss] = -1  # the trailing zero entry
+            out[:, side] = self._tightness[index]
+            out[:, 2 + side * length : 2 + (side + 1) * length] = self._matrix[self._rows[index]]
         return out
 
     def refresh(
@@ -167,6 +188,11 @@ class EdgeFeatureBuilder:
         egos = self.division.communities_by_ego
         communities = [community for blocks in egos.values() for community in blocks]
         nodes = set(egos).union(*(community.members for community in communities))
+        if len(nodes) > MAX_INDEX_NODES:
+            raise PipelineError(
+                f"the Phase III edge index holds at most {MAX_INDEX_NODES} nodes, "
+                f"the division spans {len(nodes)}"
+            )
         self._ids = {node: id_ for id_, node in enumerate(sorted(nodes, key=node_key))}
         self._set_pairs(*self._index(communities))
         self.num_compiles += 1
@@ -192,7 +218,8 @@ class EdgeFeatureBuilder:
         egos = np.array([ids[community.ego] for community in communities], dtype=np.int64)
         members = [ids[member] for community in communities for member in community.members]
         keys, first = np.unique(
-            np.repeat(egos << 32, sizes) | np.array(members, dtype=np.int64), return_index=True
+            _pair_keys(np.repeat(egos, sizes), np.array(members, dtype=np.int64)),
+            return_index=True,
         )
         rows = [self._row_of.get(community_key(community), 0) for community in communities]
         tightness = [
@@ -210,8 +237,10 @@ class EdgeFeatureBuilder:
         """Replace the egos' key blocks by ones read from their current
         communities; every other block stays as it is."""
         ego_ids = [self._ids[ego] for ego in egos]
-        keep = ~np.isin(self._keys[:-1] >> 32, ego_ids)
-        keys, rows, tightness = self._keys[:-1][keep], self._rows[:-1][keep], self._tightness[:-1][keep]
+        keys = self._keys[:-1]
+        key_egos = np.where(keys & 1, keys >> 33, (keys >> 1) & 0xFFFFFFFF)
+        keep = ~np.isin(key_egos, ego_ids)
+        keys, rows, tightness = keys[keep], self._rows[:-1][keep], self._tightness[:-1][keep]
         new_keys, new_rows, new_tightness = self._index(
             [community for ego in egos for community in self.division.communities_of(ego)]
         )

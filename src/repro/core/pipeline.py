@@ -385,9 +385,9 @@ class LoCEC:
            Phase III edge labeler is retrained only when its Equation 4
            design matrix moved (:attr:`UpdateReport.labeler_refit`): an
            update that changed no ego's communities and re-scored nothing
-           cannot have moved it, and otherwise the matrix is rebuilt (two
-           gathers from the edge index) and compared by value with the
-           fitted one.  Training is a
+           cannot have moved it, and otherwise the matrix is rebuilt (one
+           search of the edge index and two gathers) and compared by value
+           with the fitted one.  Training is a
            deterministic function of that matrix, the fixed labels and the
            seed, so the kept model is the one a from-scratch fit produces.
 

@@ -20,6 +20,8 @@ one-tree-at-a-time histogram grower).
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, FeatureError, ModelConfigError
@@ -212,11 +214,9 @@ class GradientBoostedClassifier:
             raw_scores += self.learning_rate * values
 
             probabilities = softmax(raw_scores)
-            loss = -float(
-                np.mean(
-                    np.sum(targets * np.log(np.clip(probabilities, 1e-12, 1.0)), axis=1)
-                )
-            )
+            # Summed over classes by the fold softmax uses, for the same reason.
+            log_likelihood = targets * np.log(np.clip(probabilities, 1e-12, 1.0))
+            loss = -float(np.mean(reduce(np.add, log_likelihood.T)))
             self.train_loss_history_.append(loss)
 
         self.num_hist_passes_ = 0 if grower is None else grower.num_passes

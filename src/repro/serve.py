@@ -6,8 +6,8 @@ module is the request-side counterpart of :meth:`repro.core.LoCEC.fit`:
 * :class:`ServingSession` — wraps a fitted pipeline in a long-lived session
   with batched :meth:`~ServingSession.predict_edges` and streaming latency
   accounting.  Every batch is scored against the live state through
-  :meth:`LoCEC.predict_edge_proba` (two gathers from the compiled Phase III
-  edge index), so a read after any write sees the new state.
+  :meth:`LoCEC.predict_edge_proba` (one search of the compiled Phase III
+  edge index and two gathers), so a read after any write sees the new state.
 * :class:`StreamingMoments` — a Welford mean/variance accumulator beside a
   fixed-size log-bucket histogram, for latency percentiles without
   retaining per-request samples.

@@ -10,11 +10,15 @@ non-edges, self-loops, partial divisions and empty batches.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EdgeFeatureBuilder, LoCEC, LoCECConfig, community_key, divide
+from repro.core import EdgeFeatureBuilder, LoCEC, LoCECConfig, combination, community_key, divide
+from repro.exceptions import PipelineError
 from repro.graph import Graph
 from repro.synthetic import make_workload
 from repro.types import canonical_edge, node_key
@@ -202,3 +206,76 @@ def test_a_fitted_pipeline_reads_the_oracle_design_matrix_through_writes():
                 pipeline.division_, builder.result_vectors, length, queries
             )
             assert builder.edge_features(queries).tobytes() == expected.tobytes()
+
+
+def _random_builder(seed, num_nodes=40, num_edges=160):
+    rng = np.random.default_rng(seed)
+    graph = Graph(nodes=range(num_nodes))
+    while graph.num_edges < num_edges:
+        u, v = rng.integers(num_nodes, size=2)
+        if u != v:
+            graph.add_edge(int(u), int(v))
+    division = divide(graph)
+    vectors = _vectors(map(community_key, division.all_communities()), rng)
+    return graph, division, EdgeFeatureBuilder(division, dict(vectors), LENGTH), rng
+
+
+def test_a_batch_is_one_index_search():
+    """Both sides of every edge come from one ``searchsorted`` over the
+    index, for any batch size, before and after a ``refresh``."""
+    graph, division, builder, rng = _random_builder(seed=3)
+    edges = list(graph.edges())
+
+    def searches(batch):
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy:
+            builder.edge_features(batch)
+        return spy.call_count
+
+    def batches():
+        picks = rng.integers(len(edges), size=256)
+        return [edges[:1], [edges[int(i)] for i in picks], edges]
+
+    assert [searches(batch) for batch in batches()] == [1, 1, 1]
+    ego = next(iter(division.communities_by_ego))
+    keys = [community_key(c) for c in division.communities_of(ego)]
+    builder.refresh(keys, rng.random((len(keys), LENGTH)), changed_egos={ego})
+    assert [searches(batch) for batch in batches()] == [1, 1, 1]
+
+
+def test_a_pair_indexed_only_from_the_smaller_ego_reads_its_own_side():
+    """Only ego 0 is divided, so (0, 1) has a key from ego 0's side alone:
+    the search for ego 1's side misses, and ego 0's side sits at the miss's
+    insertion point, not one past it."""
+    graph = Graph(nodes=range(4))
+    for u, v in [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)]:
+        graph.add_edge(u, v)
+    division = divide(graph, egos=[0])
+    vectors = {community_key(c): np.full(LENGTH, 1.0 + c.index) for c in division.all_communities()}
+    builder = EdgeFeatureBuilder(division, vectors, LENGTH)
+    queries = [(0, 1), (1, 0), (0, 2), (0, 3), (1, 2)]
+    _assert_matches_oracle(builder, vectors, queries)
+    features = builder.edge_features([(1, 0)])[0]
+    assert features[0] == 0.0 and not features[2 : 2 + LENGTH].any()
+    assert features[1] > 0.0 and features[2 + LENGTH :].all()
+
+
+def test_pair_keys_stay_in_range_below_the_node_bound():
+    """The packing's bound is exactly where it breaks: the largest ids it
+    allows keep both directions of a pair apart, ordered and below the
+    index's trailing key; one id more wraps the sign bit."""
+    top = combination.MAX_INDEX_NODES - 1
+    egos, members = np.array([top, top - 1]), np.array([top - 1, top])
+    keys = combination._pair_keys(egos, members)
+    assert 0 <= keys[0] < keys[1] < np.iinfo(np.int64).max
+    assert keys[1] - keys[0] == 1
+    assert combination._pair_keys(np.array([top + 1]), np.array([top + 2]))[0] < 0
+
+
+def test_an_index_past_the_node_bound_is_refused():
+    graph = Graph(nodes=range(5))
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+        graph.add_edge(u, v)
+    division = divide(graph)
+    with mock.patch.object(combination, "MAX_INDEX_NODES", 4):
+        with pytest.raises(PipelineError, match="at most 4 nodes, the division spans 5"):
+            EdgeFeatureBuilder(division, {}, LENGTH)

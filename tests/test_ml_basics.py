@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DimensionMismatchError, ModelConfigError
 from repro.ml import (
@@ -67,6 +69,61 @@ class TestBaseHelpers:
         assert y.tolist() == [0, 1, 2] and y.dtype == np.int64
         X, y = check_X_y([[1, 2], [3, 4]], [0, 1])
         assert X.dtype == np.float64 and y.dtype == np.int64
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax row by row, one scalar at a time: the row max and the row
+    total folded left to right over the columns."""
+    rows = logits.tolist()
+    shifted = []
+    for row in rows:
+        peak = row[0]
+        for value in row[1:]:
+            peak = max(peak, value)
+        shifted.append([value - peak for value in row])
+    exp = np.exp(np.array(shifted, dtype=np.float64).reshape(logits.shape)).tolist()
+    out = []
+    for row in exp:
+        total = row[0]
+        for value in row[1:]:
+            total += value
+        out.append([value / total for value in row])
+    return np.array(out, dtype=np.float64).reshape(logits.shape)
+
+
+def parent_softmax(logits: np.ndarray) -> np.ndarray:
+    """The reduction form softmax had before its column fold."""
+    exp = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return exp / np.sum(exp, axis=-1, keepdims=True)
+
+
+@st.composite
+def _logit_matrices(draw):
+    """0-5,000 rows of 1-6 columns: magnitudes from 1e-300 to 1e300 of
+    either sign, values repeated within a row (ties) and signed zeros."""
+    rows, columns = draw(st.integers(0, 5_000)), draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6)) + [0.0, -0.0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = rng.choice([-1.0, 1.0], (rows, columns)) * 10.0 ** rng.uniform(-300, 300, (rows, columns))
+    pooled = np.array(pool)[rng.integers(len(pool), size=(rows, columns))]
+    return np.where(rng.random((rows, columns)) < draw(st.floats(0, 1)), pooled, wide)
+
+
+class TestSoftmaxFold:
+    @given(_logit_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_scalar_fold_bit_for_bit(self, logits):
+        expected = reference_softmax(logits)
+        actual = softmax(logits)
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+        if logits.shape[1] == 3:
+            assert actual.tobytes() == parent_softmax(logits).tobytes()
+
+    def test_signed_zeros_and_ties(self):
+        logits = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [5.0, 5.0, -1e300]])
+        assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+        assert softmax(logits).tobytes() == parent_softmax(logits).tobytes()
 
 
 class TestMetrics:
