@@ -22,6 +22,10 @@ MAX_NEWTON_STEPS = 50
 """A fit that has not reached :data:`GRADIENT_TOLERANCE` after this many
 Newton steps raises :class:`~repro.exceptions.TrainingDivergedError`."""
 
+SCORING_BLOCK_ROWS = 256
+""":meth:`LogisticRegression.predict_proba` takes its logits in zero-padded
+blocks of exactly this many rows."""
+
 _ARMIJO_SLOPE = 1e-4
 _MIN_STEP_SCALE = 1e-10
 """Backtracking stops halving here.  A step this short barely moves the
@@ -141,7 +145,17 @@ class LogisticRegression:
         return hessian
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability matrix of shape ``(n_samples, n_classes)``."""
+        """Class-probability matrix of shape ``(n_samples, n_classes)``.
+
+        The logits are one stacked product over zero-padded blocks of
+        exactly :data:`SCORING_BLOCK_ROWS` rows, so every GEMM has one
+        shape.  BLAS picks its kernel, and with it the order it sums a row
+        in, by shape (a one-row product is a GEMV), so a single product over
+        the batch gave a row different bytes in batches of different sizes.
+        Blocked, ``predict_proba(X[idx])`` equals ``predict_proba(X)[idx]``
+        bit for bit for any subset and order ``idx`` (with a single BLAS
+        thread), and a 256-edge read is still one GEMM.
+        """
         check_fitted(self, "weights_")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
@@ -151,7 +165,10 @@ class LogisticRegression:
             raise DimensionMismatchError(
                 f"model was fitted on {num_features} features, got X of shape {X.shape}"
             )
-        return softmax(X @ self.weights_ + self.bias_)
+        blocks = np.zeros((-(-X.shape[0] // SCORING_BLOCK_ROWS), SCORING_BLOCK_ROWS, num_features))
+        blocks.reshape(-1, num_features)[: X.shape[0]] = X
+        logits = (blocks @ self.weights_).reshape(-1, self.weights_.shape[1])[: X.shape[0]]
+        return softmax(logits + self.bias_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted class index for each row of ``X``."""

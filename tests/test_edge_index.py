@@ -206,6 +206,10 @@ def test_a_fitted_pipeline_reads_the_oracle_design_matrix_through_writes():
                 pipeline.division_, builder.result_vectors, length, queries
             )
             assert builder.edge_features(queries).tobytes() == expected.tobytes()
+            # A read's bytes do not depend on the batch it is scored in.
+            proba = pipeline.predict_edge_proba(queries)
+            singles = [pipeline.predict_edge_proba([edge]) for edge in queries[::7]]
+            assert np.concatenate(singles).tobytes() == proba[::7].tobytes()
 
 
 def _random_builder(seed, num_nodes=40, num_edges=160):

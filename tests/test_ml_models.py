@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     DimensionMismatchError,
@@ -19,7 +21,7 @@ from repro.exceptions import (
 )
 from repro.ml import GradientBoostedClassifier, LogisticRegression, RegressionTreeConfig
 from repro.ml.forest import FeaturePresort, grow_exact
-from repro.ml.logistic import GRADIENT_TOLERANCE
+from repro.ml.logistic import GRADIENT_TOLERANCE, SCORING_BLOCK_ROWS
 from tests.exact_reference import ReferenceBoostedClassifier, forest_leaf_indices
 from tests.test_ml_forest import grow_tree
 
@@ -135,6 +137,36 @@ class TestLogisticRegression:
         model = LogisticRegression(num_classes=3).fit(X, y)
         assert model.predict_proba(X).shape == (3, 3)
         assert np.isfinite(model.bias_).all()
+
+
+@st.composite
+def _scoring_batches(draw):
+    """A fitted model, a batch across several scoring blocks and a split of
+    it into sub-batches (singletons included)."""
+    width, classes = draw(st.integers(1, 14)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = LogisticRegression().fit(rng.random((60, width)), np.arange(60) % classes)
+    rows = draw(st.integers(1, 3 * SCORING_BLOCK_ROWS))
+    X = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, 3, (rows, width))
+    cuts = draw(st.lists(st.integers(1, rows), max_size=12, unique=True))
+    return model, X, [0, *sorted(cuts), rows]
+
+
+class TestBatchInvariantScoring:
+    @given(_scoring_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_of_a_batch_scores_the_same_bytes(self, case):
+        model, X, bounds = case
+        whole = model.predict_proba(X)
+        parts = [model.predict_proba(X[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert model.predict_proba(X[:1]).tobytes() == whole[:1].tobytes()
+        order = np.random.default_rng(len(X)).permutation(len(X))
+        assert model.predict_proba(X[order]).tobytes() == whole[order].tobytes()
+
+    def test_empty_batch(self):
+        X, y = _three_class_blobs()
+        assert LogisticRegression().fit(X, y).predict_proba(np.zeros((0, 2))).shape == (0, 3)
 
 
 def tree_depth(tensor) -> int:
