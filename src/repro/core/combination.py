@@ -130,9 +130,9 @@ class EdgeFeatureBuilder:
         at = np.searchsorted(self._keys, query)
         hit = self._keys[at] == query
         at_second = at + hit
-        misses = (~hit, self._keys[at_second] != query | 1)
-        for side, (index, miss) in enumerate(zip((at, at_second), misses)):
-            index[miss] = -1  # the trailing zero entry
+        at[~hit] = -1  # the trailing zero entry
+        at_second[self._keys[at_second] != (query | 1)] = -1
+        for side, index in enumerate((at, at_second)):
             out[:, side] = self._tightness[index]
             out[:, 2 + side * length : 2 + (side + 1) * length] = self._matrix[self._rows[index]]
         return out
@@ -238,6 +238,7 @@ class EdgeFeatureBuilder:
         communities; every other block stays as it is."""
         ego_ids = [self._ids[ego] for ego in egos]
         keys = self._keys[:-1]
+        # A key's ego is its low id when the direction bit is set.
         key_egos = np.where(keys & 1, keys >> 33, (keys >> 1) & 0xFFFFFFFF)
         keep = ~np.isin(key_egos, ego_ids)
         keys, rows, tightness = keys[keep], self._rows[:-1][keep], self._tightness[:-1][keep]

@@ -165,9 +165,10 @@ class LogisticRegression:
             raise DimensionMismatchError(
                 f"model was fitted on {num_features} features, got X of shape {X.shape}"
             )
-        blocks = np.zeros((-(-X.shape[0] // SCORING_BLOCK_ROWS), SCORING_BLOCK_ROWS, num_features))
-        blocks.reshape(-1, num_features)[: X.shape[0]] = X
-        logits = (blocks @ self.weights_).reshape(-1, self.weights_.shape[1])[: X.shape[0]]
+        rows = X.shape[0]
+        blocks = np.zeros((-(-rows // SCORING_BLOCK_ROWS), SCORING_BLOCK_ROWS, num_features))
+        blocks.reshape(-1, num_features)[:rows] = X
+        logits = (blocks @ self.weights_).reshape(-1, self.weights_.shape[1])[:rows]
         return softmax(logits + self.bias_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
