@@ -165,9 +165,10 @@ class LogisticRegression:
             raise DimensionMismatchError(
                 f"model was fitted on {num_features} features, got X of shape {X.shape}"
             )
-        rows = X.shape[0]
-        blocks = np.zeros((-(-rows // SCORING_BLOCK_ROWS), SCORING_BLOCK_ROWS, num_features))
-        blocks.reshape(-1, num_features)[:rows] = X
+        rows, padding = X.shape[0], -X.shape[0] % SCORING_BLOCK_ROWS
+        if padding:
+            X = np.concatenate([X, np.zeros((padding, num_features))])
+        blocks = X.reshape(-1, SCORING_BLOCK_ROWS, num_features)
         logits = (blocks @ self.weights_).reshape(-1, self.weights_.shape[1])[:rows]
         return softmax(logits + self.bias_)
 
