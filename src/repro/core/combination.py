@@ -123,9 +123,10 @@ class EdgeFeatureBuilder:
             count=2 * len(edges),
         )
         first, second = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
-        # The pair's key in ``second``'s ego network, then in ``first``'s one
-        # past it — if the first one is there.  An unknown id (-1) makes the
-        # query negative: it never matches.
+        # The pair's key in ``second``'s ego network (``_pair_keys(second,
+        # first)``), then in ``first``'s one past it — if the first one is
+        # there.  An unknown id (-1) makes the query negative: it never
+        # matches.
         query = (first << 33) | (second << 1)
         at = np.searchsorted(self._keys, query)
         hit = self._keys[at] == query

@@ -150,8 +150,9 @@ class LogisticRegression:
         The logits are one stacked product over zero-padded blocks of
         exactly :data:`SCORING_BLOCK_ROWS` rows, so every GEMM has one
         shape.  BLAS picks its kernel, and with it the order it sums a row
-        in, by shape (a one-row product is a GEMV), so a single product over
-        the batch gave a row different bytes in batches of different sizes.
+        in, by shape (a one-row product is a GEMV), so one product over the
+        whole batch would give a row different bytes in batches of
+        different sizes.
         Blocked, ``predict_proba(X[idx])`` equals ``predict_proba(X)[idx]``
         bit for bit for any subset and order ``idx`` (with a single BLAS
         thread), and a 256-edge read is still one GEMM.

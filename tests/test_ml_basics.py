@@ -91,8 +91,9 @@ def reference_softmax(logits: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(logits.shape)
 
 
-def parent_softmax(logits: np.ndarray) -> np.ndarray:
-    """The reduction form softmax had before its column fold."""
+def reduction_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax by last-axis reductions (``np.max`` / ``np.sum(axis=-1)``),
+    which the column fold must equal bit for bit at three columns."""
     exp = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
     return exp / np.sum(exp, axis=-1, keepdims=True)
 
@@ -118,12 +119,12 @@ class TestSoftmaxFold:
         assert actual.shape == expected.shape
         assert actual.tobytes() == expected.tobytes()
         if logits.shape[1] == 3:
-            assert actual.tobytes() == parent_softmax(logits).tobytes()
+            assert actual.tobytes() == reduction_softmax(logits).tobytes()
 
     def test_signed_zeros_and_ties(self):
         logits = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [5.0, 5.0, -1e300]])
         assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
-        assert softmax(logits).tobytes() == parent_softmax(logits).tobytes()
+        assert softmax(logits).tobytes() == reduction_softmax(logits).tobytes()
 
 
 class TestMetrics:
