@@ -15,7 +15,7 @@ which a multinomial logistic-regression model maps to the final edge label.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,16 +113,23 @@ class EdgeFeatureBuilder:
         ego network containing ``first``.  An unknown node, a non-edge, a
         self-loop or an un-divided ego finds no key and reads zeros.
         """
+        ends = self.node_ids(chain.from_iterable(edges), 2 * len(edges))
+        return self.pair_features(ends.reshape(-1, 2))
+
+    def node_ids(self, nodes: Iterable[Node], count: int) -> np.ndarray:
+        """The index id of each of ``count`` nodes; -1 for a node it does
+        not hold.  Ids change only when the index compiles
+        (:attr:`num_compiles`)."""
+        return np.fromiter(map(self._ids.get, nodes, repeat(-1)), dtype=np.int64, count=count)
+
+    def pair_features(self, ends: np.ndarray) -> np.ndarray:
+        """Equation 4 rows of the edges behind an ``(n, 2)`` array of
+        endpoint ids (:meth:`node_ids`), as :meth:`edge_features` builds them."""
         length = self.result_vector_length
-        out = np.zeros((len(edges), self.feature_length))
-        if not len(edges):
+        out = np.zeros((len(ends), self.feature_length))
+        if not len(ends):
             return out
-        ends = np.fromiter(
-            map(self._ids.get, chain.from_iterable(edges), repeat(-1)),
-            dtype=np.int64,
-            count=2 * len(edges),
-        )
-        first, second = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
+        first, second = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         # The pair's key in ``second``'s ego network (``_pair_keys(second,
         # first)``), then in ``first``'s one past it — if the first one is
         # there.  An unknown id (-1) makes the query negative: it never
@@ -285,32 +292,92 @@ class EdgeLabeler:
         self._model = LogisticRegression(l2=l2, num_classes=num_classes)
         self._design: tuple[np.ndarray, np.ndarray] | None = None
         """The ``(X, y)`` the model was last trained on; ``None`` until fitted."""
+        # The training edges, compactly: each endpoint once, and each edge
+        # as the positions of its two endpoints there.
+        self._nodes: list[Node] = []
+        self._ends = np.zeros((0, 2), dtype=np.int64)
+        self._ids: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
+        """The builder's ids of ``_nodes``, as of its ``num_compiles``."""
         self.num_model_fits = 0
         """How many :meth:`fit` calls trained the model (the others found
         the design matrix and targets they were handed already fitted)."""
+        self.num_rows_checked = 0
+        """Design rows :meth:`fit` rebuilt from the feature builder."""
 
-    def fit(self, edges: Sequence[Edge], labels: Sequence[int]) -> "EdgeLabeler":
-        """Train on labeled edges (class indices in ``labels``).
+    def fit(
+        self,
+        edges: Sequence[Edge] | None = None,
+        labels: Sequence[int] | None = None,
+        dirty_egos: Collection[Node] | None = None,
+    ) -> "EdgeLabeler":
+        """Train on labeled edges (class indices in ``labels``) or, called
+        without them, on the edges and labels of the last call.
 
         The model is the minimiser of its objective over the Equation 4
         design matrix and the targets, solved deterministically from them
         alone.  A re-``fit`` whose rebuilt design matrix and targets equal
         the fitted ones *by value* therefore keeps the model: training again
         would reproduce it bit for bit.
+
+        A re-``fit`` on the kept edges rebuilds their rows from the feature
+        builder's current state; ``dirty_egos`` narrows that to the rows of
+        edges with an endpoint among them.  An edge's row reads two things
+        only: the community of each endpoint's ego network that holds the
+        other endpoint, and their ``r_C``.  So after a
+        :meth:`EdgeFeatureBuilder.refresh` a row can have moved only if an
+        endpoint is an ego whose community list changed or one of whose
+        communities was re-scored; with those egos passed, the other rows
+        are equal by value and are not rebuilt.  Rebuilt rows that differ
+        are written into the kept design, and the model is trained on the
+        whole of it.  :attr:`num_rows_checked` counts the rebuilt rows.
         """
-        if len(edges) != len(labels):
+        builder = self.feature_builder
+        if edges is None and labels is None:
+            if self._design is None:
+                raise NotFittedError(self)
+            if self._ids[0] != builder.num_compiles:
+                # A compile renumbers every node.
+                self._ids = (builder.num_compiles, builder.node_ids(self._nodes, len(self._nodes)))
+            rows = slice(None) if dirty_egos is None else self._incident_rows(dirty_egos)
+            X, y = self._design
+            fresh = self._rows(self._ids[1][self._ends[rows]])
+            if not np.array_equal(fresh, X[rows]):
+                X = X.copy()
+                X[rows] = fresh
+                self._train(X, y)
+            return self
+        if dirty_egos is not None:
+            raise PipelineError("dirty_egos re-checks the kept edges: pass no edges with it")
+        if edges is None or labels is None or len(edges) != len(labels):
             raise PipelineError("edges and labels must have the same length")
         if not edges:
             raise PipelineError("cannot fit the edge labeler on zero edges")
-        design = (
-            self.feature_builder.edge_features(edges),
-            np.asarray(labels, dtype=np.int64),
-        )
+        position: dict[Node, int] = {}
+        ends = [position.setdefault(node, len(position)) for node in chain.from_iterable(edges)]
+        nodes = list(position)
+        ids = builder.node_ids(nodes, len(nodes))
+        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+        design = (self._rows(ids[ends]), np.asarray(labels, dtype=np.int64))
         if self._design is None or not all(map(np.array_equal, design, self._design)):
-            self._model.fit(*design)
-            self._design = design
-            self.num_model_fits += 1
+            self._train(*design)
+        self._nodes, self._ends, self._ids = nodes, ends, (builder.num_compiles, ids)
         return self
+
+    def _incident_rows(self, egos: Collection[Node]) -> np.ndarray:
+        """The design rows of training edges with an endpoint in ``egos``."""
+        ego_ids = self.feature_builder.node_ids(egos, len(egos))
+        touched = np.isin(self._ids[1], ego_ids[ego_ids >= 0])
+        return np.flatnonzero(touched[self._ends].any(axis=1))
+
+    def _rows(self, ends: np.ndarray) -> np.ndarray:
+        """Design rows of the edges behind ``(n, 2)`` endpoint ids."""
+        self.num_rows_checked += len(ends)
+        return self.feature_builder.pair_features(ends)
+
+    def _train(self, X: np.ndarray, y: np.ndarray) -> None:
+        self._model.fit(X, y)
+        self._design = (X, y)
+        self.num_model_fits += 1
 
     def predict_proba(self, edges: Sequence[Edge]) -> np.ndarray:
         if self._design is None:

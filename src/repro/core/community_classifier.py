@@ -32,6 +32,7 @@ from repro.core.config import CommCNNConfig, GBDTConfig
 from repro.core.division import LocalCommunity
 from repro.exceptions import NotFittedError, PipelineError
 from repro.ml.base import softmax
+from repro.ml.forest import boosted_scores
 from repro.ml.gbdt import GradientBoostedClassifier
 from repro.types import RelationType
 
@@ -210,11 +211,10 @@ class GBDTCommunityClassifier(CommunityClassifier):
         """``r_C`` of the rows behind a leaf-value matrix (row by row)."""
         probabilities = self._model.proba_from_leaf_values(leaf_values)
         # Leaf columns cycle through classes within each round: reduce them to
-        # one summed score per class, round by round, then squash with a
-        # softmax so the scale matches the probability block.
-        per_class = np.zeros((leaf_values.shape[0], self.num_classes))
-        for start in range(0, leaf_values.shape[1], self.num_classes):
-            per_class += leaf_values[:, start : start + self.num_classes]
+        # one summed score per class, round by round (the boosted fold from
+        # zero at rate 1), then squash with a softmax so the scale matches
+        # the probability block.
+        per_class = boosted_scores(leaf_values, np.zeros(self.num_classes), 1.0, self.num_classes)
         return np.hstack([probabilities, softmax(per_class)])
 
     @property

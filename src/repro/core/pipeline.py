@@ -185,7 +185,6 @@ class LoCEC:
         # Fitted-state snapshot consumed by apply_updates (incremental path).
         self._features: NodeFeatureStore | None = None
         self._interactions: InteractionStore | None = None
-        self._labeled_edges: list[LabeledEdge] = []
         self._label_index = EdgeLabelIndex()
         self._votes = CommunityVotes()
         self._train_communities: list[LocalCommunity] = []
@@ -225,8 +224,7 @@ class LoCEC:
         self._graph = graph
         self._features = features
         self._interactions = interactions
-        self._labeled_edges = list(labeled_edges)
-        self._label_index = EdgeLabelIndex(self._labeled_edges)
+        self._label_index = EdgeLabelIndex(labeled_edges)
         self._votes = CommunityVotes()
         summary = FitSummary(num_training_edges=len(labeled_edges))
         timings = summary.timings
@@ -262,7 +260,9 @@ class LoCEC:
                 result_vector_length=self.community_classifier_.result_vector_length,
             )
             self.edge_labeler_ = self._build_edge_labeler()
-            self._fit_edge_labeler()
+            self.edge_labeler_.fit(
+                [item.edge for item in labeled_edges], [int(item.label) for item in labeled_edges]
+            )
 
         self.fit_summary_ = summary
         return self
@@ -328,16 +328,14 @@ class LoCEC:
             l2=self.config.edge_lr_l2,
         )
 
-    def _fit_edge_labeler(self) -> bool:
-        """Fit the Phase III labeler on the stored labeled edges; return
-        whether its model was trained.  An update re-fits the labeler it has
-        (its feature builder is mutated in place), and :meth:`EdgeLabeler.fit`
-        keeps the model when the rebuilt design matrix equals the fitted one."""
+    def _refit_edge_labeler(self, dirty_egos: set[Node] | None) -> bool:
+        """Re-fit the Phase III labeler on its kept labeled edges after an
+        update; return whether its model was trained.  The labeler's feature
+        builder was mutated in place; :meth:`EdgeLabeler.fit` rebuilds the
+        design rows of the edges incident to ``dirty_egos`` (every row when
+        ``None``) and keeps the model when they equal the fitted ones."""
         fits_before = self.edge_labeler_.num_model_fits
-        self.edge_labeler_.fit(
-            [item.edge for item in self._labeled_edges],
-            [int(item.label) for item in self._labeled_edges],
-        )
+        self.edge_labeler_.fit(dirty_egos=dirty_egos)
         return self.edge_labeler_.num_model_fits != fits_before
 
     # ----------------------------------------------------- incremental serving
@@ -385,11 +383,17 @@ class LoCEC:
            Phase III edge labeler is retrained only when its Equation 4
            design matrix moved (:attr:`UpdateReport.labeler_refit`): an
            update that changed no ego's communities and re-scored nothing
-           cannot have moved it, and otherwise the matrix is rebuilt (one
-           search of the edge index and two gathers) and compared by value
-           with the fitted one.  Training is a
-           deterministic function of that matrix, the fixed labels and the
-           seed, so the kept model is the one a from-scratch fit produces.
+           cannot have moved it.  A labeled edge ``(u, v)`` reads only the
+           community of ``v``'s ego holding ``u``, the community of ``u``'s
+           ego holding ``v`` and their ``r_C``, so its row can have moved
+           only if ``u`` or ``v`` is a changed ego or the ego of a
+           re-scored community.  Exactly those rows are rebuilt (every row
+           after a classifier refit, which re-scores every community) and
+           compared by value with the kept ones; rows that differ are
+           written into the design and the model is trained on all of it.
+           Training is a deterministic function of that matrix and the
+           fixed labels, so the kept model is the one a from-scratch fit
+           produces.
 
         The whole batch is validated before the first mutation, so bad
         input leaves the pipeline exactly as it was and raises the typed
@@ -446,10 +450,14 @@ class LoCEC:
             report.num_rescored_communities = self._rescore(
                 rescore_keys, changed_egos, report.classifier_refit
             )
-        # Equation 4 reads the division and the result vectors, nothing else.
+        # Equation 4 reads the division and the result vectors, nothing else:
+        # only rows at an ego whose communities or scores changed can move.
         if changed_egos or report.num_rescored_communities:
+            dirty = changed_egos.union(ego for ego, _ in rescore_keys)
             with self._timed(timings, "combination"):
-                report.labeler_refit = self._fit_edge_labeler()
+                report.labeler_refit = self._refit_edge_labeler(
+                    None if report.classifier_refit else dirty
+                )
 
         self._update_epoch += 1
         return report

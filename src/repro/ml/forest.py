@@ -187,15 +187,17 @@ class ForestTensor:
         """``(rows, trees)`` pool slots of the leaves all cursors land on."""
         num_rows = X.shape[0]
         position = np.broadcast_to(self.roots, (num_rows, self.num_trees)).copy()
+        row = np.arange(num_rows)[:, None]
         while True:
             feature = self.feature[position]
             internal = feature >= 0
             if not internal.any():
                 return position
-            x_value = np.take_along_axis(X, np.where(internal, feature, 0), axis=1)
-            go_left = x_value <= self.threshold[position]
+            # A leaf's feature is -1: it reads the last column, and its
+            # cursor stays where it is.
+            go_left = X[row, feature] <= self.threshold[position]
             child = np.where(go_left, self.left[position], self.right[position])
-            position = np.where(internal, child, position)
+            np.copyto(position, child, where=internal)
 
     def leaf_values_matrix(self, X: np.ndarray) -> np.ndarray:
         """``(rows, trees)`` leaf-weight matrix — the LoCEC-XGB embedding."""
@@ -214,6 +216,11 @@ def split_threshold(lo: float, hi: float) -> float:
     return float(lo) if threshold == hi else threshold
 
 
+FOLD_BLOCK_ROWS = 512
+""":func:`boosted_scores` folds this many rows at a time, so its working
+block stays a fixed size however many rows are scored."""
+
+
 def boosted_scores(
     leaf_values: np.ndarray,
     base_score: np.ndarray,
@@ -222,17 +229,30 @@ def boosted_scores(
 ) -> np.ndarray:
     """Raw boosted scores from a ``(rows, trees)`` leaf-weight matrix.
 
-    Per-tree contributions are accumulated sequentially in round-major
-    order (round 0's class trees, then round 1's, ...), one round of class
-    columns per step — each score sees the same float additions in the same
-    order as the oracle's per-tree loop (``tests/exact_reference.py``),
-    keeping the raw scores bit-identical — and a caller that already holds the leaf-value
-    embedding gets the scores without a second forest walk.
+    Each class's score is ``base_score + lr·v_0 + lr·v_1 + ...`` over its
+    trees in round order, added strictly left to right: one
+    ``np.add.accumulate`` along the round axis of a ``(rows, rounds + 1,
+    classes)`` block whose slot 0 holds ``base_score``, in blocks of
+    :data:`FOLD_BLOCK_ROWS` rows.  ``accumulate`` adds in sequence, so every
+    score sees the float additions of the oracle's per-tree loop
+    (``tests/exact_reference.py``) in its order, bit for bit
+    (``np.add.reduce`` does not promise that order).  A caller that already
+    holds the leaf-value embedding gets the scores without a second forest
+    walk; a zero ``base_score`` at rate 1 is the plain per-class sum.
     """
-    raw = np.tile(base_score, (leaf_values.shape[0], 1))
-    for start in range(0, leaf_values.shape[1], num_classes):
-        raw += learning_rate * leaf_values[:, start : start + num_classes]
-    return raw
+    num_rows = leaf_values.shape[0]
+    num_rounds = leaf_values.shape[1] // num_classes
+    scores = np.empty((num_rows, num_classes))
+    block = np.empty((min(num_rows, FOLD_BLOCK_ROWS), num_rounds + 1, num_classes))
+    for start in range(0, num_rows, FOLD_BLOCK_ROWS):
+        fold = block[: min(FOLD_BLOCK_ROWS, num_rows - start)]
+        stop = start + len(fold)
+        fold[:, 0] = base_score
+        rounds = leaf_values[start:stop].reshape(len(fold), num_rounds, num_classes)
+        np.multiply(rounds, learning_rate, out=fold[:, 1:])
+        np.add.accumulate(fold, axis=1, out=fold)
+        scores[start:stop] = fold[:, -1]
+    return scores
 
 
 class FeaturePresort:

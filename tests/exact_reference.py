@@ -13,7 +13,10 @@ tree at a time with the product classifier's API, and its ``predict`` /
 ``decision_function`` / ``leaf_values`` / ``leaf_indices`` walk the
 pointers.  :func:`forest_arrays` lays trees out the way a stacked forest
 must hold them, and :func:`forest_leaf_indices` reads the leaf-index
-embedding off a fitted model's stacked forest.
+embedding off a fitted model's stacked forest.  :func:`reference_boosted_scores`
+and :func:`reference_class_sums` fold a leaf-value matrix one round of
+class columns at a time, the loops the product's one-pass fold
+(:func:`repro.ml.forest.boosted_scores`) must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -180,6 +183,24 @@ def forest_leaf_indices(forest, X: np.ndarray) -> np.ndarray:
     trees walked in lockstep; a single row may come as a vector."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     return forest.leaf_id[forest.leaf_slots(X)]
+
+
+def reference_boosted_scores(leaf_values, base_score, learning_rate, num_classes):
+    """Raw scores from a ``(rows, trees)`` leaf-value matrix: ``base_score``
+    plus ``learning_rate`` times each round's class columns, round by round."""
+    raw = np.tile(base_score, (leaf_values.shape[0], 1))
+    for start in range(0, leaf_values.shape[1], num_classes):
+        raw += learning_rate * leaf_values[:, start : start + num_classes]
+    return raw
+
+
+def reference_class_sums(leaf_values, num_classes):
+    """Each class's leaf values summed over the rounds, round by round, from
+    zero (the per-class block of LoCEC-XGB's ``r_C`` before its softmax)."""
+    per_class = np.zeros((leaf_values.shape[0], num_classes))
+    for start in range(0, leaf_values.shape[1], num_classes):
+        per_class += leaf_values[:, start : start + num_classes]
+    return per_class
 
 
 class ReferenceBoostedClassifier:

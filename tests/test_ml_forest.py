@@ -34,11 +34,14 @@ from repro.core.community_classifier import GBDTCommunityClassifier
 from repro.core.config import GBDTConfig
 from repro.core.division import LocalCommunity
 from repro.exceptions import NotFittedError
+from repro.ml.base import softmax
 from repro.ml.forest import (
+    FOLD_BLOCK_ROWS,
     FeaturePresort,
     ForestTensor,
     RegressionTreeConfig,
     TreeTensor,
+    boosted_scores,
     grow_exact,
 )
 from repro.ml.gbdt import HIST_AUTO_MIN_ROWS, GradientBoostedClassifier
@@ -51,6 +54,8 @@ from tests.exact_reference import (
     forest_arrays,
     forest_leaf_indices,
     node_depth,
+    reference_boosted_scores,
+    reference_class_sums,
     reference_tree,
 )
 
@@ -518,6 +523,53 @@ class TestScoresFromThePartition:
         assert (model.num_hist_passes_ > 0) == (backend == "hist")
         assert walks == []
 
+@st.composite
+def leaf_value_matrices(draw):
+    """A ``(rows, rounds * classes)`` leaf-value matrix across fold blocks:
+    signed zeros, repeats and magnitudes from 1e-300 to 1e300 side by side."""
+    num_rows = draw(st.integers(0, 2 * FOLD_BLOCK_ROWS + 76))
+    num_classes = draw(st.integers(1, 4))
+    num_rounds = draw(st.integers(1, 40))
+    palette = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((0.0, -0.0)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (num_rows, num_rounds * num_classes)
+    wide = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    leaf_values = np.where(
+        rng.random(shape) < 0.5, np.array(palette)[rng.integers(len(palette), size=shape)], wide
+    )
+    base_score = np.array(
+        draw(st.lists(st.floats(-50.0, 50.0), min_size=num_classes, max_size=num_classes))
+    )
+    learning_rate = draw(st.sampled_from((0.3, 1.0, 0.1, 1e-3)))
+    return leaf_values, base_score, learning_rate, num_classes
+
+
+class TestFoldOracles:
+    """The one-pass fold of a leaf-value matrix equals the per-round loops
+    it replaced, to the byte (``np.add.accumulate`` adds left to right)."""
+
+    @given(problem=leaf_value_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_boosted_scores_and_class_sums_equal_the_round_loops(self, problem):
+        leaf_values, base_score, learning_rate, num_classes = problem
+        with np.errstate(all="ignore"):  # wide magnitudes may overflow to inf
+            scores = boosted_scores(leaf_values, base_score, learning_rate, num_classes)
+            expected = reference_boosted_scores(
+                leaf_values, base_score, learning_rate, num_classes
+            )
+            sums = boosted_scores(leaf_values, np.zeros(num_classes), 1.0, num_classes)
+            expected_sums = reference_class_sums(leaf_values, num_classes)
+        assert scores.shape == expected.shape == (len(leaf_values), num_classes)
+        assert scores.tobytes() == expected.tobytes()
+        assert sums.tobytes() == expected_sums.tobytes()
+
+
 def random_stores_and_communities(seed: int):
     """Random Phase II stores plus communities (mirrors test_phase2_csr)."""
     from repro.graph.features import NodeFeatureStore
@@ -575,6 +627,8 @@ class TestCommunityClassifierParity:
         # r_C's probability block is derived from the leaf values, not from
         # a second walk, and still is predict_proba to the last bit.
         assert np.array_equal(vectors[:, :3], probabilities)
+        per_class = reference_class_sums(node.leaf_values(design), 3)
+        assert vectors[:, 3:].tobytes() == softmax(per_class).tobytes()
 
     def test_result_vectors_walk_the_forest_once(self, monkeypatch):
         """Once, and only over the rows the fit did not partition: the first

@@ -231,8 +231,8 @@ def _dirtied_keys(graph, division, u, v):
     }
 
 
-def _warm_pair(pipeline, workload):
-    """An interacting edge whose delta dirties only unlabeled communities
+def _warm_pairs(pipeline, workload):
+    """Interacting edges whose delta dirties only unlabeled communities
     (and at least one): the common write when labels are sparse."""
     graph, division = workload.dataset.graph, pipeline.division_
     labeled = {
@@ -244,8 +244,14 @@ def _warm_pair(pipeline, workload):
     for (u, v), vector in workload.dataset.interactions.items():
         dirtied = _dirtied_keys(graph, division, u, v)
         if vector.any() and dirtied and not dirtied & labeled:
-            return u, v
-    raise AssertionError("tiny workload has no warm interaction target")
+            yield u, v
+
+
+def _warm_pair(pipeline, workload):
+    """The first of :func:`_warm_pairs`."""
+    pair = next(_warm_pairs(pipeline, workload), None)
+    assert pair is not None, "tiny workload has no warm interaction target"
+    return pair
 
 
 def _open_triangle_at_labeled_ego(workload):
@@ -291,6 +297,13 @@ def _assert_equals_scratch_fit(pipeline, workload, read=None):
     ) as scratch:
         edges = list(dataset.graph.edges())
         assert np.array_equal(read(edges), scratch.predict_edge_proba(edges))
+
+
+def _assert_kept_design(pipeline, train_edges):
+    """A write rebuilds only some rows of the labeler's design: the kept
+    design must still be every training edge's Equation 4 row, to the byte."""
+    design = pipeline.edge_feature_builder_.edge_features(train_edges)
+    assert pipeline.edge_labeler_._design[0].tobytes() == design.tobytes()
 
 
 @pytest.fixture()
@@ -453,6 +466,41 @@ class TestWarmModels:
         assert builder.num_compiles == 2
         _assert_equals_scratch_fit(pipeline, workload)
 
+    def test_the_labeler_rechecks_only_rows_at_the_egos_a_write_dirtied(self, fitted_tiny):
+        """Counted, not timed: a warm write rebuilds the design rows of
+        exactly the training edges incident to the egos of the communities
+        it re-scored (none when no training edge touches them), and a
+        classifier refit rebuilds every row.  The kept design stays equal
+        to the training edges' Equation 4 rows throughout."""
+        pipeline, workload = fitted_tiny
+        graph, division = workload.dataset.graph, pipeline.division_
+        labeler = pipeline.edge_labeler_
+        train_edges = [item.edge for item in workload.train_edges]
+        assert labeler.num_rows_checked == len(train_edges)
+
+        def rows_at(egos):
+            return sum(1 for u, v in train_edges if u in egos or v in egos)
+
+        pairs = {}
+        for u, v in _warm_pairs(pipeline, workload):
+            egos = {ego for ego, _ in _dirtied_keys(graph, division, u, v)}
+            pairs.setdefault(rows_at(egos) > 0, ((u, v), egos))
+        assert set(pairs) == {False, True}, "tiny lacks a warm write of each kind"
+        for (u, v), egos in pairs.values():
+            checked = labeler.num_rows_checked
+            delta = np.ones(workload.dataset.interactions.num_dims)
+            report = pipeline.apply_updates(interaction_deltas=[(u, v, delta)])
+            assert not report.classifier_refit and report.num_rescored_communities > 0
+            assert labeler.num_rows_checked - checked == rows_at(egos)
+            _assert_kept_design(pipeline, train_edges)
+
+        checked = labeler.num_rows_checked
+        refit = pipeline.apply_updates(added_edges=[_open_triangle_at_labeled_ego(workload)])
+        assert refit.classifier_refit
+        assert labeler.num_rows_checked - checked == len(train_edges)
+        _assert_kept_design(pipeline, train_edges)
+        _assert_equals_scratch_fit(pipeline, workload)
+
     def test_phase_ii_rows_and_votes_cost_what_a_write_changed(self, fitted_tiny):
         """Counted, not timed: ``fit`` computes each community's statistic
         row once and votes it once; a warm write computes exactly the rows
@@ -568,6 +616,7 @@ def test_generated_write_sequences_match_a_scratch_fit(writes):
             design_before = design
             design = pipeline.edge_feature_builder_.edge_features(train_edges)
             assert report.labeler_refit == (not np.array_equal(design_before, design))
+            _assert_kept_design(pipeline, train_edges)
             _assert_equals_scratch_fit(pipeline, workload)
         edge = _open_triangle_at_labeled_ego(workload)
         friend = workload.train_edges[0].v
@@ -580,6 +629,7 @@ def test_generated_write_sequences_match_a_scratch_fit(writes):
             {"feature_updates": [(friend, saved)]},
         ):
             refits.append(pipeline.apply_updates(**deltas).classifier_refit)
+            _assert_kept_design(pipeline, train_edges)
             _assert_equals_scratch_fit(pipeline, workload)
         # The friend sits in a community of its labeled ego: a training row.
         assert refits[1] and refits[3]
