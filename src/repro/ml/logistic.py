@@ -16,7 +16,9 @@ from repro.exceptions import DimensionMismatchError, ModelConfigError, TrainingD
 from repro.ml.base import check_fitted, check_X_y, one_hot, softmax
 
 GRADIENT_TOLERANCE = 1e-8
-""":meth:`LogisticRegression.fit` stops once every gradient entry is below this."""
+""":meth:`LogisticRegression.fit` stops once every gradient entry is below
+this times ``max(1, max|X|)``: a gradient entry scales with its feature, and
+float64 cannot resolve it below that relative size."""
 
 MAX_NEWTON_STEPS = 50
 """A fit that has not reached :data:`GRADIENT_TOLERANCE` after this many
@@ -45,7 +47,8 @@ class LogisticRegression:
     representative of least norm, so the Hessian is ≥ ``l2·I``, the minimiser
     is unique, and a class absent from the training labels keeps a finite
     bias.  The solve is damped Newton with Armijo backtracking, starting from
-    zero and stopping once ``max|∇| < GRADIENT_TOLERANCE``; there is no
+    zero and stopping once ``max|∇| < GRADIENT_TOLERANCE · max(1, max|X|)``
+    (the gradient scales with the features); there is no
     schedule, seed or iteration count, and the fitted model is a
     deterministic function of ``(X, y)``.
 
@@ -86,10 +89,12 @@ class LogisticRegression:
         targets = one_hot(y, num_classes)
         theta = np.zeros((design.shape[1], num_classes))
         objective, probabilities = self._objective(design, targets, theta)
+        # The ones column makes this max(1, max|X|).
+        tolerance = GRADIENT_TOLERANCE * np.max(np.abs(design))
 
         for _ in range(MAX_NEWTON_STEPS):
             gradient = design.T @ (probabilities - targets) / n_samples + self.l2 * theta
-            if np.max(np.abs(gradient)) < GRADIENT_TOLERANCE:
+            if np.max(np.abs(gradient)) < tolerance:
                 break
             hessian = self._hessian(design, probabilities)
             # Parameters are flattened class-major, as theta.T is.
@@ -106,7 +111,7 @@ class LogisticRegression:
             theta, objective, probabilities = candidate, value, candidate_probabilities
         else:
             raise TrainingDivergedError(
-                f"Newton solve did not reach max|gradient| < {GRADIENT_TOLERANCE} "
+                f"Newton solve did not reach max|gradient| < {tolerance} "
                 f"in {MAX_NEWTON_STEPS} steps"
             )
 

@@ -80,11 +80,13 @@ class TestLogisticRegression:
 
     def test_loss_decreases(self):
         """The fit is the objective's minimiser: its gradient is below the
-        solve's tolerance, and no 400-step descent reaches a lower loss."""
+        solve's tolerance (scaled by ``max(1, max|X|)``), and no 400-step
+        descent reaches a lower loss."""
         for X, y in (_linearly_separable(), _three_class_blobs()):
+            tolerance = GRADIENT_TOLERANCE * max(1.0, np.abs(X).max())
             for l2 in (1e-4, 1e-2):
                 model = LogisticRegression(l2=l2).fit(X, y)
-                assert np.abs(_gradient(model, X, y)).max() < GRADIENT_TOLERANCE
+                assert np.abs(_gradient(model, X, y)).max() < tolerance
                 assert model.loss(X, y) <= _descent_fit(X, y, l2).loss(X, y)
 
     def test_unsolvable_fit_raises_and_keeps_the_model(self):
@@ -96,6 +98,16 @@ class TestLogisticRegression:
         with pytest.raises(TrainingDivergedError):
             model.fit(X_bad, y)
         assert np.array_equal(model.weights_, weights)
+
+    def test_features_scaled_by_1e3_still_converge(self):
+        """The stop test scales with the features: an absolute 1e-8 sat
+        below what float64 resolves once a feature is ~1e3, and this design
+        raised TrainingDivergedError."""
+        X = np.random.default_rng(19).normal(size=(60, 2)) * 1e3
+        y = np.arange(60) % 2
+        model = LogisticRegression().fit(X, y)
+        scale = max(1.0, np.abs(X).max())
+        assert np.abs(_gradient(model, X, y)).max() < GRADIENT_TOLERANCE * scale
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
