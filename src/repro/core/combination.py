@@ -365,9 +365,14 @@ class EdgeLabeler:
 
     def _incident_rows(self, egos: Collection[Node]) -> np.ndarray:
         """The design rows of training edges with an endpoint in ``egos``."""
+        ids = self._ids[1]
         ego_ids = self.feature_builder.node_ids(egos, len(egos))
-        touched = np.isin(self._ids[1], ego_ids[ego_ids >= 0])
-        return np.flatnonzero(touched[self._ends].any(axis=1))
+        # A flag per index id, and a last one (never set) for the id -1 of
+        # a node the index does not hold.
+        flags = np.zeros(max(ids.max(), ego_ids.max(initial=-1)) + 2, dtype=bool)
+        flags[ego_ids[ego_ids >= 0]] = True
+        touched = flags[ids][self._ends]
+        return np.flatnonzero(touched[:, 0] | touched[:, 1])
 
     def _rows(self, ends: np.ndarray) -> np.ndarray:
         """Design rows of the edges behind ``(n, 2)`` endpoint ids."""
