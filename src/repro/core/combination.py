@@ -299,8 +299,8 @@ class EdgeLabeler:
         self._ids: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
         """The builder's ids of ``_nodes``, as of its ``num_compiles``."""
         self.num_model_fits = 0
-        """How many :meth:`fit` calls trained the model (the others found
-        the design matrix and targets they were handed already fitted)."""
+        """How many :meth:`fit` calls trained the model (the other re-fits
+        found the design matrix already fitted)."""
         self.num_rows_checked = 0
         """Design rows :meth:`fit` rebuilt from the feature builder."""
 
@@ -311,17 +311,17 @@ class EdgeLabeler:
         dirty_egos: Collection[Node] | None = None,
     ) -> "EdgeLabeler":
         """Train on labeled edges (class indices in ``labels``) or, called
-        without them, on the edges and labels of the last call.
+        without them, re-fit on the edges and labels of the last call.
 
         The model is the minimiser of its objective over the Equation 4
         design matrix and the targets, solved deterministically from them
-        alone.  A re-``fit`` whose rebuilt design matrix and targets equal
-        the fitted ones *by value* therefore keeps the model: training again
-        would reproduce it bit for bit.
+        alone.  A re-fit whose rebuilt design matrix equals the fitted one
+        *by value* therefore keeps the model: training again would
+        reproduce it bit for bit.
 
-        A re-``fit`` on the kept edges rebuilds their rows from the feature
-        builder's current state; ``dirty_egos`` narrows that to the rows of
-        edges with an endpoint among them.  An edge's row reads two things
+        A re-fit rebuilds the kept edges' rows from the feature builder's
+        current state; ``dirty_egos`` narrows that to the rows of edges
+        with an endpoint among them.  An edge's row reads two things
         only: the community of each endpoint's ego network that holds the
         other endpoint, and their ``r_C``.  So after a
         :meth:`EdgeFeatureBuilder.refresh` a row can have moved only if an
@@ -353,13 +353,14 @@ class EdgeLabeler:
         if not edges:
             raise PipelineError("cannot fit the edge labeler on zero edges")
         position: dict[Node, int] = {}
-        ends = [position.setdefault(node, len(position)) for node in chain.from_iterable(edges)]
+        ends = np.fromiter(
+            (position.setdefault(node, len(position)) for node in chain.from_iterable(edges)),
+            dtype=np.int64,
+            count=2 * len(edges),
+        ).reshape(-1, 2)
         nodes = list(position)
         ids = builder.node_ids(nodes, len(nodes))
-        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-        design = (self._rows(ids[ends]), np.asarray(labels, dtype=np.int64))
-        if self._design is None or not all(map(np.array_equal, design, self._design)):
-            self._train(*design)
+        self._train(self._rows(ids[ends]), np.asarray(labels, dtype=np.int64))
         self._nodes, self._ends, self._ids = nodes, ends, (builder.num_compiles, ids)
         return self
 
