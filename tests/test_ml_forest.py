@@ -523,6 +523,7 @@ class TestScoresFromThePartition:
         assert (model.num_hist_passes_ > 0) == (backend == "hist")
         assert walks == []
 
+
 @st.composite
 def leaf_value_matrices(draw):
     """A ``(rows, rounds * classes)`` leaf-value matrix across fold blocks:
