@@ -72,8 +72,8 @@ PAIR_BLOCK_SECONDS = 0.05
 
 # Routed-kernel vs oracle speedup pairs: csr/dict for the graph +
 # aggregation kernels, array/node for the tree-model kernels against the
-# oracle in tests/exact_reference.py, fused/loop for the NN engine against
-# tests/nn_reference.py, hist/array for the histogram split search (keyed
+# oracle in tests/exact_reference.py, fused/loop for the CommCNN network
+# against tests/nn_reference.py, hist/array for the histogram split search (keyed
 # with a "_hist" suffix so it doesn't collide with the array/node pair), and
 # incremental/full for the serving update path.
 SPEEDUP_PAIRS = (
@@ -192,8 +192,9 @@ def build_benchmarks(
     the stacked forest tensors), ``commcnn_tensor_{dict,csr}``
     (CNN input tensor emission, direct Phase2Kernel path on csr) and
     ``commcnn_{fit,predict}_{loop,fused}`` (CommCNN Adam training and batched
-    inference: the layer-by-layer oracle of ``tests/nn_reference.py`` vs the
-    compiled tape engine of ``repro.ml.nn.engine``; bit-identical outputs).
+    inference: the layer-by-layer oracle of ``tests/nn_reference.py``, built
+    from its own layers, vs the straight-line network of
+    ``repro.ml.nn.network``; bit-identical outputs).
     """
     import numpy as np
 
@@ -203,17 +204,16 @@ def build_benchmarks(
         reference_feature_matrix,
         reference_statistic_vector,
     )
-    from repro.core.commcnn import build_commcnn_model
+    from repro.core.commcnn import build_commcnn_classifier
     from repro.core.config import CommCNNConfig
     from repro.core.division import divide, get_detector
     from repro.graph.csr import CSRGraph, dense_ego_nets, edge_betweenness_csr
     from repro.graph.ego import ego_network
     from repro.ml import gbdt as gbdt_module
     from repro.ml.gbdt import GradientBoostedClassifier
-    from repro.ml.nn import NeuralNetworkClassifier
     from repro.synthetic import make_workload
     from tests.exact_reference import ReferenceBoostedClassifier
-    from tests.nn_reference import LoopClassifier
+    from tests.nn_reference import loop_commcnn
 
     scales = ["tiny"] if quick else ["tiny", "small"]
     workloads = {scale: make_workload(scale, seed=0) for scale in scales}
@@ -307,27 +307,19 @@ def build_benchmarks(
             )
         )
 
-    # CommCNN execution-engine kernels: the Figure-8 network trained on the
-    # CNN input tensor of every division community (k=20 rows, |I|+|f|
-    # columns, 3 classes), the layer-by-layer oracle ("loop") vs the
-    # compiled tape ("fused").  4 epochs keeps the oracle's fit inside the
-    # benchmark budget while exercising ragged batches and every optimiser
-    # step.
+    # CommCNN kernels: the Figure-8 network trained on the CNN input tensor
+    # of every division community (k=20 rows, |I|+|f| columns, 3 classes),
+    # the layer-by-layer oracle ("loop") vs the product's network
+    # ("fused"), each built from its own code.  4 epochs keeps the oracle's
+    # fit inside the benchmark budget while exercising ragged batches and
+    # every optimiser step.
     tensor = builder.matrices_as_tensor(communities)
     cnn_labels = np.arange(tensor.shape[0]) % 3
     cnn_config = CommCNNConfig(epochs=4)
 
     def commcnn_fit(backend: str):
-        classifier_type = LoopClassifier if backend == "loop" else NeuralNetworkClassifier
-        classifier = classifier_type(
-            build_commcnn_model(20, builder.num_columns, 3, config=cnn_config),
-            num_classes=3,
-            epochs=cnn_config.epochs,
-            batch_size=cnn_config.batch_size,
-            learning_rate=cnn_config.learning_rate,
-            seed=cnn_config.seed,
-        )
-        return classifier.fit(tensor, cnn_labels)
+        build = build_commcnn_classifier if backend == "fused" else loop_commcnn
+        return build(20, builder.num_columns, 3, cnn_config).fit(tensor, cnn_labels)
 
     cnn_fitted = {backend: commcnn_fit(backend) for backend in ("loop", "fused")}
     for backend in ("loop", "fused"):

@@ -11,7 +11,7 @@ from repro.core.combination import (
     EdgeLabeler,
     community_key,
 )
-from repro.core.commcnn import build_commcnn_classifier, build_commcnn_model
+from repro.core.commcnn import build_commcnn_classifier
 from repro.core.community_classifier import (
     CNNCommunityClassifier,
     CommunityClassifier,
@@ -56,7 +56,6 @@ __all__ = [
     "interaction_feature_vector",
     "FeatureMatrixBuilder",
     "CommunityFeatureMatrix",
-    "build_commcnn_model",
     "build_commcnn_classifier",
     "CommunityClassifier",
     "CNNCommunityClassifier",

@@ -14,8 +14,8 @@ combination phase:
 
 Both classifiers gather their design tensors through the
 :class:`FeatureMatrixBuilder` they are handed and run the model classes'
-one executor each (:mod:`repro.ml.forest`'s tensors, the compiled tape of
-:mod:`repro.ml.nn.engine`).  The references those are held to are test
+one executor each (:mod:`repro.ml.forest`'s tensors, the straight-line
+network of :mod:`repro.ml.nn.network`).  The references those are held to are test
 oracles: ``tests/exact_reference.py`` (scalar split scan, pointer-walk
 trees) and ``tests/nn_reference.py`` (the layer-by-layer network).
 """
@@ -79,7 +79,7 @@ class CNNCommunityClassifier(CommunityClassifier):
         CommCNN hyper-parameters.
     branch_toggles:
         Optional keyword toggles (``include_square_branch`` etc.) forwarded
-        to :func:`repro.core.commcnn.build_commcnn_model` for ablations.
+        to :func:`repro.core.commcnn.build_commcnn_classifier` for ablations.
     """
 
     def __init__(

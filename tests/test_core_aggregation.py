@@ -9,13 +9,11 @@ from repro.core import (
     CommCNNConfig,
     FeatureMatrixBuilder,
     build_commcnn_classifier,
-    build_commcnn_model,
     divide_ego,
     interaction_feature_vector,
 )
 from repro.exceptions import ModelConfigError, PipelineError
 from repro.graph import InteractionStore, NodeFeatureStore
-from repro.ml.nn import CompiledNetwork
 from tests.equation_reference import interact
 from tests.graph_fixtures import paper_figure7_network
 
@@ -145,31 +143,27 @@ class TestFeatureMatrixBuilder:
         np.testing.assert_allclose(result.matrix[:, 2:], np.zeros((3, 2)))
 
 
-def _logits(model, X):
-    """``model``'s logits on ``X`` through the compiled engine, which
-    re-derives every layer's shape and rejects a mis-sized dense head."""
-    return CompiledNetwork(model, X.shape[1:], 3, capacity=len(X)).forward(X)
+def _probabilities(rng, k, num_columns, **branch_toggles):
+    """A one-epoch CommCNN's probabilities on four random rows."""
+    config = CommCNNConfig(epochs=1)
+    clf = build_commcnn_classifier(k, num_columns, 3, config=config, **branch_toggles)
+    X = rng.normal(size=(6, 1, k, num_columns))
+    return clf.fit(X, np.array([0, 1, 2] * 2)).predict_proba(X[:4])
 
 
 class TestCommCNN:
     def test_model_output_width_is_num_classes(self, rng):
-        model = build_commcnn_model(k=10, num_columns=8, num_classes=3)
-        out = _logits(model, rng.normal(size=(4, 1, 10, 8)))
-        assert out.shape == (4, 3)
+        assert _probabilities(rng, 10, 8).shape == (4, 3)
 
     def test_branch_toggles(self, rng):
-        model = build_commcnn_model(
-            k=10,
-            num_columns=8,
-            num_classes=3,
-            include_wide_branch=False,
-            include_long_branch=False,
+        proba = _probabilities(
+            rng, 10, 8, include_wide_branch=False, include_long_branch=False
         )
-        assert _logits(model, rng.normal(size=(2, 1, 10, 8))).shape == (2, 3)
+        assert proba.shape == (4, 3)
 
     def test_all_branches_disabled_raises(self):
         with pytest.raises(ModelConfigError):
-            build_commcnn_model(
+            build_commcnn_classifier(
                 k=10,
                 num_columns=8,
                 num_classes=3,
@@ -179,14 +173,13 @@ class TestCommCNN:
             )
 
     def test_small_k_still_builds(self, rng):
-        model = build_commcnn_model(k=2, num_columns=5, num_classes=3)
-        assert _logits(model, rng.normal(size=(2, 1, 2, 5))).shape == (2, 3)
+        assert _probabilities(rng, 2, 5).shape == (4, 3)
 
     def test_invalid_arguments(self):
         with pytest.raises(ModelConfigError):
-            build_commcnn_model(k=0, num_columns=5, num_classes=3)
+            build_commcnn_classifier(k=0, num_columns=5, num_classes=3)
         with pytest.raises(ModelConfigError):
-            build_commcnn_model(k=5, num_columns=5, num_classes=1)
+            build_commcnn_classifier(k=5, num_columns=5, num_classes=1)
 
     def test_config_validation(self):
         config = CommCNNConfig(num_filters=0)

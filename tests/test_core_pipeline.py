@@ -13,7 +13,7 @@ from repro.exceptions import NotFittedError, PipelineError
 from repro.synthetic import make_workload
 from repro.types import RelationType
 from tests.exact_reference import ReferenceBoostedClassifier
-from tests.test_nn_engine import _commcnn
+from tests.nn_reference import loop_commcnn
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +230,8 @@ def test_every_layer_of_a_default_fit_matches_its_oracle(tiny_workload, model):
             num_classes=fitted.num_classes,
         ).fit(builder.statistic_vectors(train), labels)
     else:
-        reference._classifier = _commcnn(
-            config.k, builder.num_columns, fitted.num_classes, config.cnn, "loop"
+        reference._classifier = loop_commcnn(
+            config.k, builder.num_columns, fitted.num_classes, config.cnn
         ).fit(builder.matrices_as_tensor(train) / fitted._column_scale, labels)
     assert np.array_equal(
         reference.result_vectors(communities), fitted.result_vectors(communities)
