@@ -223,7 +223,8 @@ class _MaxPool:
 
     def forward(self, n: int, training: bool) -> None:
         gathered = self.gathered[:n]
-        np.take(self.x[:n], self.gather, axis=1, mode="clip", out=gathered.reshape(n, -1))
+        flat = gathered.reshape(n, self.gather.size)  # (n, -1) fails on zero rows
+        np.take(self.x[:n], self.gather, axis=1, mode="clip", out=flat)
         out = self.out[:n]
         out[...] = gathered[:, 0, :]
         if not training:

@@ -5,13 +5,16 @@ of ``tests/nn_reference.py`` (``"loop"``), built from its own layer
 specifications, and on the product's network (``"fused"``) — and compares
 bytes: the product's packed parameter and gradient vectors against the
 oracle's flattened parameters and gradients, the loss histories and the
-probabilities.  Generated configurations cover ``k`` and column counts from
-1, every branch toggle, ragged last batches, dropout on and off and a
-second fit.  ``TestBlockedInference`` holds the block contract on both: a
-row's probabilities do not depend on the rows sharing its call.
+probabilities.  Hand-picked cases and generated configurations cover ``k``
+and column counts from 1, every branch toggle, ragged last batches, dropout
+on and off and a second fit.  ``TestBlockedInference`` holds the block
+contract on both: a row's probabilities do not depend on the rows sharing
+its call.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -52,6 +55,15 @@ def _assert_identical(loop_clf, fused_clf, X) -> None:
     assert loop_theta.tobytes() == fused_theta.tobytes(), "weights diverge"
     assert loop_grad.tobytes() == fused_grad.tobytes(), "gradients diverge"
     assert loop_clf.predict_proba(X).tobytes() == fused_clf.predict_proba(X).tobytes()
+
+
+def _fit_pair(k, num_columns, num_classes, X, y, config, **branch_toggles):
+    """Fit two identically-configured CommCNNs, the oracle and the product."""
+    loop_clf, fused_clf = (
+        _commcnn(k, num_columns, num_classes, config, backend, **branch_toggles).fit(X, y)
+        for backend in ("loop", "fused")
+    )
+    return loop_clf, fused_clf
 
 
 def _random_problem(rng, n, k, num_columns, num_classes):
@@ -115,6 +127,70 @@ class TestCommCNNParity:
             fused_clf.fit(X, y)
             _assert_identical(loop_clf, fused_clf, unseen)
 
+    def test_full_network_ragged_batches_dropout(self):
+        rng = np.random.default_rng(7)
+        X, y = _random_problem(rng, 83, 12, 9, 3)  # 83 % 32 != 0: ragged batch
+        config = CommCNNConfig(epochs=3, dropout=0.2, seed=3)
+        loop_clf, fused_clf = _fit_pair(12, 9, 3, X, y, config)
+        _assert_identical(loop_clf, fused_clf, X)
+
+    def test_no_dropout(self):
+        rng = np.random.default_rng(11)
+        X, y = _random_problem(rng, 64, 10, 8, 3)
+        config = CommCNNConfig(epochs=3, dropout=0.0, seed=1)
+        loop_clf, fused_clf = _fit_pair(10, 8, 3, X, y, config)
+        _assert_identical(loop_clf, fused_clf, X)
+
+    @pytest.mark.parametrize(
+        "toggles",
+        [
+            {"include_wide_branch": False, "include_long_branch": False},
+            {"include_square_branch": False, "include_long_branch": False},
+            {"include_square_branch": False, "include_wide_branch": False},
+        ],
+        ids=["square-only", "wide-only", "long-only"],
+    )
+    def test_single_branch_ablations(self, toggles):
+        rng = np.random.default_rng(13)
+        X, y = _random_problem(rng, 45, 8, 7, 2)
+        config = CommCNNConfig(epochs=2, dropout=0.1, seed=5)
+        loop_clf, fused_clf = _fit_pair(8, 7, 2, X, y, config, **toggles)
+        _assert_identical(loop_clf, fused_clf, X)
+
+    def test_predict_on_unseen_larger_batch(self):
+        """A batch larger than ``batch_size`` is scored block by block."""
+        rng = np.random.default_rng(29)
+        X, y = _random_problem(rng, 40, 10, 7, 3)
+        config = CommCNNConfig(epochs=2, dropout=0.1, seed=8)
+        loop_clf, fused_clf = _fit_pair(10, 7, 3, X, y, config)
+        X_big, _ = _random_problem(rng, 300, 10, 7, 3)
+        assert np.array_equal(loop_clf.predict_proba(X_big), fused_clf.predict_proba(X_big))
+        # The 300 rows ran through the one batch_size-row input buffer.
+        assert fused_clf._input.shape[0] == config.batch_size
+
+    def test_refit_same_classifier(self):
+        """A second fit continues from the first fit's weights with fresh
+        Adam moments — it equals a new classifier started from a copy of the
+        once-fitted weights — and stays bit-identical to the loop."""
+        rng = np.random.default_rng(31)
+        X1, y1 = _random_problem(rng, 40, 8, 6, 3)
+        X2, y2 = _random_problem(rng, 36, 8, 6, 3)
+        config = CommCNNConfig(epochs=2, dropout=0.0, seed=9)
+        fitted = []
+        for backend in ("loop", "fused"):
+            clf = _commcnn(8, 6, 3, config, backend)
+            clf.fit(X1, y1)
+            restarted = _commcnn(8, 6, 3, config, backend)
+            if backend == "loop":
+                restarted.model = copy.deepcopy(clf.model)
+            else:
+                restarted.theta[...] = clf.theta
+            clf.fit(X2, y2)
+            restarted.fit(X2, y2)
+            _assert_identical(clf, restarted, X2)
+            fitted.append(clf)
+        _assert_identical(fitted[0], fitted[1], X2)
+
 
 @pytest.fixture(scope="module")
 def blocked_problem():
@@ -162,6 +238,16 @@ class TestBackendResolution:
         # tests/nn_reference.py, and a stale ``backend=`` caller fails.
         with pytest.raises(TypeError):
             build_commcnn_classifier(4, 3, 2, backend="loop")
+
+
+class TestCompiledNetworkDirect:
+    """The network's forward pass called directly, below ``predict_proba``'s
+    blocks."""
+
+    def test_empty_input_forward(self):
+        clf = build_commcnn_classifier(4, 3, 2, config=CommCNNConfig(dropout=0.3))
+        for training in (False, True):
+            assert clf._forward(0, training=training).shape == (0, 2)
 
 
 class TestNetwork:
