@@ -1,6 +1,5 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-* Phase I detector: Girvan–Newman vs label propagation vs Louvain.
 * CommCNN kernel set: all three branches vs square-only.
 * Feature-matrix row ordering: tightness-ordered vs arbitrary ordering.
 * Phase III combiner: learned logistic regression vs the naive agreement rule.
@@ -18,42 +17,10 @@ from repro.core import (
     FeatureMatrixBuilder,
     LoCEC,
     LoCECConfig,
-    divide,
     labeled_communities,
 )
 from repro.ml.metrics import accuracy, classification_report
 from repro.ml.preprocessing import train_test_split_indices
-
-
-def test_ablation_community_detector(benchmark, bench_workload):
-    """Detector quality: GN/Louvain should produce communities at least as
-    label-pure as the much cheaper label-propagation alternative."""
-    dataset = bench_workload.dataset
-    label_index = EdgeLabelIndex(bench_workload.labeled_edges)
-    egos = list(dataset.graph.nodes())[:60]
-
-    def run_all() -> dict[str, float]:
-        purities: dict[str, float] = {}
-        for detector in ("girvan_newman", "label_propagation", "louvain"):
-            division = divide(dataset.graph, egos=egos, detector=detector)
-            scores: list[float] = []
-            for community in division.all_communities():
-                labels = [
-                    label_index.get(community.ego, member)
-                    for member in community.members
-                ]
-                known = [label for label in labels if label is not None]
-                if len(known) < 2:
-                    continue
-                top = max(known.count(value) for value in set(known))
-                scores.append(top / len(known))
-            purities[detector] = float(np.mean(scores)) if scores else 0.0
-        return purities
-
-    purities = run_once(benchmark, run_all)
-    assert purities["girvan_newman"] > 0.7
-    assert purities["girvan_newman"] >= purities["label_propagation"] - 0.05
-    print("\ncommunity label purity per detector:", purities)
 
 
 def _community_split(bench_workload):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core import LoCEC, LoCECConfig, divide_ego
+from repro.core import LoCEC, LoCECConfig, divide
 from repro.graph import Graph, InteractionStore, NodeFeatureStore
 from repro.types import InteractionDim, LabeledEdge, RelationType
 
@@ -68,7 +68,7 @@ labeled = [
 
 def main() -> None:
     print("Alice's ego network splits into these local communities:")
-    for community in divide_ego(graph, "alice"):
+    for community in divide(graph, egos=["alice"]).communities_of("alice"):
         members = ", ".join(sorted(community.members))
         print(f"  community {community.index}: {{{members}}}")
 

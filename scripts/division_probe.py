@@ -2,30 +2,36 @@
 
     PYTHONPATH=src python scripts/division_probe.py
 
-For every detector, divides the same graph four more ways — rebuilt with
-shuffled node / edge insertion and random endpoint orientation on either
-route, through the routed kernel, and as a bare
-``CSRGraph(indptr, indices, nodes)`` — and counts the egos
-whose community list (members, index, tightness) differs from, or is
-missing against, the oracle (the detector as a callable, which runs on
-ego-network ``Graph`` objects) on the graph as generated.  Every cell must
-read ``0/N``; exits non-zero otherwise.  (~10 s.)
+Divides the same graph four more ways — rebuilt with shuffled node / edge
+insertion and random endpoint orientation through the oracle and through
+``divide``, through ``divide`` as generated, and as a bare
+``CSRGraph(indptr, indices, nodes)`` — and counts the egos whose community
+list (members, index, tightness) differs from, or is missing against, the
+oracle (``reference_divide`` of ``tests/division_reference.py``, which runs
+Girvan–Newman on ego-network ``Graph`` objects) on the graph as generated.
+Every cell must read ``0/N``; exits non-zero otherwise.  (~10 s.)
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 
-from repro.core.division import DivisionResult, divide, get_detector
-from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph
-from repro.synthetic import make_workload
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# The Phase I oracle is a test module (tests/division_reference.py).
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
-DETECTORS = ("girvan_newman", "label_propagation", "louvain")
+from repro.core.division import DivisionResult, divide  # noqa: E402 — needs the sys.path fix above
+from repro.graph.csr import CSRGraph  # noqa: E402
+from repro.graph.graph import Graph  # noqa: E402
+from repro.synthetic import make_workload  # noqa: E402
+from tests.division_reference import reference_divide  # noqa: E402
+
 GRID = (
-    ("tiny", DETECTORS, ("oracle shuffled", "routed", "routed shuffled", "routed source-less")),
-    ("small", ("girvan_newman",), ("routed",)),
+    ("tiny", ("oracle shuffled", "routed", "routed shuffled", "routed source-less")),
+    ("small", ("routed",)),
 )
 SEEDS = (0, 1, 2)
 
@@ -44,33 +50,29 @@ def source_less(graph: Graph) -> CSRGraph:
     return CSRGraph(snapshot.indptr, snapshot.indices, list(snapshot.nodes()))
 
 
-def divide_leg(graph: Graph, seed: int, detector: str, leg: str) -> DivisionResult:
+def divide_leg(graph: Graph, seed: int, leg: str) -> DivisionResult:
     if leg == "oracle shuffled":
-        return divide(shuffled(graph, seed), detector=get_detector(detector))
+        return reference_divide(shuffled(graph, seed))
     if leg == "routed shuffled":
-        return divide(shuffled(graph, seed), detector=detector)
+        return divide(shuffled(graph, seed))
     if leg == "routed source-less":
-        return divide(source_less(graph), detector=detector)
-    return divide(graph, detector=detector)
+        return divide(source_less(graph))
+    return divide(graph)
 
 
 def main() -> int:
     differing_total = 0
-    for scale, detectors, legs in GRID:
+    for scale, legs in GRID:
         graphs = {seed: make_workload(scale, seed=seed).dataset.graph for seed in SEEDS}
-        for detector in detectors:
-            oracle = {
-                seed: divide(graph, detector=get_detector(detector)).communities_by_ego
-                for seed, graph in graphs.items()
-            }
-            for leg in legs:
-                cells = []
-                for seed, graph in graphs.items():
-                    got = divide_leg(graph, seed, detector, leg).communities_by_ego
-                    differing = sum(got.get(ego) != blocks for ego, blocks in oracle[seed].items())
-                    differing_total += differing
-                    cells.append(f"{differing}/{len(got)}")
-                print(f"{scale:5s} {detector:18s} {leg:18s} {' '.join(cells)}", flush=True)
+        oracle = {seed: reference_divide(graph).communities_by_ego for seed, graph in graphs.items()}
+        for leg in legs:
+            cells = []
+            for seed, graph in graphs.items():
+                got = divide_leg(graph, seed, leg).communities_by_ego
+                differing = sum(got.get(ego) != blocks for ego, blocks in oracle[seed].items())
+                differing_total += differing
+                cells.append(f"{differing}/{len(got)}")
+            print(f"{scale:5s} {leg:18s} {' '.join(cells)}", flush=True)
     return 1 if differing_total else 0
 
 

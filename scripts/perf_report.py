@@ -51,7 +51,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-# The model-layer oracles are test modules (tests/*_reference.py).
+# The oracles are test modules (tests/*_reference.py).
 if str(REPO_ROOT) not in sys.path:
     sys.path.append(str(REPO_ROOT))
 
@@ -178,8 +178,9 @@ def build_benchmarks(
     not per-call), and each side runs its native representation (the
     ``_dict`` oracles materialise ``Graph`` ego nets and look stores up pair
     by pair, the routed kernels run on flat arrays).  The headline pairs are
-    ``phase1_division_small_{dict,csr}`` — end-to-end Phase I division —
-    and ``phase2_{feature_matrices,statistic_vectors}_small_{dict,csr}`` —
+    ``phase1_division_small_{dict,csr}`` — end-to-end Phase I division, the
+    one-ego-at-a-time oracle of ``tests/division_reference.py`` against
+    ``divide`` — and ``phase2_{feature_matrices,statistic_vectors}_small_{dict,csr}`` —
     end-to-end Phase II aggregation over every division community (the
     Phase II kernel is likewise compiled outside the timed region, matching
     its once-per-fit lifecycle).  The model layer gets the same treatment:
@@ -198,7 +199,6 @@ def build_benchmarks(
     """
     import numpy as np
 
-    from repro.community.betweenness import edge_betweenness
     from repro.core.aggregation import (
         FeatureMatrixBuilder,
         reference_feature_matrix,
@@ -206,12 +206,12 @@ def build_benchmarks(
     )
     from repro.core.commcnn import build_commcnn_classifier
     from repro.core.config import CommCNNConfig
-    from repro.core.division import divide, get_detector
+    from repro.core.division import divide
     from repro.graph.csr import CSRGraph, dense_ego_nets, edge_betweenness_csr
-    from repro.graph.ego import ego_network
     from repro.ml import gbdt as gbdt_module
     from repro.ml.gbdt import GradientBoostedClassifier
     from repro.synthetic import make_workload
+    from tests.division_reference import edge_betweenness, ego_network, reference_divide
     from tests.exact_reference import ReferenceBoostedClassifier
     from tests.nn_reference import loop_commcnn
 
@@ -236,7 +236,7 @@ def build_benchmarks(
     for scale in scales:
         scale_graph = workloads[scale].dataset.graph
         benchmarks[f"phase1_division_{scale}_dict"] = (
-            lambda g=scale_graph: divide(g, detector=get_detector("girvan_newman"))
+            lambda g=scale_graph: reference_divide(g)
         )
         benchmarks[f"phase1_division_{scale}_csr"] = lambda g=scale_graph: divide(g)
 

@@ -4,8 +4,8 @@ This package reproduces *LoCEC: Local Community-based Edge Classification in
 Large Online Social Networks* (Song et al., ICDE 2020) as a self-contained
 Python library:
 
-* :mod:`repro.graph` — graph / feature / interaction substrate,
-* :mod:`repro.community` — Girvan–Newman and alternative detectors,
+* :mod:`repro.graph` — graph / feature / interaction substrate and the
+  Girvan–Newman kernels of Phase I,
 * :mod:`repro.ml` — from-scratch GBDT, logistic regression and CNN stack,
 * :mod:`repro.core` — the three-phase LoCEC pipeline (the paper's contribution),
 * :mod:`repro.baselines` — ProbWP, Economix, plain XGBoost, group-name rules,

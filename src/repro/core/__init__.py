@@ -22,8 +22,6 @@ from repro.core.division import (
     DivisionResult,
     LocalCommunity,
     divide,
-    divide_ego,
-    get_detector,
 )
 from repro.core.labels import (
     EdgeLabelIndex,
@@ -38,7 +36,6 @@ from repro.core.results import (
     EdgeClassification,
     LoCECResult,
 )
-from repro.core.tightness import community_tightness
 
 __all__ = [
     "LoCEC",
@@ -48,11 +45,8 @@ __all__ = [
     "FitSummary",
     "PhaseTimings",
     "divide",
-    "divide_ego",
-    "get_detector",
     "DivisionResult",
     "LocalCommunity",
-    "community_tightness",
     "interaction_feature_vector",
     "FeatureMatrixBuilder",
     "CommunityFeatureMatrix",

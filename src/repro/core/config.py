@@ -73,9 +73,6 @@ class LoCECConfig:
         study (Figure 10b) selects ``k = 20``.
     community_model:
         ``"cnn"`` for LoCEC-CNN (CommCNN) or ``"xgb"`` for LoCEC-XGB.
-    community_detector:
-        Phase I algorithm: ``"girvan_newman"`` (paper default),
-        ``"label_propagation"`` or ``"louvain"`` (ablations).
     edge_lr_l2:
         L2 strength of the Phase III logistic-regression edge labeler, whose
         fit is the minimiser of its penalised objective (so it must be
@@ -84,7 +81,6 @@ class LoCECConfig:
 
     k: int = 20
     community_model: str = "cnn"
-    community_detector: str = "girvan_newman"
     edge_lr_l2: float = 1e-4
     cnn: CommCNNConfig = field(default_factory=CommCNNConfig)
     gbdt: GBDTConfig = field(default_factory=GBDTConfig)
@@ -98,15 +94,6 @@ class LoCECConfig:
         if self.community_model not in {"cnn", "xgb"}:
             raise ModelConfigError(
                 f"community_model must be 'cnn' or 'xgb', got {self.community_model!r}"
-            )
-        if self.community_detector not in {
-            "girvan_newman",
-            "label_propagation",
-            "louvain",
-        }:
-            raise ModelConfigError(
-                "community_detector must be one of 'girvan_newman', "
-                f"'label_propagation', 'louvain', got {self.community_detector!r}"
             )
         LogisticRegression(l2=self.edge_lr_l2)
         self.cnn.validate()

@@ -1,9 +1,10 @@
 """Phase I — Division: ego-network extraction and local community detection.
 
 For every ego node ``v`` the global graph is reduced to the ego network
-``G_v`` (``v`` and its incident edges excluded) and a community-detection
-algorithm — Girvan–Newman in the paper, label propagation / Louvain as
-ablations — partitions the ego's friends into *local communities*.
+``G_v`` (``v`` and its incident edges excluded) and Girvan–Newman
+partitions the ego's friends into *local communities*, on the CSR arrays of
+:mod:`repro.graph.csr`.  The readable one-ego-at-a-time form on ``Graph``
+objects is the test oracle ``tests/division_reference.py``.
 
 The output of this phase is a :class:`DivisionResult`: for every processed
 ego, the list of its :class:`LocalCommunity` objects carrying the member set
@@ -13,15 +14,9 @@ and the per-member tightness values needed by Phases II and III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from repro.community.girvan_newman import girvan_newman
-from repro.community.label_propagation import label_propagation_communities
-from repro.community.louvain import louvain_communities
-from repro.core.tightness import community_tightness
-from repro.exceptions import PipelineError
 from repro.graph.csr import CSRGraph, DenseEgoNet, dense_ego_nets, girvan_newman_dense
-from repro.graph.ego import ego_network
 from repro.graph.graph import Graph
 from repro.types import Node, node_key
 
@@ -86,9 +81,7 @@ class DivisionResult:
 
         Returns ``None`` when ``ego`` was not processed or ``friend`` is not a
         friend of ``ego`` (a division of some egos only, or a pair that is
-        not an edge).  The
-        built-in detectors emit partitions; if a custom detector's blocks
-        overlap on a member, the community earlier in the list wins.
+        not an edge).
 
         A scan of the ego's current list, so it always reads the division as
         it is.  Phase III does not probe here: it compiles its own edge index
@@ -124,110 +117,6 @@ class DivisionResult:
         return [community.size for community in self.all_communities()]
 
 
-DetectorFn = Callable[[Graph], Sequence[frozenset[Node]]]
-
-
-def _girvan_newman_detector(graph: Graph) -> Sequence[frozenset[Node]]:
-    return girvan_newman(graph).communities
-
-
-def _label_propagation_detector(graph: Graph) -> Sequence[frozenset[Node]]:
-    return label_propagation_communities(graph)
-
-
-def _louvain_detector(graph: Graph) -> Sequence[frozenset[Node]]:
-    return louvain_communities(graph)
-
-
-_DETECTORS: dict[str, DetectorFn] = {
-    "girvan_newman": _girvan_newman_detector,
-    "label_propagation": _label_propagation_detector,
-    "louvain": _louvain_detector,
-}
-
-
-def get_detector(name: str) -> DetectorFn:
-    """Look up a community detector by name."""
-    try:
-        return _DETECTORS[name]
-    except KeyError:
-        raise PipelineError(
-            f"unknown community detector {name!r}; available: {sorted(_DETECTORS)}"
-        ) from None
-
-
-def _divider(
-    graph: Graph | CSRGraph, detector: DetectorFn | str
-) -> Callable[[list[Node]], dict[Node, list[LocalCommunity]]]:
-    """Resolve the Phase I route once; the returned callable divides a list
-    of distinct egos.
-
-    A detector *name* runs its routed kernel: ``"girvan_newman"`` the CSR
-    engine of :mod:`repro.graph.csr`, the ablation detectors (which have
-    none) their reference.  A detector *callable* always runs on ego-network
-    :class:`Graph` objects — ``get_detector("girvan_newman")`` is therefore
-    the oracle the CSR engine is tested against.  A :class:`CSRGraph` headed
-    for the ``Graph`` path is materialised here, once per call — never once
-    per ego.
-    """
-    if detector == "girvan_newman":
-        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-        return lambda egos: _divide_csr(csr, egos)
-    source = graph.to_graph() if isinstance(graph, CSRGraph) else graph
-    detect = get_detector(detector) if isinstance(detector, str) else detector
-    return lambda egos: {
-        ego: _detect_communities(ego_network(source, ego), ego, detect) for ego in egos
-    }
-
-
-def divide_ego(
-    graph: Graph,
-    ego: Node,
-    detector: DetectorFn | str = "girvan_newman",
-) -> list[LocalCommunity]:
-    """Run Phase I for a single ego node — ``divide(graph, egos=[ego])``'s
-    route, one ego at a time.
-
-    Returns the ego's local communities with per-member tightness values.
-    An ego with no friends yields an empty list.  For repeated calls prefer
-    :func:`divide`, which builds the CSR snapshot once and runs the egos'
-    Girvan-Newman sweeps in lockstep.
-    """
-    return _divider(graph, detector)([ego])[ego]
-
-
-def _detect_communities(
-    ego_net: Graph, ego: Node, detector: DetectorFn
-) -> list[LocalCommunity]:
-    """Run ``detector`` on an ego-network :class:`Graph` and score tightness."""
-    if ego_net.num_nodes == 0:
-        return []
-    blocks = [members for members in map(frozenset, detector(ego_net)) if members]
-    return [
-        LocalCommunity(
-            ego=ego,
-            members=members,
-            tightness=community_tightness(ego_net, members),
-            index=index,
-        )
-        for index, members in enumerate(blocks)
-    ]
-
-
-def _divide_csr(csr: CSRGraph, egos: list[Node]) -> dict[Node, list[LocalCommunity]]:
-    """Girvan-Newman (the paper's detector) for every ego, entirely on the
-    flat local arrays; results are identical to the callable detector's.
-
-    Every ego net is extracted first, so an unknown ego raises
-    :class:`NodeNotFoundError` before any GN work; the GN sweeps then run in
-    lockstep (:func:`repro.graph.csr.girvan_newman_dense`)."""
-    nets = dense_ego_nets(csr, egos)
-    return {
-        ego: _communities_csr(ego, net, blocks)
-        for ego, net, blocks in zip(egos, nets, girvan_newman_dense(nets))
-    }
-
-
 def _communities_csr(
     ego: Node, net: DenseEgoNet, blocks: list[list[int]]
 ) -> list[LocalCommunity]:
@@ -258,9 +147,9 @@ def _block_tightness(
 ) -> dict[Node, float]:
     """Equation 3 for one local community, on int-indexed adjacency lists.
 
-    Same integer counts and float operations as
-    :func:`repro.core.tightness.community_tightness`, so the values match it
-    bit for bit.
+    Same integer counts and float operations as the oracle's
+    ``community_tightness`` (``tests/division_reference.py``), so the values
+    match it bit for bit.
     """
     size = len(block)
     if size == 1:
@@ -282,25 +171,26 @@ def _block_tightness(
     return values
 
 
-def divide(
-    graph: Graph,
-    egos: Iterable[Node] | None = None,
-    detector: DetectorFn | str = "girvan_newman",
-) -> DivisionResult:
+def divide(graph: Graph | CSRGraph, egos: Iterable[Node] | None = None) -> DivisionResult:
     """Run Phase I for every ego in ``egos`` (default: every node of the graph,
     in :data:`repro.types.node_key` order; a repeated ego is divided once).
 
     No ego's division depends on another's: a write's re-division
     (:meth:`repro.core.pipeline.LoCEC.apply_updates`) calls this same
-    function on the dirty egos alone, and on the Girvan-Newman route the
-    egos of one call step in lockstep so that each round's Brandes work is scored in
-    one batched kernel call (see :func:`repro.graph.csr.girvan_newman_dense`);
-    the result is the same whichever egos share a call.  That route extracts
-    every ego net before any GN work, so an unknown ego raises
-    :class:`~repro.exceptions.NodeNotFoundError` up front.  ``detector`` is a
-    name (its routed kernel) or a callable over ego-network :class:`Graph`
-    objects (see :func:`get_detector` for the references).
+    function on the dirty egos alone, and the egos of one call step in
+    lockstep so that each round's Brandes work is scored in one batched
+    kernel call (see :func:`repro.graph.csr.girvan_newman_dense`); the
+    result is the same whichever egos share a call.  Every ego net is
+    extracted before any GN work, so an unknown ego raises
+    :class:`~repro.exceptions.NodeNotFoundError` up front.  A
+    :class:`Graph` is snapshotted to a :class:`CSRGraph` once per call.
     """
     if egos is None:
         egos = sorted(graph.nodes(), key=node_key)
-    return DivisionResult(_divider(graph, detector)(list(dict.fromkeys(egos))))
+    egos = list(dict.fromkeys(egos))
+    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    nets = dense_ego_nets(csr, egos)
+    return DivisionResult({
+        ego: _communities_csr(ego, net, blocks)
+        for ego, net, blocks in zip(egos, nets, girvan_newman_dense(nets))
+    })

@@ -231,9 +231,7 @@ class LoCEC:
 
         with self._timed(timings, "division"):
             if division is None:
-                division = divide(
-                    graph, egos=egos, detector=self.config.community_detector
-                )
+                division = divide(graph, egos=egos)
             self.division_ = division
         summary.num_egos = division.num_egos
         summary.num_communities = division.num_communities
@@ -556,9 +554,7 @@ class LoCEC:
         # divide equally: divide the dirty egos' neighbourhoods, not the
         # whole network.
         redivided = divide(
-            self._graph.neighborhood_subgraph(dirty_egos),
-            egos=dirty_egos,
-            detector=self.config.community_detector,
+            self._graph.neighborhood_subgraph(dirty_egos), egos=dirty_egos
         ).communities_by_ego
         division = self.division_
         rescore_keys: set[CommunityKey] = set()

@@ -132,7 +132,7 @@ def evaluate_method(
             dataset.features,
             dataset.interactions,
             train,
-            division=workload.division(config.community_detector),
+            division=workload.division(),
         )
         y_pred = np.array([int(label) for label in pipeline.predict_edges(test_edges)])
     else:

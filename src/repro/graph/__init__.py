@@ -1,4 +1,4 @@
-"""Graph substrate: undirected graphs, ego networks, feature and interaction stores.
+"""Graph substrate: undirected graphs, the CSR Phase I kernels, feature and interaction stores.
 
 The product reaches this package three ways: Phase I divides a
 :class:`CSRGraph` snapshot, Phases II and III read the feature and
@@ -12,8 +12,7 @@ interaction stores, and ``repro.cli generate`` writes the dataset JSON
   snapshot with the kernels Phase I division routes through (ego-network
   extraction, Girvan-Newman over cached per-component betweenness, every
   ego of a call in lockstep over one batched all-sources Brandes kernel).
-  It has no read API of its own: the kernels read its arrays, and
-  ``to_graph`` gives the :class:`Graph` back.
+  It has no read API of its own: the kernels read its arrays.
 
 The Phase II stores get the same treatment in :mod:`repro.graph.phase2`:
 :class:`Phase2Kernel` compiles :class:`InteractionStore` /
@@ -24,9 +23,9 @@ statistic aggregation through it.
 
 Which to use: build the graph with :class:`Graph` and call
 :func:`repro.core.division.divide`; it snapshots to CSR itself.  The
-pure-Python references are test oracles, not options: a *callable* detector
-(``divide(g, detector=get_detector("girvan_newman"))``) runs on ego-network
-:class:`Graph` objects, and ``reference_feature_matrix`` /
+pure-Python references are test oracles, not options:
+``tests/division_reference.py`` (``reference_divide``) runs Phase I on
+ego-network :class:`Graph` objects, and ``reference_feature_matrix`` /
 ``reference_statistic_vector`` in :mod:`repro.core.aggregation` are
 Algorithm 1 by per-pair store lookups.  Measured kernel speeds live in
 ``BENCH_kernels.json`` at the repo root (written by
@@ -39,7 +38,6 @@ baseline.
 """
 
 from repro.graph.csr import CSRGraph, edge_betweenness_csr
-from repro.graph.ego import ego_network
 from repro.graph.features import NodeFeatureStore
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
@@ -53,7 +51,6 @@ __all__ = [
     "NodeFeatureStore",
     "Phase2Kernel",
     "edge_betweenness_csr",
-    "ego_network",
     "save_dataset_json",
     "load_dataset_json",
 ]

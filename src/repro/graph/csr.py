@@ -9,14 +9,15 @@ product route selects it:
 
 * :class:`CSRGraph` — int32 ``indptr``/``indices`` over a node <-> index
   interner (``index_of`` / ``label_of``), a snapshot of a :class:`Graph`
-  that the kernels read as arrays; ``to_graph`` materialises it back.
+  that the kernels read as arrays.
 * :func:`dense_ego_nets` — sorted-adjacency intersection instead of the
-  per-friend Python loop in :mod:`repro.graph.ego`, many egos per NumPy
+  oracle's per-friend Python loop (``ego_network`` in
+  ``tests/division_reference.py``), many egos per NumPy
   pass, emitting the flat :class:`DenseEgoNet` edge arrays the GN engine
   runs on.
 * :func:`girvan_newman_dense` — the GN dendrogram sweep on those arrays
-  for many ego nets at once, partitions identical to
-  :func:`repro.community.girvan_newman`.  The egos step in lockstep:
+  for many ego nets at once, partitions identical to the oracle's
+  ``girvan_newman``.  The egos step in lockstep:
   cliques, trees and tiny components are scored in closed form, and every
   other component a round dirties, across all egos, goes to one batched
   all-sources Brandes kernel on padded ``(B, P, P)`` adjacency stacks.
@@ -105,15 +106,6 @@ class CSRGraph:
             indices[cursor : cursor + row.size] = row
             cursor += row.size
         return cls(indptr, indices, nodes)
-
-    def to_graph(self) -> Graph:
-        """Materialise the equivalent dict-backend :class:`Graph`."""
-        graph = Graph(nodes=self._nodes)
-        for i, u in enumerate(self._nodes):
-            for j in self.indices[self.indptr[i] : self.indptr[i + 1]]:
-                if i < j:
-                    graph.add_edge(u, self._nodes[j])
-        return graph
 
     # ------------------------------------------------------------- interner
     def index_of(self, node: Node) -> int:
@@ -207,7 +199,7 @@ def dense_ego_nets(csr: CSRGraph, egos: Sequence[Node]) -> list[DenseEgoNet]:
     """Extract the ego networks of ``egos``, many egos per NumPy pass.
 
     Sorted-adjacency intersection replaces the per-friend membership loop
-    of :func:`repro.graph.ego.ego_network`: a pass gathers the rows of its
+    of the oracle's ``ego_network``: a pass gathers the rows of its
     egos' friends and keeps the entries found among the ego's own friends,
     with one ``searchsorted`` over the pass's ``(ego, friend)`` codes.  Every
     ego is looked up first, so an unknown ego raises
@@ -334,7 +326,7 @@ def _brandes_through(adjacency: np.ndarray) -> np.ndarray:
 
 
 def edge_betweenness_csr(graph: Graph | CSRGraph) -> dict[Edge, float]:
-    """Vectorized drop-in for :func:`repro.community.betweenness.edge_betweenness`:
+    """Vectorized drop-in for the oracle's ``edge_betweenness``:
     the GN engine's batched Brandes kernel on a stack of one whole graph.
 
     Matches the reference to ~1e-12 (the accumulation order over sources
@@ -525,8 +517,8 @@ class _GNEngine:
     member under :data:`repro.types.node_key` — which is also the order
     modularity is accumulated in.  Nodes and edges arrive ranked by
     :func:`girvan_newman_dense` (``position``: node_key order;
-    ``edge_rank``: edge_key order, where betweenness ties go to the
-    larger); a rank over a whole call restricted to one net keeps that
+    ``edge_rank``: the order of the oracle's ``edge_key``, where
+    betweenness ties go to the larger); a rank over a whole call restricted to one net keeps that
     net's relative order.  The best-modularity
     partition so far is kept in :attr:`best_blocks`.
 
@@ -728,7 +720,7 @@ class _GNEngine:
         Uses the per-component integer intra-edge and degree counts that are
         maintained across splits; the per-block terms and their accumulation
         order (blocks by smallest member) are the same as in
-        :func:`repro.community.modularity.modularity`, so the value is
+        the oracle's ``modularity``, so the value is
         bit-identical to what the oracle computes by rescanning.  A level
         whose exact numerator is below the best one's cannot win the float
         comparison (step 4 of the class docstring) and is not summed.

@@ -29,7 +29,7 @@ class ExperimentWorkload:
     train_edges: list[LabeledEdge]
     test_edges: list[LabeledEdge]
     seed: int = 0
-    _division_cache: dict[str, DivisionResult] = field(default_factory=dict, repr=False)
+    _division: DivisionResult | None = field(default=None, repr=False)
 
     @property
     def labeled_edges(self) -> list[LabeledEdge]:
@@ -42,11 +42,11 @@ class ExperimentWorkload:
             return 0.0
         return len(self.labeled_edges) / self.dataset.num_edges
 
-    def division(self, detector: str = "girvan_newman") -> DivisionResult:
-        """Phase I result for the full network, cached per detector."""
-        if detector not in self._division_cache:
-            self._division_cache[detector] = divide(self.dataset.graph, detector=detector)
-        return self._division_cache[detector]
+    def division(self) -> DivisionResult:
+        """Phase I result for the full network, computed once."""
+        if self._division is None:
+            self._division = divide(self.dataset.graph)
+        return self._division
 
     def subsample_train(
         self, label_fraction: float, seed: int | None = None

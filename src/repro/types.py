@@ -173,11 +173,6 @@ def canonical_edge(u: Node, v: Node) -> Edge:
     return (u, v) if node_key(u) <= node_key(v) else (v, u)
 
 
-def edge_key(edge: Edge) -> str:
-    """Sort key of a canonical edge, spelled from its endpoints' keys."""
-    return f"({node_key(edge[0])}, {node_key(edge[1])})"
-
-
 @dataclass(frozen=True)
 class LabeledEdge:
     """A ground-truth labeled relationship, as collected by the user survey."""

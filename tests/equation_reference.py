@@ -3,8 +3,8 @@
 The product computes both in batch: Equation 2's
 :func:`~repro.core.aggregation.interaction_feature_vector` carries every
 dimension's Equation-1 share at once, and Phase I computes Equation 3 per
-community (:func:`~repro.core.tightness.community_tightness`, and the CSR
-block kernel behind :func:`~repro.core.division.divide`).  The one-value
+community (the CSR block kernel behind :func:`~repro.core.division.divide`,
+and ``community_tightness`` in ``tests/division_reference.py``).  The one-value
 forms here state each formula as the paper writes it.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Collection
 
 from repro.core.aggregation import interaction_feature_vector
-from repro.core.tightness import friend_count_in
 from repro.exceptions import FeatureError
 from repro.graph.graph import Graph
 from repro.graph.interactions import InteractionStore
@@ -72,7 +71,7 @@ def tightness(ego_net: Graph, node: Node, community: Collection[Node]) -> float:
     if size == 1:
         return 1.0
 
-    friends_in_community = friend_count_in(ego_net, node, member_set)
+    friends_in_community = sum(1 for other in ego_net.neighbors(node) if other in member_set)
     friends_in_ego = ego_net.degree(node)
     if friends_in_ego == 0:
         # A completely isolated member of a multi-node community can only

@@ -1,21 +1,22 @@
-"""Tests for the community-detection substrate."""
+"""Tests for the Phase I oracle's Girvan–Newman substrate
+(``tests/division_reference.py``): components, betweenness, modularity and
+the GN sweep, against hand counts and the paper's examples."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.community import (
+from repro.exceptions import CommunityError
+from repro.graph import Graph
+from repro.types import canonical_edge
+from tests.division_reference import (
     connected_components,
     edge_betweenness,
+    ego_network,
     girvan_newman,
     girvan_newman_levels,
-    label_propagation_communities,
-    louvain_communities,
     modularity,
 )
-from repro.exceptions import CommunityError
-from repro.graph import Graph, ego_network
-from repro.types import canonical_edge
 from tests.graph_fixtures import planted_partition
 
 
@@ -124,41 +125,3 @@ class TestGirvanNewman:
         sizes = [len(partition) for partition in girvan_newman_levels(two_cliques_graph)]
         assert sizes == sorted(sizes)
         assert sizes[0] == 1
-
-
-class TestLabelPropagation:
-    def test_two_cliques_split(self, two_cliques_graph):
-        communities = label_propagation_communities(two_cliques_graph, seed=0)
-        covered = set().union(*communities)
-        assert covered == set(two_cliques_graph.nodes())
-        assert len(communities) >= 2 or len(communities[0]) == 8
-
-    def test_deterministic_for_fixed_seed(self, two_cliques_graph):
-        a = label_propagation_communities(two_cliques_graph, seed=5)
-        b = label_propagation_communities(two_cliques_graph, seed=5)
-        assert {frozenset(x) for x in a} == {frozenset(x) for x in b}
-
-    def test_isolated_nodes_stay_singletons(self):
-        graph = Graph(nodes=[1, 2])
-        communities = label_propagation_communities(graph)
-        assert len(communities) == 2
-
-
-class TestLouvain:
-    def test_two_cliques_split(self, two_cliques_graph):
-        communities = louvain_communities(two_cliques_graph, seed=0)
-        blocks = {frozenset(block) for block in communities}
-        assert frozenset({0, 1, 2, 3}) in blocks
-        assert frozenset({4, 5, 6, 7}) in blocks
-
-    def test_planted_partition_mostly_recovered(self):
-        graph, planted = planted_partition([12, 12], 0.8, 0.02, seed=1)
-        communities = louvain_communities(graph, seed=0)
-        assert 1 < len(communities) <= 6
-        covered = set().union(*communities)
-        assert covered == set(graph.nodes())
-
-    def test_empty_and_edgeless_graphs(self):
-        assert louvain_communities(Graph()) == ()
-        singletons = louvain_communities(Graph(nodes=[1, 2, 3]))
-        assert sorted(len(block) for block in singletons) == [1, 1, 1]

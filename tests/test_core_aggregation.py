@@ -9,7 +9,7 @@ from repro.core import (
     CommCNNConfig,
     FeatureMatrixBuilder,
     build_commcnn_classifier,
-    divide_ego,
+    divide,
     interaction_feature_vector,
 )
 from repro.exceptions import ModelConfigError, PipelineError
@@ -22,7 +22,7 @@ from tests.graph_fixtures import paper_figure7_network
 def fig7_setup():
     """Ego-1 communities of the Figure 7 network plus small feature/interaction stores."""
     graph = paper_figure7_network()
-    communities = divide_ego(graph, 1)
+    communities = divide(graph, egos=[1]).communities_of(1)
     c1 = next(c for c in communities if c.members == frozenset({2, 3, 4}))
     c2 = next(c for c in communities if c.members == frozenset({5, 6}))
 

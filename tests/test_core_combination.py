@@ -238,8 +238,6 @@ class TestConfigs:
         with pytest.raises(ModelConfigError):
             LoCECConfig(community_model="svm").validate()
         with pytest.raises(ModelConfigError):
-            LoCECConfig(community_detector="metis").validate()
-        with pytest.raises(ModelConfigError):
             LoCECConfig(edge_lr_l2=0.0).validate()
         with pytest.raises(ModelConfigError):
             LoCECConfig(edge_lr_l2=-1.0).validate()

@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    DivisionResult,
-    LocalCommunity,
-    community_tightness,
-    divide,
-    divide_ego,
-    get_detector,
-)
-from repro.exceptions import PipelineError
-from repro.graph import Graph, ego_network
+from repro.core import DivisionResult, LocalCommunity, divide
+from repro.graph import Graph
+from tests.division_reference import community_tightness, ego_network
 from tests.equation_reference import tightness
 
 
@@ -55,51 +48,47 @@ class TestTightness:
         assert set(values) == {2, 3, 4}
 
 
+def divide_one(graph: Graph, ego) -> list[LocalCommunity]:
+    """One ego's communities, through a one-ego ``divide`` call."""
+    return divide(graph, egos=[ego]).communities_of(ego)
+
+
 class TestDivideEgo:
     def test_paper_example_division(self, fig7_graph):
-        communities = divide_ego(fig7_graph, 1)
+        communities = divide_one(fig7_graph, 1)
         members = {community.members for community in communities}
         assert frozenset({2, 3, 4}) in members
         assert frozenset({5, 6}) in members
 
     def test_tightness_attached_to_members(self, fig7_graph):
-        communities = divide_ego(fig7_graph, 1)
+        communities = divide_one(fig7_graph, 1)
         for community in communities:
             assert set(community.tightness) == set(community.members)
             assert all(0.0 <= value <= 1.0 for value in community.tightness.values())
 
     def test_ego_with_no_friends(self):
         graph = Graph(nodes=[1])
-        assert divide_ego(graph, 1) == []
+        assert divide_one(graph, 1) == []
 
     def test_leaf_ego_gets_single_singleton_community(self, fig7_graph):
-        communities = divide_ego(fig7_graph, 9)
+        communities = divide_one(fig7_graph, 9)
         assert len(communities) == 1
         assert communities[0].members == frozenset({6})
         assert communities[0].tightness[6] == 1.0
 
     def test_members_by_tightness_ordering(self, fig7_graph):
-        communities = divide_ego(fig7_graph, 1)
+        communities = divide_one(fig7_graph, 1)
         c1 = next(c for c in communities if c.members == frozenset({2, 3, 4}))
         ordered = c1.members_by_tightness()
         assert ordered[-1] == 4  # the loosest member comes last
 
     def test_members_by_tightness_cached_and_copy_safe(self, fig7_graph):
-        communities = divide_ego(fig7_graph, 1)
+        communities = divide_one(fig7_graph, 1)
         community = max(communities, key=lambda c: c.size)
         ordered = community.members_by_tightness()
         ordered.append("mutated")  # returned list is a copy
         assert community.members_by_tightness() == ordered[:-1]
 
-    def test_alternative_detectors(self, fig7_graph):
-        for detector in ("label_propagation", "louvain"):
-            communities = divide_ego(fig7_graph, 1, detector=detector)
-            covered = set().union(*(c.members for c in communities))
-            assert covered == {2, 3, 4, 5, 6}
-
-    def test_unknown_detector_raises(self):
-        with pytest.raises(PipelineError):
-            get_detector("spectral")
 
 
 class TestDivide:
@@ -147,9 +136,6 @@ class TestDivide:
         assert result.communities_of(3) == []
 
 
-DETECTOR_NAMES = ("girvan_newman", "label_propagation", "louvain")
-
-
 @st.composite
 def graphs_with_dirty_egos(draw):
     """A random graph (some nodes isolated, int and str labels mixed) and a
@@ -163,15 +149,15 @@ def graphs_with_dirty_egos(draw):
     return graph, egos
 
 
-@given(case=graphs_with_dirty_egos(), detector=st.sampled_from(DETECTOR_NAMES))
+@given(case=graphs_with_dirty_egos())
 @settings(max_examples=60, deadline=None)
-def test_a_neighborhood_snapshot_divides_like_the_network(case, detector):
+def test_a_neighborhood_snapshot_divides_like_the_network(case):
     # A write re-divides its dirty egos on the subgraph of their closed
     # neighbourhoods; members, tightness and index must be the network's.
     graph, egos = case
     snapshot = graph.neighborhood_subgraph(egos)
-    expected = divide(graph, egos=egos, detector=detector).communities_by_ego
-    actual = divide(snapshot, egos=egos, detector=detector).communities_by_ego
+    expected = divide(graph, egos=egos).communities_by_ego
+    actual = divide(snapshot, egos=egos).communities_by_ego
     assert set(actual) == set(expected)
     for ego, communities in expected.items():
         assert [

@@ -7,11 +7,12 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import LoCEC, LoCECConfig, divide, get_detector
+from repro.core import LoCEC, LoCECConfig
 from repro.core.aggregation import reference_feature_matrix, reference_statistic_vector
 from repro.exceptions import NotFittedError, PipelineError
 from repro.synthetic import make_workload
 from repro.types import RelationType
+from tests.division_reference import reference_divide
 from tests.exact_reference import ReferenceBoostedClassifier
 from tests.nn_reference import loop_commcnn
 
@@ -175,23 +176,6 @@ class TestNetworkClassification:
         assert result.num_edges == 5
 
 
-class TestDetectorAblation:
-    def test_label_propagation_detector_pipeline(self, tiny_workload):
-        config = LoCECConfig.locec_xgb(community_detector="label_propagation")
-        config.gbdt.num_rounds = 10
-        pipeline = LoCEC(config)
-        pipeline.fit(
-            tiny_workload.dataset.graph,
-            tiny_workload.dataset.features,
-            tiny_workload.dataset.interactions,
-            tiny_workload.train_edges,
-            division=tiny_workload.division("label_propagation"),
-        )
-        report = pipeline.evaluate(tiny_workload.test_edges)
-        assert report.overall is not None
-        assert report.overall.f1 > 0.5
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("model", ["xgb", "cnn"])
 def test_every_layer_of_a_default_fit_matches_its_oracle(tiny_workload, model):
@@ -204,7 +188,7 @@ def test_every_layer_of_a_default_fit_matches_its_oracle(tiny_workload, model):
     config = getattr(LoCECConfig, f"locec_{model}")()
     pipeline = LoCEC(config).fit(graph, features, interactions, workload.train_edges)
 
-    oracle = divide(graph, detector=get_detector(config.community_detector))
+    oracle = reference_divide(graph)
     assert oracle.communities_by_ego == pipeline.division_.communities_by_ego
 
     communities = list(pipeline.division_.all_communities())

@@ -180,7 +180,7 @@ def test_a_fitted_pipeline_reads_the_oracle_design_matrix_through_writes():
     structural write, a write that brings a new node and a removal."""
     workload = make_workload("tiny", seed=1)
     dataset = workload.dataset
-    config = LoCECConfig.locec_xgb(community_detector="label_propagation")
+    config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 8
     graph = dataset.graph
     with LoCEC(config).fit(

@@ -1,5 +1,5 @@
-"""Tests for the Graph class, ego-network extraction and Economix's
-neighbourhood-overlap metric."""
+"""Tests for the Graph class, the Phase I oracle's ego-network extraction
+and Economix's neighbourhood-overlap metric."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import pytest
 
 from repro.baselines.economix import jaccard_similarity
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, SelfLoopError
-from repro.graph import Graph, ego_network
+from repro.graph import Graph
+from tests.division_reference import ego_network
 
 
 class TestGraphBasics:

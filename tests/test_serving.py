@@ -41,9 +41,9 @@ from repro.types import LabeledEdge, node_key
 from tests.clocks import FakeClock
 
 
-def _config(detector="label_propagation", model="xgb"):
+def _config(model="xgb"):
     maker = LoCECConfig.locec_xgb if model == "xgb" else LoCECConfig.locec_cnn
-    config = maker(community_detector=detector)
+    config = maker()
     config.gbdt.num_rounds = 8
     config.cnn.epochs = 2
     return config
@@ -102,15 +102,12 @@ def _assert_bit_identical(incremental, scratch, query_edges):
 
 
 class TestIncrementalParity:
-    @pytest.mark.parametrize(
-        "detector", ["girvan_newman", "label_propagation", "louvain"]
-    )
-    def test_apply_updates_matches_scratch_fit(self, detector):
+    def test_apply_updates_matches_scratch_fit(self):
         workload = make_workload("tiny", seed=1)
         dataset = workload.dataset
         deltas = _choose_deltas(dataset.graph, dataset.features, dataset.interactions)
         with _fit(
-            _config(detector),
+            _config(),
             dataset.graph,
             dataset.features,
             dataset.interactions,
@@ -133,7 +130,7 @@ class TestIncrementalParity:
                 deltas,
             )
             with _fit(
-                _config(detector),
+                _config(),
                 baseline.dataset.graph,
                 baseline.dataset.features,
                 baseline.dataset.interactions,
@@ -428,9 +425,9 @@ class TestWarmModels:
         calls = []
         divide = pipeline_module.divide
 
-        def counted(snapshot, egos, detector):
+        def counted(snapshot, egos):
             calls.append(list(egos))
-            return divide(snapshot, egos=egos, detector=detector)
+            return divide(snapshot, egos=egos)
 
         monkeypatch.setattr(pipeline_module, "divide", counted)
         report = pipeline.apply_updates(

@@ -1,14 +1,14 @@
 """``fit`` is a function of its inputs' *value*.
 
 Every order LoCEC decides — communities within an ego, egos within a
-division, training rows, the ablation detectors' visit order — comes from
+division, training rows — comes from
 :data:`repro.types.node_key`, never from insertion history, set iteration
 order or the interpreter's hash seed.  These tests pin that from four sides:
 
 (a) rebuilding an equal graph with shuffled node / edge insertion and random
     endpoint orientation leaves ``fit -> predict_edge_proba`` byte-identical;
 (b) a ``CSRGraph`` that is nothing but its three arrays divides exactly like
-    the ``dict`` oracle, for every detector;
+    the ``dict`` oracle;
 (c) a str-labelled graph divides to one digest under different
     ``PYTHONHASHSEED`` values (what lets CI run without pinning it);
 (d) ``apply_updates`` is restorable — add then remove an edge and every
@@ -33,12 +33,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import LoCEC, LoCECConfig
-from repro.core.division import divide, get_detector
+from repro.core.division import divide
 from repro.graph import Graph
 from repro.graph.csr import CSRGraph
 from repro.synthetic import make_workload
-
-DETECTORS = ["girvan_newman", "label_propagation", "louvain"]
+from tests.division_reference import reference_divide
 
 
 def _config(model: str) -> LoCECConfig:
@@ -90,21 +89,21 @@ def test_fit_ignores_insertion_history(reference_proba, tiny_workload, seed):
 
 
 # ------------------------------------------------- (b) source-less CSRGraph
-@pytest.mark.parametrize("detector", DETECTORS)
-def test_bare_csr_arrays_divide_like_the_dict_oracle(tiny_workload, detector):
+def test_bare_csr_arrays_divide_like_the_dict_oracle(tiny_workload):
     graph = tiny_workload.dataset.graph
     snapshot = CSRGraph.from_graph(graph)
     bare = CSRGraph(snapshot.indptr, snapshot.indices, list(snapshot.nodes()))
-    oracle = divide(graph, detector=get_detector(detector))
+    oracle = reference_divide(graph)
     # LocalCommunity equality covers ego, members, tightness and index.
-    assert divide(bare, detector=detector).communities_by_ego == oracle.communities_by_ego
+    assert divide(bare).communities_by_ego == oracle.communities_by_ego
 
 
 # ------------------------------------------------------- (c) hash seeds
 _DIGEST_CHILD = """
 import hashlib, json
-from repro.core.division import divide, get_detector
+from repro.core.division import divide
 from repro.graph import Graph
+from tests.division_reference import reference_divide
 from tests.graph_fixtures import planted_partition
 
 base, _ = planted_partition([8, 8, 8], intra_prob=0.8, inter_prob=0.05, seed=7)
@@ -119,11 +118,7 @@ def digest(division):
     )
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
-print(json.dumps({
-    f"{name}:{route}": digest(divide(graph, detector=detector))
-    for name in ("girvan_newman", "label_propagation", "louvain")
-    for route, detector in (("oracle", get_detector(name)), ("routed", name))
-}))
+print(json.dumps({"oracle": digest(reference_divide(graph)), "routed": digest(divide(graph))}))
 """
 
 
@@ -144,8 +139,7 @@ def _digests_under(hash_seed: str) -> dict[str, str]:
 def test_division_digest_is_hash_seed_independent():
     first, second = _digests_under("1"), _digests_under("2")
     assert first == second
-    for detector in DETECTORS:
-        assert first[f"{detector}:oracle"] == first[f"{detector}:routed"]
+    assert first["oracle"] == first["routed"]
 
 
 # ------------------------------------------------- (d) restorable updates
