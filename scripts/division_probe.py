@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.append(str(REPO_ROOT))
 
-from repro.core.division import DivisionResult, divide  # noqa: E402 — needs the sys.path fix above
+from repro.core.division import DivisionResult, divide  # noqa: E402 — needs the path fix above
 from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.graph.graph import Graph  # noqa: E402
 from repro.synthetic import make_workload  # noqa: E402
@@ -64,7 +64,7 @@ def main() -> int:
     differing_total = 0
     for scale, legs in GRID:
         graphs = {seed: make_workload(scale, seed=seed).dataset.graph for seed in SEEDS}
-        oracle = {seed: reference_divide(graph).communities_by_ego for seed, graph in graphs.items()}
+        oracle = {seed: reference_divide(g).communities_by_ego for seed, g in graphs.items()}
         for leg in legs:
             cells = []
             for seed, graph in graphs.items():

@@ -352,6 +352,11 @@ class EdgeLabeler:
             raise PipelineError("edges and labels must have the same length")
         if not edges:
             raise PipelineError("cannot fit the edge labeler on zero edges")
+        # The rows in one canonical order — by endpoint keys, then label — so
+        # the solve sums them alike whatever order the caller listed them in.
+        keys = [(sorted(map(node_key, edge)), label) for edge, label in zip(edges, labels)]
+        order = sorted(range(len(edges)), key=keys.__getitem__)
+        edges, labels = [edges[i] for i in order], [labels[i] for i in order]
         position: dict[Node, int] = {}
         ends = np.fromiter(
             (position.setdefault(node, len(position)) for node in chain.from_iterable(edges)),

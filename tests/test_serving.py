@@ -298,8 +298,10 @@ def _assert_equals_scratch_fit(pipeline, workload, read=None):
 
 def _assert_kept_design(pipeline, train_edges):
     """A write rebuilds only some rows of the labeler's design: the kept
-    design must still be every training edge's Equation 4 row, to the byte."""
-    design = pipeline.edge_feature_builder_.edge_features(train_edges)
+    design must still be every training edge's Equation 4 row, to the byte,
+    in the labeler's training order (by the endpoints' ``node_key``)."""
+    ordered = sorted(train_edges, key=lambda edge: sorted(map(node_key, edge)))
+    design = pipeline.edge_feature_builder_.edge_features(ordered)
     assert pipeline.edge_labeler_._design[0].tobytes() == design.tobytes()
 
 
