@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DivisionResult, LocalCommunity, divide
+from repro.core import DivisionResult, LocalCommunity, LoCECConfig, divide
 from repro.graph import Graph
 from tests.division_reference import community_tightness, ego_network
 from tests.equation_reference import tightness
@@ -89,6 +89,12 @@ class TestDivideEgo:
         ordered.append("mutated")  # returned list is a copy
         assert community.members_by_tightness() == ordered[:-1]
 
+    def test_unknown_detector_raises(self, fig7_graph):
+        # Girvan–Newman is the one detector: a stale caller naming one fails.
+        with pytest.raises(TypeError):
+            divide(fig7_graph, egos=[1], detector="spectral")
+        with pytest.raises(TypeError):
+            LoCECConfig(community_detector="metis")
 
 
 class TestDivide:

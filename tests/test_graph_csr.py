@@ -275,12 +275,9 @@ class TestDivideParity:
             assert_division_identical(reference_divide(fig7_graph, egos=[ego]), alone)
 
     def test_unknown_backend_raises(self, fig7_graph):
-        # There is no selector to get wrong: a stale ``backend=`` or
-        # ``detector=`` caller fails.
+        # There is no selector to get wrong: a stale ``backend=`` caller fails.
         with pytest.raises(TypeError):
             divide(fig7_graph, backend="dict")
-        with pytest.raises(TypeError):
-            divide(fig7_graph, detector="girvan_newman")
 
     def test_the_kernel_and_the_oracle_share_no_detector(self, fig7_graph, monkeypatch):
         # The parity above compares two implementations, not one with itself.
